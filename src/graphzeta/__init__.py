@@ -5,7 +5,7 @@ All arithmetic is exact: arbitrary-precision integers and rationals,
 prime-power cyclotomic fields, and group rings of cyclic p-groups.
 """
 
-from .cyclo import CycloNum, Valuation, cyclo_norm_to_Q, ordp_cyclo, ordp_fraction, zeta
+from .cyclo import CycloNum, Valuation, ordp_cyclo, ordp_fraction, zeta
 from .datum_io import datum_to_dict, dump_datum, load_datum, parse_datum
 from .equivariant import (
     EquivEulerChar,
@@ -57,7 +57,7 @@ from .lfunctions import (
     z_poly,
 )
 from .linalg import det_commutative
-from .poly import TruncSeries, UniPoly, poly_derivative, poly_eval
+from .poly import TruncSeries, UniPoly
 from .tower import (
     LevelGraph,
     TowerDatum,

@@ -16,6 +16,7 @@ import sys
 from .datum_io import load_datum
 from .errors import CertificationError, DatumError, GraphError, HypothesisError
 from .graphs import connected, euler_characteristic, ihara_zeta_reciprocal, spanning_tree_count
+from .groupring import subgroup_exponent
 from .iwasawa import (
     char_ideal_generator,
     closed_form_invariants,
@@ -149,14 +150,14 @@ def cmd_invariants(d: TowerDatum, max_level: int) -> dict:
     return doc
 
 
-def cmd_verify(d: TowerDatum, level: int, subgroup_order: int | None) -> dict:
+def cmd_verify(d: TowerDatum, level: int, subgroup_order: int) -> dict:
     items = run_battery(d, level, subgroup_order)
     failed = [it.name for it in items if it.status == "fail"]
     return {
         "command": "verify",
         "prime": d.p,
         "level": level,
-        "subgroup_order": subgroup_order if subgroup_order else d.p,
+        "subgroup_order": subgroup_order,
         "items": [
             {"name": it.name, "status": it.status, "detail": it.detail} for it in items
         ],
@@ -255,20 +256,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _checked_level(value: int, flag: str, least: int) -> int:
+    if value < least:
+        raise DatumError(f"{flag} must be at least {least}, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         datum = load_datum(args.datum)
-        if args.command == "zeta":
-            doc = cmd_zeta(datum, args.level)
-        elif args.command == "lfunctions":
-            doc = cmd_lfunctions(datum, args.level)
-        elif args.command == "tower":
-            doc = cmd_tower(datum, args.max_level or _default_max_level(datum))
-        elif args.command == "invariants":
-            doc = cmd_invariants(datum, args.max_level or _default_max_level(datum))
+        if args.command in ("tower", "invariants"):
+            max_level = args.max_level
+            if max_level is None:
+                max_level = _default_max_level(datum)
+            max_level = _checked_level(max_level, "--max-level", 1)
         else:
-            doc = cmd_verify(datum, args.level, args.subgroup_order)
+            level = _checked_level(args.level, "--level", 0)
+        if args.command == "zeta":
+            doc = cmd_zeta(datum, level)
+        elif args.command == "lfunctions":
+            doc = cmd_lfunctions(datum, level)
+        elif args.command == "tower":
+            doc = cmd_tower(datum, max_level)
+        elif args.command == "invariants":
+            doc = cmd_invariants(datum, max_level)
+        else:
+            subgroup_order = args.subgroup_order
+            if subgroup_order is None:
+                subgroup_order = datum.p
+            try:
+                subgroup_exponent(datum.p**level, subgroup_order)
+            except ValueError as exc:
+                raise DatumError(f"verify at level {level}: {exc}") from exc
+            doc = cmd_verify(datum, level, subgroup_order)
     except (DatumError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,6 @@ from fractions import Fraction
 __all__ = [
     "CycloNum",
     "Valuation",
-    "cyclo_norm_to_Q",
     "euler_phi_prime_power",
     "ordp_cyclo",
     "ordp_fraction",
@@ -323,11 +322,6 @@ def ordp_fraction(x, p: int) -> Valuation:
         return v
 
     return Valuation.of(_ord_int(x.numerator) - _ord_int(x.denominator))
-
-
-def cyclo_norm_to_Q(x: CycloNum) -> Fraction:
-    """Norm of x down to Q; zero iff x is zero."""
-    return x.norm()
 
 
 def ordp_cyclo(x: CycloNum, p: int) -> Valuation:

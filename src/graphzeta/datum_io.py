@@ -98,7 +98,8 @@ def parse_datum(doc: dict, source: str = "<datum>") -> TowerDatum:
 
 
 def datum_to_dict(d: TowerDatum) -> dict:
-    vertices = list(d.base.vertices)
+    """The on-disk document of d; vertex names are written as strings."""
+    vertices = [str(v) for v in d.base.vertices]
     edges = []
     for e in range(d.base.n_darts):
         if e < d.base.dart_inverse[e]:

@@ -20,8 +20,16 @@ from fractions import Fraction
 
 from . import linalg
 from .cyclo import CycloNum
-from .groupring import GroupRingElem, from_character_values, groupring_idempotent
-from .lfunctions import CharacterLabel, characters, h_poly, r0
+from .groupring import (
+    GroupRingElem,
+    apply_character,
+    characters,
+    factor_prime_power,
+    from_character_polys,
+    groupring_idempotent,
+    subgroup_exponent,
+)
+from .lfunctions import h_poly, r0
 from .poly import UniPoly
 from .tower import TowerDatum, build_level_graph, level_matrices
 
@@ -76,13 +84,7 @@ def gamma_expand(p: int, n: int, exponents: tuple[int, ...]) -> UniPoly:
     if any(e > 0 for e in exponents):
         raise ValueError("gamma is not polynomial: some character exponent is positive")
     one_minus = UniPoly([1, 0, -1])
-    polys = [one_minus ** (-e) for e in exponents]
-    length = max(q.degree + 1 for q in polys)
-    coeffs = []
-    for k in range(length):
-        vals = [CycloNum.rational(p, q.coefficient(k), 0) for q in polys]
-        coeffs.append(from_character_values(p, n, [v.lift(n) for v in vals]))
-    return UniPoly(coeffs)
+    return from_character_polys(p, n, [one_minus ** (-e) for e in exponents])
 
 
 @dataclass(frozen=True)
@@ -96,17 +98,8 @@ class EquivZeta:
 
 def eta_poly(d: TowerDatum, n: int) -> UniPoly:
     """eta(u) over Q[Z/p^n Z]: per-character determinants reassembled."""
-    p = d.p
-    polys = [h_poly(d, n, psi) for psi in characters(p, n)]
-    length = max(q.degree + 1 for q in polys)
-    coeffs = []
-    for k in range(length):
-        vals = []
-        for q in polys:
-            c = q.coefficient(k)
-            vals.append(c if isinstance(c, CycloNum) else CycloNum.rational(p, c, 0))
-        coeffs.append(from_character_values(p, n, [v.lift(n) for v in vals]))
-    return UniPoly(coeffs)
+    polys = [h_poly(d, n, psi) for psi in characters(d.p, n)]
+    return from_character_polys(d.p, n, polys)
 
 
 def equiv_zeta(d: TowerDatum, n: int) -> EquivZeta:
@@ -150,8 +143,7 @@ def eta_for_subgroup_action(d: TowerDatum, n: int, subgroup_order: int) -> UniPo
     The result lives over Q[Z/p^h Z].
     """
     m = d.p**n
-    if subgroup_order <= 0 or m % subgroup_order:
-        raise ValueError("subgroup order must divide the group order")
+    subgroup_exponent(m, subgroup_order)
     h_ord = subgroup_order
     step = m // h_ord
     lg = build_level_graph(d, n)
@@ -231,68 +223,22 @@ def norm_map(x: UniPoly | GroupRingElem, subgroup_order: int) -> UniPoly:
     Q[Z/p^h Z] with H identified with Z/p^h Z.
     """
     m = _modulus_of(x)
-    from .groupring import factor_prime_power
-
     p, n = factor_prime_power(m)
-    if subgroup_order <= 0 or m % subgroup_order:
-        raise ValueError("subgroup order must divide the group order")
-    h_exp = 0
-    t = subgroup_order
-    while t > 1:
-        t //= p
-        h_exp += 1
+    h_exp = subgroup_exponent(m, subgroup_order)
     poly = _as_groupring_poly(x, m)
     # psi_a(x) for every character of G, all at ambient level n.
-    projections = []
-    for a in range(m):
-        psi = CharacterLabel(p, n, a)
-        proj = poly.map_coeffs(
-            lambda c: _char_apply(c, psi, p, n)
-        )
-        projections.append(proj)
+    projections = [
+        poly.map_coeffs(lambda c: apply_character(c, psi, level=n)) for psi in characters(p, n)
+    ]
     ph = p**h_exp
     per_h_char: list[UniPoly] = []
     one = UniPoly.constant(CycloNum.rational(p, 1, n))
     for b in range(ph):
         prod = one
-        for a in range(m):
-            if a % ph == b:
-                prod = prod * projections[a]
+        for a in range(b, m, ph):
+            prod = prod * projections[a]
         per_h_char.append(prod)
-    length = max(q.degree + 1 for q in per_h_char)
-    coeffs = []
-    for k in range(length):
-        vals = []
-        for q in per_h_char:
-            c = q.coefficient(k)
-            vals.append(c if isinstance(c, CycloNum) else CycloNum.rational(p, c, n))
-        coeffs.append(_idft_subgroup(p, n, h_exp, vals))
-    return UniPoly(coeffs)
-
-
-def _char_apply(c, psi: CharacterLabel, p: int, n: int) -> CycloNum:
-    if isinstance(c, GroupRingElem):
-        acc = CycloNum.rational(p, 0, n)
-        for s, coeff in enumerate(c.coeffs):
-            if coeff:
-                acc = acc + psi.value(s).lift(n) * coeff
-        return acc
-    return CycloNum.rational(p, c, n)
-
-
-def _idft_subgroup(p: int, n: int, h_exp: int, values: list[CycloNum]) -> GroupRingElem:
-    # Inverse DFT over the characters of H = Z/p^h Z, computed at level n.
-    ph = p**h_exp
-    coeffs = []
-    for t in range(ph):
-        acc = CycloNum.rational(p, 0, n)
-        for b, v in enumerate(values):
-            phase = CharacterLabel(p, h_exp, b).value((-t) % ph).lift(n)
-            acc = acc + v * phase
-        if not acc.is_rational():
-            raise ValueError("norm reassembly produced a nonrational coefficient")
-        coeffs.append(acc.to_rational() * Fraction(1, ph))
-    return GroupRingElem(ph, coeffs)
+    return from_character_polys(p, h_exp, per_h_char)
 
 
 def _modulus_of(x) -> int:
@@ -353,8 +299,7 @@ def trace_map(x: GroupRingElem, subgroup_order: int) -> GroupRingElem:
 
     Equals (G:H) times the restriction of x to H, reindexed by Z/p^h Z.
     """
-    if x.m % subgroup_order:
-        raise ValueError("subgroup order must divide the group order")
+    subgroup_exponent(x.m, subgroup_order)
     index = x.m // subgroup_order
     return x.restrict_to_subgroup(subgroup_order) * index
 
@@ -389,13 +334,7 @@ def inflation_check(d: TowerDatum, n: int, subgroup_order: int) -> InflationRepo
     L-function formalism that branched covers break.
     """
     m = d.p**n
-    if subgroup_order <= 0 or m % subgroup_order:
-        raise ValueError("subgroup order must divide the group order")
-    h_exp = 0
-    t = subgroup_order
-    while t > 1:
-        t //= d.p
-        h_exp += 1
+    h_exp = subgroup_exponent(m, subgroup_order)
     quotient_order = m // subgroup_order
     eta_full = eta_poly(d, n)
     lhs = eta_full.map_coeffs(lambda c: c.project_to_quotient(quotient_order))

@@ -8,19 +8,25 @@ primitive character idempotents e_psi can be manipulated directly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CycloNum, zeta
+from .cyclo import CycloNum
+from .poly import UniPoly
 
 __all__ = [
+    "CharacterLabel",
     "GroupRingElem",
     "apply_character",
     "character_idempotent",
+    "characters",
     "factor_prime_power",
+    "from_character_polys",
     "from_character_values",
     "groupring_idempotent",
     "norm_element",
     "subgroup_elements",
+    "subgroup_exponent",
 ]
 
 
@@ -191,6 +197,13 @@ class GroupRingElem:
         return GroupRingElem(d, [self.coeffs[t * step] for t in range(d)])
 
 
+def subgroup_exponent(m: int, d: int) -> int:
+    """h with p^h = d, for the order-d subgroup of Z/mZ (m = p^n)."""
+    if d <= 0 or m % d:
+        raise ValueError(f"no subgroup of order {d} in Z/{m}Z")
+    return factor_prime_power(d)[1]
+
+
 def subgroup_elements(m: int, d: int) -> list[int]:
     """Elements of the unique order-d subgroup of Z/mZ."""
     if d <= 0 or m % d:
@@ -209,97 +222,143 @@ def groupring_idempotent(m: int, d: int) -> GroupRingElem:
     return norm_element(m, d) * Fraction(1, d)
 
 
-def apply_character(x: GroupRingElem, psi, *, level: int | None = None) -> CycloNum:
+# -- characters of Z/p^n Z -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CharacterLabel:
+    """Character psi_a of Z/p^n Z, x -> zeta_{p^n}^(a x)."""
+
+    p: int
+    n: int
+    a: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", self.a % (self.p**self.n))
+
+    @property
+    def order_exponent(self) -> int:
+        """j with ord(psi) = p^j."""
+        a = self.a
+        if a == 0:
+            return 0
+        v = 0
+        while a % self.p == 0:
+            a //= self.p
+            v += 1
+        return self.n - v
+
+    @property
+    def order(self) -> int:
+        return self.p**self.order_exponent
+
+    @property
+    def is_trivial(self) -> bool:
+        return self.a == 0
+
+    def exponent_at(self, level: int) -> int:
+        """e with psi(x) = zeta_{p^level}^(e x); level must be >= order_exponent."""
+        if level < self.order_exponent:
+            raise ValueError("requested level below the character's order level")
+        return self.a * self.p**level // self.p**self.n
+
+    def value(self, x: int) -> CycloNum:
+        """psi(x) as a cyclotomic number at the character's own level."""
+        j = self.order_exponent
+        return CycloNum.from_monomials(self.p, j, [(self.exponent_at(j) * x, 1)])
+
+    def kernel_contains(self, subgroup_order: int) -> bool:
+        """Does ker(psi) contain the unique subgroup of that order?"""
+        m = self.p**self.n
+        subgroup_exponent(m, subgroup_order)
+        return (self.a * (m // subgroup_order)) % m == 0
+
+
+def characters(p: int, n: int) -> list[CharacterLabel]:
+    """All p^n characters of Z/p^n Z, by exponent."""
+    return [CharacterLabel(p, n, a) for a in range(p**n)]
+
+
+def _monomials(p: int, level: int, c) -> list[tuple[int, Fraction]]:
+    # (exponent, coefficient) pairs of c in powers of zeta_{p^level}.
+    if not isinstance(c, CycloNum):
+        return [(0, c)]
+    if c.j > 0 and c.p != p:
+        raise ValueError("cyclotomic coefficient over the wrong prime")
+    scale = p ** (level - c.j) if c.j else 0
+    return [(i * scale, v) for i, v in enumerate(c.coeffs) if v]
+
+
+def apply_character(x: GroupRingElem, psi: CharacterLabel, *, level: int | None = None) -> CycloNum:
     """Evaluate the C-algebra morphism psi on x.
 
-    psi is a CharacterLabel (or any object with fields p, n, a); the result
-    lives at the character's own level unless a higher ambient level is
-    requested.  Cyclotomic coefficients in x force the ambient level up.
+    The result lives at the character's own level unless a higher ambient
+    level is requested; cyclotomic coefficients in x force the level up.
     Rational scalars are accepted as diagonally embedded constants.
     """
-    if isinstance(x, (int, Fraction)) and hasattr(psi, "p"):
-        j = _order_exponent(psi.p, psi.n, psi.a)
-        return CycloNum.rational(psi.p, x, j if level is None else level)
-    exponent = getattr(psi, "a", psi)
-    if hasattr(psi, "p"):
-        if psi.p**psi.n != x.m:
-            raise ValueError(f"modulus mismatch: character mod {psi.p**psi.n}, element mod {x.m}")
-        p, n = psi.p, psi.n
-    else:
-        p, n = factor_prime_power(x.m)
-    j = _order_exponent(p, n, exponent)
-    lvl = j if level is None else level
+    p = psi.p
+    lvl = psi.order_exponent if level is None else level
+    if isinstance(x, (int, Fraction)):
+        return CycloNum.rational(p, x, lvl)
+    if p**psi.n != x.m:
+        raise ValueError(f"modulus mismatch: character mod {p**psi.n}, element mod {x.m}")
     for c in x.coeffs:
         if isinstance(c, CycloNum):
             lvl = max(lvl, c.j)
-    if lvl < j:
-        raise ValueError("requested level below the character's order level")
-    root = zeta(p, lvl) if lvl else CycloNum.rational(p, 1)
-    a_scaled = exponent * (p ** (lvl - n)) if lvl >= n else exponent // (p ** (n - lvl))
-    acc = CycloNum.rational(p, 0, lvl)
-    for s, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        value = root ** ((a_scaled * s) % (p**lvl)) if lvl else CycloNum.rational(p, 1)
-        if isinstance(c, CycloNum):
-            acc = acc + c.lift(lvl) * value
-        else:
-            acc = acc + value * c
-    return acc
-
-
-def _order_exponent(p: int, n: int, a: int) -> int:
-    # Order of the character x -> zeta_{p^n}^(a x) is p^j.
-    a %= p**n
-    if a == 0:
-        return 0
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return n - v
+    step = psi.exponent_at(lvl)
+    return CycloNum.from_monomials(
+        p,
+        lvl,
+        (
+            (step * s + e, v)
+            for s, c in enumerate(x.coeffs)
+            if c
+            for e, v in _monomials(p, lvl, c)
+        ),
+    )
 
 
 def character_idempotent(p: int, n: int, a: int) -> GroupRingElem:
     """Primitive idempotent e_psi, with cyclotomic coefficients at level n."""
     m = p**n
-    root = zeta(p, n) if n else CycloNum.rational(p, 1)
-    inv_m = Fraction(1, m)
-    coeffs = []
-    for s in range(m):
-        # coefficient of [s] is psi(-s)/m
-        coeffs.append((root ** ((-a * s) % m) if n else CycloNum.rational(p, 1)) * inv_m)
-    return GroupRingElem(m, coeffs)
+    # coefficient of [s] is psi(-s)/m
+    return GroupRingElem(
+        m, [CycloNum.from_monomials(p, n, [(-a * s, Fraction(1, m))]) for s in range(m)]
+    )
 
 
 def from_character_values(p: int, n: int, values) -> GroupRingElem:
     """Inverse discrete Fourier transform over the character group.
 
-    Given values v_a = psi_a(x) for a = 0..p^n-1 (CycloNum at level <= n,
-    or rational), reconstruct x = sum_a v_a e_{psi_a}.  The result must have
-    rational coefficients; a nonrational coefficient is a hard error.
+    Given values v_a = psi_a(x) for a = 0..p^n-1 (rational, or CycloNum at
+    any level), reconstruct x = sum_a v_a e_{psi_a}, working at the level
+    max(n, value levels).  The result must have rational coefficients; a
+    nonrational coefficient is a hard error.
     """
     m = p**n
     values = list(values)
     if len(values) != m:
         raise ValueError(f"need {m} character values")
-    lifted = []
-    for v in values:
-        if isinstance(v, CycloNum):
-            if v.p != p and v.j > 0:
-                raise ValueError("character value over the wrong prime")
-            lifted.append(v.lift(n) if v.p == p else CycloNum.rational(p, v.to_rational(), n))
-        else:
-            lifted.append(CycloNum.rational(p, v, n))
-    root = zeta(p, n) if n else CycloNum.rational(p, 1)
+    level = max([n] + [v.j for v in values if isinstance(v, CycloNum)])
+    scale = p ** (level - n)
+    terms = [(a * scale, _monomials(p, level, v)) for a, v in enumerate(values) if v]
     inv_m = Fraction(1, m)
     coeffs = []
     for t in range(m):
-        acc = CycloNum.rational(p, 0, n)
-        for a, v in enumerate(lifted):
-            if v:
-                acc = acc + v * (root ** ((-a * t) % m) if n else CycloNum.rational(p, 1))
+        # psi_a(-t) = zeta_{p^level}^(-a t scale): rotate v_a's monomials.
+        acc = CycloNum.from_monomials(
+            p, level, ((e - rot * t, c) for rot, mono in terms for e, c in mono)
+        )
         if not acc.is_rational():
             raise ValueError(f"reassembled coefficient of [{t}] is not rational: {acc!r}")
         coeffs.append(acc.to_rational() * inv_m)
     return GroupRingElem(m, coeffs)
+
+
+def from_character_polys(p: int, n: int, polys) -> UniPoly:
+    """Coefficientwise from_character_values: sum_a polys[a] e_{psi_a}."""
+    polys = list(polys)
+    length = max((q.degree + 1 for q in polys), default=0)
+    return UniPoly(
+        [from_character_values(p, n, [q.coefficient(k) for q in polys]) for k in range(length)]
+    )

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclo import CycloNum, Valuation, ordp_cyclo, zeta
+from .cyclo import CycloNum, Valuation, ordp_cyclo
 from .errors import CertificationError, HypothesisError
 from .graphs import ihara_zeta_reciprocal
-from .groupring import GroupRingElem, from_character_values
+from .groupring import CharacterLabel, apply_character, characters, from_character_polys
 from .poly import UniPoly
 from .tower import TowerDatum, build_level_graph, level_matrices, tower_euler_char
 
@@ -40,59 +40,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CharacterLabel:
-    """Character psi_a of Z/p^n Z, x -> zeta_{p^n}^(a x)."""
-
-    p: int
-    n: int
-    a: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.a % (self.p**self.n))
-
-    @property
-    def order_exponent(self) -> int:
-        """j with ord(psi) = p^j."""
-        a = self.a
-        if a == 0:
-            return 0
-        v = 0
-        while a % self.p == 0:
-            a //= self.p
-            v += 1
-        return self.n - v
-
-    @property
-    def order(self) -> int:
-        return self.p**self.order_exponent
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.a == 0
-
-    def value(self, x: int) -> CycloNum:
-        """psi(x) as a cyclotomic number at the character's own level."""
-        j = self.order_exponent
-        if j == 0:
-            return CycloNum.rational(self.p, 1)
-        a_red = self.a // (self.p ** (self.n - j))
-        return zeta(self.p, j) ** ((a_red * x) % (self.p**j))
-
-    def kernel_contains(self, subgroup_order: int) -> bool:
-        """Does ker(psi) contain the unique subgroup of that order?"""
-        m = self.p**self.n
-        if subgroup_order <= 0 or m % subgroup_order:
-            raise ValueError("not a subgroup order")
-        generator = m // subgroup_order
-        return (self.a * generator) % m == 0
-
-
-def characters(p: int, n: int) -> list[CharacterLabel]:
-    """All p^n characters of Z/p^n Z, by exponent."""
-    return [CharacterLabel(p, n, a) for a in range(p**n)]
-
-
 def kernel_contains_stabilizer(d: TowerDatum, v: int, n: int, psi: CharacterLabel) -> bool:
     k = d.ram[v]
     if k is None:
@@ -110,23 +57,14 @@ def _three_term_matrix(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[in
     a_alpha, c, deg = level_matrices(d, n)
     j = psi.order_exponent
     p = d.p
-
-    def char_of_groupring(x: GroupRingElem) -> CycloNum:
-        acc = CycloNum.rational(p, 0, j)
-        for s, coeff in enumerate(x.coeffs):
-            if coeff:
-                acc = acc + psi.value(s) * coeff
-        return acc
-
+    c_val = {jj: apply_character(c[jj], psi) for jj in kept}
     rows = []
     for i in kept:
         row = []
         for jj in kept:
             c0 = CycloNum.rational(p, 1 if i == jj else 0, j)
-            a_val = char_of_groupring(a_alpha[i][jj] * c[jj])
-            q_val = char_of_groupring(c[jj]) * deg[jj] if i == jj else CycloNum.rational(p, 0, j)
-            if i == jj:
-                q_val = q_val - 1
+            a_val = apply_character(a_alpha[i][jj], psi) * c_val[jj]
+            q_val = c_val[jj] * deg[jj] - 1 if i == jj else CycloNum.rational(p, 0, j)
             row.append(UniPoly([c0, -a_val, q_val]))
         rows.append(row)
     return rows
@@ -161,21 +99,8 @@ def xi_poly(d: TowerDatum, n: int) -> UniPoly:
     Computed per character and reassembled through the idempotents; its
     projections are the z(u, psi).
     """
-    p = d.p
-    polys = [z_poly(d, n, psi) for psi in characters(p, n)]
-    return _reassemble_polys(p, n, polys)
-
-
-def _reassemble_polys(p: int, n: int, polys: list[UniPoly]) -> UniPoly:
-    length = max((q.degree + 1 for q in polys), default=0)
-    coeffs = []
-    for k in range(length):
-        vals = []
-        for q in polys:
-            c = q.coefficient(k)
-            vals.append(c if isinstance(c, CycloNum) else CycloNum.rational(p, c, 0))
-        coeffs.append(from_character_values(p, n, [v.lift(n) for v in vals]))
-    return UniPoly(coeffs)
+    polys = [z_poly(d, n, psi) for psi in characters(d.p, n)]
+    return from_character_polys(d.p, n, polys)
 
 
 @dataclass(frozen=True)
@@ -249,28 +174,14 @@ class ProductCheck:
 
 def product_formula_check(d: TowerDatum, n: int) -> ProductCheck:
     """Check prod_psi h(u, psi) = h of the level graph, and sum chi_psi = chi."""
-    p = d.p
-    level_n = max(
-        (psi.order_exponent for psi in characters(p, n)), default=0
-    )
-    prod = UniPoly.constant(CycloNum.rational(p, 1, level_n))
-    chi_base = d.base.n_vertices - d.base.n_edges
-    chi_sum = 0
-    for psi in characters(p, n):
-        h = h_poly(d, n, psi)
-        prod = prod * h.map_coeffs(
-            lambda c: (c if isinstance(c, CycloNum) else CycloNum.rational(p, c, 0)).lift(level_n)
-        )
-        chi_sum += chi_base - r0(d, n, psi)
+    c_sum, prod = l_reciprocal_of_sum([lfn_data(d, n, psi) for psi in characters(d.p, n)])
     rational_coeffs = []
     for c in prod.coeffs:
-        if isinstance(c, CycloNum):
-            if not c.is_rational():
-                raise CertificationError("character product is not rational")
-            rational_coeffs.append(c.to_rational())
-        else:
-            rational_coeffs.append(Fraction(c))
+        if not c.is_rational():
+            raise CertificationError("character product is not rational")
+        rational_coeffs.append(c.to_rational())
     h_product = UniPoly(rational_coeffs)
+    chi_sum = -c_sum
     lg = build_level_graph(d, n)
     h_direct, chi_direct = ihara_zeta_reciprocal(lg.graph)
     h_equal = h_product == h_direct.map_coeffs(Fraction)

@@ -9,7 +9,8 @@ Routes:
   - polynomial matrices: cofactor expansion in small dimension, otherwise
     evaluation at integer points and Lagrange interpolation;
   - group-ring matrices: per-character projection to cyclotomic fields and
-    idempotent reassembly (the group ring has zero divisors, so elimination
+    idempotent reassembly, both through `groupring` (`apply_character` and
+    `from_character_polys`; the group ring has zero divisors, so elimination
     is not available there); a direct cofactor route exists for cross-checks.
 """
 
@@ -21,7 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclo import CycloNum
-from .groupring import GroupRingElem, apply_character, factor_prime_power, from_character_values
+from .groupring import (
+    GroupRingElem,
+    apply_character,
+    characters,
+    factor_prime_power,
+    from_character_polys,
+)
 from .poly import UniPoly
 
 __all__ = [
@@ -246,7 +253,7 @@ def _det_poly(rows) -> UniPoly:
     degree = sum(max((e.degree for e in row), default=0) for row in mat)
     points = list(range(degree + 1))
     values = [det_fraction([[e(t) for e in row] for row in mat]) for t in points]
-    return _lagrange(points, values)
+    return _newton_interpolate(points, values)
 
 
 def _newton_interpolate(points: list[int], values: list) -> UniPoly:
@@ -261,10 +268,6 @@ def _newton_interpolate(points: list[int], values: list) -> UniPoly:
     for k in range(n - 2, -1, -1):
         poly = poly * UniPoly([-points[k], 1]) + UniPoly.constant(coeffs[k])
     return poly
-
-
-def _lagrange(points: list[int], values: list[Fraction]) -> UniPoly:
-    return _newton_interpolate(points, [Fraction(v) for v in values])
 
 
 def _det_poly_cyclo(rows) -> UniPoly:
@@ -285,43 +288,17 @@ def _det_poly_cyclo(rows) -> UniPoly:
 def _det_groupring_poly(rows) -> UniPoly:
     # Entries are UniPoly over GroupRingElem (or scalars); per-character route.
     mat = [[_poly_entry(x) for x in r] for r in rows]
-    modulus = None
-    for row in mat:
-        for e in row:
-            for c in e.coeffs:
-                if isinstance(c, GroupRingElem):
-                    modulus = c.m
-                    break
+    modulus = next(
+        c.m for row in mat for e in row for c in e.coeffs if isinstance(c, GroupRingElem)
+    )
     p, n = factor_prime_power(modulus)
-    m = p**n
-
-    def project(e: UniPoly, a: int) -> UniPoly:
-        out = []
-        for c in e.coeffs:
-            if isinstance(c, GroupRingElem):
-                out.append(apply_character(c, a, level=n))
-            else:
-                out.append(CycloNum.rational(p, c, n))
-        return UniPoly(out)
-
     per_char = []
-    for a in range(m):
-        proj = [[project(e, a) for e in row] for row in mat]
-        per_char.append(_det_poly_cyclo_at_level(proj, p, n))
-    # Reassemble coefficientwise.
-    max_len = max((d.degree + 1 for d in per_char), default=0)
-    coeffs = []
-    for k in range(max_len):
-        vals = [d.coefficient(k) for d in per_char]
-        vals = [v if isinstance(v, CycloNum) else CycloNum.rational(p, v, n) for v in vals]
-        coeffs.append(from_character_values(p, n, vals))
-    return UniPoly(coeffs)
-
-
-def _det_poly_cyclo_at_level(mat, p, n) -> UniPoly:
-    if len(mat) <= _COFACTOR_POLY_MAX_DIM:
-        return _poly_entry(det_cofactor(mat))
-    return _det_poly_cyclo(mat)
+    for psi in characters(p, n):
+        proj = [
+            [e.map_coeffs(lambda c: apply_character(c, psi, level=n)) for e in row] for row in mat
+        ]
+        per_char.append(_det_poly_cyclo(proj))
+    return from_character_polys(p, n, per_char)
 
 
 def det_commutative(rows):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["TruncSeries", "UniPoly", "poly_derivative", "poly_eval"]
+__all__ = ["TruncSeries", "UniPoly"]
 
 
 def _is_zero(c) -> bool:
@@ -152,14 +152,6 @@ class UniPoly:
                 continue
             terms.append(f"({c})*u^{i}" if i else f"({c})")
         return "UniPoly(" + " + ".join(terms) + ")"
-
-
-def poly_derivative(h: UniPoly) -> UniPoly:
-    return h.derivative()
-
-
-def poly_eval(h: UniPoly, point):
-    return h(point)
 
 
 class TruncSeries:

@@ -19,7 +19,6 @@ __all__ = [
     "fmt_cyclo",
     "fmt_cyclo_poly",
     "fmt_fraction",
-    "fmt_groupring_poly",
     "fmt_int_poly",
     "machine_json",
     "table",
@@ -52,16 +51,6 @@ def fmt_int_poly(poly: UniPoly) -> list[int]:
         if fr.denominator != 1:
             raise ValueError("expected integer coefficients")
         out.append(fr.numerator)
-    return out
-
-
-def fmt_groupring_poly(poly: UniPoly) -> list[str]:
-    out = []
-    for c in poly.coeffs:
-        if isinstance(c, GroupRingElem):
-            out.append(c.as_text())
-        else:
-            out.append(fmt_fraction(c))
     return out
 
 

@@ -26,6 +26,7 @@ from .graphs import (
     zeta_reciprocal_series,
     zeta_series_from_counts,
 )
+from .groupring import CharacterLabel, subgroup_exponent
 from .lfunctions import (
     characters,
     h_poly,
@@ -190,15 +191,9 @@ def _subgroup_gamma_direct(d: TowerDatum, n: int, subgroup_order: int) -> tuple[
     lg = build_level_graph(d, n)
     graph = lg.graph
     m = d.p**n
+    h_exp = subgroup_exponent(m, subgroup_order)
     step = m // subgroup_order
-    from .lfunctions import CharacterLabel
-
     p = d.p
-    h_exp = 0
-    t = subgroup_order
-    while t > 1:
-        t //= p
-        h_exp += 1
     # Stabilizer of a vertex (base, rep) in H has order |H| / orbit size.
     out = []
     for b in range(subgroup_order):

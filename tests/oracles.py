@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+from graphzeta.cyclo import CycloNum, zeta
 from graphzeta.graphs import SerreGraph
 
 
@@ -64,3 +65,19 @@ def count_reduced_closed_paths_exhaustive(g: SerreGraph, k: int) -> int:
     for e0 in range(g.n_darts):
         extend([e0])
     return total
+
+
+def character_value_by_powers(x, p: int, n: int, a: int, level: int) -> CycloNum:
+    """psi_a(x) = sum_s c_s * zeta_{p^L}^(a p^L / p^n * s) by explicit powers.
+
+    Cyclotomic coefficients are lifted to level L and multiplied in; the
+    exponent a p^L / p^n must be an integer.
+    """
+    order = p**level
+    assert (a * order) % p**n == 0
+    root = zeta(p, level)
+    acc = CycloNum.rational(p, 0, level)
+    for s, c in enumerate(x.coeffs):
+        power = root ** ((a * order // p**n * s) % order)
+        acc = acc + (c.lift(level) if isinstance(c, CycloNum) else c) * power
+    return acc

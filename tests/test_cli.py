@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
 from graphzeta.cli import main
-from graphzeta.datum_io import datum_to_dict, load_datum, parse_datum
+from graphzeta.datum_io import datum_to_dict, dump_datum, load_datum, parse_datum
 from graphzeta.errors import DatumError
+from graphzeta.graphs import SerreGraph
+from graphzeta.tower import TowerDatum
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATUM = str(FIXTURES / "double_edge.json")
@@ -26,6 +31,19 @@ def test_load_and_roundtrip(tmp_path):
     doc = datum_to_dict(d)
     again = parse_datum(json.loads(json.dumps(doc)))
     assert datum_to_dict(again) == doc
+
+
+def test_integer_vertex_names_roundtrip(tmp_path):
+    g = SerreGraph.from_edges([0, 1, 2], [(0, 1), (0, 1), (1, 2), (2, 2)])
+    d = TowerDatum(g, 3, (1, -1, 2, -2, 0, 0, 1, -1), (None, 1, 0))
+    path = tmp_path / "ints.json"
+    dump_datum(d, path)
+    again = load_datum(path)
+    assert again.base.vertices == ("0", "1", "2")
+    assert again.base.dart_origin == g.dart_origin
+    assert again.base.dart_terminus == g.dart_terminus
+    assert again.base.dart_inverse == g.dart_inverse
+    assert (again.p, again.voltage, again.ram) == (d.p, d.voltage, d.ram)
 
 
 def test_parse_errors():
@@ -56,6 +74,32 @@ def test_cli_exit_code_validation_error(tmp_path, capsys):
     bad.write_text("{}", encoding="utf-8")
     assert main(["zeta", str(bad)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tower", DATUM, "--max-level", "0"],
+        ["invariants", DATUM, "--max-level", "0"],
+        ["tower", DATUM, "--max-level", "-1"],
+        ["lfunctions", DATUM, "--level", "-1"],
+        ["verify", DATUM, "--level", "0"],
+        ["verify", DATUM, "--subgroup-order", "3"],
+    ],
+)
+def test_cli_bad_level_arguments_exit_1(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphzeta.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_exit_code_hypothesis(tmp_path, capsys):

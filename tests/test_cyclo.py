@@ -6,7 +6,6 @@ import pytest
 from graphzeta.cyclo import (
     CycloNum,
     Valuation,
-    cyclo_norm_to_Q,
     euler_phi_prime_power,
     ordp_cyclo,
     ordp_fraction,
@@ -32,7 +31,7 @@ def test_zeta_has_right_order():
 
 def test_norm_of_one_is_one():
     for p, j in [(2, 0), (2, 2), (3, 1), (5, 1)]:
-        assert cyclo_norm_to_Q(CycloNum.rational(p, 1, j)) == 1
+        assert CycloNum.rational(p, 1, j).norm() == 1
 
 
 def test_norm_zeta4_minus_one():
@@ -40,14 +39,14 @@ def test_norm_zeta4_minus_one():
     z = zeta(2, 2)
     direct = (z - 1) * (z**3 - 1)
     assert direct == 2
-    assert cyclo_norm_to_Q(z - 1) == 2
+    assert (z - 1).norm() == 2
 
 
 def test_norm_zeta3_minus_one():
     z = zeta(3, 1)
     # (z - 1)(z^2 - 1) = z^3 - z^2 - z + 1 = 1 - z^2 - z + 1 = 2 - (z^2 + z) = 3
     assert (z - 1) * (z**2 - 1) == 3
-    assert cyclo_norm_to_Q(z - 1) == 3
+    assert (z - 1).norm() == 3
 
 
 def test_ordp_rational():

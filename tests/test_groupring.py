@@ -8,12 +8,15 @@ from graphzeta.groupring import (
     GroupRingElem,
     apply_character,
     character_idempotent,
+    characters,
     factor_prime_power,
     from_character_values,
     groupring_idempotent,
     norm_element,
+    subgroup_exponent,
 )
 from graphzeta.lfunctions import CharacterLabel
+from oracles import character_value_by_powers
 
 
 def test_factor_prime_power():
@@ -100,6 +103,61 @@ def test_decomposition_reconstructs():
         x = GroupRingElem(m, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)))
         values = [apply_character(x, CharacterLabel(p, n, a), level=n) for a in range(m)]
         assert from_character_values(p, n, values) == x
+
+
+def _random_cyclo(rng: random.Random, p: int, j: int) -> CycloNum:
+    return CycloNum.from_monomials(
+        p, j, [(e, Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for e in range(p**j)]
+    )
+
+
+def test_apply_character_matches_power_oracle():
+    rng = random.Random(17)
+    for p, n in [(2, 2), (2, 3), (3, 1), (3, 2)]:
+        m = p**n
+        for _ in range(3):
+            rational = GroupRingElem(
+                m, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+            )
+            c_level = rng.randint(0, n + 1)
+            cyclo = GroupRingElem(
+                m, [_random_cyclo(rng, p, c_level) if rng.random() < 0.6 else 0 for _ in range(m)]
+            )
+            for a in range(m):
+                psi = CharacterLabel(p, n, a)
+                j = psi.order_exponent
+                for level in (j, j + 1, n + 1):
+                    got = apply_character(rational, psi, level=level)
+                    assert got == character_value_by_powers(rational, p, n, a, level)
+                    got = apply_character(cyclo, psi, level=level)
+                    assert got.j == max(level, c_level)
+                    assert got == character_value_by_powers(cyclo, p, n, a, got.j)
+                assert apply_character(rational, psi).j == j
+                if j:
+                    with pytest.raises(ValueError):
+                        apply_character(rational, psi, level=j - 1)
+
+
+def test_from_character_values_accepts_values_above_level_n():
+    rng = random.Random(23)
+    for p, n in [(2, 1), (2, 2), (3, 1), (3, 2)]:
+        m = p**n
+        x = GroupRingElem(m, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)])
+        for extra in (1, 2):
+            values = [apply_character(x, psi, level=n + extra) for psi in characters(p, n)]
+            assert all(v.j == n + extra for v in values)
+            assert from_character_values(p, n, values) == x
+        mixed = [apply_character(x, psi, level=psi.order_exponent) for psi in characters(p, n)]
+        mixed[0] = mixed[0].to_rational()
+        assert from_character_values(p, n, mixed) == x
+
+
+def test_subgroup_exponent():
+    for m, d, h in [(8, 1, 0), (8, 2, 1), (8, 8, 3), (27, 9, 2), (1, 1, 0)]:
+        assert subgroup_exponent(m, d) == h
+    for m, d in [(8, 0), (8, -2), (8, 16), (9, 2), (8, 3)]:
+        with pytest.raises(ValueError):
+            subgroup_exponent(m, d)
 
 
 def test_quotient_and_restriction():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphzeta.poly import TruncSeries, UniPoly, poly_derivative, poly_eval
+from graphzeta.poly import TruncSeries, UniPoly
 
 
 def test_trailing_zeros_stripped():
@@ -27,10 +27,10 @@ def test_eval_and_derivative():
     h = UniPoly([1, 0, 2, 0, -9, 0, -20, 0, -1, 0, 18, 0, 9])
     term_by_term = sum(i * c for i, c in enumerate(h.coeffs))
     assert term_by_term == 128
-    assert poly_eval(poly_derivative(h), 1) == 128
+    assert h.derivative()(1) == 128
     h0 = UniPoly([1, 0, -4, 0, 3])
-    assert poly_eval(poly_derivative(h0), 1) == -8 + 12 == 4
-    assert poly_derivative(UniPoly([7])) == UniPoly()
+    assert h0.derivative()(1) == -8 + 12 == 4
+    assert UniPoly([7]).derivative() == UniPoly()
 
 
 def test_divide_by_u():
