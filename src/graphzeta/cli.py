@@ -26,7 +26,15 @@ from .iwasawa import (
     tower_sweep,
 )
 from .lfunctions import characters, lfn_data, orbit_special_products, special_values
-from .report import fmt_cyclo, fmt_cyclo_poly, fmt_fraction, fmt_int_poly, machine_json, table
+from .report import (
+    exact_int_text,
+    fmt_cyclo,
+    fmt_cyclo_poly,
+    fmt_fraction,
+    fmt_int_poly,
+    machine_json,
+    table,
+)
 from .tower import TowerDatum, build_level_graph
 from .verify import run_battery
 
@@ -165,6 +173,7 @@ def cmd_verify(d: TowerDatum, level: int, subgroup_order: int) -> dict:
     }
 
 
+@exact_int_text
 def _human(doc: dict) -> str:
     cmd = doc["command"]
     lines = []

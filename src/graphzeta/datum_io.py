@@ -98,8 +98,17 @@ def parse_datum(doc: dict, source: str = "<datum>") -> TowerDatum:
 
 
 def datum_to_dict(d: TowerDatum) -> dict:
-    """The on-disk document of d; vertex names are written as strings."""
+    """The on-disk document of d; vertex names are written as strings.
+
+    Raises DatumError when two names print alike (say 1 and "1"), since
+    `parse_datum` would reject the document.
+    """
     vertices = [str(v) for v in d.base.vertices]
+    first: dict[str, object] = {}
+    for v, name in zip(d.base.vertices, vertices):
+        if name in first:
+            raise DatumError(f"vertices {first[name]!r} and {v!r} both write as {name!r}")
+        first[name] = v
     edges = []
     for e in range(d.base.n_darts):
         if e < d.base.dart_inverse[e]:

@@ -7,6 +7,26 @@ rho(a) = (1+T)^a, and lambda assembles the contribution of each character
 block plus the trivial-character term.  nu has no closed form; it is
 certified empirically from the sweep together with the first level n0 from
 which the formula reproduces every computed row.
+
+The sweep counts spanning trees without a cover-size determinant.  The
+level-n zeta function factors into the Ihara L-functions of the characters
+psi of Z/p^n Z, h_{X_n}(u) = prod_psi h(u, psi); h(1, psi_0) = 0, and
+Hashimoto's h'_{X_n}(1) = -2 chi(X_n) kappa(X_n) gives, when chi(X_n) != 0,
+
+    kappa(X_n) = h'(1, psi_0) * prod_{j=1..n} N_j / (-2 chi(X_n)),
+
+with N_j the product of h(1, psi) over the phi(p^j) characters of order
+p^j, the norm from Q(zeta_{p^j}) to Q of any one of them.  Every factor is
+a base-size determinant: h'(1, psi_0) is the derivative at u = 1 of the
+integer polynomial det(I - A_0 C_n u + (D C_n - I) u^2) with
+C_n = diag |H_v(n)| (`lfunctions.trivial_h_derivative_at_one`), and
+N_j = Ntilde_j * (prod over v in K_j of |H_v(n)|)^phi(p^j), where K_j holds
+the unramified vertices and those with k_v >= j and Ntilde_j, the norm of
+det(D - A_zeta) on K_j, does not depend on n (`lfunctions.orbit_norm`,
+computed once per j by the multimodular `linalg.det_norm_cyclotomic`).
+Levels with chi(X_n) = 0 (for example the first two levels of the
+double-edge fixture) count spanning trees on the built cover; every level
+is still built and checked for connectivity.
 """
 
 from __future__ import annotations
@@ -18,6 +38,7 @@ from . import linalg
 from .cyclo import euler_phi_prime_power, ordp_fraction
 from .errors import CertificationError, HypothesisError
 from .graphs import connected, euler_characteristic, spanning_tree_count
+from .lfunctions import orbit_level_factor, orbit_norm, trivial_h_derivative_at_one
 from .poly import UniPoly
 from .tower import TowerDatum, build_level_graph, tower_euler_char
 
@@ -178,24 +199,44 @@ class TowerRow:
 
 
 def tower_sweep(d: TowerDatum, n_max: int) -> list[TowerRow]:
-    """Exact rows for levels 0..n_max; every level must be connected."""
+    """Exact rows for levels 0..n_max; every level must be connected.
+
+    Each level is built for its size and its connectivity check.  kappa
+    comes from the factored formula in the module docstring wherever
+    chi(X_n) != 0; the orbit norms are computed once per j for the whole
+    sweep.  Levels with chi(X_n) = 0 count spanning trees on the cover.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     rows = []
+    norms: dict[int, int] = {}
     for n in range(n_max + 1):
         lg = build_level_graph(d, n)
         if not connected(lg.graph):
             raise HypothesisError(f"level {n} disconnected")
-        kappa = spanning_tree_count(lg.graph)
-        ordp = ordp_fraction(kappa, d.p).value
+        chi = euler_characteristic(lg.graph)
+        if chi == 0:
+            kappa = spanning_tree_count(lg.graph)
+        else:
+            product = trivial_h_derivative_at_one(d, n)
+            for j in range(1, n + 1):
+                if j not in norms:
+                    norms[j] = orbit_norm(d, j)
+                product *= norms[j] * orbit_level_factor(d, n, j)
+            kappa, rest = divmod(product, -2 * chi)
+            if rest or kappa <= 0:
+                raise CertificationError(
+                    f"level {n}: the factored spanning-tree count over -2 chi = {-2 * chi}"
+                    " is not a positive integer"
+                )
         rows.append(
             TowerRow(
                 n,
                 lg.graph.n_vertices,
                 lg.graph.n_edges,
-                euler_characteristic(lg.graph),
+                chi,
                 kappa,
-                int(ordp),
+                int(ordp_fraction(kappa, d.p).value),
             )
         )
     return rows

@@ -10,13 +10,14 @@ factor (1 - u^2)^r0(psi).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclo import CycloNum, Valuation, ordp_cyclo
+from .cyclo import CycloNum, Valuation, euler_phi_prime_power, ordp_fraction
 from .errors import CertificationError, HypothesisError
-from .graphs import ihara_zeta_reciprocal
+from .graphs import adjacency_and_degree, ihara_zeta_reciprocal
 from .groupring import CharacterLabel, apply_character, characters, from_character_polys
 from .poly import UniPoly
 from .tower import TowerDatum, build_level_graph, level_matrices, tower_euler_char
@@ -30,10 +31,15 @@ __all__ = [
     "kernel_contains_stabilizer",
     "l_reciprocal_of_sum",
     "lfn_data",
+    "orbit_level_factor",
+    "orbit_norm",
     "orbit_special_products",
+    "orbit_vertices",
+    "ordp_orbit_product",
     "product_formula_check",
     "r0",
     "special_values",
+    "trivial_h_derivative_at_one",
     "vanishing_order_check",
     "xi_poly",
     "z_poly",
@@ -210,26 +216,66 @@ def vanishing_order_check(d: TowerDatum, n: int) -> dict:
     return results
 
 
-def orbit_special_products(d: TowerDatum, n: int) -> dict[int, Fraction]:
-    """For each j >= 1: the rational product of h(1, psi) over ord(psi) = p^j."""
-    p = d.p
-    out: dict[int, Fraction] = {}
-    for j in range(1, n + 1):
-        prod = CycloNum.rational(p, 1, j)
-        for psi in characters(p, n):
-            if psi.order_exponent == j:
-                prod = prod * special_values(d, n, psi).h_at_one.lift(j)
-        if not prod.is_rational():
-            raise CertificationError("orbit product is not rational")
-        out[j] = prod.to_rational()
-    return out
+def orbit_vertices(d: TowerDatum, j: int) -> list[int]:
+    """K_j: the base vertices kept by every character of order p^j (j >= 1).
+
+    They are the unramified vertices and those with k_v >= j, at every
+    level n >= j.
+    """
+    return [v for v, k in enumerate(d.ram) if k is None or k >= j]
+
+
+def orbit_norm(d: TowerDatum, j: int) -> int:
+    """N_{Q(zeta_{p^j})/Q} det(D - A_zeta) on K_j, for j >= 1; independent of the level.
+
+    A_zeta[i][i'] is the sum of zeta^alpha(s) over the base darts s from
+    v_i' to v_i, and D holds the base degrees.
+    """
+    kept = orbit_vertices(d, j)
+    pos = {v: i for i, v in enumerate(kept)}
+    base = d.base
+    deg = [0] * base.n_vertices
+    for e in range(base.n_darts):
+        deg[base.dart_origin[e]] += 1
+    terms = [(i, i, 0, deg[v]) for i, v in enumerate(kept)]
+    for e in range(base.n_darts):
+        o, t = base.dart_origin[e], base.dart_terminus[e]
+        if o in pos and t in pos:
+            terms.append((pos[t], pos[o], d.voltage[e], -1))
+    return linalg.det_norm_cyclotomic(len(kept), terms, d.p, j)
+
+
+def orbit_level_factor(d: TowerDatum, n: int, j: int) -> int:
+    """(prod over v in K_j of |H_v(n)|)^phi(p^j): psi(C) on K_j, over the orbit of order p^j."""
+    stabilizers = math.prod(d.stabilizer_order(v, n) for v in orbit_vertices(d, j))
+    return stabilizers ** euler_phi_prime_power(d.p, j)
+
+
+def orbit_special_products(d: TowerDatum, n: int) -> dict[int, int]:
+    """For each j = 1..n: N_j, the product of h(1, psi) over the characters of order p^j.
+
+    At u = 1 the three-term matrix on K_j is (D - A_psi) psi(C), and psi(C)
+    is diag |H_v(n)| there, so N_j = orbit_norm(d, j) * orbit_level_factor(d, n, j).
+    """
+    return {j: orbit_norm(d, j) * orbit_level_factor(d, n, j) for j in range(1, n + 1)}
 
 
 def ordp_orbit_product(d: TowerDatum, n: int, j: int) -> Valuation:
-    """Valuation of the order-p^j block product of special values."""
-    p = d.p
-    total = Valuation.of(0)
-    for psi in characters(p, n):
-        if psi.order_exponent == j:
-            total = total + ordp_cyclo(special_values(d, n, psi).h_at_one, p)
-    return total
+    """Valuation of the order-p^j block product of special values, 1 <= j <= n."""
+    return ordp_fraction(orbit_norm(d, j) * orbit_level_factor(d, n, j), d.p)
+
+
+def trivial_h_derivative_at_one(d: TowerDatum, n: int) -> int:
+    """h'(1, psi_0): the u-derivative at u = 1 of the integer polynomial
+    det(I - A_0 C_n u + (D C_n - I) u^2), with C_n = diag |H_v(n)|.
+
+    By Jacobi's formula it is the sum over rows i of det M(1) with row i
+    replaced by row i of M'(1), where M(1) = (D - A_0) C_n and
+    M'(1) = (2 D - A_0) C_n - 2 I: base-size integer determinants.
+    """
+    a, deg = adjacency_and_degree(d.base)
+    g = d.base.n_vertices
+    c = [d.stabilizer_order(v, n) for v in range(g)]
+    at_one = [[(deg[i][k] - a[i][k]) * c[k] for k in range(g)] for i in range(g)]
+    slope = [[(2 * deg[i][k] - a[i][k]) * c[k] - 2 * (i == k) for k in range(g)] for i in range(g)]
+    return sum(linalg.det_int(at_one[:i] + [slope[i]] + at_one[i + 1 :]) for i in range(g))

@@ -4,6 +4,11 @@ Routes:
   - integer matrices: fraction-free Bareiss elimination; above a size
     threshold, CRT over word-size primes with vectorized modular
     elimination (numpy int64), certified by the Hadamard bound;
+  - norms of cyclotomic determinants (`det_norm_cyclotomic`): the same
+    multimodular kernel over primes q = 1 mod p^j, one batched elimination
+    per prime across all primitive roots of unity in F_q; one prime
+    generator, one batched elimination and one signed CRT serve both
+    multimodular routes;
   - rational matrices: denominator clearing down to the integer route;
   - cyclotomic matrices: division elimination (the entries form a field);
   - polynomial matrices: cofactor expansion in small dimension, otherwise
@@ -22,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclo import CycloNum
+from .errors import CertificationError
 from .groupring import (
     GroupRingElem,
     apply_character,
@@ -37,6 +43,7 @@ __all__ = [
     "det_commutative",
     "det_fraction",
     "det_int",
+    "det_norm_cyclotomic",
     "is_probable_prime",
 ]
 
@@ -105,54 +112,166 @@ def _hadamard_bound(rows) -> int:
     return bound
 
 
-def _modular_primes(target: int):
-    # Yield distinct primes just below 2^31 until their product exceeds target.
-    prod = 1
-    cand = (1 << 31) - 1
+_WORD = 1 << 31  # moduli stay below this, so products of two residues fit in int64
+_BATCH_ENTRIES = 1 << 18  # int64 entries per elimination batch in _det_crt
+
+
+def _modular_primes(target: int, m: int = 1) -> list[int]:
+    """Distinct primes q < 2^31 with q = 1 mod m, largest first, whose product exceeds target.
+
+    For m = p^j the field F_q holds every p^j-th root of unity.  There are
+    about 2^31 / (phi(m) ln 2^31) such primes, together about 3e9 / phi(m)
+    bits; a larger target raises CertificationError.
+    """
+    step = m if m % 2 == 0 else 2 * m
+    cand = (_WORD - 2) // step * step + 1
+    primes, prod = [], 1
     while prod <= target:
-        while not is_probable_prime(cand):
-            cand -= 2
-        yield cand
-        prod *= cand
-        cand -= 2
+        if cand < 3:
+            raise CertificationError(
+                f"too few primes below 2^31 congruent to 1 mod {m} for a {target.bit_length()}-bit bound"
+            )
+        if is_probable_prime(cand):
+            primes.append(cand)
+            prod *= cand
+        cand -= step
+    return primes
 
 
-def _det_mod_p(mat: np.ndarray, p: int) -> int:
-    m = mat % p
-    n = m.shape[0]
-    det = 1
-    for i in range(n):
-        col = m[i:, i]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            return 0
-        k = i + int(nz[0])
-        if k != i:
-            m[[i, k]] = m[[k, i]]
-            det = -det
-        pivot = int(m[i, i])
-        det = det * pivot % p
-        if i + 1 < n:
-            inv = pow(pivot, -1, p)
-            factor = (m[i + 1 :, i] * inv) % p
-            m[i + 1 :, i:] = (m[i + 1 :, i:] - factor[:, None] * m[i, i:]) % p
-    return det % p
+def _crt_signed(residues, primes: list[int]) -> int:
+    """The integer x with |x| < prod(primes)/2 and x = residues[i] mod primes[i]."""
+    value, modulus = 0, 1
+    for r, q in zip(residues, primes):
+        t = (int(r) - value) * pow(modulus, -1, q) % q
+        value += modulus * t
+        modulus *= q
+    return value - modulus if value > modulus // 2 else value
+
+
+def _det_mod_batch(mats: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants of a (b, k, k) integer batch, element i mod the prime moduli[i] < 2^31.
+
+    Returned as (num, den): det i = num[i] / den[i] mod moduli[i], den[i] a
+    unit, so a caller inverts once per prime.  Division-free elimination: at
+    column c every element takes its own first nonzero pivot (a row swap
+    where needed) and replaces each lower row r by
+    pivot * r - m[r][c] * (pivot row), which multiplies the determinant by
+    pivot^(k-1-c).  With P_c the product of the first c + 1 pivots, the
+    determinant is sign * P_(k-1) / (P_0 ... P_(k-2)).
+    """
+    b, k, _ = mats.shape
+    q = np.asarray(moduli, dtype=np.int64)
+    qm = q[:, None, None]
+    m = mats % qm
+    rows = np.arange(b)
+    sign = np.ones(b, dtype=np.int64)
+    alive = np.ones(b, dtype=bool)
+    run = np.ones(b, dtype=np.int64)
+    den = np.ones(b, dtype=np.int64)
+    for c in range(k):
+        nonzero = m[:, c:, c] != 0
+        alive &= nonzero.any(axis=1)
+        r = c + nonzero.argmax(axis=1)
+        swap = r != c
+        if swap.any():
+            pivot_rows = m[rows, r].copy()
+            m[rows, r] = m[:, c]
+            m[:, c] = pivot_rows
+            sign[swap] = -sign[swap]
+        piv = np.where(alive, m[:, c, c], 1)
+        if c + 1 < k:
+            m[:, c + 1 :, c + 1 :] = (
+                piv[:, None, None] * m[:, c + 1 :, c + 1 :]
+                - m[:, c + 1 :, c, None] * m[:, c, None, c + 1 :]
+            ) % qm
+        if c > 0:
+            den = den * run % q
+        run = run * piv % q
+    return np.where(alive, sign * run % q, 0), den
+
+
+def _residue_batch(rows: list[list[int]], primes: list[int]) -> np.ndarray:
+    # (len(primes), n, n) int64: the matrix reduced mod each prime.
+    q = np.array(primes, dtype=np.int64)[:, None, None]
+    try:
+        return np.array(rows, dtype=np.int64)[None] % q
+    except OverflowError:
+        return np.stack([np.array([[x % p for x in r] for r in rows], dtype=np.int64) for p in primes])
 
 
 def _det_crt(rows: list[list[int]]) -> int:
-    bound = _hadamard_bound(rows)
-    value, modulus = 0, 1
-    for p in _modular_primes(2 * bound + 1):
-        mat = np.array([[int(x) % p for x in r] for r in rows], dtype=np.int64)
-        r = _det_mod_p(mat, p)
-        # CRT merge
-        inv = pow(modulus % p, -1, p) if modulus > 1 else 1
-        t = ((r - value) * inv) % p
-        value += modulus * t
-        modulus *= p
-    if value > modulus // 2:
-        value -= modulus
-    return value
+    primes = _modular_primes(2 * _hadamard_bound(rows) + 1)
+    chunk = max(1, _BATCH_ENTRIES // len(rows) ** 2)
+    residues = []
+    for i in range(0, len(primes), chunk):
+        part = primes[i : i + chunk]
+        num, den = _det_mod_batch(_residue_batch(rows, part), np.array(part))
+        residues += [int(a) * pow(int(b), -1, q) % q for a, b, q in zip(num, den, part)]
+    return _crt_signed(residues, primes)
+
+
+def _power_table(g: int, order: int, q: int) -> np.ndarray:
+    # g^0 .. g^(order-1) mod q, by doubling: the second half is the first times g^len.
+    table = np.ones(1, dtype=np.int64)
+    step = g
+    while table.size < order:
+        table = np.concatenate([table, table * step % q])
+        step = step * step % q
+    return table[:order]
+
+
+def _root_of_unity(q: int, p: int, j: int) -> int:
+    """An element of exact order p^j in F_q^*; needs q = 1 mod p^j."""
+    order = p**j
+    for x in range(2, q):
+        g = pow(x, (q - 1) // order, q)
+        if order == 1 or pow(g, order // p, q) != 1:
+            return g
+    raise ValueError(f"no element of order {order} mod {q}")
+
+
+def _prod_mod(x: np.ndarray, q: int) -> int:
+    while x.size > 1:
+        if x.size % 2:
+            x = np.append(x, 1)
+        x = x[0::2] * x[1::2] % q
+    return int(x[0]) if x.size else 1
+
+
+def det_norm_cyclotomic(k: int, terms, p: int, j: int) -> int:
+    """N_{Q(zeta)/Q} det M(zeta) for zeta a primitive p^j-th root of unity.
+
+    M is the k x k matrix with M[r][c] the sum of coeff * zeta^exp over the
+    terms (r, c, exp, coeff), all integers.  The norm is the integer
+    prod det M(zeta') over the phi(p^j) primitive p^j-th roots zeta'.  For
+    each prime q = 1 mod p^j below 2^31, F_q holds those roots as the powers
+    g^e (p not dividing e) of one g of exact order p^j: M is evaluated at all
+    of them from one power table, the batch goes through one elimination,
+    and the determinants are multiplied mod q (one inversion per prime).
+    The residues are joined by CRT until the modulus exceeds twice the
+    row-1-norm bound (prod_r sum |coeff| over row r)^phi(p^j), which bounds
+    every conjugate's determinant and so the norm.
+    """
+    if k == 0:
+        return 1
+    order = p**j
+    exponents = np.arange(order, dtype=np.int64)
+    units = exponents[np.gcd(exponents, order) == 1]
+    row_norm = [0] * k
+    for r, _, _, coeff in terms:
+        row_norm[r] += abs(coeff)
+    bound = math.prod(row_norm) ** len(units)
+    places = [(r, c, (e % order) * units % order, coeff) for r, c, e, coeff in terms]
+    primes = _modular_primes(2 * bound, order)
+    residues = []
+    for q in primes:
+        powers = _power_table(_root_of_unity(q, p, j), order, q)
+        batch = np.zeros((len(units), k, k), dtype=np.int64)
+        for r, c, where, coeff in places:
+            batch[:, r, c] = (batch[:, r, c] + coeff % q * powers[where]) % q
+        num, den = _det_mod_batch(batch, np.full(len(units), q))
+        residues.append(_prod_mod(num, q) * pow(_prod_mod(den, q), -1, q) % q)
+    return _crt_signed(residues, primes)
 
 
 def det_int(rows: list[list[int]]) -> int:

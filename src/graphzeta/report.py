@@ -3,12 +3,15 @@
 Machine reports are JSON with integers, rationals as "num/den" strings,
 cyclotomic numbers as coefficient arrays tagged with (p, j), and
 group-ring elements in the "c0*[0] + c1*[1] + ..." form.  Human reports
-are aligned tables carrying the same numbers.
+are aligned tables carrying the same numbers.  Integers of any size are
+written exactly: renderers run under `exact_int_text`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
 from fractions import Fraction
 
 from .cyclo import CycloNum
@@ -16,6 +19,7 @@ from .groupring import GroupRingElem
 from .poly import UniPoly
 
 __all__ = [
+    "exact_int_text",
     "fmt_cyclo",
     "fmt_cyclo_poly",
     "fmt_fraction",
@@ -90,5 +94,26 @@ def table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def exact_int_text(render):
+    """Run a renderer with the interpreter's int-to-str digit limit lifted.
+
+    `str` and `json.dumps` refuse integers over 4300 digits by default (a
+    guard against parsing untrusted text); the integers rendered here are
+    computed, and spanning-tree counts deep in a tower pass that size.
+    """
+
+    @functools.wraps(render)
+    def wrapper(*args, **kwargs):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return render(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return wrapper
+
+
+@exact_int_text
 def machine_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

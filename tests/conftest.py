@@ -68,3 +68,12 @@ def collect_random_data(seed: int, count: int, p_choices=(2, 3), **kwargs) -> li
             found.append(datum)
     assert len(found) == count, f"only {len(found)} admissible data in {attempts} attempts"
     return found
+
+
+def chorded_heptagon() -> TowerDatum:
+    """A 7-cycle with the chord (0, 3), p = 2, voltage 1 on two edges, vertex 0 Ramified(1).
+
+    Seven base vertices put polynomial determinants past the cofactor route.
+    """
+    g = SerreGraph.from_edges(list(range(7)), [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
+    return TowerDatum(g, 2, (1, -1) + (0, 0) * 6 + (1, -1), (1,) + (None,) * 6)

@@ -1,9 +1,11 @@
 """Brute-force oracles, kept independent of the library code paths they check."""
 
+from fractions import Fraction
 from itertools import combinations
 
 from graphzeta.cyclo import CycloNum, zeta
 from graphzeta.graphs import SerreGraph
+from graphzeta.lfunctions import characters, special_values
 
 
 def count_spanning_trees_exhaustive(g: SerreGraph) -> int:
@@ -81,3 +83,17 @@ def character_value_by_powers(x, p: int, n: int, a: int, level: int) -> CycloNum
         power = root ** ((a * order // p**n * s) % order)
         acc = acc + (c.lift(level) if isinstance(c, CycloNum) else c) * power
     return acc
+
+
+def orbit_special_products_by_characters(d, n: int) -> dict[int, Fraction]:
+    """N_j = prod h(1, psi) over ord(psi) = p^j, multiplied out in Q(zeta_{p^j}) per character."""
+    p = d.p
+    out = {}
+    for j in range(1, n + 1):
+        prod = CycloNum.rational(p, 1, j)
+        for psi in characters(p, n):
+            if psi.order_exponent == j:
+                prod = prod * special_values(d, n, psi).h_at_one.lift(j)
+        assert prod.is_rational()
+        out[j] = prod.to_rational()
+    return out

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from graphzeta.cli import main
+from graphzeta.cli import _human, main
 from graphzeta.datum_io import datum_to_dict, dump_datum, load_datum, parse_datum
 from graphzeta.errors import DatumError
 from graphzeta.graphs import SerreGraph
+from graphzeta.report import machine_json
 from graphzeta.tower import TowerDatum
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -254,3 +255,28 @@ def test_loop_edges_roundtrip_and_compute(tmp_path, capsys):
     rows = json.loads(out)["rows"]
     # the level-n cover is a 2^n-cycle with a loop at each vertex
     assert [r["spanning_trees"] for r in rows] == [1, 2, 4, 8, 16]
+
+
+def test_vertex_names_that_print_alike_are_refused(tmp_path):
+    g = SerreGraph.from_edges([1, "1"], [(1, "1")])
+    d = TowerDatum(g, 2, (1, -1), (None, None))
+    with pytest.raises(DatumError, match=r"1 and '1'"):
+        datum_to_dict(d)
+    with pytest.raises(DatumError):
+        dump_datum(d, tmp_path / "clash.json")
+    assert not (tmp_path / "clash.json").exists()
+
+
+def test_integers_past_the_str_digit_limit_render_exactly():
+    big = 10**5000 + 7
+    row = {"n": 14, "vertices": 3, "edges": 4, "euler_characteristic": -1, "spanning_trees": big, "ordp": 0}
+    doc = {"command": "tower", "prime": 2, "max_level": 14, "rows": [row]}
+    digits = "1" + "0" * 4999 + "7"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        assert f'"spanning_trees":{digits},' in machine_json(doc)
+        assert digits in _human(doc).splitlines()[-1].split()
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)

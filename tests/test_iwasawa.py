@@ -1,9 +1,11 @@
 import pytest
 
-from conftest import collect_random_data
+from conftest import FIXTURES, chorded_heptagon, collect_random_data
+from graphzeta import iwasawa
 from graphzeta.cyclo import CycloNum, ordp_cyclo, ordp_fraction, zeta
+from graphzeta.datum_io import load_datum
 from graphzeta.errors import CertificationError, HypothesisError
-from graphzeta.graphs import SerreGraph
+from graphzeta.graphs import SerreGraph, spanning_tree_count
 from graphzeta.iwasawa import (
     char_ideal_generator,
     closed_form_invariants,
@@ -15,7 +17,7 @@ from graphzeta.iwasawa import (
 )
 from graphzeta.lfunctions import CharacterLabel, characters, special_values
 from graphzeta.poly import UniPoly
-from graphzeta.tower import TowerDatum, tower_euler_char
+from graphzeta.tower import TowerDatum, build_level_graph, tower_euler_char
 
 
 def _double_edge():
@@ -265,3 +267,38 @@ def test_two_ramified_vertices_deep_tower():
     assert [r.ordp_kappa for r in rows] == [0, 0, 0, 9, 18, 27]
     fitted = fit_and_certify(rows, 3, mu, lam, n1=d.n1)
     assert (fitted.mu, fitted.lam, fitted.nu, fitted.n0) == (0, 9, -18, 2)
+
+
+def _direct_kappas(d, n_max):
+    return [spanning_tree_count(build_level_graph(d, n).graph) for n in range(n_max + 1)]
+
+
+def test_factored_kappa_matches_cover_on_fixtures():
+    for name, n_max in (("double_edge", 8), ("triple_star", 5)):
+        d = load_datum(FIXTURES / f"{name}.json")
+        assert [r.kappa for r in tower_sweep(d, n_max)] == _direct_kappas(d, n_max)
+
+
+def test_factored_kappa_matches_cover_on_random_data():
+    for d in collect_random_data(61, 12, levels_connected=4):
+        assert [r.kappa for r in tower_sweep(d, 4)] == _direct_kappas(d, 4)
+
+
+def test_cover_count_only_where_chi_vanishes(monkeypatch):
+    # double_edge has chi(X_0) = chi(X_1) = 0 and chi(X_n) < 0 from n = 2
+    counted = []
+
+    def recording_count(graph):
+        counted.append(graph.n_vertices)
+        return spanning_tree_count(graph)
+
+    monkeypatch.setattr(iwasawa, "spanning_tree_count", recording_count)
+    rows = tower_sweep(_double_edge(), 4)
+    assert [r.chi for r in rows[:2]] == [0, 0]
+    assert counted == [rows[0].n_vertices, rows[1].n_vertices]
+    assert [r.kappa for r in rows] == _direct_kappas(_double_edge(), 4)
+
+
+def test_factored_kappa_matches_cover_on_a_seven_vertex_base():
+    d = chorded_heptagon()
+    assert [r.kappa for r in tower_sweep(d, 3)] == _direct_kappas(d, 3)

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import collect_random_data
+from conftest import FIXTURES, chorded_heptagon, collect_random_data
 from graphzeta.cyclo import CycloNum, ordp_cyclo, zeta
+from graphzeta.datum_io import load_datum
 from graphzeta.errors import HypothesisError
 from graphzeta.graphs import SerreGraph
 from graphzeta.lfunctions import (
@@ -12,17 +13,22 @@ from graphzeta.lfunctions import (
     h_poly,
     l_reciprocal_of_sum,
     lfn_data,
+    orbit_norm,
     orbit_special_products,
+    orbit_vertices,
     product_formula_check,
     r0,
     special_values,
+    trivial_h_derivative_at_one,
     vanishing_order_check,
     xi_poly,
     z_poly,
 )
 from graphzeta.groupring import GroupRingElem
+from graphzeta.linalg import det_commutative
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum
+from oracles import orbit_special_products_by_characters
 
 
 def _double_edge():
@@ -211,3 +217,43 @@ def test_vanishing_order_check():
     flat = TowerDatum(cycle, 2, (0, 0, 0, 0), (None, None))
     with pytest.raises(HypothesisError):
         vanishing_order_check(flat, 1)
+
+
+def test_orbit_products_match_character_products():
+    data = [load_datum(FIXTURES / f"{name}.json") for name in ("double_edge", "triple_star")]
+    for d, n in zip(data, (4, 3)):
+        assert orbit_special_products(d, n) == orbit_special_products_by_characters(d, n)
+    for d in collect_random_data(47, 6, levels_connected=2):
+        for n in (1, 2):
+            assert orbit_special_products(d, n) == orbit_special_products_by_characters(d, n)
+
+
+def _orbit_matrix_norm(d, j):
+    # N(det(D - A_zeta) on K_j), the matrix built over Q(zeta_{p^j}) from the darts
+    kept = orbit_vertices(d, j)
+    z = zeta(d.p, j)
+    base = d.base
+    m = [[CycloNum.rational(d.p, 0, j) for _ in kept] for _ in kept]
+    for e in range(base.n_darts):
+        o, t = base.dart_origin[e], base.dart_terminus[e]
+        if o not in kept:
+            continue
+        m[kept.index(o)][kept.index(o)] += 1
+        if t in kept:
+            m[kept.index(t)][kept.index(o)] -= z ** (d.voltage[e] % d.p**j)
+    return det_commutative(m).norm() if kept else 1
+
+
+def test_orbit_norm_is_cyclonum_norm():
+    data = [_double_edge()] + collect_random_data(53, 8, levels_connected=2)
+    for d in data:
+        for j in (1, 2, 3):
+            assert orbit_norm(d, j) == _orbit_matrix_norm(d, j)
+
+
+def test_trivial_derivative_is_special_value():
+    for d in [_double_edge(), chorded_heptagon()] + collect_random_data(59, 6, levels_connected=2):
+        for n in (0, 1, 2):
+            want = special_values(d, n, CharacterLabel(d.p, n, 0)).h_derivative_at_one
+            got = trivial_h_derivative_at_one(d, n)
+            assert type(got) is int and got == want

@@ -1,15 +1,23 @@
+import math
 import random
 from fractions import Fraction
 
-from graphzeta.cyclo import zeta
+import numpy as np
+import pytest
+
+from graphzeta.cyclo import CycloNum, zeta
+from graphzeta.errors import CertificationError
 from graphzeta.groupring import GroupRingElem, groupring_idempotent
 from graphzeta.linalg import (
     _det_crt,
+    _det_mod_batch,
+    _modular_primes,
     det_bareiss_int,
     det_cofactor,
     det_commutative,
     det_fraction,
     det_int,
+    det_norm_cyclotomic,
     is_probable_prime,
 )
 from graphzeta.poly import UniPoly
@@ -136,3 +144,47 @@ def test_det_multiplicative_cyclo():
             for i in range(2)
         ]
         assert det_commutative(ab) == det_commutative(a) * det_commutative(b)
+
+
+def test_batched_modular_det_matches_bareiss():
+    rng = random.Random(29)
+    primes = [2147483647, 2147483629, 65537, 7]
+    for k in range(1, 6):
+        mats = [
+            [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(k)] for _ in range(k)]
+            for _ in range(40)
+        ]
+        mats.append([[0] * k for _ in range(k)])
+        mats.append([[1] * k for _ in range(k)])
+        moduli = [primes[i % len(primes)] for i in range(len(mats))]
+        num, den = _det_mod_batch(np.array(mats, dtype=np.int64), np.array(moduli))
+        dets = [int(a) * pow(int(b), -1, q) % q for a, b, q in zip(num, den, moduli)]
+        assert dets == [det_bareiss_int(m) % q for m, q in zip(mats, moduli)]
+
+
+def test_modular_primes_are_one_mod_m():
+    for m in (1, 2, 3, 8, 81, 4096):
+        primes = _modular_primes(2**200, m)
+        assert math.prod(primes) > 2**200
+        assert all(q < 2**31 and (q - 1) % m == 0 and is_probable_prime(q) for q in primes)
+        assert primes == sorted(set(primes), reverse=True)
+    assert _modular_primes(2**62) == [2147483647, 2147483629, 2147483587]
+    with pytest.raises(CertificationError, match="too few primes"):
+        _modular_primes(2 ** (2**17), 2**17)
+
+
+def test_det_norm_cyclotomic_matches_cyclonum_norm():
+    rng = random.Random(37)
+    for p, j in [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
+        z = zeta(p, j)
+        for k in (1, 2, 3):
+            for _ in range(4):
+                terms = [
+                    (rng.randrange(k), rng.randrange(k), rng.randint(-5, 20), rng.randint(-4, 4))
+                    for _ in range(rng.randint(0, 3 * k))
+                ]
+                m = [[CycloNum.rational(p, 0, j) for _ in range(k)] for _ in range(k)]
+                for r, c, e, coeff in terms:
+                    m[r][c] = m[r][c] + coeff * z ** (e % p**j)
+                assert det_norm_cyclotomic(k, terms, p, j) == det_commutative(m).norm()
+    assert det_norm_cyclotomic(0, [], 2, 3) == 1
