@@ -52,13 +52,13 @@ def main():
     print("\n== Iwasawa invariants ==")
     gs = g_series(datum)
     print("g(T) representative:", gs.rep, " mu_unr =", gs.mu_unr, " lambda_unr =", gs.lambda_unr)
-    mu, lam = closed_form_invariants(datum)
+    mu, lam = closed_form_invariants(datum, gs)
     rows = tower_sweep(datum, 6)
     print("ord_2(kappa):", [r.ordp_kappa for r in rows])
     fitted = fit_and_certify(rows, 2, mu, lam, n1=datum.n1)
     print(f"certified: ord_2(kappa(X_n)) = {fitted.mu}*2^n + {fitted.lam}*n + {fitted.nu}"
           f" for n >= {fitted.n0}")
-    cig = char_ideal_generator(datum)
+    cig = char_ideal_generator(datum, gs)
     print("characteristic-ideal generator representative f(T):", cig.f)
 
 

@@ -115,8 +115,8 @@ def cmd_tower(d: TowerDatum, max_level: int) -> dict:
 
 def cmd_invariants(d: TowerDatum, max_level: int) -> dict:
     gs = g_series(d)
-    lambda0, lambda_blocks, lambda_unr = lambda_components(d)
-    mu, lam = closed_form_invariants(d)
+    lambda0, lambda_blocks, lambda_unr = lambda_components(d, gs)
+    mu, lam = closed_form_invariants(d, gs)
     rows = tower_sweep(d, max_level)
     try:
         fitted = fit_and_certify(rows, d.p, mu, lam, n1=d.n1)
@@ -131,7 +131,7 @@ def cmd_invariants(d: TowerDatum, max_level: int) -> dict:
     except CertificationError as exc:
         sweep = {"error": str(exc), "max_level": max_level}
         agreement = False
-    cig = char_ideal_generator(d)
+    cig = char_ideal_generator(d, gs)
     doc = {
         "command": "invariants",
         "prime": d.p,

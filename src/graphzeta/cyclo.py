@@ -312,16 +312,32 @@ def ordp_fraction(x, p: int) -> Valuation:
     x = Fraction(x)
     if x == 0:
         return Valuation.infinite()
+    return Valuation.of(_ord_int(x.numerator, p) - _ord_int(x.denominator, p))
 
-    def _ord_int(n: int) -> int:
-        n = abs(n)
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
 
-    return Valuation.of(_ord_int(x.numerator) - _ord_int(x.denominator))
+def _ord_int(n: int, p: int) -> int:
+    """ord_p of a nonzero integer, in O(log v) big-integer divisions.
+
+    Divides by p, p^2, p^4, ... while each divides, which leaves a
+    valuation below the first power that failed, then by the same powers
+    downward, each at most once: the binary digits of what is left.
+    """
+    if n % p:
+        return 0
+    v, step, q, powers = 0, 1, p, []
+    while n % q == 0:
+        n //= q
+        v += step
+        powers.append(q)
+        q *= q
+        step *= 2
+    while powers:
+        q = powers.pop()
+        step //= 2
+        if n % q == 0:
+            n //= q
+            v += step
+    return v
 
 
 def ordp_cyclo(x: CycloNum, p: int) -> Valuation:

@@ -10,9 +10,11 @@ two to both the degree and the adjacency diagonal; multi-edges are allowed.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import linalg
 from .errors import GraphError
@@ -165,31 +167,25 @@ def dart_transition_matrix(g: SerreGraph) -> list[list[int]]:
     return b
 
 
-def _mat_mul(x, y):
-    n = len(x)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        xi = x[i]
-        oi = out[i]
-        for k, xv in enumerate(xi):
-            if xv:
-                yk = y[k]
-                for jj in range(n):
-                    oi[jj] += xv * yk[jj]
-    return out
-
-
 def reduced_closed_path_counts(g: SerreGraph, k_max: int) -> list[int]:
-    """N_1..N_k: traces of powers of the non-backtracking dart matrix."""
+    """N_1..N_k: traces of powers of the non-backtracking dart matrix.
+
+    Row e of B has deg(terminus e) - 1 ones, so every entry of B^k, and
+    every partial sum while taking it, is at most (max deg - 1)^k, and the
+    trace at most n_darts times that; the powers are taken in int64 when
+    that bound for k_max is below 2^63, with Python integers otherwise.
+    """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    b = dart_transition_matrix(g)
+    widest = max(Counter(g.dart_origin).values(), default=1) - 1
+    dtype = np.int64 if g.n_darts * widest**k_max < 1 << 63 else object
+    b = np.array(dart_transition_matrix(g), dtype=dtype).reshape(g.n_darts, g.n_darts)
     counts = []
     power = b
-    counts.append(sum(power[i][i] for i in range(len(b))))
+    counts.append(int(power.trace()))
     for _ in range(k_max - 1):
-        power = _mat_mul(power, b)
-        counts.append(sum(power[i][i] for i in range(len(b))))
+        power = power @ b
+        counts.append(int(power.trace()))
     return counts
 
 
@@ -197,25 +193,11 @@ def ihara_zeta_reciprocal(g: SerreGraph) -> tuple[UniPoly, int]:
     """(h(u), chi) with h = det(I - Au + (D - I)u^2); Z^-1 = (1-u^2)^(-chi) h."""
     a, deg = adjacency_and_degree(g)
     n = g.n_vertices
-    mat = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c0 = 1 if i == j else 0
-            c1 = -a[i][j]
-            c2 = deg[i][j] - (1 if i == j else 0)
-            row.append(UniPoly([c0, c1, c2]))
-        mat.append(row)
-    det = linalg.det_commutative(mat) if n else UniPoly.constant(1)
-    if not isinstance(det, UniPoly):
-        det = UniPoly.constant(det)
-    coeffs = []
-    for c in det.coeffs:
-        fr = Fraction(c)
-        if fr.denominator != 1:
-            raise GraphError("zeta determinant produced a non-integer coefficient")
-        coeffs.append(fr.numerator)
-    return UniPoly(coeffs), euler_characteristic(g)
+    mat = [
+        [UniPoly([int(i == j), -a[i][j], deg[i][j] - (i == j)]) for j in range(n)]
+        for i in range(n)
+    ]
+    return linalg.det_poly_int(mat), euler_characteristic(g)
 
 
 def zeta_series_from_counts(counts: list[int], prec: int) -> TruncSeries:

@@ -139,20 +139,11 @@ def g_series(d: TowerDatum) -> GSeries:
                     entry = entry - one_plus ** (row_shift[i] + d.voltage[e])
             row.append(entry)
         rows.append(row)
-    det = linalg.det_commutative(rows)
-    if not isinstance(det, UniPoly):
-        det = UniPoly.constant(det)
-    int_coeffs = []
-    for c in det.coeffs:
-        fr = Fraction(c)
-        if fr.denominator != 1:
-            raise CertificationError("g(T) representative has a non-integer coefficient")
-        int_coeffs.append(fr.numerator)
-    return GSeries(UniPoly(int_coeffs), sum(row_shift), d.p)
+    return GSeries(linalg.det_poly_int(rows), sum(row_shift), d.p)
 
 
-def lambda_components(d: TowerDatum) -> tuple[int, list[int], int]:
-    """(lambda_0, [lambda_j for j = 1..n1], lambda_unr)."""
+def lambda_components(d: TowerDatum, gs: GSeries) -> tuple[int, list[int], int]:
+    """(lambda_0, [lambda_j for j = 1..n1], lambda_unr), with gs = g_series(d)."""
     ram = d.ramified_vertices
     chi_base = d.base.n_vertices - d.base.n_edges
     if ram:
@@ -165,15 +156,14 @@ def lambda_components(d: TowerDatum) -> tuple[int, list[int], int]:
     for j in range(1, d.n1 + 1):
         count = sum(1 for v in ram if d.ram[v] >= j)
         lambdas.append(euler_phi_prime_power(d.p, j) * count)
-    return lambda0, lambdas, g_series(d).lambda_unr
+    return lambda0, lambdas, gs.lambda_unr
 
 
-def closed_form_invariants(d: TowerDatum) -> tuple[int, int]:
-    """(mu, lambda) from the closed forms; requires chi(X_n) < 0 eventually."""
+def closed_form_invariants(d: TowerDatum, gs: GSeries) -> tuple[int, int]:
+    """(mu, lambda) from the closed forms, with gs = g_series(d); requires chi(X_n) < 0 eventually."""
     if tower_euler_char(d, d.n1 + 2) >= 0:
         raise HypothesisError("tower does not satisfy chi(X_n) < 0 eventually")
-    gs = g_series(d)
-    lambda0, lambdas, lambda_unr = lambda_components(d)
+    lambda0, lambdas, lambda_unr = lambda_components(d, gs)
     ram = d.ramified_vertices
     if ram:
         assembled = lambda0 + sum(lambdas) + lambda_unr
@@ -291,8 +281,8 @@ class CharIdealGenerator:
     lam_f_over_t: int
 
 
-def char_ideal_generator(d: TowerDatum) -> CharIdealGenerator:
-    gs = g_series(d)
+def char_ideal_generator(d: TowerDatum, gs: GSeries) -> CharIdealGenerator:
+    """f(T) and f/T for d, with gs = g_series(d)."""
     f = gs.rep
     one_plus = UniPoly([1, 1])
     for v in d.ramified_vertices:

@@ -9,10 +9,16 @@ Routes:
     per prime across all primitive roots of unity in F_q; one prime
     generator, one batched elimination and one signed CRT serve both
     multimodular routes;
-  - rational matrices: denominator clearing down to the integer route;
+  - integer polynomial matrices (`det_poly_int`): the same multimodular
+    kernel, batched over primes and evaluation points 0..D, with Newton
+    interpolation mod each prime and CRT against the coefficient bound
+    prod_r sum_c ||M[r][c]||_1;
+  - rational matrices, scalar or polynomial: per-row denominator clearing
+    down to the integer routes;
   - cyclotomic matrices: division elimination (the entries form a field);
-  - polynomial matrices: cofactor expansion in small dimension, otherwise
-    evaluation at integer points and Lagrange interpolation;
+  - polynomial matrices over cyclotomic fields: cofactor expansion in small
+    dimension, otherwise evaluation at integer points and Newton
+    interpolation;
   - group-ring matrices: per-character projection to cyclotomic fields and
     idempotent reassembly, both through `groupring` (`apply_character` and
     `from_character_polys`; the group ring has zero divisors, so elimination
@@ -44,6 +50,7 @@ __all__ = [
     "det_fraction",
     "det_int",
     "det_norm_cyclotomic",
+    "det_poly_int",
     "is_probable_prime",
 ]
 
@@ -113,7 +120,9 @@ def _hadamard_bound(rows) -> int:
 
 
 _WORD = 1 << 31  # moduli stay below this, so products of two residues fit in int64
-_BATCH_ENTRIES = 1 << 18  # int64 entries per elimination batch in _det_crt
+# int64 entries per elimination batch; an elimination holds a few such arrays at
+# once, so this keeps the multimodular kernels to a few MB of working memory.
+_BATCH_ENTRIES = 1 << 15
 
 
 def _modular_primes(target: int, m: int = 1) -> list[int]:
@@ -190,24 +199,88 @@ def _det_mod_batch(mats: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, np
     return np.where(alive, sign * run % q, 0), den
 
 
-def _residue_batch(rows: list[list[int]], primes: list[int]) -> np.ndarray:
-    # (len(primes), n, n) int64: the matrix reduced mod each prime.
-    q = np.array(primes, dtype=np.int64)[:, None, None]
+def _int_array(values) -> np.ndarray:
+    # int64 where every entry fits, else object (Python ints) for the reduction below.
     try:
-        return np.array(rows, dtype=np.int64)[None] % q
+        return np.array(values, dtype=np.int64)
     except OverflowError:
-        return np.stack([np.array([[x % p for x in r] for r in rows], dtype=np.int64) for p in primes])
+        return np.array(values, dtype=object)
+
+
+def _residue_batch(values: np.ndarray, primes: list[int]) -> np.ndarray:
+    # (len(primes), *values.shape) int64: the integer array reduced mod each prime.
+    q = np.array(primes, dtype=np.int64).reshape((-1,) + (1,) * values.ndim)
+    return (values[None] % q).astype(np.int64)
 
 
 def _det_crt(rows: list[list[int]]) -> int:
     primes = _modular_primes(2 * _hadamard_bound(rows) + 1)
+    values = _int_array(rows)
     chunk = max(1, _BATCH_ENTRIES // len(rows) ** 2)
     residues = []
     for i in range(0, len(primes), chunk):
         part = primes[i : i + chunk]
-        num, den = _det_mod_batch(_residue_batch(rows, part), np.array(part))
+        num, den = _det_mod_batch(_residue_batch(values, part), np.array(part))
         residues += [int(a) * pow(int(b), -1, q) % q for a, b, q in zip(num, den, part)]
     return _crt_signed(residues, primes)
+
+
+def det_poly_int(rows) -> UniPoly:
+    """Determinant of a square matrix whose entries are integer polynomials (UniPoly or int).
+
+    Multimodular evaluation and interpolation.  The determinant has degree
+    at most D = sum over rows of the largest entry degree, and every
+    coefficient is at most B = prod_r sum_c ||M[r][c]||_1 (sum of absolute
+    coefficients) in absolute value: it is at most the permanent of the
+    1-norm matrix.  For each prime q of `_modular_primes(2B)`, M is
+    evaluated mod q at t = 0..D and the D + 1 determinants come from
+    `_det_mod_batch`, whose per-element pivoting covers the points where
+    M(t) is singular; Newton's divided differences mod q (batched over the
+    primes) give the coefficients mod q, and `_crt_signed` lifts each one.
+    The (prime, point) batch is built and eliminated in chunks of about
+    `_BATCH_ENTRIES` matrix entries.
+    """
+    n = len(rows)
+    if n == 0:
+        return UniPoly.constant(1)
+    coeffs = [[x.coeffs if isinstance(x, UniPoly) else (x,) for x in row] for row in rows]
+    bound = math.prod(sum(abs(a) for c in row for a in c) for row in coeffs)
+    if bound == 0:
+        return UniPoly()  # a zero row
+    row_degree = [max(len(c) for c in row) - 1 for row in coeffs]
+    width = max(row_degree) + 1
+    dense = [[[c[k] if k < len(c) else 0 for c in row] for row in coeffs] for k in range(width)]
+    values = _int_array(dense)  # (width, n, n): coefficient k of every entry
+    primes = _modular_primes(2 * bound)
+    points = sum(row_degree) + 1
+    moduli = np.array(primes, dtype=np.int64)
+    dets = np.empty(len(primes) * points, dtype=np.int64)  # prime-major: det M(t) mod q
+    chunk = max(1, _BATCH_ENTRIES // (n * n))
+    for start in range(0, dets.size, chunk):
+        which, t = np.divmod(np.arange(start, min(start + chunk, dets.size)), points)
+        residues = _residue_batch(values, primes[which[0] : which[-1] + 1])
+        local = which - which[0]
+        q = moduli[which]
+        batch = residues[local, width - 1]
+        for k in range(width - 2, -1, -1):
+            batch = (batch * t[:, None, None] + residues[local, k]) % q[:, None, None]
+        num, den = _det_mod_batch(batch, q)
+        dets[start : start + len(t)] = [
+            a * pow(b, -1, m) % m for a, b, m in zip(num.tolist(), den.tolist(), q.tolist())
+        ]
+    qcol = moduli[:, None]
+    newton = dets.reshape(len(primes), points)
+    inverses = np.array([[pow(k, -1, m) for k in range(1, points)] for m in primes], dtype=np.int64)
+    for k in range(1, points):
+        # divided differences on the nodes 0..D: node i minus node i - k is k
+        newton[:, k:] = (newton[:, k:] - newton[:, k - 1 : -1]) % qcol * inverses[:, k - 1 : k] % qcol
+    mono = np.zeros_like(newton)
+    mono[:, 0] = newton[:, -1]
+    for k in range(points - 2, -1, -1):
+        # mono <- mono * (x - k) + newton_k
+        mono[:, 1:] = (mono[:, :-1] - k * mono[:, 1:]) % qcol
+        mono[:, 0] = (newton[:, k] - k * mono[:, 0]) % moduli
+    return UniPoly([_crt_signed(mono[:, i], primes) for i in range(points)])
 
 
 def _power_table(g: int, order: int, q: int) -> np.ndarray:
@@ -363,18 +436,6 @@ def _poly_entry(x) -> UniPoly:
     return x if isinstance(x, UniPoly) else UniPoly.constant(x)
 
 
-def _det_poly(rows) -> UniPoly:
-    # Matrix with UniPoly (or scalar) entries over int/Fraction scalars.
-    n = len(rows)
-    mat = [[_poly_entry(x) for x in r] for r in rows]
-    if n <= _COFACTOR_POLY_MAX_DIM:
-        return _poly_entry(det_cofactor(mat))
-    degree = sum(max((e.degree for e in row), default=0) for row in mat)
-    points = list(range(degree + 1))
-    values = [det_fraction([[e(t) for e in row] for row in mat]) for t in points]
-    return _newton_interpolate(points, values)
-
-
 def _newton_interpolate(points: list[int], values: list) -> UniPoly:
     # Divided differences, then Horner over the nodes; exact in any field
     # whose elements support the arithmetic with small integers used here.
@@ -402,6 +463,17 @@ def _det_poly_cyclo(rows) -> UniPoly:
     points = list(range(degree + 1))
     values = [_det_field([[e(t * one) for e in row] for row in mat], one) for t in points]
     return _newton_interpolate(points, values)
+
+
+def _det_poly_rational(rows) -> UniPoly:
+    # Clear each row's denominators, take the integer determinant, divide back.
+    cleared, den = [], 1
+    for row in rows:
+        entries = [_poly_entry(x) for x in row]
+        d = math.lcm(*(Fraction(c).denominator for e in entries for c in e.coeffs))
+        cleared.append([e.map_coeffs(lambda c: int(c * d)) for e in entries])
+        den *= d
+    return det_poly_int(cleared).map_coeffs(lambda c: Fraction(c, den))
 
 
 def _det_groupring_poly(rows) -> UniPoly:
@@ -442,7 +514,9 @@ def det_commutative(rows):
             return _det_groupring_poly(rows)
         if "cyclo" in kinds:
             return _det_poly_cyclo(rows)
-        return _det_poly(rows)
+        if "fraction" in kinds:
+            return _det_poly_rational(rows)
+        return det_poly_int(rows)
     if "groupring" in kinds:
         result = _det_groupring_poly(rows).coefficient(0)
         if isinstance(result, GroupRingElem):

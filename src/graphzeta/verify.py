@@ -20,7 +20,6 @@ from .equivariant import (
 from .errors import HypothesisError
 from .graphs import (
     connected,
-    ihara_zeta_reciprocal,
     reduced_closed_path_counts,
     spanning_tree_count,
     zeta_reciprocal_series,
@@ -94,7 +93,7 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
         )
     )
 
-    h_level, chi_level = ihara_zeta_reciprocal(graph)
+    h_level, chi_level = pc.h_direct, pc.chi_direct
     kappa = spanning_tree_count(graph)
     hashimoto_ok = h_level.derivative()(1) == -2 * chi_level * kappa
     items.append(

@@ -240,7 +240,7 @@ def test_criterion_08_tower_asymptotics():
     fitted = fit_and_certify(rows, 2, 1, 1, n1=d.n1)
     ok = ok and (fitted.mu, fitted.lam, fitted.nu, fitted.n0) == (1, 1, -1, 1)
     gs = g_series(d)
-    mu, lam = closed_form_invariants(d)
+    mu, lam = closed_form_invariants(d, g_series(d))
     ok = ok and mu == gs.mu_unr == 1
     ok = ok and lam == gs.lambda_unr + sum(d.p ** d.ram[v] for v in d.ramified_vertices) - 1 == 1
     elapsed = time.monotonic() - start
@@ -249,11 +249,11 @@ def test_criterion_08_tower_asymptotics():
 
 def test_criterion_09_characteristic_ideal():
     d = _double_edge()
-    cig = char_ideal_generator(d)
+    cig = char_ideal_generator(d, g_series(d))
     # f = 2T(T + 2), so mu(f) = 1 and lambda of f/T is 1
     ok = cig.f == UniPoly([0, 4, 2]) and cig.f_over_t == UniPoly([4, 2])
     ok = ok and cig.mu == 1 and cig.lam_f_over_t == 1
-    ok = ok and (cig.mu, cig.lam_f_over_t) == closed_form_invariants(d)
+    ok = ok and (cig.mu, cig.lam_f_over_t) == closed_form_invariants(d, g_series(d))
     _report(9, ok)
 
 
@@ -269,7 +269,7 @@ def test_criterion_11_randomized_iwasawa_consistency():
     certified = 0
     for d in collect_random_data(1109, 14, p_choices=(2, 3), max_k=1, levels_connected=3):
         try:
-            mu, lam = closed_form_invariants(d)
+            mu, lam = closed_form_invariants(d, g_series(d))
         except Exception:
             continue
         first_negative = next(n for n in range(8) if tower_euler_char(d, n) < 0)
@@ -291,7 +291,7 @@ def test_criterion_11_randomized_iwasawa_consistency():
 
 
 def _slope_checks(d: TowerDatum, n_max: int) -> bool:
-    lambda0, lambdas, _ = lambda_components(d)
+    lambda0, lambdas, _ = lambda_components(d, g_series(d))
     n_hi, n_lo = n_max, n_max - 1
     ok = True
     for j in range(1, d.n1 + 1):

@@ -6,6 +6,7 @@ import pytest
 from graphzeta.cyclo import (
     CycloNum,
     Valuation,
+    _ord_int,
     euler_phi_prime_power,
     ordp_cyclo,
     ordp_fraction,
@@ -53,6 +54,24 @@ def test_ordp_rational():
     assert ordp_fraction(8, 2) == Valuation.of(3)
     assert ordp_fraction(Fraction(3, 4), 2) == Valuation.of(-2)
     assert ordp_fraction(0, 5).is_infinite
+
+
+def _ord_int_by_single_divisions(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_ordp_by_squared_powers_matches_single_divisions():
+    for p in (2, 3):
+        for v in (0, 1, 2, 3, 7, 8, 63, 64, 65, 1000, 5000):
+            for u in (1, -1, p + 1, -(p * p + 1), 7**40):
+                n = p**v * u
+                assert _ord_int(n, p) == _ord_int_by_single_divisions(n, p) == v
+        assert ordp_fraction(Fraction(p**5000 * 5, p**3 * 7), p) == Valuation.of(4997)
+        assert ordp_fraction(0, p).is_infinite
 
 
 def test_ordp_cyclo_values():

@@ -11,7 +11,8 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 
 # (module, name) pairs deleted from the library; each has a surviving route:
 # UniPoly.derivative / UniPoly.__call__, CycloNum.norm, the groupring
-# character layer, and _newton_interpolate / _det_poly_cyclo in linalg.
+# character layer, _newton_interpolate / _det_poly_cyclo in linalg, and
+# det_poly_int for integer and rational polynomial matrices.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -23,6 +24,7 @@ REMOVED = [
     ("equivariant", "_idft_subgroup"),
     ("linalg", "_lagrange"),
     ("linalg", "_det_poly_cyclo_at_level"),
+    ("linalg", "_det_poly"),
 ]
 
 

@@ -196,6 +196,30 @@ def test_zeta_series_identity_random_small():
         assert zeta_series_from_counts(counts, 13) == zeta_reciprocal_series(h, chi, 13).inverse()
 
 
+def test_level_zeta_double_edge_level5():
+    # 34-vertex cover: h(u) from the multimodular kernel, degree 68
+    y = _double_edge_cover(5)
+    h, chi = ihara_zeta_reciprocal(y)
+    assert h.degree == 2 * y.n_vertices
+    assert h.derivative()(1) == -2 * chi * spanning_tree_count(y)
+    counts = reduced_closed_path_counts(y, 12)
+    assert zeta_series_from_counts(counts, 13) == zeta_reciprocal_series(h, chi, 13).inverse()
+
+
+def test_path_counts_past_int64():
+    # one vertex with r = 20 loops: 40 darts, bound 40 * 39^12 > 2^63 (N_12,
+    # about 39^12, is past it too), so the powers are taken in Python
+    # integers; N_k counts the cyclically reduced words of length k in a free
+    # group of rank r
+    r = 20
+    bouquet = SerreGraph.from_edges(["v"], [("v", "v")] * r)
+    counts = reduced_closed_path_counts(bouquet, 12)
+    assert bouquet.n_darts * 39**12 >= 2**63
+    for k in range(1, 4):
+        assert counts[k - 1] == count_reduced_closed_paths_exhaustive(bouquet, k)
+    assert counts == [(2 * r - 1) ** k + 1 + (r - 1) * (1 + (-1) ** k) for k in range(1, 13)]
+
+
 def test_hashimoto_identity_random():
     rng = random.Random(53)
     for _ in range(30):

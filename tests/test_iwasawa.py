@@ -80,14 +80,15 @@ def test_g_specialization_identity():
 
 
 def test_lambda_components_double_edge():
-    assert lambda_components(_double_edge()) == (0, [1], 0)
+    d = _double_edge()
+    assert lambda_components(d, g_series(d)) == (0, [1], 0)
 
 
 def test_lambda_components_closed_forms():
     # two ramified vertices with k = 0 and k = 2 at p = 3
     g = SerreGraph.from_edges(["a", "b"], [("a", "b"), ("a", "b")])
     d = TowerDatum(g, 3, (1, -1, 0, 0), (0, 2))
-    lambda0, lambdas, lambda_unr = lambda_components(d)
+    lambda0, lambdas, lambda_unr = lambda_components(d, g_series(d))
     assert lambda0 == 1
     assert lambdas == [2, 6]
     assert lambda_unr == 0
@@ -97,20 +98,23 @@ def test_lambda_components_refusal():
     cycle = SerreGraph.from_edges(["a", "b"], [("a", "b"), ("a", "b")])
     flat = TowerDatum(cycle, 2, (1, -1, 0, 0), (None, None))
     with pytest.raises(HypothesisError, match="V\\^ram"):
-        lambda_components(flat)
+        lambda_components(flat, g_series(flat))
 
 
 def test_closed_form_invariants():
-    assert closed_form_invariants(_double_edge()) == (1, 1)
-    assert closed_form_invariants(_two_loops_unramified()) == (0, 1)
-    assert closed_form_invariants(_triangle_fully_ramified()) == (0, 2)
+    for d, expected in [
+        (_double_edge(), (1, 1)),
+        (_two_loops_unramified(), (0, 1)),
+        (_triangle_fully_ramified(), (0, 2)),
+    ]:
+        assert closed_form_invariants(d, g_series(d)) == expected
 
 
 def test_closed_form_requires_negative_chi():
     cycle = SerreGraph.from_edges(["a", "b"], [("a", "b"), ("a", "b")])
     flat = TowerDatum(cycle, 2, (1, -1, 0, 0), (None, None))
     with pytest.raises(HypothesisError, match="eventually"):
-        closed_form_invariants(flat)
+        closed_form_invariants(flat, g_series(flat))
 
 
 def test_tower_sweep_double_edge():
@@ -158,7 +162,7 @@ def test_fully_ramified_triangle_growth():
     assert [r.kappa for r in rows] == [3 * 9**n for n in range(5)]
     inv = fit_and_certify(rows, 3, 0, 2, n1=d.n1)
     assert (inv.mu, inv.lam, inv.nu) == (0, 2, 1)
-    assert closed_form_invariants(d) == (0, 2)
+    assert closed_form_invariants(d, g_series(d)) == (0, 2)
 
 
 def test_unramified_loops_growth():
@@ -171,25 +175,26 @@ def test_unramified_loops_growth():
 
 
 def test_char_ideal_generator_double_edge():
-    cig = char_ideal_generator(_double_edge())
+    d = _double_edge()
+    cig = char_ideal_generator(d, g_series(d))
     assert cig.f == UniPoly([0, 4, 2])
     assert cig.f_over_t == UniPoly([4, 2])
     assert cig.mu == 1
     assert cig.lam_f_over_t == 1
-    mu, lam = closed_form_invariants(_double_edge())
+    mu, lam = closed_form_invariants(d, g_series(d))
     assert (cig.mu, cig.lam_f_over_t) == (mu, lam)
 
 
 def test_char_ideal_unramified_is_g():
     d = _two_loops_unramified()
-    cig = char_ideal_generator(d)
+    cig = char_ideal_generator(d, g_series(d))
     assert cig.f == g_series(d).rep
-    assert (cig.mu, cig.lam_f_over_t) == closed_form_invariants(d)
+    assert (cig.mu, cig.lam_f_over_t) == closed_form_invariants(d, g_series(d))
 
 
 def test_char_ideal_fully_ramified():
     d = _triangle_fully_ramified(3)
-    cig = char_ideal_generator(d)
+    cig = char_ideal_generator(d, g_series(d))
     # g = 1, so f is the product of three copies of (1+T)^1 - 1 = T
     assert cig.f == UniPoly([0, 0, 0, 1])
     assert (cig.mu, cig.lam_f_over_t) == (0, 2)
@@ -199,7 +204,7 @@ def test_block_slope_checks_double_edge():
     from graphzeta.lfunctions import ordp_orbit_product
 
     d = _double_edge()
-    lambda0, lambdas, _ = lambda_components(d)
+    lambda0, lambdas, _ = lambda_components(d, g_series(d))
     # h'(1, trivial) = 2^(n+1) - 4 has constant ord 2 from level 2 on: slope 0
     derivs = {}
     for n in (3, 4):
@@ -221,7 +226,7 @@ def test_global_consistency_random():
     checked = 0
     for d in collect_random_data(2024, 12, p_choices=(2, 3), max_k=1, levels_connected=3):
         try:
-            mu, lam = closed_form_invariants(d)
+            mu, lam = closed_form_invariants(d, g_series(d))
         except HypothesisError:
             continue
         n_max = _required_depth(d)
@@ -260,8 +265,8 @@ def test_two_ramified_vertices_deep_tower():
     # sweep certifies lambda = 9 = 0 + (1 + 9) - 1 with slope starting at n = 2
     g = SerreGraph.from_edges(["a", "b"], [("a", "b"), ("a", "b")])
     d = TowerDatum(g, 3, (1, -1, 0, 0), (0, 2))
-    assert lambda_components(d) == (1, [2, 6], 0)
-    mu, lam = closed_form_invariants(d)
+    assert lambda_components(d, g_series(d)) == (1, [2, 6], 0)
+    mu, lam = closed_form_invariants(d, g_series(d))
     assert (mu, lam) == (0, 9)
     rows = tower_sweep(d, 5)
     assert [r.ordp_kappa for r in rows] == [0, 0, 0, 9, 18, 27]

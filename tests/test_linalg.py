@@ -18,6 +18,7 @@ from graphzeta.linalg import (
     det_fraction,
     det_int,
     det_norm_cyclotomic,
+    det_poly_int,
     is_probable_prime,
 )
 from graphzeta.poly import UniPoly
@@ -76,7 +77,7 @@ def test_det_cyclo_matrix():
 
 def test_det_poly_interpolation_matches_cofactor():
     rng = random.Random(13)
-    # dimension 7 forces the interpolation route; compare with direct cofactor
+    # integer polynomial entries take the multimodular route; compare with direct cofactor
     n = 7
     mat = [
         [UniPoly([rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(n)]
@@ -188,3 +189,53 @@ def test_det_norm_cyclotomic_matches_cyclonum_norm():
                     m[r][c] = m[r][c] + coeff * z ** (e % p**j)
                 assert det_norm_cyclotomic(k, terms, p, j) == det_commutative(m).norm()
     assert det_norm_cyclotomic(0, [], 2, 3) == 1
+
+
+def _random_poly_matrix(rng, n, scale, coeff=int):
+    # entries: zero (an int or the zero UniPoly), a bare constant, or a UniPoly of degree <= 3
+    def entry():
+        kind = rng.random()
+        if kind < 0.25:
+            return rng.choice([0, UniPoly()])
+        if kind < 0.35:
+            return coeff(rng.randint(-scale, scale))
+        return UniPoly([coeff(rng.randint(-scale, scale)) for _ in range(rng.randint(1, 4))])
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def test_det_poly_int_matches_cofactor():
+    rng = random.Random(41)
+    for n in range(1, 9):
+        for scale in (3, 10**12, 10**25):
+            if scale == 10**25 and n > 3:
+                continue  # coefficients past int64 take the object-dtype reduction
+            m = _random_poly_matrix(rng, n, scale)
+            expected = det_cofactor(m)
+            det = det_poly_int(m)
+            assert det == expected and all(type(c) is int for c in det.coeffs)
+            # a row times (u - s) makes the determinant vanish at the node s
+            s, r = rng.randint(0, 3), rng.randrange(n)
+            m[r] = [UniPoly([-s, 1]) * x for x in m[r]]
+            det = det_poly_int(m)
+            assert det == det_cofactor(m) and det(s) == 0
+        m[rng.randrange(n)] = [0] * n
+        assert det_poly_int(m) == UniPoly()
+    assert det_poly_int([]) == UniPoly.constant(1)
+
+
+def test_det_poly_int_singular_at_some_nodes():
+    # f = u (u - 2) (u - 5) times a unimodular matrix: det f^2 vanishes at three of the nodes 0..6
+    f = UniPoly([0, 10, -7, 1])
+    m = [[f, f * 3], [f * 2, f * 7]]
+    assert det_poly_int(m) == f * f
+
+
+def test_det_commutative_rational_polys_match_cofactor():
+    rng = random.Random(43)
+    for n in range(1, 7):
+        m = _random_poly_matrix(rng, n, 10**6, coeff=lambda c: Fraction(c, rng.randint(1, 12)))
+        m[0][0] = UniPoly([Fraction(1, 3), 2])  # at least one polynomial entry
+        det = det_commutative(m)
+        assert det == det_cofactor(m)
+        assert all(isinstance(c, Fraction) for c in det.coeffs)

@@ -89,15 +89,16 @@ def test_sweep_and_invariants():
     gs = g_series(d)
     assert gs.rep == UniPoly([2])
     assert (gs.mu_unr, gs.lambda_unr) == (0, 0)
-    assert lambda_components(d) == (0, [2], 0)
-    mu, lam = closed_form_invariants(d)
+    assert lambda_components(d, g_series(d)) == (0, [2], 0)
+    mu, lam = closed_form_invariants(d, g_series(d))
     assert (mu, lam) == (0, 2)
     fitted = fit_and_certify(rows, 3, mu, lam, n1=d.n1)
     assert (fitted.mu, fitted.lam, fitted.nu, fitted.n0) == (0, 2, -1, 1)
 
 
 def test_char_ideal():
-    cig = char_ideal_generator(_datum())
+    d = _datum()
+    cig = char_ideal_generator(d, g_series(d))
     # f = 2((1+T)^3 - 1) = 2T^3 + 6T^2 + 6T
     assert cig.f == UniPoly([0, 6, 6, 2])
     assert cig.f_over_t == UniPoly([6, 6, 2])
