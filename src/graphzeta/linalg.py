@@ -354,20 +354,25 @@ def det_int(rows: list[list[int]]) -> int:
     return _det_crt(rows)
 
 
+def _clear_row_denominators(rows) -> tuple[list, int]:
+    # Scale each row by the lcm of its denominators, polynomial coefficients
+    # included; the determinant of the cleared rows is den times the original.
+    cleared, den = [], 1
+    for row in rows:
+        coeffs = (c for x in row for c in (x.coeffs if isinstance(x, UniPoly) else (x,)))
+        d = math.lcm(*(Fraction(c).denominator for c in coeffs))
+
+        def scale(c, d=d):
+            return int(Fraction(c) * d)
+
+        cleared.append([x.map_coeffs(scale) if isinstance(x, UniPoly) else scale(x) for x in row])
+        den *= d
+    return cleared, den
+
+
 def det_fraction(rows) -> Fraction:
     """Determinant of a rational matrix, via per-row denominator clearing."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    cleared = []
-    den = 1
-    for r in rows:
-        fr = [Fraction(x) for x in r]
-        d = 1
-        for x in fr:
-            d = d * x.denominator // math.gcd(d, x.denominator)
-        cleared.append([int(x * d) for x in fr])
-        den *= d
+    cleared, den = _clear_row_denominators(rows)
     return Fraction(det_int(cleared), den)
 
 
@@ -466,13 +471,7 @@ def _det_poly_cyclo(rows) -> UniPoly:
 
 
 def _det_poly_rational(rows) -> UniPoly:
-    # Clear each row's denominators, take the integer determinant, divide back.
-    cleared, den = [], 1
-    for row in rows:
-        entries = [_poly_entry(x) for x in row]
-        d = math.lcm(*(Fraction(c).denominator for e in entries for c in e.coeffs))
-        cleared.append([e.map_coeffs(lambda c: int(c * d)) for e in entries])
-        den *= d
+    cleared, den = _clear_row_denominators(rows)
     return det_poly_int(cleared).map_coeffs(lambda c: Fraction(c, den))
 
 

@@ -240,7 +240,7 @@ def test_criterion_08_tower_asymptotics():
     fitted = fit_and_certify(rows, 2, 1, 1, n1=d.n1)
     ok = ok and (fitted.mu, fitted.lam, fitted.nu, fitted.n0) == (1, 1, -1, 1)
     gs = g_series(d)
-    mu, lam = closed_form_invariants(d, g_series(d))
+    mu, lam = closed_form_invariants(d, gs)
     ok = ok and mu == gs.mu_unr == 1
     ok = ok and lam == gs.lambda_unr + sum(d.p ** d.ram[v] for v in d.ramified_vertices) - 1 == 1
     elapsed = time.monotonic() - start
@@ -249,11 +249,12 @@ def test_criterion_08_tower_asymptotics():
 
 def test_criterion_09_characteristic_ideal():
     d = _double_edge()
-    cig = char_ideal_generator(d, g_series(d))
+    gs = g_series(d)
+    cig = char_ideal_generator(d, gs)
     # f = 2T(T + 2), so mu(f) = 1 and lambda of f/T is 1
     ok = cig.f == UniPoly([0, 4, 2]) and cig.f_over_t == UniPoly([4, 2])
     ok = ok and cig.mu == 1 and cig.lam_f_over_t == 1
-    ok = ok and (cig.mu, cig.lam_f_over_t) == closed_form_invariants(d, g_series(d))
+    ok = ok and (cig.mu, cig.lam_f_over_t) == closed_form_invariants(d, gs)
     _report(9, ok)
 
 

@@ -176,20 +176,22 @@ def test_unramified_loops_growth():
 
 def test_char_ideal_generator_double_edge():
     d = _double_edge()
-    cig = char_ideal_generator(d, g_series(d))
+    gs = g_series(d)
+    cig = char_ideal_generator(d, gs)
     assert cig.f == UniPoly([0, 4, 2])
     assert cig.f_over_t == UniPoly([4, 2])
     assert cig.mu == 1
     assert cig.lam_f_over_t == 1
-    mu, lam = closed_form_invariants(d, g_series(d))
+    mu, lam = closed_form_invariants(d, gs)
     assert (cig.mu, cig.lam_f_over_t) == (mu, lam)
 
 
 def test_char_ideal_unramified_is_g():
     d = _two_loops_unramified()
-    cig = char_ideal_generator(d, g_series(d))
-    assert cig.f == g_series(d).rep
-    assert (cig.mu, cig.lam_f_over_t) == closed_form_invariants(d, g_series(d))
+    gs = g_series(d)
+    cig = char_ideal_generator(d, gs)
+    assert cig.f == gs.rep
+    assert (cig.mu, cig.lam_f_over_t) == closed_form_invariants(d, gs)
 
 
 def test_char_ideal_fully_ramified():
@@ -265,8 +267,9 @@ def test_two_ramified_vertices_deep_tower():
     # sweep certifies lambda = 9 = 0 + (1 + 9) - 1 with slope starting at n = 2
     g = SerreGraph.from_edges(["a", "b"], [("a", "b"), ("a", "b")])
     d = TowerDatum(g, 3, (1, -1, 0, 0), (0, 2))
-    assert lambda_components(d, g_series(d)) == (1, [2, 6], 0)
-    mu, lam = closed_form_invariants(d, g_series(d))
+    gs = g_series(d)
+    assert lambda_components(d, gs) == (1, [2, 6], 0)
+    mu, lam = closed_form_invariants(d, gs)
     assert (mu, lam) == (0, 9)
     rows = tower_sweep(d, 5)
     assert [r.ordp_kappa for r in rows] == [0, 0, 0, 9, 18, 27]

@@ -58,6 +58,19 @@ def test_identity_and_empty():
 def test_det_fraction():
     m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
     assert det_fraction(m) == Fraction(1, 14) - Fraction(1, 15)
+    # random rational matrices, through the row clearing shared with the polynomial route
+    rng = random.Random(47)
+
+    def entry():
+        return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 12))
+
+    for n in range(1, 7):
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        m[0][0] = rng.randint(-3, 3)  # a bare int among the fractions
+        assert det_fraction(m) == det_cofactor(m) == det_commutative(m)
+        m[rng.randrange(n)] = [Fraction(0)] * n
+        assert det_fraction(m) == 0
+    assert det_fraction([]) == 1
 
 
 def test_det_multiplicative_spot_check():

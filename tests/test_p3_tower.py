@@ -89,8 +89,8 @@ def test_sweep_and_invariants():
     gs = g_series(d)
     assert gs.rep == UniPoly([2])
     assert (gs.mu_unr, gs.lambda_unr) == (0, 0)
-    assert lambda_components(d, g_series(d)) == (0, [2], 0)
-    mu, lam = closed_form_invariants(d, g_series(d))
+    assert lambda_components(d, gs) == (0, [2], 0)
+    mu, lam = closed_form_invariants(d, gs)
     assert (mu, lam) == (0, 2)
     fitted = fit_and_certify(rows, 3, mu, lam, n1=d.n1)
     assert (fitted.mu, fitted.lam, fitted.nu, fitted.n0) == (0, 2, -1, 1)
