@@ -20,7 +20,7 @@ from graphzeta import (
     tower_sweep,
 )
 from graphzeta.equivariant import inflation_check, norm_map
-from graphzeta.lfunctions import characters, lfn_data, special_values
+from graphzeta.lfunctions import character_table, characters, lfn_data, special_values
 
 
 def main():
@@ -42,9 +42,9 @@ def main():
         )
 
     print("\n== equivariant polynomial and the failure of inflation ==")
-    print("eta(u) =", eta_poly(datum, 2))
-    print("norm to the order-2 subgroup:", norm_map(eta_poly(datum, 2), 2))
-    rep = inflation_check(datum, 2, 2)
+    print("eta(u) =", eta_poly(character_table(datum, 2)))
+    print("norm to the order-2 subgroup:", norm_map(eta_poly(character_table(datum, 2)), 2))
+    rep = inflation_check(eta_poly(character_table(datum, 2)), character_table(datum, 1))
     print("projected eta:", rep.lhs)
     print("eta of quotient:", rep.rhs)
     print("equal?", rep.equal, "(branched covers genuinely break inflation)")

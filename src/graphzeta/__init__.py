@@ -45,7 +45,9 @@ from .iwasawa import (
 )
 from .lfunctions import (
     CharacterLabel,
+    CharacterTable,
     LfnData,
+    character_table,
     characters,
     h_poly,
     lfn_data,

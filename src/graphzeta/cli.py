@@ -25,7 +25,7 @@ from .iwasawa import (
     lambda_components,
     tower_sweep,
 )
-from .lfunctions import characters, lfn_data, orbit_special_products, special_values
+from .lfunctions import character_table, orbit_special_products
 from .report import (
     exact_int_text,
     fmt_cyclo,
@@ -65,10 +65,11 @@ def cmd_zeta(d: TowerDatum, level: int) -> dict:
 
 
 def cmd_lfunctions(d: TowerDatum, level: int) -> dict:
+    table = character_table(d, level)
     rows = []
-    for psi in characters(d.p, level):
-        data = lfn_data(d, level, psi)
-        sv = special_values(d, level, psi)
+    for psi in table.characters:
+        data = table.lfn_data(psi)
+        sv = table.special_values(psi)
         row = {
             "exponent": psi.a,
             "order": psi.order,

@@ -29,7 +29,7 @@ from .groupring import (
     groupring_idempotent,
     subgroup_exponent,
 )
-from .lfunctions import h_poly, r0
+from .lfunctions import CharacterTable, r0
 from .poly import UniPoly
 from .tower import TowerDatum, build_level_graph, level_matrices
 
@@ -96,14 +96,16 @@ class EquivZeta:
     gamma: tuple[int, ...]
 
 
-def eta_poly(d: TowerDatum, n: int) -> UniPoly:
-    """eta(u) over Q[Z/p^n Z]: per-character determinants reassembled."""
-    polys = [h_poly(d, n, psi) for psi in characters(d.p, n)]
-    return from_character_polys(d.p, n, polys)
+def eta_poly(table: CharacterTable) -> UniPoly:
+    """eta(u) over Q[Z/p^n Z]: the table's h(u, psi) reassembled."""
+    return from_character_polys(
+        table.datum.p, table.level, [table.h(psi) for psi in table.characters]
+    )
 
 
-def equiv_zeta(d: TowerDatum, n: int) -> EquivZeta:
-    return EquivZeta(d.p**n, eta_poly(d, n), gamma_exponents(d, n))
+def equiv_zeta(table: CharacterTable) -> EquivZeta:
+    d, n = table.datum, table.level
+    return EquivZeta(d.p**n, eta_poly(table), gamma_exponents(d, n))
 
 
 def eta_direct(d: TowerDatum, n: int) -> UniPoly:
@@ -327,16 +329,15 @@ class InflationReport:
     equal: bool
 
 
-def inflation_check(d: TowerDatum, n: int, subgroup_order: int) -> InflationReport:
-    """Compare pi_H(eta at level n) with eta of the quotient level.
+def inflation_check(eta_full: UniPoly, quotient: CharacterTable) -> InflationReport:
+    """Compare pi_H(eta_G) with eta of the quotient level.
 
-    The two need not agree: inflation is the one piece of the usual
-    L-function formalism that branched covers break.
+    eta_full is eta over Q[G], G = Z/p^n Z (`eta_poly` of the level-n
+    table); quotient is the table of a level n - h, and H is the subgroup
+    of order p^h.  The two need not agree: inflation is the one piece of the
+    usual L-function formalism that branched covers break.
     """
-    m = d.p**n
-    h_exp = subgroup_exponent(m, subgroup_order)
-    quotient_order = m // subgroup_order
-    eta_full = eta_poly(d, n)
+    quotient_order = quotient.datum.p**quotient.level
     lhs = eta_full.map_coeffs(lambda c: c.project_to_quotient(quotient_order))
-    rhs = eta_poly(d, n - h_exp)
+    rhs = eta_poly(quotient)
     return InflationReport(lhs, rhs, lhs == rhs)

@@ -19,10 +19,12 @@ __all__ = [
     "GroupRingElem",
     "apply_character",
     "character_idempotent",
+    "character_orbits",
     "characters",
     "factor_prime_power",
     "from_character_polys",
     "from_character_values",
+    "galois_conjugate",
     "groupring_idempotent",
     "norm_element",
     "subgroup_elements",
@@ -277,6 +279,30 @@ class CharacterLabel:
 def characters(p: int, n: int) -> list[CharacterLabel]:
     """All p^n characters of Z/p^n Z, by exponent."""
     return [CharacterLabel(p, n, a) for a in range(p**n)]
+
+
+def character_orbits(p: int, n: int) -> tuple[list[CharacterLabel], list[tuple[int, int]]]:
+    """Galois orbits of the characters of Z/p^n Z.
+
+    The characters of order p^j form one orbit under Gal(Q(zeta_{p^j})/Q):
+    psi_a = sigma_u o psi_{p^(n-j)} with u = a / p^(n-j), where sigma_u sends
+    zeta_{p^j} to zeta_{p^j}^u.  Returns the representatives psi_{p^(n-j)}
+    (index j = 0..n, order p^j) and, for each exponent a = 0..p^n - 1, the
+    pair (j, u); the trivial character is (0, 1).
+    """
+    reps = [CharacterLabel(p, n, p ** (n - j)) for j in range(n + 1)]
+    orbits = []
+    for psi in characters(p, n):
+        j = psi.order_exponent
+        orbits.append((j, psi.exponent_at(j) if j else 1))
+    return reps, orbits
+
+
+def galois_conjugate(poly: UniPoly, u: int) -> UniPoly:
+    """sigma_u (zeta -> zeta^u) applied to each coefficient; rational ones stay."""
+    if u == 1:
+        return poly
+    return poly.map_coeffs(lambda c: c.galois(u) if isinstance(c, CycloNum) else c)
 
 
 def _monomials(p: int, level: int, c) -> list[tuple[int, Fraction]]:

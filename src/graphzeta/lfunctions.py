@@ -6,6 +6,11 @@ a.  The polynomial h(u, psi) is the determinant of the three-term matrix
 restricted to the base vertices whose level stabilizer lies in ker(psi);
 z(u, psi) is the unreduced determinant, and the two differ exactly by the
 factor (1 - u^2)^r0(psi).
+
+`h_poly`, `z_poly`, `special_values` and `lfn_data` compute one character
+at a time.  A `CharacterTable` holds the same data for every character of
+one level from one determinant per Galois orbit; the commands and checks
+use it, and the per-character functions stay as its oracle.
 """
 
 from __future__ import annotations
@@ -18,14 +23,22 @@ from . import linalg
 from .cyclo import CycloNum, Valuation, euler_phi_prime_power, ordp_fraction
 from .errors import CertificationError, HypothesisError
 from .graphs import adjacency_and_degree, ihara_zeta_reciprocal
-from .groupring import CharacterLabel, apply_character, characters, from_character_polys
+from .groupring import (
+    CharacterLabel,
+    character_orbits,
+    characters,
+    from_character_polys,
+    galois_conjugate,
+)
 from .poly import UniPoly
-from .tower import TowerDatum, build_level_graph, level_matrices, tower_euler_char
+from .tower import TowerDatum, build_level_graph, tower_euler_char
 
 __all__ = [
     "CharacterLabel",
+    "CharacterTable",
     "LfnData",
     "SpecialValues",
+    "character_table",
     "characters",
     "h_poly",
     "kernel_contains_stabilizer",
@@ -59,18 +72,31 @@ def r0(d: TowerDatum, n: int, psi: CharacterLabel) -> int:
 
 
 def _three_term_matrix(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int]):
-    """Rows/columns of I - psi(A_alpha C) u + (psi(D C) - I) u^2 on kept vertices."""
-    a_alpha, c, deg = level_matrices(d, n)
-    j = psi.order_exponent
-    p = d.p
-    c_val = {jj: apply_character(c[jj], psi) for jj in kept}
+    """Rows/columns of I - psi(A_alpha C) u + (psi(D C) - I) u^2 on kept vertices.
+
+    psi sends the group element x to zeta_{p^j}^(e x) (e its exponent at its
+    own level j) and the stabilizer sum C[v] = N_{H_v} to |H_v| when ker(psi)
+    contains H_v, else to 0; A_alpha[i][k] sums the voltages of the base
+    darts from v_k to v_i.
+    """
+    p, j, base = d.p, psi.order_exponent, d.base
+    step = psi.exponent_at(j)
+    pos = {v: r for r, v in enumerate(kept)}
+    c = [d.stabilizer_order(v, n) if kernel_contains_stabilizer(d, v, n, psi) else 0 for v in kept]
+    deg = [0] * base.n_vertices
+    darts = [[[] for _ in kept] for _ in kept]
+    for e in range(base.n_darts):
+        o, t = base.dart_origin[e], base.dart_terminus[e]
+        deg[o] += 1
+        if o in pos and t in pos:
+            darts[pos[t]][pos[o]].append((step * d.voltage[e], c[pos[o]]))
     rows = []
-    for i in kept:
+    for r in range(len(kept)):
         row = []
-        for jj in kept:
-            c0 = CycloNum.rational(p, 1 if i == jj else 0, j)
-            a_val = apply_character(a_alpha[i][jj], psi) * c_val[jj]
-            q_val = c_val[jj] * deg[jj] - 1 if i == jj else CycloNum.rational(p, 0, j)
+        for k, v in enumerate(kept):
+            c0 = CycloNum.rational(p, 1 if r == k else 0, j)
+            a_val = CycloNum.from_monomials(p, j, darts[r][k])
+            q_val = CycloNum.rational(p, c[k] * deg[v] - 1 if r == k else 0, j)
             row.append(UniPoly([c0, -a_val, q_val]))
         rows.append(row)
     return rows
@@ -99,14 +125,15 @@ def z_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
     return _normalize_cyclo_poly(linalg.det_commutative(rows), d.p, psi.order_exponent)
 
 
-def xi_poly(d: TowerDatum, n: int) -> UniPoly:
+def xi_poly(table: CharacterTable) -> UniPoly:
     """The group-ring polynomial det(I - A_alpha C u + (D C - I) u^2).
 
-    Computed per character and reassembled through the idempotents; its
-    projections are the z(u, psi).
+    Reassembled through the idempotents from the z(u, psi) of the table's
+    level, which are its projections.
     """
-    polys = [z_poly(d, n, psi) for psi in characters(d.p, n)]
-    return from_character_polys(d.p, n, polys)
+    return from_character_polys(
+        table.datum.p, table.level, [table.z(psi) for psi in table.characters]
+    )
 
 
 @dataclass(frozen=True)
@@ -115,19 +142,22 @@ class SpecialValues:
     h_derivative_at_one: Fraction | None  # only for the trivial character
 
 
-def special_values(d: TowerDatum, n: int, psi: CharacterLabel) -> SpecialValues:
-    """h(1, psi), plus h'(1, psi0) for the trivial character."""
-    h = h_poly(d, n, psi)
-    one = CycloNum.rational(d.p, 1, psi.order_exponent)
+def _values_at_one(h: UniPoly, psi: CharacterLabel) -> SpecialValues:
+    one = CycloNum.rational(psi.p, 1, psi.order_exponent)
     h1 = h(one)
     if not isinstance(h1, CycloNum):
-        h1 = CycloNum.rational(d.p, h1, psi.order_exponent)
+        h1 = CycloNum.rational(psi.p, h1, psi.order_exponent)
     if psi.is_trivial:
         deriv = h.derivative()(one)
         if isinstance(deriv, CycloNum):
             deriv = deriv.to_rational()
         return SpecialValues(h1, Fraction(deriv))
     return SpecialValues(h1, None)
+
+
+def special_values(d: TowerDatum, n: int, psi: CharacterLabel) -> SpecialValues:
+    """h(1, psi), plus h'(1, psi0) for the trivial character."""
+    return _values_at_one(h_poly(d, n, psi), psi)
 
 
 @dataclass(frozen=True)
@@ -144,6 +174,67 @@ def lfn_data(d: TowerDatum, n: int, psi: CharacterLabel) -> LfnData:
     chi_base = d.base.n_vertices - d.base.n_edges
     r = r0(d, n, psi)
     return LfnData(psi, h_poly(d, n, psi), r - chi_base, r)
+
+
+@dataclass
+class CharacterTable:
+    """h, z and the special values of every character of Z/p^n Z at one level.
+
+    One three-term determinant per Galois orbit: for j = 0..n, h (and, on
+    first use, z) is computed by `h_poly` (`z_poly`) on the representative
+    psi_{p^(n-j)} only.  Any other character psi = sigma_u o psi_{p^(n-j)}
+    (`groupring.character_orbits`) has sigma_u of the representative's
+    three-term matrix as its own, so its h, z and h(1, psi) are the
+    representative's with sigma_u applied.  Build it with `character_table`;
+    it belongs to one computation and is not cached between calls.
+    """
+
+    datum: TowerDatum
+    level: int
+    representatives: list[CharacterLabel]
+    orbits: list[tuple[int, int]]  # (j, u) for each character exponent a
+    rep_h: list[UniPoly]
+    rep_values: list[SpecialValues]
+    rep_z: list[UniPoly | None]  # filled in on first use
+
+    @property
+    def characters(self) -> list[CharacterLabel]:
+        return characters(self.datum.p, self.level)
+
+    def h(self, psi: CharacterLabel) -> UniPoly:
+        j, u = self.orbits[psi.a]
+        return galois_conjugate(self.rep_h[j], u)
+
+    def z(self, psi: CharacterLabel) -> UniPoly:
+        j, u = self.orbits[psi.a]
+        if self.rep_z[j] is None:
+            self.rep_z[j] = z_poly(self.datum, self.level, self.representatives[j])
+        return galois_conjugate(self.rep_z[j], u)
+
+    def special_values(self, psi: CharacterLabel) -> SpecialValues:
+        j, u = self.orbits[psi.a]
+        values = self.rep_values[j]
+        return SpecialValues(values.h_at_one.galois(u), values.h_derivative_at_one)
+
+    def lfn_data(self, psi: CharacterLabel) -> LfnData:
+        d = self.datum
+        r = r0(d, self.level, psi)
+        return LfnData(psi, self.h(psi), r - (d.base.n_vertices - d.base.n_edges), r)
+
+
+def character_table(d: TowerDatum, n: int) -> CharacterTable:
+    """The `CharacterTable` of level n: n + 1 calls of `h_poly`, one per orbit."""
+    reps, orbits = character_orbits(d.p, n)
+    rep_h = [h_poly(d, n, psi) for psi in reps]
+    return CharacterTable(
+        d,
+        n,
+        reps,
+        orbits,
+        rep_h,
+        [_values_at_one(h, psi) for h, psi in zip(rep_h, reps)],
+        [None] * len(reps),
+    )
 
 
 def l_reciprocal_of_sum(data: list[LfnData]) -> tuple[int, UniPoly]:
@@ -178,9 +269,10 @@ class ProductCheck:
         return self.h_equal and self.chi_equal
 
 
-def product_formula_check(d: TowerDatum, n: int) -> ProductCheck:
+def product_formula_check(table: CharacterTable) -> ProductCheck:
     """Check prod_psi h(u, psi) = h of the level graph, and sum chi_psi = chi."""
-    c_sum, prod = l_reciprocal_of_sum([lfn_data(d, n, psi) for psi in characters(d.p, n)])
+    d, n = table.datum, table.level
+    c_sum, prod = l_reciprocal_of_sum([table.lfn_data(psi) for psi in table.characters])
     rational_coeffs = []
     for c in prod.coeffs:
         if not c.is_rational():
@@ -194,25 +286,25 @@ def product_formula_check(d: TowerDatum, n: int) -> ProductCheck:
     return ProductCheck(h_product, h_direct, h_equal, chi_sum, chi_direct, chi_sum == chi_direct)
 
 
-def vanishing_order_check(d: TowerDatum, n: int) -> dict:
+def vanishing_order_check(table: CharacterTable) -> dict:
     """h(1, psi) nonzero away from the trivial character; simple zero there.
 
     Requires a connected level graph with nonzero Euler characteristic.
+    Galois conjugation preserves nonvanishing, so one representative per
+    orbit decides it.
     """
-    chi = tower_euler_char(d, n)
+    n = table.level
+    chi = tower_euler_char(table.datum, n)
     if chi == 0:
         raise HypothesisError(f"hypothesis violated: chi(X_{n}) = 0")
-    results = {}
-    for psi in characters(d.p, n):
-        sv = special_values(d, n, psi)
-        if psi.is_trivial:
-            results["trivial_vanishes"] = not bool(sv.h_at_one)
-            results["trivial_derivative_nonzero"] = sv.h_derivative_at_one != 0
-        else:
-            results.setdefault("nontrivial_nonzero", True)
-            if not sv.h_at_one:
-                results["nontrivial_nonzero"] = False
-    results["ok"] = all(v for k, v in results.items() if k != "ok")
+    trivial, *others = table.rep_values
+    results = {
+        "trivial_vanishes": not bool(trivial.h_at_one),
+        "trivial_derivative_nonzero": trivial.h_derivative_at_one != 0,
+    }
+    if others:
+        results["nontrivial_nonzero"] = all(bool(sv.h_at_one) for sv in others)
+    results["ok"] = all(results.values())
     return results
 
 

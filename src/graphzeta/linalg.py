@@ -16,13 +16,16 @@ Routes:
   - rational matrices, scalar or polynomial: per-row denominator clearing
     down to the integer routes;
   - cyclotomic matrices: division elimination (the entries form a field);
-  - polynomial matrices over cyclotomic fields: cofactor expansion in small
+  - polynomial matrices over cyclotomic fields: the rational route when
+    every coefficient is rational, else cofactor expansion in small
     dimension, otherwise evaluation at integer points and Newton
     interpolation;
-  - group-ring matrices: per-character projection to cyclotomic fields and
-    idempotent reassembly, both through `groupring` (`apply_character` and
-    `from_character_polys`; the group ring has zero divisors, so elimination
-    is not available there); a direct cofactor route exists for cross-checks.
+  - group-ring matrices: projection to cyclotomic fields, one determinant
+    per Galois orbit of characters with the other characters' values as its
+    conjugates, and idempotent reassembly, all through `groupring`
+    (`character_orbits`, `apply_character` and `from_character_polys`; the
+    group ring has zero divisors, so elimination is not available there); a
+    direct cofactor route exists for cross-checks.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ from .errors import CertificationError
 from .groupring import (
     GroupRingElem,
     apply_character,
-    characters,
+    character_orbits,
     factor_prime_power,
     from_character_polys,
+    galois_conjugate,
 )
 from .poly import UniPoly
 
@@ -57,19 +61,32 @@ __all__ = [
 _BAREISS_MAX_DIM = 28
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the bases 2, 7 and 61 is exact below this bound (Jaeschke
+# 1993), which covers every modulus below 2^31; the first twelve primes as
+# bases are exact far beyond anything this package tests.
+_THREE_BASE_BOUND = 4_759_123_141
+
+
 def is_probable_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for anything this package will ever see."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in small:
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
+    return _strong_probable_prime(n, (2, 7, 61) if n < _THREE_BASE_BOUND else _SMALL_PRIMES)
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    # Miller-Rabin for odd n > 37 against each base (a base that n divides says nothing).
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in small:
+    for a in bases:
+        if a % n == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -458,12 +475,17 @@ def _newton_interpolate(points: list[int], values: list) -> UniPoly:
 def _det_poly_cyclo(rows) -> UniPoly:
     n = len(rows)
     mat = [[_poly_entry(x) for x in r] for r in rows]
+    cyclo = [c for row in mat for e in row for c in e.coeffs if isinstance(c, CycloNum)]
+    one = CycloNum.rational(cyclo[0].p, 1, cyclo[0].j) if cyclo else None
+    if cyclo and all(c.is_rational() for c in cyclo):
+        # A matrix over Q written at level j: the integer kernel, re-embedded at j.
+        rational = [
+            [e.map_coeffs(lambda c: c.to_rational() if isinstance(c, CycloNum) else c) for e in row]
+            for row in mat
+        ]
+        return _det_poly_rational(rational).map_coeffs(lambda c: one * c)
     if n <= _COFACTOR_POLY_MAX_DIM:
         return _poly_entry(det_cofactor(mat))
-    sample = next(
-        c for row in mat for e in row for c in e.coeffs if isinstance(c, CycloNum)
-    )
-    one = CycloNum.rational(sample.p, 1, sample.j)
     degree = sum(max((e.degree for e in row), default=0) for row in mat)
     points = list(range(degree + 1))
     values = [_det_field([[e(t * one) for e in row] for row in mat], one) for t in points]
@@ -476,19 +498,23 @@ def _det_poly_rational(rows) -> UniPoly:
 
 
 def _det_groupring_poly(rows) -> UniPoly:
-    # Entries are UniPoly over GroupRingElem (or scalars); per-character route.
+    # Entries are UniPoly over GroupRingElem (or scalars).  One determinant per
+    # Galois orbit of the characters of Z/p^n Z, on its representative; the
+    # other characters' determinants are its conjugates, which needs the
+    # group-ring coefficients rational (sigma_u would move cyclotomic ones).
     mat = [[_poly_entry(x) for x in r] for r in rows]
-    modulus = next(
-        c.m for row in mat for e in row for c in e.coeffs if isinstance(c, GroupRingElem)
-    )
-    p, n = factor_prime_power(modulus)
-    per_char = []
-    for psi in characters(p, n):
-        proj = [
-            [e.map_coeffs(lambda c: apply_character(c, psi, level=n)) for e in row] for row in mat
-        ]
-        per_char.append(_det_poly_cyclo(proj))
-    return from_character_polys(p, n, per_char)
+    ring = [c for row in mat for e in row for c in e.coeffs if isinstance(c, GroupRingElem)]
+    if any(isinstance(x, CycloNum) for c in ring for x in c.coeffs):
+        raise ValueError("group-ring determinants need rational group-ring coefficients")
+    p, n = factor_prime_power(ring[0].m)
+    reps, orbits = character_orbits(p, n)
+    per_orbit = [
+        _det_poly_cyclo(
+            [[e.map_coeffs(lambda c: apply_character(c, psi)) for e in row] for row in mat]
+        )
+        for psi in reps
+    ]
+    return from_character_polys(p, n, [galois_conjugate(per_orbit[j], u) for j, u in orbits])
 
 
 def det_commutative(rows):

@@ -30,7 +30,7 @@ __all__ = [
 
 
 def fmt_fraction(x) -> str:
-    fr = Fraction(x)
+    fr = x if isinstance(x, Fraction) else Fraction(x)
     return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
 

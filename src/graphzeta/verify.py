@@ -26,14 +26,7 @@ from .graphs import (
     zeta_series_from_counts,
 )
 from .groupring import CharacterLabel, subgroup_exponent
-from .lfunctions import (
-    characters,
-    h_poly,
-    product_formula_check,
-    r0,
-    vanishing_order_check,
-    z_poly,
-)
+from .lfunctions import character_table, product_formula_check, r0, vanishing_order_check
 from .poly import UniPoly
 from .report import poly_text
 from .tower import TowerDatum, build_level_graph, ramification_profile, tower_euler_char
@@ -59,8 +52,11 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
     graph = lg.graph
     if not connected(graph):
         raise HypothesisError(f"level {n} disconnected")
+    table = character_table(d, n)
+    h_exp = subgroup_exponent(p**n, subgroup_order)
+    quotient = character_table(d, n - h_exp) if h_exp else table
 
-    pc = product_formula_check(d, n)
+    pc = product_formula_check(table)
     items.append(
         VerifyItem(
             "product-formula-h",
@@ -76,14 +72,12 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
         )
     )
 
+    # sigma_u fixes (1 - u^2)^r0, so each orbit's representative decides its orbit.
     reduction_ok = True
     one_minus = UniPoly([1, 0, -1])
-    for psi in characters(p, n):
-        j = psi.order_exponent
-        h = h_poly(d, n, psi)
-        z = z_poly(d, n, psi)
+    for j, psi in enumerate(table.representatives):
         factor = one_minus.map_coeffs(lambda c: CycloNum.rational(p, c, j)) ** r0(d, n, psi)
-        if factor * h != z:
+        if factor * table.h(psi) != table.z(psi):
             reduction_ok = False
     items.append(
         VerifyItem(
@@ -128,7 +122,7 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
         )
     )
 
-    r0_total = sum(r0(d, n, psi) for psi in characters(p, n))
+    r0_total = sum(r0(d, n, psi) for psi in table.characters)
     r0_ok = r0_total == branch_sum
     items.append(
         VerifyItem(
@@ -143,7 +137,7 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
             VerifyItem("vanishing-order", "skip", f"chi(X_{n}) = 0, hypothesis not met")
         )
     else:
-        res = vanishing_order_check(d, n)
+        res = vanishing_order_check(table)
         items.append(
             VerifyItem(
                 "vanishing-order",
@@ -152,7 +146,7 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
             )
         )
 
-    eta_G = eta_poly(d, n)
+    eta_G = eta_poly(table)
     eta_H = eta_for_subgroup_action(d, n, subgroup_order)
     norm_ok = norm_map(eta_G, subgroup_order) == eta_H
     items.append(
@@ -173,7 +167,7 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
         )
     )
 
-    infl = inflation_check(d, n, subgroup_order)
+    infl = inflation_check(eta_G, quotient)
     note = "not equal (expected)" if not infl.equal else "equal"
     items.append(
         VerifyItem(

@@ -39,6 +39,7 @@ from graphzeta.iwasawa import (
 )
 from graphzeta.lfunctions import (
     CharacterLabel,
+    character_table,
     characters,
     h_poly,
     lfn_data,
@@ -70,7 +71,7 @@ def _gre(m, mapping) -> GroupRingElem:
 
 def test_criterion_01_equivariant_zeta_golden():
     start = time.monotonic()
-    eta = eta_poly(_double_edge(), 2)
+    eta = eta_poly(character_table(_double_edge(), 2))
     elapsed = time.monotonic() - start
     golden = UniPoly(
         [
@@ -101,13 +102,13 @@ def test_criterion_02_character_table_golden():
 
 def test_criterion_03_product_formulas():
     d = _double_edge()
-    pc = product_formula_check(d, 2)
+    pc = product_formula_check(character_table(d, 2))
     golden = [1, 0, 2, 0, -9, 0, -20, 0, -1, 0, 18, 0, 9]
     ok = pc.ok and [int(c) for c in pc.h_product.coeffs] == golden and pc.chi_sum == -2
     count = 0
     for datum in collect_random_data(311, 25, p_choices=(2, 3), levels_connected=2):
         for n in (1, 2):
-            check = product_formula_check(datum, n)
+            check = product_formula_check(character_table(datum, n))
             ok = ok and check.ok
         count += 1
     _report(3, ok and count >= 25, f"{count} random data")
@@ -115,7 +116,7 @@ def test_criterion_03_product_formulas():
 
 def test_criterion_04_xi_and_reduction():
     d = _double_edge()
-    xi = xi_poly(d, 2)
+    xi = xi_poly(character_table(d, 2))
     ok = (
         xi.coefficient(0) == GroupRingElem.one(4)
         and xi.coefficient(2) == _gre(4, {1: -2, 3: -2})
@@ -137,7 +138,7 @@ def test_criterion_04_xi_and_reduction():
 
 def test_criterion_05_norm_trace_inflation():
     d = _double_edge()
-    eta_g = eta_poly(d, 2)
+    eta_g = eta_poly(character_table(d, 2))
     golden_eta_h = UniPoly(
         [
             GroupRingElem.one(2),
@@ -166,7 +167,7 @@ def test_criterion_05_norm_trace_inflation():
     )
     ok = ok and gamma_h == golden_gamma_h
 
-    rep = inflation_check(d, 2, 2)
+    rep = inflation_check(eta_poly(character_table(d, 2)), character_table(d, 1))
     lhs_golden = UniPoly(
         [GroupRingElem.one(2), GroupRingElem.zero(2), _gre(2, {1: -4}), GroupRingElem.zero(2), _gre(2, {0: 3})]
     )

@@ -19,7 +19,7 @@ from graphzeta.equivariant import (
 )
 from graphzeta.graphs import SerreGraph
 from graphzeta.groupring import GroupRingElem, groupring_idempotent
-from graphzeta.lfunctions import characters, h_poly, r0
+from graphzeta.lfunctions import character_table, characters, h_poly, r0
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum
 
@@ -61,7 +61,7 @@ def test_equivariant_euler_char_projects_to_chi_psi():
 
 def test_eta_golden():
     d = _double_edge()
-    eta = eta_poly(d, 2)
+    eta = eta_poly(character_table(d, 2))
     assert eta.coefficient(0) == GroupRingElem.one(4)
     assert eta.coefficient(2) == GOLDEN_ETA_U2
     assert eta.coefficient(4) == GOLDEN_ETA_U4
@@ -71,7 +71,7 @@ def test_eta_golden():
 def test_eta_single_vertex_no_edges():
     lonely = SerreGraph(("v",), (), (), ())
     d = TowerDatum(lonely, 2, (), (None,))
-    eta = eta_poly(d, 2)
+    eta = eta_poly(character_table(d, 2))
     # one vertex of valence 0: eta = 1 - u^2 over the group ring
     assert eta == UniPoly([GroupRingElem.one(4), GroupRingElem.zero(4), -GroupRingElem.one(4)])
 
@@ -79,14 +79,14 @@ def test_eta_single_vertex_no_edges():
 def test_eta_direct_cross_check():
     for d in [_double_edge()] + collect_random_data(37, 4, levels_connected=2):
         for n in (1, 2):
-            assert eta_poly(d, n) == eta_direct(d, n)
+            assert eta_poly(character_table(d, n)) == eta_direct(d, n)
 
 
 def test_eta_character_consistency():
     d = _double_edge()
     from graphzeta.groupring import apply_character
 
-    eta = eta_poly(d, 2)
+    eta = eta_poly(character_table(d, 2))
     for psi in characters(2, 2):
         h = h_poly(d, 2, psi)
         lvl = 2
@@ -116,12 +116,12 @@ def test_eta_subgroup_full_and_trivial():
     h, _ = ihara_zeta_reciprocal(build_level_graph(d, 2).graph)
     assert [c.coeffs[0] for c in eta_triv.coeffs] == [Fraction(c) for c in h.coeffs]
     # full subgroup: recovers eta over the whole group
-    assert eta_for_subgroup_action(d, 2, 4) == eta_poly(d, 2)
+    assert eta_for_subgroup_action(d, 2, 4) == eta_poly(character_table(d, 2))
 
 
 def test_norm_map_golden_and_direct():
     d = _double_edge()
-    eta_g = eta_poly(d, 2)
+    eta_g = eta_poly(character_table(d, 2))
     eta_h = eta_for_subgroup_action(d, 2, 2)
     assert norm_map(eta_g, 2) == eta_h
     assert norm_map_direct(eta_g, 2) == eta_h
@@ -151,7 +151,7 @@ def test_norm_induction_property_random():
     for d in collect_random_data(41, 3, levels_connected=3):
         for n in (2, 3):
             m = d.p**n
-            eta_g = eta_poly(d, n)
+            eta_g = eta_poly(character_table(d, n))
             sub = 1
             while sub < m:
                 sub *= d.p
@@ -176,7 +176,7 @@ def test_gamma_expand_rejects_positive_exponents():
 
 def test_equiv_zeta_bundle():
     d = _double_edge()
-    ez = equiv_zeta(d, 2)
+    ez = equiv_zeta(character_table(d, 2))
     assert ez.m == 4
     assert ez.gamma == (0, -1, 0, -1)
     assert ez.eta.coefficient(2) == GOLDEN_ETA_U2
@@ -225,7 +225,7 @@ def _subgroup_euler_char_direct(d, n, subgroup_order):
 
 def test_inflation_failure_golden():
     d = _double_edge()
-    rep = inflation_check(d, 2, 2)
+    rep = inflation_check(eta_poly(character_table(d, 2)), character_table(d, 1))
     assert not rep.equal
     assert rep.lhs.coefficient(0) == GroupRingElem.one(2)
     assert rep.lhs.coefficient(2) == GroupRingElem.from_dict(2, {1: -4})
@@ -238,14 +238,14 @@ def test_inflation_failure_golden():
 
 def test_inflation_trivial_subgroup_is_identity():
     d = _double_edge()
-    rep = inflation_check(d, 2, 1)
+    rep = inflation_check(eta_poly(character_table(d, 2)), character_table(d, 2))
     assert rep.equal
-    assert rep.lhs == eta_poly(d, 2)
+    assert rep.lhs == eta_poly(character_table(d, 2))
 
 
 def test_inflation_full_group():
     d = _double_edge()
-    rep = inflation_check(d, 2, 4)
+    rep = inflation_check(eta_poly(character_table(d, 2)), character_table(d, 0))
     # lhs is h(u, trivial), rhs is the base h; unequal for ramified data
     assert [c.coeffs[0] for c in rep.lhs.coeffs] == [1, 0, -4, 0, 3]
     assert [c.coeffs[0] for c in rep.rhs.coeffs] == [1, 0, -2, 0, 1]
@@ -253,7 +253,7 @@ def test_inflation_full_group():
     # with no ramification the two sides agree
     loops = SerreGraph.from_edges(["v"], [("v", "v"), ("v", "v")])
     du = TowerDatum(loops, 2, (1, -1, 0, 0), (None,))
-    rep_u = inflation_check(du, 1, 2)
+    rep_u = inflation_check(eta_poly(character_table(du, 1)), character_table(du, 0))
     assert rep_u.equal
 
 
@@ -266,7 +266,7 @@ def test_theta_reciprocal_projects_to_l_reciprocals():
 
     d = _double_edge()
     n = 2
-    ez = equiv_zeta(d, n)
+    ez = equiv_zeta(character_table(d, n))
     gamma_poly = gamma_expand(d.p, n, ez.gamma)
     theta_reciprocal = (gamma_poly * ez.eta).map_coeffs(
         lambda c: c if isinstance(c, GroupRingElem) else GroupRingElem.basis(d.p**n, 0, c)

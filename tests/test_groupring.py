@@ -8,6 +8,7 @@ from graphzeta.groupring import (
     GroupRingElem,
     apply_character,
     character_idempotent,
+    character_orbits,
     characters,
     factor_prime_power,
     from_character_values,
@@ -172,3 +173,14 @@ def test_as_text():
     e2 = groupring_idempotent(4, 2)
     assert e2.as_text() == "1/2*[0] + 1/2*[2]"
     assert GroupRingElem.zero(3).as_text() == "0"
+
+
+def test_character_orbits_are_galois_orbits():
+    for p, n in [(2, 0), (2, 3), (3, 2), (5, 1)]:
+        reps, orbits = character_orbits(p, n)
+        assert [psi.order_exponent for psi in reps] == list(range(n + 1))
+        assert len(orbits) == len(set(orbits)) == p**n
+        for psi, (j, u) in zip(characters(p, n), orbits):
+            assert psi.order_exponent == j
+            for x in range(p**n):
+                assert psi.value(x) == reps[j].value(x).galois(u)

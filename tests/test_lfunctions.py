@@ -6,9 +6,11 @@ from conftest import FIXTURES, chorded_heptagon, collect_random_data
 from graphzeta.cyclo import CycloNum, ordp_cyclo, zeta
 from graphzeta.datum_io import load_datum
 from graphzeta.errors import HypothesisError
+from graphzeta import lfunctions
 from graphzeta.graphs import SerreGraph
 from graphzeta.lfunctions import (
     CharacterLabel,
+    character_table,
     characters,
     h_poly,
     l_reciprocal_of_sum,
@@ -28,6 +30,7 @@ from graphzeta.groupring import GroupRingElem
 from graphzeta.linalg import det_commutative
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum
+from graphzeta.verify import run_battery
 from oracles import orbit_special_products_by_characters
 
 
@@ -118,7 +121,7 @@ def test_reduction_identity():
 
 def test_xi_poly_golden():
     d = _double_edge()
-    xi = xi_poly(d, 2)
+    xi = xi_poly(character_table(d, 2))
     assert xi.coefficient(0) == GroupRingElem.one(4)
     assert xi.coefficient(2) == GroupRingElem.from_dict(4, {1: -2, 3: -2})
     assert xi.coefficient(4) == GroupRingElem.from_dict(4, {0: 1, 2: 2})
@@ -183,13 +186,13 @@ def test_orbit_products_rational():
 
 def test_product_formula_known_and_random():
     d = _double_edge()
-    pc = product_formula_check(d, 2)
+    pc = product_formula_check(character_table(d, 2))
     assert pc.ok
     assert [int(c) for c in pc.h_product.coeffs] == [1, 0, 2, 0, -9, 0, -20, 0, -1, 0, 18, 0, 9]
     assert pc.chi_sum == -2
     for d in collect_random_data(19, 5, levels_connected=2):
         for n in (1, 2):
-            assert product_formula_check(d, n).ok
+            assert product_formula_check(character_table(d, n)).ok
 
 
 def test_c_exponents():
@@ -210,13 +213,13 @@ def test_l_reciprocal_of_sum_is_multiplicative():
 
 def test_vanishing_order_check():
     d = _double_edge()
-    assert vanishing_order_check(d, 2)["ok"]
+    assert vanishing_order_check(character_table(d, 2))["ok"]
     with pytest.raises(HypothesisError, match="chi"):
-        vanishing_order_check(d, 1)  # chi(X_1) = 0
+        vanishing_order_check(character_table(d, 1))  # chi(X_1) = 0
     cycle = SerreGraph.from_edges(["a", "b"], [("a", "b"), ("a", "b")])
     flat = TowerDatum(cycle, 2, (0, 0, 0, 0), (None, None))
     with pytest.raises(HypothesisError):
-        vanishing_order_check(flat, 1)
+        vanishing_order_check(character_table(flat, 1))
 
 
 def test_orbit_products_match_character_products():
@@ -257,3 +260,58 @@ def test_trivial_derivative_is_special_value():
             want = special_values(d, n, CharacterLabel(d.p, n, 0)).h_derivative_at_one
             got = trivial_h_derivative_at_one(d, n)
             assert type(got) is int and got == want
+
+
+def _table_cases():
+    fixtures = [load_datum(FIXTURES / f"{name}.json") for name in ("double_edge", "triple_star")]
+    cases = [(d, n) for d in fixtures for n in range(1, 5)]
+    for p, seed in ((2, 61), (3, 67)):
+        for d in collect_random_data(seed, 4, p_choices=(p,), levels_connected=1):
+            cases += [(d, n) for n in range(4)]
+    return cases
+
+
+def test_character_table_matches_per_character_routes():
+    for d, n in _table_cases():
+        table = character_table(d, n)
+        assert table.representatives == [CharacterLabel(d.p, n, d.p ** (n - j)) for j in range(n + 1)]
+        for psi in characters(d.p, n):
+            sv = special_values(d, n, psi)
+            got = table.special_values(psi)
+            assert table.h(psi) == h_poly(d, n, psi)
+            assert table.z(psi) == z_poly(d, n, psi)
+            assert got.h_at_one == sv.h_at_one
+            assert got.h_derivative_at_one == sv.h_derivative_at_one
+            assert table.lfn_data(psi) == lfn_data(d, n, psi)
+
+
+def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
+    calls = []
+    for name in ("h_poly", "z_poly"):
+        original = getattr(lfunctions, name)
+
+        def recorder(d, n, psi, name=name, original=original):
+            calls.append((name, n, psi))
+            return original(d, n, psi)
+
+        monkeypatch.setattr(lfunctions, name, recorder)
+    d = load_datum(FIXTURES / "double_edge.json")
+    for n in range(6):
+        calls.clear()
+        table = character_table(d, n)
+        assert calls == [("h_poly", n, psi) for psi in table.representatives]
+        for psi in table.characters:
+            table.h(psi), table.z(psi), table.special_values(psi), table.lfn_data(psi)
+        z_calls = calls[n + 1 :]  # in order of first use
+        assert len(z_calls) == n + 1
+        assert set(z_calls) == {("z_poly", n, psi) for psi in table.representatives}
+    # one verify battery: a table at level 4 and one at the quotient level 3
+    calls.clear()
+    run_battery(d, 4)
+    h_calls = [call for call in calls if call[0] == "h_poly"]
+    assert len(h_calls) == len(set(h_calls)) == 5 + 4
+    assert len(calls) == len(set(calls))
+    # with the trivial subgroup the quotient level is the level itself
+    calls.clear()
+    run_battery(d, 3, 1)
+    assert len(calls) == len(set(calls)) == 2 * 4

@@ -7,7 +7,8 @@ import pytest
 
 from graphzeta.cyclo import CycloNum, zeta
 from graphzeta.errors import CertificationError
-from graphzeta.groupring import GroupRingElem, groupring_idempotent
+from graphzeta import linalg
+from graphzeta.groupring import GroupRingElem, character_idempotent, groupring_idempotent
 from graphzeta.linalg import (
     _det_crt,
     _det_mod_batch,
@@ -252,3 +253,122 @@ def test_det_commutative_rational_polys_match_cofactor():
         det = det_commutative(m)
         assert det == det_cofactor(m)
         assert all(isinstance(c, Fraction) for c in det.coeffs)
+
+
+def _twelve_base_is_prime(n):
+    # The Miller-Rabin test with the first twelve primes as bases, kept as the oracle.
+    if n < 2:
+        return False
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for q in small:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in small:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_three_base_primality_matches_twelve_bases():
+    for n in range(-2, 30_000):
+        assert is_probable_prime(n) == _twelve_base_is_prime(n), n
+    # every candidate _modular_primes tries for m = 2^j, in the top 300 steps below 2^31
+    for j in range(1, 21):
+        step = 2**j
+        top = (2**31 - 2) // step * step + 1
+        for q in range(top, top - 300 * step, -step):
+            assert is_probable_prime(q) == _twelve_base_is_prime(q), q
+    assert is_probable_prime(61) and is_probable_prime(2**31 - 1)
+    assert not is_probable_prime(61 * 61)
+
+
+def test_strong_pseudoprimes_near_the_three_base_bound():
+    # 3215031751 = 151 * 751 * 28351 passes bases 2, 3, 5, 7; base 61 rejects it.
+    assert not is_probable_prime(3215031751)
+    # 4759123141 = 48781 * 97561 passes 2, 7 and 61, so it needs the twelve bases.
+    assert 4759123141 == linalg._THREE_BASE_BOUND == 48781 * 97561
+    assert linalg._strong_probable_prime(4759123141, (2, 7, 61))
+    assert not is_probable_prime(4759123141)
+    assert is_probable_prime(4759123141 + 2) == _twelve_base_is_prime(4759123141 + 2)
+
+
+def _rational_cyclo_matrix(rng, n, p, j):
+    def embed(c):
+        return CycloNum.rational(p, Fraction(c, rng.randint(1, 5)), j)
+
+    m = _random_poly_matrix(rng, n, 9, coeff=embed)
+    m[0][0] = UniPoly([embed(1), embed(rng.randint(-9, 9))])  # at least one CycloNum
+    return m
+
+
+def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
+    calls = []
+    original = linalg._det_poly_rational
+
+    def recorder(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    def cofactor(m):
+        # det_cofactor over the same matrix written with Fraction coefficients
+        # (cofactor expansion in CycloNum arithmetic is slow at dimension 8)
+        def rational(c):
+            return c.to_rational() if isinstance(c, CycloNum) else c
+
+        return det_cofactor(
+            [[x.map_coeffs(rational) if isinstance(x, UniPoly) else rational(x) for x in row] for row in m]
+        )
+
+    monkeypatch.setattr(linalg, "_det_poly_rational", recorder)
+    rng = random.Random(47)
+    for p, j in [(2, 1), (3, 0)]:
+        for n in range(1, 9):
+            m = _rational_cyclo_matrix(rng, n, p, j)
+            det = linalg._det_poly_cyclo(m)
+            assert det == cofactor(m)
+            if n <= 4:
+                assert det == det_cofactor(m)
+            assert all(isinstance(c, CycloNum) and (c.p, c.j) == (p, j) for c in det.coeffs)
+            # a row times (u - s) makes the determinant vanish at the node s
+            s, r = rng.randint(0, 3), rng.randrange(n)
+            m[r] = [UniPoly([-s, 1]) * x for x in m[r]]
+            det = linalg._det_poly_cyclo(m)
+            assert det == cofactor(m) and det(s) == 0
+            if n > 1:
+                m[r] = [0] * n
+                assert linalg._det_poly_cyclo(m) == UniPoly()
+    assert len(calls) == 2 * 8 * 2 + 2 * 7
+    # a genuinely cyclotomic matrix keeps the cyclotomic route
+    calls.clear()
+    z = zeta(3, 1)
+    m = [[UniPoly([1, z]), UniPoly([0, 2])], [UniPoly([z * z, 1]), UniPoly([1, 0, z])]]
+    assert linalg._det_poly_cyclo(m) == det_cofactor(m)
+    assert calls == []
+
+
+def test_det_groupring_orbits_over_z9_and_cyclotomic_refusal():
+    rng = random.Random(53)
+    for m_ord, dim in [(9, 2), (9, 3), (27, 2)]:
+        mat = [
+            [
+                GroupRingElem(m_ord, tuple(Fraction(rng.randint(-2, 2)) for _ in range(m_ord)))
+                for _ in range(dim)
+            ]
+            for _ in range(dim)
+        ]
+        assert det_commutative(mat) == det_cofactor(mat)
+    # sigma_u would move cyclotomic group-ring coefficients, so they are refused
+    e_psi = character_idempotent(2, 2, 1)
+    with pytest.raises(ValueError, match="rational group-ring coefficients"):
+        det_commutative([[UniPoly([GroupRingElem.one(4), e_psi])]])

@@ -30,6 +30,7 @@ from graphzeta.iwasawa import (
 )
 from graphzeta.lfunctions import (
     CharacterLabel,
+    character_table,
     characters,
     h_poly,
     product_formula_check,
@@ -77,7 +78,7 @@ def test_special_values_by_order():
 
 def test_product_formula_level_two():
     d = _datum()
-    assert product_formula_check(d, 2).ok
+    assert product_formula_check(character_table(d, 2)).ok
 
 
 def test_sweep_and_invariants():
@@ -107,7 +108,7 @@ def test_char_ideal():
 
 def test_norm_induction_over_z9():
     d = _datum()
-    eta_g = eta_poly(d, 2)
+    eta_g = eta_poly(character_table(d, 2))
     assert norm_map(eta_g, 3) == eta_for_subgroup_action(d, 2, 3)
 
 
