@@ -58,7 +58,6 @@ from .lfunctions import (
     xi_poly,
     z_poly,
 )
-from .linalg import det_commutative
 from .poly import TruncSeries, UniPoly
 from .tower import (
     LevelGraph,

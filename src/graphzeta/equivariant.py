@@ -31,14 +31,13 @@ from .groupring import (
 )
 from .lfunctions import CharacterTable, r0
 from .poly import UniPoly
-from .tower import TowerDatum, build_level_graph, level_matrices
+from .tower import TowerDatum, build_level_graph
 
 __all__ = [
     "EquivEulerChar",
     "EquivZeta",
     "InflationReport",
     "equivariant_euler_char",
-    "eta_direct",
     "eta_for_subgroup_action",
     "eta_poly",
     "equiv_zeta",
@@ -46,7 +45,6 @@ __all__ = [
     "gamma_expand",
     "inflation_check",
     "norm_map",
-    "norm_map_direct",
     "norm_gamma_exponents",
     "trace_map",
 ]
@@ -106,32 +104,6 @@ def eta_poly(table: CharacterTable) -> UniPoly:
 def equiv_zeta(table: CharacterTable) -> EquivZeta:
     d, n = table.datum, table.level
     return EquivZeta(d.p**n, eta_poly(table), gamma_exponents(d, n))
-
-
-def eta_direct(d: TowerDatum, n: int) -> UniPoly:
-    """eta(u) by cofactor expansion straight over the group ring.
-
-    Independent of the character route; exponential in the number of base
-    vertices, so reserved for small cross-checks.
-    """
-    a_alpha, c, deg = level_matrices(d, n)
-    m = d.p**n
-    g = d.base.n_vertices
-    rows = []
-    for i in range(g):
-        e_i = groupring_idempotent(m, d.stabilizer_order(i, n))
-        row = []
-        for j in range(g):
-            ident = GroupRingElem.one(m) if i == j else GroupRingElem.zero(m)
-            a_entry = e_i * a_alpha[i][j] * c[j]
-            if i == j:
-                q_entry = e_i * (d.stabilizer_order(i, n) * deg[i] - 1)
-            else:
-                q_entry = GroupRingElem.zero(m)
-            row.append(UniPoly([ident, -a_entry, q_entry]))
-        rows.append(row)
-    det = linalg.det_cofactor(rows)
-    return det if isinstance(det, UniPoly) else UniPoly.constant(det)
 
 
 # -- subgroup actions on a level graph ---------------------------------
@@ -195,8 +167,7 @@ def eta_for_subgroup_action(d: TowerDatum, n: int, subgroup_order: int) -> UniPo
             q_entry = e_i * (val - 1) if i == j else GroupRingElem.zero(h_ord)
             row.append(UniPoly([ident, -ell, q_entry]))
         rows.append(row)
-    det = linalg.det_commutative(rows)
-    return det if isinstance(det, UniPoly) else UniPoly.constant(det)
+    return linalg.det_groupring_poly(rows, h_ord)
 
 
 def _vertex_lookup(lg, d: TowerDatum, base: int, rep: int) -> int:
@@ -251,49 +222,6 @@ def _modulus_of(x) -> int:
             if isinstance(c, GroupRingElem):
                 return c.m
     raise ValueError("cannot infer the group order from the argument")
-
-
-def norm_map_direct(x: UniPoly | GroupRingElem, subgroup_order: int) -> UniPoly:
-    """N_{G/H} straight from the definition: cofactor determinant of the
-    multiplication matrix over Q[H][u] with coset representatives 0..(G:H)-1."""
-    m = _modulus_of(x)
-    ph = subgroup_order
-    index = m // ph
-    poly = _as_groupring_poly(x, m)
-
-    def decompose(elem: GroupRingElem) -> list[GroupRingElem]:
-        # elem = sum_i comp[i] * [i] with comp[i] in Q[H], H = <index>.
-        comps = [dict() for _ in range(index)]
-        for s, c in enumerate(elem.coeffs):
-            if c:
-                i = s % index
-                t = ((s - i) // index) % ph
-                comps[i][t] = comps[i].get(t, 0) + c
-        return [GroupRingElem.from_dict(ph, comp) for comp in comps]
-
-    mat = [[UniPoly() for _ in range(index)] for _ in range(index)]
-    for k in range(poly.degree + 1):
-        coeff = poly.coefficient(k)
-        if isinstance(coeff, (int, Fraction)):
-            coeff = GroupRingElem.basis(m, 0, coeff)
-        if not coeff:
-            continue
-        for jcol in range(index):
-            shifted_coeffs = [Fraction(0)] * m
-            for s, c in enumerate(coeff.coeffs):
-                shifted_coeffs[(s + jcol) % m] = c
-            comps = decompose(GroupRingElem(m, shifted_coeffs))
-            for irow in range(index):
-                if comps[irow]:
-                    mat[irow][jcol] = mat[irow][jcol] + UniPoly.monomial(k, 1) * UniPoly.constant(
-                        comps[irow]
-                    )
-    for i in range(index):
-        for jcol in range(index):
-            if mat[i][jcol].is_zero():
-                mat[i][jcol] = UniPoly.constant(GroupRingElem.zero(ph))
-    det = linalg.det_cofactor(mat)
-    return det if isinstance(det, UniPoly) else UniPoly.constant(det)
 
 
 def trace_map(x: GroupRingElem, subgroup_order: int) -> GroupRingElem:

@@ -111,7 +111,8 @@ def g_series(d: TowerDatum) -> GSeries:
 
     Rows are premultiplied by (1+T)^(sum of |negative voltages| in the row)
     so every entry is an honest integer polynomial; the determinant is then
-    the g(T) representative times that total (1+T)-power.
+    the g(T) representative times that total (1+T)-power.  g(T) = 0 (for
+    example an unramified vertex without edges) raises HypothesisError.
     """
     unram = d.unramified_vertices
     if not unram:
@@ -139,7 +140,10 @@ def g_series(d: TowerDatum) -> GSeries:
                     entry = entry - one_plus ** (row_shift[i] + d.voltage[e])
             row.append(entry)
         rows.append(row)
-    return GSeries(linalg.det_poly_int(rows), sum(row_shift), d.p)
+    rep = linalg.det_poly_int(rows)
+    if rep.is_zero():
+        raise HypothesisError("g(T) = 0 on the unramified block: mu and lambda are undefined")
+    return GSeries(rep, sum(row_shift), d.p)
 
 
 def lambda_components(d: TowerDatum, gs: GSeries) -> tuple[int, list[int], int]:

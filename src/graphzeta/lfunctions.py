@@ -8,9 +8,12 @@ z(u, psi) is the unreduced determinant, and the two differ exactly by the
 factor (1 - u^2)^r0(psi).
 
 `h_poly`, `z_poly`, `special_values` and `lfn_data` compute one character
-at a time.  A `CharacterTable` holds the same data for every character of
-one level from one determinant per Galois orbit; the commands and checks
-use it, and the per-character functions stay as its oracle.
+at a time.  The three-term matrix is written as integer terms in
+zeta_{p^j} and u, and `linalg.det_cyclotomic_poly` returns the power-basis
+coordinates of its determinant (no arithmetic in `CycloNum` on the way).
+A `CharacterTable` holds the same data for every character of one level
+from one determinant per Galois orbit; the commands and checks use it, and
+the per-character functions stay as its oracle.
 """
 
 from __future__ import annotations
@@ -71,58 +74,46 @@ def r0(d: TowerDatum, n: int, psi: CharacterLabel) -> int:
     return sum(1 for v in range(d.base.n_vertices) if not kernel_contains_stabilizer(d, v, n, psi))
 
 
-def _three_term_matrix(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int]):
-    """Rows/columns of I - psi(A_alpha C) u + (psi(D C) - I) u^2 on kept vertices.
+def _three_term_terms(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int]) -> list:
+    """I - psi(A_alpha C) u + (psi(D C) - I) u^2 on kept vertices, as integer terms.
 
     psi sends the group element x to zeta_{p^j}^(e x) (e its exponent at its
     own level j) and the stabilizer sum C[v] = N_{H_v} to |H_v| when ker(psi)
     contains H_v, else to 0; A_alpha[i][k] sums the voltages of the base
-    darts from v_k to v_i.
+    darts from v_k to v_i.  The terms (r, c, exp, d, coeff) are those of
+    `linalg.det_cyclotomic_poly`.
     """
-    p, j, base = d.p, psi.order_exponent, d.base
-    step = psi.exponent_at(j)
+    base = d.base
+    step = psi.exponent_at(psi.order_exponent)
     pos = {v: r for r, v in enumerate(kept)}
     c = [d.stabilizer_order(v, n) if kernel_contains_stabilizer(d, v, n, psi) else 0 for v in kept]
     deg = [0] * base.n_vertices
-    darts = [[[] for _ in kept] for _ in kept]
+    terms = []
     for e in range(base.n_darts):
         o, t = base.dart_origin[e], base.dart_terminus[e]
         deg[o] += 1
         if o in pos and t in pos:
-            darts[pos[t]][pos[o]].append((step * d.voltage[e], c[pos[o]]))
-    rows = []
-    for r in range(len(kept)):
-        row = []
-        for k, v in enumerate(kept):
-            c0 = CycloNum.rational(p, 1 if r == k else 0, j)
-            a_val = CycloNum.from_monomials(p, j, darts[r][k])
-            q_val = CycloNum.rational(p, c[k] * deg[v] - 1 if r == k else 0, j)
-            row.append(UniPoly([c0, -a_val, q_val]))
-        rows.append(row)
-    return rows
+            terms.append((pos[t], pos[o], step * d.voltage[e], 1, -c[pos[o]]))
+    for r, v in enumerate(kept):
+        terms += [(r, r, 0, 0, 1), (r, r, 0, 2, c[r] * deg[v] - 1)]
+    return terms
 
 
-def _normalize_cyclo_poly(det, p: int, j: int) -> UniPoly:
-    if not isinstance(det, UniPoly):
-        det = UniPoly.constant(det)
-    return det.map_coeffs(
-        lambda c: c if isinstance(c, CycloNum) else CycloNum.rational(p, c, j)
-    )
+def _three_term_det(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int]) -> UniPoly:
+    p, j = d.p, psi.order_exponent
+    det = linalg.det_cyclotomic_poly(len(kept), _three_term_terms(d, n, psi, kept), p, j)
+    return UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det])
 
 
 def h_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
     """h(u, psi): the reduced three-term determinant, over Q(zeta_{p^j})."""
     kept = [v for v in range(d.base.n_vertices) if kernel_contains_stabilizer(d, v, n, psi)]
-    if not kept:
-        return UniPoly.constant(CycloNum.rational(d.p, 1, psi.order_exponent))
-    rows = _three_term_matrix(d, n, psi, kept)
-    return _normalize_cyclo_poly(linalg.det_commutative(rows), d.p, psi.order_exponent)
+    return _three_term_det(d, n, psi, kept)
 
 
 def z_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
     """z(u, psi): the full (unreduced) three-term determinant under psi."""
-    rows = _three_term_matrix(d, n, psi, list(range(d.base.n_vertices)))
-    return _normalize_cyclo_poly(linalg.det_commutative(rows), d.p, psi.order_exponent)
+    return _three_term_det(d, n, psi, list(range(d.base.n_vertices)))
 
 
 def xi_poly(table: CharacterTable) -> UniPoly:
@@ -143,15 +134,11 @@ class SpecialValues:
 
 
 def _values_at_one(h: UniPoly, psi: CharacterLabel) -> SpecialValues:
-    one = CycloNum.rational(psi.p, 1, psi.order_exponent)
-    h1 = h(one)
-    if not isinstance(h1, CycloNum):
-        h1 = CycloNum.rational(psi.p, h1, psi.order_exponent)
+    # h(1) and h'(1) as sums of (k times) the coefficients: no products in the field
+    h1 = sum(h.coeffs, CycloNum.rational(psi.p, 0, psi.order_exponent))
     if psi.is_trivial:
-        deriv = h.derivative()(one)
-        if isinstance(deriv, CycloNum):
-            deriv = deriv.to_rational()
-        return SpecialValues(h1, Fraction(deriv))
+        deriv = sum((k * c.to_rational() for k, c in enumerate(h.coeffs)), Fraction(0))
+        return SpecialValues(h1, deriv)
     return SpecialValues(h1, None)
 
 
@@ -249,10 +236,11 @@ def l_reciprocal_of_sum(data: list[LfnData]) -> tuple[int, UniPoly]:
     level = max(item.label.order_exponent for item in data)
     prod = UniPoly.constant(CycloNum.rational(p, 1, level))
     for item in data:
-        prod = prod * item.h.map_coeffs(
-            lambda c: (c if isinstance(c, CycloNum) else CycloNum.rational(p, c, 0)).lift(level)
-        )
-    return sum(item.c_exponent for item in data), _normalize_cyclo_poly(prod, p, level)
+        prod = prod * item.h.map_coeffs(lambda c: c.lift(level))
+    # a coefficient whose products were all zero stays the integer 0
+    return sum(item.c_exponent for item in data), prod.map_coeffs(
+        lambda c: c if isinstance(c, CycloNum) else CycloNum.rational(p, c, level)
+    )
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,30 @@
 """Exact determinants over the coefficient rings used in this package.
 
+Apart from small integer matrices, every route is multimodular: primes
+q < 2^31 from one generator, one batched elimination per chunk of matrices
+mod q (`_det_mod_batch`, vectorized over numpy int64), one Newton
+interpolation step mod q for polynomial entries and one signed CRT.
+
 Routes:
-  - integer matrices: fraction-free Bareiss elimination; above a size
-    threshold, CRT over word-size primes with vectorized modular
-    elimination (numpy int64), certified by the Hadamard bound;
-  - norms of cyclotomic determinants (`det_norm_cyclotomic`): the same
-    multimodular kernel over primes q = 1 mod p^j, one batched elimination
-    per prime across all primitive roots of unity in F_q; one prime
-    generator, one batched elimination and one signed CRT serve both
-    multimodular routes;
-  - integer polynomial matrices (`det_poly_int`): the same multimodular
-    kernel, batched over primes and evaluation points 0..D, with Newton
-    interpolation mod each prime and CRT against the coefficient bound
+  - integer matrices (`det_int`): fraction-free Bareiss elimination; above a
+    size threshold, CRT over word-size primes certified by the Hadamard bound;
+  - integer polynomial matrices (`det_poly_int`, cover-size): evaluation at
+    the points 0..D in chunks of the (prime, point) batch, Newton
+    interpolation mod each prime, CRT against the coefficient bound
     prod_r sum_c ||M[r][c]||_1;
-  - rational matrices, scalar or polynomial: per-row denominator clearing
-    down to the integer routes;
-  - cyclotomic matrices: division elimination (the entries form a field);
-  - polynomial matrices over cyclotomic fields: the rational route when
-    every coefficient is rational, else cofactor expansion in small
-    dimension, otherwise evaluation at integer points and Newton
-    interpolation;
-  - group-ring matrices: projection to cyclotomic fields, one determinant
-    per Galois orbit of characters with the other characters' values as its
-    conjugates, and idempotent reassembly, all through `groupring`
-    (`character_orbits`, `apply_character` and `from_character_polys`; the
-    group ring has zero divisors, so elimination is not available there); a
-    direct cofactor route exists for cross-checks.
+  - polynomial matrices over Z[zeta_{p^j}] (`det_cyclotomic_poly`, for
+    h(u, psi) and z(u, psi)): evaluation at every primitive p^j-th root of
+    unity in F_q (q = 1 mod p^j) and at the points 0..D, Newton
+    interpolation in u, Lagrange interpolation on the roots for the
+    power-basis coordinates, CRT; j = 0 is the same call over Z;
+  - norms of cyclotomic determinants (`det_norm_cyclotomic`): the same
+    evaluation at the primitive roots, multiplying the determinants;
+  - polynomial matrices over Q[Z/p^n Z] (`det_groupring_poly`): one
+    `det_cyclotomic_poly` per Galois orbit of characters, on its
+    representative with the denominators of each row cleared; the other
+    characters' determinants are its conjugates, and `groupring` reassembles
+    them through the idempotents (the group ring has zero divisors, so
+    elimination is not available there).
 """
 
 from __future__ import annotations
@@ -35,23 +34,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, euler_phi_prime_power
 from .errors import CertificationError
-from .groupring import (
-    GroupRingElem,
-    apply_character,
-    character_orbits,
-    factor_prime_power,
-    from_character_polys,
-    galois_conjugate,
-)
+from .groupring import character_orbits, factor_prime_power, from_character_polys, galois_conjugate
 from .poly import UniPoly
 
 __all__ = [
     "det_bareiss_int",
-    "det_cofactor",
-    "det_commutative",
-    "det_fraction",
+    "det_cyclotomic_poly",
+    "det_groupring_poly",
     "det_int",
     "det_norm_cyclotomic",
     "det_poly_int",
@@ -164,14 +155,17 @@ def _modular_primes(target: int, m: int = 1) -> list[int]:
     return primes
 
 
-def _crt_signed(residues, primes: list[int]) -> int:
-    """The integer x with |x| < prod(primes)/2 and x = residues[i] mod primes[i]."""
+def _crt_signed(residues, primes: list[int]):
+    """The integer x with |x| < prod(primes)/2 and x = residues[i] mod primes[i].
+
+    Elementwise when each residues[i] is an object array of ints (Python
+    ints, so nothing wraps); an int for int residues.
+    """
     value, modulus = 0, 1
     for r, q in zip(residues, primes):
-        t = (int(r) - value) * pow(modulus, -1, q) % q
-        value += modulus * t
+        value = value + modulus * ((r - value) * pow(modulus, -1, q) % q)
         modulus *= q
-    return value - modulus if value > modulus // 2 else value
+    return (value + modulus // 2) % modulus - modulus // 2
 
 
 def _det_mod_batch(mats: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,6 +236,32 @@ def _det_crt(rows: list[list[int]]) -> int:
     return _crt_signed(residues, primes)
 
 
+def _interpolate_mod(values: np.ndarray, moduli) -> np.ndarray:
+    """Row i: the coefficients mod q_i of the polynomial of degree <= D
+    taking the values values[i, t] at t = 0..D; moduli is one prime q for
+    every row or the primes q_i row by row, each above D.
+
+    Newton's divided differences on the nodes 0..D, then the Newton form
+    expanded to the monomial basis; vectorized over the rows.
+    """
+    points = values.shape[1]
+    qcol = np.reshape(moduli, (-1, 1))
+    inverses = np.array(
+        [[pow(k, -1, int(q)) for k in range(1, points)] for q in qcol[:, 0]], dtype=np.int64
+    ).reshape(len(qcol), points - 1)
+    newton = values.copy()
+    for k in range(1, points):
+        # node i minus node i - k is k
+        newton[:, k:] = (newton[:, k:] - newton[:, k - 1 : -1]) % qcol * inverses[:, k - 1 : k] % qcol
+    mono = np.zeros_like(newton)
+    mono[:, :1] = newton[:, -1:]
+    for k in range(points - 2, -1, -1):
+        # mono <- mono * (x - k) + newton_k
+        mono[:, 1:] = (mono[:, :-1] - k * mono[:, 1:]) % qcol
+        mono[:, :1] = (newton[:, k : k + 1] - k * mono[:, :1]) % qcol
+    return mono
+
+
 def det_poly_int(rows) -> UniPoly:
     """Determinant of a square matrix whose entries are integer polynomials (UniPoly or int).
 
@@ -252,10 +272,10 @@ def det_poly_int(rows) -> UniPoly:
     1-norm matrix.  For each prime q of `_modular_primes(2B)`, M is
     evaluated mod q at t = 0..D and the D + 1 determinants come from
     `_det_mod_batch`, whose per-element pivoting covers the points where
-    M(t) is singular; Newton's divided differences mod q (batched over the
-    primes) give the coefficients mod q, and `_crt_signed` lifts each one.
-    The (prime, point) batch is built and eliminated in chunks of about
-    `_BATCH_ENTRIES` matrix entries.
+    M(t) is singular; `_interpolate_mod` (batched over the primes) gives the
+    coefficients mod q, and `_crt_signed` lifts each one.  The (prime,
+    point) batch is built and eliminated in chunks of about `_BATCH_ENTRIES`
+    matrix entries.
     """
     n = len(rows)
     if n == 0:
@@ -285,19 +305,8 @@ def det_poly_int(rows) -> UniPoly:
         dets[start : start + len(t)] = [
             a * pow(b, -1, m) % m for a, b, m in zip(num.tolist(), den.tolist(), q.tolist())
         ]
-    qcol = moduli[:, None]
-    newton = dets.reshape(len(primes), points)
-    inverses = np.array([[pow(k, -1, m) for k in range(1, points)] for m in primes], dtype=np.int64)
-    for k in range(1, points):
-        # divided differences on the nodes 0..D: node i minus node i - k is k
-        newton[:, k:] = (newton[:, k:] - newton[:, k - 1 : -1]) % qcol * inverses[:, k - 1 : k] % qcol
-    mono = np.zeros_like(newton)
-    mono[:, 0] = newton[:, -1]
-    for k in range(points - 2, -1, -1):
-        # mono <- mono * (x - k) + newton_k
-        mono[:, 1:] = (mono[:, :-1] - k * mono[:, 1:]) % qcol
-        mono[:, 0] = (newton[:, k] - k * mono[:, 0]) % moduli
-    return UniPoly([_crt_signed(mono[:, i], primes) for i in range(points)])
+    mono = _interpolate_mod(dets.reshape(len(primes), points), moduli)
+    return UniPoly(_crt_signed(mono.astype(object), primes).tolist())
 
 
 def _power_table(g: int, order: int, q: int) -> np.ndarray:
@@ -328,15 +337,39 @@ def _prod_mod(x: np.ndarray, q: int) -> int:
     return int(x[0]) if x.size else 1
 
 
+def _at_primitive_roots(primes: list[int], p: int, j: int, k: int, terms):
+    """For each prime q, the matrix of the terms at every primitive p^j-th root of unity in F_q.
+
+    M[r][c] is the sum of coeff * zeta^exp * u^d over the terms
+    (r, c, exp, d, coeff).  F_q holds the phi(p^j) primitive roots as
+    powers[e] for the exponents e in units (those prime to p), with powers
+    the table of one g of exact order p^j.  Yields (values, powers, units)
+    prime by prime, values[i, d] the k x k matrix of u^d coefficients mod q
+    at the root powers[units[i]], for d up to the largest d of a term.
+    """
+    order = p**j
+    units = np.arange(order, dtype=np.int64)
+    units = units[np.gcd(units, order) == 1]
+    r, c, e, d = np.array([t[:4] for t in terms], dtype=np.int64).reshape(-1, 4).T
+    coeffs = _int_array([t[4] for t in terms])
+    where = (e % order)[:, None] * units % order
+    shape = (d.max(initial=0) + 1, k, k, len(units))
+    for q in primes:
+        powers = _power_table(_root_of_unity(q, p, j), order, q)
+        values = np.zeros(shape, dtype=np.int64)
+        np.add.at(values, (d, r, c), (coeffs % q).astype(np.int64)[:, None] * powers[where] % q)
+        values %= q
+        yield values.transpose(3, 0, 1, 2), powers, units
+
+
 def det_norm_cyclotomic(k: int, terms, p: int, j: int) -> int:
     """N_{Q(zeta)/Q} det M(zeta) for zeta a primitive p^j-th root of unity.
 
     M is the k x k matrix with M[r][c] the sum of coeff * zeta^exp over the
     terms (r, c, exp, coeff), all integers.  The norm is the integer
     prod det M(zeta') over the phi(p^j) primitive p^j-th roots zeta'.  For
-    each prime q = 1 mod p^j below 2^31, F_q holds those roots as the powers
-    g^e (p not dividing e) of one g of exact order p^j: M is evaluated at all
-    of them from one power table, the batch goes through one elimination,
+    each prime q = 1 mod p^j below 2^31, M is evaluated at all of them in
+    F_q (`_at_primitive_roots`), the batch goes through one elimination,
     and the determinants are multiplied mod q (one inversion per prime).
     The residues are joined by CRT until the modulus exceeds twice the
     row-1-norm bound (prod_r sum |coeff| over row r)^phi(p^j), which bounds
@@ -344,24 +377,80 @@ def det_norm_cyclotomic(k: int, terms, p: int, j: int) -> int:
     """
     if k == 0:
         return 1
-    order = p**j
-    exponents = np.arange(order, dtype=np.int64)
-    units = exponents[np.gcd(exponents, order) == 1]
     row_norm = [0] * k
     for r, _, _, coeff in terms:
         row_norm[r] += abs(coeff)
-    bound = math.prod(row_norm) ** len(units)
-    places = [(r, c, (e % order) * units % order, coeff) for r, c, e, coeff in terms]
-    primes = _modular_primes(2 * bound, order)
+    bound = math.prod(row_norm) ** euler_phi_prime_power(p, j)
+    constant = [(r, c, e, 0, coeff) for r, c, e, coeff in terms]
+    primes = _modular_primes(2 * bound, p**j)
     residues = []
-    for q in primes:
-        powers = _power_table(_root_of_unity(q, p, j), order, q)
-        batch = np.zeros((len(units), k, k), dtype=np.int64)
-        for r, c, where, coeff in places:
-            batch[:, r, c] = (batch[:, r, c] + coeff % q * powers[where]) % q
-        num, den = _det_mod_batch(batch, np.full(len(units), q))
+    for q, (values, _, _) in zip(primes, _at_primitive_roots(primes, p, j, k, constant)):
+        num, den = _det_mod_batch(values[:, 0], np.full(len(values), q))
         residues.append(_prod_mod(num, q) * pow(_prod_mod(den, q), -1, q) % q)
     return _crt_signed(residues, primes)
+
+
+def det_cyclotomic_poly(k: int, terms, p: int, j: int) -> list[list[int]]:
+    """det M for a k x k matrix M over Z[zeta][u], zeta a primitive p^j-th root of unity.
+
+    M[r][c] is the sum of coeff * zeta^exp * u^d over the terms
+    (r, c, exp, d, coeff), all integers, d >= 0.  Returns, for each
+    d = 0..D, the coordinates of the u^d coefficient of det M in the power
+    basis 1, zeta, ..., zeta^(phi - 1), phi = phi(p^j); D is the sum over
+    rows of the largest d with a nonzero coeff.  j = 0 is the integer case.
+
+    For each prime q = 1 mod p^j below 2^31, Z[zeta]/q is F_q^phi through
+    the primitive roots w of unity in F_q.  M is evaluated at every w and
+    every t = 0..D (`_at_primitive_roots`), one `_det_mod_batch` call takes
+    the phi (D + 1) determinants, and `_interpolate_mod` gives each u^d
+    coefficient x at every root.  Lagrange interpolation on the roots of
+    Phi = Phi_{p^j} then gives its coordinates x_l = sum_w x(w) V[l, w]:
+    with s = p^(j-1), Phi(X) / (X - w) = sum_l b_l(w) X^l where
+    b_l(w) = sum_{t : t s > l} w^(t s - l - 1), 1 / Phi'(w) = w (w^s - 1) / p^j,
+    and the sum telescopes to
+        V[l, w] = b_l(w) / Phi'(w) = w^(-l) (1 - w^(s (floor(l / s) + 1))) / p^j.
+    For j = 0 the one root is 1 and the coordinate is the value.
+
+    Bound.  Under each complex embedding sigma the u^d coefficient is a sum
+    over permutations of products of one term per row, so
+    |sigma(x)| <= B = prod_r sum |coeff| over row r.  The b_l(zeta) /
+    Phi'(zeta) are the trace-dual basis of the power basis (Euler), so
+    x_l = Tr(x V[l, zeta]) and, as |sigma(V[l, zeta])| <= 2 / p^j,
+    |x_l| <= phi * 2 / p^j * B = 2 (p - 1) B / p <= (p - 1) B.  The residues
+    are lifted by `_crt_signed` once the modulus exceeds 2 (p - 1) B + 1.
+    """
+    phi = euler_phi_prime_power(p, j)
+    if k == 0:
+        return [[1] + [0] * (phi - 1)]
+    row_norm, row_degree = [0] * k, [0] * k
+    for r, _, _, d, coeff in terms:
+        if coeff:
+            row_norm[r] += abs(coeff)
+            row_degree[r] = max(row_degree[r], d)
+    points, order = sum(row_degree) + 1, p**j
+    t = np.arange(points, dtype=np.int64)[:, None, None]
+    primes = _modular_primes(2 * (p - 1) * math.prod(row_norm) + 1, order)
+    coordinates = []
+    for q, (values, powers, units) in zip(primes, _at_primitive_roots(primes, p, j, k, terms)):
+        batch = values[:, -1, None]
+        for d in range(values.shape[1] - 2, -1, -1):
+            batch = (batch * t + values[:, d, None]) % q
+        num, den = _det_mod_batch(batch.reshape(-1, k, k), np.full(phi * points, q))
+        dets = [a * pow(b, -1, q) % q for a, b in zip(num.tolist(), den.tolist())]
+        at_roots = _interpolate_mod(np.array(dets, dtype=np.int64).reshape(phi, points), q)
+        if j:  # V[l, w] mod q
+            s, l = order // p, np.arange(phi)[:, None]
+            lagrange = powers[-l * units % order] * (1 - powers[(l // s + 1) * s * units % order]) % q
+            lagrange = lagrange * pow(order, -1, q) % q
+        else:
+            lagrange = np.ones((1, 1), dtype=np.int64)
+        coords = np.zeros((points, phi), dtype=np.int64)
+        for i in range(0, phi, 1 << 15):
+            # at_roots^T V^T mod q, V split at bit 16 so the int64 sums stay exact
+            a, w = at_roots[i : i + (1 << 15)].T, lagrange[:, i : i + (1 << 15)].T
+            coords = (coords + (a @ (w >> 16)) % q * 65536 + a @ (w & 65535)) % q
+        coordinates.append(coords)
+    return _crt_signed(np.array(coordinates, dtype=object), primes).tolist()
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -371,202 +460,43 @@ def det_int(rows: list[list[int]]) -> int:
     return _det_crt(rows)
 
 
-def _clear_row_denominators(rows) -> tuple[list, int]:
-    # Scale each row by the lcm of its denominators, polynomial coefficients
-    # included; the determinant of the cleared rows is den times the original.
-    cleared, den = [], 1
-    for row in rows:
-        coeffs = (c for x in row for c in (x.coeffs if isinstance(x, UniPoly) else (x,)))
-        d = math.lcm(*(Fraction(c).denominator for c in coeffs))
+def det_groupring_poly(rows, m: int) -> UniPoly:
+    """Determinant of a square matrix over Q[Z/mZ][u], m = p^n.
 
-        def scale(c, d=d):
-            return int(Fraction(c) * d)
-
-        cleared.append([x.map_coeffs(scale) if isinstance(x, UniPoly) else scale(x) for x in row])
-        den *= d
-    return cleared, den
-
-
-def det_fraction(rows) -> Fraction:
-    """Determinant of a rational matrix, via per-row denominator clearing."""
-    cleared, den = _clear_row_denominators(rows)
-    return Fraction(det_int(cleared), den)
-
-
-def _det_field(rows, one) -> object:
-    # Division elimination; entries must form a field (used for CycloNum).
-    n = len(rows)
-    if n == 0:
-        return one
-    m = [list(r) for r in rows]
-    det = one
-    sign = 1
-    for i in range(n):
-        k = next((r for r in range(i, n) if m[r][i] != 0), None)
-        if k is None:
-            return one * 0
-        if k != i:
-            m[i], m[k] = m[k], m[i]
-            sign = -sign
-        pivot = m[i][i]
-        det = det * pivot
-        if i + 1 < n:
-            inv = pivot.inverse() if hasattr(pivot, "inverse") else 1 / pivot
-            for r in range(i + 1, n):
-                f = m[r][i] * inv
-                if f != 0:
-                    for c in range(i, n):
-                        m[r][c] = m[r][c] - f * m[i][c]
-    return det * sign
-
-
-def det_cofactor(rows):
-    """Division-free Laplace expansion with column-subset memoization.
-
-    Valid over any commutative ring; exponential in the dimension, so only
-    used for small matrices and as an independent cross-check.
+    Entries are UniPoly whose coefficients are GroupRingElem of order m with
+    rational coefficients.  One determinant per Galois orbit of the
+    characters of Z/p^n Z, on its representative psi of order p^j: psi
+    sends the coefficient sum_s c_s [s] to sum_s c_s zeta_{p^j}^(e s), each
+    row is scaled by the lcm of its denominators, and `det_cyclotomic_poly`
+    takes the integer matrix.  The other characters' determinants are
+    sigma_u of the representative's, which needs the group-ring
+    coefficients rational (sigma_u would move cyclotomic ones), and
+    `from_character_polys` reassembles them.
     """
-    n = len(rows)
-    if n == 0:
-        return 1
-    # dp maps a bitmask of used columns to the determinant of the top rows.
-    dp = {0: 1}
-    for i in range(n):
-        nxt = {}
-        for mask, val in dp.items():
-            for c in range(n):
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                entry = rows[i][c]
-                if entry == 0:
-                    continue
-                below = mask & (bit - 1)
-                sign = -1 if (i + bin(below).count("1")) % 2 else 1
-                term = val * entry * sign
-                key = mask | bit
-                nxt[key] = nxt.get(key, 0) + term
-        dp = nxt
-    full = (1 << n) - 1
-    return dp.get(full, 0)
-
-
-_COFACTOR_POLY_MAX_DIM = 6
-
-
-def _poly_entry(x) -> UniPoly:
-    return x if isinstance(x, UniPoly) else UniPoly.constant(x)
-
-
-def _newton_interpolate(points: list[int], values: list) -> UniPoly:
-    # Divided differences, then Horner over the nodes; exact in any field
-    # whose elements support the arithmetic with small integers used here.
-    n = len(points)
-    coeffs = list(values)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) * Fraction(1, points[i] - points[i - k])
-    poly = UniPoly.constant(coeffs[n - 1])
-    for k in range(n - 2, -1, -1):
-        poly = poly * UniPoly([-points[k], 1]) + UniPoly.constant(coeffs[k])
-    return poly
-
-
-def _det_poly_cyclo(rows) -> UniPoly:
-    n = len(rows)
-    mat = [[_poly_entry(x) for x in r] for r in rows]
-    cyclo = [c for row in mat for e in row for c in e.coeffs if isinstance(c, CycloNum)]
-    one = CycloNum.rational(cyclo[0].p, 1, cyclo[0].j) if cyclo else None
-    if cyclo and all(c.is_rational() for c in cyclo):
-        # A matrix over Q written at level j: the integer kernel, re-embedded at j.
-        rational = [
-            [e.map_coeffs(lambda c: c.to_rational() if isinstance(c, CycloNum) else c) for e in row]
-            for row in mat
-        ]
-        return _det_poly_rational(rational).map_coeffs(lambda c: one * c)
-    if n <= _COFACTOR_POLY_MAX_DIM:
-        return _poly_entry(det_cofactor(mat))
-    degree = sum(max((e.degree for e in row), default=0) for row in mat)
-    points = list(range(degree + 1))
-    values = [_det_field([[e(t * one) for e in row] for row in mat], one) for t in points]
-    return _newton_interpolate(points, values)
-
-
-def _det_poly_rational(rows) -> UniPoly:
-    cleared, den = _clear_row_denominators(rows)
-    return det_poly_int(cleared).map_coeffs(lambda c: Fraction(c, den))
-
-
-def _det_groupring_poly(rows) -> UniPoly:
-    # Entries are UniPoly over GroupRingElem (or scalars).  One determinant per
-    # Galois orbit of the characters of Z/p^n Z, on its representative; the
-    # other characters' determinants are its conjugates, which needs the
-    # group-ring coefficients rational (sigma_u would move cyclotomic ones).
-    mat = [[_poly_entry(x) for x in r] for r in rows]
-    ring = [c for row in mat for e in row for c in e.coeffs if isinstance(c, GroupRingElem)]
-    if any(isinstance(x, CycloNum) for c in ring for x in c.coeffs):
-        raise ValueError("group-ring determinants need rational group-ring coefficients")
-    p, n = factor_prime_power(ring[0].m)
-    reps, orbits = character_orbits(p, n)
-    per_orbit = [
-        _det_poly_cyclo(
-            [[e.map_coeffs(lambda c: apply_character(c, psi)) for e in row] for row in mat]
-        )
-        for psi in reps
+    p, n = factor_prime_power(m)
+    entries = [
+        (r, c, d, x)
+        for r, row in enumerate(rows)
+        for c, entry in enumerate(row)
+        for d, x in enumerate(entry.coeffs)
     ]
-    return from_character_polys(p, n, [galois_conjugate(per_orbit[j], u) for j, u in orbits])
-
-
-def det_commutative(rows):
-    """Exact determinant dispatch over the declared coefficient rings."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    flat = [x for row in rows for x in row]
-    kinds = set()
-    for x in flat:
-        if isinstance(x, UniPoly):
-            kinds.add("poly")
-            for c in x.coeffs:
-                kinds.add(_scalar_kind(c))
-        else:
-            kinds.add(_scalar_kind(x))
-    if "other" in kinds:
-        # truncated series and anything else ring-like: division-free route
-        return det_cofactor(rows)
-    if "poly" in kinds:
-        if "groupring" in kinds:
-            return _det_groupring_poly(rows)
-        if "cyclo" in kinds:
-            return _det_poly_cyclo(rows)
-        if "fraction" in kinds:
-            return _det_poly_rational(rows)
-        return det_poly_int(rows)
-    if "groupring" in kinds:
-        result = _det_groupring_poly(rows).coefficient(0)
-        if isinstance(result, GroupRingElem):
-            return result
-        sample = next(x for x in flat if isinstance(x, GroupRingElem))
-        return GroupRingElem.basis(sample.m, 0, result)
-    if "cyclo" in kinds:
-        sample = next(x for x in flat if isinstance(x, CycloNum))
-        one = CycloNum.rational(sample.p, 1, sample.j)
-        lifted = [
-            [x if isinstance(x, CycloNum) else one * x for x in row] for row in rows
+    if any(isinstance(a, CycloNum) for *_, x in entries for a in x.coeffs):
+        raise ValueError("group-ring determinants need rational group-ring coefficients")
+    scale = [1] * len(rows)
+    for r, _, _, x in entries:
+        scale[r] = math.lcm(scale[r], *(Fraction(a).denominator for a in x.coeffs))
+    den = math.prod(scale)
+    reps, orbits = character_orbits(p, n)
+    per_orbit = []
+    for psi in reps:
+        j = psi.order_exponent
+        e = psi.exponent_at(j)
+        terms = [
+            (r, c, e * s, d, int(a * scale[r]))
+            for r, c, d, x in entries
+            for s, a in enumerate(x.coeffs)
+            if a
         ]
-        return _det_field(lifted, one)
-    if "fraction" in kinds:
-        return det_fraction(rows)
-    return det_int(rows)
-
-
-def _scalar_kind(x) -> str:
-    if isinstance(x, GroupRingElem):
-        return "groupring"
-    if isinstance(x, CycloNum):
-        return "cyclo"
-    if isinstance(x, Fraction):
-        return "fraction"
-    if isinstance(x, int):
-        return "int"
-    return "other"
+        det = det_cyclotomic_poly(len(rows), terms, p, j)
+        per_orbit.append(UniPoly([CycloNum(p, j, tuple(Fraction(a, den) for a in x)) for x in det]))
+    return from_character_polys(p, n, [galois_conjugate(per_orbit[j], u) for j, u in orbits])

@@ -70,10 +70,11 @@ def collect_random_data(seed: int, count: int, p_choices=(2, 3), **kwargs) -> li
     return found
 
 
-def chorded_heptagon() -> TowerDatum:
-    """A 7-cycle with the chord (0, 3), p = 2, voltage 1 on two edges, vertex 0 Ramified(1).
+def chorded_heptagon(p: int = 2) -> TowerDatum:
+    """A 7-cycle with the chord (0, 3), voltage 1 on two edges, vertex 0 Ramified(1).
 
-    Seven base vertices put polynomial determinants past the cofactor route.
+    Seven base vertices give 7 x 7 polynomial determinants, beyond what a
+    cofactor expansion handles quickly.
     """
     g = SerreGraph.from_edges(list(range(7)), [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
-    return TowerDatum(g, 2, (1, -1) + (0, 0) * 6 + (1, -1), (1,) + (None,) * 6)
+    return TowerDatum(g, p, (1, -1) + (0, 0) * 6 + (1, -1), (1,) + (None,) * 6)

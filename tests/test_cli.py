@@ -194,6 +194,26 @@ def test_cli_invariants_refuses_flat_unramified(tmp_path, capsys):
     assert "V^ram is empty and chi(X) = 0" in err
 
 
+def test_cli_invariants_zero_g_exits_2(tmp_path):
+    # one unramified vertex without edges: g(T) = det(D - A_rho) = 0, so mu and lambda are undefined
+    doc = {"prime": 2, "vertices": ["a"], "edges": [], "ramification": {"a": "unramified"}}
+    f = tmp_path / "lonely.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for command, message in [("invariants", "g(T) = 0"), ("tower", "level 1 disconnected")]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphzeta.cli", command, str(f), "--max-level", "2"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("hypothesis violated: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_cli_verify_level_one_skips_vanishing(capsys):
     code, out = _run(capsys, "verify", DATUM, "--level", "1", "--json")
     assert code == 0

@@ -6,7 +6,6 @@ from conftest import collect_random_data
 from graphzeta.equivariant import (
     equiv_zeta,
     equivariant_euler_char,
-    eta_direct,
     eta_for_subgroup_action,
     eta_poly,
     gamma_expand,
@@ -14,7 +13,6 @@ from graphzeta.equivariant import (
     inflation_check,
     norm_gamma_exponents,
     norm_map,
-    norm_map_direct,
     trace_map,
 )
 from graphzeta.graphs import SerreGraph
@@ -22,6 +20,7 @@ from graphzeta.groupring import GroupRingElem, groupring_idempotent
 from graphzeta.lfunctions import character_table, characters, h_poly, r0
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum
+from oracles import eta_direct, norm_map_direct
 
 
 def _double_edge():

@@ -9,10 +9,14 @@ import graphzeta
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 
-# (module, name) pairs deleted from the library; each has a surviving route:
+# (module, name) pairs deleted from the library, each also checked at the top
+# level (graphzeta.det_commutative among them); each has a surviving route:
 # UniPoly.derivative / UniPoly.__call__, CycloNum.norm, the groupring
-# character layer, _newton_interpolate / _det_poly_cyclo in linalg, and
-# det_poly_int for integer and rational polynomial matrices.
+# character layer, det_poly_int for integer polynomial matrices,
+# det_cyclotomic_poly for polynomial matrices over Z[zeta_{p^j}] (h and z),
+# and det_groupring_poly for group-ring and rational matrices.  The
+# cofactor determinant, eta_direct and norm_map_direct live on as test
+# oracles in tests/oracles.py.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -25,6 +29,22 @@ REMOVED = [
     ("linalg", "_lagrange"),
     ("linalg", "_det_poly_cyclo_at_level"),
     ("linalg", "_det_poly"),
+    ("linalg", "det_commutative"),
+    ("linalg", "det_fraction"),
+    ("linalg", "det_cofactor"),
+    ("linalg", "_det_field"),
+    ("linalg", "_newton_interpolate"),
+    ("linalg", "_det_poly_cyclo"),
+    ("linalg", "_det_poly_rational"),
+    ("linalg", "_det_groupring_poly"),
+    ("linalg", "_scalar_kind"),
+    ("linalg", "_COFACTOR_POLY_MAX_DIM"),
+    ("linalg", "_poly_entry"),
+    ("linalg", "_clear_row_denominators"),
+    ("lfunctions", "_normalize_cyclo_poly"),
+    ("lfunctions", "_three_term_matrix"),
+    ("equivariant", "eta_direct"),
+    ("equivariant", "norm_map_direct"),
 ]
 
 

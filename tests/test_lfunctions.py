@@ -27,11 +27,10 @@ from graphzeta.lfunctions import (
     z_poly,
 )
 from graphzeta.groupring import GroupRingElem
-from graphzeta.linalg import det_commutative
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum
 from graphzeta.verify import run_battery
-from oracles import orbit_special_products_by_characters
+from oracles import det_cofactor, orbit_special_products_by_characters
 
 
 def _double_edge():
@@ -190,7 +189,10 @@ def test_product_formula_known_and_random():
     assert pc.ok
     assert [int(c) for c in pc.h_product.coeffs] == [1, 0, 2, 0, -9, 0, -20, 0, -1, 0, 18, 0, 9]
     assert pc.chi_sum == -2
-    for d in collect_random_data(19, 5, levels_connected=2):
+    # chorded_heptagon(3): its order-3 characters keep all seven vertices, so h(u, psi)
+    # is a 7 x 7 determinant over Q(zeta_3) of degree 14
+    assert character_table(chorded_heptagon(3), 1).rep_h[1].degree == 14
+    for d in [chorded_heptagon(3)] + collect_random_data(19, 5, levels_connected=2):
         for n in (1, 2):
             assert product_formula_check(character_table(d, n)).ok
 
@@ -244,7 +246,7 @@ def _orbit_matrix_norm(d, j):
         m[kept.index(o)][kept.index(o)] += 1
         if t in kept:
             m[kept.index(t)][kept.index(o)] -= z ** (d.voltage[e] % d.p**j)
-    return det_commutative(m).norm() if kept else 1
+    return (det_cofactor(m) + CycloNum.rational(d.p, 0, j)).norm() if kept else 1
 
 
 def test_orbit_norm_is_cyclonum_norm():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphzeta.cyclo import CycloNum, zeta
 from graphzeta.errors import CertificationError
@@ -14,15 +16,48 @@ from graphzeta.linalg import (
     _det_mod_batch,
     _modular_primes,
     det_bareiss_int,
-    det_cofactor,
-    det_commutative,
-    det_fraction,
+    det_cyclotomic_poly,
+    det_groupring_poly,
     det_int,
     det_norm_cyclotomic,
     det_poly_int,
     is_probable_prime,
 )
 from graphzeta.poly import UniPoly
+from oracles import det_cofactor
+
+
+def _cyclo_terms(m):
+    # the terms (r, c, exp, d, coeff) of a matrix of ints, CycloNum with integer
+    # coordinates, or UniPoly over them
+    return [
+        (r, c, e, d, int(v))
+        for r, row in enumerate(m)
+        for c, x in enumerate(row)
+        for d, a in enumerate(x.coeffs if isinstance(x, UniPoly) else (x,))
+        for e, v in enumerate(a.coeffs if isinstance(a, CycloNum) else (a,))
+        if v
+    ]
+
+
+def _det_cyclo(m, p, j):
+    det = det_cyclotomic_poly(len(m), _cyclo_terms(m), p, j)
+    return UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det])
+
+
+def _det_rational(m):
+    # a rational matrix as a matrix over Q[Z/1Z] = Q, the group ring of the trivial group
+    def entry(x):
+        coeffs = x.coeffs if isinstance(x, UniPoly) else (x,)
+        return UniPoly(GroupRingElem(1, (Fraction(c),)) for c in coeffs)
+
+    det = det_groupring_poly([[entry(x) for x in row] for row in m], 1)
+    return UniPoly(c.coeffs[0] for c in det.coeffs)
+
+
+def _det_groupring(m, m_ord):
+    det = det_groupring_poly([[UniPoly.constant(x) for x in row] for row in m], m_ord)
+    return det.coefficient(0)
 
 
 def test_primality():
@@ -51,14 +86,18 @@ def test_large_det_crt_matches_bareiss():
 
 
 def test_identity_and_empty():
-    assert det_commutative([]) == 1
-    assert det_commutative([[1, 0], [0, 1]]) == 1
-    assert det_commutative([[2, 1], [1, 2]]) == 3
+    assert det_int([]) == 1
+    assert det_int([[1, 0], [0, 1]]) == 1
+    assert det_int([[2, 1], [1, 2]]) == 3
+    assert det_poly_int([]) == UniPoly.constant(1)
+    assert det_cyclotomic_poly(0, [], 3, 2) == [[1, 0, 0, 0, 0, 0]]
+    assert det_cyclotomic_poly(2, [(0, 0, 0, 0, 1), (1, 1, 0, 0, 1)], 2, 0) == [[1]]
+    assert det_groupring_poly([], 4) == UniPoly.constant(GroupRingElem.one(4))
 
 
 def test_det_fraction():
     m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
-    assert det_fraction(m) == Fraction(1, 14) - Fraction(1, 15)
+    assert _det_rational(m) == Fraction(1, 14) - Fraction(1, 15)
     # random rational matrices, through the row clearing shared with the polynomial route
     rng = random.Random(47)
 
@@ -68,10 +107,10 @@ def test_det_fraction():
     for n in range(1, 7):
         m = [[entry() for _ in range(n)] for _ in range(n)]
         m[0][0] = rng.randint(-3, 3)  # a bare int among the fractions
-        assert det_fraction(m) == det_cofactor(m) == det_commutative(m)
+        assert _det_rational(m) == det_cofactor(m)
         m[rng.randrange(n)] = [Fraction(0)] * n
-        assert det_fraction(m) == 0
-    assert det_fraction([]) == 1
+        assert _det_rational(m) == 0
+    assert _det_rational([]) == 1
 
 
 def test_det_multiplicative_spot_check():
@@ -86,7 +125,7 @@ def test_det_multiplicative_spot_check():
 def test_det_cyclo_matrix():
     z = zeta(2, 2)
     m = [[z, 1], [1, z]]
-    assert det_commutative(m) == z * z - 1
+    assert _det_cyclo(m, 2, 2) == z * z - 1
 
 
 def test_det_poly_interpolation_matches_cofactor():
@@ -97,7 +136,7 @@ def test_det_poly_interpolation_matches_cofactor():
         [UniPoly([rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(n)]
         for _ in range(n)
     ]
-    by_interp = det_commutative(mat)
+    by_interp = det_poly_int(mat)
     by_cof = det_cofactor(mat)
     assert by_interp == by_cof
 
@@ -112,7 +151,7 @@ def test_det_groupring_reassembly_vs_cofactor():
             ]
             for _ in range(dim)
         ]
-        assert det_commutative(mat) == det_cofactor(mat)
+        assert _det_groupring(mat, m_ord) == det_cofactor(mat)
 
 
 def test_det_groupring_poly_example():
@@ -127,7 +166,7 @@ def test_det_groupring_poly_example():
         [UniPoly([one, zero, one]), UniPoly([zero, -full_norm, zero])],
         [UniPoly([zero, -(Fraction(1, 2) * full_norm), zero]), UniPoly([one, zero, 3 * e2])],
     ]
-    det = det_commutative(rows)
+    det = det_groupring_poly(rows, m)
     expected_u2 = GroupRingElem(
         m, (Fraction(1, 2), Fraction(-2), Fraction(-1, 2), Fraction(-2))
     )
@@ -142,7 +181,7 @@ def test_det_truncseries_entries():
 
     one = TruncSeries([1], 5)
     u = TruncSeries([0, 1], 5)
-    d = det_commutative([[one, u], [u, one]])
+    d = det_cofactor([[one, u], [u, one]])
     assert d == TruncSeries([1, 0, -1], 5)
 
 
@@ -158,7 +197,7 @@ def test_det_multiplicative_cyclo():
             [a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
             for i in range(2)
         ]
-        assert det_commutative(ab) == det_commutative(a) * det_commutative(b)
+        assert _det_cyclo(ab, 3, 1) == _det_cyclo(a, 3, 1) * _det_cyclo(b, 3, 1)
 
 
 def test_batched_modular_det_matches_bareiss():
@@ -201,7 +240,8 @@ def test_det_norm_cyclotomic_matches_cyclonum_norm():
                 m = [[CycloNum.rational(p, 0, j) for _ in range(k)] for _ in range(k)]
                 for r, c, e, coeff in terms:
                     m[r][c] = m[r][c] + coeff * z ** (e % p**j)
-                assert det_norm_cyclotomic(k, terms, p, j) == det_commutative(m).norm()
+                det = CycloNum.rational(p, 0, j) + det_cofactor(m)  # a CycloNum even when 0
+                assert det_norm_cyclotomic(k, terms, p, j) == det.norm()
     assert det_norm_cyclotomic(0, [], 2, 3) == 1
 
 
@@ -246,11 +286,12 @@ def test_det_poly_int_singular_at_some_nodes():
 
 
 def test_det_commutative_rational_polys_match_cofactor():
+    # rational polynomial matrices: row clearing in det_groupring_poly over Q[Z/1Z]
     rng = random.Random(43)
     for n in range(1, 7):
         m = _random_poly_matrix(rng, n, 10**6, coeff=lambda c: Fraction(c, rng.randint(1, 12)))
         m[0][0] = UniPoly([Fraction(1, 3), 2])  # at least one polynomial entry
-        det = det_commutative(m)
+        det = _det_rational(m)
         assert det == det_cofactor(m)
         assert all(isinstance(c, Fraction) for c in det.coeffs)
 
@@ -303,58 +344,38 @@ def test_strong_pseudoprimes_near_the_three_base_bound():
     assert is_probable_prime(4759123141 + 2) == _twelve_base_is_prime(4759123141 + 2)
 
 
-def _rational_cyclo_matrix(rng, n, p, j):
-    def embed(c):
-        return CycloNum.rational(p, Fraction(c, rng.randint(1, 5)), j)
-
-    m = _random_poly_matrix(rng, n, 9, coeff=embed)
-    m[0][0] = UniPoly([embed(1), embed(rng.randint(-9, 9))])  # at least one CycloNum
-    return m
-
-
 def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
-    calls = []
-    original = linalg._det_poly_rational
+    # A matrix over Z written at level j: det_cyclotomic_poly gives det_poly_int's
+    # coefficients as first coordinates, zero elsewhere, from one batch of phi (D + 1)
+    # matrices per prime; at j = 0 that is det_poly_int's own batch of D + 1 points.
+    batches = []
+    original = linalg._det_mod_batch
 
-    def recorder(rows):
-        calls.append(len(rows))
-        return original(rows)
+    def recorder(mats, moduli):
+        batches.append(len(mats))
+        return original(mats, moduli)
 
-    def cofactor(m):
-        # det_cofactor over the same matrix written with Fraction coefficients
-        # (cofactor expansion in CycloNum arithmetic is slow at dimension 8)
-        def rational(c):
-            return c.to_rational() if isinstance(c, CycloNum) else c
-
-        return det_cofactor(
-            [[x.map_coeffs(rational) if isinstance(x, UniPoly) else rational(x) for x in row] for row in m]
-        )
-
-    monkeypatch.setattr(linalg, "_det_poly_rational", recorder)
     rng = random.Random(47)
-    for p, j in [(2, 1), (3, 0)]:
+    for p, j in [(2, 1), (3, 0), (3, 2)]:
+        phi = (p - 1) * p ** (j - 1) if j else 1
         for n in range(1, 9):
-            m = _rational_cyclo_matrix(rng, n, p, j)
-            det = linalg._det_poly_cyclo(m)
-            assert det == cofactor(m)
-            if n <= 4:
-                assert det == det_cofactor(m)
-            assert all(isinstance(c, CycloNum) and (c.p, c.j) == (p, j) for c in det.coeffs)
+            m = _random_poly_matrix(rng, n, 9)
+            m[0][0] = UniPoly([1, rng.randint(-9, 9)])  # at least one polynomial entry
             # a row times (u - s) makes the determinant vanish at the node s
             s, r = rng.randint(0, 3), rng.randrange(n)
             m[r] = [UniPoly([-s, 1]) * x for x in m[r]]
-            det = linalg._det_poly_cyclo(m)
-            assert det == cofactor(m) and det(s) == 0
+            want, terms = det_poly_int(m), _cyclo_terms(m)
+            monkeypatch.setattr(linalg, "_det_mod_batch", recorder)
+            batches.clear()
+            det = det_cyclotomic_poly(n, terms, p, j)
+            monkeypatch.undo()
+            degree = sum(max((t[3] for t in terms if t[0] == row), default=0) for row in range(n))
+            assert batches and batches == [phi * (degree + 1)] * len(batches)
+            assert all(not any(x[1:]) for x in det) and UniPoly(x[0] for x in det) == want
+            assert want(s) == 0 and want == det_cofactor(m)
             if n > 1:
                 m[r] = [0] * n
-                assert linalg._det_poly_cyclo(m) == UniPoly()
-    assert len(calls) == 2 * 8 * 2 + 2 * 7
-    # a genuinely cyclotomic matrix keeps the cyclotomic route
-    calls.clear()
-    z = zeta(3, 1)
-    m = [[UniPoly([1, z]), UniPoly([0, 2])], [UniPoly([z * z, 1]), UniPoly([1, 0, z])]]
-    assert linalg._det_poly_cyclo(m) == det_cofactor(m)
-    assert calls == []
+                assert _det_cyclo(m, p, j) == UniPoly()
 
 
 def test_det_groupring_orbits_over_z9_and_cyclotomic_refusal():
@@ -367,8 +388,50 @@ def test_det_groupring_orbits_over_z9_and_cyclotomic_refusal():
             ]
             for _ in range(dim)
         ]
-        assert det_commutative(mat) == det_cofactor(mat)
+        assert _det_groupring(mat, m_ord) == det_cofactor(mat)
     # sigma_u would move cyclotomic group-ring coefficients, so they are refused
     e_psi = character_idempotent(2, 2, 1)
     with pytest.raises(ValueError, match="rational group-ring coefficients"):
-        det_commutative([[UniPoly([GroupRingElem.one(4), e_psi])]])
+        det_groupring_poly([[UniPoly([GroupRingElem.one(4), e_psi])]], 4)
+
+
+@st.composite
+def _cyclotomic_poly_matrix(draw):
+    # (p, j, k, terms): every row holds terms with exponents in [-p^j, 2 p^j), u-degree
+    # <= 2 and coefficients up to 10^12 (B past 2^31, so several CRT primes); then
+    # optionally one row is zeroed and one row is multiplied by (u - s), which makes the
+    # matrix singular at the interpolation node s
+    p, j, k = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    if k == 0:
+        return p, j, k, []
+    scale = draw(st.sampled_from([10**12, 10**3, 1]))
+    index = st.integers(0, k - 1)
+    entry = st.tuples(
+        index, st.integers(-(p**j), 2 * p**j - 1), st.integers(0, 2), st.integers(-scale, scale)
+    )
+    rows = [draw(st.lists(entry, min_size=1, max_size=3 * k)) for _ in range(k)]
+    terms = [(r, c, e, d, a) for r, row in enumerate(rows) for c, e, d, a in row]
+    if draw(st.booleans()):
+        r = draw(index)
+        terms = [t for t in terms if t[0] != r]
+    if draw(st.booleans()):
+        r, s = draw(index), draw(st.integers(0, 3))
+        times_u = [(r, c, e, d + 1, a) for r_, c, e, d, a in terms if r_ == r]
+        minus_s = [(r, c, e, d, -s * a) for r_, c, e, d, a in terms if r_ == r]
+        terms = [t for t in terms if t[0] != r] + times_u + minus_s
+    return p, j, k, terms
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+# a 3 x 3 matrix over Z[zeta_25] with coefficients near 10^12: B near 2^124, five CRT primes
+@example((5, 2, 3, [(r, c, r + 2 * c, (r + c) % 3, 10**12 - r) for r in range(3) for c in range(3)]))
+@given(_cyclotomic_poly_matrix())
+def test_det_cyclotomic_poly_matches_cofactor_in_cyclonum(case):
+    p, j, k, terms = case
+    m = [[UniPoly() for _ in range(k)] for _ in range(k)]
+    for r, c, e, d, coeff in terms:
+        m[r][c] = m[r][c] + UniPoly.monomial(d, CycloNum.from_monomials(p, j, [(e, coeff)]))
+    det = det_cyclotomic_poly(k, terms, p, j)
+    phi = (p - 1) * p ** (j - 1) if j else 1
+    assert all(len(x) == phi and all(type(a) is int for a in x) for x in det)
+    assert UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det]) == det_cofactor(m)
