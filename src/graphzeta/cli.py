@@ -3,9 +3,9 @@
     graphzeta zeta|lfunctions|tower|invariants|verify <datum-file>
               [--level N] [--max-level N] [--subgroup-order d] [--json]
 
-Exit codes: 0 success, 1 validation error, 2 mathematical-hypothesis
-violation (for example a level with chi = 0 where a nonzero value is
-required, or a disconnected level), 3 certification failure.
+Exit codes: 0 success, 1 validation error (datum file or command line),
+2 mathematical-hypothesis violation (for example chi = 0 where a nonzero
+value is required, or a disconnected level), 3 certification failure.
 """
 
 from __future__ import annotations
@@ -15,17 +15,18 @@ import sys
 
 from .datum_io import load_datum
 from .errors import CertificationError, DatumError, GraphError, HypothesisError
-from .graphs import connected, euler_characteristic, ihara_zeta_reciprocal, spanning_tree_count
+from .graphs import connected, euler_characteristic, spanning_tree_count
 from .groupring import subgroup_exponent
 from .iwasawa import (
     char_ideal_generator,
     closed_form_invariants,
     fit_and_certify,
     g_series,
+    hashimoto_kappa,
     lambda_components,
     tower_sweep,
 )
-from .lfunctions import character_table, orbit_special_products
+from .lfunctions import character_table, level_h_poly, orbit_special_products
 from .report import (
     exact_int_text,
     fmt_cyclo,
@@ -46,11 +47,12 @@ def _default_max_level(d: TowerDatum) -> int:
 
 
 def cmd_zeta(d: TowerDatum, level: int) -> dict:
+    # h from one norm per Galois orbit; the cover gives |V|, |E|, chi and connectivity
     lg = build_level_graph(d, level)
     if not connected(lg.graph):
         raise HypothesisError(f"level {level} disconnected")
-    h, chi = ihara_zeta_reciprocal(lg.graph)
-    kappa = spanning_tree_count(lg.graph)
+    h, chi = level_h_poly(d, level), euler_characteristic(lg.graph)
+    kappa = hashimoto_kappa(h.derivative()(1), chi, level) if chi else spanning_tree_count(lg.graph)
     return {
         "command": "zeta",
         "prime": d.p,
@@ -250,19 +252,20 @@ def _human(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is a validation error (exit 1), not argparse's exit 2
+        raise DatumError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="graphzeta",
-        description="Exact zeta and L-functions of voltage towers of graphs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("zeta", "lfunctions", "tower", "invariants", "verify"):
-        sp = sub.add_parser(name)
-        sp.add_argument("datum", help="tower datum JSON file")
-        sp.add_argument("--level", type=int, default=1)
-        sp.add_argument("--max-level", type=int, default=None)
-        sp.add_argument("--subgroup-order", type=int, default=None)
-        sp.add_argument("--json", action="store_true", help="emit the machine report")
+    parser = _Parser(prog="graphzeta", description="Exact zeta and L-functions of voltage towers")
+    parser.add_argument("command", choices=("zeta", "lfunctions", "tower", "invariants", "verify"))
+    parser.add_argument("datum", help="tower datum JSON file")
+    parser.add_argument("--level", type=int, default=1)
+    parser.add_argument("--max-level", type=int, default=None)
+    parser.add_argument("--subgroup-order", type=int, default=None)
+    parser.add_argument("--json", action="store_true", help="emit the machine report")
     return parser
 
 
@@ -273,33 +276,24 @@ def _checked_level(value: int, flag: str, least: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         datum = load_datum(args.datum)
         if args.command in ("tower", "invariants"):
-            max_level = args.max_level
-            if max_level is None:
-                max_level = _default_max_level(datum)
+            max_level = _default_max_level(datum) if args.max_level is None else args.max_level
             max_level = _checked_level(max_level, "--max-level", 1)
-        else:
+            doc = (cmd_tower if args.command == "tower" else cmd_invariants)(datum, max_level)
+        elif args.command == "verify":
             level = _checked_level(args.level, "--level", 0)
-        if args.command == "zeta":
-            doc = cmd_zeta(datum, level)
-        elif args.command == "lfunctions":
-            doc = cmd_lfunctions(datum, level)
-        elif args.command == "tower":
-            doc = cmd_tower(datum, max_level)
-        elif args.command == "invariants":
-            doc = cmd_invariants(datum, max_level)
-        else:
-            subgroup_order = args.subgroup_order
-            if subgroup_order is None:
-                subgroup_order = datum.p
+            subgroup_order = datum.p if args.subgroup_order is None else args.subgroup_order
             try:
                 subgroup_exponent(datum.p**level, subgroup_order)
             except ValueError as exc:
                 raise DatumError(f"verify at level {level}: {exc}") from exc
             doc = cmd_verify(datum, level, subgroup_order)
+        else:
+            level = _checked_level(args.level, "--level", 0)
+            doc = (cmd_zeta if args.command == "zeta" else cmd_lfunctions)(datum, level)
     except (DatumError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

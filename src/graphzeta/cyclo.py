@@ -218,7 +218,7 @@ class CycloNum:
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.j == 0:
-            return CycloNum.rational(self.p, 1 / self.coeffs[0])
+            return CycloNum.rational(self.p, 1 / Fraction(self.coeffs[0]))
         # Extended Euclid against Phi_{p^j} in Q[X].
         d = euler_phi_prime_power(self.p, self.j)
         phi = [Fraction(0)] * (d + 1)

@@ -74,14 +74,6 @@ class SerreGraph:
             inv += [2 * k + 1, 2 * k]
         return SerreGraph(vertices, tuple(o), tuple(t), tuple(inv))
 
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        """One dart per undirected edge (the one with the smaller index)."""
-        return [
-            (self.dart_origin[e], self.dart_terminus[e])
-            for e in range(self.n_darts)
-            if e < self.dart_inverse[e]
-        ]
-
 
 def validate_graph(g: SerreGraph) -> None:
     """Check the Serre-graph invariants, reporting the first violation."""

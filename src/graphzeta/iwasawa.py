@@ -8,25 +8,21 @@ block plus the trivial-character term.  nu has no closed form; it is
 certified empirically from the sweep together with the first level n0 from
 which the formula reproduces every computed row.
 
-The sweep counts spanning trees without a cover-size determinant.  The
-level-n zeta function factors into the Ihara L-functions of the characters
-psi of Z/p^n Z, h_{X_n}(u) = prod_psi h(u, psi); h(1, psi_0) = 0, and
+The sweep counts spanning trees without a cover-size determinant.  By the
+Artin formalism h_{X_n}(u) = prod_psi h(u, psi) (`zeta` takes h_{X_n}
+itself this way, `lfunctions.level_h_poly`); h(1, psi_0) = 0, and
 Hashimoto's h'_{X_n}(1) = -2 chi(X_n) kappa(X_n) gives, when chi(X_n) != 0,
 
     kappa(X_n) = h'(1, psi_0) * prod_{j=1..n} N_j / (-2 chi(X_n)),
 
 with N_j the product of h(1, psi) over the phi(p^j) characters of order
-p^j, the norm from Q(zeta_{p^j}) to Q of any one of them.  Every factor is
-a base-size determinant: h'(1, psi_0) is the derivative at u = 1 of the
-integer polynomial det(I - A_0 C_n u + (D C_n - I) u^2) with
-C_n = diag |H_v(n)| (`lfunctions.trivial_h_derivative_at_one`), and
-N_j = Ntilde_j * (prod over v in K_j of |H_v(n)|)^phi(p^j), where K_j holds
-the unramified vertices and those with k_v >= j and Ntilde_j, the norm of
-det(D - A_zeta) on K_j, does not depend on n (`lfunctions.orbit_norm`,
-computed once per j by the multimodular `linalg.det_norm_cyclotomic`).
-Levels with chi(X_n) = 0 (for example the first two levels of the
-double-edge fixture) count spanning trees on the built cover; every level
-is still built and checked for connectivity.
+p^j, the norm from Q(zeta_{p^j}) to Q of any one of them.  h'(1, psi_0) is
+a base-size integer determinant (`lfunctions.trivial_h_derivative_at_one`),
+and N_j = Ntilde_j * (prod over v in K_j of |H_v(n)|)^phi(p^j), where K_j
+holds the unramified vertices and those with k_v >= j, and Ntilde_j, the
+norm of det(D - A_zeta) on K_j, does not depend on n: one u-free call of
+`linalg.det_norm_cyclotomic` per j (`lfunctions.orbit_norm`).  Each level
+is still built, for its connectivity and, where chi(X_n) = 0, its count.
 """
 
 from __future__ import annotations
@@ -50,6 +46,7 @@ __all__ = [
     "closed_form_invariants",
     "fit_and_certify",
     "g_series",
+    "hashimoto_kappa",
     "lambda_components",
     "mu_lambda",
     "tower_sweep",
@@ -192,6 +189,14 @@ class TowerRow:
     ordp_kappa: int
 
 
+def hashimoto_kappa(h_derivative_at_one: int, chi: int, n: int) -> int:
+    """kappa(X_n) = h'_{X_n}(1) / (-2 chi(X_n)), chi != 0; certified a positive integer."""
+    kappa, rest = divmod(h_derivative_at_one, -2 * chi)
+    if rest or kappa <= 0:
+        raise CertificationError(f"level {n}: h'(1) / {-2 * chi} is not a positive integer")
+    return kappa
+
+
 def tower_sweep(d: TowerDatum, n_max: int) -> list[TowerRow]:
     """Exact rows for levels 0..n_max; every level must be connected.
 
@@ -217,12 +222,7 @@ def tower_sweep(d: TowerDatum, n_max: int) -> list[TowerRow]:
                 if j not in norms:
                     norms[j] = orbit_norm(d, j)
                 product *= norms[j] * orbit_level_factor(d, n, j)
-            kappa, rest = divmod(product, -2 * chi)
-            if rest or kappa <= 0:
-                raise CertificationError(
-                    f"level {n}: the factored spanning-tree count over -2 chi = {-2 * chi}"
-                    " is not a positive integer"
-                )
+            kappa = hashimoto_kappa(product, chi, n)
         rows.append(
             TowerRow(
                 n,

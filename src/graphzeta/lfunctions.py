@@ -7,13 +7,13 @@ restricted to the base vertices whose level stabilizer lies in ker(psi);
 z(u, psi) is the unreduced determinant, and the two differ exactly by the
 factor (1 - u^2)^r0(psi).
 
-`h_poly`, `z_poly`, `special_values` and `lfn_data` compute one character
-at a time.  The three-term matrix is written as integer terms in
-zeta_{p^j} and u, and `linalg.det_cyclotomic_poly` returns the power-basis
-coordinates of its determinant (no arithmetic in `CycloNum` on the way).
-A `CharacterTable` holds the same data for every character of one level
-from one determinant per Galois orbit; the commands and checks use it, and
-the per-character functions stay as its oracle.
+The three-term matrix is written as integer terms in zeta_{p^j} and u;
+`linalg.det_cyclotomic_poly` gives the power-basis coordinates of its
+determinant, and `linalg.det_norm_cyclotomic` its norm to Q(u), one per
+Galois orbit for the level's h (`level_h_poly`).  A `CharacterTable` holds
+h, z and the special values of every character of one level from one
+determinant per orbit; the commands use it, and the per-character
+`h_poly`, `z_poly`, `special_values` and `lfn_data` stay as its oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cyclo import CycloNum, Valuation, euler_phi_prime_power, ordp_fraction
-from .errors import CertificationError, HypothesisError
+from .errors import HypothesisError
 from .graphs import adjacency_and_degree, ihara_zeta_reciprocal
 from .groupring import (
     CharacterLabel,
@@ -45,7 +45,7 @@ __all__ = [
     "characters",
     "h_poly",
     "kernel_contains_stabilizer",
-    "l_reciprocal_of_sum",
+    "level_h_poly",
     "lfn_data",
     "orbit_level_factor",
     "orbit_norm",
@@ -107,13 +107,28 @@ def _three_term_det(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int])
 
 def h_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
     """h(u, psi): the reduced three-term determinant, over Q(zeta_{p^j})."""
-    kept = [v for v in range(d.base.n_vertices) if kernel_contains_stabilizer(d, v, n, psi)]
-    return _three_term_det(d, n, psi, kept)
+    return _three_term_det(d, n, psi, orbit_vertices(d, psi.order_exponent))
 
 
 def z_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
     """z(u, psi): the full (unreduced) three-term determinant under psi."""
     return _three_term_det(d, n, psi, list(range(d.base.n_vertices)))
+
+
+def level_h_poly(d: TowerDatum, n: int) -> UniPoly:
+    """h_{X_n}(u) = det(I - A u + (D - I) u^2) of the level-n cover, without building it.
+
+    The Artin formalism h_{X_n}(u) = prod_psi h(u, psi), orbit by orbit:
+    the characters of order p^j are the Galois conjugates of one
+    representative, so their product is the norm from Q(zeta_{p^j})(u) to
+    Q(u) of its h, one `linalg.det_norm_cyclotomic` call for each j = 0..n.
+    """
+    h = UniPoly.constant(1)
+    for psi in character_orbits(d.p, n)[0]:
+        kept = orbit_vertices(d, psi.order_exponent)
+        terms = _three_term_terms(d, n, psi, kept)
+        h = h * UniPoly(linalg.det_norm_cyclotomic(len(kept), terms, d.p, psi.order_exponent))
+    return h
 
 
 def xi_poly(table: CharacterTable) -> UniPoly:
@@ -224,25 +239,6 @@ def character_table(d: TowerDatum, n: int) -> CharacterTable:
     )
 
 
-def l_reciprocal_of_sum(data: list[LfnData]) -> tuple[int, UniPoly]:
-    """Reciprocal L-function of a direct sum of characters (additivity).
-
-    Returns (total c-exponent, product of the h factors), all characters
-    lifted to a common cyclotomic level first.
-    """
-    if not data:
-        raise ValueError("empty character list")
-    p = data[0].label.p
-    level = max(item.label.order_exponent for item in data)
-    prod = UniPoly.constant(CycloNum.rational(p, 1, level))
-    for item in data:
-        prod = prod * item.h.map_coeffs(lambda c: c.lift(level))
-    # a coefficient whose products were all zero stays the integer 0
-    return sum(item.c_exponent for item in data), prod.map_coeffs(
-        lambda c: c if isinstance(c, CycloNum) else CycloNum.rational(p, c, level)
-    )
-
-
 @dataclass(frozen=True)
 class ProductCheck:
     h_product: UniPoly
@@ -258,19 +254,25 @@ class ProductCheck:
 
 
 def product_formula_check(table: CharacterTable) -> ProductCheck:
-    """Check prod_psi h(u, psi) = h of the level graph, and sum chi_psi = chi."""
+    """Check prod_psi h(u, psi) = h of the level graph, and sum chi_psi = chi.
+
+    The product over the characters of order p^j is the norm of the table's
+    representative h (`linalg.det_norm_cyclotomic` on the 1 x 1 matrix of
+    its coordinates); the other side is h of the cover, built.
+    """
     d, n = table.datum, table.level
-    c_sum, prod = l_reciprocal_of_sum([table.lfn_data(psi) for psi in table.characters])
-    rational_coeffs = []
-    for c in prod.coeffs:
-        if not c.is_rational():
-            raise CertificationError("character product is not rational")
-        rational_coeffs.append(c.to_rational())
-    h_product = UniPoly(rational_coeffs)
-    chi_sum = -c_sum
-    lg = build_level_graph(d, n)
-    h_direct, chi_direct = ihara_zeta_reciprocal(lg.graph)
-    h_equal = h_product == h_direct.map_coeffs(Fraction)
+    h_product, chi_sum = UniPoly.constant(1), 0
+    for psi, h in zip(table.representatives, table.rep_h):
+        j = psi.order_exponent
+        # a determinant over Z[zeta]: its coordinates are integers
+        terms = [
+            (0, 0, e, i, int(x)) for i, c in enumerate(h.coeffs) for e, x in enumerate(c.coeffs)
+        ]
+        h_product = h_product * UniPoly(linalg.det_norm_cyclotomic(1, terms, d.p, j))
+        chi_psi = d.base.n_vertices - d.base.n_edges - r0(d, n, psi)  # one value on the orbit
+        chi_sum += euler_phi_prime_power(d.p, j) * chi_psi
+    h_direct, chi_direct = ihara_zeta_reciprocal(build_level_graph(d, n).graph)
+    h_equal = h_product == h_direct
     return ProductCheck(h_product, h_direct, h_equal, chi_sum, chi_direct, chi_sum == chi_direct)
 
 
@@ -297,10 +299,10 @@ def vanishing_order_check(table: CharacterTable) -> dict:
 
 
 def orbit_vertices(d: TowerDatum, j: int) -> list[int]:
-    """K_j: the base vertices kept by every character of order p^j (j >= 1).
+    """K_j: the base vertices kept by every character of order p^j, the rows of its h.
 
     They are the unramified vertices and those with k_v >= j, at every
-    level n >= j.
+    level n >= j: the vertices whose stabilizer H_v(n) lies in ker(psi).
     """
     return [v for v, k in enumerate(d.ram) if k is None or k >= j]
 
@@ -309,20 +311,12 @@ def orbit_norm(d: TowerDatum, j: int) -> int:
     """N_{Q(zeta_{p^j})/Q} det(D - A_zeta) on K_j, for j >= 1; independent of the level.
 
     A_zeta[i][i'] is the sum of zeta^alpha(s) over the base darts s from
-    v_i' to v_i, and D holds the base degrees.
+    v_i' to v_i, and D holds the base degrees: the three-term matrix of a
+    character of order p^j at level j (where C = I on K_j) at u = 1.
     """
     kept = orbit_vertices(d, j)
-    pos = {v: i for i, v in enumerate(kept)}
-    base = d.base
-    deg = [0] * base.n_vertices
-    for e in range(base.n_darts):
-        deg[base.dart_origin[e]] += 1
-    terms = [(i, i, 0, deg[v]) for i, v in enumerate(kept)]
-    for e in range(base.n_darts):
-        o, t = base.dart_origin[e], base.dart_terminus[e]
-        if o in pos and t in pos:
-            terms.append((pos[t], pos[o], d.voltage[e], -1))
-    return linalg.det_norm_cyclotomic(len(kept), terms, d.p, j)
+    terms = _three_term_terms(d, j, CharacterLabel(d.p, j, 1), kept)
+    return linalg.det_norm_cyclotomic(len(kept), [t[:3] + (0, t[4]) for t in terms], d.p, j)[0]
 
 
 def orbit_level_factor(d: TowerDatum, n: int, j: int) -> int:

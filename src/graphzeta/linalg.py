@@ -1,34 +1,31 @@
 """Exact determinants over the coefficient rings used in this package.
 
 Apart from small integer matrices, every route is multimodular: primes
-q < 2^31 from one generator, one batched elimination per chunk of matrices
-mod q (`_det_mod_batch`, vectorized over numpy int64), one Newton
-interpolation step mod q for polynomial entries and one signed CRT.
+q < 2^31 from one generator, elimination of chunks of about
+`_BATCH_ENTRIES` entries mod q (`_det_mod_batch`, numpy int64), one
+batched inversion per prime, Newton interpolation mod q, one signed CRT.
 
 Routes:
-  - integer matrices (`det_int`): fraction-free Bareiss elimination; above a
-    size threshold, CRT over word-size primes certified by the Hadamard bound;
-  - integer polynomial matrices (`det_poly_int`, cover-size): evaluation at
-    the points 0..D in chunks of the (prime, point) batch, Newton
-    interpolation mod each prime, CRT against the coefficient bound
-    prod_r sum_c ||M[r][c]||_1;
-  - polynomial matrices over Z[zeta_{p^j}] (`det_cyclotomic_poly`, for
-    h(u, psi) and z(u, psi)): evaluation at every primitive p^j-th root of
-    unity in F_q (q = 1 mod p^j) and at the points 0..D, Newton
-    interpolation in u, Lagrange interpolation on the roots for the
-    power-basis coordinates, CRT; j = 0 is the same call over Z;
-  - norms of cyclotomic determinants (`det_norm_cyclotomic`): the same
-    evaluation at the primitive roots, multiplying the determinants;
+  - integer matrices (`det_int`): Bareiss elimination; above a size
+    threshold, CRT certified by the Hadamard bound;
+  - integer polynomial matrices (`det_poly_int`, cover-size: the cover's h
+    that `verify` checks against, g(T)): evaluation at the points 0..D;
+  - matrices over Z[zeta_{p^j}][u] given as integer terms: evaluation at
+    every primitive p^j-th root of unity in F_q, q = 1 mod p^j, and at
+    the points (`_at_primitive_roots`), then either Lagrange interpolation
+    on the roots for the power-basis coordinates of the determinant
+    (`det_cyclotomic_poly`: h(u, psi), z(u, psi)) or the product over the
+    roots for its norm to Q(u) (`det_norm_cyclotomic`: the level h of
+    `zeta`, the product formula, the orbit norms of the tower sweep);
   - polynomial matrices over Q[Z/p^n Z] (`det_groupring_poly`): one
-    `det_cyclotomic_poly` per Galois orbit of characters, on its
-    representative with the denominators of each row cleared; the other
-    characters' determinants are its conjugates, and `groupring` reassembles
-    them through the idempotents (the group ring has zero divisors, so
+    `det_cyclotomic_poly` per Galois orbit of characters, reassembled
+    through the idempotents (the group ring has zero divisors, so
     elimination is not available there).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -210,6 +207,20 @@ def _det_mod_batch(mats: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, np
     return np.where(alive, sign * run % q, 0), den
 
 
+def _divide_mod(num: np.ndarray, den: np.ndarray, moduli) -> np.ndarray:
+    # num / den for (rows, b) int64 arrays, row i mod the prime moduli[i], den units: Montgomery's
+    # batch inversion by prefix products, one pow per row
+    inverses = np.empty_like(den)
+    for i, q in enumerate(np.reshape(moduli, -1).tolist()):
+        row = den[i].tolist()
+        prefix = list(itertools.accumulate(row, lambda a, b: a * b % q, initial=1))
+        inv = pow(prefix[-1], -1, q)
+        for k in range(len(row) - 1, -1, -1):  # inv = 1 / (row[0] ... row[k]) on entry
+            prefix[k], inv = prefix[k] * inv % q, inv * row[k] % q
+        inverses[i] = prefix[:-1]
+    return num * inverses % np.reshape(moduli, (-1, 1))
+
+
 def _int_array(values) -> np.ndarray:
     # int64 where every entry fits, else object (Python ints) for the reduction below.
     try:
@@ -224,16 +235,30 @@ def _residue_batch(values: np.ndarray, primes: list[int]) -> np.ndarray:
     return (values[None] % q).astype(np.int64)
 
 
+def _dets_at_points(values: np.ndarray, primes: list[int], points: int) -> np.ndarray:
+    # det M(t) mod q, M(t) = sum_k values[k] t^k, for each prime q (a row) and t < points; the
+    # (prime, point) batch is reduced, evaluated and eliminated in chunks of _BATCH_ENTRIES entries
+    width, n, _ = values.shape
+    moduli = np.array(primes, dtype=np.int64)
+    num, den = np.empty((2, len(primes) * points), dtype=np.int64)  # prime-major
+    chunk = max(1, _BATCH_ENTRIES // (n * n))
+    for start in range(0, num.size, chunk):
+        which, t = np.divmod(np.arange(start, min(start + chunk, num.size)), points)
+        residues = _residue_batch(values, primes[which[0] : which[-1] + 1])
+        local = which - which[0]
+        q = moduli[which]
+        batch = residues[local, width - 1]
+        for k in range(width - 2, -1, -1):
+            batch = (batch * t[:, None, None] + residues[local, k]) % q[:, None, None]
+        num[start : start + len(t)], den[start : start + len(t)] = _det_mod_batch(batch, q)
+    shape = (len(primes), points)
+    return _divide_mod(num.reshape(shape), den.reshape(shape), moduli)
+
+
 def _det_crt(rows: list[list[int]]) -> int:
     primes = _modular_primes(2 * _hadamard_bound(rows) + 1)
-    values = _int_array(rows)
-    chunk = max(1, _BATCH_ENTRIES // len(rows) ** 2)
-    residues = []
-    for i in range(0, len(primes), chunk):
-        part = primes[i : i + chunk]
-        num, den = _det_mod_batch(_residue_batch(values, part), np.array(part))
-        residues += [int(a) * pow(int(b), -1, q) % q for a, b, q in zip(num, den, part)]
-    return _crt_signed(residues, primes)
+    residues = _dets_at_points(_int_array([rows]), primes, 1)
+    return int(_crt_signed(residues.astype(object), primes)[0])
 
 
 def _interpolate_mod(values: np.ndarray, moduli) -> np.ndarray:
@@ -246,9 +271,8 @@ def _interpolate_mod(values: np.ndarray, moduli) -> np.ndarray:
     """
     points = values.shape[1]
     qcol = np.reshape(moduli, (-1, 1))
-    inverses = np.array(
-        [[pow(k, -1, int(q)) for k in range(1, points)] for q in qcol[:, 0]], dtype=np.int64
-    ).reshape(len(qcol), points - 1)
+    nodes = np.tile(np.arange(1, points, dtype=np.int64), (len(qcol), 1))
+    inverses = _divide_mod(np.ones_like(nodes), nodes, qcol)  # of the node differences 1..D
     newton = values.copy()
     for k in range(1, points):
         # node i minus node i - k is k
@@ -274,8 +298,7 @@ def det_poly_int(rows) -> UniPoly:
     `_det_mod_batch`, whose per-element pivoting covers the points where
     M(t) is singular; `_interpolate_mod` (batched over the primes) gives the
     coefficients mod q, and `_crt_signed` lifts each one.  The (prime,
-    point) batch is built and eliminated in chunks of about `_BATCH_ENTRIES`
-    matrix entries.
+    point) batch is built and eliminated in chunks (`_dets_at_points`).
     """
     n = len(rows)
     if n == 0:
@@ -289,23 +312,8 @@ def det_poly_int(rows) -> UniPoly:
     dense = [[[c[k] if k < len(c) else 0 for c in row] for row in coeffs] for k in range(width)]
     values = _int_array(dense)  # (width, n, n): coefficient k of every entry
     primes = _modular_primes(2 * bound)
-    points = sum(row_degree) + 1
-    moduli = np.array(primes, dtype=np.int64)
-    dets = np.empty(len(primes) * points, dtype=np.int64)  # prime-major: det M(t) mod q
-    chunk = max(1, _BATCH_ENTRIES // (n * n))
-    for start in range(0, dets.size, chunk):
-        which, t = np.divmod(np.arange(start, min(start + chunk, dets.size)), points)
-        residues = _residue_batch(values, primes[which[0] : which[-1] + 1])
-        local = which - which[0]
-        q = moduli[which]
-        batch = residues[local, width - 1]
-        for k in range(width - 2, -1, -1):
-            batch = (batch * t[:, None, None] + residues[local, k]) % q[:, None, None]
-        num, den = _det_mod_batch(batch, q)
-        dets[start : start + len(t)] = [
-            a * pow(b, -1, m) % m for a, b, m in zip(num.tolist(), den.tolist(), q.tolist())
-        ]
-    mono = _interpolate_mod(dets.reshape(len(primes), points), moduli)
+    dets = _dets_at_points(values, primes, sum(row_degree) + 1)
+    mono = _interpolate_mod(dets, primes)
     return UniPoly(_crt_signed(mono.astype(object), primes).tolist())
 
 
@@ -329,23 +337,35 @@ def _root_of_unity(q: int, p: int, j: int) -> int:
     raise ValueError(f"no element of order {order} mod {q}")
 
 
-def _prod_mod(x: np.ndarray, q: int) -> int:
-    while x.size > 1:
-        if x.size % 2:
-            x = np.append(x, 1)
+def _prod_mod(x: np.ndarray, q: int) -> np.ndarray:
+    # the product mod q along axis 0, by halving
+    while len(x) > 1:
+        if len(x) % 2:
+            x = np.concatenate([x, np.ones_like(x[:1])])
         x = x[0::2] * x[1::2] % q
-    return int(x[0]) if x.size else 1
+    return x[0]
 
 
-def _at_primitive_roots(primes: list[int], p: int, j: int, k: int, terms):
-    """For each prime q, the matrix of the terms at every primitive p^j-th root of unity in F_q.
+def _row_bounds(k: int, terms) -> tuple[int, int]:
+    # B = prod_r sum |coeff| and D = sum_r max d, over the terms of row r with coeff != 0
+    row_norm, row_degree = [0] * k, [0] * k
+    for r, _, _, d, coeff in terms:
+        if coeff:
+            row_norm[r] += abs(coeff)
+            row_degree[r] = max(row_degree[r], d)
+    return math.prod(row_norm), sum(row_degree)
+
+
+def _at_primitive_roots(primes: list[int], p: int, j: int, k: int, terms, points: int):
+    """For each prime q, det M(w, t) mod q at every primitive p^j-th root of unity w in F_q.
 
     M[r][c] is the sum of coeff * zeta^exp * u^d over the terms
     (r, c, exp, d, coeff).  F_q holds the phi(p^j) primitive roots as
     powers[e] for the exponents e in units (those prime to p), with powers
-    the table of one g of exact order p^j.  Yields (values, powers, units)
-    prime by prime, values[i, d] the k x k matrix of u^d coefficients mod q
-    at the root powers[units[i]], for d up to the largest d of a term.
+    the table of one g of exact order p^j.  M is evaluated at every root and
+    every t < points by Horner's rule, and `_det_mod_batch` eliminates the
+    (root, point) batch in chunks of about `_BATCH_ENTRIES` entries.  Yields
+    (num, den, powers, units): det M(powers[units[i]], t) = num[i, t] / den[i, t].
     """
     order = p**j
     units = np.arange(order, dtype=np.int64)
@@ -353,41 +373,52 @@ def _at_primitive_roots(primes: list[int], p: int, j: int, k: int, terms):
     r, c, e, d = np.array([t[:4] for t in terms], dtype=np.int64).reshape(-1, 4).T
     coeffs = _int_array([t[4] for t in terms])
     where = (e % order)[:, None] * units % order
-    shape = (d.max(initial=0) + 1, k, k, len(units))
+    shape, size = (d.max(initial=0) + 1, k, k, len(units)), len(units) * points
+    chunk = max(1, _BATCH_ENTRIES // max(1, k * k))  # k = 0: every determinant is 1
     for q in primes:
         powers = _power_table(_root_of_unity(q, p, j), order, q)
         values = np.zeros(shape, dtype=np.int64)
         np.add.at(values, (d, r, c), (coeffs % q).astype(np.int64)[:, None] * powers[where] % q)
-        values %= q
-        yield values.transpose(3, 0, 1, 2), powers, units
+        values = np.mod(values, q, out=values).transpose(3, 0, 1, 2)
+        num, den = np.empty((2, size), dtype=np.int64)
+        for start in range(0, size, chunk):
+            part = slice(start, min(start + chunk, size))
+            root, t = np.divmod(np.arange(part.start, part.stop), points)
+            batch = values[root, -1]
+            for i in range(shape[0] - 2, -1, -1):
+                batch = (batch * t[:, None, None] + values[root, i]) % q
+            num[part], den[part] = _det_mod_batch(batch, np.full(len(t), q))
+        yield num.reshape(-1, points), den.reshape(-1, points), powers, units
 
 
-def det_norm_cyclotomic(k: int, terms, p: int, j: int) -> int:
-    """N_{Q(zeta)/Q} det M(zeta) for zeta a primitive p^j-th root of unity.
+def det_norm_cyclotomic(k: int, terms, p: int, j: int) -> list[int]:
+    """The coefficients of N(u) = prod_w det M(w, u), w over the primitive p^j-th roots of unity.
 
-    M is the k x k matrix with M[r][c] the sum of coeff * zeta^exp over the
-    terms (r, c, exp, coeff), all integers.  The norm is the integer
-    prod det M(zeta') over the phi(p^j) primitive p^j-th roots zeta'.  For
-    each prime q = 1 mod p^j below 2^31, M is evaluated at all of them in
-    F_q (`_at_primitive_roots`), the batch goes through one elimination,
-    and the determinants are multiplied mod q (one inversion per prime).
-    The residues are joined by CRT until the modulus exceeds twice the
-    row-1-norm bound (prod_r sum |coeff| over row r)^phi(p^j), which bounds
-    every conjugate's determinant and so the norm.
+    M is given by terms (r, c, exp, d, coeff) as in `det_cyclotomic_poly`;
+    N, its norm from Q(zeta_{p^j})(u) to Q(u), is an integer polynomial of
+    degree at most phi D (`_row_bounds`); j = 0 gives the integer
+    determinant and u-free terms the norm of an integer as [N].  For each
+    prime q = 1 mod p^j the determinants at t = 0..phi D are multiplied
+    over the roots, and `_interpolate_mod` gives N mod q.
+
+    Bound.  Under a complex embedding an entry of M has coefficient 1-norm
+    (sum of the absolute values of its u-coefficients) at most the sum of
+    |coeff| over its terms.  The 1-norm is submultiplicative, so each
+    conjugate det M, a sum over permutations of products of one entry per
+    row, has 1-norm at most B = prod_r sum |coeff| over row r, and N, so
+    each of its coefficients, at most B^phi: a modulus above 2 B^phi lifts.
     """
-    if k == 0:
-        return 1
-    row_norm = [0] * k
-    for r, _, _, coeff in terms:
-        row_norm[r] += abs(coeff)
-    bound = math.prod(row_norm) ** euler_phi_prime_power(p, j)
-    constant = [(r, c, e, 0, coeff) for r, c, e, coeff in terms]
-    primes = _modular_primes(2 * bound, p**j)
-    residues = []
-    for q, (values, _, _) in zip(primes, _at_primitive_roots(primes, p, j, k, constant)):
-        num, den = _det_mod_batch(values[:, 0], np.full(len(values), q))
-        residues.append(_prod_mod(num, q) * pow(_prod_mod(den, q), -1, q) % q)
-    return _crt_signed(residues, primes)
+    phi = euler_phi_prime_power(p, j)
+    bound, degree = _row_bounds(k, terms)
+    points = phi * degree + 1
+    primes = _modular_primes(max(2 * bound**phi, 1), p**j)  # a zero row still takes one prime
+    products = [
+        (_prod_mod(num, q), _prod_mod(den, q))
+        for q, (num, den, _, _) in zip(primes, _at_primitive_roots(primes, p, j, k, terms, points))
+    ]
+    num, den = np.array(products, dtype=np.int64).transpose(1, 0, 2)
+    mono = _interpolate_mod(_divide_mod(num, den, primes), primes)
+    return _crt_signed(mono.astype(object), primes).tolist()
 
 
 def det_cyclotomic_poly(k: int, terms, p: int, j: int) -> list[list[int]]:
@@ -400,10 +431,9 @@ def det_cyclotomic_poly(k: int, terms, p: int, j: int) -> list[list[int]]:
     rows of the largest d with a nonzero coeff.  j = 0 is the integer case.
 
     For each prime q = 1 mod p^j below 2^31, Z[zeta]/q is F_q^phi through
-    the primitive roots w of unity in F_q.  M is evaluated at every w and
-    every t = 0..D (`_at_primitive_roots`), one `_det_mod_batch` call takes
-    the phi (D + 1) determinants, and `_interpolate_mod` gives each u^d
-    coefficient x at every root.  Lagrange interpolation on the roots of
+    the primitive roots w of unity in F_q.  From the determinants at w and
+    t = 0..D (`_at_primitive_roots`), `_interpolate_mod` gives each u^d
+    coefficient x at every w, and Lagrange interpolation on the roots of
     Phi = Phi_{p^j} then gives its coordinates x_l = sum_w x(w) V[l, w]:
     with s = p^(j-1), Phi(X) / (X - w) = sum_l b_l(w) X^l where
     b_l(w) = sum_{t : t s > l} w^(t s - l - 1), 1 / Phi'(w) = w (w^s - 1) / p^j,
@@ -420,24 +450,14 @@ def det_cyclotomic_poly(k: int, terms, p: int, j: int) -> list[list[int]]:
     are lifted by `_crt_signed` once the modulus exceeds 2 (p - 1) B + 1.
     """
     phi = euler_phi_prime_power(p, j)
-    if k == 0:
-        return [[1] + [0] * (phi - 1)]
-    row_norm, row_degree = [0] * k, [0] * k
-    for r, _, _, d, coeff in terms:
-        if coeff:
-            row_norm[r] += abs(coeff)
-            row_degree[r] = max(row_degree[r], d)
-    points, order = sum(row_degree) + 1, p**j
-    t = np.arange(points, dtype=np.int64)[:, None, None]
-    primes = _modular_primes(2 * (p - 1) * math.prod(row_norm) + 1, order)
+    bound, degree = _row_bounds(k, terms)
+    points, order = degree + 1, p**j
+    primes = _modular_primes(2 * (p - 1) * bound + 1, order)
     coordinates = []
-    for q, (values, powers, units) in zip(primes, _at_primitive_roots(primes, p, j, k, terms)):
-        batch = values[:, -1, None]
-        for d in range(values.shape[1] - 2, -1, -1):
-            batch = (batch * t + values[:, d, None]) % q
-        num, den = _det_mod_batch(batch.reshape(-1, k, k), np.full(phi * points, q))
-        dets = [a * pow(b, -1, q) % q for a, b in zip(num.tolist(), den.tolist())]
-        at_roots = _interpolate_mod(np.array(dets, dtype=np.int64).reshape(phi, points), q)
+    at_roots = _at_primitive_roots(primes, p, j, k, terms, points)
+    for q, (num, den, powers, units) in zip(primes, at_roots):
+        dets = _divide_mod(num.reshape(1, -1), den.reshape(1, -1), q).reshape(num.shape)
+        at_roots = _interpolate_mod(dets, q)
         if j:  # V[l, w] mod q
             s, l = order // p, np.arange(phi)[:, None]
             lagrange = powers[-l * units % order] * (1 - powers[(l // s + 1) * s * units % order]) % q

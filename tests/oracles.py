@@ -7,7 +7,7 @@ from graphzeta.cyclo import CycloNum, zeta
 from graphzeta.equivariant import _as_groupring_poly, _modulus_of
 from graphzeta.graphs import SerreGraph
 from graphzeta.groupring import GroupRingElem, groupring_idempotent
-from graphzeta.lfunctions import characters, special_values
+from graphzeta.lfunctions import LfnData, characters, special_values
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum, level_matrices
 
@@ -133,6 +133,25 @@ def orbit_special_products_by_characters(d, n: int) -> dict[int, Fraction]:
         assert prod.is_rational()
         out[j] = prod.to_rational()
     return out
+
+
+def l_reciprocal_of_sum(data: list[LfnData]) -> tuple[int, UniPoly]:
+    """Reciprocal L-function of a direct sum of characters (additivity).
+
+    Returns (total c-exponent, product of the h factors), all characters
+    lifted to a common cyclotomic level and multiplied out in `CycloNum`.
+    """
+    if not data:
+        raise ValueError("empty character list")
+    p = data[0].label.p
+    level = max(item.label.order_exponent for item in data)
+    prod = UniPoly.constant(CycloNum.rational(p, 1, level))
+    for item in data:
+        prod = prod * item.h.map_coeffs(lambda c: c.lift(level))
+    # a coefficient whose products were all zero stays the integer 0
+    return sum(item.c_exponent for item in data), prod.map_coeffs(
+        lambda c: c if isinstance(c, CycloNum) else CycloNum.rational(p, c, level)
+    )
 
 
 def eta_direct(d: TowerDatum, n: int) -> UniPoly:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
+from graphzeta import cli, graphs, linalg
 from graphzeta.cli import _human, main
 from graphzeta.datum_io import datum_to_dict, dump_datum, load_datum, parse_datum
 from graphzeta.errors import DatumError
@@ -101,6 +102,41 @@ def test_cli_bad_level_arguments_exit_1(argv):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["zeta"], ["zeta", DATUM, "--level", "x"], ["frobnicate", DATUM]],
+    ids=["missing-datum", "level-not-an-int", "unknown-command"],
+)
+def test_cli_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_zeta_skips_cover_determinants_where_chi_is_nonzero(monkeypatch, capsys):
+    calls = []
+
+    def recorder(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(linalg, "det_poly_int", recorder("det_poly_int", linalg.det_poly_int))
+    counter = recorder("spanning_tree_count", graphs.spanning_tree_count)
+    monkeypatch.setattr(graphs, "spanning_tree_count", counter)
+    monkeypatch.setattr(cli, "spanning_tree_count", counter)
+    code, out = _run(capsys, "zeta", DATUM, "--level", "4", "--json")
+    assert code == 0
+    assert json.loads(out)["euler_characteristic"] == -14
+    assert calls == []
+    # chi(X_1) = 0: the count comes from the cover
+    assert _run(capsys, "zeta", DATUM, "--level", "1")[0] == 0
+    assert calls == ["spanning_tree_count"]
 
 
 def test_cli_exit_code_hypothesis(tmp_path, capsys):

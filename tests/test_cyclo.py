@@ -106,6 +106,16 @@ def test_inverse():
             assert x * x.inverse() == 1
 
 
+def test_inverse_at_level_zero_is_exact():
+    # int coordinates are accepted; the inverse must not go through a float
+    for value in (3, -7, Fraction(2, 3), 10**30 + 1):
+        inv = CycloNum(2, 0, (value,)).inverse()
+        assert inv.coeffs == (1 / Fraction(value),)
+        assert isinstance(inv.coeffs[0], Fraction)
+    with pytest.raises(ZeroDivisionError):
+        CycloNum(3, 0, (0,)).inverse()
+
+
 def test_valuation_additivity_random():
     rng = random.Random(23)
     for p, jmax in [(2, 3), (3, 3)]:

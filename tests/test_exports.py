@@ -15,7 +15,8 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # character layer, det_poly_int for integer polynomial matrices,
 # det_cyclotomic_poly for polynomial matrices over Z[zeta_{p^j}] (h and z),
 # and det_groupring_poly for group-ring and rational matrices.  The
-# cofactor determinant, eta_direct and norm_map_direct live on as test
+# cofactor determinant, eta_direct, norm_map_direct and l_reciprocal_of_sum
+# (product_formula_check takes one norm per orbit instead) live on as test
 # oracles in tests/oracles.py.
 REMOVED = [
     ("poly", "poly_derivative"),
@@ -45,6 +46,7 @@ REMOVED = [
     ("lfunctions", "_three_term_matrix"),
     ("equivariant", "eta_direct"),
     ("equivariant", "norm_map_direct"),
+    ("lfunctions", "l_reciprocal_of_sum"),
 ]
 
 

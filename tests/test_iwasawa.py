@@ -117,6 +117,14 @@ def test_closed_form_requires_negative_chi():
         closed_form_invariants(flat, g_series(flat))
 
 
+def test_hashimoto_kappa_certifies_the_quotient():
+    # h'(1) = -2 chi kappa; a quotient that is not a positive integer is a certification failure
+    assert iwasawa.hashimoto_kappa(448, -14, 4) == 16
+    for h_derivative_at_one, chi in ((7, -1), (-4, -1), (0, -3)):
+        with pytest.raises(CertificationError, match="level 4"):
+            iwasawa.hashimoto_kappa(h_derivative_at_one, chi, 4)
+
+
 def test_tower_sweep_double_edge():
     d = _double_edge()
     rows = tower_sweep(d, 6)

@@ -1,19 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURES, chorded_heptagon, collect_random_data
+from conftest import FIXTURES, chorded_heptagon, collect_random_data, random_datum
+from graphzeta.cli import cmd_zeta
 from graphzeta.cyclo import CycloNum, ordp_cyclo, zeta
 from graphzeta.datum_io import load_datum
 from graphzeta.errors import HypothesisError
 from graphzeta import lfunctions
-from graphzeta.graphs import SerreGraph
+from graphzeta.graphs import SerreGraph, connected, ihara_zeta_reciprocal, spanning_tree_count
 from graphzeta.lfunctions import (
     CharacterLabel,
     character_table,
     characters,
     h_poly,
-    l_reciprocal_of_sum,
+    level_h_poly,
     lfn_data,
     orbit_norm,
     orbit_special_products,
@@ -28,9 +32,9 @@ from graphzeta.lfunctions import (
 )
 from graphzeta.groupring import GroupRingElem
 from graphzeta.poly import UniPoly
-from graphzeta.tower import TowerDatum
+from graphzeta.tower import TowerDatum, build_level_graph
 from graphzeta.verify import run_battery
-from oracles import det_cofactor, orbit_special_products_by_characters
+from oracles import det_cofactor, l_reciprocal_of_sum, orbit_special_products_by_characters
 
 
 def _double_edge():
@@ -195,6 +199,20 @@ def test_product_formula_known_and_random():
     for d in [chorded_heptagon(3)] + collect_random_data(19, 5, levels_connected=2):
         for n in (1, 2):
             assert product_formula_check(character_table(d, n)).ok
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]))
+def test_level_h_from_norms_matches_the_cover(seed, p):
+    # the Artin-formalism h of every connected level 0..3 against the built cover's
+    # determinant, and the zeta command's kappa against the matrix-tree count
+    d = random_datum(random.Random(seed), p, levels_connected=0)
+    for n in range(4):
+        graph = build_level_graph(d, n).graph
+        if not connected(graph):
+            continue
+        assert level_h_poly(d, n) == ihara_zeta_reciprocal(graph)[0]
+        assert cmd_zeta(d, n)["spanning_trees"] == spanning_tree_count(graph)
 
 
 def test_c_exponents():

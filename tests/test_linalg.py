@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from graphzeta.cyclo import CycloNum, zeta
 from graphzeta.errors import CertificationError
 from graphzeta import linalg
-from graphzeta.groupring import GroupRingElem, character_idempotent, groupring_idempotent
+from graphzeta.groupring import (
+    GroupRingElem,
+    character_idempotent,
+    galois_conjugate,
+    groupring_idempotent,
+)
 from graphzeta.linalg import (
     _det_crt,
     _det_mod_batch,
@@ -234,15 +239,64 @@ def test_det_norm_cyclotomic_matches_cyclonum_norm():
         for k in (1, 2, 3):
             for _ in range(4):
                 terms = [
-                    (rng.randrange(k), rng.randrange(k), rng.randint(-5, 20), rng.randint(-4, 4))
+                    (rng.randrange(k), rng.randrange(k), rng.randint(-5, 20), 0, rng.randint(-4, 4))
                     for _ in range(rng.randint(0, 3 * k))
                 ]
                 m = [[CycloNum.rational(p, 0, j) for _ in range(k)] for _ in range(k)]
-                for r, c, e, coeff in terms:
+                for r, c, e, _, coeff in terms:
                     m[r][c] = m[r][c] + coeff * z ** (e % p**j)
                 det = CycloNum.rational(p, 0, j) + det_cofactor(m)  # a CycloNum even when 0
-                assert det_norm_cyclotomic(k, terms, p, j) == det.norm()
-    assert det_norm_cyclotomic(0, [], 2, 3) == 1
+                assert det_norm_cyclotomic(k, terms, p, j) == [det.norm()]
+    assert det_norm_cyclotomic(0, [], 2, 3) == [1]
+
+
+def _norm_by_conjugates(p, j, k, terms) -> UniPoly:
+    # prod over the units u mod p^j of sigma_u(det M), multiplied out in CycloNum
+    m = [[UniPoly() for _ in range(k)] for _ in range(k)]
+    for r, c, e, d, coeff in terms:
+        m[r][c] = m[r][c] + UniPoly.monomial(d, CycloNum.from_monomials(p, j, [(e, coeff)]))
+    det = UniPoly.constant(CycloNum.rational(p, 1, j)) * det_cofactor(m)
+    norm = UniPoly.constant(CycloNum.rational(p, 1, j))
+    for u in range(1, p**j + 1):
+        if u % p or j == 0:
+            norm = norm * galois_conjugate(det, u)
+            if j == 0:
+                break
+    # a coefficient whose products were all zero stays the integer 0
+    assert all(c.is_rational() for c in norm.coeffs if isinstance(c, CycloNum))
+    return norm.map_coeffs(lambda c: c.to_rational() if isinstance(c, CycloNum) else c)
+
+
+@pytest.mark.parametrize(
+    "p, j",
+    [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3), (5, 0), (5, 1), (5, 2)],
+)
+def test_det_norm_cyclotomic_matches_product_of_conjugates(p, j):
+    # u-degree <= 2; k = 0, a zero row and u-free terms included; coefficients up to 10^6
+    # make B^phi need several CRT primes
+    rng = random.Random(100 * p + j)
+    order, phi = p**j, (p - 1) * p ** (j - 1) if j else 1
+    cases = [(0, [])]
+    for k in (1, 2, 3) if phi <= 6 else (1, 2):
+        for scale in (1, 9, 10**6):
+            terms = [
+                (rng.randrange(k), rng.randrange(k), rng.randint(-order, 2 * order))
+                + (rng.randint(0, 2), rng.randint(-scale, scale))
+                for _ in range(rng.randint(1, 3 * k))
+            ]
+            cases += [(k, terms), (k, [(r, c, e, 0, a) for r, c, e, _, a in terms])]
+        cases.append((k, [t for t in terms if t[0] != k - 1]))  # row k - 1 is zero
+    for k, terms in cases:
+        norm = det_norm_cyclotomic(k, terms, p, j)
+        assert all(type(a) is int for a in norm)
+        assert UniPoly(norm) == _norm_by_conjugates(p, j, k, terms)
+
+
+def test_det_norm_cyclotomic_at_phi_100():
+    # p = 5, j = 3: a u-free 1 x 1 matrix against CycloNum.norm, the product of its 100 conjugates
+    terms = [(0, 0, 0, 0, 3), (0, 0, 7, 0, -2), (0, 0, 40, 0, 5), (0, 0, 126, 0, 10**6)]
+    x = CycloNum.from_monomials(5, 3, [(e, a) for _, _, e, _, a in terms])
+    assert det_norm_cyclotomic(1, terms, 5, 3) == [x.norm()]
 
 
 def _random_poly_matrix(rng, n, scale, coeff=int):
