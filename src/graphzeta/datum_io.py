@@ -28,7 +28,12 @@ __all__ = ["datum_to_dict", "dump_datum", "load_datum", "parse_datum"]
 
 
 def load_datum(path: str | Path) -> TowerDatum:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DatumError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatumError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -46,7 +51,8 @@ def parse_datum(doc: dict, source: str = "<datum>") -> TowerDatum:
         if key not in doc:
             fail(f'missing member "{key}"')
     prime = doc["prime"]
-    if not isinstance(prime, int) or not is_probable_prime(prime):
+    # bool is a subclass of int; `type(x) is int` keeps JSON true and false out of the integers
+    if type(prime) is not int or not is_probable_prime(prime):
         fail(f"prime must be a prime integer, got {prime!r}")
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
@@ -63,9 +69,9 @@ def parse_datum(doc: dict, source: str = "<datum>") -> TowerDatum:
         if not isinstance(edge, dict) or not {"from", "to", "voltage"} <= set(edge):
             fail(f'edge {k} must be an object with "from", "to", "voltage"')
         for endpoint in (edge["from"], edge["to"]):
-            if endpoint not in index:
+            if not isinstance(endpoint, str) or endpoint not in index:
                 fail(f"edge {k} references undeclared vertex {endpoint!r}")
-        if not isinstance(edge["voltage"], int):
+        if type(edge["voltage"]) is not int:
             fail(f"edge {k} voltage must be an integer")
         pairs.append((index[edge["from"]], index[edge["to"]]))
         voltages.append(edge["voltage"])
@@ -83,7 +89,7 @@ def parse_datum(doc: dict, source: str = "<datum>") -> TowerDatum:
         entry = ram_doc[v]
         if entry == "unramified":
             ram.append(None)
-        elif isinstance(entry, int) and entry >= 0:
+        elif type(entry) is int and entry >= 0:
             ram.append(entry)
         else:
             fail(f"ramification of {v!r} must be a nonnegative integer or \"unramified\"")

@@ -27,6 +27,7 @@ from .groupring import (
     factor_prime_power,
     from_character_polys,
     groupring_idempotent,
+    subgroup_elements,
     subgroup_exponent,
 )
 from .lfunctions import CharacterTable, r0
@@ -149,25 +150,20 @@ def eta_for_subgroup_action(d: TowerDatum, n: int, subgroup_order: int) -> UniPo
         key = (graph.dart_terminus[e], graph.dart_origin[e])
         darts_into[key] = darts_into.get(key, 0) + 1
 
-    gsize = len(reps)
-    rows = []
-    for i in range(gsize):
-        w_i = reps[i]
-        e_i = groupring_idempotent(h_ord, stab_orders[i])
+    # terms (r, c, s, d, coeff) of I - A u + Q u^2 over Q[H]: Q[i][i] = (val - 1) e_i with
+    # e_i the idempotent of the stabilizer of w_i
+    terms = []
+    for i, w_i in enumerate(reps):
+        stab = stab_orders[i]
         val = sum(1 for e in range(graph.n_darts) if graph.dart_origin[e] == w_i)
-        row = []
-        for j in range(gsize):
-            w_j = reps[j]
-            ell = GroupRingElem.zero(h_ord)
+        terms.append((i, i, 0, 0, 1))
+        terms += [(i, i, s, 2, Fraction(val - 1, stab)) for s in subgroup_elements(h_ord, stab)]
+        for j, w_j in enumerate(reps):
             for t in range(h_ord):
                 count = darts_into.get((w_i, act_vertex(w_j, t)), 0)
                 if count:
-                    ell = ell + GroupRingElem.basis(h_ord, -t, Fraction(count, stab_orders[i]))
-            ident = GroupRingElem.one(h_ord) if i == j else GroupRingElem.zero(h_ord)
-            q_entry = e_i * (val - 1) if i == j else GroupRingElem.zero(h_ord)
-            row.append(UniPoly([ident, -ell, q_entry]))
-        rows.append(row)
-    return linalg.det_groupring_poly(rows, h_ord)
+                    terms.append((i, j, -t, 1, Fraction(-count, stab)))
+    return linalg.det_groupring_poly(len(reps), terms, h_ord)
 
 
 def _vertex_lookup(lg, d: TowerDatum, base: int, rep: int) -> int:

@@ -182,14 +182,19 @@ def reduced_closed_path_counts(g: SerreGraph, k_max: int) -> list[int]:
 
 
 def ihara_zeta_reciprocal(g: SerreGraph) -> tuple[UniPoly, int]:
-    """(h(u), chi) with h = det(I - Au + (D - I)u^2); Z^-1 = (1-u^2)^(-chi) h."""
-    a, deg = adjacency_and_degree(g)
+    """(h(u), chi) with h = det(I - Au + (D - I)u^2); Z^-1 = (1-u^2)^(-chi) h.
+
+    The matrix goes to `linalg.det_norm_cyclotomic` at j = 0 (the integer
+    polynomial determinant, for any p) as sparse terms (r, c, 0, d, coeff):
+    -u for each dart, into row terminus and column origin, and 1 and
+    (deg v - 1) u^2 on the diagonal.
+    """
     n = g.n_vertices
-    mat = [
-        [UniPoly([int(i == j), -a[i][j], deg[i][j] - (i == j)]) for j in range(n)]
-        for i in range(n)
-    ]
-    return linalg.det_poly_int(mat), euler_characteristic(g)
+    degree = Counter(g.dart_origin)
+    terms = [(t, o, 0, 1, -1) for o, t in zip(g.dart_origin, g.dart_terminus)]
+    for v in range(n):
+        terms += [(v, v, 0, 0, 1), (v, v, 0, 2, degree[v] - 1)]
+    return UniPoly(linalg.det_norm_cyclotomic(n, terms, 2, 0)), euler_characteristic(g)
 
 
 def zeta_series_from_counts(counts: list[int], prec: int) -> TruncSeries:

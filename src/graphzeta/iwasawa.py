@@ -27,6 +27,7 @@ is still built, for its connectivity and, where chi(X_n) = 0, its count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,15 +109,17 @@ def g_series(d: TowerDatum) -> GSeries:
 
     Rows are premultiplied by (1+T)^(sum of |negative voltages| in the row)
     so every entry is an honest integer polynomial; the determinant is then
-    the g(T) representative times that total (1+T)-power.  g(T) = 0 (for
-    example an unramified vertex without edges) raises HypothesisError.
+    the g(T) representative times that total (1+T)-power.  The entries go
+    to `linalg.det_norm_cyclotomic` at j = 0 (the integer polynomial
+    determinant, for any p) as the binomial terms (r, c, 0, k, C(a, k)) of
+    their powers (1+T)^a.  g(T) = 0 (for example an unramified vertex
+    without edges) raises HypothesisError.
     """
     unram = d.unramified_vertices
     if not unram:
         return GSeries(UniPoly.constant(1), 0, d.p)
     pos = {v: i for i, v in enumerate(unram)}
     base = d.base
-    one_plus = UniPoly([1, 1])
     # Row normalization exponents.
     row_shift = [0] * len(unram)
     for e in range(base.n_darts):
@@ -126,18 +129,16 @@ def g_series(d: TowerDatum) -> GSeries:
     deg = [0] * base.n_vertices
     for e in range(base.n_darts):
         deg[base.dart_origin[e]] += 1
-    rows = []
+    terms = []
     for i, vi in enumerate(unram):
-        shift = one_plus ** row_shift[i]
-        row = []
-        for vj in unram:
-            entry = UniPoly.constant(deg[vi]) * shift if vi == vj else UniPoly()
-            for e in range(base.n_darts):
-                if base.dart_origin[e] == vj and base.dart_terminus[e] == vi:
-                    entry = entry - one_plus ** (row_shift[i] + d.voltage[e])
-            row.append(entry)
-        rows.append(row)
-    rep = linalg.det_poly_int(rows)
+        shift = row_shift[i]
+        terms += [(i, i, 0, k, deg[vi] * math.comb(shift, k)) for k in range(shift + 1)]
+    for e in range(base.n_darts):
+        o, t = base.dart_origin[e], base.dart_terminus[e]
+        if o in pos and t in pos:
+            a = row_shift[pos[t]] + d.voltage[e]
+            terms += [(pos[t], pos[o], 0, k, -math.comb(a, k)) for k in range(a + 1)]
+    rep = UniPoly(linalg.det_norm_cyclotomic(len(unram), terms, d.p, 0))
     if rep.is_zero():
         raise HypothesisError("g(T) = 0 on the unramified block: mu and lambda are undefined")
     return GSeries(rep, sum(row_shift), d.p)

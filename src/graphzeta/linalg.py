@@ -7,17 +7,21 @@ batched inversion per prime, Newton interpolation mod q, one signed CRT.
 
 Routes:
   - integer matrices (`det_int`): Bareiss elimination; above a size
-    threshold, CRT certified by the Hadamard bound;
-  - integer polynomial matrices (`det_poly_int`, cover-size: the cover's h
-    that `verify` checks against, g(T)): evaluation at the points 0..D;
-  - matrices over Z[zeta_{p^j}][u] given as integer terms: evaluation at
-    every primitive p^j-th root of unity in F_q, q = 1 mod p^j, and at
-    the points (`_at_primitive_roots`), then either Lagrange interpolation
-    on the roots for the power-basis coordinates of the determinant
-    (`det_cyclotomic_poly`: h(u, psi), z(u, psi)) or the product over the
-    roots for its norm to Q(u) (`det_norm_cyclotomic`: the level h of
-    `zeta`, the product formula, the orbit norms of the tower sweep);
-  - polynomial matrices over Q[Z/p^n Z] (`det_groupring_poly`): one
+    threshold, CRT certified by the Hadamard bound, the residue matrices
+    of a chunk of primes eliminated together;
+  - every polynomial matrix is given as terms (r, c, exp, d, coeff),
+    M[r][c] = sum coeff * zeta^exp * u^d, zeta a primitive p^j-th root of
+    unity, and evaluated at every primitive p^j-th root of unity in F_q,
+    q = 1 mod p^j, and at the points 0..D (`_at_primitive_roots`); then
+    either Lagrange interpolation on the roots for the power-basis
+    coordinates of the determinant (`det_cyclotomic_poly`: h(u, psi),
+    z(u, psi)) or the product over the roots for its norm to Q(u)
+    (`det_norm_cyclotomic`: the level h of `zeta`, the product formula,
+    the orbit norms of the tower sweep).  j = 0 is the integer polynomial
+    determinant (the cover's h that `verify` checks against, g(T)), for
+    any p;
+  - polynomial matrices over Q[Z/p^n Z] (`det_groupring_poly`), given as
+    terms (r, c, s, d, coeff) with s a group element: one
     `det_cyclotomic_poly` per Galois orbit of characters, reassembled
     through the idempotents (the group ring has zero divisors, so
     elimination is not available there).
@@ -42,7 +46,6 @@ __all__ = [
     "det_groupring_poly",
     "det_int",
     "det_norm_cyclotomic",
-    "det_poly_int",
     "is_probable_prime",
 ]
 
@@ -229,36 +232,19 @@ def _int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _residue_batch(values: np.ndarray, primes: list[int]) -> np.ndarray:
-    # (len(primes), *values.shape) int64: the integer array reduced mod each prime.
-    q = np.array(primes, dtype=np.int64).reshape((-1,) + (1,) * values.ndim)
-    return (values[None] % q).astype(np.int64)
-
-
-def _dets_at_points(values: np.ndarray, primes: list[int], points: int) -> np.ndarray:
-    # det M(t) mod q, M(t) = sum_k values[k] t^k, for each prime q (a row) and t < points; the
-    # (prime, point) batch is reduced, evaluated and eliminated in chunks of _BATCH_ENTRIES entries
-    width, n, _ = values.shape
-    moduli = np.array(primes, dtype=np.int64)
-    num, den = np.empty((2, len(primes) * points), dtype=np.int64)  # prime-major
-    chunk = max(1, _BATCH_ENTRIES // (n * n))
-    for start in range(0, num.size, chunk):
-        which, t = np.divmod(np.arange(start, min(start + chunk, num.size)), points)
-        residues = _residue_batch(values, primes[which[0] : which[-1] + 1])
-        local = which - which[0]
-        q = moduli[which]
-        batch = residues[local, width - 1]
-        for k in range(width - 2, -1, -1):
-            batch = (batch * t[:, None, None] + residues[local, k]) % q[:, None, None]
-        num[start : start + len(t)], den[start : start + len(t)] = _det_mod_batch(batch, q)
-    shape = (len(primes), points)
-    return _divide_mod(num.reshape(shape), den.reshape(shape), moduli)
-
-
 def _det_crt(rows: list[list[int]]) -> int:
+    # det mod each prime of the Hadamard bound, the residue matrices of a chunk of primes
+    # eliminated as one batch of about _BATCH_ENTRIES entries
     primes = _modular_primes(2 * _hadamard_bound(rows) + 1)
-    residues = _dets_at_points(_int_array([rows]), primes, 1)
-    return int(_crt_signed(residues.astype(object), primes)[0])
+    values, moduli = _int_array(rows), np.array(primes, dtype=np.int64)
+    num, den = np.empty((2, len(primes), 1), dtype=np.int64)
+    chunk = max(1, _BATCH_ENTRIES // values.size)
+    for start in range(0, len(primes), chunk):
+        q = moduli[start : start + chunk]
+        batch = (values[None] % q[:, None, None]).astype(np.int64)
+        num[start : start + len(q), 0], den[start : start + len(q), 0] = _det_mod_batch(batch, q)
+    residues = _divide_mod(num, den, moduli)[:, 0].tolist()
+    return _crt_signed(residues, primes)
 
 
 def _interpolate_mod(values: np.ndarray, moduli) -> np.ndarray:
@@ -284,37 +270,6 @@ def _interpolate_mod(values: np.ndarray, moduli) -> np.ndarray:
         mono[:, 1:] = (mono[:, :-1] - k * mono[:, 1:]) % qcol
         mono[:, :1] = (newton[:, k : k + 1] - k * mono[:, :1]) % qcol
     return mono
-
-
-def det_poly_int(rows) -> UniPoly:
-    """Determinant of a square matrix whose entries are integer polynomials (UniPoly or int).
-
-    Multimodular evaluation and interpolation.  The determinant has degree
-    at most D = sum over rows of the largest entry degree, and every
-    coefficient is at most B = prod_r sum_c ||M[r][c]||_1 (sum of absolute
-    coefficients) in absolute value: it is at most the permanent of the
-    1-norm matrix.  For each prime q of `_modular_primes(2B)`, M is
-    evaluated mod q at t = 0..D and the D + 1 determinants come from
-    `_det_mod_batch`, whose per-element pivoting covers the points where
-    M(t) is singular; `_interpolate_mod` (batched over the primes) gives the
-    coefficients mod q, and `_crt_signed` lifts each one.  The (prime,
-    point) batch is built and eliminated in chunks (`_dets_at_points`).
-    """
-    n = len(rows)
-    if n == 0:
-        return UniPoly.constant(1)
-    coeffs = [[x.coeffs if isinstance(x, UniPoly) else (x,) for x in row] for row in rows]
-    bound = math.prod(sum(abs(a) for c in row for a in c) for row in coeffs)
-    if bound == 0:
-        return UniPoly()  # a zero row
-    row_degree = [max(len(c) for c in row) - 1 for row in coeffs]
-    width = max(row_degree) + 1
-    dense = [[[c[k] if k < len(c) else 0 for c in row] for row in coeffs] for k in range(width)]
-    values = _int_array(dense)  # (width, n, n): coefficient k of every entry
-    primes = _modular_primes(2 * bound)
-    dets = _dets_at_points(values, primes, sum(row_degree) + 1)
-    mono = _interpolate_mod(dets, primes)
-    return UniPoly(_crt_signed(mono.astype(object), primes).tolist())
 
 
 def _power_table(g: int, order: int, q: int) -> np.ndarray:
@@ -480,43 +435,31 @@ def det_int(rows: list[list[int]]) -> int:
     return _det_crt(rows)
 
 
-def det_groupring_poly(rows, m: int) -> UniPoly:
-    """Determinant of a square matrix over Q[Z/mZ][u], m = p^n.
+def det_groupring_poly(k: int, terms, m: int) -> UniPoly:
+    """Determinant of a k x k matrix M over Q[Z/mZ][u], m = p^n.
 
-    Entries are UniPoly whose coefficients are GroupRingElem of order m with
-    rational coefficients.  One determinant per Galois orbit of the
-    characters of Z/p^n Z, on its representative psi of order p^j: psi
-    sends the coefficient sum_s c_s [s] to sum_s c_s zeta_{p^j}^(e s), each
-    row is scaled by the lcm of its denominators, and `det_cyclotomic_poly`
-    takes the integer matrix.  The other characters' determinants are
-    sigma_u of the representative's, which needs the group-ring
-    coefficients rational (sigma_u would move cyclotomic ones), and
-    `from_character_polys` reassembles them.
+    M[r][c] is the sum of coeff * [s] * u^d over the terms (r, c, s, d,
+    coeff): s a group element, coeff rational.  One determinant per Galois
+    orbit of the characters of Z/p^n Z, on its representative psi of order
+    p^j: psi sends [s] to zeta_{p^j}^(e s), each row is scaled by the lcm of
+    its denominators, and `det_cyclotomic_poly` takes the integer terms.
+    The other characters' determinants are sigma_u of the representative's,
+    which needs the coefficients rational (sigma_u would move cyclotomic
+    ones), and `from_character_polys` reassembles them.
     """
-    p, n = factor_prime_power(m)
-    entries = [
-        (r, c, d, x)
-        for r, row in enumerate(rows)
-        for c, entry in enumerate(row)
-        for d, x in enumerate(entry.coeffs)
-    ]
-    if any(isinstance(a, CycloNum) for *_, x in entries for a in x.coeffs):
+    if not all(isinstance(t[4], (int, Fraction)) for t in terms):
         raise ValueError("group-ring determinants need rational group-ring coefficients")
-    scale = [1] * len(rows)
-    for r, _, _, x in entries:
-        scale[r] = math.lcm(scale[r], *(Fraction(a).denominator for a in x.coeffs))
+    p, n = factor_prime_power(m)
+    scale = [1] * k
+    for r, _, _, _, coeff in terms:
+        scale[r] = math.lcm(scale[r], Fraction(coeff).denominator)
     den = math.prod(scale)
     reps, orbits = character_orbits(p, n)
     per_orbit = []
     for psi in reps:
         j = psi.order_exponent
         e = psi.exponent_at(j)
-        terms = [
-            (r, c, e * s, d, int(a * scale[r]))
-            for r, c, d, x in entries
-            for s, a in enumerate(x.coeffs)
-            if a
-        ]
-        det = det_cyclotomic_poly(len(rows), terms, p, j)
+        scaled = [(r, c, e * s, d, int(a * scale[r])) for r, c, s, d, a in terms]
+        det = det_cyclotomic_poly(k, scaled, p, j)
         per_orbit.append(UniPoly([CycloNum(p, j, tuple(Fraction(a, den) for a in x)) for x in det]))
     return from_character_polys(p, n, [galois_conjugate(per_orbit[j], u) for j, u in orbits])

@@ -29,7 +29,7 @@ from .groupring import CharacterLabel, subgroup_exponent
 from .lfunctions import character_table, product_formula_check, r0, vanishing_order_check
 from .poly import UniPoly
 from .report import poly_text
-from .tower import TowerDatum, build_level_graph, ramification_profile, tower_euler_char
+from .tower import LevelGraph, TowerDatum, build_level_graph, ramification_profile, tower_euler_char
 
 __all__ = ["VerifyItem", "run_battery"]
 
@@ -158,7 +158,7 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
     )
 
     gamma_H = norm_gamma_exponents(d, n, subgroup_order)
-    exps_H = _subgroup_gamma_direct(d, n, subgroup_order)
+    exps_H = _subgroup_gamma_direct(d, lg, subgroup_order)
     items.append(
         VerifyItem(
             "norm-induction-gamma",
@@ -179,10 +179,9 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
     return items
 
 
-def _subgroup_gamma_direct(d: TowerDatum, n: int, subgroup_order: int) -> tuple[int, ...]:
-    # chi_phi for the subgroup action, from the orbit structure of the cover.
-    lg = build_level_graph(d, n)
-    graph = lg.graph
+def _subgroup_gamma_direct(d: TowerDatum, lg: LevelGraph, subgroup_order: int) -> tuple[int, ...]:
+    # chi_phi for the subgroup action, from the orbit structure of the level-n cover lg.
+    graph, n = lg.graph, lg.level
     m = d.p**n
     h_exp = subgroup_exponent(m, subgroup_order)
     step = m // subgroup_order

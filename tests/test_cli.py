@@ -25,6 +25,18 @@ def _run(capsys, *argv) -> tuple[int, str]:
     return code, out
 
 
+def _run_subprocess(argv) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "graphzeta.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 def test_load_and_roundtrip(tmp_path):
     d = load_datum(DATUM)
     assert d.p == 2
@@ -64,6 +76,44 @@ def test_parse_errors():
         parse_datum({"prime": 2, "vertices": ["a"], "edges": [], "ramification": {}})
 
 
+def _doc(**changes):
+    doc = {
+        "prime": 2,
+        "vertices": ["a", "b"],
+        "edges": [{"from": "a", "to": "b", "voltage": 1}],
+        "ramification": {"a": "unramified", "b": 1},
+    }
+    return {**doc, **changes}
+
+
+@pytest.mark.parametrize("endpoint", [["a"], {"a": 1}, 0, None])
+def test_parse_rejects_edge_endpoints_that_are_not_names(endpoint):
+    doc = _doc(edges=[{"from": endpoint, "to": "b", "voltage": 1}])
+    with pytest.raises(DatumError, match="edge 0 references undeclared vertex"):
+        parse_datum(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        (_doc(edges=[{"from": "a", "to": "b", "voltage": True}]), "voltage must be an integer"),
+        (_doc(edges=[{"from": "a", "to": "b", "voltage": False}]), "voltage must be an integer"),
+        (_doc(ramification={"a": "unramified", "b": False}), "ramification of 'b'"),
+        (_doc(ramification={"a": True, "b": 1}), "ramification of 'a'"),
+        (_doc(prime=True), "prime must be a prime integer"),
+    ],
+    ids=["voltage-true", "voltage-false", "ramification-false", "ramification-true", "prime-true"],
+)
+def test_parse_rejects_booleans_as_integers(doc, match, tmp_path, capsys):
+    assert parse_datum(_doc()).voltage == (1, -1)
+    with pytest.raises(DatumError, match=match):
+        parse_datum(doc)
+    f = tmp_path / "bool.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["tower", str(f)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_invalid_json_diagnostics(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"prime": 2,\n  broken\n}', encoding="utf-8")
@@ -90,17 +140,22 @@ def test_cli_exit_code_validation_error(tmp_path, capsys):
     ],
 )
 def test_cli_bad_level_arguments_exit_1(argv):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "graphzeta.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _run_subprocess(argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_cli_unreadable_datum_file_exits_1(kind, tmp_path):
+    path = tmp_path / "datum.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b'{"prime": 2, "vertices": ["\xff"]}')
+    proc = _run_subprocess(["zeta", str(path)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {path}: ")
     assert "Traceback" not in proc.stderr
 
 
@@ -117,26 +172,29 @@ def test_cli_usage_errors_exit_1(argv, capsys):
 
 
 def test_cli_zeta_skips_cover_determinants_where_chi_is_nonzero(monkeypatch, capsys):
-    calls = []
+    sizes, counts = [], []
+    norm, count = linalg.det_norm_cyclotomic, graphs.spanning_tree_count
 
-    def recorder(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+    def recording_norm(k, terms, p, j):
+        sizes.append(k)
+        return norm(k, terms, p, j)
 
-        return wrapped
+    def recording_count(g):
+        counts.append(g.n_vertices)
+        return count(g)
 
-    monkeypatch.setattr(linalg, "det_poly_int", recorder("det_poly_int", linalg.det_poly_int))
-    counter = recorder("spanning_tree_count", graphs.spanning_tree_count)
-    monkeypatch.setattr(graphs, "spanning_tree_count", counter)
-    monkeypatch.setattr(cli, "spanning_tree_count", counter)
+    monkeypatch.setattr(linalg, "det_norm_cyclotomic", recording_norm)
+    monkeypatch.setattr(graphs, "spanning_tree_count", recording_count)
+    monkeypatch.setattr(cli, "spanning_tree_count", recording_count)
     code, out = _run(capsys, "zeta", DATUM, "--level", "4", "--json")
     assert code == 0
     assert json.loads(out)["euler_characteristic"] == -14
-    assert calls == []
+    # every determinant is an orbit norm on the base: none has the cover's size
+    assert sizes and max(sizes) <= load_datum(DATUM).base.n_vertices
+    assert counts == []
     # chi(X_1) = 0: the count comes from the cover
     assert _run(capsys, "zeta", DATUM, "--level", "1")[0] == 0
-    assert calls == ["spanning_tree_count"]
+    assert len(counts) == 1
 
 
 def test_cli_exit_code_hypothesis(tmp_path, capsys):

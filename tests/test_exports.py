@@ -12,12 +12,13 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # (module, name) pairs deleted from the library, each also checked at the top
 # level (graphzeta.det_commutative among them); each has a surviving route:
 # UniPoly.derivative / UniPoly.__call__, CycloNum.norm, the groupring
-# character layer, det_poly_int for integer polynomial matrices,
-# det_cyclotomic_poly for polynomial matrices over Z[zeta_{p^j}] (h and z),
-# and det_groupring_poly for group-ring and rational matrices.  The
-# cofactor determinant, eta_direct, norm_map_direct and l_reciprocal_of_sum
-# (product_formula_check takes one norm per orbit instead) live on as test
-# oracles in tests/oracles.py.
+# character layer, det_norm_cyclotomic at j = 0 for integer polynomial
+# matrices (det_poly_int), det_cyclotomic_poly for polynomial matrices over
+# Z[zeta_{p^j}] (h and z), and det_groupring_poly for group-ring and
+# rational matrices; every polynomial determinant takes its matrix as terms.
+# The cofactor determinant, eta_direct, norm_map_direct and
+# l_reciprocal_of_sum (product_formula_check takes one norm per orbit
+# instead) live on as test oracles in tests/oracles.py.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -47,6 +48,7 @@ REMOVED = [
     ("equivariant", "eta_direct"),
     ("equivariant", "norm_map_direct"),
     ("lfunctions", "l_reciprocal_of_sum"),
+    ("linalg", "det_poly_int"),
 ]
 
 

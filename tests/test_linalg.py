@@ -25,7 +25,6 @@ from graphzeta.linalg import (
     det_groupring_poly,
     det_int,
     det_norm_cyclotomic,
-    det_poly_int,
     is_probable_prime,
 )
 from graphzeta.poly import UniPoly
@@ -50,19 +49,39 @@ def _det_cyclo(m, p, j):
     return UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det])
 
 
+def _det_poly_int(m):
+    # a matrix of ints and integer UniPoly through the integer kernel: the j = 0 norm
+    return UniPoly(det_norm_cyclotomic(len(m), _cyclo_terms(m), 2, 0))
+
+
+def _groupring_terms(m):
+    # the terms (r, c, s, d, coeff) of a matrix of GroupRingElem or UniPoly over them
+    return [
+        (r, c, s, d, a)
+        for r, row in enumerate(m)
+        for c, x in enumerate(row)
+        for d, y in enumerate(x.coeffs if isinstance(x, UniPoly) else (x,))
+        for s, a in enumerate(y.coeffs)
+        if a != 0
+    ]
+
+
+def _det_groupring_poly(m, m_ord):
+    return det_groupring_poly(len(m), _groupring_terms(m), m_ord)
+
+
 def _det_rational(m):
     # a rational matrix as a matrix over Q[Z/1Z] = Q, the group ring of the trivial group
     def entry(x):
         coeffs = x.coeffs if isinstance(x, UniPoly) else (x,)
         return UniPoly(GroupRingElem(1, (Fraction(c),)) for c in coeffs)
 
-    det = det_groupring_poly([[entry(x) for x in row] for row in m], 1)
+    det = _det_groupring_poly([[entry(x) for x in row] for row in m], 1)
     return UniPoly(c.coeffs[0] for c in det.coeffs)
 
 
 def _det_groupring(m, m_ord):
-    det = det_groupring_poly([[UniPoly.constant(x) for x in row] for row in m], m_ord)
-    return det.coefficient(0)
+    return _det_groupring_poly(m, m_ord).coefficient(0)
 
 
 def test_primality():
@@ -94,10 +113,10 @@ def test_identity_and_empty():
     assert det_int([]) == 1
     assert det_int([[1, 0], [0, 1]]) == 1
     assert det_int([[2, 1], [1, 2]]) == 3
-    assert det_poly_int([]) == UniPoly.constant(1)
+    assert _det_poly_int([]) == UniPoly.constant(1)
     assert det_cyclotomic_poly(0, [], 3, 2) == [[1, 0, 0, 0, 0, 0]]
     assert det_cyclotomic_poly(2, [(0, 0, 0, 0, 1), (1, 1, 0, 0, 1)], 2, 0) == [[1]]
-    assert det_groupring_poly([], 4) == UniPoly.constant(GroupRingElem.one(4))
+    assert _det_groupring_poly([], 4) == UniPoly.constant(GroupRingElem.one(4))
 
 
 def test_det_fraction():
@@ -141,7 +160,7 @@ def test_det_poly_interpolation_matches_cofactor():
         [UniPoly([rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(n)]
         for _ in range(n)
     ]
-    by_interp = det_poly_int(mat)
+    by_interp = _det_poly_int(mat)
     by_cof = det_cofactor(mat)
     assert by_interp == by_cof
 
@@ -171,7 +190,7 @@ def test_det_groupring_poly_example():
         [UniPoly([one, zero, one]), UniPoly([zero, -full_norm, zero])],
         [UniPoly([zero, -(Fraction(1, 2) * full_norm), zero]), UniPoly([one, zero, 3 * e2])],
     ]
-    det = det_groupring_poly(rows, m)
+    det = _det_groupring_poly(rows, m)
     expected_u2 = GroupRingElem(
         m, (Fraction(1, 2), Fraction(-2), Fraction(-1, 2), Fraction(-2))
     )
@@ -320,23 +339,23 @@ def test_det_poly_int_matches_cofactor():
                 continue  # coefficients past int64 take the object-dtype reduction
             m = _random_poly_matrix(rng, n, scale)
             expected = det_cofactor(m)
-            det = det_poly_int(m)
+            det = _det_poly_int(m)
             assert det == expected and all(type(c) is int for c in det.coeffs)
             # a row times (u - s) makes the determinant vanish at the node s
             s, r = rng.randint(0, 3), rng.randrange(n)
             m[r] = [UniPoly([-s, 1]) * x for x in m[r]]
-            det = det_poly_int(m)
+            det = _det_poly_int(m)
             assert det == det_cofactor(m) and det(s) == 0
         m[rng.randrange(n)] = [0] * n
-        assert det_poly_int(m) == UniPoly()
-    assert det_poly_int([]) == UniPoly.constant(1)
+        assert _det_poly_int(m) == UniPoly()
+    assert _det_poly_int([]) == UniPoly.constant(1)
 
 
 def test_det_poly_int_singular_at_some_nodes():
     # f = u (u - 2) (u - 5) times a unimodular matrix: det f^2 vanishes at three of the nodes 0..6
     f = UniPoly([0, 10, -7, 1])
     m = [[f, f * 3], [f * 2, f * 7]]
-    assert det_poly_int(m) == f * f
+    assert _det_poly_int(m) == f * f
 
 
 def test_det_commutative_rational_polys_match_cofactor():
@@ -399,9 +418,9 @@ def test_strong_pseudoprimes_near_the_three_base_bound():
 
 
 def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
-    # A matrix over Z written at level j: det_cyclotomic_poly gives det_poly_int's
-    # coefficients as first coordinates, zero elsewhere, from one batch of phi (D + 1)
-    # matrices per prime; at j = 0 that is det_poly_int's own batch of D + 1 points.
+    # A matrix over Z written at level j: det_cyclotomic_poly gives the coefficients of
+    # its integer determinant (the j = 0 norm) as first coordinates, zero elsewhere, from
+    # one batch of phi (D + 1) matrices per prime; at j = 0 that is one batch of D + 1 points.
     batches = []
     original = linalg._det_mod_batch
 
@@ -418,7 +437,7 @@ def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
             # a row times (u - s) makes the determinant vanish at the node s
             s, r = rng.randint(0, 3), rng.randrange(n)
             m[r] = [UniPoly([-s, 1]) * x for x in m[r]]
-            want, terms = det_poly_int(m), _cyclo_terms(m)
+            want, terms = _det_poly_int(m), _cyclo_terms(m)
             monkeypatch.setattr(linalg, "_det_mod_batch", recorder)
             batches.clear()
             det = det_cyclotomic_poly(n, terms, p, j)
@@ -446,7 +465,7 @@ def test_det_groupring_orbits_over_z9_and_cyclotomic_refusal():
     # sigma_u would move cyclotomic group-ring coefficients, so they are refused
     e_psi = character_idempotent(2, 2, 1)
     with pytest.raises(ValueError, match="rational group-ring coefficients"):
-        det_groupring_poly([[UniPoly([GroupRingElem.one(4), e_psi])]], 4)
+        _det_groupring_poly([[UniPoly([GroupRingElem.one(4), e_psi])]], 4)
 
 
 @st.composite
