@@ -111,7 +111,7 @@ def g_series(d: TowerDatum) -> GSeries:
     so every entry is an honest integer polynomial; the determinant is then
     the g(T) representative times that total (1+T)-power.  The entries go
     to `linalg.det_norm_cyclotomic` at j = 0 (the integer polynomial
-    determinant, for any p) as the binomial terms (r, c, 0, k, C(a, k)) of
+    determinant) as the binomial terms (r, c, 0, k, C(a, k)) of
     their powers (1+T)^a.  g(T) = 0 (for example an unramified vertex
     without edges) raises HypothesisError.
     """
@@ -138,7 +138,8 @@ def g_series(d: TowerDatum) -> GSeries:
         if o in pos and t in pos:
             a = row_shift[pos[t]] + d.voltage[e]
             terms += [(pos[t], pos[o], 0, k, -math.comb(a, k)) for k in range(a + 1)]
-    rep = UniPoly(linalg.det_norm_cyclotomic(len(unram), terms, d.p, 0))
+    # j = 0: the integer determinant; p plays no role there, so pass 2
+    rep = UniPoly(linalg.det_norm_cyclotomic(len(unram), terms, 2, 0))
     if rep.is_zero():
         raise HypothesisError("g(T) = 0 on the unramified block: mu and lambda are undefined")
     return GSeries(rep, sum(row_shift), d.p)

@@ -200,10 +200,10 @@ def _det_mod_batch(mats: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, np
             sign[swap] = -sign[swap]
         piv = np.where(alive, m[:, c, c], 1)
         if c + 1 < k:
-            m[:, c + 1 :, c + 1 :] = (
-                piv[:, None, None] * m[:, c + 1 :, c + 1 :]
-                - m[:, c + 1 :, c, None] * m[:, c, None, c + 1 :]
-            ) % qm
+            # the reduction is written in place: each fresh temporary this size costs page faults
+            rest = piv[:, None, None] * m[:, c + 1 :, c + 1 :]
+            rest -= m[:, c + 1 :, c, None] * m[:, c, None, c + 1 :]
+            np.remainder(rest, qm, out=m[:, c + 1 :, c + 1 :])
         if c > 0:
             den = den * run % q
         run = run * piv % q

@@ -192,8 +192,10 @@ def test_cli_zeta_skips_cover_determinants_where_chi_is_nonzero(monkeypatch, cap
     # every determinant is an orbit norm on the base: none has the cover's size
     assert sizes and max(sizes) <= load_datum(DATUM).base.n_vertices
     assert counts == []
-    # chi(X_1) = 0: the count comes from the cover
+    # chi(X_1) = 0: the count comes from the cover, h still from base-size norms
+    sizes.clear()
     assert _run(capsys, "zeta", DATUM, "--level", "1")[0] == 0
+    assert sizes and max(sizes) <= load_datum(DATUM).base.n_vertices
     assert len(counts) == 1
 
 

@@ -51,6 +51,7 @@ def _det_cyclo(m, p, j):
 
 def _det_poly_int(m):
     # a matrix of ints and integer UniPoly through the integer kernel: the j = 0 norm
+    # j = 0: the integer determinant; p plays no role there, so pass 2
     return UniPoly(det_norm_cyclotomic(len(m), _cyclo_terms(m), 2, 0))
 
 
