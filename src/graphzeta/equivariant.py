@@ -21,8 +21,10 @@ from fractions import Fraction
 from . import linalg
 from .cyclo import CycloNum
 from .groupring import (
+    CharacterLabel,
     GroupRingElem,
     apply_character,
+    character_orbits,
     characters,
     factor_prime_power,
     from_character_polys,
@@ -77,13 +79,19 @@ def gamma_exponents(d: TowerDatum, n: int) -> tuple[int, ...]:
 def gamma_expand(p: int, n: int, exponents: tuple[int, ...]) -> UniPoly:
     """Expand gamma(u) = sum_psi (1-u^2)^(-chi_psi) e_psi as a polynomial.
 
+    exponents[a] is chi_psi for psi = psi_a, constant on each Galois orbit.
     Only available when every exponent is <= 0; otherwise gamma is a genuine
     power series and stays in exponent-vector form.
     """
+    if len(exponents) != p**n:
+        raise ValueError(f"need {p**n} exponents, one per character of Z/{p**n}Z")
+    reps, orbits = character_orbits(p, n)
+    if any(exponents[a] != exponents[reps[j].a] for a, (j, _) in enumerate(orbits)):
+        raise ValueError("gamma exponents must be constant on each Galois orbit of characters")
     if any(e > 0 for e in exponents):
         raise ValueError("gamma is not polynomial: some character exponent is positive")
     one_minus = UniPoly([1, 0, -1])
-    return from_character_polys(p, n, [one_minus ** (-e) for e in exponents])
+    return from_character_polys(p, n, [one_minus ** (-exponents[psi.a]) for psi in reps])
 
 
 @dataclass(frozen=True)
@@ -96,10 +104,8 @@ class EquivZeta:
 
 
 def eta_poly(table: CharacterTable) -> UniPoly:
-    """eta(u) over Q[Z/p^n Z]: the table's h(u, psi) reassembled."""
-    return from_character_polys(
-        table.datum.p, table.level, [table.h(psi) for psi in table.characters]
-    )
+    """eta(u) over Q[Z/p^n Z], reassembled from the table's n + 1 representative h(u, psi)."""
+    return from_character_polys(table.datum.p, table.level, table.rep_h)
 
 
 def equiv_zeta(table: CharacterTable) -> EquivZeta:
@@ -187,27 +193,23 @@ def _as_groupring_poly(x, m: int) -> UniPoly:
 def norm_map(x: UniPoly | GroupRingElem, subgroup_order: int) -> UniPoly:
     """N_{G/H}: determinant of multiplication by x on C[G] over C[H].
 
-    Computed per character of H as the product of psi(x) over the characters
-    psi of G restricting to it, then reassembled; the result lives over
-    Q[Z/p^h Z] with H identified with Z/p^h Z.
+    Its value at the character chi_b of H = Z/p^h Z is the product of psi_a(x)
+    over a = b mod p^h (at level n), formed only for the representatives
+    b = p^(h-i), i = 0..h, of H's Galois orbits and reassembled over Q[H].
     """
     m = _modulus_of(x)
     p, n = factor_prime_power(m)
     h_exp = subgroup_exponent(m, subgroup_order)
     poly = _as_groupring_poly(x, m)
-    # psi_a(x) for every character of G, all at ambient level n.
-    projections = [
-        poly.map_coeffs(lambda c: apply_character(c, psi, level=n)) for psi in characters(p, n)
-    ]
     ph = p**h_exp
-    per_h_char: list[UniPoly] = []
-    one = UniPoly.constant(CycloNum.rational(p, 1, n))
-    for b in range(ph):
-        prod = one
+    per_orbit: list[UniPoly] = []
+    for b in (p ** (h_exp - i) % ph for i in range(h_exp + 1)):
+        prod = UniPoly.constant(CycloNum.rational(p, 1, n))
         for a in range(b, m, ph):
-            prod = prod * projections[a]
-        per_h_char.append(prod)
-    return from_character_polys(p, h_exp, per_h_char)
+            psi = CharacterLabel(p, n, a)
+            prod = prod * poly.map_coeffs(lambda c: apply_character(c, psi, level=n))
+        per_orbit.append(prod)
+    return from_character_polys(p, h_exp, per_orbit)
 
 
 def _modulus_of(x) -> int:
@@ -235,12 +237,7 @@ def norm_gamma_exponents(
 ) -> tuple[int, ...]:
     """Exponent vector of N_{G/H}(gamma): fiberwise sums of the chi_psi."""
     exps = gamma_exponents(d, n)
-    m = d.p**n
-    ph = subgroup_order
-    out = []
-    for b in range(ph):
-        out.append(sum(exps[a] for a in range(m) if a % ph == b))
-    return tuple(out)
+    return tuple(sum(exps[b::subgroup_order]) for b in range(subgroup_order))
 
 
 # -- inflation ----------------------------------------------------------

@@ -4,6 +4,9 @@ Elements are coefficient vectors indexed by the group elements 0..m-1;
 multiplication is convolution mod m.  Coefficients are rational in the
 public data model, but cyclotomic coefficients are supported so that the
 primitive character idempotents e_psi can be manipulated directly.
+
+Q[Z/p^n Z] splits into the fields Q(zeta_{p^j}), j = 0..n, one per Galois
+orbit of characters, so `from_character_values` takes one value per orbit.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, euler_phi_prime_power
 from .poly import UniPoly
 
 __all__ = [
@@ -354,35 +357,37 @@ def character_idempotent(p: int, n: int, a: int) -> GroupRingElem:
 
 
 def from_character_values(p: int, n: int, values) -> GroupRingElem:
-    """Inverse discrete Fourier transform over the character group.
+    """Inverse discrete Fourier transform, from one value per Galois orbit.
 
-    Given values v_a = psi_a(x) for a = 0..p^n-1 (rational, or CycloNum at
-    any level), reconstruct x = sum_a v_a e_{psi_a}, working at the level
-    max(n, value levels).  The result must have rational coefficients; a
-    nonrational coefficient is a hard error.
+    values[j] = psi_{p^(n-j)}(x), j = 0..n, at the representative of the
+    characters of order p^j (`character_orbits`): rational, or a CycloNum of
+    level L >= j in Q(zeta_{p^j}), i.e. on the exponents divisible by
+    p^(L-j); otherwise ValueError.  The orbit's other characters take its
+    conjugates, so [t] = p^(-n) sum_j Tr(zeta_{p^j}^(-t) values[j]), the
+    trace of zeta_{p^j}^k being p^j [p^j | k] - p^(j-1) [p^(j-1) | k], j >= 1.
     """
     m = p**n
     values = list(values)
-    if len(values) != m:
-        raise ValueError(f"need {m} character values")
-    level = max([n] + [v.j for v in values if isinstance(v, CycloNum)])
-    scale = p ** (level - n)
-    terms = [(a * scale, _monomials(p, level, v)) for a, v in enumerate(values) if v]
-    inv_m = Fraction(1, m)
-    coeffs = []
-    for t in range(m):
-        # psi_a(-t) = zeta_{p^level}^(-a t scale): rotate v_a's monomials.
-        acc = CycloNum.from_monomials(
-            p, level, ((e - rot * t, c) for rot, mono in terms for e, c in mono)
-        )
-        if not acc.is_rational():
-            raise ValueError(f"reassembled coefficient of [{t}] is not rational: {acc!r}")
-        coeffs.append(acc.to_rational() * inv_m)
-    return GroupRingElem(m, coeffs)
+    if len(values) != n + 1:
+        raise ValueError(f"need {n + 1} character values, one per Galois orbit")
+    periodic = []  # (p^j, w): the orbit's trace at [t] is w[t mod p^j]
+    for j, v in enumerate(values):
+        q, r = p**j, p**j // p  # r = 0 at j = 0, where the trace is the identity
+        if not isinstance(v, CycloNum):
+            v = CycloNum.rational(p, v, j)
+        if v.j and v.p != p:
+            raise ValueError("cyclotomic value over the wrong prime")
+        step = p ** (v.j - j) if v.j >= j else 0
+        if not step or any(c for i, c in enumerate(v.coeffs) if i % step):
+            raise ValueError(f"value {j} must lie in Q(zeta_{q}) at a level >= {j}: {v!r}")
+        c = list(v.coeffs[::step]) + [0] * (q - euler_phi_prime_power(p, j))
+        sums = [sum(c[i::r]) for i in range(r)]
+        periodic.append((q, [q * a - r * sums[k % r] if r else a for k, a in enumerate(c)]))
+    return GroupRingElem(m, [sum(w[t % q] for q, w in periodic) / m for t in range(m)])
 
 
 def from_character_polys(p: int, n: int, polys) -> UniPoly:
-    """Coefficientwise from_character_values: sum_a polys[a] e_{psi_a}."""
+    """Coefficientwise from_character_values: polys[j] is the representative psi_{p^(n-j)}'s."""
     polys = list(polys)
     length = max((q.degree + 1 for q in polys), default=0)
     return UniPoly(

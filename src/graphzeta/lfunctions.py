@@ -134,11 +134,11 @@ def level_h_poly(d: TowerDatum, n: int) -> UniPoly:
 def xi_poly(table: CharacterTable) -> UniPoly:
     """The group-ring polynomial det(I - A_alpha C u + (D C - I) u^2).
 
-    Reassembled through the idempotents from the z(u, psi) of the table's
-    level, which are its projections.
+    Its projections are the z(u, psi) of the table's level; it is
+    reassembled by traces from the n + 1 representatives' z.
     """
     return from_character_polys(
-        table.datum.p, table.level, [table.z(psi) for psi in table.characters]
+        table.datum.p, table.level, [table.z(psi) for psi in table.representatives]
     )
 
 

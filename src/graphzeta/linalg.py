@@ -22,9 +22,9 @@ Routes:
     any p;
   - polynomial matrices over Q[Z/p^n Z] (`det_groupring_poly`), given as
     terms (r, c, s, d, coeff) with s a group element: one
-    `det_cyclotomic_poly` per Galois orbit of characters, reassembled
-    through the idempotents (the group ring has zero divisors, so
-    elimination is not available there).
+    `det_cyclotomic_poly` per Galois orbit of characters, the n + 1
+    results reassembled by traces in `from_character_polys` (the group
+    ring has zero divisors, so elimination is not available there).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .cyclo import CycloNum, euler_phi_prime_power
 from .errors import CertificationError
-from .groupring import character_orbits, factor_prime_power, from_character_polys, galois_conjugate
+from .groupring import factor_prime_power, from_character_polys
 from .poly import UniPoly
 
 __all__ = [
@@ -440,12 +440,12 @@ def det_groupring_poly(k: int, terms, m: int) -> UniPoly:
 
     M[r][c] is the sum of coeff * [s] * u^d over the terms (r, c, s, d,
     coeff): s a group element, coeff rational.  One determinant per Galois
-    orbit of the characters of Z/p^n Z, on its representative psi of order
-    p^j: psi sends [s] to zeta_{p^j}^(e s), each row is scaled by the lcm of
-    its denominators, and `det_cyclotomic_poly` takes the integer terms.
-    The other characters' determinants are sigma_u of the representative's,
-    which needs the coefficients rational (sigma_u would move cyclotomic
-    ones), and `from_character_polys` reassembles them.
+    orbit of characters, on its representative psi_{p^(n-j)}, which sends
+    [s] to zeta_{p^j}^s: each row is scaled by the lcm of its denominators
+    for `det_cyclotomic_poly`, and `from_character_polys` reassembles the
+    n + 1 results by traces.  The other characters' determinants are their
+    Galois conjugates only for rational coefficients (sigma_u would move
+    cyclotomic ones).
     """
     if not all(isinstance(t[4], (int, Fraction)) for t in terms):
         raise ValueError("group-ring determinants need rational group-ring coefficients")
@@ -454,12 +454,9 @@ def det_groupring_poly(k: int, terms, m: int) -> UniPoly:
     for r, _, _, _, coeff in terms:
         scale[r] = math.lcm(scale[r], Fraction(coeff).denominator)
     den = math.prod(scale)
-    reps, orbits = character_orbits(p, n)
+    scaled = [(r, c, s, d, int(a * scale[r])) for r, c, s, d, a in terms]
     per_orbit = []
-    for psi in reps:
-        j = psi.order_exponent
-        e = psi.exponent_at(j)
-        scaled = [(r, c, e * s, d, int(a * scale[r])) for r, c, s, d, a in terms]
+    for j in range(n + 1):
         det = det_cyclotomic_poly(k, scaled, p, j)
         per_orbit.append(UniPoly([CycloNum(p, j, tuple(Fraction(a, den) for a in x)) for x in det]))
-    return from_character_polys(p, n, [galois_conjugate(per_orbit[j], u) for j, u in orbits])
+    return from_character_polys(p, n, per_orbit)

@@ -121,6 +121,39 @@ def character_value_by_powers(x, p: int, n: int, a: int, level: int) -> CycloNum
     return acc
 
 
+def from_character_values_by_characters(p: int, n: int, values) -> GroupRingElem:
+    """x = sum_a values[a] e_{psi_a} from all p^n character values, one at a time.
+
+    values[a] = psi_a(x) (rational, or CycloNum at any level); the work is
+    done at the level max(n, value levels), and a nonrational coefficient
+    is an error.
+    """
+    m = p**n
+    values = list(values)
+    assert len(values) == m
+    level = max([n] + [v.j for v in values if isinstance(v, CycloNum)])
+    scale = p ** (level - n)
+
+    def monomials(v):
+        # (exponent, coefficient) pairs of v in powers of zeta_{p^level}
+        if not isinstance(v, CycloNum):
+            return [(0, v)]
+        step = p ** (level - v.j) if v.j else 0
+        return [(i * step, c) for i, c in enumerate(v.coeffs) if c]
+
+    terms = [(a * scale, monomials(v)) for a, v in enumerate(values) if v]
+    coeffs = []
+    for t in range(m):
+        # psi_a(-t) = zeta_{p^level}^(-a t scale): rotate v_a's monomials
+        acc = CycloNum.from_monomials(
+            p, level, ((e - rot * t, c) for rot, mono in terms for e, c in mono)
+        )
+        if not acc.is_rational():
+            raise ValueError(f"reassembled coefficient of [{t}] is not rational: {acc!r}")
+        coeffs.append(acc.to_rational() / m)
+    return GroupRingElem(m, coeffs)
+
+
 def orbit_special_products_by_characters(d, n: int) -> dict[int, Fraction]:
     """N_j = prod h(1, psi) over ord(psi) = p^j, multiplied out in Q(zeta_{p^j}) per character."""
     p = d.p

@@ -173,6 +173,16 @@ def test_gamma_expand_rejects_positive_exponents():
         gamma_expand(2, 1, (1, 0))
 
 
+def test_gamma_expand_rejects_exponents_split_within_an_orbit_or_of_wrong_length():
+    # psi_1, psi_2 of Z/3Z are conjugate; so are psi_1, psi_3 of Z/4Z
+    for p, n, exponents in ((3, 1, (0, -1, 0)), (2, 2, (-1, 0, 0, -1))):
+        with pytest.raises(ValueError, match="constant on each Galois orbit"):
+            gamma_expand(p, n, exponents)
+    for exponents in ((0, -1, -1), (0, -1, -1, -1, 0)):
+        with pytest.raises(ValueError, match="one per character"):
+            gamma_expand(2, 2, exponents)
+
+
 def test_equiv_zeta_bundle():
     d = _double_edge()
     ez = equiv_zeta(character_table(d, 2))

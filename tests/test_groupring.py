@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphzeta.cyclo import CycloNum
 from graphzeta.groupring import (
@@ -17,7 +19,7 @@ from graphzeta.groupring import (
     subgroup_exponent,
 )
 from graphzeta.lfunctions import CharacterLabel
-from oracles import character_value_by_powers
+from oracles import character_value_by_powers, from_character_values_by_characters
 
 
 def test_factor_prime_power():
@@ -102,8 +104,47 @@ def test_decomposition_reconstructs():
     for p, n in [(2, 2), (2, 3), (3, 1)]:
         m = p**n
         x = GroupRingElem(m, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)))
-        values = [apply_character(x, CharacterLabel(p, n, a), level=n) for a in range(m)]
+        values = [apply_character(x, psi, level=n) for psi in character_orbits(p, n)[0]]
         assert from_character_values(p, n, values) == x
+
+
+@st.composite
+def _element_and_orbit_levels(draw):
+    # x in Q[Z/p^n Z], p^n <= 27, and a level L_j >= j for each Galois orbit j
+    p, n = draw(st.sampled_from([(p, n) for p in (2, 3, 5) for n in range(5) if p**n <= 27]))
+    coeffs = draw(
+        st.lists(st.fractions(-5, 5, max_denominator=4), min_size=p**n, max_size=p**n)
+    )
+    levels = [draw(st.integers(j, n + 1)) for j in range(n + 1)]
+    return p, n, GroupRingElem(p**n, coeffs), levels
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_element_and_orbit_levels())
+def test_orbit_transform_inverts_apply_character_and_matches_per_character_oracle(case):
+    p, n, x, levels = case
+    reps = character_orbits(p, n)[0]
+    values = [apply_character(x, psi, level=level) for psi, level in zip(reps, levels)]
+    assert [v.j for v in values] == levels
+    assert from_character_values(p, n, values) == x
+    every = [apply_character(x, psi, level=levels[psi.order_exponent]) for psi in characters(p, n)]
+    assert from_character_values_by_characters(p, n, every) == x
+
+
+def test_from_character_values_rejects_values_outside_their_field():
+    z3 = CycloNum.from_monomials(3, 1, [(1, 1)])
+    z9 = CycloNum.from_monomials(3, 2, [(1, 1)])
+    assert from_character_values(3, 2, [1, z9**3, z9]) == from_character_values(3, 2, [1, z3, z9])
+    for p, n, values in (
+        (3, 1, [z3, 1]),  # zeta_3 as the trivial character's value
+        (2, 1, [1, CycloNum.from_monomials(2, 2, [(1, 1)])]),  # i as the value of order 2
+        (3, 2, [1, 1, z3]),  # level 1 below the orbit of order 9
+        (3, 2, [1, z9, 1]),  # zeta_9 is not in Q(zeta_3)
+        (3, 1, [1, CycloNum.from_monomials(5, 1, [(1, 1)])]),  # wrong prime
+        (3, 1, [1, z3, z3.galois(2)]),  # one value per character of Z/3Z, not per orbit
+    ):
+        with pytest.raises(ValueError):
+            from_character_values(p, n, values)
 
 
 def _random_cyclo(rng: random.Random, p: int, j: int) -> CycloNum:
@@ -144,11 +185,12 @@ def test_from_character_values_accepts_values_above_level_n():
     for p, n in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         m = p**n
         x = GroupRingElem(m, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)])
+        reps = character_orbits(p, n)[0]
         for extra in (1, 2):
-            values = [apply_character(x, psi, level=n + extra) for psi in characters(p, n)]
+            values = [apply_character(x, psi, level=n + extra) for psi in reps]
             assert all(v.j == n + extra for v in values)
             assert from_character_values(p, n, values) == x
-        mixed = [apply_character(x, psi, level=psi.order_exponent) for psi in characters(p, n)]
+        mixed = [apply_character(x, psi, level=psi.order_exponent) for psi in reps]
         mixed[0] = mixed[0].to_rational()
         assert from_character_values(p, n, mixed) == x
 
