@@ -58,7 +58,7 @@ from .lfunctions import (
     xi_poly,
     z_poly,
 )
-from .poly import TruncSeries, UniPoly
+from .poly import UniPoly
 from .tower import (
     LevelGraph,
     TowerDatum,

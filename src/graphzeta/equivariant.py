@@ -34,7 +34,7 @@ from .groupring import (
 )
 from .lfunctions import CharacterTable, r0
 from .poly import UniPoly
-from .tower import TowerDatum, build_level_graph
+from .tower import LevelGraph, TowerDatum
 
 __all__ = [
     "EquivEulerChar",
@@ -116,19 +116,18 @@ def equiv_zeta(table: CharacterTable) -> EquivZeta:
 # -- subgroup actions on a level graph ---------------------------------
 
 
-def eta_for_subgroup_action(d: TowerDatum, n: int, subgroup_order: int) -> UniPoly:
-    """eta(u) for the order-p^h subgroup H of Z/p^n Z acting on the level-n cover.
+def eta_for_subgroup_action(d: TowerDatum, lg: LevelGraph, subgroup_order: int) -> UniPoly:
+    """eta(u) for the order-p^h subgroup H of Z/p^n Z acting on the level-n cover lg.
 
     The cover is treated as a plain graph; H permutes it through the dart
     labels.  Orbits are identified with H = Z/p^h Z via t -> t * p^(n-h).
     The result lives over Q[Z/p^h Z].
     """
+    graph, n = lg.graph, lg.level
     m = d.p**n
     subgroup_exponent(m, subgroup_order)
     h_ord = subgroup_order
     step = m // h_ord
-    lg = build_level_graph(d, n)
-    graph = lg.graph
 
     def act_vertex(vi: int, t: int) -> int:
         base = lg.vertex_base[vi]

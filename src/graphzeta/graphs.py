@@ -6,19 +6,23 @@ inversion pairing is a fixed-point-free involution, so the dart count is
 even and the undirected edge count is half of it.  Loops are allowed (a
 dart with equal endpoints paired with a distinct inverse) and contribute
 two to both the degree and the adjacency diagonal; multi-edges are allowed.
+
+The zeta invariants are integer data: h(u) and chi with
+Z(u)^-1 = (1-u^2)^(-chi) h(u), the reduced closed path counts N_k, and
+the N_k that h and chi predict, so the Euler product
+Z(u) = exp(sum N_k u^k / k) is checked without power series.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
 from .errors import GraphError
-from .poly import TruncSeries, UniPoly
+from .poly import UniPoly
 
 __all__ = [
     "SerreGraph",
@@ -27,11 +31,10 @@ __all__ = [
     "dart_transition_matrix",
     "euler_characteristic",
     "ihara_zeta_reciprocal",
+    "path_counts_from_zeta",
     "reduced_closed_path_counts",
     "spanning_tree_count",
     "validate_graph",
-    "zeta_reciprocal_series",
-    "zeta_series_from_counts",
 ]
 
 
@@ -181,6 +184,27 @@ def reduced_closed_path_counts(g: SerreGraph, k_max: int) -> list[int]:
     return counts
 
 
+def path_counts_from_zeta(h: UniPoly, chi: int, k_max: int) -> list[int]:
+    """N_1..N_k that Z(u)^-1 = (1-u^2)^(-chi) h(u) predicts, h(0) = 1.
+
+    The Euler product gives u d/du log Z(u) = sum N_k u^k.  Multiplied by
+    f = (1-u^2) h, a unit of Z[[u]], this is the polynomial
+    g = -2 chi u^2 h - u (1-u^2) h', so N_k = g_k - sum_{0<i<k} f_i N_(k-i).
+    Two series with constant term 1 agree through u^k exactly when their
+    logarithmic derivatives do, so comparing these N_k with the path counts
+    checks exp(sum N_k u^k / k) = Z(u) through u^k_max.
+    """
+    if h.coefficient(0) != 1:
+        raise ValueError("h(0) must be 1")
+    one_minus = UniPoly([1, 0, -1])
+    f = one_minus * h
+    g = (-2 * chi * h).shift(2) - (one_minus * h.derivative()).shift(1)
+    counts = [0]  # N_0, so that counts[k] = N_k
+    for k in range(1, k_max + 1):
+        counts.append(g.coefficient(k) - sum(f.coefficient(i) * counts[k - i] for i in range(1, k)))
+    return counts[1:]
+
+
 def ihara_zeta_reciprocal(g: SerreGraph) -> tuple[UniPoly, int]:
     """(h(u), chi) with h = det(I - Au + (D - I)u^2); Z^-1 = (1-u^2)^(-chi) h.
 
@@ -196,18 +220,3 @@ def ihara_zeta_reciprocal(g: SerreGraph) -> tuple[UniPoly, int]:
         terms += [(v, v, 0, 0, 1), (v, v, 0, 2, degree[v] - 1)]
     # j = 0: the integer determinant; p plays no role there, so pass 2
     return UniPoly(linalg.det_norm_cyclotomic(n, terms, 2, 0)), euler_characteristic(g)
-
-
-def zeta_series_from_counts(counts: list[int], prec: int) -> TruncSeries:
-    """exp(sum N_k u^k / k) as a truncated series over Q."""
-    logz = [Fraction(0)] * prec
-    for k, nk in enumerate(counts, start=1):
-        if k < prec:
-            logz[k] = Fraction(nk, k)
-    return TruncSeries(logz, prec).exp()
-
-
-def zeta_reciprocal_series(h: UniPoly, chi: int, prec: int) -> TruncSeries:
-    """(1-u^2)^(-chi) * h(u) as a truncated series over Q."""
-    base = TruncSeries([1, 0, -1], prec)
-    return (base ** (-chi)) * TruncSeries.from_poly(h, prec)

@@ -325,9 +325,11 @@ def _at_primitive_roots(primes: list[int], p: int, j: int, k: int, terms, points
     order = p**j
     units = np.arange(order, dtype=np.int64)
     units = units[np.gcd(units, order) == 1]
-    r, c, e, d = np.array([t[:4] for t in terms], dtype=np.int64).reshape(-1, 4).T
+    # zeta^exp depends on exp mod p^j only; reduce before the int64 conversion
+    rows = [(t[0], t[1], t[2] % order, t[3]) for t in terms]
+    r, c, e, d = np.array(rows, dtype=np.int64).reshape(-1, 4).T
     coeffs = _int_array([t[4] for t in terms])
-    where = (e % order)[:, None] * units % order
+    where = e[:, None] * units % order
     shape, size = (d.max(initial=0) + 1, k, k, len(units)), len(units) * points
     chunk = max(1, _BATCH_ENTRIES // max(1, k * k))  # k = 0: every determinant is 1
     for q in primes:

@@ -233,6 +233,33 @@ def test_cli_machine_reports_match_golden(capsys):
         assert out == (GOLDEN / golden_name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeta", "--level", "2"),
+        ("lfunctions", "--level", "2"),
+        ("verify", "--level", "2"),
+        ("tower", "--max-level", "3"),
+        ("invariants", "--max-level", "3"),
+    ],
+)
+@pytest.mark.parametrize("machine", [False, True])
+def test_cli_voltage_past_int64_acts_by_its_residue(argv, machine, tmp_path, capsys):
+    # the fixture's first voltage is 1; zeta^e depends on e mod p^j only, so
+    # 2^64 + 1 must give the same report, exit code and stderr
+    doc = json.loads(Path(DATUM).read_text())
+    assert doc["edges"][0]["voltage"] == 1
+    doc["edges"][0]["voltage"] = 2**64 + 1
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    results = []
+    for path in (DATUM, str(huge)):
+        code = main([argv[0], path, *argv[1:], *(["--json"] if machine else [])])
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+
+
 def test_cli_deterministic(capsys):
     code1, out1 = _run(capsys, "lfunctions", DATUM, "--level", "2", "--json")
     code2, out2 = _run(capsys, "lfunctions", DATUM, "--level", "2", "--json")

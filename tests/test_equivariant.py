@@ -19,7 +19,7 @@ from graphzeta.graphs import SerreGraph
 from graphzeta.groupring import GroupRingElem, groupring_idempotent
 from graphzeta.lfunctions import character_table, characters, h_poly, r0
 from graphzeta.poly import UniPoly
-from graphzeta.tower import TowerDatum
+from graphzeta.tower import TowerDatum, build_level_graph
 from oracles import eta_direct, norm_map_direct
 
 
@@ -96,7 +96,7 @@ def test_eta_character_consistency():
 
 def test_eta_subgroup_action_golden():
     d = _double_edge()
-    eta_h = eta_for_subgroup_action(d, 2, 2)
+    eta_h = eta_for_subgroup_action(d, build_level_graph(d, 2), 2)
     assert eta_h.coefficient(0) == GroupRingElem.one(2)
     assert eta_h.coefficient(2) == GroupRingElem(2, (Fraction(1), Fraction(-1)))
     assert eta_h.coefficient(4) == GroupRingElem(2, (Fraction(-9, 2), Fraction(-11, 2)))
@@ -108,20 +108,20 @@ def test_eta_subgroup_action_golden():
 def test_eta_subgroup_full_and_trivial():
     d = _double_edge()
     # trivial subgroup: plain zeta data of the cover, as Q[1][u]
-    eta_triv = eta_for_subgroup_action(d, 2, 1)
+    lg = build_level_graph(d, 2)
+    eta_triv = eta_for_subgroup_action(d, lg, 1)
     from graphzeta.graphs import ihara_zeta_reciprocal
-    from graphzeta.tower import build_level_graph
 
-    h, _ = ihara_zeta_reciprocal(build_level_graph(d, 2).graph)
+    h, _ = ihara_zeta_reciprocal(lg.graph)
     assert [c.coeffs[0] for c in eta_triv.coeffs] == [Fraction(c) for c in h.coeffs]
     # full subgroup: recovers eta over the whole group
-    assert eta_for_subgroup_action(d, 2, 4) == eta_poly(character_table(d, 2))
+    assert eta_for_subgroup_action(d, lg, 4) == eta_poly(character_table(d, 2))
 
 
 def test_norm_map_golden_and_direct():
     d = _double_edge()
     eta_g = eta_poly(character_table(d, 2))
-    eta_h = eta_for_subgroup_action(d, 2, 2)
+    eta_h = eta_for_subgroup_action(d, build_level_graph(d, 2), 2)
     assert norm_map(eta_g, 2) == eta_h
     assert norm_map_direct(eta_g, 2) == eta_h
 
@@ -151,10 +151,11 @@ def test_norm_induction_property_random():
         for n in (2, 3):
             m = d.p**n
             eta_g = eta_poly(character_table(d, n))
+            lg = build_level_graph(d, n)
             sub = 1
             while sub < m:
                 sub *= d.p
-                assert norm_map(eta_g, sub) == eta_for_subgroup_action(d, n, sub)
+                assert norm_map(eta_g, sub) == eta_for_subgroup_action(d, lg, sub)
 
 
 def test_gamma_exponents_and_norm():
@@ -211,8 +212,6 @@ def test_trace_compatible_with_euler_char():
 
 
 def _subgroup_euler_char_direct(d, n, subgroup_order):
-    from graphzeta.tower import build_level_graph
-
     lg = build_level_graph(d, n)
     graph = lg.graph
     m = d.p**n

@@ -18,7 +18,9 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # rational matrices; every polynomial determinant takes its matrix as terms.
 # The cofactor determinant, eta_direct, norm_map_direct and
 # l_reciprocal_of_sum (product_formula_check takes one norm per orbit
-# instead) live on as test oracles in tests/oracles.py.
+# instead) live on as test oracles in tests/oracles.py.  The truncated
+# power series and the two zeta series built from it gave way to
+# graphs.path_counts_from_zeta, an integer identity on the path counts.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -49,6 +51,9 @@ REMOVED = [
     ("equivariant", "norm_map_direct"),
     ("lfunctions", "l_reciprocal_of_sum"),
     ("linalg", "det_poly_int"),
+    ("poly", "TruncSeries"),
+    ("graphs", "zeta_series_from_counts"),
+    ("graphs", "zeta_reciprocal_series"),
 ]
 
 

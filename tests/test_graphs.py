@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from oracles import count_reduced_closed_paths_exhaustive, count_spanning_trees_exhaustive
@@ -11,13 +13,12 @@ from graphzeta.graphs import (
     connected,
     euler_characteristic,
     ihara_zeta_reciprocal,
+    path_counts_from_zeta,
     reduced_closed_path_counts,
     spanning_tree_count,
     validate_graph,
-    zeta_reciprocal_series,
-    zeta_series_from_counts,
 )
-from graphzeta.poly import TruncSeries, UniPoly
+from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum, build_level_graph
 
 
@@ -157,7 +158,7 @@ def test_ihara_zeta_reciprocal_golden():
     single = SerreGraph(("v",), (), (), ())
     h, chi = ihara_zeta_reciprocal(single)
     assert h == UniPoly([1, 0, -1]) and chi == 1
-    assert zeta_reciprocal_series(h, chi, 8) == TruncSeries([1], 8)
+    assert path_counts_from_zeta(h, chi, 8) == [0] * 8
 
     empty = SerreGraph((), (), (), ())
     h_empty, chi_empty = ihara_zeta_reciprocal(empty)
@@ -177,10 +178,7 @@ def test_ihara_zeta_reciprocal_golden():
 def test_zeta_series_identity_on_cover():
     y = _double_edge_cover()
     h, chi = ihara_zeta_reciprocal(y)
-    counts = reduced_closed_path_counts(y, 12)
-    lhs = zeta_series_from_counts(counts, 13)
-    rhs = zeta_reciprocal_series(h, chi, 13).inverse()
-    assert lhs == rhs
+    assert reduced_closed_path_counts(y, 12) == path_counts_from_zeta(h, chi, 12)
 
 
 def test_zeta_series_identity_random_small():
@@ -192,8 +190,7 @@ def test_zeta_series_identity_random_small():
             continue
         done += 1
         h, chi = ihara_zeta_reciprocal(g)
-        counts = reduced_closed_path_counts(g, 12)
-        assert zeta_series_from_counts(counts, 13) == zeta_reciprocal_series(h, chi, 13).inverse()
+        assert reduced_closed_path_counts(g, 12) == path_counts_from_zeta(h, chi, 12)
 
 
 def test_level_zeta_double_edge_level5():
@@ -202,8 +199,7 @@ def test_level_zeta_double_edge_level5():
     h, chi = ihara_zeta_reciprocal(y)
     assert h.degree == 2 * y.n_vertices
     assert h.derivative()(1) == -2 * chi * spanning_tree_count(y)
-    counts = reduced_closed_path_counts(y, 12)
-    assert zeta_series_from_counts(counts, 13) == zeta_reciprocal_series(h, chi, 13).inverse()
+    assert reduced_closed_path_counts(y, 12) == path_counts_from_zeta(h, chi, 12)
 
 
 def test_path_counts_past_int64():
@@ -218,6 +214,48 @@ def test_path_counts_past_int64():
     for k in range(1, 4):
         assert counts[k - 1] == count_reduced_closed_paths_exhaustive(bouquet, k)
     assert counts == [(2 * r - 1) ** k + 1 + (r - 1) * (1 + (-1) ** k) for k in range(1, 13)]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.integers(0, 2**32))
+def test_path_counts_from_zeta_match_exhaustive_enumeration(seed):
+    g = random_connected_graph(random.Random(seed), 4, 4)
+    h, chi = ihara_zeta_reciprocal(g)
+    predicted = path_counts_from_zeta(h, chi, 7)
+    assert predicted == [count_reduced_closed_paths_exhaustive(g, k) for k in range(1, 8)]
+
+
+def test_path_counts_from_zeta_closed_forms():
+    # isolated vertex: h = 1 - u^2 and chi = 1 give Z = 1, no closed paths
+    assert path_counts_from_zeta(UniPoly([1, 0, -1]), 1, 10) == [0] * 10
+    # m-cycle: h = (1 - u^m)^2 and chi = 0; N_k = 2m if m | k, else 0
+    for m in range(1, 6):
+        cycle = SerreGraph.from_edges(range(m), [(v, (v + 1) % m) for v in range(m)])
+        h, chi = ihara_zeta_reciprocal(cycle)
+        assert h == UniPoly([1] + [0] * (m - 1) + [-1]) ** 2 and chi == 0
+        expected = [2 * m if k % m == 0 else 0 for k in range(1, 13)]
+        assert path_counts_from_zeta(h, chi, 12) == expected
+    # r-loop bouquet: h = 1 - 2r u + (2r - 1) u^2 and chi = 1 - r, with the
+    # counts of test_path_counts_past_int64
+    for r in (1, 2, 20):
+        bouquet = SerreGraph.from_edges(["v"], [("v", "v")] * r)
+        h, chi = ihara_zeta_reciprocal(bouquet)
+        assert h == UniPoly([1, -2 * r, 2 * r - 1]) and chi == 1 - r
+        expected = [(2 * r - 1) ** k + 1 + (r - 1) * (1 + (-1) ** k) for k in range(1, 13)]
+        assert path_counts_from_zeta(h, chi, 12) == expected
+
+
+def test_path_counts_from_zeta_sees_chi_and_rejects_non_unit():
+    y = _double_edge_cover()
+    h, chi = ihara_zeta_reciprocal(y)
+    counts = reduced_closed_path_counts(y, 12)
+    assert path_counts_from_zeta(h, chi, 12) == counts
+    for wrong in (chi - 1, chi + 1):
+        assert path_counts_from_zeta(h, wrong, 12) != counts
+    with pytest.raises(ValueError, match="h\\(0\\)"):
+        path_counts_from_zeta(UniPoly([2, 0, -1]), 1, 4)
+    with pytest.raises(ValueError):
+        path_counts_from_zeta(UniPoly([0, 1]), 0, 4)
 
 
 def test_hashimoto_identity_random():

