@@ -3,6 +3,8 @@
     graphzeta zeta|lfunctions|tower|invariants|verify <datum-file>
               [--level N] [--max-level N] [--subgroup-order d] [--json]
 
+`verify --subgroup-order` defaults to p, and to 1 at level 0.
+
 Exit codes: 0 success, 1 validation error (datum file or command line),
 2 mathematical-hypothesis violation (for example chi = 0 where a nonzero
 value is required, or a disconnected level), 3 certification failure.
@@ -37,7 +39,7 @@ from .report import (
     table,
 )
 from .tower import TowerDatum, build_level_graph
-from .verify import run_battery
+from .verify import default_subgroup_order, run_battery
 
 __all__ = ["main"]
 
@@ -285,12 +287,12 @@ def main(argv=None) -> int:
             doc = (cmd_tower if args.command == "tower" else cmd_invariants)(datum, max_level)
         elif args.command == "verify":
             level = _checked_level(args.level, "--level", 0)
-            subgroup_order = datum.p if args.subgroup_order is None else args.subgroup_order
+            order = default_subgroup_order(datum.p, level) if args.subgroup_order is None else args.subgroup_order
             try:
-                subgroup_exponent(datum.p**level, subgroup_order)
+                subgroup_exponent(datum.p**level, order)
             except ValueError as exc:
                 raise DatumError(f"verify at level {level}: {exc}") from exc
-            doc = cmd_verify(datum, level, subgroup_order)
+            doc = cmd_verify(datum, level, order)
         else:
             level = _checked_level(args.level, "--level", 0)
             doc = (cmd_zeta if args.command == "zeta" else cmd_lfunctions)(datum, level)

@@ -19,14 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclo import CycloNum
 from .groupring import (
-    CharacterLabel,
     GroupRingElem,
-    apply_character,
     character_orbits,
     characters,
-    factor_prime_power,
     from_character_polys,
     groupring_idempotent,
     subgroup_elements,
@@ -181,34 +177,18 @@ def _vertex_lookup(lg, d: TowerDatum, base: int, rep: int) -> int:
 # -- norm and trace ----------------------------------------------------
 
 
-def _as_groupring_poly(x, m: int) -> UniPoly:
-    if isinstance(x, GroupRingElem):
-        return UniPoly.constant(x)
-    if isinstance(x, UniPoly):
-        return x
-    return UniPoly.constant(GroupRingElem.basis(m, 0, x))
-
-
 def norm_map(x: UniPoly | GroupRingElem, subgroup_order: int) -> UniPoly:
-    """N_{G/H}: determinant of multiplication by x on C[G] over C[H].
+    """N_{G/H}: determinant of multiplication by x on Q[G] over Q[H] (`linalg.norm_groupring_poly`).
 
-    Its value at the character chi_b of H = Z/p^h Z is the product of psi_a(x)
-    over a = b mod p^h (at level n), formed only for the representatives
-    b = p^(h-i), i = 0..h, of H's Galois orbits and reassembled over Q[H].
+    x needs rational group-ring coefficients; otherwise ValueError.
     """
     m = _modulus_of(x)
-    p, n = factor_prime_power(m)
-    h_exp = subgroup_exponent(m, subgroup_order)
-    poly = _as_groupring_poly(x, m)
-    ph = p**h_exp
-    per_orbit: list[UniPoly] = []
-    for b in (p ** (h_exp - i) % ph for i in range(h_exp + 1)):
-        prod = UniPoly.constant(CycloNum.rational(p, 1, n))
-        for a in range(b, m, ph):
-            psi = CharacterLabel(p, n, a)
-            prod = prod * poly.map_coeffs(lambda c: apply_character(c, psi, level=n))
-        per_orbit.append(prod)
-    return from_character_polys(p, h_exp, per_orbit)
+    terms = [
+        (s, d, a)
+        for d, coeff in enumerate(x.coeffs if isinstance(x, UniPoly) else (x,))
+        for s, a in (enumerate(coeff.coeffs) if isinstance(coeff, GroupRingElem) else [(0, coeff)])
+    ]
+    return linalg.norm_groupring_poly(terms, m, subgroup_order)
 
 
 def _modulus_of(x) -> int:

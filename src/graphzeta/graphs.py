@@ -28,7 +28,6 @@ __all__ = [
     "SerreGraph",
     "adjacency_and_degree",
     "connected",
-    "dart_transition_matrix",
     "euler_characteristic",
     "ihara_zeta_reciprocal",
     "path_counts_from_zeta",
@@ -151,35 +150,27 @@ def spanning_tree_count(g: SerreGraph) -> int:
     return count
 
 
-def dart_transition_matrix(g: SerreGraph) -> list[list[int]]:
-    """Non-backtracking dart matrix: B[e][f] = 1 iff f follows e and f != inv(e)."""
-    d = g.n_darts
-    b = [[0] * d for _ in range(d)]
-    for e in range(d):
-        for f in range(d):
-            if g.dart_terminus[e] == g.dart_origin[f] and f != g.dart_inverse[e]:
-                b[e][f] = 1
-    return b
-
-
 def reduced_closed_path_counts(g: SerreGraph, k_max: int) -> list[int]:
-    """N_1..N_k: traces of powers of the non-backtracking dart matrix.
+    """N_1..N_k: traces of powers of the non-backtracking dart matrix B.
 
-    Row e of B has deg(terminus e) - 1 ones, so every entry of B^k, and
-    every partial sum while taking it, is at most (max deg - 1)^k, and the
-    trace at most n_darts times that; the powers are taken in int64 when
-    that bound for k_max is below 2^63, with Python integers otherwise.
+    B[e][f] = [t(e) = o(f)] - [f = inv e], so (P B)[e][f] = S[e][o(f)] - P[e][inv f]
+    with S[e][v] the sum of P[e][g] over the darts g ending at v: one
+    `np.add.reduceat` over the darts sorted by terminus, O(darts^2) a power.
+    Every entry of B^k, and every S, is at most a row sum, (max deg - 1)^k,
+    and the trace at most n_darts times that: int64 while that bound for
+    k_max is below 2^63, Python integers otherwise.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     widest = max(Counter(g.dart_origin).values(), default=1) - 1
     dtype = np.int64 if g.n_darts * widest**k_max < 1 << 63 else object
-    b = np.array(dart_transition_matrix(g), dtype=dtype).reshape(g.n_darts, g.n_darts)
-    counts = []
-    power = b
-    counts.append(int(power.trace()))
-    for _ in range(k_max - 1):
-        power = power @ b
+    by_terminus = np.argsort(g.dart_terminus, kind="stable")
+    ends, starts = np.unique(np.array(g.dart_terminus, dtype=np.int64)[by_terminus], return_index=True)
+    origin = np.searchsorted(ends, g.dart_origin)  # o(f) is the terminus of inv f
+    power, counts = np.eye(g.n_darts, dtype=dtype), []
+    for _ in range(k_max):
+        ends_sum = np.add.reduceat(power[:, by_terminus], starts, axis=1)
+        power = ends_sum[:, origin] - power[:, list(g.dart_inverse)]
         counts.append(int(power.trace()))
     return counts
 

@@ -1,7 +1,7 @@
-"""Exact determinants over the coefficient rings used in this package.
+"""Exact determinants and norms over the coefficient rings used in this package.
 
 Apart from small integer matrices, every route is multimodular: primes
-q < 2^31 from one generator, elimination of chunks of about
+q < 2^31 from one generator, searched once per modulus, elimination of chunks of about
 `_BATCH_ENTRIES` entries mod q (`_det_mod_batch`, numpy int64), one
 batched inversion per prime, Newton interpolation mod q, one signed CRT.
 
@@ -24,7 +24,10 @@ Routes:
     terms (r, c, s, d, coeff) with s a group element: one
     `det_cyclotomic_poly` per Galois orbit of characters, the n + 1
     results reassembled by traces in `from_character_polys` (the group
-    ring has zero divisors, so elimination is not available there).
+    ring has zero divisors, so elimination is not available there);
+  - norms from Q[Z/p^n Z][u] to Q[H][u] (`norm_groupring_poly`): all p^n
+    character values from one transform mod q, products over the cosets
+    of H's characters, one inverse transform over H.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .cyclo import CycloNum, euler_phi_prime_power
 from .errors import CertificationError
-from .groupring import factor_prime_power, from_character_polys
+from .groupring import GroupRingElem, factor_prime_power, from_character_polys, subgroup_exponent
 from .poly import UniPoly
 
 __all__ = [
@@ -47,6 +50,7 @@ __all__ = [
     "det_int",
     "det_norm_cyclotomic",
     "is_probable_prime",
+    "norm_groupring_poly",
 ]
 
 _BAREISS_MAX_DIM = 28
@@ -133,26 +137,36 @@ _WORD = 1 << 31  # moduli stay below this, so products of two residues fit in in
 _BATCH_ENTRIES = 1 << 15
 
 
+# m -> [the primes q = 1 mod m found so far, largest first; the next candidate to test]
+_PRIME_SUPPLY: dict[int, list] = {}
+
+
 def _modular_primes(target: int, m: int = 1) -> list[int]:
     """Distinct primes q < 2^31 with q = 1 mod m, largest first, whose product exceeds target.
 
     For m = p^j the field F_q holds every p^j-th root of unity.  There are
     about 2^31 / (phi(m) ln 2^31) such primes, together about 3e9 / phi(m)
-    bits; a larger target raises CertificationError.
+    bits; a larger target raises CertificationError.  A later call tests
+    only candidates below the primes already found for m.
     """
     step = m if m % 2 == 0 else 2 * m
-    cand = (_WORD - 2) // step * step + 1
-    primes, prod = [], 1
+    supply = _PRIME_SUPPLY.setdefault(m, [[], (_WORD - 2) // step * step + 1])
+    primes = supply[0]
+    count, prod = 0, 1
     while prod <= target:
-        if cand < 3:
-            raise CertificationError(
-                f"too few primes below 2^31 congruent to 1 mod {m} for a {target.bit_length()}-bit bound"
-            )
-        if is_probable_prime(cand):
+        if count == len(primes):
+            cand = supply[1]
+            if cand < 3:
+                raise CertificationError(
+                    f"too few primes below 2^31 congruent to 1 mod {m} for a {target.bit_length()}-bit bound"
+                )
+            supply[1] = cand - step
+            if not is_probable_prime(cand):
+                continue
             primes.append(cand)
-            prod *= cand
-        cand -= step
-    return primes
+        prod *= primes[count]
+        count += 1
+    return primes[:count]
 
 
 def _crt_signed(residues, primes: list[int]):
@@ -292,6 +306,15 @@ def _root_of_unity(q: int, p: int, j: int) -> int:
     raise ValueError(f"no element of order {order} mod {q}")
 
 
+def _matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    # a @ b mod q for residues below q < 2^31: b split at bit 16, sums of 2^15 terms stay in int64
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(0, a.shape[1], 1 << 15):
+        x, y = a[:, i : i + (1 << 15)], b[i : i + (1 << 15)]
+        out = (out + (x @ (y >> 16)) % q * 65536 + x @ (y & 65535)) % q
+    return out
+
+
 def _prod_mod(x: np.ndarray, q: int) -> np.ndarray:
     # the product mod q along axis 0, by halving
     while len(x) > 1:
@@ -421,12 +444,7 @@ def det_cyclotomic_poly(k: int, terms, p: int, j: int) -> list[list[int]]:
             lagrange = lagrange * pow(order, -1, q) % q
         else:
             lagrange = np.ones((1, 1), dtype=np.int64)
-        coords = np.zeros((points, phi), dtype=np.int64)
-        for i in range(0, phi, 1 << 15):
-            # at_roots^T V^T mod q, V split at bit 16 so the int64 sums stay exact
-            a, w = at_roots[i : i + (1 << 15)].T, lagrange[:, i : i + (1 << 15)].T
-            coords = (coords + (a @ (w >> 16)) % q * 65536 + a @ (w & 65535)) % q
-        coordinates.append(coords)
+        coordinates.append(_matmul_mod(at_roots.T, lagrange.T, q))
     return _crt_signed(np.array(coordinates, dtype=object), primes).tolist()
 
 
@@ -462,3 +480,46 @@ def det_groupring_poly(k: int, terms, m: int) -> UniPoly:
         det = det_cyclotomic_poly(k, scaled, p, j)
         per_orbit.append(UniPoly([CycloNum(p, j, tuple(Fraction(a, den) for a in x)) for x in det]))
     return from_character_polys(p, n, per_orbit)
+
+
+def norm_groupring_poly(terms, m: int, subgroup_order: int) -> UniPoly:
+    """N_{G/H}(x), the determinant of multiplication by x on Q[G][u] over Q[H][u], G = Z/mZ, m = p^n.
+
+    x = sum coeff * [s] * u^d over the terms (s, d, coeff), coeff rational;
+    H, of order p^h and index k, is Z/p^h Z through t -> t k, and the norm
+    at chi_b of H is the product of psi_a(x) over a = b mod p^h.  With c the
+    lcm of the denominators, each prime q = 1 mod p^n takes c x at t = 0..kD,
+    all psi_a by one table of g^(a s) (g of order p^n in F_q), the coset
+    products, the inverse transform over H and the interpolation in u.
+
+    Bound.  Under each psi_a, c x has coefficient 1-norm at most
+    B = sum |c coeff|, so each coset product at most B^k; a coordinate of
+    N(c x) = c^k N(x), in Z[H][u], is an average of p^h of them times roots
+    of unity, so at most B^k, and a modulus above 2 B^k lifts.
+    """
+    if not all(isinstance(t[2], (int, Fraction)) for t in terms):
+        raise ValueError("group-ring norms need rational group-ring coefficients")
+    p, n = factor_prime_power(m)
+    ph = p ** subgroup_exponent(m, subgroup_order)
+    k = m // ph
+    c = math.lcm(*(Fraction(coeff).denominator for _, _, coeff in terms))
+    degree = max((d for _, d, _ in terms), default=0)
+    coeffs = [[0] * (degree + 1) for _ in range(m)]
+    for s, d, coeff in terms:
+        coeffs[s % m][d] += int(coeff * c)
+    primes = _modular_primes(2 * sum(abs(v) for row in coeffs for v in row) ** k + 1, m)
+    coeffs, t = _int_array(coeffs), np.arange(k * degree + 1)
+    forward = np.outer(np.arange(m), np.arange(m)) % m  # psi_a([s]) = g^(a s)
+    back = -k * np.outer(np.arange(ph), np.arange(ph)) % m  # chi_b([-t]) = g^(-k b t) on H
+    residues = []
+    for q in primes:
+        powers = _power_table(_root_of_unity(q, p, n), m, q)
+        values, at_q = np.zeros((m, len(t)), dtype=np.int64), (coeffs % q).astype(np.int64)
+        for d in range(degree, -1, -1):  # x_s(t) by Horner's rule
+            values = (values * t + at_q[:, d, None]) % q
+        # psi_a(c x)(t) for a = i p^h + b, multiplied over i, then back over H
+        values = _prod_mod(_matmul_mod(powers[forward], values, q).reshape(k, ph, -1), q)
+        values = _matmul_mod(powers[back], values, q) * pow(ph, -1, q) % q
+        residues.append(_interpolate_mod(values, q))
+    coords = _crt_signed(np.array(residues, dtype=object), primes).T.tolist()
+    return UniPoly([GroupRingElem(ph, [Fraction(v, c**k) for v in row]) for row in coords])

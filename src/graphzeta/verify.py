@@ -29,7 +29,7 @@ from .poly import UniPoly
 from .report import poly_text
 from .tower import LevelGraph, TowerDatum, build_level_graph, ramification_profile, tower_euler_char
 
-__all__ = ["VerifyItem", "run_battery"]
+__all__ = ["VerifyItem", "default_subgroup_order", "run_battery"]
 
 PATH_COUNT_MAX = 12  # compare N_1..N_12: the Euler product through u^12
 
@@ -41,11 +41,16 @@ class VerifyItem:
     detail: str
 
 
+def default_subgroup_order(p: int, level: int) -> int:
+    """The subgroup order checked when none is given: p, or 1 at level 0, where G is trivial."""
+    return p if level else 1
+
+
 def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> list[VerifyItem]:
     items: list[VerifyItem] = []
     p = d.p
     if subgroup_order is None:
-        subgroup_order = p
+        subgroup_order = default_subgroup_order(p, n)
     lg = build_level_graph(d, n)
     graph = lg.graph
     if not connected(graph):

@@ -3,8 +3,10 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from graphzeta.cyclo import CycloNum, zeta
-from graphzeta.equivariant import _as_groupring_poly, _modulus_of
+from graphzeta.equivariant import _modulus_of
 from graphzeta.graphs import SerreGraph
 from graphzeta.groupring import GroupRingElem, groupring_idempotent
 from graphzeta.lfunctions import LfnData, characters, special_values
@@ -103,6 +105,27 @@ def count_reduced_closed_paths_exhaustive(g: SerreGraph, k: int) -> int:
     for e0 in range(g.n_darts):
         extend([e0])
     return total
+
+
+def dart_transition_matrix(g: SerreGraph) -> list[list[int]]:
+    """Non-backtracking dart matrix: B[e][f] = 1 iff f follows e and f != inv(e)."""
+    d = g.n_darts
+    b = [[0] * d for _ in range(d)]
+    for e in range(d):
+        for f in range(d):
+            if g.dart_terminus[e] == g.dart_origin[f] and f != g.dart_inverse[e]:
+                b[e][f] = 1
+    return b
+
+
+def path_counts_by_matrix_powers(g: SerreGraph, k_max: int) -> list[int]:
+    """N_1..N_k as traces of dense powers of the dart transition matrix, in Python integers."""
+    b = np.array(dart_transition_matrix(g), dtype=object).reshape(g.n_darts, g.n_darts)
+    power, counts = np.eye(g.n_darts, dtype=object), []
+    for _ in range(k_max):
+        power = power @ b
+        counts.append(int(power.trace()))
+    return counts
 
 
 def character_value_by_powers(x, p: int, n: int, a: int, level: int) -> CycloNum:
@@ -219,7 +242,7 @@ def norm_map_direct(x: UniPoly | GroupRingElem, subgroup_order: int) -> UniPoly:
     m = _modulus_of(x)
     ph = subgroup_order
     index = m // ph
-    poly = _as_groupring_poly(x, m)
+    poly = x if isinstance(x, UniPoly) else UniPoly.constant(x)
 
     def decompose(elem: GroupRingElem) -> list[GroupRingElem]:
         # elem = sum_i comp[i] * [i] with comp[i] in Q[H], H = <index>.

@@ -135,7 +135,7 @@ def test_cli_exit_code_validation_error(tmp_path, capsys):
         ["invariants", DATUM, "--max-level", "0"],
         ["tower", DATUM, "--max-level", "-1"],
         ["lfunctions", DATUM, "--level", "-1"],
-        ["verify", DATUM, "--level", "0"],
+        ["verify", DATUM, "--level", "-1"],
         ["verify", DATUM, "--subgroup-order", "3"],
     ],
 )
@@ -335,6 +335,17 @@ def test_cli_invariants_zero_g_exits_2(tmp_path):
         assert proc.returncode == 2
         assert proc.stderr.startswith("hypothesis violated: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_cli_verify_level_zero_defaults_to_the_trivial_subgroup(capsys):
+    # Z/1Z has only the subgroup of order 1, so that is the default at level 0
+    for extra in ((), ("--json",)):
+        code, out = _run(capsys, "verify", DATUM, "--level", "0", *extra)
+        assert (code, out) == _run(capsys, "verify", DATUM, "--level", "0", "--subgroup-order", "1", *extra)
+        assert code == 0
+    assert json.loads(out)["subgroup_order"] == 1
+    code, out = _run(capsys, "verify", DATUM, "--level", "1", "--json")
+    assert code == 0 and json.loads(out)["subgroup_order"] == 2
 
 
 def test_cli_verify_level_one_skips_vanishing(capsys):

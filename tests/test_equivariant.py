@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import collect_random_data
 from graphzeta.equivariant import (
@@ -16,7 +19,9 @@ from graphzeta.equivariant import (
     trace_map,
 )
 from graphzeta.graphs import SerreGraph
-from graphzeta.groupring import GroupRingElem, groupring_idempotent
+from graphzeta import linalg
+from graphzeta.cyclo import CycloNum, zeta
+from graphzeta.groupring import GroupRingElem, factor_prime_power, groupring_idempotent
 from graphzeta.lfunctions import character_table, characters, h_poly, r0
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum, build_level_graph
@@ -144,6 +149,48 @@ def test_norm_map_multiplicative():
             [GroupRingElem(4, tuple(Fraction(rng.randint(-2, 2)) for _ in range(4))) for _ in range(2)]
         )
         assert norm_map(x * y, 2) == norm_map(x, 2) * norm_map(y, 2)
+
+
+def _norm_in_prime_steps(x, m: int, subgroup_order: int) -> UniPoly:
+    # norms are transitive, so N_{G/H} is the chain of index-p cofactor norms through the
+    # subgroups in between: a single cofactor expansion of index 27 is out of reach
+    p = factor_prime_power(m)[0]
+    x = x if isinstance(x, UniPoly) else UniPoly.constant(x)
+    while m > subgroup_order and not x.is_zero():
+        m //= p
+        x = norm_map_direct(x, m)
+    return x
+
+
+@pytest.mark.parametrize("p, n", [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+@settings(derandomize=True, max_examples=6, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32), size=st.sampled_from([1, 7, 10**12]))
+def test_norm_map_matches_cofactor_norms(p, n, seed, size):
+    # rational elements of Q[Z/p^n Z][u] with denominators and zero coordinates; at size 10^12
+    # the bound 2 B^k + 1 takes several CRT primes
+    m = p**n
+    rng = random.Random(seed)
+
+    def coeff():
+        if rng.random() < 0.4:
+            return Fraction(0)
+        return Fraction(rng.randint(-size, size), rng.choice((1, 1, 2, 3, 4, 9)))
+
+    x = UniPoly([GroupRingElem(m, [coeff() for _ in range(m)]) for _ in range(rng.randint(1, 3))])
+    assume(not x.is_zero())
+    for h in range(n + 1):
+        expected = _norm_in_prime_steps(x, m, p**h)
+        assert norm_map(x, p**h) == expected
+        if m // p**h <= 8:  # a single cofactor expansion where it is quick
+            assert norm_map_direct(x, p**h) == expected
+
+
+def test_norm_map_refuses_cyclotomic_coefficients():
+    x = GroupRingElem(4, [zeta(2, 2), Fraction(1), Fraction(0), Fraction(0)])
+    with pytest.raises(ValueError, match="rational group-ring coefficients"):
+        norm_map(x, 2)
+    with pytest.raises(ValueError, match="rational group-ring coefficients"):
+        linalg.norm_groupring_poly([(0, 0, 1), (1, 1, CycloNum.rational(2, 1, 1))], 4, 1)
 
 
 def test_norm_induction_property_random():

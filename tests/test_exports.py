@@ -21,6 +21,8 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # instead) live on as test oracles in tests/oracles.py.  The truncated
 # power series and the two zeta series built from it gave way to
 # graphs.path_counts_from_zeta, an integer identity on the path counts.
+# The dense dart transition matrix and its matrix powers are the path-count
+# oracle in tests/oracles.py; reduced_closed_path_counts works sparsely.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -54,6 +56,7 @@ REMOVED = [
     ("poly", "TruncSeries"),
     ("graphs", "zeta_series_from_counts"),
     ("graphs", "zeta_reciprocal_series"),
+    ("graphs", "dart_transition_matrix"),
 ]
 
 

@@ -5,7 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
-from oracles import count_reduced_closed_paths_exhaustive, count_spanning_trees_exhaustive
+from oracles import (
+    count_reduced_closed_paths_exhaustive,
+    count_spanning_trees_exhaustive,
+    path_counts_by_matrix_powers,
+)
 from graphzeta.errors import GraphError
 from graphzeta.graphs import (
     SerreGraph,
@@ -214,6 +218,28 @@ def test_path_counts_past_int64():
     for k in range(1, 4):
         assert counts[k - 1] == count_reduced_closed_paths_exhaustive(bouquet, k)
     assert counts == [(2 * r - 1) ** k + 1 + (r - 1) * (1 + (-1) ** k) for k in range(1, 13)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 2**32), st.integers(0, 22), st.integers(1, 12))
+def test_sparse_path_counts_match_dense_matrix_powers(seed, loops, k_max):
+    # any multigraph, connected or not, dartless included; enough loops at vertex 0
+    # push the bound n_darts * (max deg - 1)^k_max past 2^63, onto Python integers
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 7))]
+    g = SerreGraph.from_edges(range(n), edges + [(0, 0)] * (loops if rng.random() < 0.3 else 0))
+    assert reduced_closed_path_counts(g, k_max) == path_counts_by_matrix_powers(g, k_max)
+
+
+def test_sparse_path_counts_on_both_integer_routes():
+    for g in (SerreGraph((), (), (), ()), SerreGraph(("v",), (), (), ())):
+        assert reduced_closed_path_counts(g, 12) == [0] * 12
+    bouquet = SerreGraph.from_edges(["v"], [("v", "v")] * 20)  # 40 * 39^12 > 2^63: Python integers
+    star = SerreGraph.from_edges(range(4), [(0, 1), (0, 2), (0, 3), (1, 1), (2, 3), (3, 3)])
+    assert bouquet.n_darts * 39**12 >= 2**63 > star.n_darts * 4**12
+    for g in (bouquet, star, _double_edge_cover(3)):
+        assert reduced_closed_path_counts(g, 12) == path_counts_by_matrix_powers(g, 12)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)

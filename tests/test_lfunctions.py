@@ -34,7 +34,7 @@ from graphzeta.lfunctions import (
 from graphzeta.groupring import GroupRingElem
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum, build_level_graph
-from graphzeta.verify import run_battery
+from graphzeta.verify import default_subgroup_order, run_battery
 from oracles import det_cofactor, l_reciprocal_of_sum, orbit_special_products_by_characters
 
 
@@ -355,3 +355,11 @@ def test_verify_battery_builds_its_cover_once(monkeypatch):
         built.clear()
         run_battery(d, n, sub)
         assert built == [n]
+
+
+def test_verify_battery_at_level_zero_checks_the_trivial_subgroup():
+    d = load_datum(FIXTURES / "double_edge.json")
+    items = run_battery(d, 0)
+    assert items == run_battery(d, 0, 1)
+    assert not [it.name for it in items if it.status == "fail"]
+    assert [default_subgroup_order(p, n) for p, n in ((2, 0), (2, 1), (3, 0), (3, 2))] == [1, 2, 1, 3]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -246,6 +247,28 @@ def test_modular_primes_are_one_mod_m():
         assert all(q < 2**31 and (q - 1) % m == 0 and is_probable_prime(q) for q in primes)
         assert primes == sorted(set(primes), reverse=True)
     assert _modular_primes(2**62) == [2147483647, 2147483629, 2147483587]
+    with pytest.raises(CertificationError, match="too few primes"):
+        _modular_primes(2 ** (2**17), 2**17)
+
+
+def test_modular_primes_are_searched_once_per_modulus(monkeypatch):
+    # the same primes as a fresh search from the top, and no candidate is tested twice
+    m, step = 3**4, 2 * 3**4
+    candidates = range((2**31 - 2) // step * step + 1, 0, -step)
+    fresh = list(itertools.islice((q for q in candidates if is_probable_prime(q)), 40))
+    monkeypatch.setattr(linalg, "_PRIME_SUPPLY", {})
+    first = _modular_primes(2**300, m)
+    tested = []
+    monkeypatch.setattr(linalg, "is_probable_prime", lambda q: tested.append(q) or is_probable_prime(q))
+    assert _modular_primes(2**300, m) == first == fresh[: len(first)]
+    assert _modular_primes(2**40, m) == fresh[:2]
+    assert tested == []
+    assert _modular_primes(math.prod(fresh[:39]), m) == fresh[:40] and min(tested) == fresh[39]
+    assert len(tested) == len(set(tested))
+    # running out leaves the supply usable
+    with pytest.raises(CertificationError, match="too few primes"):
+        _modular_primes(2 ** (2**17), 2**17)
+    assert _modular_primes(2**62, 2**17) == _modular_primes(2**62, 2**17)
     with pytest.raises(CertificationError, match="too few primes"):
         _modular_primes(2 ** (2**17), 2**17)
 
