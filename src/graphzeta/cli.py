@@ -28,12 +28,9 @@ from .iwasawa import (
     lambda_components,
     tower_sweep,
 )
-from .lfunctions import character_table, level_h_poly, orbit_special_products
+from .lfunctions import character_table, level_h_poly, orbit_special_products, r0
 from .report import (
     exact_int_text,
-    fmt_cyclo,
-    fmt_cyclo_poly,
-    fmt_fraction,
     fmt_int_poly,
     machine_json,
     table,
@@ -69,24 +66,24 @@ def cmd_zeta(d: TowerDatum, level: int) -> dict:
 
 
 def cmd_lfunctions(d: TowerDatum, level: int) -> dict:
+    # integer rows, one conjugated coordinate vector per character; r0 is constant on an orbit
     table = character_table(d, level)
-    rows = []
-    for psi in table.characters:
-        data = table.lfn_data(psi)
-        sv = table.special_values(psi)
-        row = {
-            "exponent": psi.a,
-            "order": psi.order,
-            "r0": data.r0,
-            "c_exponent": data.c_exponent,
-            "h": fmt_cyclo_poly(data.h, psi.p, psi.order_exponent),
-            "h_at_one": fmt_cyclo(sv.h_at_one),
-        }
-        if psi.is_trivial:
-            row["h_derivative_at_one"] = fmt_fraction(sv.h_derivative_at_one)
-        rows.append(row)
+    chi_base = d.base.n_vertices - d.base.n_edges
+    rows = [None] * d.p**level
+    for j, psi in enumerate(table.representatives):
+        r = r0(d, level, psi)
+        for a, h, h_at_one in table.orbit_rows(j):
+            rows[a] = {
+                "exponent": a,
+                "order": psi.order,
+                "r0": r,
+                "c_exponent": r - chi_base,
+                "h": {"p": d.p, "j": j, "coeffs": [list(map(str, c)) for c in h]},
+                "h_at_one": {"p": d.p, "j": j, "coeffs": list(map(str, h_at_one))},
+            }
+    rows[0]["h_derivative_at_one"] = str(table.trivial_h_derivative_at_one())
     orbit = [
-        {"order": d.p**j, "value": fmt_fraction(v)}
+        {"order": d.p**j, "value": str(v)}
         for j, v in sorted(orbit_special_products(d, level).items())
     ]
     return {

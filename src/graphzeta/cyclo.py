@@ -5,6 +5,10 @@ modulo the cyclotomic polynomial Phi_{p^j}(X) = sum_{t<p} X^{t*p^(j-1)}.
 The coefficient vector has length phi(p^j), which is 1 at level j = 0
 (the field is then just Q).  The p-adic valuation extends uniquely to
 these fields; it is computed through the field norm.
+
+The Galois action sigma_u: zeta -> zeta^u is one index pair on the
+coordinates (`galois_index_pair`): `CycloNum.galois` applies it to one
+element, `galois_conjugates` to integer coordinate rows for many u at once.
 """
 
 from __future__ import annotations
@@ -12,10 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "CycloNum",
     "Valuation",
     "euler_phi_prime_power",
+    "galois_conjugates",
+    "galois_index_pair",
     "ordp_cyclo",
     "ordp_fraction",
     "zeta",
@@ -36,6 +44,53 @@ def _phi_tail(p: int, j: int) -> list[tuple[int, Fraction]]:
         return [(0, Fraction(-1))]
     step = p ** (j - 1)
     return [(t * step, Fraction(1)) for t in range(p - 1)]
+
+
+def galois_index_pair(p: int, j: int, units) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_u: zeta -> zeta^u on power-basis coordinates, for each u in units.
+
+    With c the coordinates followed by one zero (index phi = phi(p^j)),
+    sigma_u(x) has coordinates c[a[t]] - c[b[t]], t < phi, for the rows
+    a, b of shape (len(units), phi) returned here.  sigma_u moves the
+    coefficient of zeta^i to zeta^(i u), so the exponent t reads
+    c[t u^-1 mod p^j]; reducing by Phi_{p^j}, zeta^(phi + r) =
+    -sum_{k < p-1} zeta^(k s + r) with s = p^(j-1), r < s, so every
+    t = k s + r also loses c[(phi + t mod s) u^-1 mod p^j].  An index
+    >= phi reads the zero.  ValueError for a u divisible by p, when j >= 1.
+    """
+    phi, order = euler_phi_prime_power(p, j), p**j
+    units = [int(u) for u in units]
+    if j == 0:  # Q: the identity
+        return np.zeros((len(units), 1), np.int64), np.ones((len(units), 1), np.int64)
+    if any(u % p == 0 for u in units):
+        raise ValueError("galois exponent must be a unit")
+    inverse = np.array([pow(u, -1, order) for u in units], dtype=np.int64).reshape(-1, 1)
+    t = np.arange(phi, dtype=np.int64)
+    a = t * inverse % order
+    b = (phi + t % (order // p)) * inverse % order
+    return np.minimum(a, phi), np.minimum(b, phi)
+
+
+def galois_conjugates(p: int, j: int, rows, units) -> np.ndarray:
+    """sigma_u of integer coordinate rows, for each u in units.
+
+    rows is a list of coordinate vectors of length phi(p^j); the result
+    has shape (len(units), len(rows), phi).  It is int64 when every entry
+    is below 2^62 in absolute value, so that each difference fits, and
+    object (Python ints) otherwise.
+    """
+    a, b = galois_index_pair(p, j, units)
+    phi = a.shape[1]
+    try:
+        c = np.array(rows, dtype=np.int64).reshape(len(rows), phi)
+        fits = np.all((c > -(2**62)) & (c < 2**62))
+    except OverflowError:
+        fits = False
+    if fits:
+        c = np.hstack([c, np.zeros((len(rows), 1), np.int64)])
+    else:
+        c = np.array([list(r) + [0] for r in rows], dtype=object).reshape(len(rows), phi + 1)
+    return (c[:, a] - c[:, b]).transpose(1, 0, 2)
 
 
 def _reduce(p: int, j: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
@@ -197,11 +252,10 @@ class CycloNum:
 
     def galois(self, u: int) -> "CycloNum":
         """Apply the automorphism zeta -> zeta^u (u a unit mod p^j)."""
-        if self.j > 0 and u % self.p == 0:
-            raise ValueError("galois exponent must be a unit")
-        return CycloNum.from_monomials(
-            self.p, self.j, ((i * u, c) for i, c in enumerate(self.coeffs) if c)
-        )
+        (a,), (b,) = galois_index_pair(self.p, self.j, [u])
+        c = self.coeffs + (Fraction(0),)
+        out = (c[x] - c[y] if c[y] else c[x] for x, y in zip(a.tolist(), b.tolist()))
+        return CycloNum(self.p, self.j, tuple(out))
 
     def norm(self) -> Fraction:
         """Field norm down to Q: product of all Galois conjugates."""

@@ -9,11 +9,12 @@ factor (1 - u^2)^r0(psi).
 
 The three-term matrix is written as integer terms in zeta_{p^j} and u;
 `linalg.det_cyclotomic_poly` gives the power-basis coordinates of its
-determinant, and `linalg.det_norm_cyclotomic` its norm to Q(u), one per
-Galois orbit for the level's h (`level_h_poly`).  A `CharacterTable` holds
-h, z and the special values of every character of one level from one
-determinant per orbit; the commands use it, and the per-character
-`h_poly`, `z_poly`, `special_values` and `lfn_data` stay as its oracle.
+determinant (`h_coordinates`), and `linalg.det_norm_cyclotomic` its norm
+to Q(u), one per Galois orbit for the level's h (`level_h_poly`).  A
+`CharacterTable` holds h, z and the special values of every character of
+one level from one determinant per orbit; the commands use it, and the
+per-character `h_poly`, `z_poly`, `special_values` and `lfn_data` stay as
+its oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclo import CycloNum, Valuation, euler_phi_prime_power, ordp_fraction
+from .cyclo import CycloNum, Valuation, euler_phi_prime_power, galois_conjugates, ordp_fraction
 from .errors import HypothesisError
 from .graphs import SerreGraph, adjacency_and_degree, ihara_zeta_reciprocal
 from .groupring import (
@@ -43,6 +44,7 @@ __all__ = [
     "SpecialValues",
     "character_table",
     "characters",
+    "h_coordinates",
     "h_poly",
     "kernel_contains_stabilizer",
     "level_h_poly",
@@ -99,20 +101,37 @@ def _three_term_terms(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int
     return terms
 
 
-def _three_term_det(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int]) -> UniPoly:
-    p, j = d.p, psi.order_exponent
-    det = linalg.det_cyclotomic_poly(len(kept), _three_term_terms(d, n, psi, kept), p, j)
-    return UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det])
+def _three_term_coordinates(
+    d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int]
+) -> list[list[int]]:
+    terms = _three_term_terms(d, n, psi, kept)
+    rows = linalg.det_cyclotomic_poly(len(kept), terms, d.p, psi.order_exponent)
+    while rows and not any(rows[-1]):  # up to the degree, as in UniPoly
+        rows.pop()
+    return rows
+
+
+def _cyclo_poly(p: int, j: int, rows: list[list[int]]) -> UniPoly:
+    return UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in rows])
+
+
+def h_coordinates(d: TowerDatum, n: int, psi: CharacterLabel) -> list[list[int]]:
+    """h(u, psi) as integers: row k holds the power-basis coordinates of its u^k coefficient.
+
+    The rows run up to the degree of h; the zero polynomial has none.
+    """
+    return _three_term_coordinates(d, n, psi, orbit_vertices(d, psi.order_exponent))
 
 
 def h_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
     """h(u, psi): the reduced three-term determinant, over Q(zeta_{p^j})."""
-    return _three_term_det(d, n, psi, orbit_vertices(d, psi.order_exponent))
+    return _cyclo_poly(d.p, psi.order_exponent, h_coordinates(d, n, psi))
 
 
 def z_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
     """z(u, psi): the full (unreduced) three-term determinant under psi."""
-    return _three_term_det(d, n, psi, list(range(d.base.n_vertices)))
+    rows = _three_term_coordinates(d, n, psi, list(range(d.base.n_vertices)))
+    return _cyclo_poly(d.p, psi.order_exponent, rows)
 
 
 def level_h_poly(d: TowerDatum, n: int) -> UniPoly:
@@ -148,18 +167,15 @@ class SpecialValues:
     h_derivative_at_one: Fraction | None  # only for the trivial character
 
 
-def _values_at_one(h: UniPoly, psi: CharacterLabel) -> SpecialValues:
-    # h(1) and h'(1) as sums of (k times) the coefficients: no products in the field
+def special_values(d: TowerDatum, n: int, psi: CharacterLabel) -> SpecialValues:
+    """h(1, psi), plus h'(1, psi0) for the trivial character."""
+    # sums of (k times) the coefficients: no products in the field
+    h = h_poly(d, n, psi)
     h1 = sum(h.coeffs, CycloNum.rational(psi.p, 0, psi.order_exponent))
     if psi.is_trivial:
         deriv = sum((k * c.to_rational() for k, c in enumerate(h.coeffs)), Fraction(0))
         return SpecialValues(h1, deriv)
     return SpecialValues(h1, None)
-
-
-def special_values(d: TowerDatum, n: int, psi: CharacterLabel) -> SpecialValues:
-    """h(1, psi), plus h'(1, psi0) for the trivial character."""
-    return _values_at_one(h_poly(d, n, psi), psi)
 
 
 @dataclass(frozen=True)
@@ -178,34 +194,76 @@ def lfn_data(d: TowerDatum, n: int, psi: CharacterLabel) -> LfnData:
     return LfnData(psi, h_poly(d, n, psi), r - chi_base, r)
 
 
+# entries of one chunk of conjugates in `CharacterTable.orbit_rows`
+_CONJUGATE_ENTRIES = 1 << 18
+
+
 @dataclass
 class CharacterTable:
     """h, z and the special values of every character of Z/p^n Z at one level.
 
     One three-term determinant per Galois orbit: for j = 0..n, h (and, on
-    first use, z) is computed by `h_poly` (`z_poly`) on the representative
-    psi_{p^(n-j)} only.  Any other character psi = sigma_u o psi_{p^(n-j)}
-    (`groupring.character_orbits`) has sigma_u of the representative's
-    three-term matrix as its own, so its h, z and h(1, psi) are the
-    representative's with sigma_u applied.  Build it with `character_table`;
-    it belongs to one computation and is not cached between calls.
+    first use, z) is computed by `h_coordinates` (`z_poly`) on the
+    representative psi_{p^(n-j)} only.  Any other character
+    psi = sigma_u o psi_{p^(n-j)} (`groupring.character_orbits`) has sigma_u
+    of the representative's three-term matrix as its own, so its h, z and
+    h(1, psi) are the representative's with sigma_u applied.  `orbit_rows`
+    applies it to the integer coordinates of a whole orbit at once
+    (`cyclo.galois_conjugates`); `h`, `z`, `special_values` and `lfn_data`
+    give one character's values.  Build it with `character_table`; it
+    belongs to one computation and is not cached between calls.
     """
 
     datum: TowerDatum
     level: int
     representatives: list[CharacterLabel]
     orbits: list[tuple[int, int]]  # (j, u) for each character exponent a
-    rep_h: list[UniPoly]
-    rep_values: list[SpecialValues]
+    rep_coordinates: list[list[list[int]]]  # each representative's `h_coordinates`
     rep_z: list[UniPoly | None]  # filled in on first use
 
     @property
     def characters(self) -> list[CharacterLabel]:
         return characters(self.datum.p, self.level)
 
-    def h(self, psi: CharacterLabel) -> UniPoly:
+    @property
+    def rep_h(self) -> list[UniPoly]:
+        return [_cyclo_poly(self.datum.p, j, rows) for j, rows in enumerate(self.rep_coordinates)]
+
+    def rep_h_at_one(self, j: int) -> list[int]:
+        """Coordinates of h(1) at the representative of order p^j: its rows' column sums."""
+        sums = [sum(column) for column in zip(*self.rep_coordinates[j])]
+        return sums or [0] * euler_phi_prime_power(self.datum.p, j)
+
+    def trivial_h_derivative_at_one(self) -> int:
+        return sum(k * row[0] for k, row in enumerate(self.rep_coordinates[0]))
+
+    def orbit_rows(self, j: int):
+        """(a, h rows, h(1)) for each character psi_a of order p^j, by increasing a.
+
+        The rows are `h_coordinates` of psi_a and h(1) their column sums,
+        all integers: sigma_u of the representative's for a = u p^(n-j),
+        taken with numpy gathers over chunks of the units u mod p^j.
+        """
+        p, rows = self.datum.p, self.rep_coordinates[j]
+        rows = rows + [self.rep_h_at_one(j)]  # sigma_u commutes with the column sums
+        units = [u for u in range(1, p**j) if u % p] if j else [1]
+        step = p ** (self.level - j) if j else 0  # the trivial character is a = 0
+        chunk = max(1, _CONJUGATE_ENTRIES // (len(rows) * len(rows[0])))
+        for start in range(0, len(units), chunk):
+            part = units[start : start + chunk]
+            for u, conjugate in zip(part, galois_conjugates(p, j, rows, part).tolist()):
+                yield u * step, conjugate[:-1], conjugate[-1]
+
+    def _conjugate(self, psi: CharacterLabel) -> tuple[int, list[list[int]], list[int]]:
+        # (j, h rows, h(1)) of one character
         j, u = self.orbits[psi.a]
-        return galois_conjugate(self.rep_h[j], u)
+        rows = self.rep_coordinates[j] + [self.rep_h_at_one(j)]
+        (conjugate,) = galois_conjugates(self.datum.p, j, rows, [u]).tolist()
+        return j, conjugate[:-1], conjugate[-1]
+
+    def h(self, psi: CharacterLabel) -> UniPoly:
+        j, rows, _ = self._conjugate(psi)
+        return _cyclo_poly(self.datum.p, j, rows)
 
     def z(self, psi: CharacterLabel) -> UniPoly:
         j, u = self.orbits[psi.a]
@@ -214,9 +272,9 @@ class CharacterTable:
         return galois_conjugate(self.rep_z[j], u)
 
     def special_values(self, psi: CharacterLabel) -> SpecialValues:
-        j, u = self.orbits[psi.a]
-        values = self.rep_values[j]
-        return SpecialValues(values.h_at_one.galois(u), values.h_derivative_at_one)
+        j, _, h_at_one = self._conjugate(psi)
+        h1 = CycloNum(self.datum.p, j, tuple(map(Fraction, h_at_one)))
+        return SpecialValues(h1, Fraction(self.trivial_h_derivative_at_one()) if not j else None)
 
     def lfn_data(self, psi: CharacterLabel) -> LfnData:
         d = self.datum
@@ -225,18 +283,10 @@ class CharacterTable:
 
 
 def character_table(d: TowerDatum, n: int) -> CharacterTable:
-    """The `CharacterTable` of level n: n + 1 calls of `h_poly`, one per orbit."""
+    """The `CharacterTable` of level n: n + 1 calls of `h_coordinates`, one per orbit."""
     reps, orbits = character_orbits(d.p, n)
-    rep_h = [h_poly(d, n, psi) for psi in reps]
-    return CharacterTable(
-        d,
-        n,
-        reps,
-        orbits,
-        rep_h,
-        [_values_at_one(h, psi) for h, psi in zip(rep_h, reps)],
-        [None] * len(reps),
-    )
+    rep_coordinates = [h_coordinates(d, n, psi) for psi in reps]
+    return CharacterTable(d, n, reps, orbits, rep_coordinates, [None] * len(reps))
 
 
 @dataclass(frozen=True)
@@ -262,12 +312,9 @@ def product_formula_check(table: CharacterTable, cover: SerreGraph) -> ProductCh
     """
     d, n = table.datum, table.level
     h_product, chi_sum = UniPoly.constant(1), 0
-    for psi, h in zip(table.representatives, table.rep_h):
+    for psi, rows in zip(table.representatives, table.rep_coordinates):
         j = psi.order_exponent
-        # a determinant over Z[zeta]: its coordinates are integers
-        terms = [
-            (0, 0, e, i, int(x)) for i, c in enumerate(h.coeffs) for e, x in enumerate(c.coeffs)
-        ]
+        terms = [(0, 0, e, i, x) for i, row in enumerate(rows) for e, x in enumerate(row)]
         h_product = h_product * UniPoly(linalg.det_norm_cyclotomic(1, terms, d.p, j))
         chi_psi = d.base.n_vertices - d.base.n_edges - r0(d, n, psi)  # one value on the orbit
         chi_sum += euler_phi_prime_power(d.p, j) * chi_psi
@@ -287,13 +334,12 @@ def vanishing_order_check(table: CharacterTable) -> dict:
     chi = tower_euler_char(table.datum, n)
     if chi == 0:
         raise HypothesisError(f"hypothesis violated: chi(X_{n}) = 0")
-    trivial, *others = table.rep_values
     results = {
-        "trivial_vanishes": not bool(trivial.h_at_one),
-        "trivial_derivative_nonzero": trivial.h_derivative_at_one != 0,
+        "trivial_vanishes": not any(table.rep_h_at_one(0)),
+        "trivial_derivative_nonzero": table.trivial_h_derivative_at_one() != 0,
     }
-    if others:
-        results["nontrivial_nonzero"] = all(bool(sv.h_at_one) for sv in others)
+    if n:
+        results["nontrivial_nonzero"] = all(any(table.rep_h_at_one(j)) for j in range(1, n + 1))
     results["ok"] = all(results.values())
     return results
 

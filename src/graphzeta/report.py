@@ -20,8 +20,6 @@ from .poly import UniPoly
 
 __all__ = [
     "exact_int_text",
-    "fmt_cyclo",
-    "fmt_cyclo_poly",
     "fmt_fraction",
     "fmt_int_poly",
     "machine_json",
@@ -32,20 +30,6 @@ __all__ = [
 def fmt_fraction(x) -> str:
     fr = x if isinstance(x, Fraction) else Fraction(x)
     return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
-
-
-def fmt_cyclo(x: CycloNum) -> dict:
-    return {"p": x.p, "j": x.j, "coeffs": [fmt_fraction(c) for c in x.coeffs]}
-
-
-def fmt_cyclo_poly(poly: UniPoly, p: int, j: int) -> dict:
-    rows = []
-    for c in poly.coeffs:
-        if isinstance(c, CycloNum):
-            rows.append([fmt_fraction(v) for v in c.coeffs])
-        else:
-            rows.append([fmt_fraction(c)])
-    return {"p": p, "j": j, "coeffs": rows}
 
 
 def fmt_int_poly(poly: UniPoly) -> list[int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cyclo import euler_phi_prime_power
 from .equivariant import (
     eta_for_subgroup_action,
     eta_poly,
@@ -123,7 +124,10 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
         )
     )
 
-    r0_total = sum(r0(d, n, psi) for psi in table.characters)
+    # r0 is constant on a Galois orbit, as chi_psi is in the product formula
+    r0_total = sum(
+        euler_phi_prime_power(p, j) * r0(d, n, psi) for j, psi in enumerate(table.representatives)
+    )
     r0_ok = r0_total == branch_sum
     items.append(
         VerifyItem(

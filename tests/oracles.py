@@ -277,3 +277,8 @@ def norm_map_direct(x: UniPoly | GroupRingElem, subgroup_order: int) -> UniPoly:
                 mat[i][jcol] = UniPoly.constant(GroupRingElem.zero(ph))
     det = det_cofactor(mat)
     return det if isinstance(det, UniPoly) else UniPoly.constant(det)
+
+
+def galois_by_monomials(x: CycloNum, u: int) -> CycloNum:
+    """sigma_u(x): zeta^i sent to zeta^(i u), the sum reduced by `CycloNum.from_monomials`."""
+    return CycloNum.from_monomials(x.p, x.j, ((i * u, c) for i, c in enumerate(x.coeffs) if c))

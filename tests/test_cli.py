@@ -6,17 +6,20 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
-from graphzeta import cli, graphs, linalg
-from graphzeta.cli import _human, main
+from conftest import FIXTURES, collect_random_data
+from graphzeta import cli, graphs, lfunctions, linalg
+from graphzeta.cli import _human, cmd_lfunctions, main
+from graphzeta.cyclo import CycloNum
 from graphzeta.datum_io import datum_to_dict, dump_datum, load_datum, parse_datum
 from graphzeta.errors import DatumError
 from graphzeta.graphs import SerreGraph
-from graphzeta.report import machine_json
+from graphzeta.lfunctions import characters, lfn_data, special_values
+from graphzeta.report import fmt_fraction, machine_json
 from graphzeta.tower import TowerDatum
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATUM = str(FIXTURES / "double_edge.json")
+STAR = str(FIXTURES / "triple_star.json")
 
 
 def _run(capsys, *argv) -> tuple[int, str]:
@@ -226,6 +229,10 @@ def test_cli_machine_reports_match_golden(capsys):
             "verify_level2.json",
             ["verify", DATUM, "--level", "2", "--subgroup-order", "2", "--json"],
         ),
+        ("lfunctions_double_edge_level5.json", ["lfunctions", DATUM, "--level", "5", "--json"]),
+        ("lfunctions_double_edge_level5.txt", ["lfunctions", DATUM, "--level", "5"]),
+        ("lfunctions_triple_star_level3.json", ["lfunctions", STAR, "--level", "3", "--json"]),
+        ("lfunctions_triple_star_level3.txt", ["lfunctions", STAR, "--level", "3"]),
     ]
     for golden_name, argv in cases:
         code, out = _run(capsys, *argv)
@@ -434,3 +441,75 @@ def test_integers_past_the_str_digit_limit_render_exactly():
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _per_character_rows(d: TowerDatum, n: int) -> list[dict]:
+    """The `lfunctions` rows rendered character by character from `h_poly` and `special_values`."""
+    rows = []
+    for psi in characters(d.p, n):
+        data, values = lfn_data(d, n, psi), special_values(d, n, psi)
+        j = psi.order_exponent
+        row = {
+            "exponent": psi.a,
+            "order": psi.order,
+            "r0": data.r0,
+            "c_exponent": data.c_exponent,
+            "h": {
+                "p": d.p,
+                "j": j,
+                "coeffs": [[fmt_fraction(v) for v in c.coeffs] for c in data.h.coeffs],
+            },
+            "h_at_one": {
+                "p": d.p,
+                "j": j,
+                "coeffs": [fmt_fraction(v) for v in values.h_at_one.coeffs],
+            },
+        }
+        if psi.is_trivial:
+            row["h_derivative_at_one"] = fmt_fraction(values.h_derivative_at_one)
+        rows.append(row)
+    return rows
+
+
+def _lfunctions_cases() -> list[tuple[TowerDatum, int]]:
+    de, star = (load_datum(FIXTURES / f"{name}.json") for name in ("double_edge", "triple_star"))
+    # every vertex Ramified(0): K_j is empty for j >= 1, so h(u, psi) = 1 there
+    base = SerreGraph.from_edges(["v1", "v2"], [("v1", "v2"), ("v1", "v2")])
+    empty = TowerDatum(base, 2, (1, -1, 2, -2), (0, 0))
+    cases = [(de, n) for n in range(7)] + [(star, n) for n in range(5)]
+    cases += [(empty, n) for n in range(4)]
+    for d in collect_random_data(71, 6, levels_connected=0):
+        cases += [(d, n) for n in range(4)]
+    return cases
+
+
+def test_cli_lfunctions_rows_match_the_per_character_route(monkeypatch):
+    for d, n in _lfunctions_cases():
+        want = _per_character_rows(d, n)
+        for entries in (lfunctions._CONJUGATE_ENTRIES, 16):  # one chunk per orbit, or many
+            monkeypatch.setattr(lfunctions, "_CONJUGATE_ENTRIES", entries)
+            doc = cmd_lfunctions(d, n)
+            assert (doc["command"], doc["prime"], doc["level"]) == ("lfunctions", d.p, n)
+            assert doc["characters"] == want
+
+
+def test_cli_lfunctions_makes_no_cyclotomic_conjugation(monkeypatch):
+    calls = []
+    galois, from_monomials = CycloNum.galois, CycloNum.from_monomials
+
+    def record_galois(self, u):
+        calls.append("galois")
+        return galois(self, u)
+
+    def record_from_monomials(p, j, monomials):
+        calls.append("from_monomials")
+        return from_monomials(p, j, monomials)
+
+    monkeypatch.setattr(CycloNum, "galois", record_galois)
+    monkeypatch.setattr(CycloNum, "from_monomials", staticmethod(record_from_monomials))
+    for d, n in _lfunctions_cases():
+        if n:
+            cmd_lfunctions(d, n)
+    assert calls == []
+    CycloNum.rational(3, 1, 2).galois(2)  # the recorder sees a conjugation
+    assert calls == ["galois"]

@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import galois_by_monomials
 
 from graphzeta.cyclo import (
     CycloNum,
     Valuation,
     _ord_int,
     euler_phi_prime_power,
+    galois_conjugates,
     ordp_cyclo,
     ordp_fraction,
     zeta,
@@ -136,3 +141,66 @@ def test_galois_permutes_conjugates():
     assert conj == z**3 + 2 * z**9
     with pytest.raises(ValueError):
         x.galois(2)
+
+
+def _units(p: int, j: int) -> list[int]:
+    return [u for u in range(1, p**j) if u % p] if j else [1]
+
+
+def _sparse_vector(rng: random.Random, phi: int, draw) -> list:
+    # up to 40 nonzero coordinates, so that the oracle stays cheap at phi(7^4) = 2058
+    out = [0] * phi
+    for i in rng.sample(range(phi), min(phi, rng.randint(0, 40))):
+        out[i] = draw()
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("j", range(5))
+@settings(derandomize=True, max_examples=3, deadline=None, database=None)
+@given(st.sampled_from([5, 2**62 - 1, 2**62, 2**63, 2**80]), st.integers(0, 2**32))
+def test_galois_index_pair_matches_monomial_oracle(p, j, bound, seed):
+    """sigma_u on integer rows (int64 and object) and on Fraction coordinates.
+
+    Every unit u is checked against the oracle up to phi = 294 (7^3); at
+    5^4 and 7^4 (500 and 2058 units) a sample of 40 units is, and the
+    composition law sigma_u o sigma_v = sigma_(uv) covers every unit.
+    """
+    rng = random.Random(seed)
+    phi, order, units = euler_phi_prime_power(p, j), p**j, _units(p, j)
+
+    def big():
+        return rng.choice([-bound, bound, rng.randint(-bound, bound)])
+
+    def fraction():
+        return Fraction(big(), rng.randint(1, 9))
+
+    rows = [_sparse_vector(rng, phi, big) for _ in range(2)]
+    as_cyclo = [CycloNum(p, j, tuple(map(Fraction, row))) for row in rows]
+    x = CycloNum(p, j, tuple(map(Fraction, _sparse_vector(rng, phi, fraction))))
+    small = all(abs(c) < 2**62 for row in rows for c in row)
+    checked = set(units if phi < 500 else rng.sample(units, 40))
+    v, w = rng.choice(units), rng.choice(units)
+    for start in range(0, len(units), 64):  # chunks keep 7^4 small in memory
+        part = units[start : start + 64]
+        conjugates = galois_conjugates(p, j, rows, part)
+        assert conjugates.shape == (len(part), 2, phi)
+        assert (conjugates.dtype == np.int64) == small
+        for u, conjugate in zip(part, conjugates):
+            if u not in checked:
+                continue
+            for row, got in zip(as_cyclo, conjugate.tolist()):
+                assert list(galois_by_monomials(row, u).coeffs) == got
+            y = x.galois(u)
+            assert y == galois_by_monomials(x, u)
+            assert all(type(c) is Fraction for c in y.coeffs)
+        twice = galois_conjugates(p, j, galois_conjugates(p, j, rows, [v])[0].tolist(), part)
+        direct = galois_conjugates(p, j, rows, [u * v % order for u in part])
+        assert np.array_equal(twice, direct)
+    assert x.galois(v).galois(w) == x.galois(v * w % order)
+    if j:
+        for u in (0, p, rng.randrange(order) * p, -p):
+            with pytest.raises(ValueError):
+                x.galois(u)
+            with pytest.raises(ValueError):
+                galois_conjugates(p, j, rows, [1, u])

@@ -23,6 +23,8 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # graphs.path_counts_from_zeta, an integer identity on the path counts.
 # The dense dart transition matrix and its matrix powers are the path-count
 # oracle in tests/oracles.py; reduced_closed_path_counts works sparsely.
+# The lfunctions command renders integer coordinates with str, so the
+# CycloNum renderers fmt_cyclo and fmt_cyclo_poly lost their caller.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -57,6 +59,8 @@ REMOVED = [
     ("graphs", "zeta_series_from_counts"),
     ("graphs", "zeta_reciprocal_series"),
     ("graphs", "dart_transition_matrix"),
+    ("report", "fmt_cyclo"),
+    ("report", "fmt_cyclo_poly"),
 ]
 
 

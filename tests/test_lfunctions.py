@@ -308,7 +308,7 @@ def test_character_table_matches_per_character_routes():
 
 def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
     calls = []
-    for name in ("h_poly", "z_poly"):
+    for name in ("h_coordinates", "z_poly"):
         original = getattr(lfunctions, name)
 
         def recorder(d, n, psi, name=name, original=original):
@@ -320,7 +320,7 @@ def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
     for n in range(6):
         calls.clear()
         table = character_table(d, n)
-        assert calls == [("h_poly", n, psi) for psi in table.representatives]
+        assert calls == [("h_coordinates", n, psi) for psi in table.representatives]
         for psi in table.characters:
             table.h(psi), table.z(psi), table.special_values(psi), table.lfn_data(psi)
         z_calls = calls[n + 1 :]  # in order of first use
@@ -329,7 +329,7 @@ def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
     # one verify battery: a table at level 4 and one at the quotient level 3
     calls.clear()
     run_battery(d, 4)
-    h_calls = [call for call in calls if call[0] == "h_poly"]
+    h_calls = [call for call in calls if call[0] == "h_coordinates"]
     assert len(h_calls) == len(set(h_calls)) == 5 + 4
     assert len(calls) == len(set(calls))
     # with the trivial subgroup the quotient level is the level itself
