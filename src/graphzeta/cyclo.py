@@ -7,8 +7,8 @@ The coefficient vector has length phi(p^j), which is 1 at level j = 0
 these fields; it is computed through the field norm.
 
 The Galois action sigma_u: zeta -> zeta^u is one index pair on the
-coordinates (`galois_index_pair`): `CycloNum.galois` applies it to one
-element, `galois_conjugates` to integer coordinate rows for many u at once.
+coordinates: `CycloNum.galois` applies it to one element,
+`galois_conjugates` to integer coordinate rows for many u at once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "Valuation",
     "euler_phi_prime_power",
     "galois_conjugates",
-    "galois_index_pair",
     "ordp_cyclo",
     "ordp_fraction",
     "zeta",
@@ -46,7 +45,7 @@ def _phi_tail(p: int, j: int) -> list[tuple[int, Fraction]]:
     return [(t * step, Fraction(1)) for t in range(p - 1)]
 
 
-def galois_index_pair(p: int, j: int, units) -> tuple[np.ndarray, np.ndarray]:
+def _galois_index_pair(p: int, j: int, units) -> tuple[np.ndarray, np.ndarray]:
     """sigma_u: zeta -> zeta^u on power-basis coordinates, for each u in units.
 
     With c the coordinates followed by one zero (index phi = phi(p^j)),
@@ -71,6 +70,14 @@ def galois_index_pair(p: int, j: int, units) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(a, phi), np.minimum(b, phi)
 
 
+def _int_array(values) -> np.ndarray:
+    # int64 where every entry fits, else object (Python ints)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 def galois_conjugates(p: int, j: int, rows, units) -> np.ndarray:
     """sigma_u of integer coordinate rows, for each u in units.
 
@@ -79,17 +86,10 @@ def galois_conjugates(p: int, j: int, rows, units) -> np.ndarray:
     is below 2^62 in absolute value, so that each difference fits, and
     object (Python ints) otherwise.
     """
-    a, b = galois_index_pair(p, j, units)
-    phi = a.shape[1]
-    try:
-        c = np.array(rows, dtype=np.int64).reshape(len(rows), phi)
-        fits = np.all((c > -(2**62)) & (c < 2**62))
-    except OverflowError:
-        fits = False
-    if fits:
-        c = np.hstack([c, np.zeros((len(rows), 1), np.int64)])
-    else:
-        c = np.array([list(r) + [0] for r in rows], dtype=object).reshape(len(rows), phi + 1)
+    a, b = _galois_index_pair(p, j, units)
+    c = _int_array([list(row) + [0] for row in rows]).reshape(len(rows), a.shape[1] + 1)
+    if c.dtype != object and not np.all((c > -(2**62)) & (c < 2**62)):
+        c = c.astype(object)
     return (c[:, a] - c[:, b]).transpose(1, 0, 2)
 
 
@@ -252,7 +252,7 @@ class CycloNum:
 
     def galois(self, u: int) -> "CycloNum":
         """Apply the automorphism zeta -> zeta^u (u a unit mod p^j)."""
-        (a,), (b,) = galois_index_pair(self.p, self.j, [u])
+        (a,), (b,) = _galois_index_pair(self.p, self.j, [u])
         c = self.coeffs + (Fraction(0),)
         out = (c[x] - c[y] if c[y] else c[x] for x, y in zip(a.tolist(), b.tolist()))
         return CycloNum(self.p, self.j, tuple(out))

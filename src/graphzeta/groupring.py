@@ -27,7 +27,6 @@ __all__ = [
     "factor_prime_power",
     "from_character_polys",
     "from_character_values",
-    "galois_conjugate",
     "groupring_idempotent",
     "norm_element",
     "subgroup_elements",
@@ -299,13 +298,6 @@ def character_orbits(p: int, n: int) -> tuple[list[CharacterLabel], list[tuple[i
         j = psi.order_exponent
         orbits.append((j, psi.exponent_at(j) if j else 1))
     return reps, orbits
-
-
-def galois_conjugate(poly: UniPoly, u: int) -> UniPoly:
-    """sigma_u (zeta -> zeta^u) applied to each coefficient; rational ones stay."""
-    if u == 1:
-        return poly
-    return poly.map_coeffs(lambda c: c.galois(u) if isinstance(c, CycloNum) else c)
 
 
 def _monomials(p: int, level: int, c) -> list[tuple[int, Fraction]]:

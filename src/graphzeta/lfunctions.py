@@ -9,12 +9,11 @@ factor (1 - u^2)^r0(psi).
 
 The three-term matrix is written as integer terms in zeta_{p^j} and u;
 `linalg.det_cyclotomic_poly` gives the power-basis coordinates of its
-determinant (`h_coordinates`), and `linalg.det_norm_cyclotomic` its norm
-to Q(u), one per Galois orbit for the level's h (`level_h_poly`).  A
-`CharacterTable` holds h, z and the special values of every character of
-one level from one determinant per orbit; the commands use it, and the
-per-character `h_poly`, `z_poly`, `special_values` and `lfn_data` stay as
-its oracle.
+determinant, and `linalg.det_norm_cyclotomic` its norm to Q(u), one per
+Galois orbit for the level's h (`level_h_poly`).  A `CharacterTable` holds
+h, z and the special values of one level from one determinant per orbit;
+the commands use it, and the per-character `h_poly`, `z_poly`,
+`special_values` and `lfn_data` stay as its oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .groupring import (
     character_orbits,
     characters,
     from_character_polys,
-    galois_conjugate,
 )
 from .poly import UniPoly
 from .tower import TowerDatum, tower_euler_char
@@ -44,7 +42,6 @@ __all__ = [
     "SpecialValues",
     "character_table",
     "characters",
-    "h_coordinates",
     "h_poly",
     "kernel_contains_stabilizer",
     "level_h_poly",
@@ -101,37 +98,20 @@ def _three_term_terms(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int
     return terms
 
 
-def _three_term_coordinates(
-    d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int]
-) -> list[list[int]]:
-    terms = _three_term_terms(d, n, psi, kept)
-    rows = linalg.det_cyclotomic_poly(len(kept), terms, d.p, psi.order_exponent)
-    while rows and not any(rows[-1]):  # up to the degree, as in UniPoly
-        rows.pop()
-    return rows
-
-
-def _cyclo_poly(p: int, j: int, rows: list[list[int]]) -> UniPoly:
-    return UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in rows])
-
-
-def h_coordinates(d: TowerDatum, n: int, psi: CharacterLabel) -> list[list[int]]:
-    """h(u, psi) as integers: row k holds the power-basis coordinates of its u^k coefficient.
-
-    The rows run up to the degree of h; the zero polynomial has none.
-    """
-    return _three_term_coordinates(d, n, psi, orbit_vertices(d, psi.order_exponent))
+def _three_term_det(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int]) -> UniPoly:
+    p, j = d.p, psi.order_exponent
+    det = linalg.det_cyclotomic_poly(len(kept), _three_term_terms(d, n, psi, kept), p, j)
+    return UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det])
 
 
 def h_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
     """h(u, psi): the reduced three-term determinant, over Q(zeta_{p^j})."""
-    return _cyclo_poly(d.p, psi.order_exponent, h_coordinates(d, n, psi))
+    return _three_term_det(d, n, psi, orbit_vertices(d, psi.order_exponent))
 
 
 def z_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
     """z(u, psi): the full (unreduced) three-term determinant under psi."""
-    rows = _three_term_coordinates(d, n, psi, list(range(d.base.n_vertices)))
-    return _cyclo_poly(d.p, psi.order_exponent, rows)
+    return _three_term_det(d, n, psi, list(range(d.base.n_vertices)))
 
 
 def level_h_poly(d: TowerDatum, n: int) -> UniPoly:
@@ -157,7 +137,7 @@ def xi_poly(table: CharacterTable) -> UniPoly:
     reassembled by traces from the n + 1 representatives' z.
     """
     return from_character_polys(
-        table.datum.p, table.level, [table.z(psi) for psi in table.representatives]
+        table.datum.p, table.level, [table.z(j) for j in range(table.level + 1)]
     )
 
 
@@ -194,40 +174,33 @@ def lfn_data(d: TowerDatum, n: int, psi: CharacterLabel) -> LfnData:
     return LfnData(psi, h_poly(d, n, psi), r - chi_base, r)
 
 
-# entries of one chunk of conjugates in `CharacterTable.orbit_rows`
-_CONJUGATE_ENTRIES = 1 << 18
-
-
 @dataclass
 class CharacterTable:
-    """h, z and the special values of every character of Z/p^n Z at one level.
+    """h, z and the special values of the characters of Z/p^n Z at one level.
 
     One three-term determinant per Galois orbit: for j = 0..n, h (and, on
-    first use, z) is computed by `h_coordinates` (`z_poly`) on the
-    representative psi_{p^(n-j)} only.  Any other character
-    psi = sigma_u o psi_{p^(n-j)} (`groupring.character_orbits`) has sigma_u
-    of the representative's three-term matrix as its own, so its h, z and
-    h(1, psi) are the representative's with sigma_u applied.  `orbit_rows`
-    applies it to the integer coordinates of a whole orbit at once
-    (`cyclo.galois_conjugates`); `h`, `z`, `special_values` and `lfn_data`
-    give one character's values.  Build it with `character_table`; it
-    belongs to one computation and is not cached between calls.
+    first use, z) is computed by `h_poly` (`z_poly`) on the representative
+    psi_{p^(n-j)} only.  Any other character psi = sigma_u o psi_{p^(n-j)}
+    (`groupring.character_orbits`) has sigma_u of the representative's
+    three-term matrix as its own, so its h and h(1, psi) are the
+    representative's with sigma_u applied: `orbit_rows` applies it to the
+    integer coordinates of a whole orbit at once (`cyclo.galois_conjugates`).
+    Build it with `character_table`; it belongs to one computation and is
+    not cached between calls.
     """
 
     datum: TowerDatum
     level: int
     representatives: list[CharacterLabel]
-    orbits: list[tuple[int, int]]  # (j, u) for each character exponent a
-    rep_coordinates: list[list[list[int]]]  # each representative's `h_coordinates`
+    rep_h: list[UniPoly]
+    rep_coordinates: list[list[list[int]]]  # rep_h as integers: row k holds its u^k coefficient
     rep_z: list[UniPoly | None]  # filled in on first use
 
-    @property
-    def characters(self) -> list[CharacterLabel]:
-        return characters(self.datum.p, self.level)
-
-    @property
-    def rep_h(self) -> list[UniPoly]:
-        return [_cyclo_poly(self.datum.p, j, rows) for j, rows in enumerate(self.rep_coordinates)]
+    def z(self, j: int) -> UniPoly:
+        """z(u, psi) of the representative of order p^j."""
+        if self.rep_z[j] is None:
+            self.rep_z[j] = z_poly(self.datum, self.level, self.representatives[j])
+        return self.rep_z[j]
 
     def rep_h_at_one(self, j: int) -> list[int]:
         """Coordinates of h(1) at the representative of order p^j: its rows' column sums."""
@@ -240,53 +213,26 @@ class CharacterTable:
     def orbit_rows(self, j: int):
         """(a, h rows, h(1)) for each character psi_a of order p^j, by increasing a.
 
-        The rows are `h_coordinates` of psi_a and h(1) their column sums,
-        all integers: sigma_u of the representative's for a = u p^(n-j),
-        taken with numpy gathers over chunks of the units u mod p^j.
+        The rows are the integer coordinates of h(u, psi_a) and h(1) their
+        column sums: sigma_u of the representative's for a = u p^(n-j),
+        taken with one numpy gather over the units u mod p^j.
         """
         p, rows = self.datum.p, self.rep_coordinates[j]
         rows = rows + [self.rep_h_at_one(j)]  # sigma_u commutes with the column sums
         units = [u for u in range(1, p**j) if u % p] if j else [1]
         step = p ** (self.level - j) if j else 0  # the trivial character is a = 0
-        chunk = max(1, _CONJUGATE_ENTRIES // (len(rows) * len(rows[0])))
-        for start in range(0, len(units), chunk):
-            part = units[start : start + chunk]
-            for u, conjugate in zip(part, galois_conjugates(p, j, rows, part).tolist()):
-                yield u * step, conjugate[:-1], conjugate[-1]
-
-    def _conjugate(self, psi: CharacterLabel) -> tuple[int, list[list[int]], list[int]]:
-        # (j, h rows, h(1)) of one character
-        j, u = self.orbits[psi.a]
-        rows = self.rep_coordinates[j] + [self.rep_h_at_one(j)]
-        (conjugate,) = galois_conjugates(self.datum.p, j, rows, [u]).tolist()
-        return j, conjugate[:-1], conjugate[-1]
-
-    def h(self, psi: CharacterLabel) -> UniPoly:
-        j, rows, _ = self._conjugate(psi)
-        return _cyclo_poly(self.datum.p, j, rows)
-
-    def z(self, psi: CharacterLabel) -> UniPoly:
-        j, u = self.orbits[psi.a]
-        if self.rep_z[j] is None:
-            self.rep_z[j] = z_poly(self.datum, self.level, self.representatives[j])
-        return galois_conjugate(self.rep_z[j], u)
-
-    def special_values(self, psi: CharacterLabel) -> SpecialValues:
-        j, _, h_at_one = self._conjugate(psi)
-        h1 = CycloNum(self.datum.p, j, tuple(map(Fraction, h_at_one)))
-        return SpecialValues(h1, Fraction(self.trivial_h_derivative_at_one()) if not j else None)
-
-    def lfn_data(self, psi: CharacterLabel) -> LfnData:
-        d = self.datum
-        r = r0(d, self.level, psi)
-        return LfnData(psi, self.h(psi), r - (d.base.n_vertices - d.base.n_edges), r)
+        for u, conjugate in zip(units, galois_conjugates(p, j, rows, units)):
+            *h, h_at_one = conjugate.tolist()
+            yield u * step, h, h_at_one
 
 
 def character_table(d: TowerDatum, n: int) -> CharacterTable:
-    """The `CharacterTable` of level n: n + 1 calls of `h_coordinates`, one per orbit."""
-    reps, orbits = character_orbits(d.p, n)
-    rep_coordinates = [h_coordinates(d, n, psi) for psi in reps]
-    return CharacterTable(d, n, reps, orbits, rep_coordinates, [None] * len(reps))
+    """The `CharacterTable` of level n: n + 1 calls of `h_poly`, one per orbit."""
+    reps = character_orbits(d.p, n)[0]
+    rep_h = [h_poly(d, n, psi) for psi in reps]
+    # a determinant over Z[zeta]: its coordinates are integers
+    coordinates = [[[int(x) for x in c.coeffs] for c in h.coeffs] for h in rep_h]
+    return CharacterTable(d, n, reps, rep_h, coordinates, [None] * len(reps))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CycloNum, euler_phi_prime_power
+from .cyclo import CycloNum, _int_array, euler_phi_prime_power
 from .errors import CertificationError
 from .groupring import GroupRingElem, factor_prime_power, from_character_polys, subgroup_exponent
 from .poly import UniPoly
@@ -236,14 +236,6 @@ def _divide_mod(num: np.ndarray, den: np.ndarray, moduli) -> np.ndarray:
             prefix[k], inv = prefix[k] * inv % q, inv * row[k] % q
         inverses[i] = prefix[:-1]
     return num * inverses % np.reshape(moduli, (-1, 1))
-
-
-def _int_array(values) -> np.ndarray:
-    # int64 where every entry fits, else object (Python ints) for the reduction below.
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _det_crt(rows: list[list[int]]) -> int:

@@ -79,8 +79,8 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
     # sigma_u fixes (1 - u^2)^r0, so each orbit's representative decides its orbit.
     reduction_ok = True
     one_minus = UniPoly([1, 0, -1])
-    for psi in table.representatives:
-        if one_minus ** r0(d, n, psi) * table.h(psi) != table.z(psi):
+    for j, psi in enumerate(table.representatives):
+        if one_minus ** r0(d, n, psi) * table.rep_h[j] != table.z(j):
             reduction_ok = False
     items.append(
         VerifyItem(

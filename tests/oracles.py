@@ -282,3 +282,8 @@ def norm_map_direct(x: UniPoly | GroupRingElem, subgroup_order: int) -> UniPoly:
 def galois_by_monomials(x: CycloNum, u: int) -> CycloNum:
     """sigma_u(x): zeta^i sent to zeta^(i u), the sum reduced by `CycloNum.from_monomials`."""
     return CycloNum.from_monomials(x.p, x.j, ((i * u, c) for i, c in enumerate(x.coeffs) if c))
+
+
+def galois_conjugate(poly: UniPoly, u: int) -> UniPoly:
+    """sigma_u (zeta -> zeta^u) applied to each coefficient; rational ones stay."""
+    return poly.map_coeffs(lambda c: c.galois(u) if isinstance(c, CycloNum) else c)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, collect_random_data
-from graphzeta import cli, graphs, lfunctions, linalg
+from graphzeta import cli, graphs, linalg
 from graphzeta.cli import _human, cmd_lfunctions, main
 from graphzeta.cyclo import CycloNum
 from graphzeta.datum_io import datum_to_dict, dump_datum, load_datum, parse_datum
@@ -483,14 +483,11 @@ def _lfunctions_cases() -> list[tuple[TowerDatum, int]]:
     return cases
 
 
-def test_cli_lfunctions_rows_match_the_per_character_route(monkeypatch):
+def test_cli_lfunctions_rows_match_the_per_character_route():
     for d, n in _lfunctions_cases():
-        want = _per_character_rows(d, n)
-        for entries in (lfunctions._CONJUGATE_ENTRIES, 16):  # one chunk per orbit, or many
-            monkeypatch.setattr(lfunctions, "_CONJUGATE_ENTRIES", entries)
-            doc = cmd_lfunctions(d, n)
-            assert (doc["command"], doc["prime"], doc["level"]) == ("lfunctions", d.p, n)
-            assert doc["characters"] == want
+        doc = cmd_lfunctions(d, n)
+        assert (doc["command"], doc["prime"], doc["level"]) == ("lfunctions", d.p, n)
+        assert doc["characters"] == _per_character_rows(d, n)
 
 
 def test_cli_lfunctions_makes_no_cyclotomic_conjugation(monkeypatch):

@@ -159,7 +159,7 @@ def _sparse_vector(rng: random.Random, phi: int, draw) -> list:
 @pytest.mark.parametrize("j", range(5))
 @settings(derandomize=True, max_examples=3, deadline=None, database=None)
 @given(st.sampled_from([5, 2**62 - 1, 2**62, 2**63, 2**80]), st.integers(0, 2**32))
-def test_galois_index_pair_matches_monomial_oracle(p, j, bound, seed):
+def test_galois_conjugates_match_monomial_oracle(p, j, bound, seed):
     """sigma_u on integer rows (int64 and object) and on Fraction coordinates.
 
     Every unit u is checked against the oracle up to phi = 294 (7^3); at

@@ -24,7 +24,9 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # The dense dart transition matrix and its matrix powers are the path-count
 # oracle in tests/oracles.py; reduced_closed_path_counts works sparsely.
 # The lfunctions command renders integer coordinates with str, so the
-# CycloNum renderers fmt_cyclo and fmt_cyclo_poly lost their caller.
+# CycloNum renderers fmt_cyclo and fmt_cyclo_poly lost their caller, and
+# the character table conjugates integer coordinates, so the CycloNum
+# polynomial conjugation galois_conjugate is a test oracle in tests/oracles.py.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -61,6 +63,7 @@ REMOVED = [
     ("graphs", "dart_transition_matrix"),
     ("report", "fmt_cyclo"),
     ("report", "fmt_cyclo_poly"),
+    ("groupring", "galois_conjugate"),
 ]
 
 

@@ -296,19 +296,25 @@ def test_character_table_matches_per_character_routes():
     for d, n in _table_cases():
         table = character_table(d, n)
         assert table.representatives == [CharacterLabel(d.p, n, d.p ** (n - j)) for j in range(n + 1)]
-        for psi in characters(d.p, n):
-            sv = special_values(d, n, psi)
-            got = table.special_values(psi)
-            assert table.h(psi) == h_poly(d, n, psi)
-            assert table.z(psi) == z_poly(d, n, psi)
-            assert got.h_at_one == sv.h_at_one
-            assert got.h_derivative_at_one == sv.h_derivative_at_one
-            assert table.lfn_data(psi) == lfn_data(d, n, psi)
+        exponents = []
+        for j, rep in enumerate(table.representatives):
+            assert table.rep_h[j] == h_poly(d, n, rep)
+            assert table.z(j) == z_poly(d, n, rep)
+            for a, rows, h_at_one in table.orbit_rows(j):
+                exponents.append(a)
+                psi = CharacterLabel(d.p, n, a)
+                assert psi.order_exponent == j
+                h, sv = h_poly(d, n, psi), special_values(d, n, psi)
+                assert rows == [[int(x) for x in c.coeffs] for c in h.coeffs]
+                assert h_at_one == [int(x) for x in sv.h_at_one.coeffs]
+        assert sorted(exponents) == [psi.a for psi in characters(d.p, n)]
+        trivial = special_values(d, n, CharacterLabel(d.p, n, 0))
+        assert table.trivial_h_derivative_at_one() == trivial.h_derivative_at_one
 
 
 def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
     calls = []
-    for name in ("h_coordinates", "z_poly"):
+    for name in ("h_poly", "z_poly"):
         original = getattr(lfunctions, name)
 
         def recorder(d, n, psi, name=name, original=original):
@@ -320,16 +326,16 @@ def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
     for n in range(6):
         calls.clear()
         table = character_table(d, n)
-        assert calls == [("h_coordinates", n, psi) for psi in table.representatives]
-        for psi in table.characters:
-            table.h(psi), table.z(psi), table.special_values(psi), table.lfn_data(psi)
+        assert calls == [("h_poly", n, psi) for psi in table.representatives]
+        for j in range(n + 1):
+            list(table.orbit_rows(j)), table.z(j), table.z(j)
         z_calls = calls[n + 1 :]  # in order of first use
         assert len(z_calls) == n + 1
         assert set(z_calls) == {("z_poly", n, psi) for psi in table.representatives}
     # one verify battery: a table at level 4 and one at the quotient level 3
     calls.clear()
     run_battery(d, 4)
-    h_calls = [call for call in calls if call[0] == "h_coordinates"]
+    h_calls = [call for call in calls if call[0] == "h_poly"]
     assert len(h_calls) == len(set(h_calls)) == 5 + 4
     assert len(calls) == len(set(calls))
     # with the trivial subgroup the quotient level is the level itself

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from graphzeta.cyclo import CycloNum, zeta
 from graphzeta.errors import CertificationError
 from graphzeta import linalg
-from graphzeta.groupring import (
-    GroupRingElem,
-    character_idempotent,
-    galois_conjugate,
-    groupring_idempotent,
-)
+from graphzeta.groupring import GroupRingElem, character_idempotent, groupring_idempotent
 from graphzeta.linalg import (
     _det_crt,
     _det_mod_batch,
@@ -29,7 +24,7 @@ from graphzeta.linalg import (
     is_probable_prime,
 )
 from graphzeta.poly import UniPoly
-from oracles import det_cofactor
+from oracles import det_cofactor, galois_conjugate
 
 
 def _cyclo_terms(m):
