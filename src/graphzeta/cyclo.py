@@ -6,6 +6,11 @@ The coefficient vector has length phi(p^j), which is 1 at level j = 0
 (the field is then just Q).  The p-adic valuation extends uniquely to
 these fields; it is computed through the field norm.
 
+`cyclotomic_norms` takes the norms of G(zeta_{p^j}) for an integer
+polynomial G at every j <= n at once, by Graeffe root-powering over Z:
+`CycloNum.norm` (so `ordp_cyclo`) and the orbit norms of the tower sweep
+use it.
+
 The Galois action sigma_u: zeta -> zeta^u is one index pair on the
 coordinates: `CycloNum.galois` applies it to one element,
 `galois_conjugates` to integer coordinate rows for many u at once.
@@ -13,6 +18,7 @@ coordinates: `CycloNum.galois` applies it to one element,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +27,7 @@ import numpy as np
 __all__ = [
     "CycloNum",
     "Valuation",
+    "cyclotomic_norms",
     "euler_phi_prime_power",
     "galois_conjugates",
     "ordp_cyclo",
@@ -258,15 +265,11 @@ class CycloNum:
         return CycloNum(self.p, self.j, tuple(out))
 
     def norm(self) -> Fraction:
-        """Field norm down to Q: product of all Galois conjugates."""
-        if self.j == 0:
-            return self.coeffs[0]
-        order = self.p**self.j
-        prod = CycloNum.rational(self.p, 1, self.j)
-        for u in range(1, order):
-            if u % self.p:
-                prod = prod * self.galois(u)
-        return prod.to_rational()
+        """Field norm down to Q: `cyclotomic_norms` of the integer numerator L x, over L^phi."""
+        den = math.lcm(*(Fraction(c).denominator for c in self.coeffs))
+        numerator = [int(c * den) for c in self.coeffs]
+        value = cyclotomic_norms(numerator, self.p, self.j)[self.j]
+        return Fraction(value, den ** euler_phi_prime_power(self.p, self.j))
 
     def inverse(self) -> "CycloNum":
         if not self:
@@ -287,6 +290,86 @@ class CycloNum:
 def zeta(p: int, j: int) -> CycloNum:
     """A fixed primitive p^j-th root of unity (the power-basis generator)."""
     return CycloNum.from_monomials(p, j, [(1, 1)])
+
+
+# -- norms of G(zeta_{p^j}) for every j, by Graeffe root-powering --------
+
+
+def cyclotomic_norms(coeffs, p: int, n: int) -> list[int]:
+    """[N_0(G), ..., N_n(G)], N_j(G) = N_{Q(zeta_{p^j})/Q} G(zeta_{p^j}), G = sum coeffs[m] x^m.
+
+    G has integer coefficients; N_0(G) = G(1).  With G_0 = G mod y^(p^n) - 1
+    and G_(i+1)(x^p) = prod over w^p = 1 of G_i(w x) (`_graeffe_step`),
+    reduced mod y^(p^(n-i-1)) - 1, N_j(G) = N_{Q(zeta_p)/Q} G_(j-1)(zeta_p)
+    for j >= 1, the last norm taken by `_norm_from_slots`.
+
+    Proof.  For j >= 2 the conjugates of zeta_{p^j} over Q(zeta_{p^(j-1)})
+    are zeta_{p^j} w, w^p = 1, so the relative norm of G_i(zeta_{p^j}) is
+    prod_w G_i(w zeta_{p^j}) = G_(i+1)(zeta_{p^(j-1)}), and by transitivity
+    of norms N_j(G_i) = N_(j-1)(G_(i+1)); down to j = 1 this is the formula.
+    The reductions are allowed: G_i is only evaluated at roots of unity of
+    order dividing p^(n-i), where y^(p^(n-i)) - 1 vanishes, and if
+    G_i = G'_i mod x^M - 1 with p | M, then G_i(w x) = G'_i(w x) mod
+    x^M - 1, as w^M = 1.
+    """
+    period = p**n
+    g = [sum(coeffs[m::period]) for m in range(min(len(coeffs), period))]  # G_0
+    norms = [sum(g)]
+    for i in range(n):
+        norms.append(_norm_from_slots([sum(g[a::p]) for a in range(p)], p))
+        if i + 1 < n:
+            g, period = _graeffe_step(g, p), period // p
+            g = [sum(g[m::period]) for m in range(min(len(g), period))]  # G_(i+1)
+    return norms
+
+
+def _graeffe_step(coeffs: list[int], p: int) -> list[int]:
+    """H with H(x^p) = prod over w^p = 1 of G(w x), G = sum coeffs[m] x^m; len(H) = len(G).
+
+    With E_r the terms of G of degree r mod p, G(w x) = sum_r w^r E_r(x):
+    the product is G times the norm from Q(zeta_p) of sum_r zeta_p^r E_r,
+    taken on the integers E_r(X), X = 2^b (Kronecker substitution, one
+    big-integer product per polynomial product).  ||H||_1 <= ||G||_1^p <
+    2^(p (b - 2)), so the coefficients of G and of H(X^p) are balanced digits.
+    """
+    size = (sum(map(abs, coeffs)).bit_length() + 9) // 8  # bytes per digit of G
+    half = 1 << (8 * size - 1)
+    digits, bias = [(c + half).to_bytes(size, "little") for c in coeffs], half.to_bytes(size, "little")
+    offset = int.from_bytes(bias * len(coeffs), "little")
+    sections = [
+        int.from_bytes(b"".join(x if m % p == r else bias for m, x in enumerate(digits)), "little") - offset
+        for r in range(p)
+    ]
+    product = sum(sections) * _norm_from_slots(sections, p)  # H(X^p), digits of p size bytes
+    wide, half = p * size, 1 << (8 * p * size - 1)
+    offset = int.from_bytes(half.to_bytes(wide, "little") * len(coeffs), "little")
+    raw = (product + offset).to_bytes(wide * len(coeffs), "little")
+    return [int.from_bytes(raw[i : i + wide], "little") - half for i in range(0, len(raw), wide)]
+
+
+def _norm_from_slots(slots, p: int):
+    """N_{Q(zeta_p)/Q}(sum_a slots[a] zeta_p^a), a < p, for slots in a commutative ring.
+
+    The product of the conjugates sigma_k (slot a to a k mod p), k < p, in
+    coordinates on 1, zeta, ..., zeta^(p-2); of the last product, which is
+    rational, only the coordinate of 1 is formed.
+    """
+
+    def conjugate(k):
+        moved = [0] * p
+        for a, s in enumerate(slots):
+            moved[a * k % p] = s
+        return [s - moved[-1] for s in moved[:-1]]  # zeta^(p-1) = -1 - ... - zeta^(p-2)
+
+    acc = conjugate(1)
+    for k in range(2, p):
+        factor, product = conjugate(k), [0] * p
+        for a, x in enumerate(acc):
+            for b, y in enumerate(factor):
+                if x and y and (k < p - 1 or (a + b + 1) % p < 2):
+                    product[(a + b) % p] += x * y
+        acc = [s - product[-1] for s in product[:-1]]
+    return acc[0]
 
 
 # -- polynomial helpers over Q (internal) -----------------------------

@@ -20,22 +20,28 @@ p^j, the norm from Q(zeta_{p^j}) to Q of any one of them.  h'(1, psi_0) is
 a base-size integer determinant (`lfunctions.trivial_h_derivative_at_one`),
 and N_j = Ntilde_j * (prod over v in K_j of |H_v(n)|)^phi(p^j), where K_j
 holds the unramified vertices and those with k_v >= j, and Ntilde_j, the
-norm of det(D - A_zeta) on K_j, does not depend on n: one u-free call of
-`linalg.det_norm_cyclotomic` per j (`lfunctions.orbit_norm`).  Each level
-is still built, for its connectivity and, where chi(X_n) = 0, its count.
+norm of det(D - A_zeta) on K_j, does not depend on n.  One
+`lfunctions.orbit_norms` call gives every Ntilde_j of the sweep: one
+integer polynomial det(D - A_x) per distinct K_j, and its norms at every
+zeta_{p^j} by Graeffe root-powering (`cyclo.cyclotomic_norms`), with no
+prime q = 1 mod p^j.  Each level is still built, for its connectivity and,
+where chi(X_n) = 0, its count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .cyclo import euler_phi_prime_power, ordp_fraction
 from .errors import CertificationError, HypothesisError
 from .graphs import connected, euler_characteristic, spanning_tree_count
-from .lfunctions import orbit_level_factor, orbit_norm, trivial_h_derivative_at_one
+from .lfunctions import (
+    orbit_level_factor,
+    orbit_norms,
+    trivial_h_derivative_at_one,
+    voltage_laplacian_det,
+)
 from .poly import UniPoly
 from .tower import TowerDatum, build_level_graph, tower_euler_char
 
@@ -109,40 +115,21 @@ def g_series(d: TowerDatum) -> GSeries:
 
     Rows are premultiplied by (1+T)^(sum of |negative voltages| in the row)
     so every entry is an honest integer polynomial; the determinant is then
-    the g(T) representative times that total (1+T)-power.  The entries go
-    to `linalg.det_norm_cyclotomic` at j = 0 (the integer polynomial
-    determinant) as the binomial terms (r, c, 0, k, C(a, k)) of
-    their powers (1+T)^a.  g(T) = 0 (for example an unramified vertex
+    the g(T) representative times that total (1+T)-power.  It is F(1+T),
+    a Taylor shift of F = `lfunctions.voltage_laplacian_det` of the block
+    at the raw voltages.  g(T) = 0 (for example an unramified vertex
     without edges) raises HypothesisError.
     """
     unram = d.unramified_vertices
     if not unram:
         return GSeries(UniPoly.constant(1), 0, d.p)
-    pos = {v: i for i, v in enumerate(unram)}
-    base = d.base
-    # Row normalization exponents.
-    row_shift = [0] * len(unram)
-    for e in range(base.n_darts):
-        o, t = base.dart_origin[e], base.dart_terminus[e]
-        if o in pos and t in pos and d.voltage[e] < 0:
-            row_shift[pos[t]] += -d.voltage[e]
-    deg = [0] * base.n_vertices
-    for e in range(base.n_darts):
-        deg[base.dart_origin[e]] += 1
-    terms = []
-    for i, vi in enumerate(unram):
-        shift = row_shift[i]
-        terms += [(i, i, 0, k, deg[vi] * math.comb(shift, k)) for k in range(shift + 1)]
-    for e in range(base.n_darts):
-        o, t = base.dart_origin[e], base.dart_terminus[e]
-        if o in pos and t in pos:
-            a = row_shift[pos[t]] + d.voltage[e]
-            terms += [(pos[t], pos[o], 0, k, -math.comb(a, k)) for k in range(a + 1)]
-    # j = 0: the integer determinant; p plays no role there, so pass 2
-    rep = UniPoly(linalg.det_norm_cyclotomic(len(unram), terms, 2, 0))
+    coeffs, shift = voltage_laplacian_det(d, unram, d.voltage)
+    rep = UniPoly()
+    for c in reversed(coeffs):  # Horner's rule at x = 1 + T
+        rep = rep * UniPoly([1, 1]) + c
     if rep.is_zero():
         raise HypothesisError("g(T) = 0 on the unramified block: mu and lambda are undefined")
-    return GSeries(rep, sum(row_shift), d.p)
+    return GSeries(rep, shift, d.p)
 
 
 def lambda_components(d: TowerDatum, gs: GSeries) -> tuple[int, list[int], int]:
@@ -204,13 +191,14 @@ def tower_sweep(d: TowerDatum, n_max: int) -> list[TowerRow]:
 
     Each level is built for its size and its connectivity check.  kappa
     comes from the factored formula in the module docstring wherever
-    chi(X_n) != 0; the orbit norms are computed once per j for the whole
-    sweep.  Levels with chi(X_n) = 0 count spanning trees on the cover.
+    chi(X_n) != 0; the orbit norms of every j <= n_max come from one
+    `lfunctions.orbit_norms` call, on the first such level.  Levels with
+    chi(X_n) = 0 count spanning trees on the cover.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     rows = []
-    norms: dict[int, int] = {}
+    norms = None
     for n in range(n_max + 1):
         lg = build_level_graph(d, n)
         if not connected(lg.graph):
@@ -219,10 +207,10 @@ def tower_sweep(d: TowerDatum, n_max: int) -> list[TowerRow]:
         if chi == 0:
             kappa = spanning_tree_count(lg.graph)
         else:
+            if norms is None:
+                norms = orbit_norms(d, n_max)
             product = trivial_h_derivative_at_one(d, n)
             for j in range(1, n + 1):
-                if j not in norms:
-                    norms[j] = orbit_norm(d, j)
                 product *= norms[j] * orbit_level_factor(d, n, j)
             kappa = hashimoto_kappa(product, chi, n)
         rows.append(

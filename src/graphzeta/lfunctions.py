@@ -14,16 +14,28 @@ Galois orbit for the level's h (`level_h_poly`).  A `CharacterTable` holds
 h, z and the special values of one level from one determinant per orbit;
 the commands use it, and the per-character `h_poly`, `z_poly`,
 `special_values` and `lfn_data` stay as its oracle.
+
+`orbit_norms` takes the norms of det(D - A_zeta) on K_j for every j from
+one integer polynomial det(D - A_x) per distinct K_j
+(`voltage_laplacian_det`, also behind g(T)) by `cyclo.cyclotomic_norms`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclo import CycloNum, Valuation, euler_phi_prime_power, galois_conjugates, ordp_fraction
+from .cyclo import (
+    CycloNum,
+    Valuation,
+    cyclotomic_norms,
+    euler_phi_prime_power,
+    galois_conjugates,
+    ordp_fraction,
+)
 from .errors import HypothesisError
 from .graphs import SerreGraph, adjacency_and_degree, ihara_zeta_reciprocal
 from .groupring import (
@@ -47,7 +59,7 @@ __all__ = [
     "level_h_poly",
     "lfn_data",
     "orbit_level_factor",
-    "orbit_norm",
+    "orbit_norms",
     "orbit_special_products",
     "orbit_vertices",
     "ordp_orbit_product",
@@ -56,6 +68,7 @@ __all__ = [
     "special_values",
     "trivial_h_derivative_at_one",
     "vanishing_order_check",
+    "voltage_laplacian_det",
     "xi_poly",
     "z_poly",
 ]
@@ -299,16 +312,47 @@ def orbit_vertices(d: TowerDatum, j: int) -> list[int]:
     return [v for v, k in enumerate(d.ram) if k is None or k >= j]
 
 
-def orbit_norm(d: TowerDatum, j: int) -> int:
-    """N_{Q(zeta_{p^j})/Q} det(D - A_zeta) on K_j, for j >= 1; independent of the level.
+def voltage_laplacian_det(d: TowerDatum, kept: list[int], voltage) -> tuple[list[int], int]:
+    """(F, s): F(x) = x^s det(D - A_x) on the vertices kept, by `linalg.det_norm_cyclotomic` at j = 0.
 
-    A_zeta[i][i'] is the sum of zeta^alpha(s) over the base darts s from
-    v_i' to v_i, and D holds the base degrees: the three-term matrix of a
-    character of order p^j at level j (where C = I on K_j) at u = 1.
+    A_x[i][i'] sums x^voltage[e] over the base darts e from kept[i'] to
+    kept[i], and D holds the base degrees.  Row i is multiplied by x^s_i,
+    s_i the sum of the negative voltages' |voltage[e]| in it, and s = sum s_i.
     """
-    kept = orbit_vertices(d, j)
-    terms = _three_term_terms(d, j, CharacterLabel(d.p, j, 1), kept)
-    return linalg.det_norm_cyclotomic(len(kept), [t[:3] + (0, t[4]) for t in terms], d.p, j)[0]
+    base = d.base
+    pos = {v: i for i, v in enumerate(kept)}
+    darts = [
+        (pos[base.dart_terminus[e]], pos[base.dart_origin[e]], voltage[e])
+        for e in range(base.n_darts)
+        if base.dart_origin[e] in pos and base.dart_terminus[e] in pos
+    ]
+    shift = [0] * len(kept)
+    for r, _, a in darts:
+        shift[r] += max(0, -a)
+    terms = [(r, r, 0, shift[r], base.dart_origin.count(v)) for r, v in enumerate(kept)]
+    terms += [(r, c, 0, shift[r] + a, -1) for r, c, a in darts]
+    # j = 0: the integer polynomial determinant; p plays no role there, so pass 2
+    return linalg.det_norm_cyclotomic(len(kept), terms, 2, 0), sum(shift)
+
+
+def orbit_norms(d: TowerDatum, n: int) -> dict[int, int]:
+    """{j: Ntilde_j = N_{Q(zeta_{p^j})/Q} det(D - A_zeta) on K_j} for j = 1..n; level-free.
+
+    D - A_zeta is the three-term matrix of a character of order p^j at
+    level j (where C = I on K_j) at u = 1.  Per distinct K_j, one
+    `cyclotomic_norms` call on F_K = x^s det(D - A_x) (`voltage_laplacian_det`,
+    voltages as symmetric residues mod p^n) gives every N_j(F_K); then
+    det(D - A_zeta) = zeta^(-s) F_K(zeta), and N(zeta_{p^j}) = -1 only for p^j = 2.
+    """
+    order = d.p**n
+    voltage = [(a + order // 2) % order - order // 2 for a in d.voltage]
+    norms = {}
+    for kept, group in itertools.groupby(range(1, n + 1), lambda j: orbit_vertices(d, j)):
+        js = list(group)
+        coeffs, shift = voltage_laplacian_det(d, kept, voltage)
+        values = cyclotomic_norms(coeffs, d.p, js[-1])
+        norms.update((j, -values[j] if d.p**j == 2 and shift % 2 else values[j]) for j in js)
+    return norms
 
 
 def orbit_level_factor(d: TowerDatum, n: int, j: int) -> int:
@@ -321,14 +365,16 @@ def orbit_special_products(d: TowerDatum, n: int) -> dict[int, int]:
     """For each j = 1..n: N_j, the product of h(1, psi) over the characters of order p^j.
 
     At u = 1 the three-term matrix on K_j is (D - A_psi) psi(C), and psi(C)
-    is diag |H_v(n)| there, so N_j = orbit_norm(d, j) * orbit_level_factor(d, n, j).
+    is diag |H_v(n)| there, so N_j = Ntilde_j * orbit_level_factor(d, n, j) (`orbit_norms`).
     """
-    return {j: orbit_norm(d, j) * orbit_level_factor(d, n, j) for j in range(1, n + 1)}
+    return {j: norm * orbit_level_factor(d, n, j) for j, norm in orbit_norms(d, n).items()}
 
 
 def ordp_orbit_product(d: TowerDatum, n: int, j: int) -> Valuation:
-    """Valuation of the order-p^j block product of special values, 1 <= j <= n."""
-    return ordp_fraction(orbit_norm(d, j) * orbit_level_factor(d, n, j), d.p)
+    """Valuation of the order-p^j block product of special values; ValueError unless 1 <= j <= n."""
+    if not 1 <= j <= n:
+        raise ValueError(f"orbit exponent j = {j} outside 1..{n}")
+    return ordp_fraction(orbit_norms(d, j)[j] * orbit_level_factor(d, n, j), d.p)
 
 
 def trivial_h_derivative_at_one(d: TowerDatum, n: int) -> int:

@@ -16,10 +16,10 @@ Routes:
     either Lagrange interpolation on the roots for the power-basis
     coordinates of the determinant (`det_cyclotomic_poly`: h(u, psi),
     z(u, psi)) or the product over the roots for its norm to Q(u)
-    (`det_norm_cyclotomic`: the level h of `zeta`, the product formula,
-    the orbit norms of the tower sweep).  j = 0 is the integer polynomial
-    determinant (the cover's h that `verify` checks against, g(T)), for
-    any p;
+    (`det_norm_cyclotomic`: the level h of `zeta`, the product formula).
+    j = 0 is the integer polynomial determinant (the cover's h that
+    `verify` checks against, and det(D - A_x) behind g(T) and the orbit
+    norms of the tower sweep), for any p;
   - polynomial matrices over Q[Z/p^n Z] (`det_groupring_poly`), given as
     terms (r, c, s, d, coeff) with s a group element: one
     `det_cyclotomic_poly` per Galois orbit of characters, the n + 1

@@ -9,7 +9,8 @@ from graphzeta.cyclo import CycloNum, zeta
 from graphzeta.equivariant import _modulus_of
 from graphzeta.graphs import SerreGraph
 from graphzeta.groupring import GroupRingElem, groupring_idempotent
-from graphzeta.lfunctions import LfnData, characters, special_values
+from graphzeta.lfunctions import LfnData, characters, orbit_vertices, special_values
+from graphzeta.linalg import det_norm_cyclotomic
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum, level_matrices
 
@@ -189,6 +190,25 @@ def orbit_special_products_by_characters(d, n: int) -> dict[int, Fraction]:
         assert prod.is_rational()
         out[j] = prod.to_rational()
     return out
+
+
+def orbit_norm_by_kernel(d: TowerDatum, j: int) -> int:
+    """Ntilde_j = N det(D - A_zeta) on K_j, by the multimodular kernel over primes q = 1 mod p^j.
+
+    D holds the base degrees and A_zeta[i][i'] sums zeta_{p^j}^alpha(s) over
+    the base darts s from v_i' to v_i: u-free terms of `det_norm_cyclotomic`
+    at level j, which runs out of primes below 2^31 for large phi(p^j).
+    """
+    kept = orbit_vertices(d, j)
+    pos = {v: i for i, v in enumerate(kept)}
+    base = d.base
+    deg = [base.dart_origin.count(v) for v in kept]
+    terms = [(i, i, 0, 0, deg[i]) for i in range(len(kept))]
+    for e in range(base.n_darts):
+        o, t = base.dart_origin[e], base.dart_terminus[e]
+        if o in pos and t in pos:
+            terms.append((pos[t], pos[o], d.voltage[e], 0, -1))
+    return det_norm_cyclotomic(len(kept), terms, d.p, j)[0]
 
 
 def l_reciprocal_of_sum(data: list[LfnData]) -> tuple[int, UniPoly]:

@@ -10,13 +10,16 @@ from oracles import galois_by_monomials
 from graphzeta.cyclo import (
     CycloNum,
     Valuation,
+    _graeffe_step,
     _ord_int,
+    cyclotomic_norms,
     euler_phi_prime_power,
     galois_conjugates,
     ordp_cyclo,
     ordp_fraction,
     zeta,
 )
+from graphzeta.poly import UniPoly
 
 
 def test_phi():
@@ -204,3 +207,45 @@ def test_galois_conjugates_match_monomial_oracle(p, j, bound, seed):
                 x.galois(u)
             with pytest.raises(ValueError):
                 galois_conjugates(p, j, rows, [1, u])
+
+
+def _norm_by_conjugates(coeffs, p, j):
+    # the product of the phi(p^j) Galois conjugates of G(zeta_{p^j}), multiplied out in CycloNum
+    x = CycloNum.from_monomials(p, j, enumerate(coeffs))
+    if j == 0:
+        return x.coeffs[0]
+    product = CycloNum.rational(p, 1, j)
+    for u in range(1, p**j):
+        if u % p:
+            product = product * x.galois(u)
+    return product.to_rational()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_cyclotomic_norms_match_products_of_conjugates(data):
+    # Graeffe root-powering against the CycloNum product of conjugates at every level
+    # j <= n, on polynomials up to 3 p^n long (so that G_0 folds) with entries past int64
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(0, {2: 5, 3: 3, 5: 2, 7: 2}[p]))
+    entries = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+    coeffs = data.draw(st.lists(entries, max_size=3 * p**n + 2))
+    norms = cyclotomic_norms(coeffs, p, n)
+    assert norms == [_norm_by_conjugates(coeffs, p, j) for j in range(n + 1)]
+    assert all(type(v) is int for v in norms)
+    if n:  # CycloNum.norm clears the denominator and takes the same route
+        x = CycloNum.from_monomials(p, n, [(e, Fraction(c, 6)) for e, c in enumerate(coeffs)])
+        assert x.norm() == Fraction(norms[n], 6 ** euler_phi_prime_power(p, n))
+
+
+def test_graeffe_step_is_the_product_over_pth_roots():
+    # G(x) G(-x) = H(x^2) and G(x) G(w x) G(w^2 x) = H(x^3), multiplied out over Z[w]
+    assert _graeffe_step([1, 2, 3], 2) == [1, 2, 9]  # (1 + 3y)^2 - 4y
+    assert _graeffe_step([], 3) == []
+    g = [5, -1, 4, 0, 7]
+    product = UniPoly.constant(1)
+    for k in range(3):
+        product = product * UniPoly([CycloNum.from_monomials(3, 1, [(k * m, c)]) for m, c in enumerate(g)])
+    h = [(c + CycloNum.rational(3, 0, 1)).to_rational() for c in product.coeffs]  # some are int 0
+    assert h[1::3] == h[2::3] == [0] * len(h[1::3])
+    assert _graeffe_step(g, 3) == h[::3]

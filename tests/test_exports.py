@@ -27,6 +27,9 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # CycloNum renderers fmt_cyclo and fmt_cyclo_poly lost their caller, and
 # the character table conjugates integer coordinates, so the CycloNum
 # polynomial conjugation galois_conjugate is a test oracle in tests/oracles.py.
+# The orbit norms of every j come from one orbit_norms call (Graeffe
+# root-powering); the per-j kernel route orbit_norm is the test oracle
+# orbit_norm_by_kernel.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -64,6 +67,7 @@ REMOVED = [
     ("report", "fmt_cyclo"),
     ("report", "fmt_cyclo_poly"),
     ("groupring", "galois_conjugate"),
+    ("lfunctions", "orbit_norm"),
 ]
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import FIXTURES, chorded_heptagon, collect_random_data
 from graphzeta import iwasawa
-from graphzeta.cyclo import CycloNum, ordp_cyclo, ordp_fraction, zeta
+from graphzeta.cyclo import CycloNum, euler_phi_prime_power, ordp_cyclo, ordp_fraction, zeta
 from graphzeta.datum_io import load_datum
 from graphzeta.errors import CertificationError, HypothesisError
 from graphzeta.graphs import SerreGraph, spanning_tree_count
@@ -15,7 +15,7 @@ from graphzeta.iwasawa import (
     mu_lambda,
     tower_sweep,
 )
-from graphzeta.lfunctions import CharacterLabel, characters, special_values
+from graphzeta.lfunctions import CharacterLabel, characters, orbit_norms, special_values
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum, build_level_graph, tower_euler_char
 
@@ -318,3 +318,37 @@ def test_cover_count_only_where_chi_vanishes(monkeypatch):
 def test_factored_kappa_matches_cover_on_a_seven_vertex_base():
     d = chorded_heptagon()
     assert [r.kappa for r in tower_sweep(d, 3)] == _direct_kappas(d, 3)
+
+
+def test_tower_sweep_takes_the_orbit_norms_once(monkeypatch):
+    calls = []
+
+    def recording_norms(d, n):
+        calls.append(n)
+        return orbit_norms(d, n)
+
+    monkeypatch.setattr(iwasawa, "orbit_norms", recording_norms)
+    rows = tower_sweep(_double_edge(), 6)
+    assert calls == [6]  # on level 2, the first with chi != 0
+    assert [r.kappa for r in rows] == _direct_kappas(_double_edge(), 6)
+
+
+def test_orbit_norms_beyond_the_kernel_prime_ceiling():
+    # the tail of the orbit valuations: e_j = ord_p Ntilde_j = mu_unr phi(p^j) + lambda_unr for
+    # every j > J0 = max(n1, min{j : phi(p^j) > lambda_unr}), on the fixtures past the levels
+    # where q = 1 mod p^j below 2^31 runs out (17 and 11), and on data with a nonconstant g
+    fixtures = [(load_datum(FIXTURES / f"{name}.json"), n) for name, n in (("double_edge", 20), ("triple_star", 13))]
+    others = [(_two_loops_unramified(), 12)] + [(d, 10) for d in collect_random_data(73, 8, levels_connected=1)]
+    checked = 0
+    for d, n in fixtures + others:
+        try:
+            gs = g_series(d)
+        except HypothesisError:  # g = 0
+            continue
+        phi = [euler_phi_prime_power(d.p, j) for j in range(n + 1)]
+        j0 = max(d.n1, next(j for j in range(n + 1) if phi[j] > gs.lambda_unr))
+        norms = orbit_norms(d, n)
+        for j in range(j0 + 1, n + 1):
+            assert ordp_fraction(norms[j], d.p).value == gs.mu_unr * phi[j] + gs.lambda_unr
+            checked += 1
+    assert checked > 60

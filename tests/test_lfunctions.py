@@ -11,7 +11,7 @@ from graphzeta.cli import cmd_zeta
 from graphzeta.cyclo import CycloNum, ordp_cyclo, zeta
 from graphzeta.datum_io import load_datum
 from graphzeta.errors import HypothesisError
-from graphzeta import lfunctions, tower
+from graphzeta import cyclo, lfunctions, tower
 from graphzeta.graphs import SerreGraph, connected, ihara_zeta_reciprocal, spanning_tree_count
 from graphzeta.lfunctions import (
     CharacterLabel,
@@ -20,9 +20,10 @@ from graphzeta.lfunctions import (
     h_poly,
     level_h_poly,
     lfn_data,
-    orbit_norm,
+    orbit_norms,
     orbit_special_products,
     orbit_vertices,
+    ordp_orbit_product,
     product_formula_check,
     r0,
     special_values,
@@ -35,7 +36,12 @@ from graphzeta.groupring import GroupRingElem
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum, build_level_graph
 from graphzeta.verify import default_subgroup_order, run_battery
-from oracles import det_cofactor, l_reciprocal_of_sum, orbit_special_products_by_characters
+from oracles import (
+    det_cofactor,
+    l_reciprocal_of_sum,
+    orbit_norm_by_kernel,
+    orbit_special_products_by_characters,
+)
 
 
 def _double_edge():
@@ -271,8 +277,8 @@ def _orbit_matrix_norm(d, j):
 def test_orbit_norm_is_cyclonum_norm():
     data = [_double_edge()] + collect_random_data(53, 8, levels_connected=2)
     for d in data:
-        for j in (1, 2, 3):
-            assert orbit_norm(d, j) == _orbit_matrix_norm(d, j)
+        norms = orbit_norms(d, 3)
+        assert norms == {j: _orbit_matrix_norm(d, j) for j in (1, 2, 3)}
 
 
 def test_trivial_derivative_is_special_value():
@@ -369,3 +375,82 @@ def test_verify_battery_at_level_zero_checks_the_trivial_subgroup():
     assert items == run_battery(d, 0, 1)
     assert not [it.name for it in items if it.status == "fail"]
     assert [default_subgroup_order(p, n) for p, n in ((2, 0), (2, 1), (3, 0), (3, 2))] == [1, 2, 1, 3]
+
+
+@st.composite
+def _orbit_datum(draw):
+    # 1-3 vertices, loops and multi-edges; voltages small, above p^n and past int64 (or all
+    # multiples of p^n, which makes F_K = 0 where K holds every vertex); k_v = 0 and k_v >= n
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, {2: 4, 3: 3, 5: 2, 7: 2}[p]))
+    size = draw(st.integers(1, 3))
+    pairs = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, size)] + draw(st.lists(pairs, max_size=3))
+    small = st.integers(-40, 40)
+    voltage = st.one_of(small, small.map(lambda a: a + 7 * p**n), small.map(lambda a: a - 2**64))
+    if draw(st.booleans()):
+        voltage = small.map(lambda a: a * p**n)
+    volt = []
+    for _ in edges:
+        a = draw(voltage)
+        volt += [a, -a]
+    ram = tuple(draw(st.one_of(st.none(), st.integers(0, n + 1))) for _ in range(size))
+    return TowerDatum(SerreGraph.from_edges(list(range(size)), edges), p, tuple(volt), ram), n
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_orbit_datum())
+def test_orbit_norms_match_the_kernel_oracle(case):
+    d, n = case
+    assert orbit_norms(d, n) == {j: orbit_norm_by_kernel(d, j) for j in range(1, n + 1)}
+
+
+def test_orbit_norms_where_f_or_f_at_one_vanishes():
+    triangle = SerreGraph.from_edges(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    # voltages that zeta_{p^j} cannot see: D - A_x is the Laplacian, F_K = 0
+    flat = TowerDatum(triangle, 3, (9, -9, -18, 18, 27, -27), (None, None, 2))
+    assert orbit_norms(flat, 2) == {1: 0, 2: 0} == {j: orbit_norm_by_kernel(flat, j) for j in (1, 2)}
+    # every vertex unramified: F_K(1) = det of the Laplacian = 0, the norms are not
+    cycle = TowerDatum(triangle, 2, (1, -1, 0, 0, 0, 0), (None, None, None))
+    norms = orbit_norms(cycle, 4)
+    assert all(norms.values())
+    assert norms == {j: orbit_norm_by_kernel(cycle, j) for j in range(1, 5)}
+
+
+def _loop_1000():
+    # a loop of voltage 1000 at an unramified vertex: F_K has degree 2000 on K = {a}
+    g = SerreGraph.from_edges(["a", "b"], [("a", "a"), ("a", "b"), ("a", "b")])
+    return TowerDatum(g, 2, (1000, -1000, 1, -1, 0, 0), (None, 1))
+
+
+def test_graeffe_iterates_stay_below_their_period(monkeypatch):
+    # every G_i of a cyclotomic_norms(..., p, n) call is reduced mod y^(p^(n-i)) - 1
+    chains = []
+    norms, step = cyclo.cyclotomic_norms, cyclo._graeffe_step
+
+    def record_norms(coeffs, p, n):
+        chains.append((p, n, []))
+        return norms(coeffs, p, n)
+
+    def record_step(coeffs, p):
+        chains[-1][2].append(len(coeffs))
+        return step(coeffs, p)
+
+    monkeypatch.setattr(cyclo, "_graeffe_step", record_step)
+    monkeypatch.setattr(lfunctions, "cyclotomic_norms", record_norms)
+    d = _loop_1000()
+    got = orbit_norms(d, 11)
+    assert [n for _, n, _ in chains] == [1, 11]  # K_1 = {a, b}; K_j = {a} for j >= 2
+    p, n, lengths = chains[1]
+    assert len(lengths) == n - 1
+    assert all(length <= p ** (n - i) for i, length in enumerate(lengths))
+    assert lengths[1] == p ** (n - 1)  # 2001 coefficients, folded from step 1 on
+    assert all(got[j] == orbit_norm_by_kernel(d, j) for j in range(1, 6))
+
+
+def test_ordp_orbit_product_refuses_orders_outside_the_level():
+    d = _double_edge()
+    assert [ordp_orbit_product(d, 3, j).value for j in (1, 2, 3)] == [4, 2, 4]  # N_j = 16, 4, 16
+    for j in (0, 4, -1):
+        with pytest.raises(ValueError):
+            ordp_orbit_product(d, 3, j)
