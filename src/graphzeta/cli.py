@@ -17,7 +17,7 @@ import sys
 
 from .datum_io import load_datum
 from .errors import CertificationError, DatumError, GraphError, HypothesisError
-from .graphs import connected, euler_characteristic, spanning_tree_count
+from .graphs import spanning_tree_count
 from .groupring import subgroup_exponent
 from .iwasawa import (
     char_ideal_generator,
@@ -35,7 +35,7 @@ from .report import (
     machine_json,
     table,
 )
-from .tower import TowerDatum, build_level_graph
+from .tower import TowerDatum, build_level_graph, level_connected, level_shape
 from .verify import default_subgroup_order, run_battery
 
 __all__ = ["main"]
@@ -46,18 +46,21 @@ def _default_max_level(d: TowerDatum) -> int:
 
 
 def cmd_zeta(d: TowerDatum, level: int) -> dict:
-    # h from one norm per Galois orbit; the cover gives |V|, |E|, chi and connectivity
-    lg = build_level_graph(d, level)
-    if not connected(lg.graph):
+    # h from one norm per Galois orbit; |V|, |E| and chi from the datum; a cover only where chi = 0
+    if not level_connected(d, level):
         raise HypothesisError(f"level {level} disconnected")
-    h, chi = level_h_poly(d, level), euler_characteristic(lg.graph)
-    kappa = hashimoto_kappa(h.derivative()(1), chi, level) if chi else spanning_tree_count(lg.graph)
+    h = level_h_poly(d, level)
+    n_vertices, n_edges, chi = level_shape(d, level)
+    if chi:
+        kappa = hashimoto_kappa(h.derivative()(1), chi, level)
+    else:
+        kappa = spanning_tree_count(build_level_graph(d, level).graph)
     return {
         "command": "zeta",
         "prime": d.p,
         "level": level,
-        "vertices": lg.graph.n_vertices,
-        "edges": lg.graph.n_edges,
+        "vertices": n_vertices,
+        "edges": n_edges,
         "euler_characteristic": chi,
         "spanning_trees": kappa,
         "h": fmt_int_poly(h),

@@ -272,19 +272,16 @@ class CycloNum:
         return Fraction(value, den ** euler_phi_prime_power(self.p, self.j))
 
     def inverse(self) -> "CycloNum":
+        """1/x = prod_{u != 1} sigma_u(x) / N(x): the other conjugates over the norm."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.j == 0:
             return CycloNum.rational(self.p, 1 / Fraction(self.coeffs[0]))
-        # Extended Euclid against Phi_{p^j} in Q[X].
-        d = euler_phi_prime_power(self.p, self.j)
-        phi = [Fraction(0)] * (d + 1)
-        phi[d] = Fraction(1)
-        for e, t in _phi_tail(self.p, self.j):
-            phi[e] += t
-        inv = _poly_modinv(list(self.coeffs), phi)
-        dense = inv + [Fraction(0)] * (d - len(inv))
-        return CycloNum(self.p, self.j, _reduce(self.p, self.j, dense))
+        others = CycloNum.rational(self.p, 1, self.j)
+        for u in range(2, self.p**self.j):
+            if u % self.p:
+                others = others * self.galois(u)
+        return others * (1 / self.norm())
 
 
 def zeta(p: int, j: int) -> CycloNum:
@@ -370,48 +367,6 @@ def _norm_from_slots(slots, p: int):
                     product[(a + b) % p] += x * y
         acc = [s - product[-1] for s in product[:-1]]
     return acc[0]
-
-
-# -- polynomial helpers over Q (internal) -----------------------------
-
-
-def _poly_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if c:
-            q[i] = c
-            for k, bc in enumerate(b):
-                a[i + k] -= c * bc
-    return q, _poly_trim(a)
-
-
-def _poly_modinv(a, mod):
-    # Inverse of a modulo mod in Q[X]; gcd must be a nonzero constant.
-    r0, r1 = list(mod), _poly_trim(list(a))
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1 if s1 else 0)
-        for i, qc in enumerate(q):
-            if qc:
-                for k, sc in enumerate(s1):
-                    prod[i + k] += qc * sc
-        s_new = [x - y for x, y in zip(s0 + [Fraction(0)] * len(prod), prod + [Fraction(0)] * len(s0))]
-        s0, s1 = s1, _poly_trim(s_new)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is a zero divisor modulo the modulus")
-    c = 1 / r0[0]
-    return [x * c for x in s0]
 
 
 # -- p-adic valuations -------------------------------------------------

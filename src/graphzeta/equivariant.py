@@ -15,6 +15,7 @@ The check reports both sides.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +46,7 @@ __all__ = [
     "inflation_check",
     "norm_map",
     "norm_gamma_exponents",
+    "subgroup_vertex_orbits",
     "trace_map",
 ]
 
@@ -112,38 +114,44 @@ def equiv_zeta(table: CharacterTable) -> EquivZeta:
 # -- subgroup actions on a level graph ---------------------------------
 
 
+def subgroup_vertex_orbits(d: TowerDatum, lg: LevelGraph, subgroup_order: int):
+    """(act, reps, stabilizers) for the order-p^h subgroup H of Z/p^n Z on the level-n cover lg.
+
+    act(vi, t) is the vertex that t * p^(n-h) in H sends the vertex vi to;
+    reps holds the least vertex of each H-orbit, in vertex order, and
+    stabilizers[i] the order of the stabilizer of reps[i] in H.  ValueError
+    for an order that does not divide p^n.
+    """
+    n = lg.level
+    subgroup_exponent(d.p**n, subgroup_order)
+    step = d.p**n // subgroup_order
+    fibers = [d.fiber_size(v, n) for v in range(d.base.n_vertices)]
+    offsets = list(itertools.accumulate(fibers, initial=0))  # index of (v, 0)
+
+    def act(vi: int, t: int) -> int:
+        base = lg.vertex_base[vi]
+        return offsets[base] + (lg.vertex_rep[vi] + t * step) % fibers[base]
+
+    reps, stabilizers, seen = [], [], set()
+    for vi in range(lg.graph.n_vertices):
+        if vi not in seen:
+            orbit = {act(vi, t) for t in range(subgroup_order)}
+            seen |= orbit
+            reps.append(vi)
+            stabilizers.append(subgroup_order // len(orbit))
+    return act, reps, stabilizers
+
+
 def eta_for_subgroup_action(d: TowerDatum, lg: LevelGraph, subgroup_order: int) -> UniPoly:
     """eta(u) for the order-p^h subgroup H of Z/p^n Z acting on the level-n cover lg.
 
     The cover is treated as a plain graph; H permutes it through the dart
-    labels.  Orbits are identified with H = Z/p^h Z via t -> t * p^(n-h).
-    The result lives over Q[Z/p^h Z].
+    labels (`subgroup_vertex_orbits`).  Orbits are identified with
+    H = Z/p^h Z via t -> t * p^(n-h).  The result lives over Q[Z/p^h Z].
     """
-    graph, n = lg.graph, lg.level
-    m = d.p**n
-    subgroup_exponent(m, subgroup_order)
+    graph = lg.graph
+    act, reps, stab_orders = subgroup_vertex_orbits(d, lg, subgroup_order)
     h_ord = subgroup_order
-    step = m // h_ord
-
-    def act_vertex(vi: int, t: int) -> int:
-        base = lg.vertex_base[vi]
-        rep = (lg.vertex_rep[vi] + t * step) % d.fiber_size(base, n)
-        return _vertex_lookup(lg, d, base, rep)
-
-    # Orbit representatives in vertex order.
-    reps: list[int] = []
-    orbit_of = [-1] * graph.n_vertices
-    for vi in range(graph.n_vertices):
-        if orbit_of[vi] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(vi)
-        for t in range(h_ord):
-            orbit_of[act_vertex(vi, t)] = idx
-    stab_orders = []
-    for w in reps:
-        stab = sum(1 for t in range(h_ord) if act_vertex(w, t) == w)
-        stab_orders.append(stab)
 
     # a[w][v] = number of darts from v to w, for the orbit bookkeeping below.
     darts_into: dict[tuple[int, int], int] = {}
@@ -161,17 +169,10 @@ def eta_for_subgroup_action(d: TowerDatum, lg: LevelGraph, subgroup_order: int) 
         terms += [(i, i, s, 2, Fraction(val - 1, stab)) for s in subgroup_elements(h_ord, stab)]
         for j, w_j in enumerate(reps):
             for t in range(h_ord):
-                count = darts_into.get((w_i, act_vertex(w_j, t)), 0)
+                count = darts_into.get((w_i, act(w_j, t)), 0)
                 if count:
                     terms.append((i, j, -t, 1, Fraction(-count, stab)))
     return linalg.det_groupring_poly(len(reps), terms, h_ord)
-
-
-def _vertex_lookup(lg, d: TowerDatum, base: int, rep: int) -> int:
-    offset = 0
-    for i in range(base):
-        offset += d.fiber_size(i, lg.level)
-    return offset + rep
 
 
 # -- norm and trace ----------------------------------------------------

@@ -24,8 +24,10 @@ norm of det(D - A_zeta) on K_j, does not depend on n.  One
 `lfunctions.orbit_norms` call gives every Ntilde_j of the sweep: one
 integer polynomial det(D - A_x) per distinct K_j, and its norms at every
 zeta_{p^j} by Graeffe root-powering (`cyclo.cyclotomic_norms`), with no
-prime q = 1 mod p^j.  Each level is still built, for its connectivity and,
-where chi(X_n) = 0, its count.
+prime q = 1 mod p^j.  |V_n|, |E_n| and chi(X_n) come from the datum
+(`tower.level_shape`), connectivity from the level-1 cover
+(`tower.level_connected`), and a level is built only where chi(X_n) = 0,
+for its Matrix-Tree count.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 
 from .cyclo import euler_phi_prime_power, ordp_fraction
 from .errors import CertificationError, HypothesisError
-from .graphs import connected, euler_characteristic, spanning_tree_count
+from .graphs import spanning_tree_count
 from .lfunctions import (
     orbit_level_factor,
     orbit_norms,
@@ -43,7 +45,7 @@ from .lfunctions import (
     voltage_laplacian_det,
 )
 from .poly import UniPoly
-from .tower import TowerDatum, build_level_graph, tower_euler_char
+from .tower import TowerDatum, build_level_graph, level_connected, level_shape, tower_euler_char
 
 __all__ = [
     "GSeries",
@@ -189,8 +191,10 @@ def hashimoto_kappa(h_derivative_at_one: int, chi: int, n: int) -> int:
 def tower_sweep(d: TowerDatum, n_max: int) -> list[TowerRow]:
     """Exact rows for levels 0..n_max; every level must be connected.
 
-    Each level is built for its size and its connectivity check.  kappa
-    comes from the factored formula in the module docstring wherever
+    No level is built for its size or its connectivity: |V_n|, |E_n| and
+    chi(X_n) come from `level_shape`, and `level_connected` decides every
+    level n >= 1 on the level-1 cover, checked after level 0's row.
+    kappa comes from the factored formula in the module docstring wherever
     chi(X_n) != 0; the orbit norms of every j <= n_max come from one
     `lfunctions.orbit_norms` call, on the first such level.  Levels with
     chi(X_n) = 0 count spanning trees on the cover.
@@ -200,12 +204,11 @@ def tower_sweep(d: TowerDatum, n_max: int) -> list[TowerRow]:
     rows = []
     norms = None
     for n in range(n_max + 1):
-        lg = build_level_graph(d, n)
-        if not connected(lg.graph):
-            raise HypothesisError(f"level {n} disconnected")
-        chi = euler_characteristic(lg.graph)
+        if n == 1 and not level_connected(d, 1):
+            raise HypothesisError("level 1 disconnected")
+        n_vertices, n_edges, chi = level_shape(d, n)
         if chi == 0:
-            kappa = spanning_tree_count(lg.graph)
+            kappa = spanning_tree_count(build_level_graph(d, n).graph)
         else:
             if norms is None:
                 norms = orbit_norms(d, n_max)
@@ -213,16 +216,8 @@ def tower_sweep(d: TowerDatum, n_max: int) -> list[TowerRow]:
             for j in range(1, n + 1):
                 product *= norms[j] * orbit_level_factor(d, n, j)
             kappa = hashimoto_kappa(product, chi, n)
-        rows.append(
-            TowerRow(
-                n,
-                lg.graph.n_vertices,
-                lg.graph.n_edges,
-                chi,
-                kappa,
-                int(ordp_fraction(kappa, d.p).value),
-            )
-        )
+        ordp = int(ordp_fraction(kappa, d.p).value)
+        rows.append(TowerRow(n, n_vertices, n_edges, chi, kappa, ordp))
     return rows
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "character_table",
     "characters",
     "h_poly",
-    "kernel_contains_stabilizer",
     "level_h_poly",
     "lfn_data",
     "orbit_level_factor",
@@ -74,16 +73,9 @@ __all__ = [
 ]
 
 
-def kernel_contains_stabilizer(d: TowerDatum, v: int, n: int, psi: CharacterLabel) -> bool:
-    k = d.ram[v]
-    if k is None:
-        return True
-    return psi.order_exponent <= min(k, n)
-
-
 def r0(d: TowerDatum, n: int, psi: CharacterLabel) -> int:
-    """Number of base vertices whose level-n stabilizer escapes ker(psi)."""
-    return sum(1 for v in range(d.base.n_vertices) if not kernel_contains_stabilizer(d, v, n, psi))
+    """Number of base vertices whose level-n stabilizer escapes ker(psi): |V| - |K_j|."""
+    return d.base.n_vertices - len(orbit_vertices(d, psi.order_exponent))
 
 
 def _three_term_terms(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int]) -> list:
@@ -91,14 +83,15 @@ def _three_term_terms(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int
 
     psi sends the group element x to zeta_{p^j}^(e x) (e its exponent at its
     own level j) and the stabilizer sum C[v] = N_{H_v} to |H_v| when ker(psi)
-    contains H_v, else to 0; A_alpha[i][k] sums the voltages of the base
-    darts from v_k to v_i.  The terms (r, c, exp, d, coeff) are those of
-    `linalg.det_cyclotomic_poly`.
+    contains H_v, that is for v in K_j (`orbit_vertices`), else to 0;
+    A_alpha[i][k] sums the voltages of the base darts from v_k to v_i.  The
+    terms (r, c, exp, d, coeff) are those of `linalg.det_cyclotomic_poly`.
     """
     base = d.base
     step = psi.exponent_at(psi.order_exponent)
     pos = {v: r for r, v in enumerate(kept)}
-    c = [d.stabilizer_order(v, n) if kernel_contains_stabilizer(d, v, n, psi) else 0 for v in kept]
+    k_j = set(orbit_vertices(d, psi.order_exponent))
+    c = [d.stabilizer_order(v, n) if v in k_j else 0 for v in kept]
     deg = [0] * base.n_vertices
     terms = []
     for e in range(base.n_darts):

@@ -26,7 +26,9 @@ __all__ = [
     "LevelGraph",
     "TowerDatum",
     "build_level_graph",
+    "level_connected",
     "level_matrices",
+    "level_shape",
     "quotient_level_graph",
     "ramification_profile",
     "tower_euler_char",
@@ -182,6 +184,38 @@ def tower_euler_char(d: TowerDatum, n: int) -> int:
         d.fiber_size(v, n) * (d.stabilizer_order(v, n) - 1) for v in d.ramified_vertices
     )
     return p**n * chi_base - branch
+
+
+def level_shape(d: TowerDatum, n: int) -> tuple[int, int, int]:
+    """(|V_n|, |E_n|, chi(X_n)) of the level-n cover, from the datum alone.
+
+    |V_n| sums the fiber sizes p^min(k_v, n) (p^n at an unramified v),
+    |E_n| = p^n |E|, and chi(X_n) is `tower_euler_char`.
+    """
+    n_vertices = sum(d.fiber_size(v, n) for v in range(d.base.n_vertices))
+    return n_vertices, d.p**n * d.base.n_edges, tower_euler_char(d, n)
+
+
+def level_connected(d: TowerDatum, n: int) -> bool:
+    """Whether the level-n cover is connected, decided on the level-1 cover.
+
+    Level 0 is the base, which is connected.  For n >= 1 let S be the
+    subgroup of Z/p^n Z generated by the voltages of the closed walks at a
+    base vertex v0 and by the stabilizers p^min(k_v, n) Z/p^n Z of the
+    ramified v.  A lifted walk adds its voltage to the sheet, and at
+    (v, sigma) it may leave by any dart (s, sigma') with
+    sigma' = sigma mod p^min(k_v, n); walking from v0 to v, moving within
+    the fiber and walking back adds only the stabilizer's element, as the
+    group is abelian.  So the vertices over v0 reachable from (v0, 0) are
+    the classes of S, and S contains the stabilizer of v0.  Every vertex
+    of X_n is joined to the fiber over v0 by a lifted path, so X_n is
+    connected iff S = Z/p^n Z.  The subgroups of Z/p^n Z form the chain
+    p^a Z/p^n Z, so S is everything iff one generator is prime to p: a
+    closed-walk voltage prime to p, or a vertex with k_v = 0 (p^min(k_v, n)
+    with n >= 1 is a unit only then).  Neither depends on n, so X_n is
+    connected iff X_1 is.
+    """
+    return n == 0 or connected(build_level_graph(d, 1).graph)
 
 
 def level_matrices(

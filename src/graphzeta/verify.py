@@ -16,6 +16,7 @@ from .equivariant import (
     inflation_check,
     norm_gamma_exponents,
     norm_map,
+    subgroup_vertex_orbits,
 )
 from .errors import HypothesisError
 from .graphs import (
@@ -28,7 +29,7 @@ from .groupring import CharacterLabel, subgroup_exponent
 from .lfunctions import character_table, product_formula_check, r0, vanishing_order_check
 from .poly import UniPoly
 from .report import poly_text
-from .tower import LevelGraph, TowerDatum, build_level_graph, ramification_profile, tower_euler_char
+from .tower import LevelGraph, TowerDatum, build_level_graph, level_shape
 
 __all__ = ["VerifyItem", "default_subgroup_order", "run_battery"]
 
@@ -111,16 +112,16 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
         )
     )
 
-    profile = ramification_profile(d, n)
-    branch_sum = sum(fiber * (m - 1) for fiber, m in profile)
-    chi_base = d.base.n_vertices - d.base.n_edges
-    rh_value = p**n * chi_base - branch_sum
-    rh_ok = rh_value == chi_level == tower_euler_char(d, n)
+    # the built cover against the closed forms (|V|, |E|, chi) that `tower` and `zeta` print
+    shape = level_shape(d, n)
+    chi_closed = shape[2]
+    branch_sum = p**n * (d.base.n_vertices - d.base.n_edges) - chi_closed
+    rh_ok = (graph.n_vertices, graph.n_edges, chi_level) == shape
     items.append(
         VerifyItem(
             "riemann-hurwitz",
             "pass" if rh_ok else "fail",
-            f"chi = {chi_level}, branched closed form = {rh_value}",
+            f"chi = {chi_level}, branched closed form = {chi_closed}",
         )
     )
 
@@ -137,7 +138,7 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
         )
     )
 
-    if tower_euler_char(d, n) == 0:
+    if chi_closed == 0:
         items.append(
             VerifyItem("vanishing-order", "skip", f"chi(X_{n}) = 0, hypothesis not met")
         )
@@ -185,30 +186,13 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
 
 
 def _subgroup_gamma_direct(d: TowerDatum, lg: LevelGraph, subgroup_order: int) -> tuple[int, ...]:
-    # chi_phi for the subgroup action, from the orbit structure of the level-n cover lg.
-    graph, n = lg.graph, lg.level
-    m = d.p**n
-    h_exp = subgroup_exponent(m, subgroup_order)
-    step = m // subgroup_order
-    p = d.p
-    # Stabilizer of a vertex (base, rep) in H has order |H| / orbit size.
+    # chi_phi for the subgroup action, from the H-orbits on the vertices of the level-n cover lg
+    _, reps, stabilizers = subgroup_vertex_orbits(d, lg, subgroup_order)
+    h_exp = subgroup_exponent(d.p**lg.level, subgroup_order)
+    n_orbit_edges = lg.graph.n_edges // subgroup_order
     out = []
     for b in range(subgroup_order):
-        phi = CharacterLabel(p, h_exp, b)
-        killed = 0
-        seen = set()
-        for vi in range(graph.n_vertices):
-            base = lg.vertex_base[vi]
-            fiber = d.fiber_size(base, n)
-            rep = lg.vertex_rep[vi]
-            orbit = frozenset((base, (rep + t0 * step) % fiber) for t0 in range(subgroup_order))
-            if orbit in seen:
-                continue
-            seen.add(orbit)
-            stab = subgroup_order // len(orbit)
-            if not phi.kernel_contains(stab):
-                killed += 1
-        n_orbit_vertices = len(seen)
-        n_orbit_edges = graph.n_edges // subgroup_order
-        out.append(n_orbit_vertices - n_orbit_edges - killed)
+        phi = CharacterLabel(d.p, h_exp, b)
+        killed = sum(1 for stab in stabilizers if not phi.kernel_contains(stab))
+        out.append(len(reps) - n_orbit_edges - killed)
     return tuple(out)

@@ -105,7 +105,7 @@ def test_lift_consistency():
 
 def test_inverse():
     rng = random.Random(11)
-    for p, j in [(2, 2), (2, 3), (3, 1), (3, 2)]:
+    for p, j in [(2, 2), (2, 3), (3, 1), (3, 2), (5, 2), (7, 1)]:
         for _ in range(10):
             coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(euler_phi_prime_power(p, j))]
             x = CycloNum(p, j, tuple(coeffs))

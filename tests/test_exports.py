@@ -29,7 +29,10 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # polynomial conjugation galois_conjugate is a test oracle in tests/oracles.py.
 # The orbit norms of every j come from one orbit_norms call (Graeffe
 # root-powering); the per-j kernel route orbit_norm is the test oracle
-# orbit_norm_by_kernel.
+# orbit_norm_by_kernel.  The stabilizer-in-kernel test of a vertex is
+# membership in orbit_vertices(d, j), K_j; CycloNum.inverse takes the other
+# Galois conjugates over the norm, so the Q[X] Euclid helpers are gone; the
+# subgroup action on a cover indexes vertices by per-base-vertex offsets.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -68,6 +71,11 @@ REMOVED = [
     ("report", "fmt_cyclo_poly"),
     ("groupring", "galois_conjugate"),
     ("lfunctions", "orbit_norm"),
+    ("lfunctions", "kernel_contains_stabilizer"),
+    ("cyclo", "_poly_trim"),
+    ("cyclo", "_poly_divmod"),
+    ("cyclo", "_poly_modinv"),
+    ("equivariant", "_vertex_lookup"),
 ]
 
 

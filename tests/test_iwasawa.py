@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import FIXTURES, chorded_heptagon, collect_random_data
-from graphzeta import iwasawa
+from graphzeta import cli, iwasawa, tower
 from graphzeta.cyclo import CycloNum, euler_phi_prime_power, ordp_cyclo, ordp_fraction, zeta
 from graphzeta.datum_io import load_datum
 from graphzeta.errors import CertificationError, HypothesisError
@@ -313,6 +313,30 @@ def test_cover_count_only_where_chi_vanishes(monkeypatch):
     assert [r.chi for r in rows[:2]] == [0, 0]
     assert counted == [rows[0].n_vertices, rows[1].n_vertices]
     assert [r.kappa for r in rows] == _direct_kappas(_double_edge(), 4)
+
+
+def test_sweeps_build_level_one_and_the_chi_zero_levels_only(monkeypatch):
+    # sizes and chi come from the datum, connectivity from the level-1 cover
+    built = []
+    original = tower.build_level_graph
+
+    def recorder(d, n):
+        built.append(n)
+        return original(d, n)
+
+    for module in (tower, iwasawa, cli):
+        monkeypatch.setattr(module, "build_level_graph", recorder)
+    for name, n_max in (("double_edge", 12), ("triple_star", 8)):
+        d = load_datum(FIXTURES / f"{name}.json")
+        built.clear()
+        rows = tower_sweep(d, n_max)
+        chi_zero = [r.n for r in rows if r.chi == 0]
+        assert sorted(built) == sorted([1] + chi_zero)
+        assert chi_zero and max(chi_zero) <= 1  # the fixtures have chi(X_n) < 0 from level 2
+    built.clear()
+    doc = cli.cmd_zeta(load_datum(FIXTURES / "double_edge.json"), 8)
+    assert doc["euler_characteristic"] != 0
+    assert built == [1]
 
 
 def test_factored_kappa_matches_cover_on_a_seven_vertex_base():

@@ -11,7 +11,7 @@ from graphzeta.cli import cmd_zeta
 from graphzeta.cyclo import CycloNum, ordp_cyclo, zeta
 from graphzeta.datum_io import load_datum
 from graphzeta.errors import HypothesisError
-from graphzeta import cyclo, lfunctions, tower
+from graphzeta import cyclo, lfunctions, tower, verify
 from graphzeta.graphs import SerreGraph, connected, ihara_zeta_reciprocal, spanning_tree_count
 from graphzeta.lfunctions import (
     CharacterLabel,
@@ -367,6 +367,20 @@ def test_verify_battery_builds_its_cover_once(monkeypatch):
         built.clear()
         run_battery(d, n, sub)
         assert built == [n]
+
+
+def test_verify_riemann_hurwitz_checks_the_closed_vertex_count(monkeypatch):
+    # the item compares the built cover's (|V|, |E|, chi) with level_shape, the sizes tower prints
+    d = load_datum(FIXTURES / "double_edge.json")
+
+    def item():
+        return next(it for it in run_battery(d, 3) if it.name == "riemann-hurwitz")
+
+    passing = item()
+    assert passing.status == "pass"
+    shape = verify.level_shape
+    monkeypatch.setattr(verify, "level_shape", lambda d, n: (shape(d, n)[0] + 1, *shape(d, n)[1:]))
+    assert item() == verify.VerifyItem("riemann-hurwitz", "fail", passing.detail)
 
 
 def test_verify_battery_at_level_zero_checks_the_trivial_subgroup():

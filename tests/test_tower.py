@@ -1,14 +1,18 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import collect_random_data
 from graphzeta.errors import DatumError
-from graphzeta.graphs import SerreGraph, euler_characteristic, validate_graph
+from graphzeta.graphs import SerreGraph, connected, euler_characteristic, validate_graph
 from graphzeta.groupring import GroupRingElem, norm_element
 from graphzeta.lfunctions import characters, r0
 from graphzeta.tower import (
     TowerDatum,
     build_level_graph,
+    level_connected,
     level_matrices,
+    level_shape,
     quotient_level_graph,
     ramification_profile,
     tower_euler_char,
@@ -93,6 +97,40 @@ def test_tower_euler_char_closed_form_and_direct():
     assert tower_euler_char(d, 2) == -2
     for n in range(1, 6):
         assert tower_euler_char(d, n) == 2 - 2**n
+
+
+@st.composite
+def _shape_datum(draw):
+    # 1-3 vertices with loops and multi-edges; voltages small or all multiples of p, which
+    # disconnects level 1 unless some k_v = 0; k_v from 0 to 3
+    p = draw(st.sampled_from([2, 3, 5]))
+    size = draw(st.integers(1, 3))
+    pairs = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, size)] + draw(st.lists(pairs, max_size=3))
+    scale = p if draw(st.booleans()) else 1
+    volt = []
+    for _ in edges:
+        a = scale * draw(st.integers(-6, 6))
+        volt += [a, -a]
+    ram = tuple(draw(st.one_of(st.none(), st.integers(0, 3))) for _ in range(size))
+    return TowerDatum(SerreGraph.from_edges(list(range(size)), edges), p, tuple(volt), ram)
+
+
+def _triangle(p, voltages, ram):
+    g = SerreGraph.from_edges(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    return TowerDatum(g, p, tuple(x for a in voltages for x in (a, -a)), ram)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_shape_datum())
+@example(_triangle(3, (3, 0, 6), (None, 2, None)))  # disconnected from level 1 on
+@example(_triangle(2, (2, 4, 2), (None, 0, None)))  # multiples of p, joined by k_v = 0
+@example(_triangle(5, (1, 0, 0), (1, 1, 1)))  # a closed-walk voltage prime to p
+def test_level_shape_and_connectivity_match_built_covers(d):
+    for n in range(5):
+        graph = build_level_graph(d, n).graph
+        assert level_shape(d, n) == (graph.n_vertices, graph.n_edges, euler_characteristic(graph))
+        assert level_connected(d, n) == connected(graph)
 
 
 def test_tower_euler_char_unramified():
