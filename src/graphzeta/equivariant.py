@@ -88,8 +88,11 @@ def gamma_expand(p: int, n: int, exponents: tuple[int, ...]) -> UniPoly:
         raise ValueError("gamma exponents must be constant on each Galois orbit of characters")
     if any(e > 0 for e in exponents):
         raise ValueError("gamma is not polynomial: some character exponent is positive")
-    one_minus = UniPoly([1, 0, -1])
-    return from_character_polys(p, n, [one_minus ** (-exponents[psi.a]) for psi in reps])
+    one_minus, rows = UniPoly([1, 0, -1]), []
+    for psi in reps:  # (1 - u^2)^(-chi_psi) is rational: coordinates (c, 0, ..., 0), phi(p^j) in all
+        zeros = [0] * (psi.order - psi.order // p - 1)
+        rows.append([[c, *zeros] for c in (one_minus ** -exponents[psi.a]).coeffs])
+    return from_character_polys(p, n, rows)
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,8 @@ class EquivZeta:
 
 
 def eta_poly(table: CharacterTable) -> UniPoly:
-    """eta(u) over Q[Z/p^n Z], reassembled from the table's n + 1 representative h(u, psi)."""
-    return from_character_polys(table.datum.p, table.level, table.rep_h)
+    """eta(u) over Q[Z/p^n Z], reassembled from the table's n + 1 representative h rows."""
+    return from_character_polys(table.datum.p, table.level, table.rep_coordinates)
 
 
 def equiv_zeta(table: CharacterTable) -> EquivZeta:

@@ -6,7 +6,8 @@ public data model, but cyclotomic coefficients are supported so that the
 primitive character idempotents e_psi can be manipulated directly.
 
 Q[Z/p^n Z] splits into the fields Q(zeta_{p^j}), j = 0..n, one per Galois
-orbit of characters, so `from_character_values` takes one value per orbit.
+orbit of characters, so `from_character_values` takes one value per orbit,
+as its coordinates in the power basis of Q(zeta_{p^j}), as `linalg` gives them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CycloNum, euler_phi_prime_power
+from .cyclo import CycloNum
 from .poly import UniPoly
 
 __all__ = [
@@ -351,37 +352,33 @@ def character_idempotent(p: int, n: int, a: int) -> GroupRingElem:
 def from_character_values(p: int, n: int, values) -> GroupRingElem:
     """Inverse discrete Fourier transform, from one value per Galois orbit.
 
-    values[j] = psi_{p^(n-j)}(x), j = 0..n, at the representative of the
-    characters of order p^j (`character_orbits`): rational, or a CycloNum of
-    level L >= j in Q(zeta_{p^j}), i.e. on the exponents divisible by
-    p^(L-j); otherwise ValueError.  The orbit's other characters take its
-    conjugates, so [t] = p^(-n) sum_j Tr(zeta_{p^j}^(-t) values[j]), the
-    trace of zeta_{p^j}^k being p^j [p^j | k] - p^(j-1) [p^(j-1) | k], j >= 1.
+    values[j], j = 0..n, holds the phi(p^j) rational coordinates, in the power
+    basis 1, zeta_{p^j}, ..., of psi_{p^(n-j)}(x), the value at the
+    representative of the characters of order p^j (`character_orbits`); a
+    wrong number of orbits or of coordinates raises ValueError.  The orbit's
+    other characters take its conjugates, so
+    [t] = p^(-n) sum_j Tr(zeta_{p^j}^(-t) values[j]), the trace of zeta_{p^j}^k
+    being p^j [p^j | k] - p^(j-1) [p^(j-1) | k], j >= 1.
     """
     m = p**n
     values = list(values)
     if len(values) != n + 1:
         raise ValueError(f"need {n + 1} character values, one per Galois orbit")
     periodic = []  # (p^j, w): the orbit's trace at [t] is w[t mod p^j]
-    for j, v in enumerate(values):
+    for j, c in enumerate(values):
         q, r = p**j, p**j // p  # r = 0 at j = 0, where the trace is the identity
-        if not isinstance(v, CycloNum):
-            v = CycloNum.rational(p, v, j)
-        if v.j and v.p != p:
-            raise ValueError("cyclotomic value over the wrong prime")
-        step = p ** (v.j - j) if v.j >= j else 0
-        if not step or any(c for i, c in enumerate(v.coeffs) if i % step):
-            raise ValueError(f"value {j} must lie in Q(zeta_{q}) at a level >= {j}: {v!r}")
-        c = list(v.coeffs[::step]) + [0] * (q - euler_phi_prime_power(p, j))
+        c = list(c)
+        if len(c) != q - r:  # phi(p^j)
+            raise ValueError(f"value {j} needs {q - r} coordinates in Q(zeta_{q}), not {len(c)}")
+        c += [0] * r
         sums = [sum(c[i::r]) for i in range(r)]
         periodic.append((q, [q * a - r * sums[k % r] if r else a for k, a in enumerate(c)]))
-    return GroupRingElem(m, [sum(w[t % q] for q, w in periodic) / m for t in range(m)])
+    return GroupRingElem(m, [Fraction(sum(w[t % q] for q, w in periodic), m) for t in range(m)])
 
 
 def from_character_polys(p: int, n: int, polys) -> UniPoly:
-    """Coefficientwise from_character_values: polys[j] is the representative psi_{p^(n-j)}'s."""
-    polys = list(polys)
-    length = max((q.degree + 1 for q in polys), default=0)
-    return UniPoly(
-        [from_character_values(p, n, [q.coefficient(k) for q in polys]) for k in range(length)]
-    )
+    """Coefficientwise from_character_values: polys[j] holds the coordinate rows of the
+    representative psi_{p^(n-j)}'s polynomial, row k its u^k coefficient (zero past the last)."""
+    length = max((k + 1 for rows in polys for k, row in enumerate(rows) if any(row)), default=0)
+    padded = [r[:length] + [[0] * (p**j - p**j // p)] * (length - len(r)) for j, r in enumerate(polys)]
+    return UniPoly([from_character_values(p, n, column) for column in zip(*padded)])

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import euler_phi_prime_power, ordp_fraction
-from .errors import CertificationError, HypothesisError
+from .errors import CertificationError, DatumError, HypothesisError
 from .graphs import spanning_tree_count
 from .lfunctions import (
     orbit_level_factor,
@@ -120,11 +120,19 @@ def g_series(d: TowerDatum) -> GSeries:
     the g(T) representative times that total (1+T)-power.  It is F(1+T),
     a Taylor shift of F = `lfunctions.voltage_laplacian_det` of the block
     at the raw voltages.  g(T) = 0 (for example an unramified vertex
-    without edges) raises HypothesisError.
+    without edges) raises HypothesisError.  F has x-degree at most the sum
+    of |voltage| over the block's darts; from 2^63 on, where the kernel's
+    int64 exponents end, the datum is refused with DatumError.
     """
     unram = d.unramified_vertices
     if not unram:
         return GSeries(UniPoly.constant(1), 0, d.p)
+    base, block = d.base, set(unram)
+    ends = zip(base.dart_origin, base.dart_terminus)
+    if sum(abs(a) for a, (o, t) in zip(d.voltage, ends) if o in block and t in block) >> 63:
+        raise DatumError(
+            "voltages on the unramified block too large for g(T): their |voltage| sum reaches 2^63"
+        )
     coeffs, shift = voltage_laplacian_det(d, unram, d.voltage)
     rep = UniPoly()
     for c in reversed(coeffs):  # Horner's rule at x = 1 + T

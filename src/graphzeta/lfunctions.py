@@ -11,9 +11,10 @@ The three-term matrix is written as integer terms in zeta_{p^j} and u;
 `linalg.det_cyclotomic_poly` gives the power-basis coordinates of its
 determinant, and `linalg.det_norm_cyclotomic` its norm to Q(u), one per
 Galois orbit for the level's h (`level_h_poly`).  A `CharacterTable` holds
-h, z and the special values of one level from one determinant per orbit;
-the commands use it, and the per-character `h_poly`, `z_poly`,
-`special_values` and `lfn_data` stay as its oracle.
+h, z and the special values of one level from one `h_poly` (`z_poly`) per
+orbit, kept as the integer coordinate rows `groupring.from_character_polys`
+takes; those two are the table's route, not an independent oracle, and
+`special_values` and `lfn_data` wrap them character by character.
 
 `orbit_norms` takes the norms of det(D - A_zeta) on K_j for every j from
 one integer polynomial det(D - A_x) per distinct K_j
@@ -140,7 +141,7 @@ def xi_poly(table: CharacterTable) -> UniPoly:
     """The group-ring polynomial det(I - A_alpha C u + (D C - I) u^2).
 
     Its projections are the z(u, psi) of the table's level; it is
-    reassembled by traces from the n + 1 representatives' z.
+    reassembled by traces from the n + 1 representatives' z rows.
     """
     return from_character_polys(
         table.datum.p, table.level, [table.z(j) for j in range(table.level + 1)]
@@ -186,11 +187,11 @@ class CharacterTable:
 
     One three-term determinant per Galois orbit: for j = 0..n, h (and, on
     first use, z) is computed by `h_poly` (`z_poly`) on the representative
-    psi_{p^(n-j)} only.  Any other character psi = sigma_u o psi_{p^(n-j)}
-    (`groupring.character_orbits`) has sigma_u of the representative's
-    three-term matrix as its own, so its h and h(1, psi) are the
-    representative's with sigma_u applied: `orbit_rows` applies it to the
-    integer coordinates of a whole orbit at once (`cyclo.galois_conjugates`).
+    psi_{p^(n-j)} only and kept as integer coordinate rows.  Any other
+    character psi = sigma_u o psi_{p^(n-j)} (`groupring.character_orbits`)
+    has sigma_u of the representative's three-term matrix as its own, so its
+    h and h(1, psi) are the representative's with sigma_u applied:
+    `orbit_rows` applies it to a whole orbit's rows at once (`cyclo.galois_conjugates`).
     Build it with `character_table`; it belongs to one computation and is
     not cached between calls.
     """
@@ -198,14 +199,13 @@ class CharacterTable:
     datum: TowerDatum
     level: int
     representatives: list[CharacterLabel]
-    rep_h: list[UniPoly]
-    rep_coordinates: list[list[list[int]]]  # rep_h as integers: row k holds its u^k coefficient
-    rep_z: list[UniPoly | None]  # filled in on first use
+    rep_coordinates: list[list[list[int]]]  # h per representative: row k its u^k coefficient
+    rep_z: list[list[list[int]] | None]  # z, in the same format, filled in on first use
 
-    def z(self, j: int) -> UniPoly:
-        """z(u, psi) of the representative of order p^j."""
+    def z(self, j: int) -> list[list[int]]:
+        """The coordinate rows of z(u, psi) at the representative of order p^j."""
         if self.rep_z[j] is None:
-            self.rep_z[j] = z_poly(self.datum, self.level, self.representatives[j])
+            self.rep_z[j] = _coordinates(z_poly(self.datum, self.level, self.representatives[j]))
         return self.rep_z[j]
 
     def rep_h_at_one(self, j: int) -> list[int]:
@@ -235,10 +235,13 @@ class CharacterTable:
 def character_table(d: TowerDatum, n: int) -> CharacterTable:
     """The `CharacterTable` of level n: n + 1 calls of `h_poly`, one per orbit."""
     reps = character_orbits(d.p, n)[0]
-    rep_h = [h_poly(d, n, psi) for psi in reps]
+    coordinates = [_coordinates(h_poly(d, n, psi)) for psi in reps]
+    return CharacterTable(d, n, reps, coordinates, [None] * len(reps))
+
+
+def _coordinates(poly: UniPoly) -> list[list[int]]:
     # a determinant over Z[zeta]: its coordinates are integers
-    coordinates = [[[int(x) for x in c.coeffs] for c in h.coeffs] for h in rep_h]
-    return CharacterTable(d, n, reps, rep_h, coordinates, [None] * len(reps))
+    return [[int(x) for x in c.coeffs] for c in poly.coeffs]
 
 
 @dataclass(frozen=True)

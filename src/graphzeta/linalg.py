@@ -7,8 +7,7 @@ batched inversion per prime, Newton interpolation mod q, one signed CRT.
 
 Routes:
   - integer matrices (`det_int`): Bareiss elimination; above a size
-    threshold, CRT certified by the Hadamard bound, the residue matrices
-    of a chunk of primes eliminated together;
+    threshold, the u-free j = 0 call of `det_norm_cyclotomic` below;
   - every polynomial matrix is given as terms (r, c, exp, d, coeff),
     M[r][c] = sum coeff * zeta^exp * u^d, zeta a primitive p^j-th root of
     unity, and evaluated at every primitive p^j-th root of unity in F_q,
@@ -22,9 +21,9 @@ Routes:
     norms of the tower sweep), for any p;
   - polynomial matrices over Q[Z/p^n Z] (`det_groupring_poly`), given as
     terms (r, c, s, d, coeff) with s a group element: one
-    `det_cyclotomic_poly` per Galois orbit of characters, the n + 1
-    results reassembled by traces in `from_character_polys` (the group
-    ring has zero divisors, so elimination is not available there);
+    `det_cyclotomic_poly` per Galois orbit of characters, whose n + 1
+    coordinate rows `from_character_polys` reassembles by traces (the
+    group ring has zero divisors, so elimination is not available there);
   - norms from Q[Z/p^n Z][u] to Q[H][u] (`norm_groupring_poly`): all p^n
     character values from one transform mod q, products over the cosets
     of H's characters, one inverse transform over H.
@@ -38,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CycloNum, _int_array, euler_phi_prime_power
+from .cyclo import _int_array, euler_phi_prime_power
 from .errors import CertificationError
 from .groupring import GroupRingElem, factor_prime_power, from_character_polys, subgroup_exponent
 from .poly import UniPoly
@@ -121,14 +120,6 @@ def det_bareiss_int(rows: list[list[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def _hadamard_bound(rows) -> int:
-    bound = 1
-    for r in rows:
-        s = sum(int(x) * int(x) for x in r)
-        bound *= math.isqrt(s) + 1
-    return bound
 
 
 _WORD = 1 << 31  # moduli stay below this, so products of two residues fit in int64
@@ -236,21 +227,6 @@ def _divide_mod(num: np.ndarray, den: np.ndarray, moduli) -> np.ndarray:
             prefix[k], inv = prefix[k] * inv % q, inv * row[k] % q
         inverses[i] = prefix[:-1]
     return num * inverses % np.reshape(moduli, (-1, 1))
-
-
-def _det_crt(rows: list[list[int]]) -> int:
-    # det mod each prime of the Hadamard bound, the residue matrices of a chunk of primes
-    # eliminated as one batch of about _BATCH_ENTRIES entries
-    primes = _modular_primes(2 * _hadamard_bound(rows) + 1)
-    values, moduli = _int_array(rows), np.array(primes, dtype=np.int64)
-    num, den = np.empty((2, len(primes), 1), dtype=np.int64)
-    chunk = max(1, _BATCH_ENTRIES // values.size)
-    for start in range(0, len(primes), chunk):
-        q = moduli[start : start + chunk]
-        batch = (values[None] % q[:, None, None]).astype(np.int64)
-        num[start : start + len(q), 0], den[start : start + len(q), 0] = _det_mod_batch(batch, q)
-    residues = _divide_mod(num, den, moduli)[:, 0].tolist()
-    return _crt_signed(residues, primes)
 
 
 def _interpolate_mod(values: np.ndarray, moduli) -> np.ndarray:
@@ -441,10 +417,13 @@ def det_cyclotomic_poly(k: int, terms, p: int, j: int) -> list[list[int]]:
 
 
 def det_int(rows: list[list[int]]) -> int:
+    """det of an integer matrix: Bareiss elimination, or above `_BAREISS_MAX_DIM`
+    rows the matrix as u-free terms to `det_norm_cyclotomic` at j = 0."""
     n = len(rows)
     if n <= _BAREISS_MAX_DIM:
         return det_bareiss_int(rows)
-    return _det_crt(rows)
+    terms = [(r, c, 0, 0, x) for r, row in enumerate(rows) for c, x in enumerate(row) if x]
+    return det_norm_cyclotomic(n, terms, 2, 0)[0]
 
 
 def det_groupring_poly(k: int, terms, m: int) -> UniPoly:
@@ -455,9 +434,9 @@ def det_groupring_poly(k: int, terms, m: int) -> UniPoly:
     orbit of characters, on its representative psi_{p^(n-j)}, which sends
     [s] to zeta_{p^j}^s: each row is scaled by the lcm of its denominators
     for `det_cyclotomic_poly`, and `from_character_polys` reassembles the
-    n + 1 results by traces.  The other characters' determinants are their
-    Galois conjugates only for rational coefficients (sigma_u would move
-    cyclotomic ones).
+    n + 1 coordinate rows, divided by the scales, by traces.  The other
+    characters' determinants are their Galois conjugates only for rational
+    coefficients (sigma_u would move cyclotomic ones).
     """
     if not all(isinstance(t[4], (int, Fraction)) for t in terms):
         raise ValueError("group-ring determinants need rational group-ring coefficients")
@@ -467,11 +446,8 @@ def det_groupring_poly(k: int, terms, m: int) -> UniPoly:
         scale[r] = math.lcm(scale[r], Fraction(coeff).denominator)
     den = math.prod(scale)
     scaled = [(r, c, s, d, int(a * scale[r])) for r, c, s, d, a in terms]
-    per_orbit = []
-    for j in range(n + 1):
-        det = det_cyclotomic_poly(k, scaled, p, j)
-        per_orbit.append(UniPoly([CycloNum(p, j, tuple(Fraction(a, den) for a in x)) for x in det]))
-    return from_character_polys(p, n, per_orbit)
+    per_orbit = [det_cyclotomic_poly(k, scaled, p, j) for j in range(n + 1)]
+    return from_character_polys(p, n, [[[Fraction(a, den) for a in x] for x in det] for det in per_orbit])
 
 
 def norm_groupring_poly(terms, m: int, subgroup_order: int) -> UniPoly:

@@ -1,7 +1,7 @@
 """Exact-value rendering shared by the CLI reports.
 
 Machine reports are JSON with integers, rationals as "num/den" strings,
-cyclotomic numbers as coefficient arrays tagged with (p, j), and
+cyclotomic numbers as integer coordinate arrays tagged with (p, j), and
 group-ring elements in the "c0*[0] + c1*[1] + ..." form.  Human reports
 are aligned tables carrying the same numbers.  Integers of any size are
 written exactly: renderers run under `exact_int_text`.
@@ -14,7 +14,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .cyclo import CycloNum
 from .groupring import GroupRingElem
 from .poly import UniPoly
 
@@ -49,12 +48,7 @@ def poly_text(poly: UniPoly, var: str = "u") -> str:
     for i, c in enumerate(poly.coeffs):
         if c == 0:
             continue
-        if isinstance(c, GroupRingElem):
-            body = f"({c.as_text()})"
-        elif isinstance(c, CycloNum):
-            body = f"({c!r})" if not c.is_rational() else fmt_fraction(c.to_rational())
-        else:
-            body = fmt_fraction(c)
+        body = f"({c.as_text()})" if isinstance(c, GroupRingElem) else fmt_fraction(c)
         if i == 0:
             terms.append(body)
         elif i == 1:

@@ -77,12 +77,13 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
         )
     )
 
-    # sigma_u fixes (1 - u^2)^r0, so each orbit's representative decides its orbit.
-    reduction_ok = True
+    # sigma_u fixes the rational (1 - u^2)^r0: one representative per orbit, coordinatewise
     one_minus = UniPoly([1, 0, -1])
-    for j, psi in enumerate(table.representatives):
-        if one_minus ** r0(d, n, psi) * table.rep_h[j] != table.z(j):
-            reduction_ok = False
+    reduction_ok = all(
+        [one_minus ** r0(d, n, psi) * UniPoly(c) for c in zip(*table.rep_coordinates[j])]
+        == [UniPoly(c) for c in zip(*table.z(j))]
+        for j, psi in enumerate(table.representatives)
+    )
     items.append(
         VerifyItem(
             "zeta-reduction",

@@ -267,6 +267,60 @@ def test_cli_voltage_past_int64_acts_by_its_residue(argv, machine, tmp_path, cap
     assert results[0] == results[1]
 
 
+def test_cli_invariants_refuses_voltages_past_the_g_series_degree(tmp_path, capsys):
+    # a loop of voltage 2^64 + 1 at an unramified vertex: det(D - A_x) on that block has
+    # x-degree about 2^65, so invariants refuses the datum; tower acts by the residue mod p^n
+    doc = {
+        "prime": 2,
+        "vertices": ["a", "b"],
+        "edges": [
+            {"from": "a", "to": "a", "voltage": 2**64 + 1},
+            {"from": "a", "to": "b", "voltage": 1},
+            {"from": "a", "to": "b", "voltage": 0},
+        ],
+        "ramification": {"a": "unramified", "b": 1},
+    }
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    for machine in ([], ["--json"]):
+        assert main(["invariants", str(huge), "--max-level", "4", *machine]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "g(T)" in captured.err
+    doc["edges"][0]["voltage"] = 1  # the same residue mod 2^n for every n <= 64
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(doc))
+    results = []
+    for path in (huge, small):
+        code = main(["tower", str(path), "--max-level", "6", "--json"])
+        results.append((code, capsys.readouterr()))
+    assert results[0] == results[1] and results[0][0] == 0
+
+
+def test_cli_commands_do_no_cyclotomic_arithmetic(monkeypatch, capsys):
+    # every command path works on integer coordinate rows; CycloNum arithmetic is left to the oracles
+    runs = []
+    for path, top in ((DATUM, 3), (STAR, 2)):
+        for level in range(top + 1):
+            runs += [[command, path, "--level", str(level)] for command in ("zeta", "lfunctions", "verify")]
+        runs += [[command, path, "--max-level", str(top)] for command in ("tower", "invariants")]
+
+    def outcomes():
+        return [(main(argv), capsys.readouterr()) for argv in runs]
+
+    expected = outcomes()
+
+    def refuse(self, other):
+        raise AssertionError("CycloNum arithmetic on a command path")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(CycloNum, name, refuse)
+    assert outcomes() == expected
+    with pytest.raises(AssertionError):
+        CycloNum.rational(3, 1, 1) * 2
+
+
 def test_cli_deterministic(capsys):
     code1, out1 = _run(capsys, "lfunctions", DATUM, "--level", "2", "--json")
     code2, out2 = _run(capsys, "lfunctions", DATUM, "--level", "2", "--json")

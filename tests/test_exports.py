@@ -33,6 +33,8 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # membership in orbit_vertices(d, j), K_j; CycloNum.inverse takes the other
 # Galois conjugates over the norm, so the Q[X] Euclid helpers are gone; the
 # subgroup action on a cover indexes vertices by per-base-vertex offsets.
+# Integer determinants above the Bareiss size go to det_norm_cyclotomic at
+# j = 0, so the Hadamard-bound CRT route is gone.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -76,6 +78,8 @@ REMOVED = [
     ("cyclo", "_poly_divmod"),
     ("cyclo", "_poly_modinv"),
     ("equivariant", "_vertex_lookup"),
+    ("linalg", "_det_crt"),
+    ("linalg", "_hadamard_bound"),
 ]
 
 
@@ -101,3 +105,14 @@ def test_character_labels_reexported_from_groupring():
 
     assert lfunctions.CharacterLabel is groupring.CharacterLabel
     assert lfunctions.characters is groupring.characters
+
+
+def test_character_values_stay_coordinate_rows_between_kernel_and_transform():
+    # the table keeps h only as integer rows; linalg and report hold no CycloNum
+    import dataclasses
+
+    from graphzeta import linalg, report
+    from graphzeta.lfunctions import CharacterTable
+
+    assert "rep_h" not in {field.name for field in dataclasses.fields(CharacterTable)}
+    assert not hasattr(linalg, "CycloNum") and not hasattr(report, "CycloNum")

@@ -104,8 +104,13 @@ def test_decomposition_reconstructs():
     for p, n in [(2, 2), (2, 3), (3, 1)]:
         m = p**n
         x = GroupRingElem(m, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)))
-        values = [apply_character(x, psi, level=n) for psi in character_orbits(p, n)[0]]
+        values = [apply_character(x, psi).coeffs for psi in character_orbits(p, n)[0]]
         assert from_character_values(p, n, values) == x
+
+
+def _orbit_coordinates(p: int, j: int, value: CycloNum) -> tuple:
+    # a value of Q(zeta_{p^j}) held at level L >= j sits on the exponents divisible by p^(L-j)
+    return value.coeffs[:: p ** (value.j - j)]
 
 
 @st.composite
@@ -126,22 +131,23 @@ def test_orbit_transform_inverts_apply_character_and_matches_per_character_oracl
     reps = character_orbits(p, n)[0]
     values = [apply_character(x, psi, level=level) for psi, level in zip(reps, levels)]
     assert [v.j for v in values] == levels
-    assert from_character_values(p, n, values) == x
+    assert from_character_values(p, n, [_orbit_coordinates(p, j, v) for j, v in enumerate(values)]) == x
     every = [apply_character(x, psi, level=levels[psi.order_exponent]) for psi in characters(p, n)]
     assert from_character_values_by_characters(p, n, every) == x
 
 
 def test_from_character_values_rejects_values_outside_their_field():
-    z3 = CycloNum.from_monomials(3, 1, [(1, 1)])
-    z9 = CycloNum.from_monomials(3, 2, [(1, 1)])
-    assert from_character_values(3, 2, [1, z9**3, z9]) == from_character_values(3, 2, [1, z3, z9])
+    # [1] takes zeta_{p^j} at the representative of order p^j
+    assert from_character_values(3, 2, [[1], [0, 1], [0, 1, 0, 0, 0, 0]]) == GroupRingElem.basis(9, 1)
+    assert from_character_values(2, 0, [[Fraction(1, 2)]]) == GroupRingElem.basis(1, 0, Fraction(1, 2))
     for p, n, values in (
-        (3, 1, [z3, 1]),  # zeta_3 as the trivial character's value
-        (2, 1, [1, CycloNum.from_monomials(2, 2, [(1, 1)])]),  # i as the value of order 2
-        (3, 2, [1, 1, z3]),  # level 1 below the orbit of order 9
-        (3, 2, [1, z9, 1]),  # zeta_9 is not in Q(zeta_3)
-        (3, 1, [1, CycloNum.from_monomials(5, 1, [(1, 1)])]),  # wrong prime
-        (3, 1, [1, z3, z3.galois(2)]),  # one value per character of Z/3Z, not per orbit
+        (3, 1, [[0, 1], [1, 0]]),  # zeta_3 as the trivial character's value
+        (2, 1, [[1], [0, 1]]),  # i as the value of order 2
+        (3, 2, [[1], [1, 0], [0, 1]]),  # Q(zeta_3) coordinates for the orbit of order 9
+        (3, 2, [[1], [0, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]),  # zeta_9 is not in Q(zeta_3)
+        (3, 1, [[1], [0, 1], [1, 0]]),  # one value per character of Z/3Z, not per orbit
+        (3, 2, [[1], [0, 1]]),  # an orbit missing
+        (2, 0, []),
     ):
         with pytest.raises(ValueError):
             from_character_values(p, n, values)
@@ -189,10 +195,12 @@ def test_from_character_values_accepts_values_above_level_n():
         for extra in (1, 2):
             values = [apply_character(x, psi, level=n + extra) for psi in reps]
             assert all(v.j == n + extra for v in values)
-            assert from_character_values(p, n, values) == x
-        mixed = [apply_character(x, psi, level=psi.order_exponent) for psi in reps]
-        mixed[0] = mixed[0].to_rational()
-        assert from_character_values(p, n, mixed) == x
+            # read on the orbit's own power basis, not as coordinates at level n + extra
+            assert from_character_values(p, n, [_orbit_coordinates(p, j, v) for j, v in enumerate(values)]) == x
+            with pytest.raises(ValueError):
+                from_character_values(p, n, [v.coeffs for v in values])
+        # the coordinates of an orbit may come from any iterable
+        assert from_character_values(p, n, [iter(apply_character(x, psi).coeffs) for psi in reps]) == x
 
 
 def test_subgroup_exponent():

@@ -202,7 +202,7 @@ def test_product_formula_known_and_random():
     assert pc.chi_sum == -2
     # chorded_heptagon(3): its order-3 characters keep all seven vertices, so h(u, psi)
     # is a 7 x 7 determinant over Q(zeta_3) of degree 14
-    assert character_table(chorded_heptagon(3), 1).rep_h[1].degree == 14
+    assert len(character_table(chorded_heptagon(3), 1).rep_coordinates[1]) == 14 + 1
     for d in [chorded_heptagon(3)] + collect_random_data(19, 5, levels_connected=2):
         for n in (1, 2):
             assert product_formula_check(character_table(d, n), build_level_graph(d, n).graph).ok
@@ -298,20 +298,25 @@ def _table_cases():
     return cases
 
 
+def _coordinate_rows(h: UniPoly) -> list[list[int]]:
+    # the integer power-basis coordinates of a polynomial over Z[zeta], row k its u^k coefficient
+    return [[int(x) for x in c.coeffs] for c in h.coeffs]
+
+
 def test_character_table_matches_per_character_routes():
     for d, n in _table_cases():
         table = character_table(d, n)
         assert table.representatives == [CharacterLabel(d.p, n, d.p ** (n - j)) for j in range(n + 1)]
         exponents = []
         for j, rep in enumerate(table.representatives):
-            assert table.rep_h[j] == h_poly(d, n, rep)
-            assert table.z(j) == z_poly(d, n, rep)
+            assert table.rep_coordinates[j] == _coordinate_rows(h_poly(d, n, rep))
+            assert table.z(j) == _coordinate_rows(z_poly(d, n, rep))
             for a, rows, h_at_one in table.orbit_rows(j):
                 exponents.append(a)
                 psi = CharacterLabel(d.p, n, a)
                 assert psi.order_exponent == j
                 h, sv = h_poly(d, n, psi), special_values(d, n, psi)
-                assert rows == [[int(x) for x in c.coeffs] for c in h.coeffs]
+                assert rows == _coordinate_rows(h)
                 assert h_at_one == [int(x) for x in sv.h_at_one.coeffs]
         assert sorted(exponents) == [psi.a for psi in characters(d.p, n)]
         trivial = special_values(d, n, CharacterLabel(d.p, n, 0))

@@ -13,7 +13,6 @@ from graphzeta.errors import CertificationError
 from graphzeta import linalg
 from graphzeta.groupring import GroupRingElem, character_idempotent, groupring_idempotent
 from graphzeta.linalg import (
-    _det_crt,
     _det_mod_batch,
     _modular_primes,
     det_bareiss_int,
@@ -96,14 +95,17 @@ def test_small_dets_agree_across_routes():
             m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             a = det_bareiss_int(m)
             assert a == det_cofactor(m)
-            assert a == _det_crt(m)
+            assert a == det_int(m)
 
 
 def test_large_det_crt_matches_bareiss():
     rng = random.Random(4)
     for n in (30, 35):
         m = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
-        assert det_bareiss_int(m) == _det_crt(m)
+        assert det_bareiss_int(m) == det_int(m)
+        # singular, and with a zero row: the multimodular route above the Bareiss size
+        assert det_int(m[:-1] + [m[0]]) == 0
+        assert det_int(m[:-1] + [[0] * n]) == 0
 
 
 def test_identity_and_empty():
