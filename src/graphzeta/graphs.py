@@ -210,4 +210,4 @@ def ihara_zeta_reciprocal(g: SerreGraph) -> tuple[UniPoly, int]:
     for v in range(n):
         terms += [(v, v, 0, 0, 1), (v, v, 0, 2, degree[v] - 1)]
     # j = 0: the integer determinant; p plays no role there, so pass 2
-    return UniPoly(linalg.det_norm_cyclotomic(n, terms, 2, 0)), euler_characteristic(g)
+    return UniPoly(linalg.det_norm_cyclotomic([(n, terms, 0)], 2)[0]), euler_characteristic(g)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import euler_phi_prime_power, ordp_fraction
+from .cyclo import _ord_int, euler_phi_prime_power, ordp_fraction
 from .errors import CertificationError, DatumError, HypothesisError
 from .graphs import spanning_tree_count
 from .lfunctions import (
@@ -205,26 +205,30 @@ def tower_sweep(d: TowerDatum, n_max: int) -> list[TowerRow]:
     kappa comes from the factored formula in the module docstring wherever
     chi(X_n) != 0; the orbit norms of every j <= n_max come from one
     `lfunctions.orbit_norms` call, on the first such level.  Levels with
-    chi(X_n) = 0 count spanning trees on the cover.
+    chi(X_n) = 0 count spanning trees on the cover.  ord_p(kappa) sums its factors' valuations.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    rows = []
-    norms = None
+    p, rows = d.p, []
+    norms, e = None, [0]  # e[j] = ord_p Ntilde_j, taken once per sweep
     for n in range(n_max + 1):
         if n == 1 and not level_connected(d, 1):
             raise HypothesisError("level 1 disconnected")
         n_vertices, n_edges, chi = level_shape(d, n)
         if chi == 0:
             kappa = spanning_tree_count(build_level_graph(d, n).graph)
+            ordp = _ord_int(kappa, p)
         else:
             if norms is None:
                 norms = orbit_norms(d, n_max)
-            product = trivial_h_derivative_at_one(d, n)
+            product = derivative = trivial_h_derivative_at_one(d, n)
             for j in range(1, n + 1):
                 product *= norms[j] * orbit_level_factor(d, n, j)
-            kappa = hashimoto_kappa(product, chi, n)
-        ordp = int(ordp_fraction(kappa, d.p).value)
+            kappa = hashimoto_kappa(product, chi, n)  # so no factor is 0
+            e += [_ord_int(norms[j], p) for j in range(len(e), n + 1)]
+            ordp = _ord_int(derivative, p) - _ord_int(2 * chi, p) + sum(e[: n + 1])
+            for j in range(1, n + 1):  # ord_p orbit_level_factor(d, n, j): v in K_j has k_v >= j
+                ordp += euler_phi_prime_power(p, j) * sum(n - k for k in d.ram if k is not None and j <= k < n)
         rows.append(TowerRow(n, n_vertices, n_edges, chi, kappa, ordp))
     return rows
 

@@ -9,12 +9,12 @@ factor (1 - u^2)^r0(psi).
 
 The three-term matrix is written as integer terms in zeta_{p^j} and u;
 `linalg.det_cyclotomic_poly` gives the power-basis coordinates of its
-determinant, and `linalg.det_norm_cyclotomic` its norm to Q(u), one per
-Galois orbit for the level's h (`level_h_poly`).  A `CharacterTable` holds
-h, z and the special values of one level from one `h_poly` (`z_poly`) per
-orbit, kept as the integer coordinate rows `groupring.from_character_polys`
-takes; those two are the table's route, not an independent oracle, and
-`special_values` and `lfn_data` wrap them character by character.
+determinant, and `linalg.det_norm_cyclotomic` its norm to Q(u).  A level's
+n + 1 Galois-orbit representatives share one kernel call: for its h
+(`level_h_poly`), the h or z of a `CharacterTable` (integer coordinate rows,
+as `groupring.from_character_polys` takes them), `product_formula_check`.
+`h_poly` and `z_poly` (wrapped by `special_values`, `lfn_data`) are
+one-character calls of that route, not an oracle.
 
 `orbit_norms` takes the norms of det(D - A_zeta) on K_j for every j from
 one integer polynomial det(D - A_x) per distinct K_j
@@ -105,20 +105,34 @@ def _three_term_terms(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int
     return terms
 
 
-def _three_term_det(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int]) -> UniPoly:
-    p, j = d.p, psi.order_exponent
-    det = linalg.det_cyclotomic_poly(len(kept), _three_term_terms(d, n, psi, kept), p, j)
-    return UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det])
+def _three_term_problems(d: TowerDatum, n: int, chars: list[CharacterLabel], reduced: bool) -> list:
+    # the kernel problems (k, terms, j) of h (reduced: on K_j) or z of each character
+    kept = [orbit_vertices(d, x.order_exponent) if reduced else list(range(d.base.n_vertices)) for x in chars]
+    return [(len(v), _three_term_terms(d, n, psi, v), psi.order_exponent) for psi, v in zip(chars, kept)]
+
+
+def _three_term_dets(d: TowerDatum, n: int, chars: list[CharacterLabel], reduced: bool) -> list:
+    # their coordinate rows from one kernel call, each up to its last nonzero row as UniPoly keeps it
+    dets = linalg.det_cyclotomic_poly(_three_term_problems(d, n, chars, reduced), d.p)
+    for rows in dets:
+        while rows and not any(rows[-1]):
+            rows.pop()
+    return dets
+
+
+def _three_term_poly(d: TowerDatum, n: int, psi: CharacterLabel, reduced: bool) -> UniPoly:
+    rows = _three_term_dets(d, n, [psi], reduced)[0]
+    return UniPoly([CycloNum(d.p, psi.order_exponent, tuple(map(Fraction, x))) for x in rows])
 
 
 def h_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
     """h(u, psi): the reduced three-term determinant, over Q(zeta_{p^j})."""
-    return _three_term_det(d, n, psi, orbit_vertices(d, psi.order_exponent))
+    return _three_term_poly(d, n, psi, True)
 
 
 def z_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
     """z(u, psi): the full (unreduced) three-term determinant under psi."""
-    return _three_term_det(d, n, psi, list(range(d.base.n_vertices)))
+    return _three_term_poly(d, n, psi, False)
 
 
 def level_h_poly(d: TowerDatum, n: int) -> UniPoly:
@@ -127,14 +141,10 @@ def level_h_poly(d: TowerDatum, n: int) -> UniPoly:
     The Artin formalism h_{X_n}(u) = prod_psi h(u, psi), orbit by orbit:
     the characters of order p^j are the Galois conjugates of one
     representative, so their product is the norm from Q(zeta_{p^j})(u) to
-    Q(u) of its h, one `linalg.det_norm_cyclotomic` call for each j = 0..n.
+    Q(u) of its h; one `linalg.det_norm_cyclotomic` call takes all n + 1.
     """
-    h = UniPoly.constant(1)
-    for psi in character_orbits(d.p, n)[0]:
-        kept = orbit_vertices(d, psi.order_exponent)
-        terms = _three_term_terms(d, n, psi, kept)
-        h = h * UniPoly(linalg.det_norm_cyclotomic(len(kept), terms, d.p, psi.order_exponent))
-    return h
+    norms = linalg.det_norm_cyclotomic(_three_term_problems(d, n, character_orbits(d.p, n)[0], True), d.p)
+    return math.prod(map(UniPoly, norms), start=UniPoly.constant(1))
 
 
 def xi_poly(table: CharacterTable) -> UniPoly:
@@ -185,27 +195,26 @@ def lfn_data(d: TowerDatum, n: int, psi: CharacterLabel) -> LfnData:
 class CharacterTable:
     """h, z and the special values of the characters of Z/p^n Z at one level.
 
-    One three-term determinant per Galois orbit: for j = 0..n, h (and, on
-    first use, z) is computed by `h_poly` (`z_poly`) on the representative
-    psi_{p^(n-j)} only and kept as integer coordinate rows.  Any other
-    character psi = sigma_u o psi_{p^(n-j)} (`groupring.character_orbits`)
-    has sigma_u of the representative's three-term matrix as its own, so its
-    h and h(1, psi) are the representative's with sigma_u applied:
-    `orbit_rows` applies it to a whole orbit's rows at once (`cyclo.galois_conjugates`).
-    Build it with `character_table`; it belongs to one computation and is
-    not cached between calls.
+    One three-term determinant per Galois orbit: h (and, on first use, z)
+    of the representatives psi_{p^(n-j)}, j = 0..n, all from one kernel call,
+    kept as integer coordinate rows.  Any other character psi = sigma_u o
+    psi_{p^(n-j)} (`groupring.character_orbits`) has sigma_u of the
+    representative's three-term matrix as its own, so its h and h(1, psi)
+    are the representative's with sigma_u applied, which `orbit_rows` does
+    for a whole orbit (`cyclo.galois_conjugates`).  Build it with
+    `character_table`; it is not cached between calls.
     """
 
     datum: TowerDatum
     level: int
     representatives: list[CharacterLabel]
     rep_coordinates: list[list[list[int]]]  # h per representative: row k its u^k coefficient
-    rep_z: list[list[list[int]] | None]  # z, in the same format, filled in on first use
+    rep_z: list[list[list[int]]] | None = None  # z per representative, filled in on first use
 
     def z(self, j: int) -> list[list[int]]:
         """The coordinate rows of z(u, psi) at the representative of order p^j."""
-        if self.rep_z[j] is None:
-            self.rep_z[j] = _coordinates(z_poly(self.datum, self.level, self.representatives[j]))
+        if self.rep_z is None:
+            self.rep_z = _three_term_dets(self.datum, self.level, self.representatives, False)
         return self.rep_z[j]
 
     def rep_h_at_one(self, j: int) -> list[int]:
@@ -233,15 +242,9 @@ class CharacterTable:
 
 
 def character_table(d: TowerDatum, n: int) -> CharacterTable:
-    """The `CharacterTable` of level n: n + 1 calls of `h_poly`, one per orbit."""
+    """The `CharacterTable` of level n: the h of its n + 1 orbit representatives, in one kernel call."""
     reps = character_orbits(d.p, n)[0]
-    coordinates = [_coordinates(h_poly(d, n, psi)) for psi in reps]
-    return CharacterTable(d, n, reps, coordinates, [None] * len(reps))
-
-
-def _coordinates(poly: UniPoly) -> list[list[int]]:
-    # a determinant over Z[zeta]: its coordinates are integers
-    return [[int(x) for x in c.coeffs] for c in poly.coeffs]
+    return CharacterTable(d, n, reps, _three_term_dets(d, n, reps, True))
 
 
 @dataclass(frozen=True)
@@ -262,17 +265,15 @@ def product_formula_check(table: CharacterTable, cover: SerreGraph) -> ProductCh
     """Check prod_psi h(u, psi) = h of the level graph, and sum chi_psi = chi.
 
     The product over the characters of order p^j is the norm of the table's
-    representative h (`linalg.det_norm_cyclotomic` on the 1 x 1 matrix of
-    its coordinates); the other side is h of `cover`, the built level graph.
+    representative h (all n + 1 1 x 1 matrices of coordinates in one kernel
+    call); the other side is h of `cover`, the built level graph.
     """
-    d, n = table.datum, table.level
-    h_product, chi_sum = UniPoly.constant(1), 0
-    for psi, rows in zip(table.representatives, table.rep_coordinates):
-        j = psi.order_exponent
-        terms = [(0, 0, e, i, x) for i, row in enumerate(rows) for e, x in enumerate(row)]
-        h_product = h_product * UniPoly(linalg.det_norm_cyclotomic(1, terms, d.p, j))
-        chi_psi = d.base.n_vertices - d.base.n_edges - r0(d, n, psi)  # one value on the orbit
-        chi_sum += euler_phi_prime_power(d.p, j) * chi_psi
+    d, n, reps = table.datum, table.level, table.representatives
+    terms = [[(0, 0, e, i, x) for i, r in enumerate(c) for e, x in enumerate(r)] for c in table.rep_coordinates]
+    norms = linalg.det_norm_cyclotomic([(1, t, j) for j, t in enumerate(terms)], d.p)
+    h_product = math.prod(map(UniPoly, norms), start=UniPoly.constant(1))
+    chi = d.base.n_vertices - d.base.n_edges  # chi_psi = chi - r0(psi), one value on an orbit
+    chi_sum = sum(euler_phi_prime_power(d.p, j) * (chi - r0(d, n, psi)) for j, psi in enumerate(reps))
     h_direct, chi_direct = ihara_zeta_reciprocal(cover)
     h_equal = h_product == h_direct
     return ProductCheck(h_product, h_direct, h_equal, chi_sum, chi_direct, chi_sum == chi_direct)
@@ -328,7 +329,7 @@ def voltage_laplacian_det(d: TowerDatum, kept: list[int], voltage) -> tuple[list
     terms = [(r, r, 0, shift[r], base.dart_origin.count(v)) for r, v in enumerate(kept)]
     terms += [(r, c, 0, shift[r] + a, -1) for r, c, a in darts]
     # j = 0: the integer polynomial determinant; p plays no role there, so pass 2
-    return linalg.det_norm_cyclotomic(len(kept), terms, 2, 0), sum(shift)
+    return linalg.det_norm_cyclotomic([(len(kept), terms, 0)], 2)[0], sum(shift)
 
 
 def orbit_norms(d: TowerDatum, n: int) -> dict[int, int]:

@@ -1,29 +1,19 @@
 """Exact determinants and norms over the coefficient rings used in this package.
 
-Apart from small integer matrices, every route is multimodular: primes
-q < 2^31 from one generator, searched once per modulus, elimination of chunks of about
-`_BATCH_ENTRIES` entries mod q (`_det_mod_batch`, numpy int64), one
-batched inversion per prime, Newton interpolation mod q, one signed CRT.
+Apart from small integer matrices, every route is multimodular: primes q < 2^31
+searched once per modulus, elimination of chunks of about `_BATCH_ENTRIES`
+entries mod q (`_det_mod_batch`), Newton interpolation, one signed CRT.
 
 Routes:
   - integer matrices (`det_int`): Bareiss elimination; above a size
-    threshold, the u-free j = 0 call of `det_norm_cyclotomic` below;
-  - every polynomial matrix is given as terms (r, c, exp, d, coeff),
-    M[r][c] = sum coeff * zeta^exp * u^d, zeta a primitive p^j-th root of
-    unity, and evaluated at every primitive p^j-th root of unity in F_q,
-    q = 1 mod p^j, and at the points 0..D (`_at_primitive_roots`); then
-    either Lagrange interpolation on the roots for the power-basis
-    coordinates of the determinant (`det_cyclotomic_poly`: h(u, psi),
-    z(u, psi)) or the product over the roots for its norm to Q(u)
-    (`det_norm_cyclotomic`: the level h of `zeta`, the product formula).
-    j = 0 is the integer polynomial determinant (the cover's h that
-    `verify` checks against, and det(D - A_x) behind g(T) and the orbit
-    norms of the tower sweep), for any p;
-  - polynomial matrices over Q[Z/p^n Z] (`det_groupring_poly`), given as
-    terms (r, c, s, d, coeff) with s a group element: one
-    `det_cyclotomic_poly` per Galois orbit of characters, whose n + 1
-    coordinate rows `from_character_polys` reassembles by traces (the
-    group ring has zero divisors, so elimination is not available there);
+    threshold, the u-free j = 0 call of `det_norm_cyclotomic`;
+  - lists of matrices over Z[zeta_{p^j}][u], evaluated in one pass at the
+    primitive roots of unity mod q and u = 0..D (`_det_orbits`): the power-
+    basis coordinates of each determinant (`det_cyclotomic_poly`: h, z,
+    group-ring determinants) or its norm to Q(u) (`det_norm_cyclotomic`:
+    level h, product formula; j = 0: a cover's h and det(D - A_x));
+  - matrices over Q[Z/p^n Z] (`det_groupring_poly`): one orbit
+    representative per j, reassembled by `from_character_polys`;
   - norms from Q[Z/p^n Z][u] to Q[H][u] (`norm_groupring_poly`): all p^n
     character values from one transform mod q, products over the cosets
     of H's characters, one inverse transform over H.
@@ -31,6 +21,7 @@ Routes:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -160,17 +151,18 @@ def _modular_primes(target: int, m: int = 1) -> list[int]:
     return primes[:count]
 
 
-def _crt_signed(residues, primes: list[int]):
-    """The integer x with |x| < prod(primes)/2 and x = residues[i] mod primes[i].
-
-    Elementwise when each residues[i] is an object array of ints (Python
-    ints, so nothing wraps); an int for int residues.
-    """
-    value, modulus = 0, 1
-    for r, q in zip(residues, primes):
-        value = value + modulus * ((r - value) * pow(modulus, -1, q) % q)
-        modulus *= q
-    return (value + modulus // 2) % modulus - modulus // 2
+def _crt_signed(residues, primes: list[int]) -> np.ndarray:
+    """The integers x with |x| < M/2 and x = residues[s] mod primes[s], elementwise (Python ints):
+    residues[s] covers a prefix of the entries, no longer than residues[s - 1], and M is, entry by
+    entry, the product of the primes whose residues cover it."""
+    value, m, done = residues[0], primes[0], []
+    for r, q in zip(residues[1:], primes[1:]):
+        if len(r) < len(value):  # the entries past r are lifted: modulo m
+            done.append((value[len(r) :] + m // 2) % m - m // 2)
+            value = value[: len(r)]
+        value = value.astype(object) + m * ((r - value) * pow(m, -1, q) % q)  # exact past int64
+        m *= q
+    return np.concatenate([(value + m // 2) % m - m // 2, *reversed(done)])
 
 
 def _det_mod_batch(mats: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,62 +207,44 @@ def _det_mod_batch(mats: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, np
     return np.where(alive, sign * run % q, 0), den
 
 
-def _divide_mod(num: np.ndarray, den: np.ndarray, moduli) -> np.ndarray:
-    # num / den for (rows, b) int64 arrays, row i mod the prime moduli[i], den units: Montgomery's
-    # batch inversion by prefix products, one pow per row
-    inverses = np.empty_like(den)
-    for i, q in enumerate(np.reshape(moduli, -1).tolist()):
-        row = den[i].tolist()
-        prefix = list(itertools.accumulate(row, lambda a, b: a * b % q, initial=1))
-        inv = pow(prefix[-1], -1, q)
-        for k in range(len(row) - 1, -1, -1):  # inv = 1 / (row[0] ... row[k]) on entry
-            prefix[k], inv = prefix[k] * inv % q, inv * row[k] % q
-        inverses[i] = prefix[:-1]
-    return num * inverses % np.reshape(moduli, (-1, 1))
+def _inverses_mod(row: list[int], q: int) -> list[int]:
+    # 1 / x mod q for the units x of row: Montgomery's batch inversion by prefix products, one pow
+    prefix = list(itertools.accumulate(row, lambda a, b: a * b % q, initial=1))
+    inv = pow(prefix[-1], -1, q)
+    for k in range(len(row) - 1, -1, -1):  # inv = 1 / (row[0] ... row[k]) on entry
+        prefix[k], inv = prefix[k] * inv % q, inv * row[k] % q
+    return prefix[:-1]
 
 
 def _interpolate_mod(values: np.ndarray, moduli) -> np.ndarray:
-    """Row i: the coefficients mod q_i of the polynomial of degree <= D
-    taking the values values[i, t] at t = 0..D; moduli is one prime q for
-    every row or the primes q_i row by row, each above D.
-
-    Newton's divided differences on the nodes 0..D, then the Newton form
-    expanded to the monomial basis; vectorized over the rows.
-    """
+    """Row i: the coefficients mod q_i of the polynomial of degree <= D taking values[i, t] at
+    t = 0..D (moduli: one prime q, or q_i row by row, each above D), by Newton's divided
+    differences on the nodes 0..D and the Newton form expanded, vectorized over the rows."""
     points = values.shape[1]
     qcol = np.reshape(moduli, (-1, 1))
-    nodes = np.tile(np.arange(1, points, dtype=np.int64), (len(qcol), 1))
-    inverses = _divide_mod(np.ones_like(nodes), nodes, qcol)  # of the node differences 1..D
+    row_primes = qcol.reshape(-1).tolist()  # the node differences 1..D, inverted once per prime
+    table = {q: np.array(_inverses_mod(list(range(1, points)), q), dtype=np.int64) for q in set(row_primes)}
+    inverses = np.array([table[q] for q in row_primes], dtype=np.int64).reshape(len(row_primes), points - 1)
     newton = values.copy()
     for k in range(1, points):
-        # node i minus node i - k is k
-        newton[:, k:] = (newton[:, k:] - newton[:, k - 1 : -1]) % qcol * inverses[:, k - 1 : k] % qcol
-    mono = np.zeros_like(newton)
-    mono[:, :1] = newton[:, -1:]
+        # node i minus node i - k is k; the product of two residues fits in int64
+        newton[:, k:] = (newton[:, k:] - newton[:, k - 1 : -1]) * inverses[:, k - 1 : k] % qcol
+    # mono[:, 1:]: the Newton form from node k on; with newton_k in mono[:, 0], a shifted difference
+    mono = np.zeros((len(newton), points + 1), dtype=np.int64)
+    mono[:, 1] = newton[:, -1]
     for k in range(points - 2, -1, -1):
-        # mono <- mono * (x - k) + newton_k
+        mono[:, 0] = newton[:, k]
         mono[:, 1:] = (mono[:, :-1] - k * mono[:, 1:]) % qcol
-        mono[:, :1] = (newton[:, k : k + 1] - k * mono[:, :1]) % qcol
-    return mono
+    return mono[:, 1:]
 
 
-def _power_table(g: int, order: int, q: int) -> np.ndarray:
-    # g^0 .. g^(order-1) mod q, by doubling: the second half is the first times g^len.
-    table = np.ones(1, dtype=np.int64)
-    step = g
-    while table.size < order:
-        table = np.concatenate([table, table * step % q])
-        step = step * step % q
-    return table[:order]
-
-
-def _root_of_unity(q: int, p: int, j: int) -> int:
-    """An element of exact order p^j in F_q^*; needs q = 1 mod p^j."""
+def _root_powers(q: int, p: int, j: int) -> np.ndarray:
+    """g^0 .. g^(p^j - 1) mod q for an element g of exact order p^j in F_q^*; needs q = 1 mod p^j."""
     order = p**j
     for x in range(2, q):
         g = pow(x, (q - 1) // order, q)
         if order == 1 or pow(g, order // p, q) != 1:
-            return g
+            return np.array(list(itertools.accumulate(range(order - 1), lambda y, _: y * g % q, initial=1)))
     raise ValueError(f"no element of order {order} mod {q}")
 
 
@@ -293,150 +267,170 @@ def _prod_mod(x: np.ndarray, q: int) -> np.ndarray:
 
 
 def _row_bounds(k: int, terms) -> tuple[int, int]:
-    # B = prod_r sum |coeff| and D = sum_r max d, over the terms of row r with coeff != 0
-    row_norm, row_degree = [0] * k, [0] * k
-    for r, _, _, d, coeff in terms:
+    """(B, D) for the k x k matrix M of the terms (r, c, exp, d, coeff).
+
+    D, the sum over rows of the largest d with a nonzero coeff, bounds deg det M.
+    B = ceil(prod_r sqrt(sum_c a_rc^2)), a_rc the sum of |coeff| over the terms of entry (r, c),
+    bounds every u-coefficient of every conjugate of det M: under an embedding sigma and at
+    |u| = 1, |sigma M_rc(u)| <= a_rc, so by Hadamard |sigma det M(u)| <= B, and by Cauchy's
+    estimate on |u| = 1 each u-coefficient of sigma det M is at most B, and of the norm
+    prod_sigma sigma det M at most B^phi.  B never exceeds the product of the row 1-norms.
+    """
+    entries, row_degree, squares = {}, [0] * k, [0] * k
+    for r, c, _, d, coeff in terms:
         if coeff:
-            row_norm[r] += abs(coeff)
+            entries[r, c] = entries.get((r, c), 0) + abs(coeff)
             row_degree[r] = max(row_degree[r], d)
-    return math.prod(row_norm), sum(row_degree)
+    for (r, _), a in entries.items():
+        squares[r] += a * a
+    square = math.prod(squares)
+    return (math.isqrt(square - 1) + 1 if square else 0), sum(row_degree)
 
 
-def _at_primitive_roots(primes: list[int], p: int, j: int, k: int, terms, points: int):
-    """For each prime q, det M(w, t) mod q at every primitive p^j-th root of unity w in F_q.
+def _det_orbits(problems, p: int, norm: bool) -> list:
+    """The one multimodular pass behind `det_norm_cyclotomic` (norm) and `det_cyclotomic_poly`.
+
+    A problem takes the first primes q = 1 mod p^J (J the largest j) its bound needs: ranked by
+    bound, those at a prime are a prefix.  Per prime, powers of one g of order p^J give each root
+    g^(p^(J-j) u), u a unit mod p^j.  Matrices padded to the largest k with identity rows and
+    columns are evaluated by Horner's rule, and `_det_mod_batch` eliminates chunks of about
+    `_BATCH_ENTRIES` entries across problems, each cut to the largest k it holds.
+    """
+    if not problems:
+        return []
+    big_j, k_max = max(j for _, _, j in problems), max(k for k, _, _ in problems)
+    phis, points, targets, terms_at = [], [], [], []
+    for k, terms, j in problems:
+        phis.append(euler_phi_prime_power(p, j))
+        bound, degree = _row_bounds(k, terms)
+        points.append(phis[-1] * degree + 1 if norm else degree + 1)
+        targets.append(max(2 * bound ** phis[-1], 1) if norm else 2 * (p - 1) * bound + 1)
+        # per (term, root): position (d, r, c), power of g (exp first reduced mod p^j), coefficient
+        units = np.array([u for u in range(p**j) if u % p] if j else [0], dtype=np.int64)
+        padded = [*terms, *((x, x, 0, 0, 1) for x in range(k, k_max))]
+        rows = np.array([(t[3], t[0], t[1], t[2] % p**j) for t in padded], dtype=np.int64).reshape(-1, 4)
+        power = rows[:, 3, None] * units % p**j * p ** (big_j - j)
+        terms_at.append((rows[:, :3].T[:, :, None], power, _int_array([t[4] for t in padded])[:, None]))
+    primes = _modular_primes(max(targets), p**big_j)
+    rank = sorted(range(len(problems)), key=lambda i: -targets[i])
+    problems, phis, points, terms_at = ([x[i] for i in rank] for x in (problems, phis, points, terms_at))
+    counts = [len(_modular_primes(targets[i], p**big_j)) for i in rank]
+    degree = max((t[3] for _, terms, _ in problems for t in terms), default=0)  # of an entry
+    starts = list(itertools.accumulate((phi * x for phi, x in zip(phis, points)), initial=0))  # (root, t)
+    slots = list(itertools.accumulate(phis, initial=0))  # (problem, root)
+    found, powers = [[] for _ in problems], []  # per problem and prime: values at (root, t)
+    buffer = np.empty((2, max(b - a for a, b in zip(starts, starts[1:]))), dtype=np.int64)  # of one problem
+    for s, q in enumerate(primes):
+        active = sum(count > s for count in counts)
+        powers.append(_root_powers(q, p, big_j))
+        table = np.zeros((slots[active], degree + 1, k_max, k_max), dtype=np.int64)
+        for r, (position, power, coeff) in enumerate(terms_at[:active]):
+            at_q = (coeff % q).astype(np.int64) * powers[s][power] % q
+            np.add.at(table, (np.arange(slots[r], slots[r + 1]), *position), at_q)
+        start = 0
+        while start < starts[active]:  # a chunk: at most _BATCH_ENTRIES entries of its largest k x k
+            first = bisect.bisect_right(starts, start) - 1
+            stop = min(start + max(1, _BATCH_ENTRIES // max(1, problems[first][0] ** 2)), starts[active])
+            kc = max(problems[r][0] for r in range(first, bisect.bisect_left(starts, stop)))
+            stop = min(stop, start + max(1, _BATCH_ENTRIES // max(1, kc * kc)))
+            owners = range(first, bisect.bisect_left(starts, stop))
+            # the slot (problem, root) and the point t of each evaluation in [start, stop)
+            spans = [(r, np.arange(max(start, starts[r]), min(stop, starts[r + 1])) - starts[r]) for r in owners]
+            where, t = (np.concatenate(x) if len(spans) > 1 else x[0] for x in zip(*[
+                (x // points[r] + slots[r], x % points[r]) for r, x in spans]))
+            batch = table[where, degree, :kc, :kc] % q
+            for e in range(degree - 1, -1, -1):
+                batch = (batch * t[:, None, None] + table[where, e, :kc, :kc]) % q
+            num, den = _det_mod_batch(batch, np.full(len(t), q))
+            for r in owners:  # into the buffer while a problem is in progress; at its end, its values
+                lo, hi, at = max(start, starts[r]), min(stop, starts[r + 1]), starts[r]
+                buffer[:, lo - at : hi - at] = num[lo - start : hi - start], den[lo - start : hi - start]
+                if hi < starts[r + 1]:
+                    continue
+                num_r, den_r = buffer[:, : hi - at].reshape(2, phis[r], -1)  # (root, t)
+                if norm:  # N mod q at each point: the product over the roots
+                    num_r, den_r = _prod_mod(num_r, q)[None], _prod_mod(den_r, q)[None]
+                inverses = np.array(_inverses_mod(den_r.reshape(-1).tolist(), q), dtype=np.int64)
+                found[r].append(num_r * inverses.reshape(den_r.shape) % q)
+            start = stop
+    for count in set(points):  # one interpolation per point count: rows (problem, prime, root)
+        group = [r for r in range(len(problems)) if points[r] == count]
+        moduli = [primes[s] for r in group for s, x in enumerate(found[r]) for _ in x]
+        mono, lo = _interpolate_mod(np.concatenate([x for r in group for x in found[r]]), moduli), 0
+        for r in group:  # (prime, root, u^d); one "root", the product, for a norm
+            size = len(found[r]) * len(found[r][0])
+            found[r], lo = mono[lo : lo + size].reshape(len(found[r]), -1, count), lo + size
+    if not norm:  # coordinates: Lagrange interpolation on the roots
+        for r, (_, _, j) in enumerate(problems):
+            found[r] = x = found[r].transpose(0, 2, 1)  # (prime, u^d, root)
+            if j:  # V[w, l] mod q = (w^-l - w^(s (l // s + 1) - l)) / p^j, w = g^(p^(J-j) u), prime by prime
+                s, u, l = p ** (j - 1), np.array([u for u in range(p**j) if u % p])[:, None], np.arange(phis[r])
+                e0, e1 = (e * u % p**j * p ** (big_j - j) for e in (-l, (l // s + 1) * s - l))
+                for y, q, table in zip(x, primes, powers):
+                    y[:] = _matmul_mod(y, (table[e0] - table[e1]) * pow(p**j, -1, q) % q, q)
+    # one signed CRT: at prime s the residues of the problems that use it, a prefix
+    residues = [np.concatenate([x[s].reshape(-1) for x in found if len(x) > s]) for s in range(len(primes))]
+    lifted, lo, out = _crt_signed(residues, primes), 0, [None] * len(problems)
+    for i, x in zip(rank, found):
+        out[i] = lifted[lo : lo + x[0].size].reshape(-1 if norm else x[0].shape).tolist()
+        lo += x[0].size
+    return out
+
+
+def det_norm_cyclotomic(problems, p: int) -> list[list[int]]:
+    """For each problem (k, terms, j), the coefficients of N(u) = prod_w det M(w, u).
+
+    w runs over the primitive p^j-th roots of unity, M is the k x k matrix of the terms as in
+    `det_cyclotomic_poly`, and N, its norm to Q(u), has phi D + 1 integer coefficients (D, B:
+    `_row_bounds`); j = 0 is the integer determinant.  A problem takes primes up to a product above
+    2 B^phi (`_det_orbits`), and the determinants at t = 0..phi D, multiplied over the roots, give N
+    mod q (`_interpolate_mod`).
+    """
+    return _det_orbits(problems, p, norm=True)
+
+
+def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
+    """For each problem (k, terms, j), det M of the k x k matrix M over Z[zeta][u], zeta = zeta_{p^j}.
 
     M[r][c] is the sum of coeff * zeta^exp * u^d over the terms
-    (r, c, exp, d, coeff).  F_q holds the phi(p^j) primitive roots as
-    powers[e] for the exponents e in units (those prime to p), with powers
-    the table of one g of exact order p^j.  M is evaluated at every root and
-    every t < points by Horner's rule, and `_det_mod_batch` eliminates the
-    (root, point) batch in chunks of about `_BATCH_ENTRIES` entries.  Yields
-    (num, den, powers, units): det M(powers[units[i]], t) = num[i, t] / den[i, t].
-    """
-    order = p**j
-    units = np.arange(order, dtype=np.int64)
-    units = units[np.gcd(units, order) == 1]
-    # zeta^exp depends on exp mod p^j only; reduce before the int64 conversion
-    rows = [(t[0], t[1], t[2] % order, t[3]) for t in terms]
-    r, c, e, d = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    coeffs = _int_array([t[4] for t in terms])
-    where = e[:, None] * units % order
-    shape, size = (d.max(initial=0) + 1, k, k, len(units)), len(units) * points
-    chunk = max(1, _BATCH_ENTRIES // max(1, k * k))  # k = 0: every determinant is 1
-    for q in primes:
-        powers = _power_table(_root_of_unity(q, p, j), order, q)
-        values = np.zeros(shape, dtype=np.int64)
-        np.add.at(values, (d, r, c), (coeffs % q).astype(np.int64)[:, None] * powers[where] % q)
-        values = np.mod(values, q, out=values).transpose(3, 0, 1, 2)
-        num, den = np.empty((2, size), dtype=np.int64)
-        for start in range(0, size, chunk):
-            part = slice(start, min(start + chunk, size))
-            root, t = np.divmod(np.arange(part.start, part.stop), points)
-            batch = values[root, -1]
-            for i in range(shape[0] - 2, -1, -1):
-                batch = (batch * t[:, None, None] + values[root, i]) % q
-            num[part], den[part] = _det_mod_batch(batch, np.full(len(t), q))
-        yield num.reshape(-1, points), den.reshape(-1, points), powers, units
+    (r, c, exp, d, coeff), all integers, d >= 0.  Returns, for d = 0..D
+    (`_row_bounds`), the coordinates of the u^d coefficient of det M in the
+    power basis 1, zeta, ..., zeta^(phi - 1), phi = phi(p^j).
 
-
-def det_norm_cyclotomic(k: int, terms, p: int, j: int) -> list[int]:
-    """The coefficients of N(u) = prod_w det M(w, u), w over the primitive p^j-th roots of unity.
-
-    M is given by terms (r, c, exp, d, coeff) as in `det_cyclotomic_poly`;
-    N, its norm from Q(zeta_{p^j})(u) to Q(u), is an integer polynomial of
-    degree at most phi D (`_row_bounds`); j = 0 gives the integer
-    determinant and u-free terms the norm of an integer as [N].  For each
-    prime q = 1 mod p^j the determinants at t = 0..phi D are multiplied
-    over the roots, and `_interpolate_mod` gives N mod q.
-
-    Bound.  Under a complex embedding an entry of M has coefficient 1-norm
-    (sum of the absolute values of its u-coefficients) at most the sum of
-    |coeff| over its terms.  The 1-norm is submultiplicative, so each
-    conjugate det M, a sum over permutations of products of one entry per
-    row, has 1-norm at most B = prod_r sum |coeff| over row r, and N, so
-    each of its coefficients, at most B^phi: a modulus above 2 B^phi lifts.
-    """
-    phi = euler_phi_prime_power(p, j)
-    bound, degree = _row_bounds(k, terms)
-    points = phi * degree + 1
-    primes = _modular_primes(max(2 * bound**phi, 1), p**j)  # a zero row still takes one prime
-    products = [
-        (_prod_mod(num, q), _prod_mod(den, q))
-        for q, (num, den, _, _) in zip(primes, _at_primitive_roots(primes, p, j, k, terms, points))
-    ]
-    num, den = np.array(products, dtype=np.int64).transpose(1, 0, 2)
-    mono = _interpolate_mod(_divide_mod(num, den, primes), primes)
-    return _crt_signed(mono.astype(object), primes).tolist()
-
-
-def det_cyclotomic_poly(k: int, terms, p: int, j: int) -> list[list[int]]:
-    """det M for a k x k matrix M over Z[zeta][u], zeta a primitive p^j-th root of unity.
-
-    M[r][c] is the sum of coeff * zeta^exp * u^d over the terms
-    (r, c, exp, d, coeff), all integers, d >= 0.  Returns, for each
-    d = 0..D, the coordinates of the u^d coefficient of det M in the power
-    basis 1, zeta, ..., zeta^(phi - 1), phi = phi(p^j); D is the sum over
-    rows of the largest d with a nonzero coeff.  j = 0 is the integer case.
-
-    For each prime q = 1 mod p^j below 2^31, Z[zeta]/q is F_q^phi through
-    the primitive roots w of unity in F_q.  From the determinants at w and
-    t = 0..D (`_at_primitive_roots`), `_interpolate_mod` gives each u^d
-    coefficient x at every w, and Lagrange interpolation on the roots of
-    Phi = Phi_{p^j} then gives its coordinates x_l = sum_w x(w) V[l, w]:
-    with s = p^(j-1), Phi(X) / (X - w) = sum_l b_l(w) X^l where
-    b_l(w) = sum_{t : t s > l} w^(t s - l - 1), 1 / Phi'(w) = w (w^s - 1) / p^j,
-    and the sum telescopes to
+    Z[zeta]/q is F_q^phi through the primitive roots w of unity in F_q
+    (`_det_orbits`).  The determinants at w and t = 0..D give each u^d
+    coefficient x at every w (`_interpolate_mod`), and Lagrange interpolation
+    on the roots of Phi = Phi_{p^j} its coordinates x_l = sum_w x(w) V[l, w]:
+    with s = p^(j-1), Phi(X) / (X - w) = sum_l b_l(w) X^l, b_l(w) =
+    sum_{t : t s > l} w^(t s - l - 1), and 1 / Phi'(w) = w (w^s - 1) / p^j,
         V[l, w] = b_l(w) / Phi'(w) = w^(-l) (1 - w^(s (floor(l / s) + 1))) / p^j.
-    For j = 0 the one root is 1 and the coordinate is the value.
-
-    Bound.  Under each complex embedding sigma the u^d coefficient is a sum
-    over permutations of products of one term per row, so
-    |sigma(x)| <= B = prod_r sum |coeff| over row r.  The b_l(zeta) /
-    Phi'(zeta) are the trace-dual basis of the power basis (Euler), so
-    x_l = Tr(x V[l, zeta]) and, as |sigma(V[l, zeta])| <= 2 / p^j,
-    |x_l| <= phi * 2 / p^j * B = 2 (p - 1) B / p <= (p - 1) B.  The residues
-    are lifted by `_crt_signed` once the modulus exceeds 2 (p - 1) B + 1.
+    For j = 0 the one root is 1.  Bound: |sigma(x)| <= B for every embedding
+    sigma; the b_l(zeta) / Phi'(zeta) are the trace-dual basis of the power
+    basis (Euler), so x_l = Tr(x V[l, zeta]) and, as |sigma(V[l, zeta])| <=
+    2 / p^j, |x_l| <= (p - 1) B: a problem takes primes up to 2 (p - 1) B + 1.
     """
-    phi = euler_phi_prime_power(p, j)
-    bound, degree = _row_bounds(k, terms)
-    points, order = degree + 1, p**j
-    primes = _modular_primes(2 * (p - 1) * bound + 1, order)
-    coordinates = []
-    at_roots = _at_primitive_roots(primes, p, j, k, terms, points)
-    for q, (num, den, powers, units) in zip(primes, at_roots):
-        dets = _divide_mod(num.reshape(1, -1), den.reshape(1, -1), q).reshape(num.shape)
-        at_roots = _interpolate_mod(dets, q)
-        if j:  # V[l, w] mod q
-            s, l = order // p, np.arange(phi)[:, None]
-            lagrange = powers[-l * units % order] * (1 - powers[(l // s + 1) * s * units % order]) % q
-            lagrange = lagrange * pow(order, -1, q) % q
-        else:
-            lagrange = np.ones((1, 1), dtype=np.int64)
-        coordinates.append(_matmul_mod(at_roots.T, lagrange.T, q))
-    return _crt_signed(np.array(coordinates, dtype=object), primes).tolist()
+    return _det_orbits(problems, p, norm=False)
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """det of an integer matrix: Bareiss elimination, or above `_BAREISS_MAX_DIM`
-    rows the matrix as u-free terms to `det_norm_cyclotomic` at j = 0."""
+    """det of an integer matrix: Bareiss, or above `_BAREISS_MAX_DIM` rows `det_norm_cyclotomic` at j = 0."""
     n = len(rows)
     if n <= _BAREISS_MAX_DIM:
         return det_bareiss_int(rows)
     terms = [(r, c, 0, 0, x) for r, row in enumerate(rows) for c, x in enumerate(row) if x]
-    return det_norm_cyclotomic(n, terms, 2, 0)[0]
+    return det_norm_cyclotomic([(n, terms, 0)], 2)[0][0]
 
 
 def det_groupring_poly(k: int, terms, m: int) -> UniPoly:
     """Determinant of a k x k matrix M over Q[Z/mZ][u], m = p^n.
 
     M[r][c] is the sum of coeff * [s] * u^d over the terms (r, c, s, d,
-    coeff): s a group element, coeff rational.  One determinant per Galois
-    orbit of characters, on its representative psi_{p^(n-j)}, which sends
-    [s] to zeta_{p^j}^s: each row is scaled by the lcm of its denominators
-    for `det_cyclotomic_poly`, and `from_character_polys` reassembles the
-    n + 1 coordinate rows, divided by the scales, by traces.  The other
-    characters' determinants are their Galois conjugates only for rational
-    coefficients (sigma_u would move cyclotomic ones).
+    coeff): s a group element, coeff rational.  One `det_cyclotomic_poly`
+    call takes the n + 1 Galois-orbit representatives psi_{p^(n-j)},
+    [s] -> zeta_{p^j}^s, each row scaled by the lcm of its denominators, and
+    `from_character_polys` reassembles their coordinate rows by traces.  The
+    other characters' determinants are the Galois conjugates only for
+    rational coefficients (sigma_u would move cyclotomic ones).
     """
     if not all(isinstance(t[4], (int, Fraction)) for t in terms):
         raise ValueError("group-ring determinants need rational group-ring coefficients")
@@ -446,7 +440,7 @@ def det_groupring_poly(k: int, terms, m: int) -> UniPoly:
         scale[r] = math.lcm(scale[r], Fraction(coeff).denominator)
     den = math.prod(scale)
     scaled = [(r, c, s, d, int(a * scale[r])) for r, c, s, d, a in terms]
-    per_orbit = [det_cyclotomic_poly(k, scaled, p, j) for j in range(n + 1)]
+    per_orbit = det_cyclotomic_poly([(k, scaled, j) for j in range(n + 1)], p)
     return from_character_polys(p, n, [[[Fraction(a, den) for a in x] for x in det] for det in per_orbit])
 
 
@@ -481,7 +475,7 @@ def norm_groupring_poly(terms, m: int, subgroup_order: int) -> UniPoly:
     back = -k * np.outer(np.arange(ph), np.arange(ph)) % m  # chi_b([-t]) = g^(-k b t) on H
     residues = []
     for q in primes:
-        powers = _power_table(_root_of_unity(q, p, n), m, q)
+        powers = _root_powers(q, p, n)
         values, at_q = np.zeros((m, len(t)), dtype=np.int64), (coeffs % q).astype(np.int64)
         for d in range(degree, -1, -1):  # x_s(t) by Horner's rule
             values = (values * t + at_q[:, d, None]) % q

@@ -2,11 +2,16 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from graphzeta.graphs import SerreGraph, connected
 from graphzeta.tower import TowerDatum, build_level_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Property tests draw the same examples on every run and have no time limit per example.
+settings.register_profile("graphzeta", derandomize=True, deadline=None, database=None)
+settings.load_profile("graphzeta")
 
 
 @pytest.fixture

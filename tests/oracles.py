@@ -208,7 +208,7 @@ def orbit_norm_by_kernel(d: TowerDatum, j: int) -> int:
         o, t = base.dart_origin[e], base.dart_terminus[e]
         if o in pos and t in pos:
             terms.append((pos[t], pos[o], d.voltage[e], 0, -1))
-    return det_norm_cyclotomic(len(kept), terms, d.p, j)[0]
+    return det_norm_cyclotomic([(len(kept), terms, j)], d.p)[0][0]
 
 
 def l_reciprocal_of_sum(data: list[LfnData]) -> tuple[int, UniPoly]:

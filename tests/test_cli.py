@@ -178,9 +178,9 @@ def test_cli_zeta_skips_cover_determinants_where_chi_is_nonzero(monkeypatch, cap
     sizes, counts = [], []
     norm, count = linalg.det_norm_cyclotomic, graphs.spanning_tree_count
 
-    def recording_norm(k, terms, p, j):
-        sizes.append(k)
-        return norm(k, terms, p, j)
+    def recording_norm(problems, p):
+        sizes.extend(k for k, _, _ in problems)
+        return norm(problems, p)
 
     def recording_count(g):
         counts.append(g.n_vertices)

@@ -376,3 +376,13 @@ def test_orbit_norms_beyond_the_kernel_prime_ceiling():
             assert ordp_fraction(norms[j], d.p).value == gs.mu_unr * phi[j] + gs.lambda_unr
             checked += 1
     assert checked > 60
+
+
+def test_tower_sweep_ordp_is_the_valuation_of_kappa():
+    # the sweep sums the valuations of kappa's factors; on random data (with chi(X_n) = 0 levels
+    # among them) and on the fixtures that is ord_p(kappa) at every level
+    data = collect_random_data(79, 16, max_k=3, levels_connected=1)
+    data += [load_datum(FIXTURES / f"{name}.json") for name in ("double_edge", "triple_star")]
+    for d in data:
+        rows = tower_sweep(d, 6 if d.p == 2 else 4)
+        assert [r.ordp_kappa for r in rows] == [ordp_fraction(r.kappa, d.p).value for r in rows]

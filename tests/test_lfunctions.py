@@ -11,7 +11,7 @@ from graphzeta.cli import cmd_zeta
 from graphzeta.cyclo import CycloNum, ordp_cyclo, zeta
 from graphzeta.datum_io import load_datum
 from graphzeta.errors import HypothesisError
-from graphzeta import cyclo, lfunctions, tower, verify
+from graphzeta import cyclo, lfunctions, linalg, tower, verify
 from graphzeta.graphs import SerreGraph, connected, ihara_zeta_reciprocal, spanning_tree_count
 from graphzeta.lfunctions import (
     CharacterLabel,
@@ -323,36 +323,73 @@ def test_character_table_matches_per_character_routes():
         assert table.trivial_h_derivative_at_one() == trivial.h_derivative_at_one
 
 
-def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
+def _record_kernels(monkeypatch) -> list:
+    # (kernel name, the j of each problem) for every call of the two orbit kernels
     calls = []
-    for name in ("h_poly", "z_poly"):
-        original = getattr(lfunctions, name)
+    for name in ("det_cyclotomic_poly", "det_norm_cyclotomic"):
+        original = getattr(linalg, name)
 
-        def recorder(d, n, psi, name=name, original=original):
-            calls.append((name, n, psi))
-            return original(d, n, psi)
+        def recorder(problems, p, name=name, original=original):
+            calls.append((name, [j for _, _, j in problems]))
+            return original(problems, p)
 
-        monkeypatch.setattr(lfunctions, name, recorder)
+        monkeypatch.setattr(linalg, name, recorder)
+    return calls
+
+
+def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
+    # the table's h: one kernel call with one problem per orbit; every z: one more, on first use
+    calls = _record_kernels(monkeypatch)
     d = load_datum(FIXTURES / "double_edge.json")
     for n in range(6):
         calls.clear()
         table = character_table(d, n)
-        assert calls == [("h_poly", n, psi) for psi in table.representatives]
+        orbits = ("det_cyclotomic_poly", list(range(n + 1)))
+        assert calls == [orbits]
         for j in range(n + 1):
             list(table.orbit_rows(j)), table.z(j), table.z(j)
-        z_calls = calls[n + 1 :]  # in order of first use
-        assert len(z_calls) == n + 1
-        assert set(z_calls) == {("z_poly", n, psi) for psi in table.representatives}
-    # one verify battery: a table at level 4 and one at the quotient level 3
+        assert calls == [orbits, orbits]
+    # one verify battery: h and z of the level-4 table, h of the quotient table at level 3, eta
+    # of the order-2 subgroup action, the norms of the product formula and the cover's h
     calls.clear()
     run_battery(d, 4)
-    h_calls = [call for call in calls if call[0] == "h_poly"]
-    assert len(h_calls) == len(set(h_calls)) == 5 + 4
-    assert len(calls) == len(set(calls))
+    assert sorted(calls) == [
+        ("det_cyclotomic_poly", [0, 1]),
+        ("det_cyclotomic_poly", [0, 1, 2, 3]),
+        ("det_cyclotomic_poly", [0, 1, 2, 3, 4]),
+        ("det_cyclotomic_poly", [0, 1, 2, 3, 4]),
+        ("det_norm_cyclotomic", [0]),
+        ("det_norm_cyclotomic", [0, 1, 2, 3, 4]),
+    ]
     # with the trivial subgroup the quotient level is the level itself
     calls.clear()
     run_battery(d, 3, 1)
-    assert len(calls) == len(set(calls)) == 2 * 4
+    assert sorted(calls) == [
+        ("det_cyclotomic_poly", [0]),
+        ("det_cyclotomic_poly", [0, 1, 2, 3]),
+        ("det_cyclotomic_poly", [0, 1, 2, 3]),
+        ("det_norm_cyclotomic", [0]),
+        ("det_norm_cyclotomic", [0, 1, 2, 3]),
+    ]
+
+
+def test_orbit_loops_make_one_kernel_call(monkeypatch):
+    # level_h_poly, product_formula_check and det_groupring_poly take all n + 1 orbits at once
+    calls = _record_kernels(monkeypatch)
+    for d, n in ((load_datum(FIXTURES / "double_edge.json"), 5), (load_datum(FIXTURES / "triple_star.json"), 3)):
+        orbits = list(range(n + 1))
+        calls.clear()
+        level_h_poly(d, n)
+        assert calls == [("det_norm_cyclotomic", orbits)]
+        table = character_table(d, n)
+        cover = build_level_graph(d, n).graph
+        calls.clear()
+        product_formula_check(table, cover)
+        assert calls == [("det_norm_cyclotomic", orbits), ("det_norm_cyclotomic", [0])]  # then the cover's h
+        calls.clear()
+        terms = [(0, 0, s, 1, s + 1) for s in range(d.p**n)] + [(0, 0, 0, 0, 1)]
+        linalg.det_groupring_poly(1, terms, d.p**n)
+        assert calls == [("det_cyclotomic_poly", orbits)]
 
 
 def test_verify_battery_builds_its_cover_once(monkeypatch):

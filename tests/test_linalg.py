@@ -40,14 +40,14 @@ def _cyclo_terms(m):
 
 
 def _det_cyclo(m, p, j):
-    det = det_cyclotomic_poly(len(m), _cyclo_terms(m), p, j)
+    det = det_cyclotomic_poly([(len(m), _cyclo_terms(m), j)], p)[0]
     return UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det])
 
 
 def _det_poly_int(m):
     # a matrix of ints and integer UniPoly through the integer kernel: the j = 0 norm
     # j = 0: the integer determinant; p plays no role there, so pass 2
-    return UniPoly(det_norm_cyclotomic(len(m), _cyclo_terms(m), 2, 0))
+    return UniPoly(det_norm_cyclotomic([(len(m), _cyclo_terms(m), 0)], 2)[0])
 
 
 def _groupring_terms(m):
@@ -113,8 +113,8 @@ def test_identity_and_empty():
     assert det_int([[1, 0], [0, 1]]) == 1
     assert det_int([[2, 1], [1, 2]]) == 3
     assert _det_poly_int([]) == UniPoly.constant(1)
-    assert det_cyclotomic_poly(0, [], 3, 2) == [[1, 0, 0, 0, 0, 0]]
-    assert det_cyclotomic_poly(2, [(0, 0, 0, 0, 1), (1, 1, 0, 0, 1)], 2, 0) == [[1]]
+    assert det_cyclotomic_poly([(0, [], 2)], 3) == [[[1, 0, 0, 0, 0, 0]]]
+    assert det_cyclotomic_poly([(2, [(0, 0, 0, 0, 1), (1, 1, 0, 0, 1)], 0)], 2) == [[[1]]]
     assert _det_groupring_poly([], 4) == UniPoly.constant(GroupRingElem.one(4))
 
 
@@ -284,8 +284,8 @@ def test_det_norm_cyclotomic_matches_cyclonum_norm():
                 for r, c, e, _, coeff in terms:
                     m[r][c] = m[r][c] + coeff * z ** (e % p**j)
                 det = CycloNum.rational(p, 0, j) + det_cofactor(m)  # a CycloNum even when 0
-                assert det_norm_cyclotomic(k, terms, p, j) == [det.norm()]
-    assert det_norm_cyclotomic(0, [], 2, 3) == [1]
+                assert det_norm_cyclotomic([(k, terms, j)], p) == [[det.norm()]]
+    assert det_norm_cyclotomic([(0, [], 3)], 2) == [[1]]
 
 
 def _norm_by_conjugates(p, j, k, terms) -> UniPoly:
@@ -325,7 +325,7 @@ def test_det_norm_cyclotomic_matches_product_of_conjugates(p, j):
             cases += [(k, terms), (k, [(r, c, e, 0, a) for r, c, e, _, a in terms])]
         cases.append((k, [t for t in terms if t[0] != k - 1]))  # row k - 1 is zero
     for k, terms in cases:
-        norm = det_norm_cyclotomic(k, terms, p, j)
+        norm = det_norm_cyclotomic([(k, terms, j)], p)[0]
         assert all(type(a) is int for a in norm)
         assert UniPoly(norm) == _norm_by_conjugates(p, j, k, terms)
 
@@ -334,7 +334,7 @@ def test_det_norm_cyclotomic_at_phi_100():
     # p = 5, j = 3: a u-free 1 x 1 matrix against CycloNum.norm, the product of its 100 conjugates
     terms = [(0, 0, 0, 0, 3), (0, 0, 7, 0, -2), (0, 0, 40, 0, 5), (0, 0, 126, 0, 10**6)]
     x = CycloNum.from_monomials(5, 3, [(e, a) for _, _, e, _, a in terms])
-    assert det_norm_cyclotomic(1, terms, 5, 3) == [x.norm()]
+    assert det_norm_cyclotomic([(1, terms, 3)], 5) == [[x.norm()]]
 
 
 def _random_poly_matrix(rng, n, scale, coeff=int):
@@ -459,7 +459,7 @@ def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
             want, terms = _det_poly_int(m), _cyclo_terms(m)
             monkeypatch.setattr(linalg, "_det_mod_batch", recorder)
             batches.clear()
-            det = det_cyclotomic_poly(n, terms, p, j)
+            det = det_cyclotomic_poly([(n, terms, j)], p)[0]
             monkeypatch.undo()
             degree = sum(max((t[3] for t in terms if t[0] == row), default=0) for row in range(n))
             assert batches and batches == [phi * (degree + 1)] * len(batches)
@@ -523,7 +523,86 @@ def test_det_cyclotomic_poly_matches_cofactor_in_cyclonum(case):
     m = [[UniPoly() for _ in range(k)] for _ in range(k)]
     for r, c, e, d, coeff in terms:
         m[r][c] = m[r][c] + UniPoly.monomial(d, CycloNum.from_monomials(p, j, [(e, coeff)]))
-    det = det_cyclotomic_poly(k, terms, p, j)
+    det = det_cyclotomic_poly([(k, terms, j)], p)[0]
     phi = (p - 1) * p ** (j - 1) if j else 1
     assert all(len(x) == phi and all(type(a) is int for a in x) for x in det)
     assert UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det]) == det_cofactor(m)
+
+
+def _cyclo_det_oracle(p, j, k, terms) -> UniPoly:
+    # det M over Q(zeta_{p^j})[u] by cofactor expansion in CycloNum
+    m = [[UniPoly() for _ in range(k)] for _ in range(k)]
+    for r, c, e, d, coeff in terms:
+        m[r][c] = m[r][c] + UniPoly.monomial(d, CycloNum.from_monomials(p, j, [(e, coeff)]))
+    return UniPoly.constant(CycloNum.rational(p, 1, j)) * det_cofactor(m)
+
+
+@st.composite
+def _problem_lists(draw):
+    # (p, problems): one to four matrices at j <= 3 (p = 2) or j <= 2 (p = 3), k = 0..4, entries
+    # of u-degree <= 3, sometimes a zero row
+    p = draw(st.sampled_from([2, 3]))
+    problems = []
+    for _ in range(draw(st.integers(1, 4))):
+        j, k = draw(st.integers(0, 3 if p == 2 else 2)), draw(st.integers(0, 4))
+        if k:
+            entry = st.tuples(
+                st.integers(0, k - 1),
+                st.integers(0, k - 1),
+                st.integers(-(p**j), 2 * p**j),
+                st.integers(0, 3),
+                st.integers(-(10**6), 10**6),
+            )
+            terms = draw(st.lists(entry, max_size=3 * k))
+            if draw(st.booleans()):
+                zero = draw(st.integers(0, k - 1))
+                terms = [t for t in terms if t[0] != zero]
+        else:
+            terms = []
+        problems.append((k, terms, j))
+    return p, problems
+
+
+@settings(max_examples=40)
+@example((2, [(2, [(0, 0, 1, 3, 5), (1, 1, 0, 0, 1), (0, 1, 2, 1, -7)], 3)]))  # a single problem
+@example((3, [(0, [], 2), (3, [(0, 0, 0, 0, 1), (1, 1, 0, 0, 1), (2, 2, 0, 2, 1)], 0), (1, [], 1)]))
+@given(_problem_lists())
+def test_batched_kernels_match_the_oracles_problem_by_problem(case):
+    p, problems = case
+    dets = det_cyclotomic_poly(problems, p)
+    norms = det_norm_cyclotomic(problems, p)
+    assert len(dets) == len(norms) == len(problems)
+    for (k, terms, j), det, norm in zip(problems, dets, norms):
+        want = _cyclo_det_oracle(p, j, k, terms)
+        assert UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det]) == want
+        assert all(type(a) is int for x in det for a in x) and all(type(a) is int for a in norm)
+        assert UniPoly(norm) == _norm_by_conjugates(p, j, k, terms)
+
+
+def test_row_bound_dominates_the_determinant_and_its_norm():
+    # B bounds every u-coefficient of every conjugate of det M, so of an integer determinant, and
+    # B^phi every coefficient of the norm; it never exceeds the product of the row 1-norms
+    rng = random.Random(83)
+    for _ in range(200):
+        p, j, k = rng.choice([2, 3]), rng.randint(0, 2), rng.randint(1, 4)
+        scale = rng.choice([1, 9, 10**6])
+        terms = [
+            (rng.randrange(k), rng.randrange(k), rng.randint(0, p**j), rng.randint(0, 3), rng.randint(-scale, scale))
+            for _ in range(rng.randint(k, 4 * k))
+        ]
+        bound, degree = linalg._row_bounds(k, terms)
+        row_norms = [sum(abs(t[4]) for t in terms if t[0] == r) for r in range(k)]
+        assert bound <= math.prod(row_norms)
+        norm = det_norm_cyclotomic([(k, terms, j)], p)[0]
+        assert len(norm) == (p - 1) * p ** (j - 1) * degree + 1 if j else degree + 1
+        assert max(map(abs, norm)) <= bound ** ((p - 1) * p ** (j - 1) if j else 1)
+        integer = [(r, c, 0, d, a) for r, c, _, d, a in terms]
+        assert max(map(abs, _det_poly_int_terms(k, integer))) <= linalg._row_bounds(k, integer)[0]
+    # Hadamard's inequality is attained by a Hadamard matrix: det = 2^2 * ... = 16 for order 4
+    h4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    terms = [(r, c, 0, 0, x) for r, row in enumerate(h4) for c, x in enumerate(row)]
+    assert linalg._row_bounds(4, terms) == (16, 0) and det_int(h4) == 16
+
+
+def _det_poly_int_terms(k, terms) -> list[int]:
+    return det_norm_cyclotomic([(k, terms, 0)], 2)[0]
