@@ -48,6 +48,7 @@ from .lfunctions import (
     CharacterTable,
     LfnData,
     character_table,
+    character_tables,
     characters,
     h_poly,
     lfn_data,

@@ -13,6 +13,9 @@ determinant, and `linalg.det_norm_cyclotomic` its norm to Q(u).  A level's
 n + 1 Galois-orbit representatives share one kernel call: for its h
 (`level_h_poly`), the h or z of a `CharacterTable` (integer coordinate rows,
 as `groupring.from_character_polys` takes them), `product_formula_check`.
+`character_tables` takes the h of several levels and the z of some of them
+in one call, which evaluates a determinant they share once (`verify`: h and
+z at level n, h at the quotient level).
 `h_poly` and `z_poly` (wrapped by `special_values`, `lfn_data`) are
 one-character calls of that route, not an oracle.
 
@@ -54,6 +57,7 @@ __all__ = [
     "LfnData",
     "SpecialValues",
     "character_table",
+    "character_tables",
     "characters",
     "h_poly",
     "level_h_poly",
@@ -111,17 +115,21 @@ def _three_term_problems(d: TowerDatum, n: int, chars: list[CharacterLabel], red
     return [(len(v), _three_term_terms(d, n, psi, v), psi.order_exponent) for psi, v in zip(chars, kept)]
 
 
-def _three_term_dets(d: TowerDatum, n: int, chars: list[CharacterLabel], reduced: bool) -> list:
-    # their coordinate rows from one kernel call, each up to its last nonzero row as UniPoly keeps it
-    dets = linalg.det_cyclotomic_poly(_three_term_problems(d, n, chars, reduced), d.p)
-    for rows in dets:
+def _three_term_dets(d: TowerDatum, asks: list) -> list:
+    # for each (n, chars, reduced) of asks, the coordinate rows of h or z of its characters, each
+    # up to its last nonzero row as UniPoly keeps it: one kernel call, which takes a problem that
+    # several asks share once
+    problems = [x for n, chars, reduced in asks for x in _three_term_problems(d, n, chars, reduced)]
+    dets = iter(linalg.det_cyclotomic_poly(problems, d.p))
+    out = [[next(dets) for _ in chars] for _, chars, _ in asks]
+    for rows in itertools.chain.from_iterable(out):
         while rows and not any(rows[-1]):
             rows.pop()
-    return dets
+    return out
 
 
 def _three_term_poly(d: TowerDatum, n: int, psi: CharacterLabel, reduced: bool) -> UniPoly:
-    rows = _three_term_dets(d, n, [psi], reduced)[0]
+    rows = _three_term_dets(d, [(n, [psi], reduced)])[0][0]
     return UniPoly([CycloNum(d.p, psi.order_exponent, tuple(map(Fraction, x))) for x in rows])
 
 
@@ -202,7 +210,9 @@ class CharacterTable:
     representative's three-term matrix as its own, so its h and h(1, psi)
     are the representative's with sigma_u applied, which `orbit_rows` does
     for a whole orbit (`cyclo.galois_conjugates`).  Build it with
-    `character_table`; it is not cached between calls.
+    `character_table`, or several levels' tables, z included where asked,
+    with one kernel call of `character_tables`; it is not cached between
+    calls.
     """
 
     datum: TowerDatum
@@ -214,7 +224,7 @@ class CharacterTable:
     def z(self, j: int) -> list[list[int]]:
         """The coordinate rows of z(u, psi) at the representative of order p^j."""
         if self.rep_z is None:
-            self.rep_z = _three_term_dets(self.datum, self.level, self.representatives, False)
+            self.rep_z = _three_term_dets(self.datum, [(self.level, self.representatives, False)])[0]
         return self.rep_z[j]
 
     def rep_h_at_one(self, j: int) -> list[int]:
@@ -241,10 +251,24 @@ class CharacterTable:
             yield u * step, h, h_at_one
 
 
+def character_tables(d: TowerDatum, levels: list[int], z_levels: tuple[int, ...] = ()) -> list[CharacterTable]:
+    """The `CharacterTable` of each level in levels, z filled in at those in z_levels (each of
+    them in levels): the h and z of every orbit representative from one kernel call.
+
+    A determinant that two tables share is taken once: z(psi_j) is h(psi_j) where K_j holds every
+    vertex, and the h of a lower level is the level's where no stabilizer of K_j changes.
+    """
+    reps = {n: character_orbits(d.p, n)[0] for n in levels}
+    dets = _three_term_dets(d, [(n, reps[n], True) for n in levels] + [(n, reps[n], False) for n in z_levels])
+    tables = [CharacterTable(d, n, reps[n], h) for n, h in zip(levels, dets)]
+    for n, z in zip(z_levels, dets[len(levels) :]):
+        tables[levels.index(n)].rep_z = z
+    return tables
+
+
 def character_table(d: TowerDatum, n: int) -> CharacterTable:
     """The `CharacterTable` of level n: the h of its n + 1 orbit representatives, in one kernel call."""
-    reps = character_orbits(d.p, n)[0]
-    return CharacterTable(d, n, reps, _three_term_dets(d, n, reps, True))
+    return character_tables(d, [n])[0]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,10 @@ Routes:
     primitive roots of unity mod q and u = 0..D (`_det_orbits`): the power-
     basis coordinates of each determinant (`det_cyclotomic_poly`: h, z,
     group-ring determinants) or its norm to Q(u) (`det_norm_cyclotomic`:
-    level h, product formula; j = 0: a cover's h and det(D - A_x));
+    level h, product formula; j = 0: a cover's h and det(D - A_x)).  A
+    problem repeated in a list is evaluated once; per prime one table,
+    one chunked elimination and one inversion of denominators serve every
+    problem, then one interpolation, one Lagrange step per j and one CRT;
   - matrices over Q[Z/p^n Z] (`det_groupring_poly`): one orbit
     representative per j, reassembled by `from_character_polys`;
   - norms from Q[Z/p^n Z][u] to Q[H][u] (`norm_groupring_poly`): all p^n
@@ -24,6 +27,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -165,42 +169,46 @@ def _crt_signed(residues, primes: list[int]) -> np.ndarray:
     return np.concatenate([(value + m // 2) % m - m // 2, *reversed(done)])
 
 
-def _det_mod_batch(mats: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants of a (b, k, k) integer batch, element i mod the prime moduli[i] < 2^31.
+# entries from which `_det_mod_batch` reduces a column step by floor division: numpy's int64 `%`
+# is slow on negative entries (about 7 against 2.5 ns an entry), a floor division by a scalar is
+# not (4.4 ns), but it has the larger fixed cost
+_FLOOR_DIVIDE_MIN = 1 << 9
 
-    Returned as (num, den): det i = num[i] / den[i] mod moduli[i], den[i] a
-    unit, so a caller inverts once per prime.  Division-free elimination: at
-    column c every element takes its own first nonzero pivot (a row swap
-    where needed) and replaces each lower row r by
-    pivot * r - m[r][c] * (pivot row), which multiplies the determinant by
-    pivot^(k-1-c).  With P_c the product of the first c + 1 pivots, the
-    determinant is sign * P_(k-1) / (P_0 ... P_(k-2)).
+
+def _det_mod_batch(mats: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants of a (b, k, k) integer batch mod the prime q < 2^31.
+
+    Returned as (num, den): det i = num[i] / den[i] mod q, den[i] a unit, so
+    a caller inverts once per prime.  Division-free elimination: at column c
+    every element takes its own first nonzero pivot (a row swap where needed)
+    and replaces each lower row r by pivot * r - m[r][c] * (pivot row), which
+    multiplies the determinant by pivot^(k-1-c).  With P_c the product of the
+    first c + 1 pivots, the determinant is sign * P_(k-1) / (P_0 ... P_(k-2)).
     """
     b, k, _ = mats.shape
-    q = np.asarray(moduli, dtype=np.int64)
-    qm = q[:, None, None]
-    m = mats % qm
-    rows = np.arange(b)
-    sign = np.ones(b, dtype=np.int64)
-    alive = np.ones(b, dtype=bool)
-    run = np.ones(b, dtype=np.int64)
-    den = np.ones(b, dtype=np.int64)
+    m = mats % q
+    sign, alive, run, den = 1, True, np.ones(b, dtype=np.int64), np.ones(b, dtype=np.int64)
     for c in range(k):
-        nonzero = m[:, c:, c] != 0
-        alive &= nonzero.any(axis=1)
-        r = c + nonzero.argmax(axis=1)
-        swap = r != c
-        if swap.any():
-            pivot_rows = m[rows, r].copy()
-            m[rows, r] = m[:, c]
-            m[:, c] = pivot_rows
-            sign[swap] = -sign[swap]
+        shift = (m[:, c:, c] != 0).argmax(axis=1)  # to the first nonzero pivot; 0 if there is none
+        if shift.any():
+            rows = shift.nonzero()[0]
+            r = c + shift[rows]
+            pivot_rows = m[rows, r]
+            m[rows, r] = m[rows, c]
+            m[rows, c] = pivot_rows
+            sign = np.where(shift != 0, -sign, sign)
+        alive = alive & (m[:, c, c] != 0)
         piv = np.where(alive, m[:, c, c], 1)
         if c + 1 < k:
             # the reduction is written in place: each fresh temporary this size costs page faults
             rest = piv[:, None, None] * m[:, c + 1 :, c + 1 :]
             rest -= m[:, c + 1 :, c, None] * m[:, c, None, c + 1 :]
-            np.remainder(rest, qm, out=m[:, c + 1 :, c + 1 :])
+            if rest.size < _FLOOR_DIVIDE_MIN:
+                np.remainder(rest, q, out=m[:, c + 1 :, c + 1 :])
+            else:  # rest mod q, rest of either sign
+                quotient = rest // q
+                quotient *= q
+                np.subtract(rest, quotient, out=m[:, c + 1 :, c + 1 :])
         if c > 0:
             den = den * run % q
         run = run * piv % q
@@ -216,25 +224,35 @@ def _inverses_mod(row: list[int], q: int) -> list[int]:
     return prefix[:-1]
 
 
-def _interpolate_mod(values: np.ndarray, moduli) -> np.ndarray:
-    """Row i: the coefficients mod q_i of the polynomial of degree <= D taking values[i, t] at
-    t = 0..D (moduli: one prime q, or q_i row by row, each above D), by Newton's divided
-    differences on the nodes 0..D and the Newton form expanded, vectorized over the rows."""
-    points = values.shape[1]
+def _interpolate_mod(values: np.ndarray, moduli, counts) -> np.ndarray:
+    """Row i: the coefficients mod q_i of the polynomial of degree < P_i taking values[i, t] at
+    t = 0..P_i - 1, zero past them (moduli: one prime q, or q_i row by row, each above its P_i;
+    counts: P_i row by row, largest first); values is overwritten, and read only below P_i.
+
+    Newton's divided differences on the nodes 0, 1, ... and the Newton form expanded, vectorized
+    over the rows.  A row's differences of order P_i and above vanish, so rows of every count
+    share one pass: step k works on the rows with P_i > k, a prefix.
+    """
+    width = values.shape[1]
+    if width == 1:  # constants
+        return values
     qcol = np.reshape(moduli, (-1, 1))
-    row_primes = qcol.reshape(-1).tolist()  # the node differences 1..D, inverted once per prime
-    table = {q: np.array(_inverses_mod(list(range(1, points)), q), dtype=np.int64) for q in set(row_primes)}
-    inverses = np.array([table[q] for q in row_primes], dtype=np.int64).reshape(len(row_primes), points - 1)
-    newton = values.copy()
-    for k in range(1, points):
+    live = np.searchsorted(-np.asarray(counts), -np.arange(width)).tolist()  # the rows with P_i > k
+    row_primes = qcol.reshape(-1).tolist()  # the node differences 1..width - 1, inverted once per prime
+    table = {q: _inverses_mod(list(range(1, width)), q) for q in set(row_primes)}
+    inverses = np.array([table[q] for q in row_primes], dtype=np.int64).reshape(len(row_primes), width - 1)
+    newton = values
+    for k in range(1, width):
         # node i minus node i - k is k; the product of two residues fits in int64
-        newton[:, k:] = (newton[:, k:] - newton[:, k - 1 : -1]) * inverses[:, k - 1 : k] % qcol
-    # mono[:, 1:]: the Newton form from node k on; with newton_k in mono[:, 0], a shifted difference
-    mono = np.zeros((len(newton), points + 1), dtype=np.int64)
-    mono[:, 1] = newton[:, -1]
-    for k in range(points - 2, -1, -1):
-        mono[:, 0] = newton[:, k]
-        mono[:, 1:] = (mono[:, :-1] - k * mono[:, 1:]) % qcol
+        n = live[k]
+        newton[:n, k:] = (newton[:n, k:] - newton[:n, k - 1 : -1]) * inverses[:n, k - 1 : k] % qcol[:n]
+    # mono[:, 1:]: the Newton form from node k on, of degree < width - k; newton_k in mono[:, 0]
+    mono = np.zeros((len(values), width + 1), dtype=np.int64)
+    mono[: live[-1], 1] = newton[: live[-1], -1]
+    for k in range(width - 2, -1, -1):
+        n, w = live[k], width - k
+        mono[:n, 0] = newton[:n, k]
+        mono[:n, 1 : w + 1] = (mono[:n, :w] - k * mono[:n, 1 : w + 1]) % qcol[:n]
     return mono[:, 1:]
 
 
@@ -290,91 +308,149 @@ def _row_bounds(k: int, terms) -> tuple[int, int]:
 def _det_orbits(problems, p: int, norm: bool) -> list:
     """The one multimodular pass behind `det_norm_cyclotomic` (norm) and `det_cyclotomic_poly`.
 
-    A problem takes the first primes q = 1 mod p^J (J the largest j) its bound needs: ranked by
-    bound, those at a prime are a prefix.  Per prime, powers of one g of order p^J give each root
-    g^(p^(J-j) u), u a unit mod p^j.  Matrices padded to the largest k with identity rows and
-    columns are evaluated by Horner's rule, and `_det_mod_batch` eliminates chunks of about
-    `_BATCH_ENTRIES` entries across problems, each cut to the largest k it holds.
+    Equal problems (k, terms, j), the same object or a copy, are evaluated once, and their result
+    is returned at every position that repeats them.  A problem takes the first primes q = 1 mod
+    p^J (J the largest j) its bound needs: ranked by bound, those at a prime are a prefix.  Stages:
+      - per prime, powers of one g of order p^J give each root g^(p^(J-j) u), u a unit mod p^j,
+        and one table holds every problem's matrix at its roots, padded to the largest k with
+        identity rows and columns;
+      - the table is evaluated at the points t by Horner's rule, and `_det_mod_batch` eliminates
+        chunks of about `_BATCH_ENTRIES` entries across problems, each cut to the largest k it
+        holds;
+      - one `_inverses_mod` pass per prime inverts every denominator (for a norm, after the
+        product over the roots);
+      - one `_interpolate_mod` call takes every row of every problem and prime, each row with
+        its own point count;
+      - for coordinates, the Lagrange step on the roots is one product per prime and j;
+      - one signed CRT lifts everything.
     """
+    position = range(len(problems))
+    if len(problems) > 1:
+        index: dict = {}
+        position = [index.setdefault((k, tuple(terms), j), len(index)) for k, terms, j in problems]
+        problems = list(index)
     if not problems:
         return []
-    big_j, k_max = max(j for _, _, j in problems), max(k for k, _, _ in problems)
-    phis, points, targets, terms_at = [], [], [], []
+    big_j = max(j for _, _, j in problems)
+    phis, points, targets = [], [], []
     for k, terms, j in problems:
-        phis.append(euler_phi_prime_power(p, j))
+        phi = euler_phi_prime_power(p, j)
         bound, degree = _row_bounds(k, terms)
-        points.append(phis[-1] * degree + 1 if norm else degree + 1)
-        targets.append(max(2 * bound ** phis[-1], 1) if norm else 2 * (p - 1) * bound + 1)
-        # per (term, root): position (d, r, c), power of g (exp first reduced mod p^j), coefficient
-        units = np.array([u for u in range(p**j) if u % p] if j else [0], dtype=np.int64)
-        padded = [*terms, *((x, x, 0, 0, 1) for x in range(k, k_max))]
-        rows = np.array([(t[3], t[0], t[1], t[2] % p**j) for t in padded], dtype=np.int64).reshape(-1, 4)
-        power = rows[:, 3, None] * units % p**j * p ** (big_j - j)
-        terms_at.append((rows[:, :3].T[:, :, None], power, _int_array([t[4] for t in padded])[:, None]))
-    primes = _modular_primes(max(targets), p**big_j)
-    rank = sorted(range(len(problems)), key=lambda i: -targets[i])
-    problems, phis, points, terms_at = ([x[i] for i in rank] for x in (problems, phis, points, terms_at))
-    counts = [len(_modular_primes(targets[i], p**big_j)) for i in rank]
+        phis.append(phi)
+        points.append(phi * degree + 1 if norm else degree + 1)
+        targets.append(max(2 * bound**phi, 1) if norm else 2 * (p - 1) * bound + 1)
+    rank = sorted(range(len(problems)), key=targets.__getitem__, reverse=True)
+    primes = _modular_primes(targets[rank[0]], p**big_j)
+    moduli = list(itertools.accumulate(primes, operator.mul))
+    counts = [bisect.bisect_right(moduli, targets[i]) + 1 for i in rank]  # primes per problem
+    problems, phis, points = ([x[i] for i in rank] for x in (problems, phis, points))
+    k_max = max(k for k, _, _ in problems)
+    # per term, identity padding included: first slot, position (d, r, c) and exp p^(J-j), exp
+    # first reduced mod p^j; then per (term, root) the slot (problem, root) and the power of g,
+    # from the i-th unit mod p^j, i + i // (p - 1) + 1
+    slots, head, coeffs, sizes = [0], [], [], []
+    for (k, terms, j), phi in zip(problems, phis):
+        slot, scale = slots[-1], p ** (big_j - j)
+        head += [(slot, t[3], t[0], t[1], t[2] % p**j * scale) for t in terms]
+        head += [(slot, 0, x, x, 0) for x in range(k, k_max)]
+        coeffs += [t[4] for t in terms] + [1] * (k_max - k)
+        slots.append(slot + phi)
+        sizes.append(len(terms) + k_max - k)
+    cells, coeffs = np.array(head, dtype=np.int64).reshape(-1, 5).T, _int_array(coeffs)
+    cell_ends = list(itertools.accumulate((x * phi for x, phi in zip(sizes, phis)), initial=0))
+    if big_j:  # one cell per (term, root)
+        roots = np.repeat(phis, sizes)
+        cells, coeffs = np.repeat(cells, roots, axis=1), np.repeat(coeffs, roots)
+        root = np.arange(cells.shape[1]) - np.repeat(np.cumsum(roots) - roots, roots)
+        cells[0] += root
+        cells[4] = cells[4] * (root + root // (p - 1) + 1) % p**big_j
     degree = max((t[3] for _, terms, _ in problems for t in terms), default=0)  # of an entry
     starts = list(itertools.accumulate((phi * x for phi, x in zip(phis, points)), initial=0))  # (root, t)
-    slots = list(itertools.accumulate(phis, initial=0))  # (problem, root)
-    found, powers = [[] for _ in problems], []  # per problem and prime: values at (root, t)
-    buffer = np.empty((2, max(b - a for a, b in zip(starts, starts[1:]))), dtype=np.int64)  # of one problem
+    plan, start = [], 0  # chunks (start, stop, first owner, last owner, largest k)
+    while start < starts[-1]:
+        first = bisect.bisect_right(starts, start) - 1
+        stop = min(start + max(1, _BATCH_ENTRIES // max(1, problems[first][0] ** 2)), starts[-1])
+        kc = max(problems[r][0] for r in range(first, bisect.bisect_left(starts, stop)))
+        stop = min(stop, start + max(1, _BATCH_ENTRIES // max(1, kc * kc)))
+        plan.append((start, stop, first, bisect.bisect_left(starts, stop) - 1, kc))
+        start = stop
+    at = np.array([starts[:-1], slots[:-1], points])  # per problem: first evaluation, first slot, points
+    # the interpolation grid: rows (problem, prime, root), problems by decreasing points; one
+    # "root", the product, for a norm
+    heights = [1 if norm else phi for phi in phis]
+    layout = sorted(range(len(problems)), key=points.__getitem__, reverse=True)
+    first_row = dict(zip(layout, itertools.accumulate((counts[r] * heights[r] for r in layout), initial=0)))
+    grid = np.zeros((sum(c * h for c, h in zip(counts, heights)), max(points)), dtype=np.int64)
+    row_primes = [q for r in layout for q in primes[: counts[r]] for _ in range(heights[r])]
+    row_points = [points[r] for r in layout for _ in range(counts[r] * heights[r])]
+    buffer = np.empty((2, starts[-1]), dtype=np.int64)  # num, den at every (problem, root, t)
+    powers = []
     for s, q in enumerate(primes):
         active = sum(count > s for count in counts)
         powers.append(_root_powers(q, p, big_j))
         table = np.zeros((slots[active], degree + 1, k_max, k_max), dtype=np.int64)
-        for r, (position, power, coeff) in enumerate(terms_at[:active]):
-            at_q = (coeff % q).astype(np.int64) * powers[s][power] % q
-            np.add.at(table, (np.arange(slots[r], slots[r + 1]), *position), at_q)
-        start = 0
-        while start < starts[active]:  # a chunk: at most _BATCH_ENTRIES entries of its largest k x k
-            first = bisect.bisect_right(starts, start) - 1
-            stop = min(start + max(1, _BATCH_ENTRIES // max(1, problems[first][0] ** 2)), starts[active])
-            kc = max(problems[r][0] for r in range(first, bisect.bisect_left(starts, stop)))
-            stop = min(stop, start + max(1, _BATCH_ENTRIES // max(1, kc * kc)))
-            owners = range(first, bisect.bisect_left(starts, stop))
-            # the slot (problem, root) and the point t of each evaluation in [start, stop)
-            spans = [(r, np.arange(max(start, starts[r]), min(stop, starts[r + 1])) - starts[r]) for r in owners]
-            where, t = (np.concatenate(x) if len(spans) > 1 else x[0] for x in zip(*[
-                (x // points[r] + slots[r], x % points[r]) for r, x in spans]))
-            batch = table[where, degree, :kc, :kc] % q
+        live = cells[:, : cell_ends[active]]
+        at_q = np.remainder(coeffs[: cell_ends[active]], q).astype(np.int64, copy=False) * powers[s][live[4]]
+        np.add.at(table, tuple(live[:4]), at_q % q)
+        table %= q
+        for start, stop, first, last, kc in plan:
+            if start >= starts[active]:
+                break
+            stop = min(stop, starts[active])
+            if first == last:  # the slot (problem, root) and the point t of each evaluation
+                where, t = np.divmod(np.arange(start - starts[first], stop - starts[first]), points[first])
+                where += slots[first]
+            else:  # a search per evaluation: a chunk of small problems
+                ev = np.arange(start, stop)
+                o = at[:, np.searchsorted(at[0], ev, side="right") - 1]
+                where, t = np.divmod(ev - o[0], o[2])
+                where += o[1]
+            batch = table[where, degree, :kc, :kc]
             for e in range(degree - 1, -1, -1):
                 batch = (batch * t[:, None, None] + table[where, e, :kc, :kc]) % q
-            num, den = _det_mod_batch(batch, np.full(len(t), q))
-            for r in owners:  # into the buffer while a problem is in progress; at its end, its values
-                lo, hi, at = max(start, starts[r]), min(stop, starts[r + 1]), starts[r]
-                buffer[:, lo - at : hi - at] = num[lo - start : hi - start], den[lo - start : hi - start]
-                if hi < starts[r + 1]:
-                    continue
-                num_r, den_r = buffer[:, : hi - at].reshape(2, phis[r], -1)  # (root, t)
-                if norm:  # N mod q at each point: the product over the roots
-                    num_r, den_r = _prod_mod(num_r, q)[None], _prod_mod(den_r, q)[None]
-                inverses = np.array(_inverses_mod(den_r.reshape(-1).tolist(), q), dtype=np.int64)
-                found[r].append(num_r * inverses.reshape(den_r.shape) % q)
-            start = stop
-    for count in set(points):  # one interpolation per point count: rows (problem, prime, root)
-        group = [r for r in range(len(problems)) if points[r] == count]
-        moduli = [primes[s] for r in group for s, x in enumerate(found[r]) for _ in x]
-        mono, lo = _interpolate_mod(np.concatenate([x for r in group for x in found[r]]), moduli), 0
-        for r in group:  # (prime, root, u^d); one "root", the product, for a norm
-            size = len(found[r]) * len(found[r][0])
-            found[r], lo = mono[lo : lo + size].reshape(len(found[r]), -1, count), lo + size
-    if not norm:  # coordinates: Lagrange interpolation on the roots
-        for r, (_, _, j) in enumerate(problems):
-            found[r] = x = found[r].transpose(0, 2, 1)  # (prime, u^d, root)
-            if j:  # V[w, l] mod q = (w^-l - w^(s (l // s + 1) - l)) / p^j, w = g^(p^(J-j) u), prime by prime
-                s, u, l = p ** (j - 1), np.array([u for u in range(p**j) if u % p])[:, None], np.arange(phis[r])
-                e0, e1 = (e * u % p**j * p ** (big_j - j) for e in (-l, (l // s + 1) * s - l))
-                for y, q, table in zip(x, primes, powers):
-                    y[:] = _matmul_mod(y, (table[e0] - table[e1]) * pow(p**j, -1, q) % q, q)
+            buffer[:, start:stop] = _det_mod_batch(batch, q)
+        num, den = buffer[:, : starts[active]]
+        if norm and big_j:  # N mod q at each point: the product over the roots
+            num, den = (np.concatenate([
+                _prod_mod(x[starts[r] : starts[r + 1]].reshape(phis[r], -1), q) for r in range(active)
+            ]) for x in (num, den))
+        if k_max > 1:  # den = 1 below
+            num = num * np.array(_inverses_mod(den.tolist(), q), dtype=np.int64) % q
+        lo = 0
+        for r in range(active):  # into the grid rows of (r, s)
+            h, row = heights[r], first_row[r] + s * heights[r]
+            grid[row : row + h, : points[r]] = num[lo : lo + h * points[r]].reshape(h, -1)
+            lo += h * points[r]
+    grid = _interpolate_mod(grid, row_primes, row_points)
+    found = [  # per problem: (prime, root, u^d)
+        grid[first_row[r] : first_row[r] + c * h, :x].reshape(c, h, x)
+        for r, (c, h, x) in enumerate(zip(counts, heights, points))
+    ]
+    if norm:
+        found = [x[:, 0] for x in found]
+    else:  # coordinates: Lagrange interpolation on the roots, one product per prime and j
+        found = [list(x.transpose(0, 2, 1)) for x in found]  # per prime: (u^d, root)
+        for j in set(j for _, _, j in problems) - {0}:
+            # V[w, l] mod q = (w^-l - w^(s (l // s + 1) - l)) / p^j, w = g^(p^(J-j) u)
+            s, u = p ** (j - 1), np.array([u for u in range(p**j) if u % p])[:, None]
+            l = np.arange(len(u))
+            e0, e1 = (e * u % p**j * p ** (big_j - j) for e in (-l, (l // s + 1) * s - l))
+            group = [r for r, (_, _, i) in enumerate(problems) if i == j]
+            for prime, (q, table) in enumerate(zip(primes, powers)):
+                users = [r for r in group if counts[r] > prime]
+                if not users:
+                    break
+                v = (table[e0] - table[e1]) * pow(p**j, -1, q) % q
+                y, lo = _matmul_mod(np.concatenate([found[r][prime] for r in users]), v, q), 0
+                for r in users:
+                    found[r][prime], lo = y[lo : lo + points[r]], lo + points[r]
     # one signed CRT: at prime s the residues of the problems that use it, a prefix
     residues = [np.concatenate([x[s].reshape(-1) for x in found if len(x) > s]) for s in range(len(primes))]
     lifted, lo, out = _crt_signed(residues, primes), 0, [None] * len(problems)
     for i, x in zip(rank, found):
-        out[i] = lifted[lo : lo + x[0].size].reshape(-1 if norm else x[0].shape).tolist()
+        out[i] = lifted[lo : lo + x[0].size].reshape(x[0].shape)
         lo += x[0].size
-    return out
+    return [out[i].tolist() for i in position]
 
 
 def det_norm_cyclotomic(problems, p: int) -> list[list[int]]:
@@ -482,6 +558,6 @@ def norm_groupring_poly(terms, m: int, subgroup_order: int) -> UniPoly:
         # psi_a(c x)(t) for a = i p^h + b, multiplied over i, then back over H
         values = _prod_mod(_matmul_mod(powers[forward], values, q).reshape(k, ph, -1), q)
         values = _matmul_mod(powers[back], values, q) * pow(ph, -1, q) % q
-        residues.append(_interpolate_mod(values, q))
+        residues.append(_interpolate_mod(values, q, [len(t)] * ph))
     coords = _crt_signed(np.array(residues, dtype=object), primes).T.tolist()
     return UniPoly([GroupRingElem(ph, [Fraction(v, c**k) for v in row]) for row in coords])

@@ -1,6 +1,6 @@
 """Branched towers of graph covers built from integer voltage assignments.
 
-A tower datum is a connected base graph, a prime p, an antisymmetric
+A tower datum is a nonempty connected base graph, a prime p, an antisymmetric
 integer voltage on the darts, and a ramification choice per vertex:
 either unramified (trivial stabilizer at every level) or Ramified(k),
 meaning the level-n stabilizer is the subgroup p^min(k,n) Z/p^n Z.
@@ -60,6 +60,8 @@ class TowerDatum:
         for k in self.ram:
             if k is not None and (not isinstance(k, int) or k < 0):
                 raise DatumError(f"ramification exponent must be a nonnegative integer, got {k!r}")
+        if not self.base.n_vertices:
+            raise DatumError("base graph has no vertices")
         if not connected(self.base):
             raise DatumError("base graph not connected")
 

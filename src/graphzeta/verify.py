@@ -3,6 +3,11 @@
 Every item recomputes one identity from two independent routes at a single
 tower level and reports pass/fail; the inflation item is informational
 (the two sides genuinely may differ, and for ramified data they should).
+The character tables of the battery, h and z at level n and h at the
+quotient level n - h, come from one `character_tables` call, so one
+determinant kernel pass; the product formula's orbit norms, the cover's h
+and the group-ring determinant of the subgroup action take one kernel call
+each.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .graphs import (
     spanning_tree_count,
 )
 from .groupring import CharacterLabel, subgroup_exponent
-from .lfunctions import character_table, product_formula_check, r0, vanishing_order_check
+from .lfunctions import character_tables, product_formula_check, r0, vanishing_order_check
 from .poly import UniPoly
 from .report import poly_text
 from .tower import LevelGraph, TowerDatum, build_level_graph, level_shape
@@ -57,9 +62,9 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
     graph = lg.graph
     if not connected(graph):
         raise HypothesisError(f"level {n} disconnected")
-    table = character_table(d, n)
     h_exp = subgroup_exponent(p**n, subgroup_order)
-    quotient = character_table(d, n - h_exp) if h_exp else table
+    tables = character_tables(d, [n, n - h_exp] if h_exp else [n], (n,))
+    table, quotient = tables[0], tables[-1]
 
     pc = product_formula_check(table, graph)
     items.append(

@@ -131,6 +131,18 @@ def test_cli_exit_code_validation_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_a_base_graph_without_vertices(tmp_path, capsys):
+    # the base of a Z_p-tower is a nonempty connected graph; every command exits 1 on an empty one
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(_doc(vertices=[], edges=[], ramification={})), encoding="utf-8")
+    for cmd in ("tower", "invariants", "zeta", "lfunctions", "verify"):
+        for machine in ([], ["--json"]):
+            assert main([cmd, str(empty), *machine]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {empty}: base graph has no vertices\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -16,6 +16,7 @@ from graphzeta.graphs import SerreGraph, connected, ihara_zeta_reciprocal, spann
 from graphzeta.lfunctions import (
     CharacterLabel,
     character_table,
+    character_tables,
     characters,
     h_poly,
     level_h_poly,
@@ -349,15 +350,14 @@ def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
         for j in range(n + 1):
             list(table.orbit_rows(j)), table.z(j), table.z(j)
         assert calls == [orbits, orbits]
-    # one verify battery: h and z of the level-4 table, h of the quotient table at level 3, eta
-    # of the order-2 subgroup action, the norms of the product formula and the cover's h
+    # one verify battery: h of the level-4 table, h of the quotient table at level 3 and z of the
+    # level-4 table in one call, eta of the order-2 subgroup action, the norms of the product
+    # formula and the cover's h
     calls.clear()
     run_battery(d, 4)
     assert sorted(calls) == [
         ("det_cyclotomic_poly", [0, 1]),
-        ("det_cyclotomic_poly", [0, 1, 2, 3]),
-        ("det_cyclotomic_poly", [0, 1, 2, 3, 4]),
-        ("det_cyclotomic_poly", [0, 1, 2, 3, 4]),
+        ("det_cyclotomic_poly", [0, 1, 2, 3, 4, 0, 1, 2, 3, 0, 1, 2, 3, 4]),
         ("det_norm_cyclotomic", [0]),
         ("det_norm_cyclotomic", [0, 1, 2, 3, 4]),
     ]
@@ -366,11 +366,26 @@ def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
     run_battery(d, 3, 1)
     assert sorted(calls) == [
         ("det_cyclotomic_poly", [0]),
-        ("det_cyclotomic_poly", [0, 1, 2, 3]),
-        ("det_cyclotomic_poly", [0, 1, 2, 3]),
+        ("det_cyclotomic_poly", [0, 1, 2, 3, 0, 1, 2, 3]),
         ("det_norm_cyclotomic", [0]),
         ("det_norm_cyclotomic", [0, 1, 2, 3]),
     ]
+
+
+def test_character_tables_split_one_kernel_call_into_one_level_tables(monkeypatch):
+    # the h and z of several levels from one call equal those of one-level tables
+    calls = _record_kernels(monkeypatch)
+    for name, levels in (("double_edge.json", [4, 2, 0]), ("triple_star.json", [2, 1])):
+        d = load_datum(FIXTURES / name)
+        calls.clear()
+        tables = character_tables(d, levels, (levels[0], levels[-1]))
+        assert len(calls) == 1
+        for n, table in zip(levels, tables):
+            alone = character_table(d, n)
+            assert (table.level, table.representatives) == (n, alone.representatives)
+            assert table.rep_coordinates == alone.rep_coordinates
+            assert (table.rep_z is not None) == (n in (levels[0], levels[-1]))
+            assert [table.z(j) for j in range(n + 1)] == [alone.z(j) for j in range(n + 1)]
 
 
 def test_orbit_loops_make_one_kernel_call(monkeypatch):

@@ -231,10 +231,10 @@ def test_batched_modular_det_matches_bareiss():
         ]
         mats.append([[0] * k for _ in range(k)])
         mats.append([[1] * k for _ in range(k)])
-        moduli = [primes[i % len(primes)] for i in range(len(mats))]
-        num, den = _det_mod_batch(np.array(mats, dtype=np.int64), np.array(moduli))
-        dets = [int(a) * pow(int(b), -1, q) % q for a, b, q in zip(num, den, moduli)]
-        assert dets == [det_bareiss_int(m) % q for m, q in zip(mats, moduli)]
+        for q in primes:
+            num, den = _det_mod_batch(np.array(mats, dtype=np.int64), q)
+            dets = [int(a) * pow(int(b), -1, q) % q for a, b in zip(num, den)]
+            assert dets == [det_bareiss_int(m) % q for m in mats]
 
 
 def test_modular_primes_are_one_mod_m():
@@ -560,23 +560,56 @@ def _problem_lists(draw):
         else:
             terms = []
         problems.append((k, terms, j))
+    # repeats of earlier problems, as the same object or as an equal copy
+    for i in draw(st.lists(st.integers(0, len(problems) - 1), max_size=3)):
+        k, terms, j = problems[i]
+        problems.append(problems[i] if draw(st.booleans()) else (k, list(terms), j))
     return p, problems
 
 
 @settings(max_examples=40)
 @example((2, [(2, [(0, 0, 1, 3, 5), (1, 1, 0, 0, 1), (0, 1, 2, 1, -7)], 3)]))  # a single problem
 @example((3, [(0, [], 2), (3, [(0, 0, 0, 0, 1), (1, 1, 0, 0, 1), (2, 2, 0, 2, 1)], 0), (1, [], 1)]))
+@example((2, [(1, [(0, 0, 1, 1, 3)], 2), (2, [(0, 0, 0, 1, 1), (1, 1, 1, 0, 2)], 1)] * 2))  # repeats
+@example((2, [(1, [(0, 0, 0, 0, 3)], 0), (1, [(0, 0, 0, 0, 10**12)], 0)]))  # one chunk, 1 and 2 primes
 @given(_problem_lists())
 def test_batched_kernels_match_the_oracles_problem_by_problem(case):
+    # every position, a repeated problem's among them, equals its one-problem call and the oracle
     p, problems = case
     dets = det_cyclotomic_poly(problems, p)
     norms = det_norm_cyclotomic(problems, p)
     assert len(dets) == len(norms) == len(problems)
-    for (k, terms, j), det, norm in zip(problems, dets, norms):
+    for problem, det, norm in zip(problems, dets, norms):
+        k, terms, j = problem
         want = _cyclo_det_oracle(p, j, k, terms)
         assert UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det]) == want
         assert all(type(a) is int for x in det for a in x) and all(type(a) is int for a in norm)
         assert UniPoly(norm) == _norm_by_conjugates(p, j, k, terms)
+        assert det == det_cyclotomic_poly([problem], p)[0] and norm == det_norm_cyclotomic([problem], p)[0]
+    assert len({id(x) for x in dets + norms}) == 2 * len(problems)  # no result shared between positions
+
+
+def test_repeated_problems_are_evaluated_once(monkeypatch):
+    # the eliminations for a list with repeats, as the same object and as copies, are those of
+    # the list without them
+    batches = []
+    original = linalg._det_mod_batch
+
+    def recorder(mats, q):
+        batches.append((mats.tolist(), q))
+        return original(mats, q)
+
+    monkeypatch.setattr(linalg, "_det_mod_batch", recorder)
+    a = (2, [(0, 0, 1, 1, 3), (0, 1, 0, 0, -2), (1, 0, 2, 2, 5), (1, 1, 0, 0, 1)], 2)
+    b = (1, [(0, 0, 1, 1, 7), (0, 0, 0, 0, 1)], 1)
+    copy = (a[0], list(a[1]), a[2])
+    for kernel in (det_cyclotomic_poly, det_norm_cyclotomic):
+        batches.clear()
+        once = kernel([a, b], 3)
+        evaluated = list(batches)
+        batches.clear()
+        assert kernel([a, b, a, copy, b], 3) == [once[0], once[1], once[0], once[0], once[1]]
+        assert batches == evaluated
 
 
 def test_row_bound_dominates_the_determinant_and_its_norm():
