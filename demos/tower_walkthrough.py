@@ -20,7 +20,7 @@ from graphzeta import (
     tower_sweep,
 )
 from graphzeta.equivariant import inflation_check, norm_map
-from graphzeta.lfunctions import character_table, characters, lfn_data, special_values
+from graphzeta.lfunctions import character_table, r0
 
 
 def main():
@@ -33,13 +33,13 @@ def main():
         print(f"level {n}: {g.n_vertices} vertices, {g.n_edges} edges")
 
     print("\n== character data at level 2 ==")
-    for psi in characters(2, 2):
-        data = lfn_data(datum, 2, psi)
-        sv = special_values(datum, 2, psi)
-        print(
-            f"character a={psi.a} (order {psi.order}): r0={data.r0},"
-            f" c-exponent={data.c_exponent}, h(1)={sv.h_at_one!r}"
-        )
+    # one Galois orbit per order 2^j; h(1) as coordinates on 1, zeta, ... of Q(zeta_{2^j})
+    table = character_table(datum, 2)
+    chi_base = base.n_vertices - base.n_edges
+    for j, rep in enumerate(table.representatives):
+        r = r0(datum, 2, rep)  # constant on the orbit
+        for a, _, h_at_one in table.orbit_rows(j):
+            print(f"character a={a} (order {rep.order}): r0={r}, c-exponent={r - chi_base}, h(1)={h_at_one}")
 
     print("\n== equivariant polynomial and the failure of inflation ==")
     print("eta(u) =", eta_poly(character_table(datum, 2)))

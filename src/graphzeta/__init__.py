@@ -5,7 +5,7 @@ All arithmetic is exact: arbitrary-precision integers and rationals,
 prime-power cyclotomic fields, and group rings of cyclic p-groups.
 """
 
-from .cyclo import CycloNum, Valuation, ordp_cyclo, ordp_fraction, zeta
+from .cyclo import Valuation, ordp_fraction
 from .datum_io import datum_to_dict, dump_datum, load_datum, parse_datum
 from .equivariant import (
     EquivEulerChar,
@@ -30,7 +30,7 @@ from .graphs import (
     spanning_tree_count,
     validate_graph,
 )
-from .groupring import GroupRingElem, apply_character, groupring_idempotent
+from .groupring import GroupRingElem, groupring_idempotent
 from .iwasawa import (
     GSeries,
     IwasawaInvariants,
@@ -46,25 +46,19 @@ from .iwasawa import (
 from .lfunctions import (
     CharacterLabel,
     CharacterTable,
-    LfnData,
     character_table,
     character_tables,
     characters,
-    h_poly,
-    lfn_data,
     product_formula_check,
     r0,
-    special_values,
     vanishing_order_check,
     xi_poly,
-    z_poly,
 )
 from .poly import UniPoly
 from .tower import (
     LevelGraph,
     TowerDatum,
     build_level_graph,
-    level_matrices,
     ramification_profile,
     tower_euler_char,
 )

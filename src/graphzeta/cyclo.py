@@ -1,38 +1,34 @@
 """Exact arithmetic in prime-power cyclotomic fields Q(zeta_{p^j}).
 
-Elements are stored as rational polynomials in zeta = zeta_{p^j}, reduced
-modulo the cyclotomic polynomial Phi_{p^j}(X) = sum_{t<p} X^{t*p^(j-1)}.
-The coefficient vector has length phi(p^j), which is 1 at level j = 0
-(the field is then just Q).  The p-adic valuation extends uniquely to
-these fields; it is computed through the field norm.
+An element is a row of phi(p^j) coordinates in the power basis 1, zeta,
+..., zeta^(phi-1) of zeta = zeta_{p^j}, modulo the cyclotomic polynomial
+Phi_{p^j}(X) = sum_{t<p} X^{t*p^(j-1)}; at level j = 0 the row has one
+entry (the field is then just Q).  The kernels of `linalg` return integer
+rows, and the character table conjugates and sums them.
 
 `cyclotomic_norms` takes the norms of G(zeta_{p^j}) for an integer
 polynomial G at every j <= n at once, by Graeffe root-powering over Z:
-`CycloNum.norm` (so `ordp_cyclo`) and the orbit norms of the tower sweep
-use it.
+the orbit norms of the tower sweep use it.
 
 The Galois action sigma_u: zeta -> zeta^u is one index pair on the
-coordinates: `CycloNum.galois` applies it to one element,
-`galois_conjugates` to integer coordinate rows for many u at once.
+coordinates: `galois_conjugates` applies it to integer coordinate rows
+for many u at once.  The p-adic valuation of a rational number is
+`ordp_fraction`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "CycloNum",
     "Valuation",
     "cyclotomic_norms",
     "euler_phi_prime_power",
     "galois_conjugates",
-    "ordp_cyclo",
     "ordp_fraction",
-    "zeta",
 ]
 
 
@@ -41,15 +37,6 @@ def euler_phi_prime_power(p: int, j: int) -> int:
     if j == 0:
         return 1
     return p ** (j - 1) * (p - 1)
-
-
-def _phi_tail(p: int, j: int) -> list[tuple[int, Fraction]]:
-    # Phi_{p^j} = X^d + tail with d = phi(p^j).  Returns the tail as
-    # (exponent, coefficient) pairs; for j = 0 the polynomial is X - 1.
-    if j == 0:
-        return [(0, Fraction(-1))]
-    step = p ** (j - 1)
-    return [(t * step, Fraction(1)) for t in range(p - 1)]
 
 
 def _galois_index_pair(p: int, j: int, units) -> tuple[np.ndarray, np.ndarray]:
@@ -98,195 +85,6 @@ def galois_conjugates(p: int, j: int, rows, units) -> np.ndarray:
     if c.dtype != object and not np.all((c > -(2**62)) & (c < 2**62)):
         c = c.astype(object)
     return (c[:, a] - c[:, b]).transpose(1, 0, 2)
-
-
-def _reduce(p: int, j: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
-    # Reduce a dense coefficient list (exponents already < p^j) mod Phi_{p^j}.
-    d = euler_phi_prime_power(p, j)
-    tail = _phi_tail(p, j)
-    for i in range(len(dense) - 1, d - 1, -1):
-        c = dense[i]
-        if c:
-            dense[i] = Fraction(0)
-            for e, t in tail:
-                dense[i - d + e] -= c * t
-    out = dense[:d]
-    while len(out) < d:
-        out.append(Fraction(0))
-    return tuple(out)
-
-
-@dataclass(eq=False)
-class CycloNum:
-    """Element of Q(zeta_{p^j}) in the power basis 1, zeta, ..., zeta^(phi-1)."""
-
-    p: int
-    j: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        d = euler_phi_prime_power(self.p, self.j)
-        if len(self.coeffs) != d:
-            raise ValueError(f"coefficient vector must have length {d}")
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def rational(p: int, value, j: int = 0) -> "CycloNum":
-        """Embed a rational number at level j (default: level 0, i.e. Q)."""
-        d = euler_phi_prime_power(p, j)
-        coeffs = [Fraction(0)] * d
-        coeffs[0] = Fraction(value)
-        return CycloNum(p, j, tuple(coeffs))
-
-    @staticmethod
-    def from_monomials(p: int, j: int, monomials) -> "CycloNum":
-        """Build sum of c * zeta^e from (e, c) pairs; exponents arbitrary ints."""
-        order = p**j
-        dense = [Fraction(0)] * order
-        for e, c in monomials:
-            dense[e % order] += Fraction(c)
-        return CycloNum(p, j, _reduce(p, j, dense))
-
-    # -- coercion helpers ---------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, CycloNum):
-            if other.p != self.p or other.j != self.j:
-                raise ValueError(
-                    f"cyclotomic level mismatch: ({self.p},{self.j}) vs"
-                    f" ({other.p},{other.j}); lift explicitly"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloNum.rational(self.p, other, self.j)
-        return None
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloNum(self.p, self.j, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloNum(self.p, self.j, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = len(self.coeffs)
-        dense = [Fraction(0)] * (2 * n - 1 if n > 1 else 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for k, b in enumerate(o.coeffs):
-                if b:
-                    dense[i + k] += a * b
-        return CycloNum(self.p, self.j, _reduce(self.p, self.j, dense))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = CycloNum.rational(self.p, 1, self.j)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __repr__(self):
-        if self.is_rational():
-            return f"CycloNum({self.p},{self.j}; {self.coeffs[0]})"
-        terms = " + ".join(f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c)
-        return f"CycloNum({self.p},{self.j}; {terms})"
-
-    # -- field structure ----------------------------------------------
-
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def to_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not a rational element: {self!r}")
-        return self.coeffs[0]
-
-    def lift(self, j2: int) -> "CycloNum":
-        """Rewrite at a higher level via zeta_{p^j} = zeta_{p^j2}^(p^(j2-j))."""
-        if j2 < self.j:
-            raise ValueError("lift target level below current level")
-        if j2 == self.j:
-            return self
-        step = self.p ** (j2 - self.j)
-        return CycloNum.from_monomials(
-            self.p, j2, ((i * step, c) for i, c in enumerate(self.coeffs) if c)
-        )
-
-    def galois(self, u: int) -> "CycloNum":
-        """Apply the automorphism zeta -> zeta^u (u a unit mod p^j)."""
-        (a,), (b,) = _galois_index_pair(self.p, self.j, [u])
-        c = self.coeffs + (Fraction(0),)
-        out = (c[x] - c[y] if c[y] else c[x] for x, y in zip(a.tolist(), b.tolist()))
-        return CycloNum(self.p, self.j, tuple(out))
-
-    def norm(self) -> Fraction:
-        """Field norm down to Q: `cyclotomic_norms` of the integer numerator L x, over L^phi."""
-        den = math.lcm(*(Fraction(c).denominator for c in self.coeffs))
-        numerator = [int(c * den) for c in self.coeffs]
-        value = cyclotomic_norms(numerator, self.p, self.j)[self.j]
-        return Fraction(value, den ** euler_phi_prime_power(self.p, self.j))
-
-    def inverse(self) -> "CycloNum":
-        """1/x = prod_{u != 1} sigma_u(x) / N(x): the other conjugates over the norm."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        if self.j == 0:
-            return CycloNum.rational(self.p, 1 / Fraction(self.coeffs[0]))
-        others = CycloNum.rational(self.p, 1, self.j)
-        for u in range(2, self.p**self.j):
-            if u % self.p:
-                others = others * self.galois(u)
-        return others * (1 / self.norm())
-
-
-def zeta(p: int, j: int) -> CycloNum:
-    """A fixed primitive p^j-th root of unity (the power-basis generator)."""
-    return CycloNum.from_monomials(p, j, [(1, 1)])
 
 
 # -- norms of G(zeta_{p^j}) for every j, by Graeffe root-powering --------
@@ -430,13 +228,3 @@ def _ord_int(n: int, p: int) -> int:
             n //= q
             v += step
     return v
-
-
-def ordp_cyclo(x: CycloNum, p: int) -> Valuation:
-    """Unique extension of ord_p to Q(zeta_{p^j}): ord_p(norm)/phi(p^j)."""
-    if x.p != p:
-        raise ValueError(f"element lives over p={x.p}, not p={p}")
-    if not x:
-        return Valuation.infinite()
-    nv = ordp_fraction(x.norm(), p)
-    return Valuation(nv.value / euler_phi_prime_power(p, x.j))

@@ -1,9 +1,7 @@
 """The group ring Q[Z/mZ] and its character theory for m = p^n.
 
-Elements are coefficient vectors indexed by the group elements 0..m-1;
-multiplication is convolution mod m.  Coefficients are rational in the
-public data model, but cyclotomic coefficients are supported so that the
-primitive character idempotents e_psi can be manipulated directly.
+Elements are rational coefficient vectors indexed by the group elements
+0..m-1; multiplication is convolution mod m.
 
 Q[Z/p^n Z] splits into the fields Q(zeta_{p^j}), j = 0..n, one per Galois
 orbit of characters, so `from_character_values` takes one value per orbit,
@@ -15,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CycloNum
 from .poly import UniPoly
 
 __all__ = [
     "CharacterLabel",
     "GroupRingElem",
-    "apply_character",
-    "character_idempotent",
     "character_orbits",
     "characters",
     "factor_prime_power",
@@ -128,8 +123,8 @@ class GroupRingElem:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNum)) and not isinstance(other, GroupRingElem):
-            if isinstance(other, (int, Fraction)) and other == 0:
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
                 return GroupRingElem.zero(self.m)
             return GroupRingElem(self.m, [c * other for c in self.coeffs])
         o = self._coerce(other)
@@ -267,11 +262,6 @@ class CharacterLabel:
             raise ValueError("requested level below the character's order level")
         return self.a * self.p**level // self.p**self.n
 
-    def value(self, x: int) -> CycloNum:
-        """psi(x) as a cyclotomic number at the character's own level."""
-        j = self.order_exponent
-        return CycloNum.from_monomials(self.p, j, [(self.exponent_at(j) * x, 1)])
-
     def kernel_contains(self, subgroup_order: int) -> bool:
         """Does ker(psi) contain the unique subgroup of that order?"""
         m = self.p**self.n
@@ -299,54 +289,6 @@ def character_orbits(p: int, n: int) -> tuple[list[CharacterLabel], list[tuple[i
         j = psi.order_exponent
         orbits.append((j, psi.exponent_at(j) if j else 1))
     return reps, orbits
-
-
-def _monomials(p: int, level: int, c) -> list[tuple[int, Fraction]]:
-    # (exponent, coefficient) pairs of c in powers of zeta_{p^level}.
-    if not isinstance(c, CycloNum):
-        return [(0, c)]
-    if c.j > 0 and c.p != p:
-        raise ValueError("cyclotomic coefficient over the wrong prime")
-    scale = p ** (level - c.j) if c.j else 0
-    return [(i * scale, v) for i, v in enumerate(c.coeffs) if v]
-
-
-def apply_character(x: GroupRingElem, psi: CharacterLabel, *, level: int | None = None) -> CycloNum:
-    """Evaluate the C-algebra morphism psi on x.
-
-    The result lives at the character's own level unless a higher ambient
-    level is requested; cyclotomic coefficients in x force the level up.
-    Rational scalars are accepted as diagonally embedded constants.
-    """
-    p = psi.p
-    lvl = psi.order_exponent if level is None else level
-    if isinstance(x, (int, Fraction)):
-        return CycloNum.rational(p, x, lvl)
-    if p**psi.n != x.m:
-        raise ValueError(f"modulus mismatch: character mod {p**psi.n}, element mod {x.m}")
-    for c in x.coeffs:
-        if isinstance(c, CycloNum):
-            lvl = max(lvl, c.j)
-    step = psi.exponent_at(lvl)
-    return CycloNum.from_monomials(
-        p,
-        lvl,
-        (
-            (step * s + e, v)
-            for s, c in enumerate(x.coeffs)
-            if c
-            for e, v in _monomials(p, lvl, c)
-        ),
-    )
-
-
-def character_idempotent(p: int, n: int, a: int) -> GroupRingElem:
-    """Primitive idempotent e_psi, with cyclotomic coefficients at level n."""
-    m = p**n
-    # coefficient of [s] is psi(-s)/m
-    return GroupRingElem(
-        m, [CycloNum.from_monomials(p, n, [(-a * s, Fraction(1, m))]) for s in range(m)]
-    )
 
 
 def from_character_values(p: int, n: int, values) -> GroupRingElem:

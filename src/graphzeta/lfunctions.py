@@ -16,8 +16,6 @@ as `groupring.from_character_polys` takes them), `product_formula_check`.
 `character_tables` takes the h of several levels and the z of some of them
 in one call, which evaluates a determinant they share once (`verify`: h and
 z at level n, h at the quotient level).
-`h_poly` and `z_poly` (wrapped by `special_values`, `lfn_data`) are
-one-character calls of that route, not an oracle.
 
 `orbit_norms` takes the norms of det(D - A_zeta) on K_j for every j from
 one integer polynomial det(D - A_x) per distinct K_j
@@ -29,11 +27,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .cyclo import (
-    CycloNum,
     Valuation,
     cyclotomic_norms,
     euler_phi_prime_power,
@@ -54,14 +50,10 @@ from .tower import TowerDatum, tower_euler_char
 __all__ = [
     "CharacterLabel",
     "CharacterTable",
-    "LfnData",
-    "SpecialValues",
     "character_table",
     "character_tables",
     "characters",
-    "h_poly",
     "level_h_poly",
-    "lfn_data",
     "orbit_level_factor",
     "orbit_norms",
     "orbit_special_products",
@@ -69,12 +61,10 @@ __all__ = [
     "ordp_orbit_product",
     "product_formula_check",
     "r0",
-    "special_values",
     "trivial_h_derivative_at_one",
     "vanishing_order_check",
     "voltage_laplacian_det",
     "xi_poly",
-    "z_poly",
 ]
 
 
@@ -128,21 +118,6 @@ def _three_term_dets(d: TowerDatum, asks: list) -> list:
     return out
 
 
-def _three_term_poly(d: TowerDatum, n: int, psi: CharacterLabel, reduced: bool) -> UniPoly:
-    rows = _three_term_dets(d, [(n, [psi], reduced)])[0][0]
-    return UniPoly([CycloNum(d.p, psi.order_exponent, tuple(map(Fraction, x))) for x in rows])
-
-
-def h_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
-    """h(u, psi): the reduced three-term determinant, over Q(zeta_{p^j})."""
-    return _three_term_poly(d, n, psi, True)
-
-
-def z_poly(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
-    """z(u, psi): the full (unreduced) three-term determinant under psi."""
-    return _three_term_poly(d, n, psi, False)
-
-
 def level_h_poly(d: TowerDatum, n: int) -> UniPoly:
     """h_{X_n}(u) = det(I - A u + (D - I) u^2) of the level-n cover, without building it.
 
@@ -164,39 +139,6 @@ def xi_poly(table: CharacterTable) -> UniPoly:
     return from_character_polys(
         table.datum.p, table.level, [table.z(j) for j in range(table.level + 1)]
     )
-
-
-@dataclass(frozen=True)
-class SpecialValues:
-    h_at_one: CycloNum
-    h_derivative_at_one: Fraction | None  # only for the trivial character
-
-
-def special_values(d: TowerDatum, n: int, psi: CharacterLabel) -> SpecialValues:
-    """h(1, psi), plus h'(1, psi0) for the trivial character."""
-    # sums of (k times) the coefficients: no products in the field
-    h = h_poly(d, n, psi)
-    h1 = sum(h.coeffs, CycloNum.rational(psi.p, 0, psi.order_exponent))
-    if psi.is_trivial:
-        deriv = sum((k * c.to_rational() for k, c in enumerate(h.coeffs)), Fraction(0))
-        return SpecialValues(h1, deriv)
-    return SpecialValues(h1, None)
-
-
-@dataclass(frozen=True)
-class LfnData:
-    """Everything attached to one character: L(u)^-1 = (1-u^2)^c_exponent * h."""
-
-    label: CharacterLabel
-    h: UniPoly
-    c_exponent: int
-    r0: int
-
-
-def lfn_data(d: TowerDatum, n: int, psi: CharacterLabel) -> LfnData:
-    chi_base = d.base.n_vertices - d.base.n_edges
-    r = r0(d, n, psi)
-    return LfnData(psi, h_poly(d, n, psi), r - chi_base, r)
 
 
 @dataclass

@@ -52,13 +52,17 @@ _BAREISS_MAX_DIM = 28
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Miller-Rabin with the bases 2, 7 and 61 is exact below this bound (Jaeschke
-# 1993), which covers every modulus below 2^31; the first twelve primes as
-# bases are exact far beyond anything this package tests.
+# 1993), which covers every modulus below 2^31.
 _THREE_BASE_BOUND = 4_759_123_141
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for anything this package will ever see."""
+    """Miller-Rabin, exact for n < psi_12 = 318665857834031151167461 (> 2^64).
+
+    The first twelve primes as bases are exact below psi_12, the least strong
+    pseudoprime to all of them (Sorenson and Webster 2017); psi_12 itself
+    passes, so `TowerDatum` takes only primes below 2^64.
+    """
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

@@ -1,6 +1,6 @@
 """Dense univariate polynomials.
 
-Coefficients may be ints, Fractions, CycloNum, or GroupRingElem; the only
+Coefficients may be ints, Fractions or GroupRingElem; the only
 requirements are ring arithmetic and comparability with the integer 0.
 Power-series identities (the Euler product of the zeta function) are
 checked as polynomial identities, in `graphs.path_counts_from_zeta`.

@@ -20,14 +20,12 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import DatumError
 from .graphs import SerreGraph, connected, validate_graph
-from .groupring import GroupRingElem, norm_element
 
 __all__ = [
     "LevelGraph",
     "TowerDatum",
     "build_level_graph",
     "level_connected",
-    "level_matrices",
     "level_shape",
     "quotient_level_graph",
     "ramification_profile",
@@ -39,7 +37,11 @@ UNRAMIFIED = None
 
 @dataclass(frozen=True)
 class TowerDatum:
-    """Base graph + prime + voltage assignment + ramification family."""
+    """Base graph + prime + voltage assignment + ramification family.
+
+    The prime must be below 2^64: `linalg.is_probable_prime` is exact there,
+    and level 1 of a larger p would have at least 2^64 vertices anyway.
+    """
 
     base: SerreGraph
     p: int
@@ -48,6 +50,8 @@ class TowerDatum:
 
     def __post_init__(self):
         validate_graph(self.base)
+        if self.p >= 2**64:
+            raise DatumError(f"prime must be below 2^64, got {self.p}")
         if not linalg.is_probable_prime(self.p):
             raise DatumError(f"{self.p} is not prime")
         if len(self.voltage) != self.base.n_darts:
@@ -219,25 +223,3 @@ def level_connected(d: TowerDatum, n: int) -> bool:
     """
     return n == 0 or connected(build_level_graph(d, 1).graph)
 
-
-def level_matrices(
-    d: TowerDatum, n: int
-) -> tuple[list[list[GroupRingElem]], list[GroupRingElem], list[int]]:
-    """Voltage adjacency A_alpha over Q[Z/p^n Z], stabilizer diagonal C, degrees D.
-
-    A_alpha[i][j] is the sum of the group elements alpha(s) over the base
-    darts s from v_j to v_i; C[i] is the subgroup sum N of the level-n
-    stabilizer of v_i; D holds the base degrees.
-    """
-    base = d.base
-    m = d.p**n
-    g = base.n_vertices
-    a_alpha = [[GroupRingElem.zero(m) for _ in range(g)] for _ in range(g)]
-    for e in range(base.n_darts):
-        i, j = base.dart_terminus[e], base.dart_origin[e]
-        a_alpha[i][j] = a_alpha[i][j] + GroupRingElem.basis(m, d.voltage[e] % m)
-    c = [norm_element(m, d.stabilizer_order(v, n)) for v in range(g)]
-    deg = [0] * g
-    for e in range(base.n_darts):
-        deg[base.dart_origin[e]] += 1
-    return a_alpha, c, deg

@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import graphzeta
 from graphzeta.graphs import SerreGraph, connected
 from graphzeta.tower import TowerDatum, build_level_graph
 
@@ -83,3 +86,15 @@ def chorded_heptagon(p: int = 2) -> TowerDatum:
     """
     g = SerreGraph.from_edges(list(range(7)), [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
     return TowerDatum(g, p, (1, -1) + (0, 0) * 6 + (1, -1), (1,) + (None,) * 6)
+
+
+def modules_naming(name: str) -> list[str]:
+    """The graphzeta modules (the package as "graphzeta") that bind name or mention it in their source."""
+    modules = [graphzeta] + [
+        importlib.import_module(f"graphzeta.{info.name}") for info in pkgutil.iter_modules(graphzeta.__path__)
+    ]
+    return [
+        module.__name__.removeprefix("graphzeta.")
+        for module in modules
+        if hasattr(module, name) or name in Path(module.__file__).read_text()
+    ]

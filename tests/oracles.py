@@ -1,18 +1,242 @@
-"""Brute-force oracles, kept independent of the library code paths they check."""
+"""Brute-force oracles, kept independent of the library code paths they check.
 
+`CycloNum` is the reference arithmetic of Q(zeta_{p^j}): Fraction
+coordinates in the power basis, reduced by hand modulo Phi_{p^j}.  The
+library carries character values as integer coordinate rows; the tests
+compare those rows with values computed here one character at a time.
+"""
+
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from graphzeta.cyclo import CycloNum, zeta
+from graphzeta.cyclo import (
+    Valuation,
+    _galois_index_pair,
+    cyclotomic_norms,
+    euler_phi_prime_power,
+    ordp_fraction,
+)
 from graphzeta.equivariant import _modulus_of
 from graphzeta.graphs import SerreGraph
-from graphzeta.groupring import GroupRingElem, groupring_idempotent
-from graphzeta.lfunctions import LfnData, characters, orbit_vertices, special_values
+from graphzeta.groupring import CharacterLabel, GroupRingElem, characters, groupring_idempotent, norm_element
+from graphzeta.lfunctions import orbit_vertices
 from graphzeta.linalg import det_norm_cyclotomic
 from graphzeta.poly import UniPoly
-from graphzeta.tower import TowerDatum, level_matrices
+from graphzeta.tower import TowerDatum
+
+# -- Q(zeta_{p^j}) with Fraction coordinates ------------------------------
+
+
+def _phi_tail(p: int, j: int) -> list[tuple[int, Fraction]]:
+    # Phi_{p^j} = X^d + tail with d = phi(p^j).  Returns the tail as
+    # (exponent, coefficient) pairs; for j = 0 the polynomial is X - 1.
+    if j == 0:
+        return [(0, Fraction(-1))]
+    step = p ** (j - 1)
+    return [(t * step, Fraction(1)) for t in range(p - 1)]
+
+
+def _reduce(p: int, j: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
+    # Reduce a dense coefficient list (exponents already < p^j) mod Phi_{p^j}.
+    d = euler_phi_prime_power(p, j)
+    tail = _phi_tail(p, j)
+    for i in range(len(dense) - 1, d - 1, -1):
+        c = dense[i]
+        if c:
+            dense[i] = Fraction(0)
+            for e, t in tail:
+                dense[i - d + e] -= c * t
+    out = dense[:d]
+    while len(out) < d:
+        out.append(Fraction(0))
+    return tuple(out)
+
+
+@dataclass(eq=False)
+class CycloNum:
+    """Element of Q(zeta_{p^j}) in the power basis 1, zeta, ..., zeta^(phi-1)."""
+
+    p: int
+    j: int
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        d = euler_phi_prime_power(self.p, self.j)
+        if len(self.coeffs) != d:
+            raise ValueError(f"coefficient vector must have length {d}")
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def rational(p: int, value, j: int = 0) -> "CycloNum":
+        """Embed a rational number at level j (default: level 0, i.e. Q)."""
+        d = euler_phi_prime_power(p, j)
+        coeffs = [Fraction(0)] * d
+        coeffs[0] = Fraction(value)
+        return CycloNum(p, j, tuple(coeffs))
+
+    @staticmethod
+    def from_monomials(p: int, j: int, monomials) -> "CycloNum":
+        """Build sum of c * zeta^e from (e, c) pairs; exponents arbitrary ints."""
+        order = p**j
+        dense = [Fraction(0)] * order
+        for e, c in monomials:
+            dense[e % order] += Fraction(c)
+        return CycloNum(p, j, _reduce(p, j, dense))
+
+    # -- coercion helpers ---------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, CycloNum):
+            if other.p != self.p or other.j != self.j:
+                raise ValueError(
+                    f"cyclotomic level mismatch: ({self.p},{self.j}) vs"
+                    f" ({other.p},{other.j}); lift explicitly"
+                )
+            return other
+        if isinstance(other, (int, Fraction)):
+            return CycloNum.rational(self.p, other, self.j)
+        return None
+
+    # -- ring operations ----------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return CycloNum(self.p, self.j, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CycloNum(self.p, self.j, tuple(-a for a in self.coeffs))
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        n = len(self.coeffs)
+        dense = [Fraction(0)] * (2 * n - 1 if n > 1 else 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for k, b in enumerate(o.coeffs):
+                if b:
+                    dense[i + k] += a * b
+        return CycloNum(self.p, self.j, _reduce(self.p, self.j, dense))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        result = CycloNum.rational(self.p, 1, self.j)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __repr__(self):
+        if self.is_rational():
+            return f"CycloNum({self.p},{self.j}; {self.coeffs[0]})"
+        terms = " + ".join(f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c)
+        return f"CycloNum({self.p},{self.j}; {terms})"
+
+    # -- field structure ----------------------------------------------
+
+    def is_rational(self) -> bool:
+        return not any(self.coeffs[1:])
+
+    def to_rational(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError(f"not a rational element: {self!r}")
+        return self.coeffs[0]
+
+    def lift(self, j2: int) -> "CycloNum":
+        """Rewrite at a higher level via zeta_{p^j} = zeta_{p^j2}^(p^(j2-j))."""
+        if j2 < self.j:
+            raise ValueError("lift target level below current level")
+        if j2 == self.j:
+            return self
+        step = self.p ** (j2 - self.j)
+        return CycloNum.from_monomials(
+            self.p, j2, ((i * step, c) for i, c in enumerate(self.coeffs) if c)
+        )
+
+    def galois(self, u: int) -> "CycloNum":
+        """Apply the automorphism zeta -> zeta^u (u a unit mod p^j)."""
+        (a,), (b,) = _galois_index_pair(self.p, self.j, [u])
+        c = self.coeffs + (Fraction(0),)
+        out = (c[x] - c[y] if c[y] else c[x] for x, y in zip(a.tolist(), b.tolist()))
+        return CycloNum(self.p, self.j, tuple(out))
+
+    def norm(self) -> Fraction:
+        """Field norm down to Q: `cyclotomic_norms` of the integer numerator L x, over L^phi."""
+        den = math.lcm(*(Fraction(c).denominator for c in self.coeffs))
+        numerator = [int(c * den) for c in self.coeffs]
+        value = cyclotomic_norms(numerator, self.p, self.j)[self.j]
+        return Fraction(value, den ** euler_phi_prime_power(self.p, self.j))
+
+    def inverse(self) -> "CycloNum":
+        """1/x = prod_{u != 1} sigma_u(x) / N(x): the other conjugates over the norm."""
+        if not self:
+            raise ZeroDivisionError("inverse of zero cyclotomic element")
+        if self.j == 0:
+            return CycloNum.rational(self.p, 1 / Fraction(self.coeffs[0]))
+        others = CycloNum.rational(self.p, 1, self.j)
+        for u in range(2, self.p**self.j):
+            if u % self.p:
+                others = others * self.galois(u)
+        return others * (1 / self.norm())
+
+
+def zeta(p: int, j: int) -> CycloNum:
+    """A fixed primitive p^j-th root of unity (the power-basis generator)."""
+    return CycloNum.from_monomials(p, j, [(1, 1)])
+
+
+def ordp_cyclo(x: CycloNum, p: int) -> Valuation:
+    """Unique extension of ord_p to Q(zeta_{p^j}): ord_p(norm)/phi(p^j)."""
+    if x.p != p:
+        raise ValueError(f"element lives over p={x.p}, not p={p}")
+    if not x:
+        return Valuation.infinite()
+    nv = ordp_fraction(x.norm(), p)
+    return Valuation(nv.value / euler_phi_prime_power(p, x.j))
 
 
 def det_cofactor(rows):
@@ -140,6 +364,8 @@ def character_value_by_powers(x, p: int, n: int, a: int, level: int) -> CycloNum
     root = zeta(p, level)
     acc = CycloNum.rational(p, 0, level)
     for s, c in enumerate(x.coeffs):
+        if not c:
+            continue
         power = root ** ((a * order // p**n * s) % order)
         acc = acc + (c.lift(level) if isinstance(c, CycloNum) else c) * power
     return acc
@@ -178,6 +404,74 @@ def from_character_values_by_characters(p: int, n: int, values) -> GroupRingElem
     return GroupRingElem(m, coeffs)
 
 
+def character_idempotent(p: int, n: int, a: int) -> GroupRingElem:
+    """Primitive idempotent e_psi of psi_a, CycloNum coefficients at level n: [s] takes psi_a(-s)/p^n."""
+    m = p**n
+    return GroupRingElem(m, [CycloNum.from_monomials(p, n, [(-a * s, Fraction(1, m))]) for s in range(m)])
+
+
+@dataclass(frozen=True)
+class LfnData:
+    """One character's L(u)^-1 = (1 - u^2)^c_exponent h(u, psi), h over Q(zeta_{p^j})."""
+
+    label: CharacterLabel
+    h: UniPoly
+    c_exponent: int
+    r0: int
+
+    @property
+    def h_at_one(self) -> CycloNum:
+        return sum(self.h.coeffs, CycloNum.rational(self.label.p, 0, self.label.order_exponent))
+
+    @property
+    def h_derivative_at_one(self) -> Fraction:
+        """h'(1), for the trivial character (whose h is rational)."""
+        return sum((k * c.to_rational() for k, c in enumerate(self.h.coeffs)), Fraction(0))
+
+
+def _three_term_direct(d: TowerDatum, n: int, psi: CharacterLabel, reduced: bool) -> tuple[UniPoly, int]:
+    """(h(u, psi) if reduced else z(u, psi), r0(psi)), CycloNum coefficients at psi's level j.
+
+    psi (`character_value_by_powers`) takes the group-ring matrices of
+    `level_matrices` entry by entry to Q(zeta_{p^j}), and `det_cofactor`
+    expands I - psi(A_alpha) psi(C) u + (D psi(C) - I) u^2.  Each of the r0
+    vertices v with psi(C[v]) = 0 leaves the column (1 - u^2) e_v; h drops
+    their rows and columns, z keeps them.
+    """
+    p, j = d.p, psi.order_exponent
+    a_alpha, c, deg = level_matrices(d, n)
+
+    def value(x):
+        return character_value_by_powers(x, p, n, psi.a, j)
+
+    scale = [value(x) for x in c]
+    kept = [v for v, x in enumerate(scale) if x or not reduced]
+    zero, one = CycloNum.rational(p, 0, j), CycloNum.rational(p, 1, j)
+    rows = [
+        [
+            UniPoly([one, -value(a_alpha[r][k]) * scale[k], deg[r] * scale[r] - one])
+            if r == k
+            else UniPoly([zero, -value(a_alpha[r][k]) * scale[k]])
+            for k in kept
+        ]
+        for r in kept
+    ]
+    det = UniPoly.constant(one) * det_cofactor(rows)  # the empty determinant is the integer 1
+    det = det.map_coeffs(lambda x: x if isinstance(x, CycloNum) else CycloNum.rational(p, x, j))
+    return det, sum(not x for x in scale)
+
+
+def lfn_data_direct(d: TowerDatum, n: int, psi: CharacterLabel) -> LfnData:
+    """h(u, psi), r0 and the c-exponent r0 - chi(X_0) of one character, by `_three_term_direct`."""
+    h, r0 = _three_term_direct(d, n, psi, True)
+    return LfnData(psi, h, r0 - (d.base.n_vertices - d.base.n_edges), r0)
+
+
+def z_poly_direct(d: TowerDatum, n: int, psi: CharacterLabel) -> UniPoly:
+    """z(u, psi), the unreduced three-term determinant, by `_three_term_direct`."""
+    return _three_term_direct(d, n, psi, False)[0]
+
+
 def orbit_special_products_by_characters(d, n: int) -> dict[int, Fraction]:
     """N_j = prod h(1, psi) over ord(psi) = p^j, multiplied out in Q(zeta_{p^j}) per character."""
     p = d.p
@@ -186,7 +480,7 @@ def orbit_special_products_by_characters(d, n: int) -> dict[int, Fraction]:
         prod = CycloNum.rational(p, 1, j)
         for psi in characters(p, n):
             if psi.order_exponent == j:
-                prod = prod * special_values(d, n, psi).h_at_one.lift(j)
+                prod = prod * lfn_data_direct(d, n, psi).h_at_one
         assert prod.is_rational()
         out[j] = prod.to_rational()
     return out
@@ -228,6 +522,29 @@ def l_reciprocal_of_sum(data: list[LfnData]) -> tuple[int, UniPoly]:
     return sum(item.c_exponent for item in data), prod.map_coeffs(
         lambda c: c if isinstance(c, CycloNum) else CycloNum.rational(p, c, level)
     )
+
+
+def level_matrices(
+    d: TowerDatum, n: int
+) -> tuple[list[list[GroupRingElem]], list[GroupRingElem], list[int]]:
+    """Voltage adjacency A_alpha over Q[Z/p^n Z], stabilizer diagonal C, degrees D.
+
+    A_alpha[i][j] is the sum of the group elements alpha(s) over the base
+    darts s from v_j to v_i; C[i] is the subgroup sum N of the level-n
+    stabilizer of v_i; D holds the base degrees.
+    """
+    base = d.base
+    m = d.p**n
+    g = base.n_vertices
+    a_alpha = [[GroupRingElem.zero(m) for _ in range(g)] for _ in range(g)]
+    for e in range(base.n_darts):
+        i, j = base.dart_terminus[e], base.dart_origin[e]
+        a_alpha[i][j] = a_alpha[i][j] + GroupRingElem.basis(m, d.voltage[e] % m)
+    c = [norm_element(m, d.stabilizer_order(v, n)) for v in range(g)]
+    deg = [0] * g
+    for e in range(base.n_darts):
+        deg[base.dart_origin[e]] += 1
+    return a_alpha, c, deg
 
 
 def eta_direct(d: TowerDatum, n: int) -> UniPoly:

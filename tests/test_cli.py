@@ -6,16 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, collect_random_data
-from graphzeta import cli, graphs, linalg
+from conftest import FIXTURES, collect_random_data, modules_naming
+from graphzeta import cli, graphs, lfunctions, linalg
 from graphzeta.cli import _human, cmd_lfunctions, main
-from graphzeta.cyclo import CycloNum
 from graphzeta.datum_io import datum_to_dict, dump_datum, load_datum, parse_datum
 from graphzeta.errors import DatumError
 from graphzeta.graphs import SerreGraph
-from graphzeta.lfunctions import characters, lfn_data, special_values
+from graphzeta.lfunctions import characters
 from graphzeta.report import fmt_fraction, machine_json
 from graphzeta.tower import TowerDatum
+from oracles import lfn_data_direct
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATUM = str(FIXTURES / "double_edge.json")
@@ -141,6 +141,23 @@ def test_cli_rejects_a_base_graph_without_vertices(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: {empty}: base graph has no vertices\n"
+
+
+def test_cli_rejects_a_prime_past_2_64(tmp_path, capsys):
+    # 399165290221 * 798330580441 is a strong pseudoprime to the twelve bases 2..37 (psi_12);
+    # below 2^64 those bases are exact, so the datum refuses a larger prime and the command
+    # exits 1 (level 0 only: a run past it would build a cover with p vertices per base vertex)
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441 and linalg.is_probable_prime(psi_12)
+    for prime in (psi_12, 2**89 - 1):
+        path = tmp_path / f"{prime}.json"
+        path.write_text(json.dumps(_doc(prime=prime)), encoding="utf-8")
+        for cmd in ("zeta", "lfunctions", "verify"):
+            for machine in ([], ["--json"]):
+                assert main([cmd, str(path), "--level", "0", *machine]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: {path}: prime must be below 2^64, got {prime}\n"
 
 
 @pytest.mark.parametrize(
@@ -311,7 +328,7 @@ def test_cli_invariants_refuses_voltages_past_the_g_series_degree(tmp_path, caps
 
 
 def test_cli_commands_do_no_cyclotomic_arithmetic(monkeypatch, capsys):
-    # every command path works on integer coordinate rows; CycloNum arithmetic is left to the oracles
+    # every command path works on integer coordinate rows; CycloNum arithmetic lives in the oracles only
     runs = []
     for path, top in ((DATUM, 3), (STAR, 2)):
         for level in range(top + 1):
@@ -322,15 +339,10 @@ def test_cli_commands_do_no_cyclotomic_arithmetic(monkeypatch, capsys):
         return [(main(argv), capsys.readouterr()) for argv in runs]
 
     expected = outcomes()
-
-    def refuse(self, other):
-        raise AssertionError("CycloNum arithmetic on a command path")
-
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
-        monkeypatch.setattr(CycloNum, name, refuse)
+    assert modules_naming("CycloNum") == []  # after the runs: a lazy import would show here
     assert outcomes() == expected
-    with pytest.raises(AssertionError):
-        CycloNum.rational(3, 1, 1) * 2
+    monkeypatch.setattr(cli, "CycloNum", object(), raising=False)
+    assert modules_naming("CycloNum") == ["cli"]
 
 
 def test_cli_deterministic(capsys):
@@ -510,10 +522,10 @@ def test_integers_past_the_str_digit_limit_render_exactly():
 
 
 def _per_character_rows(d: TowerDatum, n: int) -> list[dict]:
-    """The `lfunctions` rows rendered character by character from `h_poly` and `special_values`."""
+    """The `lfunctions` rows rendered character by character from `oracles.lfn_data_direct`."""
     rows = []
     for psi in characters(d.p, n):
-        data, values = lfn_data(d, n, psi), special_values(d, n, psi)
+        data = lfn_data_direct(d, n, psi)
         j = psi.order_exponent
         row = {
             "exponent": psi.a,
@@ -528,11 +540,11 @@ def _per_character_rows(d: TowerDatum, n: int) -> list[dict]:
             "h_at_one": {
                 "p": d.p,
                 "j": j,
-                "coeffs": [fmt_fraction(v) for v in values.h_at_one.coeffs],
+                "coeffs": [fmt_fraction(v) for v in data.h_at_one.coeffs],
             },
         }
         if psi.is_trivial:
-            row["h_derivative_at_one"] = fmt_fraction(values.h_derivative_at_one)
+            row["h_derivative_at_one"] = fmt_fraction(data.h_derivative_at_one)
         rows.append(row)
     return rows
 
@@ -557,22 +569,10 @@ def test_cli_lfunctions_rows_match_the_per_character_route():
 
 
 def test_cli_lfunctions_makes_no_cyclotomic_conjugation(monkeypatch):
-    calls = []
-    galois, from_monomials = CycloNum.galois, CycloNum.from_monomials
-
-    def record_galois(self, u):
-        calls.append("galois")
-        return galois(self, u)
-
-    def record_from_monomials(p, j, monomials):
-        calls.append("from_monomials")
-        return from_monomials(p, j, monomials)
-
-    monkeypatch.setattr(CycloNum, "galois", record_galois)
-    monkeypatch.setattr(CycloNum, "from_monomials", staticmethod(record_from_monomials))
+    # the table conjugates integer rows (`cyclo.galois_conjugates`); no module holds a CycloNum
     for d, n in _lfunctions_cases():
         if n:
             cmd_lfunctions(d, n)
-    assert calls == []
-    CycloNum.rational(3, 1, 2).galois(2)  # the recorder sees a conjugation
-    assert calls == ["galois"]
+    assert modules_naming("CycloNum") == []
+    monkeypatch.setattr(lfunctions, "CycloNum", object(), raising=False)
+    assert modules_naming("CycloNum") == ["lfunctions"]

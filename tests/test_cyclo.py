@@ -5,19 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import galois_by_monomials
+from oracles import CycloNum, galois_by_monomials, ordp_cyclo, zeta
 
 from graphzeta.cyclo import (
-    CycloNum,
     Valuation,
     _graeffe_step,
     _ord_int,
     cyclotomic_norms,
     euler_phi_prime_power,
     galois_conjugates,
-    ordp_cyclo,
     ordp_fraction,
-    zeta,
 )
 from graphzeta.poly import UniPoly
 

@@ -20,12 +20,11 @@ from graphzeta.equivariant import (
 )
 from graphzeta.graphs import SerreGraph
 from graphzeta import linalg
-from graphzeta.cyclo import CycloNum, zeta
 from graphzeta.groupring import GroupRingElem, factor_prime_power, groupring_idempotent
-from graphzeta.lfunctions import character_table, characters, h_poly, r0
+from graphzeta.lfunctions import character_table, characters, r0
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum, build_level_graph
-from oracles import eta_direct, norm_map_direct
+from oracles import CycloNum, character_value_by_powers, eta_direct, lfn_data_direct, norm_map_direct, zeta
 
 
 def _double_edge():
@@ -56,10 +55,8 @@ def test_equivariant_euler_char_projects_to_chi_psi():
         n = 2
         value = equivariant_euler_char(d, n).value
         chi_base = d.base.n_vertices - d.base.n_edges
-        from graphzeta.groupring import apply_character
-
         for psi in characters(d.p, n):
-            proj = apply_character(value, psi)
+            proj = character_value_by_powers(value, d.p, n, psi.a, psi.order_exponent)
             assert proj == chi_base - r0(d, n, psi)
 
 
@@ -88,13 +85,11 @@ def test_eta_direct_cross_check():
 
 def test_eta_character_consistency():
     d = _double_edge()
-    from graphzeta.groupring import apply_character
-
     eta = eta_poly(character_table(d, 2))
     for psi in characters(2, 2):
-        h = h_poly(d, 2, psi)
+        h = lfn_data_direct(d, 2, psi).h
         lvl = 2
-        projected = eta.map_coeffs(lambda c: apply_character(c, psi, level=lvl))
+        projected = eta.map_coeffs(lambda c: character_value_by_powers(c, 2, 2, psi.a, lvl))
         lifted = h.map_coeffs(lambda c: c.lift(lvl))
         assert projected == lifted
 
@@ -315,10 +310,6 @@ def test_inflation_full_group():
 def test_theta_reciprocal_projects_to_l_reciprocals():
     # gamma * eta is the reciprocal equivariant zeta; per character it must
     # give (1 - u^2)^(c-exponent) * h(u, psi)
-    from graphzeta.groupring import apply_character
-    from graphzeta.lfunctions import lfn_data
-    from graphzeta.cyclo import CycloNum
-
     d = _double_edge()
     n = 2
     ez = equiv_zeta(character_table(d, n))
@@ -327,8 +318,8 @@ def test_theta_reciprocal_projects_to_l_reciprocals():
         lambda c: c if isinstance(c, GroupRingElem) else GroupRingElem.basis(d.p**n, 0, c)
     )
     for psi in characters(d.p, n):
-        data = lfn_data(d, n, psi)
-        projected = theta_reciprocal.map_coeffs(lambda c: apply_character(c, psi, level=n))
+        data = lfn_data_direct(d, n, psi)
+        projected = theta_reciprocal.map_coeffs(lambda c: character_value_by_powers(c, d.p, n, psi.a, n))
         one_minus = UniPoly(
             [
                 CycloNum.rational(d.p, 1, n),

@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import graphzeta
+from conftest import modules_naming
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 
@@ -34,7 +35,14 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # Galois conjugates over the norm, so the Q[X] Euclid helpers are gone; the
 # subgroup action on a cover indexes vertices by per-base-vertex offsets.
 # Integer determinants above the Bareiss size go to det_norm_cyclotomic at
-# j = 0, so the Hadamard-bound CRT route is gone.
+# j = 0, so the Hadamard-bound CRT route is gone.  Character values travel
+# as integer coordinate rows, so the per-character CycloNum route is gone:
+# character_table / character_tables and CharacterTable.orbit_rows give h,
+# h(1) and h'(1) of every character (r0 gives its c-exponent) and
+# from_character_values takes values as coordinates; CycloNum with
+# _phi_tail, _reduce, zeta and ordp_cyclo, level_matrices (for eta_direct),
+# character_idempotent and a per-character h, z and LfnData built from
+# level_matrices are test oracles in tests/oracles.py.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -80,6 +88,22 @@ REMOVED = [
     ("equivariant", "_vertex_lookup"),
     ("linalg", "_det_crt"),
     ("linalg", "_hadamard_bound"),
+    ("cyclo", "CycloNum"),
+    ("cyclo", "_phi_tail"),
+    ("cyclo", "_reduce"),
+    ("cyclo", "zeta"),
+    ("cyclo", "ordp_cyclo"),
+    ("tower", "level_matrices"),
+    ("groupring", "apply_character"),
+    ("groupring", "_monomials"),
+    ("groupring", "character_idempotent"),
+    ("lfunctions", "h_poly"),
+    ("lfunctions", "z_poly"),
+    ("lfunctions", "_three_term_poly"),
+    ("lfunctions", "special_values"),
+    ("lfunctions", "SpecialValues"),
+    ("lfunctions", "lfn_data"),
+    ("lfunctions", "LfnData"),
 ]
 
 
@@ -116,3 +140,11 @@ def test_character_values_stay_coordinate_rows_between_kernel_and_transform():
 
     assert "rep_h" not in {field.name for field in dataclasses.fields(CharacterTable)}
     assert not hasattr(linalg, "CycloNum") and not hasattr(report, "CycloNum")
+
+
+def test_no_module_binds_a_cyclonum():
+    # the library's one representation of a character value is its integer coordinate rows
+    from graphzeta.groupring import CharacterLabel
+
+    assert modules_naming("CycloNum") == []
+    assert not hasattr(CharacterLabel, "value")

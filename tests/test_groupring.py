@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphzeta.cyclo import CycloNum
+from graphzeta.cyclo import galois_conjugates
 from graphzeta.groupring import (
     GroupRingElem,
-    apply_character,
-    character_idempotent,
     character_orbits,
     characters,
     factor_prime_power,
@@ -19,7 +17,19 @@ from graphzeta.groupring import (
     subgroup_exponent,
 )
 from graphzeta.lfunctions import CharacterLabel
-from oracles import character_value_by_powers, from_character_values_by_characters
+from oracles import (
+    CycloNum,
+    character_idempotent,
+    character_value_by_powers,
+    from_character_values_by_characters,
+)
+
+
+def _value(x: GroupRingElem, psi: CharacterLabel, level: int | None = None) -> CycloNum:
+    # psi(x) by the power oracle, at the character's own level unless a higher one is asked,
+    # raised to the level of any cyclotomic coefficient of x
+    levels = [psi.order_exponent if level is None else level] + [c.j for c in x.coeffs if isinstance(c, CycloNum)]
+    return character_value_by_powers(x, psi.p, psi.n, psi.a, max(levels))
 
 
 def test_factor_prime_power():
@@ -52,7 +62,7 @@ def test_idempotents():
 
 def test_apply_character_is_augmentation_for_trivial():
     x = GroupRingElem(4, (Fraction(1), Fraction(-2), Fraction(3), Fraction(5)))
-    val = apply_character(x, CharacterLabel(2, 2, 0))
+    val = _value(x, CharacterLabel(2, 2, 0))
     assert val.to_rational() == 7
 
 
@@ -61,16 +71,18 @@ def test_apply_character_on_eta_coefficient():
     x = GroupRingElem(
         4, (Fraction(1, 2), Fraction(-2), Fraction(-1, 2), Fraction(-2))
     )
-    order2 = apply_character(x, CharacterLabel(2, 2, 2))
+    order2 = _value(x, CharacterLabel(2, 2, 2))
     assert order2.to_rational() == 4
-    order4 = apply_character(x, CharacterLabel(2, 2, 1))
+    order4 = _value(x, CharacterLabel(2, 2, 1))
     assert order4.to_rational() == 1
 
 
 def test_modulus_mismatch():
     x = GroupRingElem.one(4)
     with pytest.raises(ValueError):
-        apply_character(x, CharacterLabel(2, 3, 1))
+        x * GroupRingElem.one(8)
+    with pytest.raises(ValueError):  # the three orbits of Z/4Z for a transform over Z/8Z
+        from_character_values(2, 3, [_value(x, psi).coeffs for psi in character_orbits(2, 2)[0]])
 
 
 def test_character_ring_morphism():
@@ -81,9 +93,9 @@ def test_character_ring_morphism():
             x = GroupRingElem(m, tuple(Fraction(rng.randint(-3, 3)) for _ in range(m)))
             y = GroupRingElem(m, tuple(Fraction(rng.randint(-3, 3)) for _ in range(m)))
             lvl = psi.order_exponent
-            assert apply_character(x * y, psi) == apply_character(x, psi) * apply_character(y, psi)
-            assert apply_character(x + y, psi) == apply_character(x, psi) + apply_character(y, psi)
-    assert apply_character(GroupRingElem.one(8), CharacterLabel(2, 3, 5)) == 1
+            assert _value(x * y, psi) == _value(x, psi) * _value(y, psi)
+            assert _value(x + y, psi) == _value(x, psi) + _value(y, psi)
+    assert _value(GroupRingElem.one(8), CharacterLabel(2, 3, 5)) == 1
 
 
 def test_orthogonality():
@@ -94,7 +106,7 @@ def test_orthogonality():
         for a in range(m):
             e_phi = character_idempotent(p, n, a)
             for b in range(m):
-                value = apply_character(e_phi, CharacterLabel(p, n, b))
+                value = _value(e_phi, CharacterLabel(p, n, b))
                 expected = 1 if a == b else 0
                 assert value == CycloNum.rational(p, expected, value.j)
 
@@ -104,7 +116,7 @@ def test_decomposition_reconstructs():
     for p, n in [(2, 2), (2, 3), (3, 1)]:
         m = p**n
         x = GroupRingElem(m, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)))
-        values = [apply_character(x, psi).coeffs for psi in character_orbits(p, n)[0]]
+        values = [_value(x, psi).coeffs for psi in character_orbits(p, n)[0]]
         assert from_character_values(p, n, values) == x
 
 
@@ -129,10 +141,10 @@ def _element_and_orbit_levels(draw):
 def test_orbit_transform_inverts_apply_character_and_matches_per_character_oracle(case):
     p, n, x, levels = case
     reps = character_orbits(p, n)[0]
-    values = [apply_character(x, psi, level=level) for psi, level in zip(reps, levels)]
+    values = [_value(x, psi, level=level) for psi, level in zip(reps, levels)]
     assert [v.j for v in values] == levels
     assert from_character_values(p, n, [_orbit_coordinates(p, j, v) for j, v in enumerate(values)]) == x
-    every = [apply_character(x, psi, level=levels[psi.order_exponent]) for psi in characters(p, n)]
+    every = [_value(x, psi, level=levels[psi.order_exponent]) for psi in characters(p, n)]
     assert from_character_values_by_characters(p, n, every) == x
 
 
@@ -159,10 +171,28 @@ def _random_cyclo(rng: random.Random, p: int, j: int) -> CycloNum:
     )
 
 
+def _by_monomials(x: GroupRingElem, psi: CharacterLabel, level: int) -> CycloNum:
+    # psi(x) as one sum of monomials in zeta_{p^level}, reduced by CycloNum.from_monomials
+    p, step = psi.p, psi.exponent_at(level)
+
+    def monomials(c):
+        if not isinstance(c, CycloNum):
+            return [(0, c)]
+        scale = p ** (level - c.j) if c.j else 0
+        return [(i * scale, v) for i, v in enumerate(c.coeffs) if v]
+
+    pairs = [(step * s + e, v) for s, c in enumerate(x.coeffs) if c for e, v in monomials(c)]
+    return CycloNum.from_monomials(p, level, pairs)
+
+
 def test_apply_character_matches_power_oracle():
+    # the power oracle against reduced monomials, rational and cyclotomic coefficients, at
+    # every level from the character's own; and against the library's coordinate route:
+    # an orbit's values are `galois_conjugates` of its representative's
     rng = random.Random(17)
     for p, n in [(2, 2), (2, 3), (3, 1), (3, 2)]:
         m = p**n
+        reps, orbits = character_orbits(p, n)
         for _ in range(3):
             rational = GroupRingElem(
                 m, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
@@ -171,19 +201,21 @@ def test_apply_character_matches_power_oracle():
             cyclo = GroupRingElem(
                 m, [_random_cyclo(rng, p, c_level) if rng.random() < 0.6 else 0 for _ in range(m)]
             )
-            for a in range(m):
-                psi = CharacterLabel(p, n, a)
-                j = psi.order_exponent
+            for psi, (j, u) in zip(characters(p, n), orbits):
                 for level in (j, j + 1, n + 1):
-                    got = apply_character(rational, psi, level=level)
-                    assert got == character_value_by_powers(rational, p, n, a, level)
-                    got = apply_character(cyclo, psi, level=level)
-                    assert got.j == max(level, c_level)
-                    assert got == character_value_by_powers(cyclo, p, n, a, got.j)
-                assert apply_character(rational, psi).j == j
+                    got = character_value_by_powers(rational, p, n, psi.a, level)
+                    assert got == _by_monomials(rational, psi, level)
+                    top = max(level, c_level)
+                    assert character_value_by_powers(cyclo, p, n, psi.a, top) == _by_monomials(cyclo, psi, top)
+                assert _value(rational, psi).j == j and _value(cyclo, psi).j == max(j, c_level)
+                scale = 6  # clears the denominators 1..3
+                row = [int(c * scale) for c in _value(rational, reps[j]).coeffs]
+                assert galois_conjugates(p, j, [row], [u])[0][0].tolist() == [
+                    c * scale for c in _value(rational, psi).coeffs
+                ]
                 if j:
                     with pytest.raises(ValueError):
-                        apply_character(rational, psi, level=j - 1)
+                        psi.exponent_at(j - 1)
 
 
 def test_from_character_values_accepts_values_above_level_n():
@@ -193,14 +225,14 @@ def test_from_character_values_accepts_values_above_level_n():
         x = GroupRingElem(m, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)])
         reps = character_orbits(p, n)[0]
         for extra in (1, 2):
-            values = [apply_character(x, psi, level=n + extra) for psi in reps]
+            values = [_value(x, psi, level=n + extra) for psi in reps]
             assert all(v.j == n + extra for v in values)
             # read on the orbit's own power basis, not as coordinates at level n + extra
             assert from_character_values(p, n, [_orbit_coordinates(p, j, v) for j, v in enumerate(values)]) == x
             with pytest.raises(ValueError):
                 from_character_values(p, n, [v.coeffs for v in values])
         # the coordinates of an orbit may come from any iterable
-        assert from_character_values(p, n, [iter(apply_character(x, psi).coeffs) for psi in reps]) == x
+        assert from_character_values(p, n, [iter(_value(x, psi).coeffs) for psi in reps]) == x
 
 
 def test_subgroup_exponent():
@@ -233,4 +265,5 @@ def test_character_orbits_are_galois_orbits():
         for psi, (j, u) in zip(characters(p, n), orbits):
             assert psi.order_exponent == j
             for x in range(p**n):
-                assert psi.value(x) == reps[j].value(x).galois(u)
+                element = GroupRingElem.basis(p**n, x)
+                assert _value(element, psi) == _value(element, reps[j]).galois(u)

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import FIXTURES, chorded_heptagon, collect_random_data
 from graphzeta import cli, iwasawa, tower
-from graphzeta.cyclo import CycloNum, euler_phi_prime_power, ordp_cyclo, ordp_fraction, zeta
+from graphzeta.cyclo import euler_phi_prime_power, ordp_fraction
 from graphzeta.datum_io import load_datum
 from graphzeta.errors import CertificationError, HypothesisError
 from graphzeta.graphs import SerreGraph, spanning_tree_count
@@ -15,9 +15,10 @@ from graphzeta.iwasawa import (
     mu_lambda,
     tower_sweep,
 )
-from graphzeta.lfunctions import CharacterLabel, characters, orbit_norms, special_values
+from graphzeta.lfunctions import CharacterLabel, characters, orbit_norms
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum, build_level_graph, tower_euler_char
+from oracles import CycloNum, lfn_data_direct, ordp_cyclo, zeta
 
 
 def _double_edge():
@@ -75,7 +76,7 @@ def test_g_specialization_identity():
                     continue
                 point = zeta(d.p, j) - 1
                 g_val = gs.rep.map_coeffs(lambda c: CycloNum.rational(d.p, c, j))(point)
-                h1 = special_values(d, n, psi).h_at_one
+                h1 = lfn_data_direct(d, n, psi).h_at_one
                 assert ordp_cyclo(g_val, d.p) == ordp_cyclo(h1.lift(j), d.p)
 
 
@@ -218,7 +219,7 @@ def test_block_slope_checks_double_edge():
     # h'(1, trivial) = 2^(n+1) - 4 has constant ord 2 from level 2 on: slope 0
     derivs = {}
     for n in (3, 4):
-        sv = special_values(d, n, CharacterLabel(2, n, 0))
+        sv = lfn_data_direct(d, n, CharacterLabel(2, n, 0))
         assert sv.h_derivative_at_one == 2 ** (n + 1) - 4
         derivs[n] = ordp_fraction(sv.h_derivative_at_one, 2).value
     assert derivs[4] - derivs[3] == lambda0 == 0
@@ -266,7 +267,7 @@ def test_g_series_negative_voltage_row_normalization():
         for psi in characters(d.p, n):
             if psi.order_exponent <= d.n1:
                 continue
-            h1 = special_values(d, n, psi).h_at_one
+            h1 = lfn_data_direct(d, n, psi).h_at_one
             assert ordp_cyclo(h1, d.p) == ordp_fraction(3, d.p)
 
 

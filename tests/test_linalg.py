@@ -8,10 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphzeta.cyclo import CycloNum, zeta
 from graphzeta.errors import CertificationError
 from graphzeta import linalg
-from graphzeta.groupring import GroupRingElem, character_idempotent, groupring_idempotent
+from graphzeta.groupring import GroupRingElem, groupring_idempotent
 from graphzeta.linalg import (
     _det_mod_batch,
     _modular_primes,
@@ -23,7 +22,7 @@ from graphzeta.linalg import (
     is_probable_prime,
 )
 from graphzeta.poly import UniPoly
-from oracles import det_cofactor, galois_conjugate
+from oracles import CycloNum, character_idempotent, det_cofactor, galois_conjugate, zeta
 
 
 def _cyclo_terms(m):
@@ -540,18 +539,20 @@ def _cyclo_det_oracle(p, j, k, terms) -> UniPoly:
 @st.composite
 def _problem_lists(draw):
     # (p, problems): one to four matrices at j <= 3 (p = 2) or j <= 2 (p = 3), k = 0..4, entries
-    # of u-degree <= 3, sometimes a zero row
+    # of u-degree <= 3 and coefficients up to a bound of 1 to 10^12 per problem, so that the
+    # problems of one call need different prime counts; sometimes a zero row
     p = draw(st.sampled_from([2, 3]))
     problems = []
     for _ in range(draw(st.integers(1, 4))):
         j, k = draw(st.integers(0, 3 if p == 2 else 2)), draw(st.integers(0, 4))
         if k:
+            bound = draw(st.integers(1, 10**12))
             entry = st.tuples(
                 st.integers(0, k - 1),
                 st.integers(0, k - 1),
                 st.integers(-(p**j), 2 * p**j),
                 st.integers(0, 3),
-                st.integers(-(10**6), 10**6),
+                st.integers(-bound, bound),
             )
             terms = draw(st.lists(entry, max_size=3 * k))
             if draw(st.booleans()):

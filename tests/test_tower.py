@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import collect_random_data
+from oracles import level_matrices
 from graphzeta.errors import DatumError
 from graphzeta.graphs import SerreGraph, connected, euler_characteristic, validate_graph
 from graphzeta.groupring import GroupRingElem, norm_element
@@ -11,7 +12,6 @@ from graphzeta.tower import (
     TowerDatum,
     build_level_graph,
     level_connected,
-    level_matrices,
     level_shape,
     quotient_level_graph,
     ramification_profile,
