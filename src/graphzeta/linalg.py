@@ -1,20 +1,25 @@
 """Exact determinants and norms over the coefficient rings used in this package.
 
-Apart from small integer matrices, every route is multimodular: primes q < 2^31
-searched once per modulus, elimination of chunks of about `_BATCH_ENTRIES`
-entries mod q (`_det_mod_batch`), Newton interpolation, one signed CRT.
+Integer and integer polynomial matrices of at most `_BAREISS_MAX_DIM` rows are
+eliminated exactly over Z (Bareiss; for polynomials, at u = 2^b by Kronecker
+substitution).  Every other route is multimodular: primes q < 2^31 searched
+once per modulus, elimination of chunks of about `_BATCH_ENTRIES` entries mod
+q (`_det_mod_batch`), Newton interpolation, one signed CRT.
 
 Routes:
-  - integer matrices (`det_int`): Bareiss elimination; above a size
-    threshold, the u-free j = 0 call of `det_norm_cyclotomic`;
-  - lists of matrices over Z[zeta_{p^j}][u], evaluated in one pass at the
-    primitive roots of unity mod q and u = 0..D (`_det_orbits`): the power-
-    basis coordinates of each determinant (`det_cyclotomic_poly`: h, z,
-    group-ring determinants) or its norm to Q(u) (`det_norm_cyclotomic`:
-    level h, product formula; j = 0: a cover's h and det(D - A_x)).  A
-    problem repeated in a list is evaluated once; per prime one table,
-    one chunked elimination and one inversion of denominators serve every
-    problem, then one interpolation, one Lagrange step per j and one CRT;
+  - integer matrices (`det_int`): Bareiss elimination; above
+    `_BAREISS_MAX_DIM` rows, the u-free j = 0 call of `det_norm_cyclotomic`;
+  - lists of matrices over Z[zeta_{p^j}][u] (`_det_orbits`): the power-basis
+    coordinates of each determinant (`det_cyclotomic_poly`: h, z, group-ring
+    determinants) or its norm to Q(u) (`det_norm_cyclotomic`: level h,
+    product formula).  A problem repeated in a list is evaluated once.  At
+    j = 0 and k <= `_BAREISS_MAX_DIM` (a cover's h, det(D - A_x)) the
+    determinant is one Bareiss elimination of M(2^b), read back as balanced
+    base-2^b digits (`_det_kronecker`).  The other problems share one
+    multimodular pass (`_det_multimodular`) at the primitive roots of unity
+    mod q and u = 0..D: per prime one table, one chunked elimination and
+    one inversion of denominators serve every problem, then one
+    interpolation, one Lagrange step per j and one CRT;
   - matrices over Q[Z/p^n Z] (`det_groupring_poly`): one orbit
     representative per j, reassembled by `from_character_polys`;
   - norms from Q[Z/p^n Z][u] to Q[H][u] (`norm_groupring_poly`): all p^n
@@ -309,12 +314,76 @@ def _row_bounds(k: int, terms) -> tuple[int, int]:
     return (math.isqrt(square - 1) + 1 if square else 0), sum(row_degree)
 
 
+def _pack(digits: dict, width: int) -> int:
+    # sum a 2^(8 width d) over the items d: a, every |a| < 2^(8 width): the positive and the
+    # negative digits each written into one byte buffer and read as one integer
+    size = (max(digits) + 1) * width
+    parts = [bytearray(size), bytearray(size)]
+    for d, a in digits.items():
+        parts[a < 0][d * width : (d + 1) * width] = abs(a).to_bytes(width, "little")
+    return int.from_bytes(parts[0], "little") - int.from_bytes(parts[1], "little")
+
+
+def _det_kronecker(k: int, terms) -> list[int]:
+    """The D + 1 u-coefficients of det M, M the k x k integer polynomial matrix of the terms
+    (r, c, exp, d, coeff) (exp ignored, as at j = 0; B, D: `_row_bounds`), by Kronecker substitution.
+
+    With b = 8 w the least multiple of 8 such that 2^(b-1) > B, `det_bareiss_int` takes the integer
+    matrix M(2^b), each entry packed from its u-coefficients as base-2^b digits, and gives
+    det M(2^b) = sum_i c_i 2^(b i), i = 0..D.  Every |c_i| <= B < 2^(b-1) (`_row_bounds`), so
+    adding the bias sum_i 2^(b-1) 2^(b i) makes each digit c_i + 2^(b-1) lie in [1, 2^b): no digit
+    borrows from the next, and the c_i are read off the w-byte digits of the sum.  The packing is
+    sound too: B = 0 only when a row has no nonzero term, and then det M = 0; otherwise every
+    row's 2-norm is at least 1, so B >= each row's 2-norm >= every |u-coefficient| of its entries.
+    """
+    bound, degree = _row_bounds(k, terms)
+    if not bound:
+        return [0] * (degree + 1)
+    width = (bound.bit_length() + 8) // 8  # bytes per digit: 8 width - 1 >= the bits of B
+    entries: dict = {}
+    for r, c, _, d, coeff in terms:
+        if coeff:
+            digits = entries.setdefault((r, c), {})
+            digits[d] = digits.get(d, 0) + coeff
+    rows = [[0] * k for _ in range(k)]
+    for (r, c), digits in entries.items():
+        rows[r][c] = _pack(digits, width)
+    size = (degree + 1) * width
+    biased = det_bareiss_int(rows) + int.from_bytes((bytes(width - 1) + b"\x80") * (degree + 1), "little")
+    view, half = memoryview(biased.to_bytes(size, "little")), 1 << (8 * width - 1)
+    return [int.from_bytes(view[i : i + width], "little") - half for i in range(0, size, width)]
+
+
 def _det_orbits(problems, p: int, norm: bool) -> list:
-    """The one multimodular pass behind `det_norm_cyclotomic` (norm) and `det_cyclotomic_poly`.
+    """The one pass behind `det_norm_cyclotomic` (norm) and `det_cyclotomic_poly`.
 
     Equal problems (k, terms, j), the same object or a copy, are evaluated once, and their result
-    is returned at every position that repeats them.  A problem takes the first primes q = 1 mod
-    p^J (J the largest j) its bound needs: ranked by bound, those at a prime are a prefix.  Stages:
+    is returned at every position that repeats them.  A problem at j = 0 with k <=
+    `_BAREISS_MAX_DIM` is an integer polynomial determinant, taken exactly by `_det_kronecker` (its
+    norm and its one coordinate are the determinant itself): each u-coefficient c_i of det M has
+    |c_i| <= B (`_row_bounds`), so for 2^(b-1) > B the c_i are the balanced base-2^b digits of the
+    integer det M(2^b).  Every other problem takes the multimodular pass of `_det_multimodular`.
+    """
+    position = range(len(problems))
+    if len(problems) > 1:
+        index: dict = {}
+        position = [index.setdefault((k, tuple(terms), j), len(index)) for k, terms, j in problems]
+        problems = list(index)
+    direct = [j == 0 and k <= _BAREISS_MAX_DIM for k, _, j in problems]
+    rest = iter(_det_multimodular([x for x, small in zip(problems, direct) if not small], p, norm))
+    out = [_det_kronecker(k, terms) if small else next(rest) for (k, terms, _), small in zip(problems, direct)]
+    # a fresh list at every position
+    if norm:
+        return [list(out[i]) if direct[i] else out[i].tolist() for i in position]
+    return [[[x] for x in out[i]] if direct[i] else out[i].tolist() for i in position]
+
+
+def _det_multimodular(problems, p: int, norm: bool) -> list[np.ndarray]:
+    """The multimodular pass over distinct problems (k, terms, j): one array per problem, of shape
+    (points,) for a norm and (points, phi) for coordinates.
+
+    A problem takes the first primes q = 1 mod p^J (J the largest j) its bound needs: ranked by
+    bound, those at a prime are a prefix.  Stages:
       - per prime, powers of one g of order p^J give each root g^(p^(J-j) u), u a unit mod p^j,
         and one table holds every problem's matrix at its roots, padded to the largest k with
         identity rows and columns;
@@ -328,11 +397,6 @@ def _det_orbits(problems, p: int, norm: bool) -> list:
       - for coordinates, the Lagrange step on the roots is one product per prime and j;
       - one signed CRT lifts everything.
     """
-    position = range(len(problems))
-    if len(problems) > 1:
-        index: dict = {}
-        position = [index.setdefault((k, tuple(terms), j), len(index)) for k, terms, j in problems]
-        problems = list(index)
     if not problems:
         return []
     big_j = max(j for _, _, j in problems)
@@ -454,7 +518,7 @@ def _det_orbits(problems, p: int, norm: bool) -> list:
     for i, x in zip(rank, found):
         out[i] = lifted[lo : lo + x[0].size].reshape(x[0].shape)
         lo += x[0].size
-    return [out[i].tolist() for i in position]
+    return out
 
 
 def det_norm_cyclotomic(problems, p: int) -> list[list[int]]:
@@ -462,9 +526,10 @@ def det_norm_cyclotomic(problems, p: int) -> list[list[int]]:
 
     w runs over the primitive p^j-th roots of unity, M is the k x k matrix of the terms as in
     `det_cyclotomic_poly`, and N, its norm to Q(u), has phi D + 1 integer coefficients (D, B:
-    `_row_bounds`); j = 0 is the integer determinant.  A problem takes primes up to a product above
-    2 B^phi (`_det_orbits`), and the determinants at t = 0..phi D, multiplied over the roots, give N
-    mod q (`_interpolate_mod`).
+    `_row_bounds`); j = 0 is the integer determinant (`_det_kronecker` up to `_BAREISS_MAX_DIM`
+    rows).  Otherwise a problem takes primes up to a product above 2 B^phi (`_det_multimodular`),
+    and the determinants at t = 0..phi D, multiplied over the roots, give N mod q
+    (`_interpolate_mod`).
     """
     return _det_orbits(problems, p, norm=True)
 
@@ -493,7 +558,8 @@ def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """det of an integer matrix: Bareiss, or above `_BAREISS_MAX_DIM` rows `det_norm_cyclotomic` at j = 0."""
+    """det of an integer matrix: Bareiss (the D = 0 case of `_det_kronecker`), or above
+    `_BAREISS_MAX_DIM` rows the multimodular `det_norm_cyclotomic` at j = 0."""
     n = len(rows)
     if n <= _BAREISS_MAX_DIM:
         return det_bareiss_int(rows)

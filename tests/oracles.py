@@ -16,7 +16,6 @@ import numpy as np
 from graphzeta.cyclo import (
     Valuation,
     _galois_index_pair,
-    cyclotomic_norms,
     euler_phi_prime_power,
     ordp_fraction,
 )
@@ -54,6 +53,21 @@ def _reduce(p: int, j: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
     while len(out) < d:
         out.append(Fraction(0))
     return tuple(out)
+
+
+def _int_product_mod_phi(p: int, j: int, a: list[int], b: list[int]) -> list[int]:
+    # the product of two integer coordinate rows in Z[zeta_{p^j}], reduced as `_reduce` does
+    dense = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b):
+                dense[i + k] += x * y
+    d, tail = len(a), _phi_tail(p, j)
+    for i in range(len(dense) - 1, d - 1, -1):
+        if dense[i]:
+            for e, t in tail:
+                dense[i - d + e] -= dense[i] * int(t)
+    return dense[:d]
 
 
 @dataclass(eq=False)
@@ -205,11 +219,19 @@ class CycloNum:
         return CycloNum(self.p, self.j, tuple(out))
 
     def norm(self) -> Fraction:
-        """Field norm down to Q: `cyclotomic_norms` of the integer numerator L x, over L^phi."""
+        """Field norm down to Q: the product of the phi(p^j) Galois conjugates sigma_u(x).
+
+        Multiplied out on the integer numerator L x (L the lcm of the denominators) by schoolbook
+        products reduced mod Phi_{p^j} by hand, then divided by L^phi.
+        """
         den = math.lcm(*(Fraction(c).denominator for c in self.coeffs))
-        numerator = [int(c * den) for c in self.coeffs]
-        value = cyclotomic_norms(numerator, self.p, self.j)[self.j]
-        return Fraction(value, den ** euler_phi_prime_power(self.p, self.j))
+        numerator = CycloNum(self.p, self.j, tuple(c * den for c in self.coeffs))
+        product = [1] + [0] * (len(self.coeffs) - 1)
+        for u in range(1, max(2, self.p**self.j)):
+            if u % self.p or self.j == 0:
+                product = _int_product_mod_phi(self.p, self.j, product, [int(c) for c in numerator.galois(u).coeffs])
+        assert not any(product[1:]), "a product of all conjugates is rational"
+        return Fraction(product[0], den ** len(self.coeffs))
 
     def inverse(self) -> "CycloNum":
         """1/x = prod_{u != 1} sigma_u(x) / N(x): the other conjugates over the norm."""

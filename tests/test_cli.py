@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, collect_random_data, modules_naming
 from graphzeta import cli, graphs, lfunctions, linalg
@@ -325,6 +330,91 @@ def test_cli_invariants_refuses_voltages_past_the_g_series_degree(tmp_path, caps
         code = main(["tower", str(path), "--max-level", "6", "--json"])
         results.append((code, capsys.readouterr()))
     assert results[0] == results[1] and results[0][0] == 0
+
+
+def test_cli_tower_and_invariants_search_no_primes(monkeypatch, tmp_path, capsys):
+    # every determinant of the sweep is a base-size integer polynomial determinant (F_K, g(T)
+    # and h'(1, psi_0)), taken by Kronecker substitution or Bareiss: no multimodular pass
+    searched = []
+    original = linalg._modular_primes
+    monkeypatch.setattr(linalg, "_modular_primes", lambda *args: searched.append(args) or original(*args))
+    runs = [(DATUM, 8), (STAR, 5)]
+    for i, d in enumerate(collect_random_data(67, 10, levels_connected=2)):
+        dump_datum(d, tmp_path / f"r{i}.json")
+        runs.append((str(tmp_path / f"r{i}.json"), 4))
+    codes = []
+    for path, top in runs:
+        for command in ("tower", "invariants"):
+            codes.append(main([command, path, "--max-level", str(top), "--json"]))
+            capsys.readouterr()
+    assert searched == [] and set(codes) <= {0, 2, 3} and codes.count(0) >= len(runs)
+    assert main(["zeta", DATUM, "--level", "3"]) == 0 and searched  # the recorder sees the other kernels
+
+
+# a value of the wrong kind for any member of a datum document
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.just([]),
+    st.just({}),
+)
+
+
+@st.composite
+def _datum_texts(draw):
+    # a datum document on at most 3 vertices and 4 edges, mostly on a connected base graph
+    # (a spanning path first), about half of them malformed by one edit
+    p = draw(st.sampled_from([2, 3]))
+    names = [f"v{i}" for i in range(draw(st.sampled_from([0, 1, 2, 2, 3, 3])))]
+    vertex = st.sampled_from(names) if names else st.just("v0")
+    voltage = st.one_of(st.integers(-4, 4), st.just(2**64 + 1))  # huge: acts by its residue or is refused
+    pairs = [(names[i - 1], names[i]) for i in range(1, len(names)) if draw(st.integers(0, 5))]
+    pairs += [(draw(vertex), draw(vertex)) for _ in range(draw(st.integers(0, 4 - len(pairs))))]
+    edges = [{"from": a, "to": b, "voltage": draw(voltage)} for a, b in pairs]
+    ramification = {v: draw(st.one_of(st.just("unramified"), st.integers(0, 2))) for v in names}
+    doc = {"prime": p, "vertices": names, "edges": edges, "ramification": ramification}
+    edit = draw(st.sampled_from(["none"] * 6 + ["member", "drop", "edge", "ramification", "twin", "text"]))
+    if edit == "member":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JUNK)
+    elif edit == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif edit == "edge" and edges:
+        edges[draw(st.integers(0, len(edges) - 1))][draw(st.sampled_from(["from", "to", "voltage"]))] = draw(
+            st.one_of(_JUNK, st.just("w"))
+        )
+    elif edit == "ramification" and names:
+        ramification[draw(vertex)] = draw(st.one_of(_JUNK, st.just(-1), st.just("ramified")))
+    elif edit == "twin" and names:
+        names.append(names[0])
+    text = json.dumps(doc)
+    if edit == "text":
+        text = draw(st.sampled_from([text[: draw(st.integers(0, len(text) - 1))], "[]", "3", "\ufeff{}"]))
+    return text
+
+
+@settings(max_examples=60)
+@given(_datum_texts(), st.data())
+def test_cli_fuzzed_datum_documents_exit_with_a_documented_code(text, data):
+    # every command on every document: exit 0-3, and stderr empty or one diagnostic line
+    prefixes = ("error: ", "hypothesis violated: ", "certification failed: ")
+    level, machine = st.sampled_from([-1, 0, 1, 1, 2, 2]), st.sampled_from([[], ["--json"]])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "datum.json"
+        path.write_text(text, encoding="utf-8")
+        for command in ("zeta", "lfunctions", "verify", "tower", "invariants"):
+            flag = "--max-level" if command in ("tower", "invariants") else "--level"
+            argv = [command, str(path), flag, str(data.draw(level)), *data.draw(machine)]
+            if command == "verify":
+                argv += data.draw(st.sampled_from([[], ["--subgroup-order", "1"], ["--subgroup-order", "3"]]))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            message = err.getvalue()
+            assert code in (0, 1, 2, 3), argv
+            assert message == "" or (message.startswith(prefixes) and message.count("\n") == 1), (argv, message)
 
 
 def test_cli_commands_do_no_cyclotomic_arithmetic(monkeypatch, capsys):

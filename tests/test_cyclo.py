@@ -230,7 +230,7 @@ def test_cyclotomic_norms_match_products_of_conjugates(data):
     norms = cyclotomic_norms(coeffs, p, n)
     assert norms == [_norm_by_conjugates(coeffs, p, j) for j in range(n + 1)]
     assert all(type(v) is int for v in norms)
-    if n:  # CycloNum.norm clears the denominator and takes the same route
+    if n:  # CycloNum.norm: the product of conjugates of the integer numerator, over 6^phi
         x = CycloNum.from_monomials(p, n, [(e, Fraction(c, 6)) for e, c in enumerate(coeffs)])
         assert x.norm() == Fraction(norms[n], 6 ** euler_phi_prime_power(p, n))
 

@@ -438,13 +438,18 @@ def test_strong_pseudoprimes_near_the_three_base_bound():
 def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
     # A matrix over Z written at level j: det_cyclotomic_poly gives the coefficients of
     # its integer determinant (the j = 0 norm) as first coordinates, zero elsewhere, from
-    # one batch of phi (D + 1) matrices per prime; at j = 0 that is one batch of D + 1 points.
-    batches = []
-    original = linalg._det_mod_batch
+    # one batch of phi (D + 1) matrices per prime; at j = 0 it is one Bareiss elimination
+    # of the Kronecker-substituted matrix, with no modular batch.
+    batches, eliminations = [], []
+    original, bareiss = linalg._det_mod_batch, linalg.det_bareiss_int
 
     def recorder(mats, moduli):
         batches.append(len(mats))
         return original(mats, moduli)
+
+    def bareiss_recorder(rows):
+        eliminations.append(len(rows))
+        return bareiss(rows)
 
     rng = random.Random(47)
     for p, j in [(2, 1), (3, 0), (3, 2)]:
@@ -457,11 +462,16 @@ def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
             m[r] = [UniPoly([-s, 1]) * x for x in m[r]]
             want, terms = _det_poly_int(m), _cyclo_terms(m)
             monkeypatch.setattr(linalg, "_det_mod_batch", recorder)
+            monkeypatch.setattr(linalg, "det_bareiss_int", bareiss_recorder)
             batches.clear()
+            eliminations.clear()
             det = det_cyclotomic_poly([(n, terms, j)], p)[0]
             monkeypatch.undo()
             degree = sum(max((t[3] for t in terms if t[0] == row), default=0) for row in range(n))
-            assert batches and batches == [phi * (degree + 1)] * len(batches)
+            if j:
+                assert batches and batches == [phi * (degree + 1)] * len(batches)
+            else:
+                assert batches == [] and eliminations == [n]
             assert all(not any(x[1:]) for x in det) and UniPoly(x[0] for x in det) == want
             assert want(s) == 0 and want == det_cofactor(m)
             if n > 1:
@@ -640,3 +650,137 @@ def test_row_bound_dominates_the_determinant_and_its_norm():
 
 def _det_poly_int_terms(k, terms) -> list[int]:
     return det_norm_cyclotomic([(k, terms, 0)], 2)[0]
+
+
+def _integer_det_oracle(k, terms) -> list[int]:
+    # det M by cofactor expansion over Z[u], padded to the D + 1 coefficients the kernel returns
+    m = [[UniPoly() for _ in range(k)] for _ in range(k)]
+    for r, c, _, d, coeff in terms:
+        m[r][c] = m[r][c] + UniPoly.monomial(d, coeff)
+    det = UniPoly.constant(1) * det_cofactor(m)
+    degree = linalg._row_bounds(k, terms)[1]
+    return [det.coefficient(i) for i in range(degree + 1)]
+
+
+@st.composite
+def _integer_poly_problems(draw):
+    # (k, terms) at j = 0: k = 0..4, coefficients of either sign from 1 up to past 2^64, u-degrees
+    # up to 40 with gaps, exponents that j = 0 ignores, sometimes a zero row or cancelling terms
+    k = draw(st.integers(0, 4))
+    if k == 0:
+        return 0, []
+    scale = draw(st.sampled_from([1, 9, 2**64 + 3]))
+    entry = st.tuples(
+        st.integers(0, k - 1),
+        st.integers(0, k - 1),
+        st.integers(-5, 5),
+        st.sampled_from([0, 1, 2, 7, 40]),
+        st.integers(-scale, scale),
+    )
+    terms = draw(st.lists(entry, max_size=4 * k))
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, k - 1))
+        terms = [t for t in terms if t[0] != zero]
+    if terms and draw(st.booleans()):  # a term and its negative: an entry digit that cancels
+        r, c, e, d, a = terms[0]
+        terms.append((r, c, e, d, -a))
+    return k, terms
+
+
+@settings(max_examples=80)
+@example((0, []))
+@example((2, [(0, 0, 0, 3, 5), (0, 1, 0, 0, -1), (1, 0, 0, 40, 7)]))  # gaps between the digits
+@given(_integer_poly_problems())
+def test_kronecker_determinant_matches_cofactor(case):
+    k, terms = case
+    want = _integer_det_oracle(k, terms)
+    assert linalg._det_kronecker(k, terms) == want
+    norm, coordinates = det_norm_cyclotomic([(k, terms, 0)], 3)[0], det_cyclotomic_poly([(k, terms, 0)], 3)[0]
+    assert norm == want and coordinates == [[x] for x in want]
+    assert all(type(x) is int for x in norm)
+
+
+def test_kronecker_digit_at_the_bound():
+    # a diagonal matrix attains B: its one coefficient is +-B, the widest balanced digit the width
+    # allows when B = 2^(8w - 1) - 1, at a u-degree above zero digits
+    for factors in ([127], [-127], [7, -31, 151], [128], [-255], [3, 5, 17, 257, 65537], [-(2**63 - 1)], [2**64]):
+        for shift in (0, 1, 5):
+            k = len(factors)
+            terms = [(r, r, 0, shift if r == 0 else 0, a) for r, a in enumerate(factors)]
+            bound = math.prod(map(abs, factors))
+            assert linalg._row_bounds(k, terms) == (bound, shift)
+            assert linalg._det_kronecker(k, terms) == [0] * shift + [math.prod(factors)]
+    # Hadamard's bound attained off the diagonal: [[a, a u^2], [a u, -a u^3]] has det -2 a^2 u^3 = -B u^3
+    # between zero digits (D = 5)
+    for a in (1, 8, 2**31, -(3**40)):
+        terms = [(0, 0, 0, 0, a), (0, 1, 0, 2, a), (1, 0, 0, 1, a), (1, 1, 0, 3, -a)]
+        assert linalg._row_bounds(2, terms) == (2 * a * a, 5)
+        assert linalg._det_kronecker(2, terms) == [0, 0, 0, -2 * a * a, 0, 0]
+
+
+def test_kronecker_borrow_chains():
+    # (u - 1)^k and (1 - u)^k: alternating signs borrow from every next digit
+    for k in range(1, 21):
+        for sign in (1, -1):
+            terms = [(r, r, 0, 0, -sign) for r in range(k)] + [(r, r, 0, 1, sign) for r in range(k)]
+            want = [sign**k * (-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
+            assert linalg._det_kronecker(k, terms) == want
+    # u on the diagonal, 1 above it and in the corner: det = u^6 - 1, a borrow through five zero digits
+    k = 6
+    terms = [(r, r, 0, 1, 1) for r in range(k)] + [(r, r + 1, 0, 0, 1) for r in range(k - 1)] + [(k - 1, 0, 0, 0, 1)]
+    assert linalg._det_kronecker(k, terms) == _integer_det_oracle(k, terms) == [-1, 0, 0, 0, 0, 0, 1]
+
+
+def _tridiagonal(k):
+    # a k x k integer polynomial matrix: 2 - u on the diagonal, u^2 - 1 above and 3 u below it
+    terms = [(r, r, 0, 0, 2) for r in range(k)] + [(r, r, 0, 1, -1) for r in range(k)]
+    terms += [(r, r + 1, 0, 2, 1) for r in range(k - 1)] + [(r, r + 1, 0, 0, -1) for r in range(k - 1)]
+    return terms + [(r + 1, r, 0, 1, 3) for r in range(k - 1)]
+
+
+def test_kronecker_route_ends_at_the_bareiss_size(monkeypatch):
+    # k = 28 takes no modular batch, k = 29 the multimodular pass; each equals the other route
+    batches = []
+    original = linalg._det_mod_batch
+    monkeypatch.setattr(linalg, "_det_mod_batch", lambda mats, q: batches.append(len(mats)) or original(mats, q))
+    for k, modular in ((linalg._BAREISS_MAX_DIM, False), (linalg._BAREISS_MAX_DIM + 1, True)):
+        terms = _tridiagonal(k)
+        batches.clear()
+        norm = det_norm_cyclotomic([(k, terms, 0)], 2)[0]
+        coordinates = det_cyclotomic_poly([(k, terms, 0)], 2)[0]
+        assert bool(batches) == modular
+        assert norm == linalg._det_kronecker(k, terms) == linalg._det_multimodular([(k, terms, 0)], 2, True)[0].tolist()
+        assert coordinates == [[x] for x in norm]
+
+
+def test_kronecker_repeated_problems_take_one_elimination_each(monkeypatch):
+    eliminations = []
+    original = linalg.det_bareiss_int
+    monkeypatch.setattr(linalg, "det_bareiss_int", lambda rows: eliminations.append(len(rows)) or original(rows))
+    a = (2, [(0, 0, 0, 1, 3), (0, 1, 0, 0, -2), (1, 0, 0, 2, 5), (1, 1, 0, 0, 1)], 0)
+    b = (1, [(0, 0, 0, 1, 7), (0, 0, 0, 0, 1)], 0)
+    copy = (a[0], list(a[1]), a[2])
+    for kernel in (det_cyclotomic_poly, det_norm_cyclotomic):
+        once = [kernel([a], 2)[0], kernel([b], 2)[0]]
+        eliminations.clear()
+        dets = kernel([a, b, a, copy, b], 2)
+        assert dets == [once[0], once[1], once[0], once[0], once[1]] and eliminations == [2, 1]
+        assert len({id(x) for x in dets}) == len(dets)  # no result shared between positions
+
+
+def test_mixed_integer_and_cyclotomic_lists_match_one_problem_calls():
+    integer = [(2, [(0, 0, 0, 1, 3), (0, 1, 0, 0, -2), (1, 0, 0, 2, 5), (1, 1, 0, 0, 1)], 0), (0, [], 0)]
+    cyclotomic = [(2, [(0, 0, 1, 1, 3), (0, 1, 2, 0, -2), (1, 0, 0, 2, 5), (1, 1, 3, 0, 1)], 2), (1, [(0, 0, 1, 0, 4)], 1)]
+    large = [(29, _tridiagonal(29), 0)]  # j = 0 above the Bareiss size: the multimodular pass
+    problems = [cyclotomic[0], integer[0], large[0], cyclotomic[1], integer[1], integer[0]]
+    for kernel in (det_cyclotomic_poly, det_norm_cyclotomic):
+        assert kernel(problems, 3) == [kernel([x], 3)[0] for x in problems]
+
+
+def test_kronecker_determinant_of_x_degree_two_to_the_sixteen():
+    # y = u^(2^15): det [[1 + 2 y, -y], [3 y, 1 - y]] = 1 + y + y^2, of u-degree D = 2^16
+    y = 2**15
+    terms = [(0, 0, 0, 0, 1), (0, 0, 0, y, 2), (0, 1, 0, y, -1), (1, 0, 0, y, 3), (1, 1, 0, 0, 1), (1, 1, 0, y, -1)]
+    norm = det_norm_cyclotomic([(2, terms, 0)], 2)[0]
+    assert len(norm) == 2**16 + 1
+    assert {i: x for i, x in enumerate(norm) if x} == {0: 1, y: 1, 2 * y: 1}
