@@ -8,7 +8,8 @@ rows, and the character table conjugates and sums them.
 
 `cyclotomic_norms` takes the norms of G(zeta_{p^j}) for an integer
 polynomial G at every j <= n at once, by Graeffe root-powering over Z:
-the orbit norms of the tower sweep use it.
+the orbit norms of the tower sweep use it, and `coordinate_norm`, the
+norm to Q(u) of coordinate rows over Q(zeta_{p^j})(u), packed at u = 2^b.
 
 The Galois action sigma_u: zeta -> zeta^u is one index pair on the
 coordinates: `galois_conjugates` applies it to integer coordinate rows
@@ -18,13 +19,17 @@ for many u at once.  The p-adic valuation of a rational number is
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .poly import pack, unpack
+
 __all__ = [
     "Valuation",
+    "coordinate_norm",
     "cyclotomic_norms",
     "euler_phi_prime_power",
     "galois_conjugates",
@@ -87,59 +92,76 @@ def galois_conjugates(p: int, j: int, rows, units) -> np.ndarray:
     return (c[:, a] - c[:, b]).transpose(1, 0, 2)
 
 
-# -- norms of G(zeta_{p^j}) for every j, by Graeffe root-powering --------
+# -- norms by Graeffe root-powering --------------------------------------
+
+
+def _graeffe_chain(coeffs, p: int, n: int):
+    """G_0, ..., G_n, each made when asked: G_0 = G mod y^(p^n) - 1 for G = sum coeffs[m] x^m, and
+    G_(i+1)(x^p) = prod over w^p = 1 of G_i(w x) (`_graeffe_step`), reduced mod y^(p^(n-i-1)) - 1.
+
+    The coefficients are any integers, u-packed polynomials among them.  By induction,
+    G_i(x^(p^i)) = prod over w^(p^i) = 1 of G(w x) wherever x^(p^n) = 1.  The reductions keep
+    this: G_i is only evaluated where y^(p^(n-i)) - 1 vanishes, and if G_i = G'_i mod x^M - 1
+    with p | M, then G_i(w x) = G'_i(w x) mod x^M - 1, as w^M = 1.
+    """
+    period = p**n
+    g = [sum(coeffs[m::period]) for m in range(min(len(coeffs), period))]
+    yield g
+    while period > 1:
+        g, period = _graeffe_step(g, p), period // p
+        g = [sum(g[m::period]) for m in range(min(len(g), period))]
+        yield g
 
 
 def cyclotomic_norms(coeffs, p: int, n: int) -> list[int]:
     """[N_0(G), ..., N_n(G)], N_j(G) = N_{Q(zeta_{p^j})/Q} G(zeta_{p^j}), G = sum coeffs[m] x^m.
 
-    G has integer coefficients; N_0(G) = G(1).  With G_0 = G mod y^(p^n) - 1
-    and G_(i+1)(x^p) = prod over w^p = 1 of G_i(w x) (`_graeffe_step`),
-    reduced mod y^(p^(n-i-1)) - 1, N_j(G) = N_{Q(zeta_p)/Q} G_(j-1)(zeta_p)
-    for j >= 1, the last norm taken by `_norm_from_slots`.
+    G has integer coefficients; N_0(G) = G(1), and for j >= 1, N_j(G) is the norm from Q(zeta_p)
+    of G_(j-1)(zeta_p) (`_graeffe_chain`), taken by `_norm_from_slots`.
 
-    Proof.  For j >= 2 the conjugates of zeta_{p^j} over Q(zeta_{p^(j-1)})
-    are zeta_{p^j} w, w^p = 1, so the relative norm of G_i(zeta_{p^j}) is
-    prod_w G_i(w zeta_{p^j}) = G_(i+1)(zeta_{p^(j-1)}), and by transitivity
-    of norms N_j(G_i) = N_(j-1)(G_(i+1)); down to j = 1 this is the formula.
-    The reductions are allowed: G_i is only evaluated at roots of unity of
-    order dividing p^(n-i), where y^(p^(n-i)) - 1 vanishes, and if
-    G_i = G'_i mod x^M - 1 with p | M, then G_i(w x) = G'_i(w x) mod
-    x^M - 1, as w^M = 1.
+    Proof.  For j >= 2 the conjugates of zeta_{p^j} over Q(zeta_{p^(j-1)}) are zeta_{p^j} w,
+    w^p = 1, so the relative norm of G_i(zeta_{p^j}) is prod_w G_i(w zeta_{p^j}) =
+    G_(i+1)(zeta_{p^(j-1)}), and by transitivity of norms N_j(G_i) = N_(j-1)(G_(i+1)); down to
+    j = 1 this is the formula.
     """
-    period = p**n
-    g = [sum(coeffs[m::period]) for m in range(min(len(coeffs), period))]  # G_0
-    norms = [sum(g)]
-    for i in range(n):
+    norms = [sum(coeffs)]
+    for g in itertools.islice(_graeffe_chain(coeffs, p, n), n):  # G_0 .. G_(n-1)
         norms.append(_norm_from_slots([sum(g[a::p]) for a in range(p)], p))
-        if i + 1 < n:
-            g, period = _graeffe_step(g, p), period // p
-            g = [sum(g[m::period]) for m in range(min(len(g), period))]  # G_(i+1)
     return norms
+
+
+def coordinate_norm(rows, p: int, j: int) -> list[int]:
+    """The phi D + 1 coefficients of N(u), the norm from Q(zeta)(u) to Q(u) of x = sum_d sum_e
+    rows[d][e] zeta^e u^d, zeta = zeta_{p^j}, phi = phi(p^j), for D + 1 integer coordinate rows
+    (as `linalg.det_cyclotomic_poly` returns them; no rows is x = 0).
+
+    At u = X = 2^(8 w), x is G(zeta) for G(y) = sum_e (sum_d rows[d][e] X^d) y^e (`pack`), and
+    the norm commutes with evaluating u at an integer: N(X) = N_j(G), the last norm of
+    `cyclotomic_norms`, taken alone.
+    Exactness: with S = sum |rows[d][e]|, each conjugate of x is a polynomial in u of coefficient
+    1-norm at most S, so every coefficient of N, their product, is at most S^phi < 2^(8 w - 1)
+    in absolute value, and is a balanced digit of N(X) (`unpack`).
+    """
+    if not j:  # Q(zeta) = Q: x is its own norm
+        return [row[0] for row in rows] or [0]
+    phi = euler_phi_prime_power(p, j)
+    width = phi * sum(abs(a) for row in rows for a in row).bit_length() // 8 + 1  # 8 w - 1 >= phi bits(S)
+    chain = _graeffe_chain([pack(column, width) for column in zip(*rows)], p, j)
+    g = next(itertools.islice(chain, j - 1, None))  # G_(j-1), at most p coefficients
+    return unpack(_norm_from_slots(g, p), width, phi * max(len(rows) - 1, 0) + 1)
 
 
 def _graeffe_step(coeffs: list[int], p: int) -> list[int]:
     """H with H(x^p) = prod over w^p = 1 of G(w x), G = sum coeffs[m] x^m; len(H) = len(G).
 
-    With E_r the terms of G of degree r mod p, G(w x) = sum_r w^r E_r(x):
-    the product is G times the norm from Q(zeta_p) of sum_r zeta_p^r E_r,
-    taken on the integers E_r(X), X = 2^b (Kronecker substitution, one
-    big-integer product per polynomial product).  ||H||_1 <= ||G||_1^p <
-    2^(p (b - 2)), so the coefficients of G and of H(X^p) are balanced digits.
+    With E_r the terms of G of degree r mod p, G(w x) = sum_r w^r E_r(x): the product is G times
+    the norm from Q(zeta_p) of sum_r zeta_p^r E_r, taken on the integers E_r(X), X = 2^(8 size)
+    (`pack`: one big-integer product per polynomial product).  ||H||_1 <= ||G||_1^p <
+    2^(p (8 size - 2)), so H's coefficients are the balanced digits of H(X^p) (`unpack`).
     """
     size = (sum(map(abs, coeffs)).bit_length() + 9) // 8  # bytes per digit of G
-    half = 1 << (8 * size - 1)
-    digits, bias = [(c + half).to_bytes(size, "little") for c in coeffs], half.to_bytes(size, "little")
-    offset = int.from_bytes(bias * len(coeffs), "little")
-    sections = [
-        int.from_bytes(b"".join(x if m % p == r else bias for m, x in enumerate(digits)), "little") - offset
-        for r in range(p)
-    ]
-    product = sum(sections) * _norm_from_slots(sections, p)  # H(X^p), digits of p size bytes
-    wide, half = p * size, 1 << (8 * p * size - 1)
-    offset = int.from_bytes(half.to_bytes(wide, "little") * len(coeffs), "little")
-    raw = (product + offset).to_bytes(wide * len(coeffs), "little")
-    return [int.from_bytes(raw[i : i + wide], "little") - half for i in range(0, len(raw), wide)]
+    sections = [pack(coeffs[r::p], p * size) << (8 * size * r) for r in range(p)]  # E_r(X)
+    return unpack(sum(sections) * _norm_from_slots(sections, p), p * size, len(coeffs))
 
 
 def _norm_from_slots(slots, p: int):

@@ -12,7 +12,8 @@ The three-term matrix is written as integer terms in zeta_{p^j} and u;
 determinant, and `linalg.det_norm_cyclotomic` its norm to Q(u).  A level's
 n + 1 Galois-orbit representatives share one kernel call: for its h
 (`level_h_poly`), the h or z of a `CharacterTable` (integer coordinate rows,
-as `groupring.from_character_polys` takes them), `product_formula_check`.
+as `groupring.from_character_polys` takes them).  `product_formula_check`
+takes the norms of a table's rows (`cyclo.coordinate_norm`).
 `character_tables` takes the h of several levels and the z of some of them
 in one call, which evaluates a determinant they share once (`verify`: h and
 z at level n, h at the quotient level).
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from . import linalg
 from .cyclo import (
     Valuation,
+    coordinate_norm,
     cyclotomic_norms,
     euler_phi_prime_power,
     galois_conjugates,
@@ -231,12 +233,11 @@ def product_formula_check(table: CharacterTable, cover: SerreGraph) -> ProductCh
     """Check prod_psi h(u, psi) = h of the level graph, and sum chi_psi = chi.
 
     The product over the characters of order p^j is the norm of the table's
-    representative h (all n + 1 1 x 1 matrices of coordinates in one kernel
-    call); the other side is h of `cover`, the built level graph.
+    representative h, taken from its coordinate rows (`cyclo.coordinate_norm`);
+    the other side is h of `cover`, the built level graph.
     """
     d, n, reps = table.datum, table.level, table.representatives
-    terms = [[(0, 0, e, i, x) for i, r in enumerate(c) for e, x in enumerate(r)] for c in table.rep_coordinates]
-    norms = linalg.det_norm_cyclotomic([(1, t, j) for j, t in enumerate(terms)], d.p)
+    norms = [coordinate_norm(rows, d.p, j) for j, rows in enumerate(table.rep_coordinates)]
     h_product = math.prod(map(UniPoly, norms), start=UniPoly.constant(1))
     chi = d.base.n_vertices - d.base.n_edges  # chi_psi = chi - r0(psi), one value on an orbit
     chi_sum = sum(euler_phi_prime_power(d.p, j) * (chi - r0(d, n, psi)) for j, psi in enumerate(reps))

@@ -2,29 +2,30 @@
 
 Integer and integer polynomial matrices of at most `_BAREISS_MAX_DIM` rows are
 eliminated exactly over Z (Bareiss; for polynomials, at u = 2^b by Kronecker
-substitution).  Every other route is multimodular: primes q < 2^31 searched
-once per modulus, elimination of chunks of about `_BATCH_ENTRIES` entries mod
-q (`_det_mod_batch`), Newton interpolation, one signed CRT.
+substitution).  Every other determinant is multimodular: primes q < 2^31
+searched once per modulus, elimination of chunks of about `_BATCH_ENTRIES`
+entries mod q (`_det_mod_batch`), Newton interpolation, one signed CRT.
+Every norm is a Graeffe chain over Z on coefficients packed at u = 2^b
+(`cyclo.coordinate_norm`, `poly.pack`), with no primes.
 
 Routes:
   - integer matrices (`det_int`): Bareiss elimination; above
     `_BAREISS_MAX_DIM` rows, the u-free j = 0 call of `det_norm_cyclotomic`;
   - lists of matrices over Z[zeta_{p^j}][u] (`_det_orbits`): the power-basis
     coordinates of each determinant (`det_cyclotomic_poly`: h, z, group-ring
-    determinants) or its norm to Q(u) (`det_norm_cyclotomic`: level h,
-    product formula).  A problem repeated in a list is evaluated once.  At
-    j = 0 and k <= `_BAREISS_MAX_DIM` (a cover's h, det(D - A_x)) the
-    determinant is one Bareiss elimination of M(2^b), read back as balanced
-    base-2^b digits (`_det_kronecker`).  The other problems share one
-    multimodular pass (`_det_multimodular`) at the primitive roots of unity
-    mod q and u = 0..D: per prime one table, one chunked elimination and
-    one inversion of denominators serve every problem, then one
-    interpolation, one Lagrange step per j and one CRT;
+    determinants), or their norm to Q(u) (`det_norm_cyclotomic`: level h).
+    A problem repeated in a list is evaluated once.  At j = 0 and
+    k <= `_BAREISS_MAX_DIM` (a cover's h, det(D - A_x)) the determinant is
+    one Bareiss elimination of M(2^b), read back as balanced base-2^b digits
+    (`_det_kronecker`).  The other problems share one multimodular pass
+    (`_det_multimodular`) at the primitive roots of unity mod q and
+    u = 0..D: per prime one table, one chunked elimination and one
+    inversion of denominators serve every problem, then one interpolation,
+    one Lagrange step per j and one CRT;
   - matrices over Q[Z/p^n Z] (`det_groupring_poly`): one orbit
     representative per j, reassembled by `from_character_polys`;
-  - norms from Q[Z/p^n Z][u] to Q[H][u] (`norm_groupring_poly`): all p^n
-    character values from one transform mod q, products over the cosets
-    of H's characters, one inverse transform over H.
+  - norms from Q[Z/p^n Z][u] to Q[H][u] (`norm_groupring_poly`): n - h
+    Graeffe steps on the element packed at u = 2^b.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import _int_array, euler_phi_prime_power
+from .cyclo import _graeffe_chain, _int_array, coordinate_norm, euler_phi_prime_power
 from .errors import CertificationError
 from .groupring import GroupRingElem, factor_prime_power, from_character_polys, subgroup_exponent
-from .poly import UniPoly
+from .poly import UniPoly, pack, unpack
 
 __all__ = [
     "det_bareiss_int",
@@ -233,10 +234,10 @@ def _inverses_mod(row: list[int], q: int) -> list[int]:
     return prefix[:-1]
 
 
-def _interpolate_mod(values: np.ndarray, moduli, counts) -> np.ndarray:
+def _interpolate_mod(values: np.ndarray, moduli: list[int], counts) -> np.ndarray:
     """Row i: the coefficients mod q_i of the polynomial of degree < P_i taking values[i, t] at
-    t = 0..P_i - 1, zero past them (moduli: one prime q, or q_i row by row, each above its P_i;
-    counts: P_i row by row, largest first); values is overwritten, and read only below P_i.
+    t = 0..P_i - 1, zero past them (moduli: q_i row by row, each prime above its P_i; counts: P_i
+    row by row, largest first); values is overwritten, and read only below P_i.
 
     Newton's divided differences on the nodes 0, 1, ... and the Newton form expanded, vectorized
     over the rows.  A row's differences of order P_i and above vanish, so rows of every count
@@ -245,11 +246,11 @@ def _interpolate_mod(values: np.ndarray, moduli, counts) -> np.ndarray:
     width = values.shape[1]
     if width == 1:  # constants
         return values
-    qcol = np.reshape(moduli, (-1, 1))
+    qcol = np.array(moduli, dtype=np.int64).reshape(-1, 1)
     live = np.searchsorted(-np.asarray(counts), -np.arange(width)).tolist()  # the rows with P_i > k
-    row_primes = qcol.reshape(-1).tolist()  # the node differences 1..width - 1, inverted once per prime
-    table = {q: _inverses_mod(list(range(1, width)), q) for q in set(row_primes)}
-    inverses = np.array([table[q] for q in row_primes], dtype=np.int64).reshape(len(row_primes), width - 1)
+    # the node differences 1..width - 1, inverted once per prime
+    table = {q: _inverses_mod(list(range(1, width)), q) for q in set(moduli)}
+    inverses = np.array([table[q] for q in moduli], dtype=np.int64).reshape(len(moduli), width - 1)
     newton = values
     for k in range(1, width):
         # node i minus node i - k is k; the product of two residues fits in int64
@@ -284,15 +285,6 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _prod_mod(x: np.ndarray, q: int) -> np.ndarray:
-    # the product mod q along axis 0, by halving
-    while len(x) > 1:
-        if len(x) % 2:
-            x = np.concatenate([x, np.ones_like(x[:1])])
-        x = x[0::2] * x[1::2] % q
-    return x[0]
-
-
 def _row_bounds(k: int, terms) -> tuple[int, int]:
     """(B, D) for the k x k matrix M of the terms (r, c, exp, d, coeff).
 
@@ -300,8 +292,8 @@ def _row_bounds(k: int, terms) -> tuple[int, int]:
     B = ceil(prod_r sqrt(sum_c a_rc^2)), a_rc the sum of |coeff| over the terms of entry (r, c),
     bounds every u-coefficient of every conjugate of det M: under an embedding sigma and at
     |u| = 1, |sigma M_rc(u)| <= a_rc, so by Hadamard |sigma det M(u)| <= B, and by Cauchy's
-    estimate on |u| = 1 each u-coefficient of sigma det M is at most B, and of the norm
-    prod_sigma sigma det M at most B^phi.  B never exceeds the product of the row 1-norms.
+    estimate on |u| = 1 each u-coefficient of sigma det M is at most B.  B never exceeds the
+    product of the row 1-norms.
     """
     entries, row_degree, squares = {}, [0] * k, [0] * k
     for r, c, _, d, coeff in terms:
@@ -314,27 +306,16 @@ def _row_bounds(k: int, terms) -> tuple[int, int]:
     return (math.isqrt(square - 1) + 1 if square else 0), sum(row_degree)
 
 
-def _pack(digits: dict, width: int) -> int:
-    # sum a 2^(8 width d) over the items d: a, every |a| < 2^(8 width): the positive and the
-    # negative digits each written into one byte buffer and read as one integer
-    size = (max(digits) + 1) * width
-    parts = [bytearray(size), bytearray(size)]
-    for d, a in digits.items():
-        parts[a < 0][d * width : (d + 1) * width] = abs(a).to_bytes(width, "little")
-    return int.from_bytes(parts[0], "little") - int.from_bytes(parts[1], "little")
-
-
 def _det_kronecker(k: int, terms) -> list[int]:
     """The D + 1 u-coefficients of det M, M the k x k integer polynomial matrix of the terms
     (r, c, exp, d, coeff) (exp ignored, as at j = 0; B, D: `_row_bounds`), by Kronecker substitution.
 
     With b = 8 w the least multiple of 8 such that 2^(b-1) > B, `det_bareiss_int` takes the integer
-    matrix M(2^b), each entry packed from its u-coefficients as base-2^b digits, and gives
-    det M(2^b) = sum_i c_i 2^(b i), i = 0..D.  Every |c_i| <= B < 2^(b-1) (`_row_bounds`), so
-    adding the bias sum_i 2^(b-1) 2^(b i) makes each digit c_i + 2^(b-1) lie in [1, 2^b): no digit
-    borrows from the next, and the c_i are read off the w-byte digits of the sum.  The packing is
-    sound too: B = 0 only when a row has no nonzero term, and then det M = 0; otherwise every
-    row's 2-norm is at least 1, so B >= each row's 2-norm >= every |u-coefficient| of its entries.
+    matrix M(2^b), each entry packed from its u-coefficients (`pack`), and gives det M(2^b) =
+    sum_i c_i 2^(b i), i = 0..D.  Every |c_i| <= B < 2^(b-1) (`_row_bounds`), so the c_i are the
+    balanced digits of det M(2^b) (`unpack`).  The packing is sound too: B = 0 only when a row has
+    no nonzero term, and then det M = 0; otherwise every row's 2-norm is at least 1, so B >= each
+    row's 2-norm >= every |u-coefficient| of its entries.
     """
     bound, degree = _row_bounds(k, terms)
     if not bound:
@@ -343,26 +324,24 @@ def _det_kronecker(k: int, terms) -> list[int]:
     entries: dict = {}
     for r, c, _, d, coeff in terms:
         if coeff:
-            digits = entries.setdefault((r, c), {})
-            digits[d] = digits.get(d, 0) + coeff
+            entry = entries.setdefault((r, c), [])
+            entry += [0] * (d + 1 - len(entry))
+            entry[d] += coeff
     rows = [[0] * k for _ in range(k)]
-    for (r, c), digits in entries.items():
-        rows[r][c] = _pack(digits, width)
-    size = (degree + 1) * width
-    biased = det_bareiss_int(rows) + int.from_bytes((bytes(width - 1) + b"\x80") * (degree + 1), "little")
-    view, half = memoryview(biased.to_bytes(size, "little")), 1 << (8 * width - 1)
-    return [int.from_bytes(view[i : i + width], "little") - half for i in range(0, size, width)]
+    for (r, c), entry in entries.items():
+        rows[r][c] = pack(entry, width)
+    return unpack(det_bareiss_int(rows), width, degree + 1)
 
 
-def _det_orbits(problems, p: int, norm: bool) -> list:
-    """The one pass behind `det_norm_cyclotomic` (norm) and `det_cyclotomic_poly`.
+def _det_orbits(problems, p: int) -> list:
+    """The one pass behind `det_cyclotomic_poly` and `det_norm_cyclotomic`: the coordinate rows of
+    each determinant.
 
     Equal problems (k, terms, j), the same object or a copy, are evaluated once, and their result
     is returned at every position that repeats them.  A problem at j = 0 with k <=
     `_BAREISS_MAX_DIM` is an integer polynomial determinant, taken exactly by `_det_kronecker` (its
-    norm and its one coordinate are the determinant itself): each u-coefficient c_i of det M has
-    |c_i| <= B (`_row_bounds`), so for 2^(b-1) > B the c_i are the balanced base-2^b digits of the
-    integer det M(2^b).  Every other problem takes the multimodular pass of `_det_multimodular`.
+    one coordinate is the determinant itself).  Every other problem takes the multimodular pass of
+    `_det_multimodular`.
     """
     position = range(len(problems))
     if len(problems) > 1:
@@ -370,17 +349,15 @@ def _det_orbits(problems, p: int, norm: bool) -> list:
         position = [index.setdefault((k, tuple(terms), j), len(index)) for k, terms, j in problems]
         problems = list(index)
     direct = [j == 0 and k <= _BAREISS_MAX_DIM for k, _, j in problems]
-    rest = iter(_det_multimodular([x for x, small in zip(problems, direct) if not small], p, norm))
+    rest = iter(_det_multimodular([x for x, small in zip(problems, direct) if not small], p))
     out = [_det_kronecker(k, terms) if small else next(rest) for (k, terms, _), small in zip(problems, direct)]
     # a fresh list at every position
-    if norm:
-        return [list(out[i]) if direct[i] else out[i].tolist() for i in position]
     return [[[x] for x in out[i]] if direct[i] else out[i].tolist() for i in position]
 
 
-def _det_multimodular(problems, p: int, norm: bool) -> list[np.ndarray]:
-    """The multimodular pass over distinct problems (k, terms, j): one array per problem, of shape
-    (points,) for a norm and (points, phi) for coordinates.
+def _det_multimodular(problems, p: int) -> list[np.ndarray]:
+    """The multimodular pass over distinct problems (k, terms, j): the coordinates of each
+    determinant, one array of shape (D + 1, phi) per problem (`det_cyclotomic_poly`).
 
     A problem takes the first primes q = 1 mod p^J (J the largest j) its bound needs: ranked by
     bound, those at a prime are a prefix.  Stages:
@@ -390,23 +367,18 @@ def _det_multimodular(problems, p: int, norm: bool) -> list[np.ndarray]:
       - the table is evaluated at the points t by Horner's rule, and `_det_mod_batch` eliminates
         chunks of about `_BATCH_ENTRIES` entries across problems, each cut to the largest k it
         holds;
-      - one `_inverses_mod` pass per prime inverts every denominator (for a norm, after the
-        product over the roots);
-      - one `_interpolate_mod` call takes every row of every problem and prime, each row with
-        its own point count;
-      - for coordinates, the Lagrange step on the roots is one product per prime and j;
+      - one `_inverses_mod` pass per prime inverts every denominator;
+      - one `_interpolate_mod` call takes every row of every problem, prime and root, each row
+        with its own point count;
+      - the Lagrange step on the roots is one product per prime and j;
       - one signed CRT lifts everything.
     """
     if not problems:
         return []
     big_j = max(j for _, _, j in problems)
-    phis, points, targets = [], [], []
-    for k, terms, j in problems:
-        phi = euler_phi_prime_power(p, j)
-        bound, degree = _row_bounds(k, terms)
-        phis.append(phi)
-        points.append(phi * degree + 1 if norm else degree + 1)
-        targets.append(max(2 * bound**phi, 1) if norm else 2 * (p - 1) * bound + 1)
+    bounds = [_row_bounds(k, terms) for k, terms, _ in problems]
+    targets, points = [2 * (p - 1) * bound + 1 for bound, _ in bounds], [degree + 1 for _, degree in bounds]
+    phis = [euler_phi_prime_power(p, j) for _, _, j in problems]
     rank = sorted(range(len(problems)), key=targets.__getitem__, reverse=True)
     primes = _modular_primes(targets[rank[0]], p**big_j)
     moduli = list(itertools.accumulate(primes, operator.mul))
@@ -443,14 +415,12 @@ def _det_multimodular(problems, p: int, norm: bool) -> list[np.ndarray]:
         plan.append((start, stop, first, bisect.bisect_left(starts, stop) - 1, kc))
         start = stop
     at = np.array([starts[:-1], slots[:-1], points])  # per problem: first evaluation, first slot, points
-    # the interpolation grid: rows (problem, prime, root), problems by decreasing points; one
-    # "root", the product, for a norm
-    heights = [1 if norm else phi for phi in phis]
+    # the interpolation grid: rows (problem, prime, root), problems by decreasing points
     layout = sorted(range(len(problems)), key=points.__getitem__, reverse=True)
-    first_row = dict(zip(layout, itertools.accumulate((counts[r] * heights[r] for r in layout), initial=0)))
-    grid = np.zeros((sum(c * h for c, h in zip(counts, heights)), max(points)), dtype=np.int64)
-    row_primes = [q for r in layout for q in primes[: counts[r]] for _ in range(heights[r])]
-    row_points = [points[r] for r in layout for _ in range(counts[r] * heights[r])]
+    first_row = dict(zip(layout, itertools.accumulate((counts[r] * phis[r] for r in layout), initial=0)))
+    grid = np.zeros((sum(c * h for c, h in zip(counts, phis)), max(points)), dtype=np.int64)
+    row_primes = [q for r in layout for q in primes[: counts[r]] for _ in range(phis[r])]
+    row_points = [points[r] for r in layout for _ in range(counts[r] * phis[r])]
     buffer = np.empty((2, starts[-1]), dtype=np.int64)  # num, den at every (problem, root, t)
     powers = []
     for s, q in enumerate(primes):
@@ -478,40 +448,32 @@ def _det_multimodular(problems, p: int, norm: bool) -> list[np.ndarray]:
                 batch = (batch * t[:, None, None] + table[where, e, :kc, :kc]) % q
             buffer[:, start:stop] = _det_mod_batch(batch, q)
         num, den = buffer[:, : starts[active]]
-        if norm and big_j:  # N mod q at each point: the product over the roots
-            num, den = (np.concatenate([
-                _prod_mod(x[starts[r] : starts[r + 1]].reshape(phis[r], -1), q) for r in range(active)
-            ]) for x in (num, den))
         if k_max > 1:  # den = 1 below
             num = num * np.array(_inverses_mod(den.tolist(), q), dtype=np.int64) % q
         lo = 0
         for r in range(active):  # into the grid rows of (r, s)
-            h, row = heights[r], first_row[r] + s * heights[r]
+            h, row = phis[r], first_row[r] + s * phis[r]
             grid[row : row + h, : points[r]] = num[lo : lo + h * points[r]].reshape(h, -1)
             lo += h * points[r]
     grid = _interpolate_mod(grid, row_primes, row_points)
-    found = [  # per problem: (prime, root, u^d)
-        grid[first_row[r] : first_row[r] + c * h, :x].reshape(c, h, x)
-        for r, (c, h, x) in enumerate(zip(counts, heights, points))
+    found = [  # per problem and prime: (u^d, root)
+        list(grid[first_row[r] : first_row[r] + c * h, :x].reshape(c, h, x).transpose(0, 2, 1))
+        for r, (c, h, x) in enumerate(zip(counts, phis, points))
     ]
-    if norm:
-        found = [x[:, 0] for x in found]
-    else:  # coordinates: Lagrange interpolation on the roots, one product per prime and j
-        found = [list(x.transpose(0, 2, 1)) for x in found]  # per prime: (u^d, root)
-        for j in set(j for _, _, j in problems) - {0}:
-            # V[w, l] mod q = (w^-l - w^(s (l // s + 1) - l)) / p^j, w = g^(p^(J-j) u)
-            s, u = p ** (j - 1), np.array([u for u in range(p**j) if u % p])[:, None]
-            l = np.arange(len(u))
-            e0, e1 = (e * u % p**j * p ** (big_j - j) for e in (-l, (l // s + 1) * s - l))
-            group = [r for r, (_, _, i) in enumerate(problems) if i == j]
-            for prime, (q, table) in enumerate(zip(primes, powers)):
-                users = [r for r in group if counts[r] > prime]
-                if not users:
-                    break
-                v = (table[e0] - table[e1]) * pow(p**j, -1, q) % q
-                y, lo = _matmul_mod(np.concatenate([found[r][prime] for r in users]), v, q), 0
-                for r in users:
-                    found[r][prime], lo = y[lo : lo + points[r]], lo + points[r]
+    for j in set(j for _, _, j in problems) - {0}:  # Lagrange interpolation on the roots
+        # V[w, l] mod q = (w^-l - w^(s (l // s + 1) - l)) / p^j, w = g^(p^(J-j) u)
+        s, u = p ** (j - 1), np.array([u for u in range(p**j) if u % p])[:, None]
+        l = np.arange(len(u))
+        e0, e1 = (e * u % p**j * p ** (big_j - j) for e in (-l, (l // s + 1) * s - l))
+        group = [r for r, (_, _, i) in enumerate(problems) if i == j]
+        for prime, (q, table) in enumerate(zip(primes, powers)):
+            users = [r for r in group if counts[r] > prime]
+            if not users:
+                break
+            v = (table[e0] - table[e1]) * pow(p**j, -1, q) % q
+            y, lo = _matmul_mod(np.concatenate([found[r][prime] for r in users]), v, q), 0
+            for r in users:
+                found[r][prime], lo = y[lo : lo + points[r]], lo + points[r]
     # one signed CRT: at prime s the residues of the problems that use it, a prefix
     residues = [np.concatenate([x[s].reshape(-1) for x in found if len(x) > s]) for s in range(len(primes))]
     lifted, lo, out = _crt_signed(residues, primes), 0, [None] * len(problems)
@@ -525,13 +487,11 @@ def det_norm_cyclotomic(problems, p: int) -> list[list[int]]:
     """For each problem (k, terms, j), the coefficients of N(u) = prod_w det M(w, u).
 
     w runs over the primitive p^j-th roots of unity, M is the k x k matrix of the terms as in
-    `det_cyclotomic_poly`, and N, its norm to Q(u), has phi D + 1 integer coefficients (D, B:
-    `_row_bounds`); j = 0 is the integer determinant (`_det_kronecker` up to `_BAREISS_MAX_DIM`
-    rows).  Otherwise a problem takes primes up to a product above 2 B^phi (`_det_multimodular`),
-    and the determinants at t = 0..phi D, multiplied over the roots, give N mod q
-    (`_interpolate_mod`).
+    `det_cyclotomic_poly`, and N, its norm to Q(u), has phi D + 1 integer coefficients (D:
+    `_row_bounds`): the coordinates of det M from the one kernel pass (`_det_orbits`), then their
+    norm by one Graeffe chain (`cyclo.coordinate_norm`).  j = 0 is the integer determinant.
     """
-    return _det_orbits(problems, p, norm=True)
+    return [coordinate_norm(rows, p, j) for rows, (_, _, j) in zip(_det_orbits(problems, p), problems)]
 
 
 def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
@@ -554,7 +514,7 @@ def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
     basis (Euler), so x_l = Tr(x V[l, zeta]) and, as |sigma(V[l, zeta])| <=
     2 / p^j, |x_l| <= (p - 1) B: a problem takes primes up to 2 (p - 1) B + 1.
     """
-    return _det_orbits(problems, p, norm=False)
+    return _det_orbits(problems, p)
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -593,41 +553,31 @@ def det_groupring_poly(k: int, terms, m: int) -> UniPoly:
 def norm_groupring_poly(terms, m: int, subgroup_order: int) -> UniPoly:
     """N_{G/H}(x), the determinant of multiplication by x on Q[G][u] over Q[H][u], G = Z/mZ, m = p^n.
 
-    x = sum coeff * [s] * u^d over the terms (s, d, coeff), coeff rational;
-    H, of order p^h and index k, is Z/p^h Z through t -> t k, and the norm
-    at chi_b of H is the product of psi_a(x) over a = b mod p^h.  With c the
-    lcm of the denominators, each prime q = 1 mod p^n takes c x at t = 0..kD,
-    all psi_a by one table of g^(a s) (g of order p^n in F_q), the coset
-    products, the inverse transform over H and the interpolation in u.
+    x = sum coeff * [s] * u^d over the terms (s, d, coeff), coeff rational; H, of order p^h and
+    index k, is Z/p^h Z through t -> t k.  With c the lcm of the denominators, c x is X(y) =
+    sum_s X_s y^s, X_s = sum_d c coeff u^d, taken at u = 2^(8 w) (`pack`); n - h Graeffe steps
+    give G_(n-h) mod y^(p^h) - 1 (`cyclo._graeffe_chain`), whose y^t coefficient, unpacked, is the
+    coordinate of [t k] in N(c x) = c^k N(x).
 
-    Bound.  Under each psi_a, c x has coefficient 1-norm at most
-    B = sum |c coeff|, so each coset product at most B^k; a coordinate of
-    N(c x) = c^k N(x), in Z[H][u], is an average of p^h of them times roots
-    of unity, so at most B^k, and a modulus above 2 B^k lifts.
+    Proof.  At the character chi_b of H, chi_b([t k]) = zeta_{p^h}^(b t), the norm is the product
+    of psi_a(x) = X(zeta_{p^n}^a) over a = b mod p^h.  The fibres of y -> y^k are cosets of the
+    k-th roots of unity, so with y = zeta_{p^n}^b that product is G_(n-h)(y^k) =
+    G_(n-h)(zeta_{p^h}^b), and an element of Q[H] is determined by its values at the chi_b.
+    Bound: under each psi_a, c x has coefficient 1-norm at most B = sum |c coeff|, so each coset
+    product at most B^k; a coordinate of N(c x) in Z[H][u] is an average of p^h of them times
+    roots of unity, so each of its u-coefficients is at most B^k < 2^(8 w - 1) (`unpack`).
     """
     if not all(isinstance(t[2], (int, Fraction)) for t in terms):
         raise ValueError("group-ring norms need rational group-ring coefficients")
     p, n = factor_prime_power(m)
-    ph = p ** subgroup_exponent(m, subgroup_order)
-    k = m // ph
+    h = subgroup_exponent(m, subgroup_order)
+    k = p ** (n - h)
     c = math.lcm(*(Fraction(coeff).denominator for _, _, coeff in terms))
     degree = max((d for _, d, _ in terms), default=0)
     coeffs = [[0] * (degree + 1) for _ in range(m)]
     for s, d, coeff in terms:
         coeffs[s % m][d] += int(coeff * c)
-    primes = _modular_primes(2 * sum(abs(v) for row in coeffs for v in row) ** k + 1, m)
-    coeffs, t = _int_array(coeffs), np.arange(k * degree + 1)
-    forward = np.outer(np.arange(m), np.arange(m)) % m  # psi_a([s]) = g^(a s)
-    back = -k * np.outer(np.arange(ph), np.arange(ph)) % m  # chi_b([-t]) = g^(-k b t) on H
-    residues = []
-    for q in primes:
-        powers = _root_powers(q, p, n)
-        values, at_q = np.zeros((m, len(t)), dtype=np.int64), (coeffs % q).astype(np.int64)
-        for d in range(degree, -1, -1):  # x_s(t) by Horner's rule
-            values = (values * t + at_q[:, d, None]) % q
-        # psi_a(c x)(t) for a = i p^h + b, multiplied over i, then back over H
-        values = _prod_mod(_matmul_mod(powers[forward], values, q).reshape(k, ph, -1), q)
-        values = _matmul_mod(powers[back], values, q) * pow(ph, -1, q) % q
-        residues.append(_interpolate_mod(values, q, [len(t)] * ph))
-    coords = _crt_signed(np.array(residues, dtype=object), primes).T.tolist()
-    return UniPoly([GroupRingElem(ph, [Fraction(v, c**k) for v in row]) for row in coords])
+    width = k * sum(abs(v) for row in coeffs for v in row).bit_length() // 8 + 1  # 8 w - 1 >= k bits(B)
+    g = next(itertools.islice(_graeffe_chain([pack(row, width) for row in coeffs], p, n), n - h, None))
+    coords = [unpack(x, width, k * degree + 1) for x in g]
+    return UniPoly([GroupRingElem(p**h, [Fraction(v, c**k) for v in row]) for row in zip(*coords)])

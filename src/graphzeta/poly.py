@@ -4,11 +4,14 @@ Coefficients may be ints, Fractions or GroupRingElem; the only
 requirements are ring arithmetic and comparability with the integer 0.
 Power-series identities (the Euler product of the zeta function) are
 checked as polynomial identities, in `graphs.path_counts_from_zeta`.
+
+`pack` and `unpack` are Kronecker substitution for integer polynomials:
+one big integer per polynomial, its coefficients as balanced digits.
 """
 
 from __future__ import annotations
 
-__all__ = ["UniPoly"]
+__all__ = ["UniPoly", "pack", "unpack"]
 
 
 def _is_zero(c) -> bool:
@@ -140,3 +143,26 @@ class UniPoly:
                 continue
             terms.append(f"({c})*u^{i}" if i else f"({c})")
         return "UniPoly(" + " + ".join(terms) + ")"
+
+
+def pack(coeffs, width: int) -> int:
+    """sum_i coeffs[i] X^i at X = 2^(8 width), every coeffs[i] in [-2^(8 width - 1), 2^(8 width - 1)) (`unpack`)."""
+    half = 1 << (8 * width - 1)
+    raw = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(raw, "little") - int.from_bytes((bytes(width - 1) + b"\x80") * len(coeffs), "little")
+
+
+def unpack(value: int, width: int, count: int) -> list[int]:
+    """The balanced digits c_0, ..., c_(count-1) of value = sum_i c_i X^i, X = 2^(8 width).
+
+    Exact when every |c_i| < 2^(8 width - 1): adding the bias sum_i 2^(8 width - 1) X^i makes
+    each digit c_i + 2^(8 width - 1) lie in [1, X - 1], so no digit borrows from the next and
+    the sum is a nonnegative integer below X^count whose width-byte digits are read off one
+    `to_bytes`.  Evaluation at X is a ring homomorphism Z[x] -> Z, so sums and products of
+    `pack`ed polynomials unpack to the sums and products of the polynomials whenever their
+    coefficients obey the same bound.
+    """
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = memoryview((value + bias).to_bytes(width * count, "little"))
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * count, width)]

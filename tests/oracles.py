@@ -23,7 +23,7 @@ from graphzeta.equivariant import _modulus_of
 from graphzeta.graphs import SerreGraph
 from graphzeta.groupring import CharacterLabel, GroupRingElem, characters, groupring_idempotent, norm_element
 from graphzeta.lfunctions import orbit_vertices
-from graphzeta.linalg import det_norm_cyclotomic
+from graphzeta.linalg import det_cyclotomic_poly
 from graphzeta.poly import UniPoly
 from graphzeta.tower import TowerDatum
 
@@ -509,11 +509,13 @@ def orbit_special_products_by_characters(d, n: int) -> dict[int, Fraction]:
 
 
 def orbit_norm_by_kernel(d: TowerDatum, j: int) -> int:
-    """Ntilde_j = N det(D - A_zeta) on K_j, by the multimodular kernel over primes q = 1 mod p^j.
+    """Ntilde_j = N det(D - A_zeta) on K_j: the product of the Galois conjugates of the determinant.
 
     D holds the base degrees and A_zeta[i][i'] sums zeta_{p^j}^alpha(s) over
-    the base darts s from v_i' to v_i: u-free terms of `det_norm_cyclotomic`
-    at level j, which runs out of primes below 2^31 for large phi(p^j).
+    the base darts s from v_i' to v_i: u-free terms of `det_cyclotomic_poly`
+    at level j, whose multimodular pass runs out of primes q = 1 mod p^j below
+    2^31 for large phi(p^j).  Its coordinates are normed by `CycloNum.norm`,
+    not by the Graeffe chain that `orbit_norms` uses.
     """
     kept = orbit_vertices(d, j)
     pos = {v: i for i, v in enumerate(kept)}
@@ -524,7 +526,10 @@ def orbit_norm_by_kernel(d: TowerDatum, j: int) -> int:
         o, t = base.dart_origin[e], base.dart_terminus[e]
         if o in pos and t in pos:
             terms.append((pos[t], pos[o], d.voltage[e], 0, -1))
-    return det_norm_cyclotomic([(len(kept), terms, j)], d.p)[0][0]
+    [coordinates] = det_cyclotomic_poly([(len(kept), terms, j)], d.p)[0]
+    norm = CycloNum(d.p, j, tuple(map(Fraction, coordinates))).norm()
+    assert norm.denominator == 1
+    return norm.numerator
 
 
 def l_reciprocal_of_sum(data: list[LfnData]) -> tuple[int, UniPoly]:

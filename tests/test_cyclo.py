@@ -11,6 +11,7 @@ from graphzeta.cyclo import (
     Valuation,
     _graeffe_step,
     _ord_int,
+    coordinate_norm,
     cyclotomic_norms,
     euler_phi_prime_power,
     galois_conjugates,
@@ -233,6 +234,31 @@ def test_cyclotomic_norms_match_products_of_conjugates(data):
     if n:  # CycloNum.norm: the product of conjugates of the integer numerator, over 6^phi
         x = CycloNum.from_monomials(p, n, [(e, Fraction(c, 6)) for e, c in enumerate(coeffs)])
         assert x.norm() == Fraction(norms[n], 6 ** euler_phi_prime_power(p, n))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_coordinate_norm_matches_cyclonum_norm(data):
+    # N(u) has degree <= phi D, so its values at u = 0..phi D decide it: at each, the norm of x(t)
+    # is the product of its Galois conjugates (CycloNum.norm); zero rows and x = 0 included
+    p, j = data.draw(st.sampled_from([2, 3, 5])), data.draw(st.integers(0, 3))
+    phi = euler_phi_prime_power(p, j)
+    entries = st.one_of(st.integers(-9, 9), st.integers(-(10**12), 10**12))
+    row = st.one_of(st.just([0] * phi), st.lists(entries, min_size=phi, max_size=phi))
+    rows = data.draw(st.lists(row, max_size=max(1, 12 // phi)))
+    norm = coordinate_norm(rows, p, j)
+    assert len(norm) == phi * max(len(rows) - 1, 0) + 1 and all(type(a) is int for a in norm)
+    for t in range(len(norm)):
+        x = CycloNum(p, j, tuple(Fraction(sum(r[e] * t**d for d, r in enumerate(rows))) for e in range(phi)))
+        assert UniPoly(norm)(t) == x.norm()
+
+
+def test_coordinate_norm_examples():
+    # 1 + zeta u over Q(i): (1 + i u)(1 - i u) = 1 + u^2; zeta_3 u - 1 at p = 3: 1 + u + u^2
+    assert coordinate_norm([[1, 0], [0, 1]], 2, 2) == [1, 0, 1]
+    assert coordinate_norm([[-1, 0], [0, 1]], 3, 1) == [1, 1, 1]
+    assert coordinate_norm([], 5, 2) == [0] and coordinate_norm([[0] * 4] * 3, 5, 1) == [0] * 9
+    assert coordinate_norm([[7], [0], [-2]], 2, 0) == [7, 0, -2]
 
 
 def test_graeffe_step_is_the_product_over_pth_roots():

@@ -42,7 +42,10 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # from_character_values takes values as coordinates; CycloNum with
 # _phi_tail, _reduce, zeta and ordp_cyclo, level_matrices (for eta_direct),
 # character_idempotent and a per-character h, z and LfnData built from
-# level_matrices are test oracles in tests/oracles.py.
+# level_matrices are test oracles in tests/oracles.py.  Every norm is a
+# Graeffe chain on coefficients packed by poly.pack (cyclo.coordinate_norm,
+# norm_groupring_poly), so the private packing and the product over the
+# roots mod q are gone.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -104,6 +107,8 @@ REMOVED = [
     ("lfunctions", "SpecialValues"),
     ("lfunctions", "lfn_data"),
     ("lfunctions", "LfnData"),
+    ("linalg", "_pack"),
+    ("linalg", "_prod_mod"),
 ]
 
 

@@ -310,7 +310,7 @@ def _norm_by_conjugates(p, j, k, terms) -> UniPoly:
 )
 def test_det_norm_cyclotomic_matches_product_of_conjugates(p, j):
     # u-degree <= 2; k = 0, a zero row and u-free terms included; coefficients up to 10^6
-    # make B^phi need several CRT primes
+    # need several CRT primes for the coordinates and wide packed digits for the norm
     rng = random.Random(100 * p + j)
     order, phi = p**j, (p - 1) * p ** (j - 1) if j else 1
     cases = [(0, [])]
@@ -749,8 +749,21 @@ def test_kronecker_route_ends_at_the_bareiss_size(monkeypatch):
         norm = det_norm_cyclotomic([(k, terms, 0)], 2)[0]
         coordinates = det_cyclotomic_poly([(k, terms, 0)], 2)[0]
         assert bool(batches) == modular
-        assert norm == linalg._det_kronecker(k, terms) == linalg._det_multimodular([(k, terms, 0)], 2, True)[0].tolist()
+        modular_det = [x for [x] in linalg._det_multimodular([(k, terms, 0)], 2)[0].tolist()]
+        assert norm == linalg._det_kronecker(k, terms) == modular_det
         assert coordinates == [[x] for x in norm]
+
+
+@pytest.mark.parametrize("p, j, degree", [(3, 1, 2), (2, 2, 2), (3, 2, 0)])
+def test_det_norm_cyclotomic_past_the_bareiss_size(p, j, degree):
+    # a 29-row tridiagonal matrix over Z[zeta_{p^j}][u], its u-degrees capped at degree:
+    # coordinates from the multimodular pass, then the Graeffe norm, against the product of the
+    # conjugates of its cofactor determinant
+    k = linalg._BAREISS_MAX_DIM + 1
+    terms = [(r, c, (r + 2 * c + d) % p**j, min(d, degree), a) for r, c, _, d, a in _tridiagonal(k)]
+    norm = det_norm_cyclotomic([(k, terms, j)], p)[0]
+    assert len(norm) == (p - 1) * p ** (j - 1) * linalg._row_bounds(k, terms)[1] + 1
+    assert UniPoly(norm) == _norm_by_conjugates(p, j, k, terms)
 
 
 def test_kronecker_repeated_problems_take_one_elimination_each(monkeypatch):

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphzeta.poly import UniPoly
+from graphzeta.poly import UniPoly, pack, unpack
 
 
 def test_trailing_zeros_stripped():
@@ -56,3 +58,31 @@ def test_series_negative_power():
     # (1-u^2)^-2 = sum (k+1) u^(2k): (1 - u^2)^2 times its truncation is 1 + O(u^6)
     s = UniPoly([1, 0, 2, 0, 3])
     assert UniPoly([1, 0, -1]) ** 2 * s == UniPoly([1, 0, 0, 0, 0, 0, -4, 0, 3])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_pack_unpack_round_trip(data):
+    # balanced width-byte digits: the widest ones, +-(2^(8w - 1) - 1), zero digits (trailing ones
+    # among them), and sums of packed values whose digit sums stay in range
+    width = data.draw(st.integers(1, 9))
+    top = 2 ** (8 * width - 1) - 1
+    digit = st.one_of(st.sampled_from([0, top, -top, 1, -1]), st.integers(-top, top))
+    a = data.draw(st.lists(digit, max_size=24))
+    packed = pack(a, width)
+    assert packed == sum(c << (8 * width * i) for i, c in enumerate(a))
+    assert unpack(packed, width, len(a)) == a
+    assert unpack(packed, width, len(a) + 3) == a + [0, 0, 0]
+    half = st.one_of(st.sampled_from([0, top // 2, -(top // 2)]), st.integers(-(top // 2), top // 2))
+    b, c = (data.draw(st.lists(half, min_size=len(a), max_size=len(a))) for _ in range(2))
+    assert unpack(pack(b, width) + pack(c, width), width, len(a)) == [x + y for x, y in zip(b, c)]
+    assert unpack(pack(b, width) - pack(c, width), width, len(a)) == [x - y for x, y in zip(b, c)]
+
+
+def test_pack_takes_the_lowest_digit():
+    # pack also takes the digit -2^(8w - 1), which unpack does not read back; no digits pack to 0
+    for width in (1, 2, 5):
+        low = -(2 ** (8 * width - 1))
+        assert pack([low, 3], width) == low + (3 << (8 * width))
+        assert pack([], width) == 0 and unpack(0, width, 0) == []
+        assert unpack(pack([0, 0], width), width, 2) == [0, 0]
