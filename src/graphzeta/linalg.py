@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -166,17 +165,13 @@ def _modular_primes(target: int, m: int = 1) -> list[int]:
 
 
 def _crt_signed(residues, primes: list[int]) -> np.ndarray:
-    """The integers x with |x| < M/2 and x = residues[s] mod primes[s], elementwise (Python ints):
-    residues[s] covers a prefix of the entries, no longer than residues[s - 1], and M is, entry by
-    entry, the product of the primes whose residues cover it."""
-    value, m, done = residues[0], primes[0], []
+    """The integers x with |x| < M/2 and x = residues[s] mod primes[s], elementwise, M the product
+    of the primes: int64 for one prime, Python ints past it."""
+    value, m = residues[0], primes[0]
     for r, q in zip(residues[1:], primes[1:]):
-        if len(r) < len(value):  # the entries past r are lifted: modulo m
-            done.append((value[len(r) :] + m // 2) % m - m // 2)
-            value = value[: len(r)]
         value = value.astype(object) + m * ((r - value) * pow(m, -1, q) % q)  # exact past int64
         m *= q
-    return np.concatenate([(value + m // 2) % m - m // 2, *reversed(done)])
+    return (value + m // 2) % m - m // 2
 
 
 # entries from which `_det_mod_batch` reduces a column step by floor division: numpy's int64 `%`
@@ -244,8 +239,6 @@ def _interpolate_mod(values: np.ndarray, moduli: list[int], counts) -> np.ndarra
     share one pass: step k works on the rows with P_i > k, a prefix.
     """
     width = values.shape[1]
-    if width == 1:  # constants
-        return values
     qcol = np.array(moduli, dtype=np.int64).reshape(-1, 1)
     live = np.searchsorted(-np.asarray(counts), -np.arange(width)).tolist()  # the rows with P_i > k
     # the node differences 1..width - 1, inverted once per prime
@@ -359,8 +352,9 @@ def _det_multimodular(problems, p: int) -> list[np.ndarray]:
     """The multimodular pass over distinct problems (k, terms, j): the coordinates of each
     determinant, one array of shape (D + 1, phi) per problem (`det_cyclotomic_poly`).
 
-    A problem takes the first primes q = 1 mod p^J (J the largest j) its bound needs: ranked by
-    bound, those at a prime are a prefix.  Stages:
+    Every problem takes every prime of the call: the primes q = 1 mod p^J (J the largest j) whose
+    product exceeds 2 (p - 1) B + 1, B the largest bound, since a balanced lift under a larger
+    modulus is the same integer.  Stages:
       - per prime, powers of one g of order p^J give each root g^(p^(J-j) u), u a unit mod p^j,
         and one table holds every problem's matrix at its roots, padded to the largest k with
         identity rows and columns;
@@ -369,7 +363,7 @@ def _det_multimodular(problems, p: int) -> list[np.ndarray]:
         holds;
       - one `_inverses_mod` pass per prime inverts every denominator;
       - one `_interpolate_mod` call takes every row of every problem, prime and root, each row
-        with its own point count;
+        with its problem's point count;
       - the Lagrange step on the roots is one product per prime and j;
       - one signed CRT lifts everything.
     """
@@ -377,13 +371,9 @@ def _det_multimodular(problems, p: int) -> list[np.ndarray]:
         return []
     big_j = max(j for _, _, j in problems)
     bounds = [_row_bounds(k, terms) for k, terms, _ in problems]
-    targets, points = [2 * (p - 1) * bound + 1 for bound, _ in bounds], [degree + 1 for _, degree in bounds]
+    points = [degree + 1 for _, degree in bounds]
     phis = [euler_phi_prime_power(p, j) for _, _, j in problems]
-    rank = sorted(range(len(problems)), key=targets.__getitem__, reverse=True)
-    primes = _modular_primes(targets[rank[0]], p**big_j)
-    moduli = list(itertools.accumulate(primes, operator.mul))
-    counts = [bisect.bisect_right(moduli, targets[i]) + 1 for i in rank]  # primes per problem
-    problems, phis, points = ([x[i] for i in rank] for x in (problems, phis, points))
+    primes = _modular_primes(2 * (p - 1) * max(bound for bound, _ in bounds) + 1, p**big_j)
     k_max = max(k for k, _, _ in problems)
     # per term, identity padding included: first slot, position (d, r, c) and exp p^(J-j), exp
     # first reduced mod p^j; then per (term, root) the slot (problem, root) and the power of g,
@@ -397,7 +387,6 @@ def _det_multimodular(problems, p: int) -> list[np.ndarray]:
         slots.append(slot + phi)
         sizes.append(len(terms) + k_max - k)
     cells, coeffs = np.array(head, dtype=np.int64).reshape(-1, 5).T, _int_array(coeffs)
-    cell_ends = list(itertools.accumulate((x * phi for x, phi in zip(sizes, phis)), initial=0))
     if big_j:  # one cell per (term, root)
         roots = np.repeat(phis, sizes)
         cells, coeffs = np.repeat(cells, roots, axis=1), np.repeat(coeffs, roots)
@@ -417,24 +406,19 @@ def _det_multimodular(problems, p: int) -> list[np.ndarray]:
     at = np.array([starts[:-1], slots[:-1], points])  # per problem: first evaluation, first slot, points
     # the interpolation grid: rows (problem, prime, root), problems by decreasing points
     layout = sorted(range(len(problems)), key=points.__getitem__, reverse=True)
-    first_row = dict(zip(layout, itertools.accumulate((counts[r] * phis[r] for r in layout), initial=0)))
-    grid = np.zeros((sum(c * h for c, h in zip(counts, phis)), max(points)), dtype=np.int64)
-    row_primes = [q for r in layout for q in primes[: counts[r]] for _ in range(phis[r])]
-    row_points = [points[r] for r in layout for _ in range(counts[r] * phis[r])]
+    first_row = dict(zip(layout, itertools.accumulate((len(primes) * phis[r] for r in layout), initial=0)))
+    grid = np.zeros((len(primes) * slots[-1], max(points)), dtype=np.int64)
+    row_primes = [q for r in layout for q in primes for _ in range(phis[r])]
+    row_points = [points[r] for r in layout for _ in range(len(primes) * phis[r])]
     buffer = np.empty((2, starts[-1]), dtype=np.int64)  # num, den at every (problem, root, t)
     powers = []
     for s, q in enumerate(primes):
-        active = sum(count > s for count in counts)
         powers.append(_root_powers(q, p, big_j))
-        table = np.zeros((slots[active], degree + 1, k_max, k_max), dtype=np.int64)
-        live = cells[:, : cell_ends[active]]
-        at_q = np.remainder(coeffs[: cell_ends[active]], q).astype(np.int64, copy=False) * powers[s][live[4]]
-        np.add.at(table, tuple(live[:4]), at_q % q)
+        table = np.zeros((slots[-1], degree + 1, k_max, k_max), dtype=np.int64)
+        at_q = np.remainder(coeffs, q).astype(np.int64, copy=False) * powers[s][cells[4]]
+        np.add.at(table, tuple(cells[:4]), at_q % q)
         table %= q
         for start, stop, first, last, kc in plan:
-            if start >= starts[active]:
-                break
-            stop = min(stop, starts[active])
             if first == last:  # the slot (problem, root) and the point t of each evaluation
                 where, t = np.divmod(np.arange(start - starts[first], stop - starts[first]), points[first])
                 where += slots[first]
@@ -447,18 +431,16 @@ def _det_multimodular(problems, p: int) -> list[np.ndarray]:
             for e in range(degree - 1, -1, -1):
                 batch = (batch * t[:, None, None] + table[where, e, :kc, :kc]) % q
             buffer[:, start:stop] = _det_mod_batch(batch, q)
-        num, den = buffer[:, : starts[active]]
+        num, den = buffer
         if k_max > 1:  # den = 1 below
             num = num * np.array(_inverses_mod(den.tolist(), q), dtype=np.int64) % q
-        lo = 0
-        for r in range(active):  # into the grid rows of (r, s)
-            h, row = phis[r], first_row[r] + s * phis[r]
-            grid[row : row + h, : points[r]] = num[lo : lo + h * points[r]].reshape(h, -1)
-            lo += h * points[r]
+        for r, (h, x) in enumerate(zip(phis, points)):  # into the grid rows of (r, s)
+            row = first_row[r] + s * h
+            grid[row : row + h, :x] = num[starts[r] : starts[r + 1]].reshape(h, x)
     grid = _interpolate_mod(grid, row_primes, row_points)
-    found = [  # per problem and prime: (u^d, root)
-        list(grid[first_row[r] : first_row[r] + c * h, :x].reshape(c, h, x).transpose(0, 2, 1))
-        for r, (c, h, x) in enumerate(zip(counts, phis, points))
+    found = [  # per problem: (prime, u^d, root)
+        grid[first_row[r] : first_row[r] + len(primes) * h, :x].reshape(-1, h, x).transpose(0, 2, 1)
+        for r, (h, x) in enumerate(zip(phis, points))
     ]
     for j in set(j for _, _, j in problems) - {0}:  # Lagrange interpolation on the roots
         # V[w, l] mod q = (w^-l - w^(s (l // s + 1) - l)) / p^j, w = g^(p^(J-j) u)
@@ -467,18 +449,14 @@ def _det_multimodular(problems, p: int) -> list[np.ndarray]:
         e0, e1 = (e * u % p**j * p ** (big_j - j) for e in (-l, (l // s + 1) * s - l))
         group = [r for r, (_, _, i) in enumerate(problems) if i == j]
         for prime, (q, table) in enumerate(zip(primes, powers)):
-            users = [r for r in group if counts[r] > prime]
-            if not users:
-                break
             v = (table[e0] - table[e1]) * pow(p**j, -1, q) % q
-            y, lo = _matmul_mod(np.concatenate([found[r][prime] for r in users]), v, q), 0
-            for r in users:
+            y, lo = _matmul_mod(np.concatenate([found[r][prime] for r in group]), v, q), 0
+            for r in group:
                 found[r][prime], lo = y[lo : lo + points[r]], lo + points[r]
-    # one signed CRT: at prime s the residues of the problems that use it, a prefix
-    residues = [np.concatenate([x[s].reshape(-1) for x in found if len(x) > s]) for s in range(len(primes))]
-    lifted, lo, out = _crt_signed(residues, primes), 0, [None] * len(problems)
-    for i, x in zip(rank, found):
-        out[i] = lifted[lo : lo + x[0].size].reshape(x[0].shape)
+    # one signed CRT: row s holds every problem's residues at prime s
+    lifted, lo, out = _crt_signed(np.hstack([x.reshape(len(primes), -1) for x in found]), primes), 0, []
+    for x in found:
+        out.append(lifted[lo : lo + x[0].size].reshape(x[0].shape))
         lo += x[0].size
     return out
 
@@ -512,7 +490,8 @@ def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
     For j = 0 the one root is 1.  Bound: |sigma(x)| <= B for every embedding
     sigma; the b_l(zeta) / Phi'(zeta) are the trace-dual basis of the power
     basis (Euler), so x_l = Tr(x V[l, zeta]) and, as |sigma(V[l, zeta])| <=
-    2 / p^j, |x_l| <= (p - 1) B: a problem takes primes up to 2 (p - 1) B + 1.
+    2 / p^j, |x_l| <= (p - 1) B: a call takes primes up to 2 (p - 1) B + 1, B the
+    largest bound of its problems.
     """
     return _det_orbits(problems, p)
 

@@ -417,6 +417,48 @@ def test_cli_fuzzed_datum_documents_exit_with_a_documented_code(text, data):
             assert message == "" or (message.startswith(prefixes) and message.count("\n") == 1), (argv, message)
 
 
+_COMMANDS = ["zeta", "lfunctions", "tower", "invariants", "verify"]
+_FILES = [DATUM, STAR, str(FIXTURES / "missing.json"), str(FIXTURES)]
+_VALUES = ["-1", "0", "1", "2", "3", "x", "2.5"]
+_FLAGS = ["--level", "--max-level", "--subgroup-order", "--lev", "--max", "--sub"]  # and abbreviations
+_ARGV_TOKENS = (
+    _COMMANDS
+    + _FILES
+    + _VALUES
+    + _FLAGS
+    + [f"{flag}={value}" for flag in _FLAGS for value in _VALUES]
+    + ["--json", "--js", "--", "", "--frobnicate"]
+)
+
+
+@st.composite
+def _argvs(draw):
+    # up to 7 tokens: free-form, or a command, a fixture and up to two options (a flag and its
+    # value, or --json) with at most one stray token, so that many get past the parser
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=7))
+    argv = [draw(st.sampled_from(_COMMANDS)), draw(st.sampled_from([DATUM, STAR]))]
+    options = [[flag, value] for flag in _FLAGS for value in _VALUES] + [["--json"]]
+    for _ in range(draw(st.integers(0, 2))):
+        argv += draw(st.sampled_from(options))
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_ARGV_TOKENS)))
+    return argv
+
+
+@settings(max_examples=200)
+@given(_argvs())
+def test_cli_free_form_argv_exits_with_a_documented_code(argv):
+    # exit 0-3, and stderr empty or one diagnostic line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    message = err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    prefixes = ("error: ", "hypothesis violated: ", "certification failed: ")
+    assert message == "" or (message.startswith(prefixes) and message.count("\n") == 1), (argv, message)
+
+
 def test_cli_commands_do_no_cyclotomic_arithmetic(monkeypatch, capsys):
     # every command path works on integer coordinate rows; CycloNum arithmetic lives in the oracles only
     runs = []

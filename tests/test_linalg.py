@@ -12,6 +12,7 @@ from graphzeta.errors import CertificationError
 from graphzeta import linalg
 from graphzeta.groupring import GroupRingElem, groupring_idempotent
 from graphzeta.linalg import (
+    _crt_signed,
     _det_mod_batch,
     _modular_primes,
     det_bareiss_int,
@@ -267,6 +268,31 @@ def test_modular_primes_are_searched_once_per_modulus(monkeypatch):
     assert _modular_primes(2**62, 2**17) == _modular_primes(2**62, 2**17)
     with pytest.raises(CertificationError, match="too few primes"):
         _modular_primes(2 ** (2**17), 2**17)
+
+
+def _plain_crt(residues, primes):
+    # the balanced integer of the residues by the textbook sum over the primes
+    m = math.prod(primes)
+    x = sum(r * (m // q) * pow(m // q, -1, q) for r, q in zip(residues, primes)) % m
+    return x - m if x > m // 2 else x
+
+
+def test_crt_signed_lifts_every_entry_under_the_product_of_the_primes():
+    q = _modular_primes(1)[0]
+    assert _crt_signed(np.array([[0, 1, q // 2, q // 2 + 1, q - 1]]), [q]).tolist() == [0, 1, q // 2, -(q // 2), -1]
+    for primes in (_modular_primes(2**40), _modular_primes(2**150)):
+        assert len(primes) in (2, 5)
+        half = (math.prod(primes) - 1) // 2
+        values = [0, 1, -1, half, -half, half - 7, 7 - half] + ([2**63 + 1, -(2**64)] if half > 2**64 else [])
+        lifted = _crt_signed(np.array([[x % q for x in values] for q in primes], dtype=np.int64), primes)
+        assert lifted.tolist() == values and all(type(x) is int for x in lifted)
+    rng = random.Random(29)
+    for size in range(1, 6):
+        primes = _modular_primes(2 ** (31 * size - 31), rng.choice([1, 8, 81]))
+        assert len(primes) == size
+        residues = [[rng.randrange(q) for _ in range(20)] for q in primes]
+        lifted = _crt_signed(np.array(residues, dtype=np.int64), primes).tolist()
+        assert lifted == [_plain_crt(column, primes) for column in zip(*residues)]
 
 
 def test_det_norm_cyclotomic_matches_cyclonum_norm():
@@ -549,8 +575,8 @@ def _cyclo_det_oracle(p, j, k, terms) -> UniPoly:
 @st.composite
 def _problem_lists(draw):
     # (p, problems): one to four matrices at j <= 3 (p = 2) or j <= 2 (p = 3), k = 0..4, entries
-    # of u-degree <= 3 and coefficients up to a bound of 1 to 10^12 per problem, so that the
-    # problems of one call need different prime counts; sometimes a zero row
+    # of u-degree <= 3 and coefficients up to a bound of 1 to 10^12 per problem, so that the bounds
+    # of one call differ and every problem must be exact under the call's primes; sometimes a zero row
     p = draw(st.sampled_from([2, 3]))
     problems = []
     for _ in range(draw(st.integers(1, 4))):
@@ -582,7 +608,13 @@ def _problem_lists(draw):
 @example((2, [(2, [(0, 0, 1, 3, 5), (1, 1, 0, 0, 1), (0, 1, 2, 1, -7)], 3)]))  # a single problem
 @example((3, [(0, [], 2), (3, [(0, 0, 0, 0, 1), (1, 1, 0, 0, 1), (2, 2, 0, 2, 1)], 0), (1, [], 1)]))
 @example((2, [(1, [(0, 0, 1, 1, 3)], 2), (2, [(0, 0, 0, 1, 1), (1, 1, 1, 0, 2)], 1)] * 2))  # repeats
-@example((2, [(1, [(0, 0, 0, 0, 3)], 0), (1, [(0, 0, 0, 0, 10**12)], 0)]))  # one chunk, 1 and 2 primes
+@example((2, [(1, [(0, 0, 0, 0, 3)], 0), (1, [(0, 0, 0, 0, 10**12)], 0)]))  # j = 0: the Kronecker route
+# the problem with the most roots has the smallest bound: alone, 2, 1 and 1 primes
+@example((2, [
+    (1, [(0, 0, 1, 0, 10**12)], 1),
+    (1, [(0, 0, 1, 0, 3)], 2),
+    (2, [(0, 0, 0, 0, 1), (1, 1, 3, 1, 5), (0, 1, 1, 2, -7)], 2),
+]))
 @given(_problem_lists())
 def test_batched_kernels_match_the_oracles_problem_by_problem(case):
     # every position, a repeated problem's among them, equals its one-problem call and the oracle
