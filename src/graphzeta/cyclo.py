@@ -233,7 +233,10 @@ def _ord_int(n: int, p: int) -> int:
     Divides by p, p^2, p^4, ... while each divides, which leaves a
     valuation below the first power that failed, then by the same powers
     downward, each at most once: the binary digits of what is left.
+    For p = 2 it is the index of the lowest set bit of n.
     """
+    if p == 2:
+        return (n & -n).bit_length() - 1
     if n % p:
         return 0
     v, step, q, powers = 0, 1, p, []

@@ -1,8 +1,9 @@
 """Exact determinants and norms over the coefficient rings used in this package.
 
-Integer and integer polynomial matrices of at most `_BAREISS_MAX_DIM` rows are
-eliminated exactly over Z (Bareiss; for polynomials, at u = 2^b by Kronecker
-substitution).  Every other determinant is multimodular: primes q < 2^31
+Integer matrices of at most `_BAREISS_MAX_DIM` rows, and every polynomial
+determinant below one size switch (`_kronecker_wins`), are eliminated exactly
+over Z (Bareiss; for polynomials, at one integer point by Kronecker
+substitution).  The larger determinants are multimodular: primes q < 2^31
 searched once per modulus, elimination of chunks of about `_BATCH_ENTRIES`
 entries mod q (`_det_mod_batch`), Newton interpolation, one signed CRT.
 Every norm is a Graeffe chain over Z on coefficients packed at u = 2^b
@@ -14,10 +15,12 @@ Routes:
   - lists of matrices over Z[zeta_{p^j}][u] (`_det_orbits`): the power-basis
     coordinates of each determinant (`det_cyclotomic_poly`: h, z, group-ring
     determinants), or their norm to Q(u) (`det_norm_cyclotomic`: level h).
-    A problem repeated in a list is evaluated once.  At j = 0 and
-    k <= `_BAREISS_MAX_DIM` (a cover's h, det(D - A_x)) the determinant is
-    one Bareiss elimination of M(2^b), read back as balanced base-2^b digits
-    (`_det_kronecker`).  The other problems share one multimodular pass
+    A problem repeated in a list is evaluated once.  Below the size switch
+    (every base-size h, z and group-ring problem of the fixtures and the
+    bench data) the determinant is one Bareiss elimination of M(x, u) at
+    x = t^(D+1), u = t, t = 2^b, read back as balanced base-2^b digits, then
+    folded mod x^(p^j) - 1 and reduced mod Phi_{p^j} (`_det_kronecker`).
+    The problems above it (cover-size matrices) share one multimodular pass
     (`_det_multimodular`) at the primitive roots of unity mod q and
     u = 0..D: per prime one table, one chunked elimination and one
     inversion of denominators serve every problem, then one interpolation,
@@ -53,6 +56,7 @@ __all__ = [
 ]
 
 _BAREISS_MAX_DIM = 28
+_KRONECKER_SWITCH = 1 << 21  # `_kronecker_wins`
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -299,31 +303,68 @@ def _row_bounds(k: int, terms) -> tuple[int, int]:
     return (math.isqrt(square - 1) + 1 if square else 0), sum(row_degree)
 
 
-def _det_kronecker(k: int, terms) -> list[int]:
-    """The D + 1 u-coefficients of det M, M the k x k integer polynomial matrix of the terms
-    (r, c, exp, d, coeff) (exp ignored, as at j = 0; B, D: `_row_bounds`), by Kronecker substitution.
+def _det_kronecker(k: int, terms, j: int = 0, p: int = 2) -> list[int]:
+    """The coordinates of det M, M the k x k matrix over Z[zeta][u], zeta = zeta_{p^j}, of the terms
+    (r, c, exp, d, coeff) as in `det_cyclotomic_poly`, by Kronecker substitution: entry d phi + l,
+    d = 0..D, l < phi = phi(p^j), is the coordinate of zeta^l in the u^d coefficient (B, D:
+    `_row_bounds`).  At j = 0 these are the D + 1 u-coefficients of the integer determinant.
 
-    With b = 8 w the least multiple of 8 such that 2^(b-1) > B, `det_bareiss_int` takes the integer
-    matrix M(2^b), each entry packed from its u-coefficients (`pack`), and gives det M(2^b) =
-    sum_i c_i 2^(b i), i = 0..D.  Every |c_i| <= B < 2^(b-1) (`_row_bounds`), so the c_i are the
-    balanced digits of det M(2^b) (`unpack`).  The packing is sound too: B = 0 only when a row has
-    no nonzero term, and then det M = 0; otherwise every row's 2-norm is at least 1, so B >= each
-    row's 2-norm >= every |u-coefficient| of its entries.
+    With m = p^j and s = p^(j-1), each entry is the integer polynomial sum coeff x^(exp mod m) u^d
+    in x and u, and M(x, u) is taken at x = t^(D+1), u = t, t = 2^b: b = 8 w is the least multiple
+    of 8 with 2^(b-1) > B, each entry packed from its coefficients (`pack`), and one
+    `det_bareiss_int` gives det M(t).  Its balanced digits (`unpack`) are the coefficients of the
+    monomials x^a u^e, a <= k (m - 1), e <= D, at position a (D + 1) + e; folding x^a -> x^(a mod m)
+    (x^m = 1 at x = zeta) and reducing mod Phi_{p^j}, x^a = -sum_(i < p - 1) x^(a - (p - 1) s + i s)
+    for a = phi..m - 1, gives the coordinates.
+
+    Exactness: on the torus |x| = |u| = 1, every |M_rc(x, u)| <= a_rc, so |det M(x, u)| <= B by
+    Hadamard, and by Cauchy's estimate in two variables every coefficient of det M(x, u) is at
+    most B < 2^(b-1): they are the balanced digits of det M(t).  det M has u-degree at most D, so
+    x = t^(D+1) sends distinct monomials to distinct powers of t.  The packing is sound too: B = 0
+    only when a row has no nonzero term, and then det M = 0; otherwise every row's 2-norm is at
+    least 1, so B >= each row's 2-norm >= every coefficient of its entries.  Folding and the
+    reduction are exact integer steps after the unpacking.
     """
     bound, degree = _row_bounds(k, terms)
+    m, phi, stride = p**j, euler_phi_prime_power(p, j), degree + 1
     if not bound:
-        return [0] * (degree + 1)
+        return [0] * (stride * phi)
     width = (bound.bit_length() + 8) // 8  # bytes per digit: 8 width - 1 >= the bits of B
     entries: dict = {}
-    for r, c, _, d, coeff in terms:
+    for r, c, exp, d, coeff in terms:
         if coeff:
-            entry = entries.setdefault((r, c), [])
-            entry += [0] * (d + 1 - len(entry))
-            entry[d] += coeff
+            entry, at = entries.setdefault((r, c), []), exp % m * stride + d
+            entry += [0] * (at + 1 - len(entry))
+            entry[at] += coeff
     rows = [[0] * k for _ in range(k)]
     for (r, c), entry in entries.items():
         rows[r][c] = pack(entry, width)
-    return unpack(det_bareiss_int(rows), width, degree + 1)
+    block = m * stride  # x^a u^e and x^(a + m) u^e fold to one coordinate
+    digits = unpack(det_bareiss_int(rows), width, (k * (m - 1) // m + 1) * block)  # whole blocks
+    if not j:
+        return digits
+    folded = [sum(x) for x in zip(*(digits[i : i + block] for i in range(0, len(digits), block)))]
+    # x^(phi + r), r < s, is -(x^r + x^(r + s) + ... + x^(r + (p - 2) s)): x^l, l < phi, takes minus
+    # the coefficient of x^(phi + l mod s)
+    top = folded[phi * stride :] * (p - 1)
+    coords = [x - y for x, y in zip(folded, top)]
+    return [x for e in range(stride) for x in coords[e::stride]]
+
+
+def _kronecker_wins(k: int, terms, j: int, p: int) -> bool:
+    """The size switch of `_det_orbits`: whether the problem (k, terms, j) takes `_det_kronecker`
+    rather than `_det_multimodular`.
+
+    At j = 0, up to `_BAREISS_MAX_DIM` rows.  At j >= 1, while bits^2 <= `_KRONECKER_SWITCH` *
+    points, bits = (k (p^j - 1) + 1) (D + 1) 8 w those of det M(t) in `_det_kronecker` and points =
+    phi (D + 1) those of the multimodular pass per prime: Bareiss on such integers pays CPython's
+    quadratic long division, the multimodular pass about one batched elimination per point.
+    """
+    if not j:
+        return k <= _BAREISS_MAX_DIM
+    bound, degree = _row_bounds(k, terms)
+    bits = (k * (p**j - 1) + 1) * (degree + 1) * ((bound.bit_length() + 8) // 8 * 8)
+    return bits * bits <= _KRONECKER_SWITCH * euler_phi_prime_power(p, j) * (degree + 1)
 
 
 def _det_orbits(problems, p: int) -> list:
@@ -331,21 +372,25 @@ def _det_orbits(problems, p: int) -> list:
     each determinant.
 
     Equal problems (k, terms, j), the same object or a copy, are evaluated once, and their result
-    is returned at every position that repeats them.  A problem at j = 0 with k <=
-    `_BAREISS_MAX_DIM` is an integer polynomial determinant, taken exactly by `_det_kronecker` (its
-    one coordinate is the determinant itself).  Every other problem takes the multimodular pass of
-    `_det_multimodular`.
+    is returned at every position that repeats them.  A problem below the size switch
+    (`_kronecker_wins`) is one exact Bareiss elimination by `_det_kronecker`; the others share one
+    multimodular pass, `_det_multimodular`.
     """
     position = range(len(problems))
     if len(problems) > 1:
         index: dict = {}
         position = [index.setdefault((k, tuple(terms), j), len(index)) for k, terms, j in problems]
         problems = list(index)
-    direct = [j == 0 and k <= _BAREISS_MAX_DIM for k, _, j in problems]
+    direct = [_kronecker_wins(k, terms, j, p) for k, terms, j in problems]
     rest = iter(_det_multimodular([x for x, small in zip(problems, direct) if not small], p))
-    out = [_det_kronecker(k, terms) if small else next(rest) for (k, terms, _), small in zip(problems, direct)]
-    # a fresh list at every position
-    return [[[x] for x in out[i]] if direct[i] else out[i].tolist() for i in position]
+    out = []
+    for (k, terms, j), small in zip(problems, direct):
+        if small:  # the coordinates cut into rows of phi
+            coords, phi = _det_kronecker(k, terms, j, p), euler_phi_prime_power(p, j)
+            out.append([coords[x : x + phi] for x in range(0, len(coords), phi)])
+        else:
+            out.append(next(rest).tolist())
+    return [[row[:] for row in out[i]] for i in position]  # a fresh list at every position
 
 
 def _det_multimodular(problems, p: int) -> list[np.ndarray]:
@@ -480,9 +525,13 @@ def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
     (`_row_bounds`), the coordinates of the u^d coefficient of det M in the
     power basis 1, zeta, ..., zeta^(phi - 1), phi = phi(p^j).
 
-    Z[zeta]/q is F_q^phi through the primitive roots w of unity in F_q
-    (`_det_orbits`).  The determinants at w and t = 0..D give each u^d
-    coefficient x at every w (`_interpolate_mod`), and Lagrange interpolation
+    A problem below the size switch (`_kronecker_wins`) is one exact Bareiss
+    elimination of M(x, u) at x = t^(D+1), u = t, t = 2^b, its digits folded
+    mod x^(p^j) - 1 and reduced mod Phi_{p^j} (`_det_kronecker`).  The others
+    take the multimodular pass (`_det_multimodular`): Z[zeta]/q is F_q^phi
+    through the primitive roots w of unity in F_q.  The determinants at w
+    and t = 0..D give each u^d coefficient x at every w (`_interpolate_mod`),
+    and Lagrange interpolation
     on the roots of Phi = Phi_{p^j} its coordinates x_l = sum_w x(w) V[l, w]:
     with s = p^(j-1), Phi(X) / (X - w) = sum_l b_l(w) X^l, b_l(w) =
     sum_{t : t s > l} w^(t s - l - 1), and 1 / Phi'(w) = w (w^s - 1) / p^j,

@@ -80,6 +80,25 @@ def test_ordp_by_squared_powers_matches_single_divisions():
         assert ordp_fraction(0, p).is_infinite
 
 
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.integers(-(2**300), 2**300).filter(bool),
+        st.integers(0, 400).map(lambda v: 2**v),
+        st.tuples(st.integers(-(10**30), 10**30), st.integers(0, 10**6)).map(lambda x: (2 * x[0] + 1) << x[1]),
+    ),
+    st.booleans(),
+)
+def test_ord_int_at_two_is_the_lowest_set_bit(n, negate):
+    # the p = 2 fast path on signed ints, powers of 2 and odd multiples of 2^v up to v = 10^6: 2^v
+    # divides n and 2^(v + 1) does not; up to v = 2000 also against single divisions
+    n = -n if negate else n
+    v = _ord_int(n, 2)
+    assert n % 2**v == 0 and n % 2 ** (v + 1) != 0
+    if v <= 2000:
+        assert v == _ord_int_by_single_divisions(n, 2)
+
+
 def test_ordp_cyclo_values():
     assert ordp_cyclo(CycloNum.rational(2, 2, 2), 2) == Valuation.of(1)
     assert ordp_cyclo(zeta(2, 2) - 1, 2) == Valuation.of(Fraction(1, 2))

@@ -463,10 +463,11 @@ def test_strong_pseudoprimes_near_the_three_base_bound():
 
 def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
     # A matrix over Z written at level j: det_cyclotomic_poly gives the coefficients of
-    # its integer determinant (the j = 0 norm) as first coordinates, zero elsewhere, from
-    # one batch of phi (D + 1) matrices per prime; at j = 0 it is one Bareiss elimination
-    # of the Kronecker-substituted matrix, with no modular batch.
-    batches, eliminations = [], []
+    # its integer determinant (the j = 0 norm) as first coordinates, zero elsewhere.  Below
+    # the size switch (`_kronecker_wins`) that is one Bareiss elimination of the
+    # Kronecker-substituted matrix, with no modular batch; above it, one batch of
+    # phi (D + 1) matrices per prime and no elimination.  Both sides occur at j >= 1.
+    batches, eliminations, routes = [], [], set()
     original, bareiss = linalg._det_mod_batch, linalg.det_bareiss_int
 
     def recorder(mats, moduli):
@@ -494,15 +495,18 @@ def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
             det = det_cyclotomic_poly([(n, terms, j)], p)[0]
             monkeypatch.undo()
             degree = sum(max((t[3] for t in terms if t[0] == row), default=0) for row in range(n))
-            if j:
-                assert batches and batches == [phi * (degree + 1)] * len(batches)
-            else:
+            kronecker = linalg._kronecker_wins(n, terms, j, p)
+            if kronecker:
                 assert batches == [] and eliminations == [n]
+            else:
+                assert batches and batches == [phi * (degree + 1)] * len(batches) and eliminations == []
+            routes.add((j > 0, kronecker))
             assert all(not any(x[1:]) for x in det) and UniPoly(x[0] for x in det) == want
             assert want(s) == 0 and want == det_cofactor(m)
             if n > 1:
                 m[r] = [0] * n
                 assert _det_cyclo(m, p, j) == UniPoly()
+    assert routes == {(False, True), (True, True), (True, False)}
 
 
 def test_det_groupring_orbits_over_z9_and_cyclotomic_refusal():
@@ -829,3 +833,91 @@ def test_kronecker_determinant_of_x_degree_two_to_the_sixteen():
     norm = det_norm_cyclotomic([(2, terms, 0)], 2)[0]
     assert len(norm) == 2**16 + 1
     assert {i: x for i, x in enumerate(norm) if x} == {0: 1, y: 1, 2 * y: 1}
+
+
+def _packed_bits(k, terms, j, p):
+    # the bits of det M(t) in `_det_kronecker`
+    bound, degree = linalg._row_bounds(k, terms)
+    return (k * (p**j - 1) + 1) * (degree + 1) * ((bound.bit_length() + 8) // 8 * 8)
+
+
+@st.composite
+def _cross_route_lists(draw):
+    # (p, problems): one to three problems at one p in {2, 3, 5}, j <= 3, on both sides of the size
+    # switch: up to 30 rows at j = 0 (the switch is 28) and 12, 6 and 4 at j = 1, 2, 3 (fewer for
+    # p = 5), rows dropped while det M(t) would have more than 2^14 bits (about twice the switch's at
+    # j >= 1 and few points); exponents from -p^j to past 2 p^j, coefficients of either sign up to 1
+    # to 10^12, entries of u-degree <= 3, a repeated (r, c, exp, d) term, sometimes a zero row (B = 0)
+    p = draw(st.sampled_from([2, 3, 5]))
+    problems = []
+    for _ in range(draw(st.integers(1, 3))):
+        j = draw(st.integers(0, 3))
+        k_max = {0: linalg._BAREISS_MAX_DIM + 2, 1: 12, 2: 6 if p < 5 else 4, 3: 4 if p < 5 else 3}[j]
+        k = draw(st.one_of(st.integers(0, 3), st.integers(k_max - 4, k_max)))
+        terms = []
+        if k:
+            scale = draw(st.sampled_from([1, 9, 10**12]))
+            entry = st.tuples(
+                st.integers(0, k - 1),
+                st.integers(0, k - 1),
+                st.integers(-(p**j), 2 * p**j + 1),
+                st.integers(0, 3),
+                st.integers(-scale, scale),
+            )
+            terms = draw(st.lists(entry, max_size=k * k))
+            terms += [(r, r, 0, draw(st.integers(0, 1)), 1) for r in range(k)]  # no row empty by chance
+            if terms and draw(st.booleans()):  # the same (r, c, exp, d) again
+                r, c, e, d, _ = draw(st.sampled_from(terms))
+                terms.append((r, c, e, d, draw(st.integers(-scale, scale))))
+            if not draw(st.integers(0, 4)):
+                zero = draw(st.integers(0, k - 1))
+                terms = [t for t in terms if t[0] != zero]
+        while k and _packed_bits(k, terms, j, p) > 1 << 14:  # keeps Bareiss on det M(t) to milliseconds
+            k -= 1
+            terms = [t for t in terms if t[0] < k and t[1] < k]
+        problems.append((k, terms, j))
+    return p, problems
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@example((2, [(2, [(0, 0, 0, 0, 5), (1, 1, 3, 2, -7)], 1), (1, [], 2)]))  # the 1 x 1 zero matrix: B = 0
+# exponents 11 and 2 meet mod 9 and cancel
+@example((3, [(2, [(0, 0, 11, 1, 4), (0, 0, 2, 1, -4), (0, 1, -1, 0, 3), (1, 0, 9, 3, 2), (1, 1, 0, 0, 1)], 2)]))
+# above the switch: coefficients near 10^12 over Z[zeta_125], several CRT primes; 29 rows at j = 0
+@example((5, [(3, [(r, c, 7 * r + 11 * c + 40, (r * c) % 4, 10**12 - r) for r in range(3) for c in range(3)], 3)]))
+@example((2, [(linalg._BAREISS_MAX_DIM + 1, _tridiagonal(linalg._BAREISS_MAX_DIM + 1), 0)]))
+@given(_cross_route_lists())
+def test_kronecker_and_multimodular_routes_agree(case):
+    # both exact routes on every problem, whichever side of the size switch it lies: the problems of
+    # a list share one multimodular call, and at the smallest sizes the CycloNum cofactor oracle agrees
+    p, problems = case
+    modular = [x.tolist() for x in linalg._det_multimodular(problems, p)]
+    for (k, terms, j), rows in zip(problems, modular):
+        phi = (p - 1) * p ** (j - 1) if j else 1
+        kronecker = linalg._det_kronecker(k, terms, j, p)
+        assert all(type(x) is int for x in kronecker)
+        assert [kronecker[i : i + phi] for i in range(0, len(kronecker), phi)] == rows
+        assert len(rows) == linalg._row_bounds(k, terms)[1] + 1 and all(len(x) == phi for x in rows)
+        if k <= 2 or (k == 3 and j <= 1):
+            want = _cyclo_det_oracle(p, j, k, terms)
+            assert UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in rows]) == want
+
+
+def test_problems_above_the_switch_are_evaluated_once(monkeypatch):
+    # as for the Kronecker route: a list with repeats, as the same object and as copies, takes the
+    # modular batches of the list without them
+    batches = []
+    original = linalg._det_mod_batch
+    monkeypatch.setattr(linalg, "_det_mod_batch", lambda mats, q: batches.append((mats.tolist(), q)) or original(mats, q))
+    large = linalg._BAREISS_MAX_DIM + 1
+    a = (large, [(r, c, (r + c) % 9, d, x) for r, c, _, d, x in _tridiagonal(large)], 2)
+    b = (large, _tridiagonal(large), 0)
+    assert not linalg._kronecker_wins(*a[:2], 2, 3) and not linalg._kronecker_wins(*b[:2], 0, 3)
+    copy = (a[0], list(a[1]), a[2])
+    for kernel in (det_cyclotomic_poly, det_norm_cyclotomic):
+        batches.clear()
+        once = kernel([a, b], 3)
+        evaluated = list(batches)
+        batches.clear()
+        assert kernel([a, b, a, copy, b], 3) == [once[0], once[1], once[0], once[0], once[1]]
+        assert evaluated and batches == evaluated
