@@ -12,19 +12,20 @@ Every norm is a Graeffe chain over Z on coefficients packed at u = 2^b
 Routes:
   - integer matrices (`det_int`): Bareiss elimination; above
     `_BAREISS_MAX_DIM` rows, the u-free j = 0 call of `det_norm_cyclotomic`;
-  - lists of matrices over Z[zeta_{p^j}][u] (`_det_orbits`): the power-basis
-    coordinates of each determinant (`det_cyclotomic_poly`: h, z, group-ring
+  - lists of matrices over Z[zeta_{p^j}][u] (`det_cyclotomic_poly`): the
+    power-basis coordinates of each determinant (h, z, group-ring
     determinants), or their norm to Q(u) (`det_norm_cyclotomic`: level h).
-    A problem repeated in a list is evaluated once.  Below the size switch
-    (every base-size h, z and group-ring problem of the fixtures and the
-    bench data) the determinant is one Bareiss elimination of M(x, u) at
-    x = t^(D+1), u = t, t = 2^b, read back as balanced base-2^b digits, then
-    folded mod x^(p^j) - 1 and reduced mod Phi_{p^j} (`_det_kronecker`).
-    The problems above it (cover-size matrices) share one multimodular pass
+    A problem repeated in a list is evaluated once, and each distinct
+    problem takes its own route.  Below the size switch (every base-size h,
+    z and group-ring problem of the fixtures and the bench data) the
+    determinant is one Bareiss elimination of M(x, u) at x = t^(D+1),
+    u = t, t = 2^b, read back as balanced base-2^b digits, then folded mod
+    x^(p^j) - 1 and reduced mod Phi_{p^j} (`_det_kronecker`).  A problem
+    above it (cover-size matrices) takes the multimodular pass
     (`_det_multimodular`) at the primitive roots of unity mod q and
     u = 0..D: per prime one table, one chunked elimination and one
-    inversion of denominators serve every problem, then one interpolation,
-    one Lagrange step per j and one CRT;
+    inversion of denominators, then one interpolation, one Lagrange step
+    and one CRT;
   - matrices over Q[Z/p^n Z] (`det_groupring_poly`): one orbit
     representative per j, reassembled by `from_character_polys`;
   - norms from Q[Z/p^n Z][u] to Q[H][u] (`norm_groupring_poly`): n - h
@@ -33,7 +34,6 @@ Routes:
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -233,33 +233,30 @@ def _inverses_mod(row: list[int], q: int) -> list[int]:
     return prefix[:-1]
 
 
-def _interpolate_mod(values: np.ndarray, moduli: list[int], counts) -> np.ndarray:
-    """Row i: the coefficients mod q_i of the polynomial of degree < P_i taking values[i, t] at
-    t = 0..P_i - 1, zero past them (moduli: q_i row by row, each prime above its P_i; counts: P_i
-    row by row, largest first); values is overwritten, and read only below P_i.
+def _interpolate_mod(values: np.ndarray, moduli: list[int]) -> np.ndarray:
+    """Row i: the coefficients mod q_i of the polynomial of degree < P taking values[i, t] at
+    t = 0..P - 1, P the width of values (moduli: q_i row by row, each prime above P); values is
+    overwritten.
 
     Newton's divided differences on the nodes 0, 1, ... and the Newton form expanded, vectorized
-    over the rows.  A row's differences of order P_i and above vanish, so rows of every count
-    share one pass: step k works on the rows with P_i > k, a prefix.
+    over the rows.
     """
     width = values.shape[1]
     qcol = np.array(moduli, dtype=np.int64).reshape(-1, 1)
-    live = np.searchsorted(-np.asarray(counts), -np.arange(width)).tolist()  # the rows with P_i > k
     # the node differences 1..width - 1, inverted once per prime
     table = {q: _inverses_mod(list(range(1, width)), q) for q in set(moduli)}
     inverses = np.array([table[q] for q in moduli], dtype=np.int64).reshape(len(moduli), width - 1)
     newton = values
     for k in range(1, width):
         # node i minus node i - k is k; the product of two residues fits in int64
-        n = live[k]
-        newton[:n, k:] = (newton[:n, k:] - newton[:n, k - 1 : -1]) * inverses[:n, k - 1 : k] % qcol[:n]
+        newton[:, k:] = (newton[:, k:] - newton[:, k - 1 : -1]) * inverses[:, k - 1 : k] % qcol
     # mono[:, 1:]: the Newton form from node k on, of degree < width - k; newton_k in mono[:, 0]
     mono = np.zeros((len(values), width + 1), dtype=np.int64)
-    mono[: live[-1], 1] = newton[: live[-1], -1]
+    mono[:, 1] = newton[:, -1]
     for k in range(width - 2, -1, -1):
-        n, w = live[k], width - k
-        mono[:n, 0] = newton[:n, k]
-        mono[:n, 1 : w + 1] = (mono[:n, :w] - k * mono[:n, 1 : w + 1]) % qcol[:n]
+        w = width - k
+        mono[:, 0] = newton[:, k]
+        mono[:, 1 : w + 1] = (mono[:, :w] - k * mono[:, 1 : w + 1]) % qcol
     return mono[:, 1:]
 
 
@@ -303,11 +300,12 @@ def _row_bounds(k: int, terms) -> tuple[int, int]:
     return (math.isqrt(square - 1) + 1 if square else 0), sum(row_degree)
 
 
-def _det_kronecker(k: int, terms, j: int = 0, p: int = 2) -> list[int]:
+def _det_kronecker(k: int, terms, j: int, p: int, bound: int, degree: int) -> list[int]:
     """The coordinates of det M, M the k x k matrix over Z[zeta][u], zeta = zeta_{p^j}, of the terms
     (r, c, exp, d, coeff) as in `det_cyclotomic_poly`, by Kronecker substitution: entry d phi + l,
-    d = 0..D, l < phi = phi(p^j), is the coordinate of zeta^l in the u^d coefficient (B, D:
-    `_row_bounds`).  At j = 0 these are the D + 1 u-coefficients of the integer determinant.
+    d = 0..D, l < phi = phi(p^j), is the coordinate of zeta^l in the u^d coefficient ((B, D) =
+    (bound, degree) from `_row_bounds`).  At j = 0 these are the D + 1 u-coefficients of the
+    integer determinant.
 
     With m = p^j and s = p^(j-1), each entry is the integer polynomial sum coeff x^(exp mod m) u^d
     in x and u, and M(x, u) is taken at x = t^(D+1), u = t, t = 2^b: b = 8 w is the least multiple
@@ -325,7 +323,6 @@ def _det_kronecker(k: int, terms, j: int = 0, p: int = 2) -> list[int]:
     least 1, so B >= each row's 2-norm >= every coefficient of its entries.  Folding and the
     reduction are exact integer steps after the unpacking.
     """
-    bound, degree = _row_bounds(k, terms)
     m, phi, stride = p**j, euler_phi_prime_power(p, j), degree + 1
     if not bound:
         return [0] * (stride * phi)
@@ -351,9 +348,9 @@ def _det_kronecker(k: int, terms, j: int = 0, p: int = 2) -> list[int]:
     return [x for e in range(stride) for x in coords[e::stride]]
 
 
-def _kronecker_wins(k: int, terms, j: int, p: int) -> bool:
-    """The size switch of `_det_orbits`: whether the problem (k, terms, j) takes `_det_kronecker`
-    rather than `_det_multimodular`.
+def _kronecker_wins(k: int, j: int, p: int, bound: int, degree: int) -> bool:
+    """The size switch of `det_cyclotomic_poly`: whether the problem (k, terms, j), (B, D) =
+    (bound, degree) from `_row_bounds`, takes `_det_kronecker` rather than `_det_multimodular`.
 
     At j = 0, up to `_BAREISS_MAX_DIM` rows.  At j >= 1, while bits^2 <= `_KRONECKER_SWITCH` *
     points, bits = (k (p^j - 1) + 1) (D + 1) 8 w those of det M(t) in `_det_kronecker` and points =
@@ -362,148 +359,57 @@ def _kronecker_wins(k: int, terms, j: int, p: int) -> bool:
     """
     if not j:
         return k <= _BAREISS_MAX_DIM
-    bound, degree = _row_bounds(k, terms)
     bits = (k * (p**j - 1) + 1) * (degree + 1) * ((bound.bit_length() + 8) // 8 * 8)
     return bits * bits <= _KRONECKER_SWITCH * euler_phi_prime_power(p, j) * (degree + 1)
 
 
-def _det_orbits(problems, p: int) -> list:
-    """The one pass behind `det_cyclotomic_poly` and `det_norm_cyclotomic`: the coordinate rows of
-    each determinant.
+def _det_multimodular(k: int, terms, j: int, p: int, bound: int, degree: int) -> np.ndarray:
+    """The coordinates of det M for the problem (k, terms, j) by the multimodular pass: an array of
+    shape (D + 1, phi), row d the coordinates of the u^d coefficient ((B, D) = (bound, degree) from
+    `_row_bounds`; the proof is in `det_cyclotomic_poly`).
 
-    Equal problems (k, terms, j), the same object or a copy, are evaluated once, and their result
-    is returned at every position that repeats them.  A problem below the size switch
-    (`_kronecker_wins`) is one exact Bareiss elimination by `_det_kronecker`; the others share one
-    multimodular pass, `_det_multimodular`.
+    The primes q = 1 mod p^j have a product above 2 (p - 1) B + 1.  Per prime, powers of one g of
+    order p^j give the primitive roots g^u, u a unit mod p^j, and one table holds M at each root by
+    its u-coefficients; Horner's rule evaluates it at t = 0..D in chunks of about `_BATCH_ENTRIES`
+    entries, each eliminated by `_det_mod_batch`, and one `_inverses_mod` pass inverts the
+    denominators.  Then one `_interpolate_mod` call takes every (prime, root) row, the Lagrange step
+    on the roots is one product per prime, and one signed CRT lifts the coordinates.
     """
-    position = range(len(problems))
-    if len(problems) > 1:
-        index: dict = {}
-        position = [index.setdefault((k, tuple(terms), j), len(index)) for k, terms, j in problems]
-        problems = list(index)
-    direct = [_kronecker_wins(k, terms, j, p) for k, terms, j in problems]
-    rest = iter(_det_multimodular([x for x, small in zip(problems, direct) if not small], p))
-    out = []
-    for (k, terms, j), small in zip(problems, direct):
-        if small:  # the coordinates cut into rows of phi
-            coords, phi = _det_kronecker(k, terms, j, p), euler_phi_prime_power(p, j)
-            out.append([coords[x : x + phi] for x in range(0, len(coords), phi)])
-        else:
-            out.append(next(rest).tolist())
-    return [[row[:] for row in out[i]] for i in position]  # a fresh list at every position
-
-
-def _det_multimodular(problems, p: int) -> list[np.ndarray]:
-    """The multimodular pass over distinct problems (k, terms, j): the coordinates of each
-    determinant, one array of shape (D + 1, phi) per problem (`det_cyclotomic_poly`).
-
-    Every problem takes every prime of the call: the primes q = 1 mod p^J (J the largest j) whose
-    product exceeds 2 (p - 1) B + 1, B the largest bound, since a balanced lift under a larger
-    modulus is the same integer.  Stages:
-      - per prime, powers of one g of order p^J give each root g^(p^(J-j) u), u a unit mod p^j,
-        and one table holds every problem's matrix at its roots, padded to the largest k with
-        identity rows and columns;
-      - the table is evaluated at the points t by Horner's rule, and `_det_mod_batch` eliminates
-        chunks of about `_BATCH_ENTRIES` entries across problems, each cut to the largest k it
-        holds;
-      - one `_inverses_mod` pass per prime inverts every denominator;
-      - one `_interpolate_mod` call takes every row of every problem, prime and root, each row
-        with its problem's point count;
-      - the Lagrange step on the roots is one product per prime and j;
-      - one signed CRT lifts everything.
-    """
-    if not problems:
-        return []
-    big_j = max(j for _, _, j in problems)
-    bounds = [_row_bounds(k, terms) for k, terms, _ in problems]
-    points = [degree + 1 for _, degree in bounds]
-    phis = [euler_phi_prime_power(p, j) for _, _, j in problems]
-    primes = _modular_primes(2 * (p - 1) * max(bound for bound, _ in bounds) + 1, p**big_j)
-    k_max = max(k for k, _, _ in problems)
-    # per term, identity padding included: first slot, position (d, r, c) and exp p^(J-j), exp
-    # first reduced mod p^j; then per (term, root) the slot (problem, root) and the power of g,
-    # from the i-th unit mod p^j, i + i // (p - 1) + 1
-    slots, head, coeffs, sizes = [0], [], [], []
-    for (k, terms, j), phi in zip(problems, phis):
-        slot, scale = slots[-1], p ** (big_j - j)
-        head += [(slot, t[3], t[0], t[1], t[2] % p**j * scale) for t in terms]
-        head += [(slot, 0, x, x, 0) for x in range(k, k_max)]
-        coeffs += [t[4] for t in terms] + [1] * (k_max - k)
-        slots.append(slot + phi)
-        sizes.append(len(terms) + k_max - k)
-    cells, coeffs = np.array(head, dtype=np.int64).reshape(-1, 5).T, _int_array(coeffs)
-    if big_j:  # one cell per (term, root)
-        roots = np.repeat(phis, sizes)
-        cells, coeffs = np.repeat(cells, roots, axis=1), np.repeat(coeffs, roots)
-        root = np.arange(cells.shape[1]) - np.repeat(np.cumsum(roots) - roots, roots)
-        cells[0] += root
-        cells[4] = cells[4] * (root + root // (p - 1) + 1) % p**big_j
-    degree = max((t[3] for _, terms, _ in problems for t in terms), default=0)  # of an entry
-    starts = list(itertools.accumulate((phi * x for phi, x in zip(phis, points)), initial=0))  # (root, t)
-    plan, start = [], 0  # chunks (start, stop, first owner, last owner, largest k)
-    while start < starts[-1]:
-        first = bisect.bisect_right(starts, start) - 1
-        stop = min(start + max(1, _BATCH_ENTRIES // max(1, problems[first][0] ** 2)), starts[-1])
-        kc = max(problems[r][0] for r in range(first, bisect.bisect_left(starts, stop)))
-        stop = min(stop, start + max(1, _BATCH_ENTRIES // max(1, kc * kc)))
-        plan.append((start, stop, first, bisect.bisect_left(starts, stop) - 1, kc))
-        start = stop
-    at = np.array([starts[:-1], slots[:-1], points])  # per problem: first evaluation, first slot, points
-    # the interpolation grid: rows (problem, prime, root), problems by decreasing points
-    layout = sorted(range(len(problems)), key=points.__getitem__, reverse=True)
-    first_row = dict(zip(layout, itertools.accumulate((len(primes) * phis[r] for r in layout), initial=0)))
-    grid = np.zeros((len(primes) * slots[-1], max(points)), dtype=np.int64)
-    row_primes = [q for r in layout for q in primes for _ in range(phis[r])]
-    row_points = [points[r] for r in layout for _ in range(len(primes) * phis[r])]
-    buffer = np.empty((2, starts[-1]), dtype=np.int64)  # num, den at every (problem, root, t)
-    powers = []
-    for s, q in enumerate(primes):
-        powers.append(_root_powers(q, p, big_j))
-        table = np.zeros((slots[-1], degree + 1, k_max, k_max), dtype=np.int64)
-        at_q = np.remainder(coeffs, q).astype(np.int64, copy=False) * powers[s][cells[4]]
-        np.add.at(table, tuple(cells[:4]), at_q % q)
+    m, phi, points = p**j, euler_phi_prime_power(p, j), degree + 1
+    primes = _modular_primes(2 * (p - 1) * bound + 1, m)
+    terms = [t for t in terms if t[4]]
+    cells = np.array([t[:4] for t in terms], dtype=np.int64).reshape(-1, 4).T  # r, c, exp, d
+    coeffs, top = _int_array([t[4] for t in terms]), max((t[3] for t in terms), default=0)
+    units = np.array([u for u in range(m) if u % p or m == 1])  # the root g^u of row u
+    power = cells[2] % m * units[:, None] % m  # per (root, term)
+    where = (np.repeat(np.arange(phi), len(terms)), *np.tile(cells[[3, 0, 1]], phi))  # (root, d, r, c)
+    step = max(1, _BATCH_ENTRIES // max(1, k * k))
+    powers = [_root_powers(q, p, j) for q in primes]
+    values = np.empty((len(primes), phi, points), dtype=np.int64)
+    for i, (q, g) in enumerate(zip(primes, powers)):
+        table = np.zeros((phi, top + 1, k, k), dtype=np.int64)
+        np.add.at(table, where, (np.remainder(coeffs, q).astype(np.int64, copy=False) * g[power] % q).ravel())
         table %= q
-        for start, stop, first, last, kc in plan:
-            if first == last:  # the slot (problem, root) and the point t of each evaluation
-                where, t = np.divmod(np.arange(start - starts[first], stop - starts[first]), points[first])
-                where += slots[first]
-            else:  # a search per evaluation: a chunk of small problems
-                ev = np.arange(start, stop)
-                o = at[:, np.searchsorted(at[0], ev, side="right") - 1]
-                where, t = np.divmod(ev - o[0], o[2])
-                where += o[1]
-            batch = table[where, degree, :kc, :kc]
-            for e in range(degree - 1, -1, -1):
-                batch = (batch * t[:, None, None] + table[where, e, :kc, :kc]) % q
-            buffer[:, start:stop] = _det_mod_batch(batch, q)
-        num, den = buffer
-        if k_max > 1:  # den = 1 below
+        num, den = np.empty((2, phi * points), dtype=np.int64)
+        for start in range(0, phi * points, step):
+            root, t = np.divmod(np.arange(start, min(start + step, phi * points)), points)
+            batch = table[root, top]
+            for e in range(top - 1, -1, -1):
+                batch = (batch * t[:, None, None] + table[root, e]) % q
+            num[start : start + step], den[start : start + step] = _det_mod_batch(batch, q)
+        if k > 1:  # den = 1 below
             num = num * np.array(_inverses_mod(den.tolist(), q), dtype=np.int64) % q
-        for r, (h, x) in enumerate(zip(phis, points)):  # into the grid rows of (r, s)
-            row = first_row[r] + s * h
-            grid[row : row + h, :x] = num[starts[r] : starts[r + 1]].reshape(h, x)
-    grid = _interpolate_mod(grid, row_primes, row_points)
-    found = [  # per problem: (prime, u^d, root)
-        grid[first_row[r] : first_row[r] + len(primes) * h, :x].reshape(-1, h, x).transpose(0, 2, 1)
-        for r, (h, x) in enumerate(zip(phis, points))
-    ]
-    for j in set(j for _, _, j in problems) - {0}:  # Lagrange interpolation on the roots
-        # V[w, l] mod q = (w^-l - w^(s (l // s + 1) - l)) / p^j, w = g^(p^(J-j) u)
-        s, u = p ** (j - 1), np.array([u for u in range(p**j) if u % p])[:, None]
-        l = np.arange(len(u))
-        e0, e1 = (e * u % p**j * p ** (big_j - j) for e in (-l, (l // s + 1) * s - l))
-        group = [r for r, (_, _, i) in enumerate(problems) if i == j]
-        for prime, (q, table) in enumerate(zip(primes, powers)):
-            v = (table[e0] - table[e1]) * pow(p**j, -1, q) % q
-            y, lo = _matmul_mod(np.concatenate([found[r][prime] for r in group]), v, q), 0
-            for r in group:
-                found[r][prime], lo = y[lo : lo + points[r]], lo + points[r]
-    # one signed CRT: row s holds every problem's residues at prime s
-    lifted, lo, out = _crt_signed(np.hstack([x.reshape(len(primes), -1) for x in found]), primes), 0, []
-    for x in found:
-        out.append(lifted[lo : lo + x[0].size].reshape(x[0].shape))
-        lo += x[0].size
-    return out
+        values[i] = num.reshape(phi, points)
+    # per prime: rows u^d, columns the roots
+    found = _interpolate_mod(values.reshape(-1, points), [q for q in primes for _ in range(phi)])
+    found = found.reshape(len(primes), phi, points).transpose(0, 2, 1)
+    if j:  # Lagrange interpolation on the roots: V[w, l] mod q = (w^-l - w^(s (l // s + 1) - l)) / p^j
+        s, l = p ** (j - 1), np.arange(phi)
+        e0, e1 = (e * units[:, None] % m for e in (-l, (l // s + 1) * s - l))
+        found = np.array(
+            [_matmul_mod(x, (g[e0] - g[e1]) * pow(m, -1, q) % q, q) for x, q, g in zip(found, primes, powers)]
+        )
+    return _crt_signed(found.reshape(len(primes), -1), primes).reshape(points, phi)
 
 
 def det_norm_cyclotomic(problems, p: int) -> list[list[int]]:
@@ -511,10 +417,10 @@ def det_norm_cyclotomic(problems, p: int) -> list[list[int]]:
 
     w runs over the primitive p^j-th roots of unity, M is the k x k matrix of the terms as in
     `det_cyclotomic_poly`, and N, its norm to Q(u), has phi D + 1 integer coefficients (D:
-    `_row_bounds`): the coordinates of det M from the one kernel pass (`_det_orbits`), then their
-    norm by one Graeffe chain (`cyclo.coordinate_norm`).  j = 0 is the integer determinant.
+    `_row_bounds`): the coordinates of det M from `det_cyclotomic_poly`, then their norm by one
+    Graeffe chain (`cyclo.coordinate_norm`).  j = 0 is the integer determinant.
     """
-    return [coordinate_norm(rows, p, j) for rows, (_, _, j) in zip(_det_orbits(problems, p), problems)]
+    return [coordinate_norm(rows, p, j) for rows, (_, _, j) in zip(det_cyclotomic_poly(problems, p), problems)]
 
 
 def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
@@ -525,10 +431,13 @@ def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
     (`_row_bounds`), the coordinates of the u^d coefficient of det M in the
     power basis 1, zeta, ..., zeta^(phi - 1), phi = phi(p^j).
 
-    A problem below the size switch (`_kronecker_wins`) is one exact Bareiss
-    elimination of M(x, u) at x = t^(D+1), u = t, t = 2^b, its digits folded
-    mod x^(p^j) - 1 and reduced mod Phi_{p^j} (`_det_kronecker`).  The others
-    take the multimodular pass (`_det_multimodular`): Z[zeta]/q is F_q^phi
+    Equal problems, the same object or a copy, are evaluated once, and a fresh
+    copy of their result is returned at every position that repeats them.
+    Each distinct problem takes its bound (B, D) once (`_row_bounds`).  Below
+    the size switch (`_kronecker_wins`) it is one exact Bareiss elimination
+    of M(x, u) at x = t^(D+1), u = t, t = 2^b, its digits folded mod
+    x^(p^j) - 1 and reduced mod Phi_{p^j} (`_det_kronecker`).  Above it, it
+    takes the multimodular pass (`_det_multimodular`): Z[zeta]/q is F_q^phi
     through the primitive roots w of unity in F_q.  The determinants at w
     and t = 0..D give each u^d coefficient x at every w (`_interpolate_mod`),
     and Lagrange interpolation
@@ -539,10 +448,19 @@ def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
     For j = 0 the one root is 1.  Bound: |sigma(x)| <= B for every embedding
     sigma; the b_l(zeta) / Phi'(zeta) are the trace-dual basis of the power
     basis (Euler), so x_l = Tr(x V[l, zeta]) and, as |sigma(V[l, zeta])| <=
-    2 / p^j, |x_l| <= (p - 1) B: a call takes primes up to 2 (p - 1) B + 1, B the
-    largest bound of its problems.
+    2 / p^j, |x_l| <= (p - 1) B: the primes' product exceeds 2 (p - 1) B + 1.
     """
-    return _det_orbits(problems, p)
+    index: dict = {}
+    position = [index.setdefault((k, tuple(terms), j), len(index)) for k, terms, j in problems]
+    out = []
+    for k, terms, j in index:
+        bounds = _row_bounds(k, terms)
+        if _kronecker_wins(k, j, p, *bounds):  # the coordinates cut into rows of phi
+            coords, phi = _det_kronecker(k, terms, j, p, *bounds), euler_phi_prime_power(p, j)
+            out.append([coords[x : x + phi] for x in range(0, len(coords), phi)])
+        else:
+            out.append(_det_multimodular(k, terms, j, p, *bounds).tolist())
+    return [[row[:] for row in out[i]] for i in position]
 
 
 def det_int(rows: list[list[int]]) -> int:

@@ -598,6 +598,40 @@ def test_cli_verify_triangle_unramified(tmp_path, capsys):
     assert items["inflation"]["detail"].startswith("equal")
 
 
+@st.composite
+def _tower_data(draw):
+    # a connected base of 1 to 6 vertices named by distinct integers or distinct strings, a spanning
+    # tree plus up to 6 edges (loops and multi-edges among them), voltages of either sign up to past
+    # 2^64, each vertex unramified or Ramified(k), k <= 5
+    n = draw(st.integers(1, 6))
+    name = st.integers(-(10**6), 10**6) if draw(st.booleans()) else st.text(max_size=4)
+    vertices = draw(st.lists(name, min_size=n, max_size=n, unique=True))
+    vertex = st.integers(0, n - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    edges = [(vertices[a], vertices[b]) for a, b in draw(st.permutations(edges))]
+    voltages = draw(st.lists(st.integers(-(2**65), 2**65), min_size=len(edges), max_size=len(edges)))
+    ram = draw(st.lists(st.none() | st.integers(0, 5), min_size=n, max_size=n))
+    prime = draw(st.sampled_from([2, 3, 5, 7, 2**61 - 1]))
+    darts = tuple(x for v in voltages for x in (v, -v))
+    return TowerDatum(SerreGraph.from_edges(vertices, edges), prime, darts, tuple(ram))
+
+
+@settings(max_examples=100)
+@given(_tower_data())
+def test_datum_round_trip_on_random_data(d):
+    # the document, through JSON text, parses back to d's graph, voltages and ramification, with
+    # every vertex name written as its string
+    again = parse_datum(json.loads(json.dumps(datum_to_dict(d))))
+    assert again.base.vertices == tuple(map(str, d.base.vertices))
+    assert (again.base.dart_origin, again.base.dart_terminus, again.base.dart_inverse) == (
+        d.base.dart_origin,
+        d.base.dart_terminus,
+        d.base.dart_inverse,
+    )
+    assert (again.p, again.voltage, again.ram) == (d.p, d.voltage, d.ram)
+
+
 def test_cli_invariants_uncertified_sweep_exits_3(capsys):
     # max level 2 leaves too few rows past the first negative level
     code, out = _run(capsys, "invariants", DATUM, "--max-level", "2", "--json")

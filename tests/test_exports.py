@@ -45,7 +45,9 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # level_matrices are test oracles in tests/oracles.py.  Every norm is a
 # Graeffe chain on coefficients packed by poly.pack (cyclo.coordinate_norm,
 # norm_groupring_poly), so the private packing and the product over the
-# roots mod q are gone.
+# roots mod q are gone.  The multimodular pass takes one problem, so the
+# cross-problem pass _det_orbits is gone: det_cyclotomic_poly deduplicates
+# and routes each problem itself.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -109,6 +111,7 @@ REMOVED = [
     ("lfunctions", "LfnData"),
     ("linalg", "_pack"),
     ("linalg", "_prod_mod"),
+    ("linalg", "_det_orbits"),
 ]
 
 

@@ -327,7 +327,8 @@ def test_character_table_matches_per_character_routes():
 
 
 def _record_kernels(monkeypatch) -> list:
-    # (kernel name, the j of each problem) for every call of the two orbit kernels
+    # (kernel name, the j of each problem) for every call of the two orbit kernels; a
+    # det_norm_cyclotomic call takes its coordinates from one det_cyclotomic_poly call, recorded next
     calls = []
     for name in ("det_cyclotomic_poly", "det_norm_cyclotomic"):
         original = getattr(linalg, name)
@@ -358,6 +359,7 @@ def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
     calls.clear()
     run_battery(d, 4)
     assert sorted(calls) == [
+        ("det_cyclotomic_poly", [0]),
         ("det_cyclotomic_poly", [0, 1]),
         ("det_cyclotomic_poly", [0, 1, 2, 3, 4, 0, 1, 2, 3, 0, 1, 2, 3, 4]),
         ("det_norm_cyclotomic", [0]),
@@ -366,6 +368,7 @@ def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
     calls.clear()
     run_battery(d, 3, 1)
     assert sorted(calls) == [
+        ("det_cyclotomic_poly", [0]),
         ("det_cyclotomic_poly", [0]),
         ("det_cyclotomic_poly", [0, 1, 2, 3, 0, 1, 2, 3]),
         ("det_norm_cyclotomic", [0]),
@@ -396,12 +399,12 @@ def test_orbit_loops_make_one_kernel_call(monkeypatch):
         orbits = list(range(n + 1))
         calls.clear()
         level_h_poly(d, n)
-        assert calls == [("det_norm_cyclotomic", orbits)]
+        assert calls == [("det_norm_cyclotomic", orbits), ("det_cyclotomic_poly", orbits)]
         table = character_table(d, n)
         cover = build_level_graph(d, n).graph
         calls.clear()
         product_formula_check(table, cover)
-        assert calls == [("det_norm_cyclotomic", [0])]  # the cover's h
+        assert calls == [("det_norm_cyclotomic", [0]), ("det_cyclotomic_poly", [0])]  # the cover's h
         calls.clear()
         terms = [(0, 0, s, 1, s + 1) for s in range(d.p**n)] + [(0, 0, 0, 0, 1)]
         linalg.det_groupring_poly(1, terms, d.p**n)

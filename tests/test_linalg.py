@@ -495,7 +495,7 @@ def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
             det = det_cyclotomic_poly([(n, terms, j)], p)[0]
             monkeypatch.undo()
             degree = sum(max((t[3] for t in terms if t[0] == row), default=0) for row in range(n))
-            kronecker = linalg._kronecker_wins(n, terms, j, p)
+            kronecker = linalg._kronecker_wins(n, j, p, *linalg._row_bounds(n, terms))
             if kronecker:
                 assert batches == [] and eliminations == [n]
             else:
@@ -688,6 +688,14 @@ def _det_poly_int_terms(k, terms) -> list[int]:
     return det_norm_cyclotomic([(k, terms, 0)], 2)[0]
 
 
+def _kronecker(k, terms, j=0, p=2) -> list[int]:
+    return linalg._det_kronecker(k, terms, j, p, *linalg._row_bounds(k, terms))
+
+
+def _multimodular(k, terms, j, p) -> list[list[int]]:
+    return linalg._det_multimodular(k, terms, j, p, *linalg._row_bounds(k, terms)).tolist()
+
+
 def _integer_det_oracle(k, terms) -> list[int]:
     # det M by cofactor expansion over Z[u], padded to the D + 1 coefficients the kernel returns
     m = [[UniPoly() for _ in range(k)] for _ in range(k)]
@@ -730,7 +738,7 @@ def _integer_poly_problems(draw):
 def test_kronecker_determinant_matches_cofactor(case):
     k, terms = case
     want = _integer_det_oracle(k, terms)
-    assert linalg._det_kronecker(k, terms) == want
+    assert _kronecker(k, terms) == want
     norm, coordinates = det_norm_cyclotomic([(k, terms, 0)], 3)[0], det_cyclotomic_poly([(k, terms, 0)], 3)[0]
     assert norm == want and coordinates == [[x] for x in want]
     assert all(type(x) is int for x in norm)
@@ -745,13 +753,13 @@ def test_kronecker_digit_at_the_bound():
             terms = [(r, r, 0, shift if r == 0 else 0, a) for r, a in enumerate(factors)]
             bound = math.prod(map(abs, factors))
             assert linalg._row_bounds(k, terms) == (bound, shift)
-            assert linalg._det_kronecker(k, terms) == [0] * shift + [math.prod(factors)]
+            assert _kronecker(k, terms) == [0] * shift + [math.prod(factors)]
     # Hadamard's bound attained off the diagonal: [[a, a u^2], [a u, -a u^3]] has det -2 a^2 u^3 = -B u^3
     # between zero digits (D = 5)
     for a in (1, 8, 2**31, -(3**40)):
         terms = [(0, 0, 0, 0, a), (0, 1, 0, 2, a), (1, 0, 0, 1, a), (1, 1, 0, 3, -a)]
         assert linalg._row_bounds(2, terms) == (2 * a * a, 5)
-        assert linalg._det_kronecker(2, terms) == [0, 0, 0, -2 * a * a, 0, 0]
+        assert _kronecker(2, terms) == [0, 0, 0, -2 * a * a, 0, 0]
 
 
 def test_kronecker_borrow_chains():
@@ -760,11 +768,11 @@ def test_kronecker_borrow_chains():
         for sign in (1, -1):
             terms = [(r, r, 0, 0, -sign) for r in range(k)] + [(r, r, 0, 1, sign) for r in range(k)]
             want = [sign**k * (-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
-            assert linalg._det_kronecker(k, terms) == want
+            assert _kronecker(k, terms) == want
     # u on the diagonal, 1 above it and in the corner: det = u^6 - 1, a borrow through five zero digits
     k = 6
     terms = [(r, r, 0, 1, 1) for r in range(k)] + [(r, r + 1, 0, 0, 1) for r in range(k - 1)] + [(k - 1, 0, 0, 0, 1)]
-    assert linalg._det_kronecker(k, terms) == _integer_det_oracle(k, terms) == [-1, 0, 0, 0, 0, 0, 1]
+    assert _kronecker(k, terms) == _integer_det_oracle(k, terms) == [-1, 0, 0, 0, 0, 0, 1]
 
 
 def _tridiagonal(k):
@@ -785,8 +793,8 @@ def test_kronecker_route_ends_at_the_bareiss_size(monkeypatch):
         norm = det_norm_cyclotomic([(k, terms, 0)], 2)[0]
         coordinates = det_cyclotomic_poly([(k, terms, 0)], 2)[0]
         assert bool(batches) == modular
-        modular_det = [x for [x] in linalg._det_multimodular([(k, terms, 0)], 2)[0].tolist()]
-        assert norm == linalg._det_kronecker(k, terms) == modular_det
+        modular_det = [x for [x] in _multimodular(k, terms, 0, 2)]
+        assert norm == _kronecker(k, terms) == modular_det
         assert coordinates == [[x] for x in norm]
 
 
@@ -821,7 +829,14 @@ def test_mixed_integer_and_cyclotomic_lists_match_one_problem_calls():
     integer = [(2, [(0, 0, 0, 1, 3), (0, 1, 0, 0, -2), (1, 0, 0, 2, 5), (1, 1, 0, 0, 1)], 0), (0, [], 0)]
     cyclotomic = [(2, [(0, 0, 1, 1, 3), (0, 1, 2, 0, -2), (1, 0, 0, 2, 5), (1, 1, 3, 0, 1)], 2), (1, [(0, 0, 1, 0, 4)], 1)]
     large = [(29, _tridiagonal(29), 0)]  # j = 0 above the Bareiss size: the multimodular pass
-    problems = [cyclotomic[0], integer[0], large[0], cyclotomic[1], integer[1], integer[0]]
+    # above the switch at j = 1 and 3 too, each with its own k, repeated as the same object and as a copy
+    large += [
+        (10, [(r, c, r * c + 1, (r + c) % 2, 10**6 + 7 * r - c) for r in range(10) for c in range(10)], 1),
+        (4, [(r, c, 5 * r + c, (r * c) % 3, 10**4 - r * c) for r in range(4) for c in range(4)], 3),
+    ]
+    assert not any(linalg._kronecker_wins(k, j, 3, *linalg._row_bounds(k, terms)) for k, terms, j in large)
+    problems = [cyclotomic[0], integer[0], large[0], large[1], cyclotomic[1], large[2], integer[1], integer[0]]
+    problems += [large[1], (large[2][0], list(large[2][1]), large[2][2])]
     for kernel in (det_cyclotomic_poly, det_norm_cyclotomic):
         assert kernel(problems, 3) == [kernel([x], 3)[0] for x in problems]
 
@@ -886,15 +901,17 @@ def _cross_route_lists(draw):
 # above the switch: coefficients near 10^12 over Z[zeta_125], several CRT primes; 29 rows at j = 0
 @example((5, [(3, [(r, c, 7 * r + 11 * c + 40, (r * c) % 4, 10**12 - r) for r in range(3) for c in range(3)], 3)]))
 @example((2, [(linalg._BAREISS_MAX_DIM + 1, _tridiagonal(linalg._BAREISS_MAX_DIM + 1), 0)]))
+# above the switch, a zero coefficient at u^9, past every nonzero term's u-degree (at most 3)
+@example((5, [(3, [(r, c, 7 * r + 11 * c + 40, (r * c) % 4, 10**12 - r) for r in range(3) for c in range(3)] + [(2, 1, 3, 9, 0)], 3)]))
 @given(_cross_route_lists())
 def test_kronecker_and_multimodular_routes_agree(case):
-    # both exact routes on every problem, whichever side of the size switch it lies: the problems of
-    # a list share one multimodular call, and at the smallest sizes the CycloNum cofactor oracle agrees
+    # both exact routes on every problem, whichever side of the size switch it lies, and at the
+    # smallest sizes the CycloNum cofactor oracle agrees
     p, problems = case
-    modular = [x.tolist() for x in linalg._det_multimodular(problems, p)]
-    for (k, terms, j), rows in zip(problems, modular):
+    for k, terms, j in problems:
+        rows = _multimodular(k, terms, j, p)
         phi = (p - 1) * p ** (j - 1) if j else 1
-        kronecker = linalg._det_kronecker(k, terms, j, p)
+        kronecker = _kronecker(k, terms, j, p)
         assert all(type(x) is int for x in kronecker)
         assert [kronecker[i : i + phi] for i in range(0, len(kronecker), phi)] == rows
         assert len(rows) == linalg._row_bounds(k, terms)[1] + 1 and all(len(x) == phi for x in rows)
@@ -912,7 +929,7 @@ def test_problems_above_the_switch_are_evaluated_once(monkeypatch):
     large = linalg._BAREISS_MAX_DIM + 1
     a = (large, [(r, c, (r + c) % 9, d, x) for r, c, _, d, x in _tridiagonal(large)], 2)
     b = (large, _tridiagonal(large), 0)
-    assert not linalg._kronecker_wins(*a[:2], 2, 3) and not linalg._kronecker_wins(*b[:2], 0, 3)
+    assert not any(linalg._kronecker_wins(k, j, 3, *linalg._row_bounds(k, terms)) for k, terms, j in (a, b))
     copy = (a[0], list(a[1]), a[2])
     for kernel in (det_cyclotomic_poly, det_norm_cyclotomic):
         batches.clear()
