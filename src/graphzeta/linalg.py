@@ -378,10 +378,11 @@ def _det_multimodular(k: int, terms, j: int, p: int, bound: int, degree: int) ->
     m, phi, points = p**j, euler_phi_prime_power(p, j), degree + 1
     primes = _modular_primes(2 * (p - 1) * bound + 1, m)
     terms = [t for t in terms if t[4]]
-    cells = np.array([t[:4] for t in terms], dtype=np.int64).reshape(-1, 4).T  # r, c, exp, d
+    # r, c, exp mod p^j, d: exponents are reduced before they meet int64
+    cells = np.array([(r, c, e % m, d) for r, c, e, d, _ in terms], dtype=np.int64).reshape(-1, 4).T
     coeffs, top = _int_array([t[4] for t in terms]), max((t[3] for t in terms), default=0)
     units = np.array([u for u in range(m) if u % p or m == 1])  # the root g^u of row u
-    power = cells[2] % m * units[:, None] % m  # per (root, term)
+    power = cells[2] * units[:, None] % m  # per (root, term)
     where = (np.repeat(np.arange(phi), len(terms)), *np.tile(cells[[3, 0, 1]], phi))  # (root, d, r, c)
     step = max(1, _BATCH_ENTRIES // max(1, k * k))
     powers = [_root_powers(q, p, j) for q in primes]

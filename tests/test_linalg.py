@@ -903,6 +903,16 @@ def _cross_route_lists(draw):
 @example((2, [(linalg._BAREISS_MAX_DIM + 1, _tridiagonal(linalg._BAREISS_MAX_DIM + 1), 0)]))
 # above the switch, a zero coefficient at u^9, past every nonzero term's u-degree (at most 3)
 @example((5, [(3, [(r, c, 7 * r + 11 * c + 40, (r * c) % 4, 10**12 - r) for r in range(3) for c in range(3)] + [(2, 1, 3, 9, 0)], 3)]))
+# above the switch, exponents of either sign past 2^63 (as voltages may be), at j = 3 and j = 0
+@example(
+    (
+        5,
+        [
+            (3, [(r, c, (-1) ** (r + c) * 2**64 + 7 * r + 11 * c, (r * c) % 4, 10**12 - r) for r in range(3) for c in range(3)], 3),
+            (29, [(r, c, (-1) ** r * 2**70, d, x) for r, c, _, d, x in _tridiagonal(29)], 0),
+        ],
+    )
+)
 @given(_cross_route_lists())
 def test_kronecker_and_multimodular_routes_agree(case):
     # both exact routes on every problem, whichever side of the size switch it lies, and at the
