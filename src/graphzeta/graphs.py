@@ -199,10 +199,10 @@ def path_counts_from_zeta(h: UniPoly, chi: int, k_max: int) -> list[int]:
 def ihara_zeta_reciprocal(g: SerreGraph) -> tuple[UniPoly, int]:
     """(h(u), chi) with h = det(I - Au + (D - I)u^2); Z^-1 = (1-u^2)^(-chi) h.
 
-    The matrix goes to `linalg.det_norm_cyclotomic` at j = 0 (the integer
-    polynomial determinant) as sparse terms (r, c, 0, d, coeff):
-    -u for each dart, into row terminus and column origin, and 1 and
-    (deg v - 1) u^2 on the diagonal.
+    The matrix goes to `linalg.det_norm_cyclotomic` at j = 0 as sparse terms
+    (r, c, 0, d, coeff): -u for each dart, into row terminus and column
+    origin, and 1 and (deg v - 1) u^2 on the diagonal.  Above 28 vertices h is
+    det(I - u W), W = [[A, I - D], [I, 0]]: one characteristic polynomial per prime.
     """
     n = g.n_vertices
     degree = Counter(g.dart_origin)

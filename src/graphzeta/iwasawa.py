@@ -121,9 +121,9 @@ def g_series(d: TowerDatum) -> GSeries:
     a Taylor shift of F = `lfunctions.voltage_laplacian_det` of the block
     at the raw voltages.  g(T) = 0 (for example an unramified vertex
     without edges) raises HypothesisError.  F has x-degree at most the sum
-    of |voltage| over the block's darts; from 2^63 on, where the multimodular
-    kernel's int64 exponents end (and the Kronecker route's packed entries
-    would need about 2^63 bytes each), the datum is refused with DatumError.
+    of |voltage| over the block's darts; from 2^63 on, where the Kronecker
+    route that such degrees take would need packed entries of about 2^63
+    bytes each, the datum is refused with DatumError.
     """
     unram = d.unramified_vertices
     if not unram:

@@ -3,9 +3,10 @@
 Integer matrices of at most `_BAREISS_MAX_DIM` rows, and every polynomial
 determinant below one size switch (`_kronecker_wins`), are eliminated exactly
 over Z (Bareiss; for polynomials, at one integer point by Kronecker
-substitution).  The larger determinants are multimodular: primes q < 2^31
-searched once per modulus, elimination of chunks of about `_BATCH_ENTRIES`
-entries mod q (`_det_mod_batch`), Newton interpolation, one signed CRT.
+substitution).  Above it, a u-free matrix or one of the Bass form
+S + A u + B u^2, S diagonal, is multimodular: primes q < 2^31 searched once per
+modulus, one characteristic polynomial mod q per prime (`_charpoly_mod`), one
+signed CRT; any other matrix takes the Kronecker route, exact at any size.
 Every norm is a Graeffe chain over Z on coefficients packed at u = 2^b
 (`cyclo.coordinate_norm`, `poly.pack`), with no primes.
 
@@ -21,11 +22,12 @@ Routes:
     determinant is one Bareiss elimination of M(x, u) at x = t^(D+1),
     u = t, t = 2^b, read back as balanced base-2^b digits, then folded mod
     x^(p^j) - 1 and reduced mod Phi_{p^j} (`_det_kronecker`).  A problem
-    above it (cover-size matrices) takes the multimodular pass
-    (`_det_multimodular`) at the primitive roots of unity mod q and
-    u = 0..D: per prime one table, one chunked elimination and one
-    inversion of denominators, then one interpolation, one Lagrange step
-    and one CRT;
+    above it with D = 0 or of the Bass form (cover-size h, z and group-ring
+    matrices) takes the multimodular pass (`_det_multimodular`) at the
+    primitive roots of unity mod q: per prime one table of the block
+    companion matrix W, det M = det S det(I - u W), and one batched
+    characteristic polynomial, then one Lagrange step and one CRT; any
+    other problem takes `_det_kronecker`;
   - matrices over Q[Z/p^n Z] (`det_groupring_poly`): one orbit
     representative per j, reassembled by `from_character_polys`;
   - norms from Q[Z/p^n Z][u] to Q[H][u] (`norm_groupring_poly`): n - h
@@ -131,17 +133,15 @@ def det_bareiss_int(rows: list[list[int]]) -> int:
 
 
 _WORD = 1 << 31  # moduli stay below this, so products of two residues fit in int64
-# int64 entries per elimination batch; an elimination holds a few such arrays at
-# once, so this keeps the multimodular kernels to a few MB of working memory.
-_BATCH_ENTRIES = 1 << 15
 
 
 # m -> [the primes q = 1 mod m found so far, largest first; the next candidate to test]
 _PRIME_SUPPLY: dict[int, list] = {}
 
 
-def _modular_primes(target: int, m: int = 1) -> list[int]:
-    """Distinct primes q < 2^31 with q = 1 mod m, largest first, whose product exceeds target.
+def _modular_primes(target: int, m: int = 1, avoid: int = 1) -> list[int]:
+    """Distinct primes q < 2^31 with q = 1 mod m that do not divide avoid, largest first, whose
+    product exceeds target.
 
     For m = p^j the field F_q holds every p^j-th root of unity.  There are
     about 2^31 / (phi(m) ln 2^31) such primes, together about 3e9 / phi(m)
@@ -163,9 +163,10 @@ def _modular_primes(target: int, m: int = 1) -> list[int]:
             if not is_probable_prime(cand):
                 continue
             primes.append(cand)
-        prod *= primes[count]
+        if avoid % primes[count]:
+            prod *= primes[count]
         count += 1
-    return primes[:count]
+    return [q for q in primes[:count] if avoid % q]
 
 
 def _crt_signed(residues, primes: list[int]) -> np.ndarray:
@@ -178,86 +179,56 @@ def _crt_signed(residues, primes: list[int]) -> np.ndarray:
     return (value + m // 2) % m - m // 2
 
 
-# entries from which `_det_mod_batch` reduces a column step by floor division: numpy's int64 `%`
-# is slow on negative entries (about 7 against 2.5 ns an entry), a floor division by a scalar is
-# not (4.4 ns), but it has the larger fixed cost
-_FLOOR_DIVIDE_MIN = 1 << 9
+def _charpoly_mod(batch: np.ndarray, q: int) -> np.ndarray:
+    """The characteristic polynomials det(x I - H) mod the prime q < 2^31 of a (b, n, n) integer
+    batch: row i the n + 1 coefficients of matrix i, constant first.
 
-
-def _det_mod_batch(mats: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants of a (b, k, k) integer batch mod the prime q < 2^31.
-
-    Returned as (num, den): det i = num[i] / den[i] mod q, den[i] a unit, so
-    a caller inverts once per prime.  Division-free elimination: at column c
-    every element takes its own first nonzero pivot (a row swap where needed)
-    and replaces each lower row r by pivot * r - m[r][c] * (pivot row), which
-    multiplies the determinant by pivot^(k-1-c).  With P_c the product of the
-    first c + 1 pivots, the determinant is sign * P_(k-1) / (P_0 ... P_(k-2)).
+    A Hessenberg reduction by similarities (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.2.4): at column c every element takes its own first nonzero entry below the
+    diagonal as pivot (a row and column swap where needed), each row i > c + 1 gets row c + 1
+    times -h_ic / pivot and column c + 1 gets column i times h_ic / pivot.  Then Cohen's recurrence
+    on the leading blocks (1-based), p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im h_(i+1,i) ...
+    h_(m,m-1) p_(i-1), whose sum starts after the last zero subdiagonal entry of the batch.
     """
-    b, k, _ = mats.shape
-    m = mats % q
-    sign, alive, run, den = 1, True, np.ones(b, dtype=np.int64), np.ones(b, dtype=np.int64)
-    for c in range(k):
-        shift = (m[:, c:, c] != 0).argmax(axis=1)  # to the first nonzero pivot; 0 if there is none
-        if shift.any():
+    h = batch % q
+    b, n, _ = h.shape
+    for c in range(n - 2):
+        pivots = h[:, c + 1, c].tolist()
+        if not all(pivots):
+            shift = (h[:, c + 1 :, c] != 0).argmax(axis=1)  # to the first nonzero; 0 if there is none
             rows = shift.nonzero()[0]
-            r = c + shift[rows]
-            pivot_rows = m[rows, r]
-            m[rows, r] = m[rows, c]
-            m[rows, c] = pivot_rows
-            sign = np.where(shift != 0, -sign, sign)
-        alive = alive & (m[:, c, c] != 0)
-        piv = np.where(alive, m[:, c, c], 1)
-        if c + 1 < k:
-            # the reduction is written in place: each fresh temporary this size costs page faults
-            rest = piv[:, None, None] * m[:, c + 1 :, c + 1 :]
-            rest -= m[:, c + 1 :, c, None] * m[:, c, None, c + 1 :]
-            if rest.size < _FLOOR_DIVIDE_MIN:
-                np.remainder(rest, q, out=m[:, c + 1 :, c + 1 :])
-            else:  # rest mod q, rest of either sign
-                quotient = rest // q
-                quotient *= q
-                np.subtract(rest, quotient, out=m[:, c + 1 :, c + 1 :])
-        if c > 0:
-            den = den * run % q
-        run = run * piv % q
-    return np.where(alive, sign * run % q, 0), den
-
-
-def _inverses_mod(row: list[int], q: int) -> list[int]:
-    # 1 / x mod q for the units x of row: Montgomery's batch inversion by prefix products, one pow
-    prefix = list(itertools.accumulate(row, lambda a, b: a * b % q, initial=1))
-    inv = pow(prefix[-1], -1, q)
-    for k in range(len(row) - 1, -1, -1):  # inv = 1 / (row[0] ... row[k]) on entry
-        prefix[k], inv = prefix[k] * inv % q, inv * row[k] % q
-    return prefix[:-1]
-
-
-def _interpolate_mod(values: np.ndarray, moduli: list[int]) -> np.ndarray:
-    """Row i: the coefficients mod q_i of the polynomial of degree < P taking values[i, t] at
-    t = 0..P - 1, P the width of values (moduli: q_i row by row, each prime above P); values is
-    overwritten.
-
-    Newton's divided differences on the nodes 0, 1, ... and the Newton form expanded, vectorized
-    over the rows.
-    """
-    width = values.shape[1]
-    qcol = np.array(moduli, dtype=np.int64).reshape(-1, 1)
-    # the node differences 1..width - 1, inverted once per prime
-    table = {q: _inverses_mod(list(range(1, width)), q) for q in set(moduli)}
-    inverses = np.array([table[q] for q in moduli], dtype=np.int64).reshape(len(moduli), width - 1)
-    newton = values
-    for k in range(1, width):
-        # node i minus node i - k is k; the product of two residues fits in int64
-        newton[:, k:] = (newton[:, k:] - newton[:, k - 1 : -1]) * inverses[:, k - 1 : k] % qcol
-    # mono[:, 1:]: the Newton form from node k on, of degree < width - k; newton_k in mono[:, 0]
-    mono = np.zeros((len(values), width + 1), dtype=np.int64)
-    mono[:, 1] = newton[:, -1]
-    for k in range(width - 2, -1, -1):
-        w = width - k
-        mono[:, 0] = newton[:, k]
-        mono[:, 1 : w + 1] = (mono[:, :w] - k * mono[:, 1 : w + 1]) % qcol
-    return mono[:, 1:]
+            if len(rows):
+                r = c + 1 + shift[rows]
+                h[rows, r], h[rows, c + 1] = h[rows, c + 1], h[rows, r]
+                h[rows, :, r], h[rows, :, c + 1] = h[rows, :, c + 1], h[rows, :, r]
+                pivots = h[:, c + 1, c].tolist()
+        inverse = np.array([pow(x, -1, q) if x else 0 for x in pivots], dtype=np.int64)
+        f = h[:, c + 2 :, c] * inverse[:, None] % q
+        if f.any():  # rows c + 1 on are zero left of column c
+            h[:, c + 2 :, c:] += (q - f)[:, :, None] * h[:, c + 1, None, c:]
+            h[:, c + 2 :, c:] %= q
+            h[:, :, c + 1] += _matmul_mod(h[:, :, c + 2 :], f[:, :, None], q)[:, :, 0]
+            h[:, :, c + 1] %= q
+    poly = np.zeros((b, n + 1, n + 1), dtype=np.int64)  # row m: p_m
+    poly[:, 0, 0] = 1
+    run, last, start = np.zeros((b, n), dtype=np.int64), np.zeros(b, dtype=np.int64), 0
+    for m in range(1, n + 1):  # 0-based: p_m = (x - h_(m-1,m-1)) p_(m-1) - sum_(i<m-1) a_i p_i,
+        if m > 1:  # a_i = h_(i,m-1) run_i, run_i = h_(i+1,i) ... h_(m-1,m-2)
+            sub = h[:, m - 1, m - 2]
+            if not sub.all():
+                last[sub == 0] = m - 1
+                start = last.min()
+            run[:, m - 2] = 1
+            run[:, start : m - 1] *= sub[:, None]
+            run[:, start : m - 1] %= q
+        poly[:, m, 1 : m + 1] = poly[:, m - 1, :m]
+        poly[:, m, :m] += (q - h[:, m - 1, m - 1])[:, None] * poly[:, m - 1, :m]
+        if start < m - 1:
+            a = h[:, start : m - 1, m - 1] * run[:, start : m - 1] % q
+            terms = _matmul_mod(poly[:, start : m - 1, :m].transpose(0, 2, 1), a[:, :, None], q)
+            poly[:, m, :m] += q - terms[:, :, 0]
+        poly[:, m, :m] %= q
+    return poly[:, n]
 
 
 def _root_powers(q: int, p: int, j: int) -> np.ndarray:
@@ -271,12 +242,9 @@ def _root_powers(q: int, p: int, j: int) -> np.ndarray:
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    # a @ b mod q for residues below q < 2^31: b split at bit 16, sums of 2^15 terms stay in int64
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for i in range(0, a.shape[1], 1 << 15):
-        x, y = a[:, i : i + (1 << 15)], b[i : i + (1 << 15)]
-        out = (out + (x @ (y >> 16)) % q * 65536 + x @ (y & 65535)) % q
-    return out
+    # a @ b mod q for residues below q < 2^31, stacked or not, over fewer than 2^15 terms (more would
+    # mean operands of 8 GiB): b split at bit 16 keeps the sums in int64
+    return (a @ (b >> 16) % q * 65536 + a @ (b & 65535)) % q
 
 
 def _row_bounds(k: int, terms) -> tuple[int, int]:
@@ -353,9 +321,9 @@ def _kronecker_wins(k: int, j: int, p: int, bound: int, degree: int) -> bool:
     (bound, degree) from `_row_bounds`, takes `_det_kronecker` rather than `_det_multimodular`.
 
     At j = 0, up to `_BAREISS_MAX_DIM` rows.  At j >= 1, while bits^2 <= `_KRONECKER_SWITCH` *
-    points, bits = (k (p^j - 1) + 1) (D + 1) 8 w those of det M(t) in `_det_kronecker` and points =
-    phi (D + 1) those of the multimodular pass per prime: Bareiss on such integers pays CPython's
-    quadratic long division, the multimodular pass about one batched elimination per point.
+    phi (D + 1), bits = (k (p^j - 1) + 1) (D + 1) 8 w those of det M(t) in `_det_kronecker`:
+    Bareiss on such integers pays CPython's quadratic long division.  The threshold is the
+    crossover measured in CHANGES.md; it stays where it was measured.
     """
     if not j:
         return k <= _BAREISS_MAX_DIM
@@ -363,54 +331,69 @@ def _kronecker_wins(k: int, j: int, p: int, bound: int, degree: int) -> bool:
     return bits * bits <= _KRONECKER_SWITCH * euler_phi_prime_power(p, j) * (degree + 1)
 
 
+def _pass_diagonal(k: int, terms, m: int, degree: int):
+    """S = M(0) as [(c_r, e_r)], S = diag(c_r zeta^(e_r)), for a problem the multimodular pass
+    takes, else None: D = 0 (then S = -I stands in), or the Bass form S + A u + B u^2, no
+    nonzero term of u-degree above 2 and M(0) diagonal with one nonzero monomial per row."""
+    if not degree:
+        return [(-1, 0)] * k
+    at_zero: dict = {}
+    for r, c, e, d, coeff in terms:
+        if coeff and d > 2:
+            return None
+        if not d:
+            at_zero[r, c, e % m] = at_zero.get((r, c, e % m), 0) + coeff
+    cells = sorted((r, c, e, a) for (r, c, e), a in at_zero.items() if a)
+    if [x[:2] for x in cells] != [(r, r) for r in range(k)]:
+        return None
+    return [(a, e) for _, _, e, a in cells]
+
+
 def _det_multimodular(k: int, terms, j: int, p: int, bound: int, degree: int) -> np.ndarray:
     """The coordinates of det M for the problem (k, terms, j) by the multimodular pass: an array of
     shape (D + 1, phi), row d the coordinates of the u^d coefficient ((B, D) = (bound, degree) from
-    `_row_bounds`; the proof is in `det_cyclotomic_poly`).
+    `_row_bounds`; the proof is in `det_cyclotomic_poly`).  The problem has D = 0 or the Bass form
+    of `_pass_diagonal`.
 
-    The primes q = 1 mod p^j have a product above 2 (p - 1) B + 1.  Per prime, powers of one g of
-    order p^j give the primitive roots g^u, u a unit mod p^j, and one table holds M at each root by
-    its u-coefficients; Horner's rule evaluates it at t = 0..D in chunks of about `_BATCH_ENTRIES`
-    entries, each eliminated by `_det_mod_batch`, and one `_inverses_mod` pass inverts the
-    denominators.  Then one `_interpolate_mod` call takes every (prime, root) row, the Lagrange step
-    on the roots is one product per prime, and one signed CRT lifts the coordinates.
+    The primes q = 1 mod p^j have a product above 2 (p - 1) B + 1 and divide no c_r.  Per prime,
+    powers of one g of order p^j give the primitive roots g^u, u a unit mod p^j, and one table holds
+    W at each root: the block companion matrix [[-S^-1 A, -S^-1 B], [I, 0]] of n = 2k rows (n = k
+    and W = -S^-1 A without u^2 terms), or W = M(0) at D = 0.  One `_charpoly_mod` call gives each
+    root's coefficients c_i of det(x I - W): the u^d coefficient of det M is det S c_(n-d), and at
+    D = 0, det M(0) = (-1)^k c_0.  The Lagrange step on the roots is one product per prime, and one
+    signed CRT lifts the coordinates.
     """
-    m, phi, points = p**j, euler_phi_prime_power(p, j), degree + 1
-    primes = _modular_primes(2 * (p - 1) * bound + 1, m)
-    terms = [t for t in terms if t[4]]
-    # r, c, exp mod p^j, d: exponents are reduced before they meet int64
-    cells = np.array([(r, c, e % m, d) for r, c, e, d, _ in terms], dtype=np.int64).reshape(-1, 4).T
-    coeffs, top = _int_array([t[4] for t in terms]), max((t[3] for t in terms), default=0)
+    m, phi = p**j, euler_phi_prime_power(p, j)
+    diagonal = _pass_diagonal(k, terms, m, degree)
+    det_s, shift = math.prod(c for c, _ in diagonal), sum(e for _, e in diagonal)
+    primes = _modular_primes(2 * (p - 1) * bound + 1, m, det_s)
+    terms = [t for t in terms if t[4] and (t[3] or not degree)]  # W's terms: S leaves at D > 0
+    lag, n = min(degree, 1), k * max(1, max((t[3] for t in terms), default=0))
+    # r, column (d - 1) k + c of W (c at D = 0), exp - e_r mod p^j: reduced before they meet int64
+    cells = [(r, (d - lag) * k + c, (e - diagonal[r][1]) % m) for r, c, e, d, _ in terms]
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+    coeffs = _int_array([t[4] for t in terms])
     units = np.array([u for u in range(m) if u % p or m == 1])  # the root g^u of row u
     power = cells[2] * units[:, None] % m  # per (root, term)
-    where = (np.repeat(np.arange(phi), len(terms)), *np.tile(cells[[3, 0, 1]], phi))  # (root, d, r, c)
-    step = max(1, _BATCH_ENTRIES // max(1, k * k))
+    where = (np.repeat(np.arange(phi), len(terms)), *np.tile(cells[:2], phi))  # (root, r, column)
+    tail, first = np.arange(n - k), 0 if degree else n  # c_(n-d) of det(x I - W), d = 0..D, or c_0
     powers = [_root_powers(q, p, j) for q in primes]
-    values = np.empty((len(primes), phi, points), dtype=np.int64)
+    found = np.empty((len(primes), degree + 1, phi), dtype=np.int64)
     for i, (q, g) in enumerate(zip(primes, powers)):
-        table = np.zeros((phi, top + 1, k, k), dtype=np.int64)
-        np.add.at(table, where, (np.remainder(coeffs, q).astype(np.int64, copy=False) * g[power] % q).ravel())
-        table %= q
-        num, den = np.empty((2, phi * points), dtype=np.int64)
-        for start in range(0, phi * points, step):
-            root, t = np.divmod(np.arange(start, min(start + step, phi * points)), points)
-            batch = table[root, top]
-            for e in range(top - 1, -1, -1):
-                batch = (batch * t[:, None, None] + table[root, e]) % q
-            num[start : start + step], den[start : start + step] = _det_mod_batch(batch, q)
-        if k > 1:  # den = 1 below
-            num = num * np.array(_inverses_mod(den.tolist(), q), dtype=np.int64) % q
-        values[i] = num.reshape(phi, points)
-    # per prime: rows u^d, columns the roots
-    found = _interpolate_mod(values.reshape(-1, points), [q for q in primes for _ in range(phi)])
-    found = found.reshape(len(primes), phi, points).transpose(0, 2, 1)
+        scale = np.array([pow(-c, -1, q) for c, _ in diagonal], dtype=np.int64)  # -1 / c_r
+        w = np.zeros((phi, n, n), dtype=np.int64)
+        values = np.remainder(coeffs, q).astype(np.int64, copy=False) * scale[cells[0]] % q * g[power] % q
+        np.add.at(w, where, values.ravel())
+        w[:, k + tail, tail] = 1
+        at_roots = det_s % q * g[shift * units % m] % q  # det S at each root
+        found[i] = (_charpoly_mod(w, q)[:, ::-1][:, first : first + degree + 1] * at_roots[:, None] % q).T
     if j:  # Lagrange interpolation on the roots: V[w, l] mod q = (w^-l - w^(s (l // s + 1) - l)) / p^j
         s, l = p ** (j - 1), np.arange(phi)
         e0, e1 = (e * units[:, None] % m for e in (-l, (l // s + 1) * s - l))
         found = np.array(
             [_matmul_mod(x, (g[e0] - g[e1]) * pow(m, -1, q) % q, q) for x, q, g in zip(found, primes, powers)]
         )
-    return _crt_signed(found.reshape(len(primes), -1), primes).reshape(points, phi)
+    return _crt_signed(found.reshape(len(primes), -1), primes).reshape(degree + 1, phi)
 
 
 def det_norm_cyclotomic(problems, p: int) -> list[list[int]]:
@@ -437,12 +420,22 @@ def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
     Each distinct problem takes its bound (B, D) once (`_row_bounds`).  Below
     the size switch (`_kronecker_wins`) it is one exact Bareiss elimination
     of M(x, u) at x = t^(D+1), u = t, t = 2^b, its digits folded mod
-    x^(p^j) - 1 and reduced mod Phi_{p^j} (`_det_kronecker`).  Above it, it
-    takes the multimodular pass (`_det_multimodular`): Z[zeta]/q is F_q^phi
-    through the primitive roots w of unity in F_q.  The determinants at w
-    and t = 0..D give each u^d coefficient x at every w (`_interpolate_mod`),
-    and Lagrange interpolation
-    on the roots of Phi = Phi_{p^j} its coordinates x_l = sum_w x(w) V[l, w]:
+    x^(p^j) - 1 and reduced mod Phi_{p^j} (`_det_kronecker`).  Above it, a
+    problem with D = 0, or of the Bass form M = S + A u + B u^2 (no term of
+    u-degree above 2, S = M(0) diagonal with one nonzero monomial
+    c_r zeta^(e_r) per row: `_pass_diagonal`), takes the multimodular pass
+    (`_det_multimodular`); any other takes `_det_kronecker`, exact at any
+    size.  The pass: Z[zeta]/q is F_q^phi through the primitive roots w of
+    unity in F_q, and at each w, with X = S^-1 A and Y = S^-1 B,
+        det(S + A u + B u^2) = det S det(I_2k - u W), W = [[-X, -Y], [I, 0]],
+    for I_2k - u W = [[I + X u, Y u], [-u I, I]], whose Schur complement of
+    the lower right I is I + X u + Y u^2 (Kotani and Sunada, "Zeta functions
+    of finite graphs", 2000).  So the u^d coefficient of det M at w is
+    det S c_(2k-d), the c_i those of det(x I - W), and at D = 0,
+    det M(0) = (-1)^k c_0 of M(0)'s own.  S is invertible at w for every
+    prime dividing no c_r, and the pass takes only those.  Lagrange
+    interpolation on the roots of Phi = Phi_{p^j} gives the coordinates of
+    each u^d coefficient x from its values, x_l = sum_w x(w) V[l, w]:
     with s = p^(j-1), Phi(X) / (X - w) = sum_l b_l(w) X^l, b_l(w) =
     sum_{t : t s > l} w^(t s - l - 1), and 1 / Phi'(w) = w (w^s - 1) / p^j,
         V[l, w] = b_l(w) / Phi'(w) = w^(-l) (1 - w^(s (floor(l / s) + 1))) / p^j.
@@ -450,13 +443,15 @@ def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
     sigma; the b_l(zeta) / Phi'(zeta) are the trace-dual basis of the power
     basis (Euler), so x_l = Tr(x V[l, zeta]) and, as |sigma(V[l, zeta])| <=
     2 / p^j, |x_l| <= (p - 1) B: the primes' product exceeds 2 (p - 1) B + 1.
+    The bound is on the integers recovered, the coordinates of det M, so it
+    does not depend on how their residues mod q are found.
     """
     index: dict = {}
     position = [index.setdefault((k, tuple(terms), j), len(index)) for k, terms, j in problems]
     out = []
     for k, terms, j in index:
         bounds = _row_bounds(k, terms)
-        if _kronecker_wins(k, j, p, *bounds):  # the coordinates cut into rows of phi
+        if _kronecker_wins(k, j, p, *bounds) or _pass_diagonal(k, terms, p**j, bounds[1]) is None:
             coords, phi = _det_kronecker(k, terms, j, p, *bounds), euler_phi_prime_power(p, j)
             out.append([coords[x : x + phi] for x in range(0, len(coords), phi)])
         else:

@@ -348,7 +348,8 @@ def test_cli_tower_and_invariants_search_no_primes(monkeypatch, tmp_path, capsys
             codes.append(main([command, path, "--max-level", str(top), "--json"]))
             capsys.readouterr()
     assert searched == [] and set(codes) <= {0, 2, 3} and codes.count(0) >= len(runs)
-    # the recorder sees the multimodular pass: verify's level-5 cover has a 34-row h, above the size switch
+    # the recorder sees the multimodular pass: verify's level-5 cover has a 34-row h, above the size
+    # switch, whose primes serve one characteristic polynomial each
     assert main(["verify", DATUM, "--level", "5"]) == 0 and searched
 
 

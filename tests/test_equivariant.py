@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import collect_random_data
+from conftest import FIXTURES, collect_random_data, random_datum
+from graphzeta.datum_io import load_datum
 from graphzeta.equivariant import (
     equiv_zeta,
     equivariant_euler_char,
@@ -16,6 +17,7 @@ from graphzeta.equivariant import (
     inflation_check,
     norm_gamma_exponents,
     norm_map,
+    subgroup_vertex_orbits,
     trace_map,
 )
 from graphzeta.graphs import SerreGraph
@@ -335,3 +337,44 @@ def test_theta_reciprocal_projects_to_l_reciprocals():
             lambda c: c if isinstance(c, CycloNum) else CycloNum.rational(d.p, c, n)
         )
         assert norm(projected) == norm(expected)
+
+
+def _eta_by_both_routes(d, n, order):
+    # eta for the order-`order` subgroup on the level-n cover, as routed and with every orbit problem
+    # forced onto the Kronecker route; returns the j of each problem the multimodular pass took
+    lg = build_level_graph(d, n)
+    passes = []
+    multimodular = linalg._det_multimodular
+
+    def recorder(k, terms, j, p, *bounds):
+        passes.append(j)
+        return multimodular(k, terms, j, p, *bounds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_det_multimodular", recorder)
+        eta = eta_for_subgroup_action(d, lg, order)
+        patch.setattr(linalg, "_kronecker_wins", lambda *args: True)
+        assert eta_for_subgroup_action(d, lg, order) == eta
+    return passes
+
+
+def test_fixture_eta_above_the_switch_takes_the_pass_and_equals_the_kronecker_route():
+    # the orbit problems above the size switch at j >= 1: 10 rows at j = 1 (double_edge level 4,
+    # H of order 2), 10 at j = 1 and 2 (level 5, order 4), 12 at j = 1 and 6 at j = 2 (triple_star
+    # level 3, orders 3 and 9)
+    double_edge, triple_star = (load_datum(FIXTURES / f"{name}.json") for name in ("double_edge", "triple_star"))
+    assert _eta_by_both_routes(double_edge, 4, 2) == [1]
+    assert _eta_by_both_routes(double_edge, 5, 4) == [1, 2]
+    assert _eta_by_both_routes(triple_star, 3, 3) == [1]
+    assert _eta_by_both_routes(triple_star, 3, 9) == [2]
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2**32), st.sampled_from([(2, 3), (2, 4), (3, 2), (3, 3)]), st.integers(1, 2))
+def test_random_eta_equals_the_kronecker_route(seed, level, h):
+    # random tower data whose level-n cover has at most 20 orbits of H (order p^h): the routed eta
+    # equals the all-Kronecker one, whichever orbit problems lie above the switch
+    (p, n) = level
+    d = random_datum(random.Random(seed), p, max_vertices=5, max_edges=8, max_k=2, levels_connected=0)
+    assume(len(subgroup_vertex_orbits(d, build_level_graph(d, n), p**h)[1]) <= 20)
+    _eta_by_both_routes(d, n, p**h)

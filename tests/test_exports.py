@@ -47,7 +47,11 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # norm_groupring_poly), so the private packing and the product over the
 # roots mod q are gone.  The multimodular pass takes one problem, so the
 # cross-problem pass _det_orbits is gone: det_cyclotomic_poly deduplicates
-# and routes each problem itself.
+# and routes each problem itself.  Per prime the pass takes one characteristic
+# polynomial (_charpoly_mod) of the block companion matrix of S + A u + B u^2
+# (or of M(0) when D = 0), so the evaluation at D + 1 points, its batched
+# elimination and chunk size, the denominator inversion and the Newton
+# interpolation are gone.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -112,6 +116,11 @@ REMOVED = [
     ("linalg", "_pack"),
     ("linalg", "_prod_mod"),
     ("linalg", "_det_orbits"),
+    ("linalg", "_det_mod_batch"),
+    ("linalg", "_FLOOR_DIVIDE_MIN"),
+    ("linalg", "_inverses_mod"),
+    ("linalg", "_interpolate_mod"),
+    ("linalg", "_BATCH_ENTRIES"),
 ]
 
 

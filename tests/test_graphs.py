@@ -198,7 +198,8 @@ def test_zeta_series_identity_random_small():
 
 
 def test_level_zeta_double_edge_level5():
-    # 34-vertex cover: h(u) from the multimodular kernel, degree 68
+    # 34-vertex cover, above the Bareiss size: h(u) is the reversed characteristic polynomial of
+    # the 68-row W of the multimodular pass, degree 68
     y = _double_edge_cover(5)
     h, chi = ihara_zeta_reciprocal(y)
     assert h.degree == 2 * y.n_vertices

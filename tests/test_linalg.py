@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from graphzeta.errors import CertificationError
 from graphzeta import linalg
+from graphzeta.graphs import SerreGraph, ihara_zeta_reciprocal
 from graphzeta.groupring import GroupRingElem, groupring_idempotent
 from graphzeta.linalg import (
+    _charpoly_mod,
     _crt_signed,
-    _det_mod_batch,
     _modular_primes,
     det_bareiss_int,
     det_cyclotomic_poly,
@@ -153,7 +154,7 @@ def test_det_cyclo_matrix():
 
 def test_det_poly_interpolation_matches_cofactor():
     rng = random.Random(13)
-    # integer polynomial entries take the multimodular route; compare with direct cofactor
+    # a 7 x 7 integer polynomial matrix, below the size switch: the Kronecker route against the cofactor
     n = 7
     mat = [
         [UniPoly([rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(n)]
@@ -221,10 +222,18 @@ def test_det_multiplicative_cyclo():
         assert _det_cyclo(ab, 3, 1) == _det_cyclo(a, 3, 1) * _det_cyclo(b, 3, 1)
 
 
-def test_batched_modular_det_matches_bareiss():
+def _charpoly_by_cofactor(a, q):
+    # det(x I - A) mod q by cofactor expansion over Z[x], constant coefficient first
+    k = len(a)
+    rows = [[UniPoly([-a[r][c], int(r == c)]) for c in range(k)] for r in range(k)]
+    det = UniPoly.constant(1) * det_cofactor(rows)
+    return [det.coefficient(i) % q for i in range(k + 1)]
+
+
+def test_batched_charpoly_matches_cofactor():
     rng = random.Random(29)
     primes = [2147483647, 2147483629, 65537, 7]
-    for k in range(1, 6):
+    for k in range(1, 7):
         mats = [
             [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(k)] for _ in range(k)]
             for _ in range(40)
@@ -232,9 +241,17 @@ def test_batched_modular_det_matches_bareiss():
         mats.append([[0] * k for _ in range(k)])
         mats.append([[1] * k for _ in range(k)])
         for q in primes:
-            num, den = _det_mod_batch(np.array(mats, dtype=np.int64), q)
-            dets = [int(a) * pow(int(b), -1, q) % q for a, b in zip(num, den)]
-            assert dets == [det_bareiss_int(m) % q for m in mats]
+            want = [_charpoly_by_cofactor(a, q) for a in mats]
+            assert _charpoly_mod(np.array(mats, dtype=np.int64), q).tolist() == want
+    # one batch: a pivot in place, a row swap (a zero below the diagonal, a nonzero under it), a
+    # zero subdiagonal entry in the Hessenberg form (two diagonal blocks), the zero matrix, all ones
+    in_place = [[1, 2, 3, 4], [5, 6, 7, 8], [9, 1, 2, 3], [4, 5, 6, 7]]
+    swap = [[1, 2, 3, 4], [0, 6, 7, 8], [9, 1, 2, 3], [4, 5, 6, 7]]
+    blocks = [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, -8]]
+    batch = [in_place, swap, blocks, [[0] * 4] * 4, [[1] * 4] * 4, swap, in_place]
+    for q in primes:
+        want = [_charpoly_by_cofactor(a, q) for a in batch]
+        assert _charpoly_mod(np.array(batch, dtype=np.int64), q).tolist() == want
 
 
 def test_modular_primes_are_one_mod_m():
@@ -465,18 +482,27 @@ def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
     # A matrix over Z written at level j: det_cyclotomic_poly gives the coefficients of
     # its integer determinant (the j = 0 norm) as first coordinates, zero elsewhere.  Below
     # the size switch (`_kronecker_wins`) that is one Bareiss elimination of the
-    # Kronecker-substituted matrix, with no modular batch; above it, one batch of
-    # phi (D + 1) matrices per prime and no elimination.  Both sides occur at j >= 1.
+    # Kronecker-substituted matrix, with no characteristic polynomial; above it, a general
+    # polynomial matrix takes that elimination too, and a three-term matrix S + A u + B u^2,
+    # S diagonal, one batch of phi characteristic polynomials per prime and no elimination.
+    # All three routes occur at j >= 1.
     batches, eliminations, routes = [], [], set()
-    original, bareiss = linalg._det_mod_batch, linalg.det_bareiss_int
+    original, bareiss = linalg._charpoly_mod, linalg.det_bareiss_int
 
-    def recorder(mats, moduli):
+    def recorder(mats, q):
         batches.append(len(mats))
-        return original(mats, moduli)
+        return original(mats, q)
 
     def bareiss_recorder(rows):
         eliminations.append(len(rows))
         return bareiss(rows)
+
+    def three_term(n):
+        # S + A u + B u^2 with S a diagonal of nonzero integers
+        def entry(diagonal):
+            return UniPoly([rng.choice([-2, -1, 1, 3]) if diagonal else 0, rng.randint(-9, 9), rng.randint(-9, 9)])
+
+        return [[entry(r == c) for c in range(n)] for r in range(n)]
 
     rng = random.Random(47)
     for p, j in [(2, 1), (3, 0), (3, 2)]:
@@ -484,29 +510,30 @@ def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
         for n in range(1, 9):
             m = _random_poly_matrix(rng, n, 9)
             m[0][0] = UniPoly([1, rng.randint(-9, 9)])  # at least one polynomial entry
-            # a row times (u - s) makes the determinant vanish at the node s
+            # a row times (u - s) makes the determinant vanish at u = s
             s, r = rng.randint(0, 3), rng.randrange(n)
             m[r] = [UniPoly([-s, 1]) * x for x in m[r]]
-            want, terms = _det_poly_int(m), _cyclo_terms(m)
-            monkeypatch.setattr(linalg, "_det_mod_batch", recorder)
-            monkeypatch.setattr(linalg, "det_bareiss_int", bareiss_recorder)
-            batches.clear()
-            eliminations.clear()
-            det = det_cyclotomic_poly([(n, terms, j)], p)[0]
-            monkeypatch.undo()
-            degree = sum(max((t[3] for t in terms if t[0] == row), default=0) for row in range(n))
-            kronecker = linalg._kronecker_wins(n, j, p, *linalg._row_bounds(n, terms))
-            if kronecker:
-                assert batches == [] and eliminations == [n]
-            else:
-                assert batches and batches == [phi * (degree + 1)] * len(batches) and eliminations == []
-            routes.add((j > 0, kronecker))
-            assert all(not any(x[1:]) for x in det) and UniPoly(x[0] for x in det) == want
-            assert want(s) == 0 and want == det_cofactor(m)
+            for matrix, bass in ((m, False), (three_term(n), True)):
+                want, terms = _det_poly_int(matrix), _cyclo_terms(matrix)
+                monkeypatch.setattr(linalg, "_charpoly_mod", recorder)
+                monkeypatch.setattr(linalg, "det_bareiss_int", bareiss_recorder)
+                batches.clear()
+                eliminations.clear()
+                det = det_cyclotomic_poly([(n, terms, j)], p)[0]
+                monkeypatch.undo()
+                kronecker = linalg._kronecker_wins(n, j, p, *linalg._row_bounds(n, terms))
+                if kronecker or not bass:
+                    assert batches == [] and eliminations == [n]
+                else:
+                    assert batches and batches == [phi] * len(batches) and eliminations == []
+                routes.add((j > 0, kronecker, bool(batches)))
+                assert all(not any(x[1:]) for x in det) and UniPoly(x[0] for x in det) == want
+                assert want == det_cofactor(matrix)
+            assert _det_poly_int(m)(s) == 0
             if n > 1:
                 m[r] = [0] * n
                 assert _det_cyclo(m, p, j) == UniPoly()
-    assert routes == {(False, True), (True, True), (True, False)}
+    assert routes == {(False, True, False), (True, True, False), (True, False, False), (True, False, True)}
 
 
 def test_det_groupring_orbits_over_z9_and_cyclotomic_refusal():
@@ -531,7 +558,7 @@ def _cyclotomic_poly_matrix(draw):
     # (p, j, k, terms): every row holds terms with exponents in [-p^j, 2 p^j), u-degree
     # <= 2 and coefficients up to 10^12 (B past 2^31, so several CRT primes); then
     # optionally one row is zeroed and one row is multiplied by (u - s), which makes the
-    # matrix singular at the interpolation node s
+    # matrix singular at u = s
     p, j, k = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 3)), draw(st.integers(0, 4))
     if k == 0:
         return p, j, k, []
@@ -637,16 +664,16 @@ def test_batched_kernels_match_the_oracles_problem_by_problem(case):
 
 
 def test_repeated_problems_are_evaluated_once(monkeypatch):
-    # the eliminations for a list with repeats, as the same object and as copies, are those of
-    # the list without them
+    # the characteristic polynomial batches for a list with repeats, as the same object and as
+    # copies, are those of the list without them
     batches = []
-    original = linalg._det_mod_batch
+    original = linalg._charpoly_mod
 
     def recorder(mats, q):
         batches.append((mats.tolist(), q))
         return original(mats, q)
 
-    monkeypatch.setattr(linalg, "_det_mod_batch", recorder)
+    monkeypatch.setattr(linalg, "_charpoly_mod", recorder)
     a = (2, [(0, 0, 1, 1, 3), (0, 1, 0, 0, -2), (1, 0, 2, 2, 5), (1, 1, 0, 0, 1)], 2)
     b = (1, [(0, 0, 1, 1, 7), (0, 0, 0, 0, 1)], 1)
     copy = (a[0], list(a[1]), a[2])
@@ -776,17 +803,18 @@ def test_kronecker_borrow_chains():
 
 
 def _tridiagonal(k):
-    # a k x k integer polynomial matrix: 2 - u on the diagonal, u^2 - 1 above and 3 u below it
+    # a k x k integer polynomial matrix of the form S + A u + B u^2, S = 2 I: 2 - u on the
+    # diagonal, u^2 - u above and 3 u below it
     terms = [(r, r, 0, 0, 2) for r in range(k)] + [(r, r, 0, 1, -1) for r in range(k)]
-    terms += [(r, r + 1, 0, 2, 1) for r in range(k - 1)] + [(r, r + 1, 0, 0, -1) for r in range(k - 1)]
+    terms += [(r, r + 1, 0, 2, 1) for r in range(k - 1)] + [(r, r + 1, 0, 1, -1) for r in range(k - 1)]
     return terms + [(r + 1, r, 0, 1, 3) for r in range(k - 1)]
 
 
 def test_kronecker_route_ends_at_the_bareiss_size(monkeypatch):
-    # k = 28 takes no modular batch, k = 29 the multimodular pass; each equals the other route
+    # k = 28 takes no characteristic polynomial, k = 29 the multimodular pass; each equals the other route
     batches = []
-    original = linalg._det_mod_batch
-    monkeypatch.setattr(linalg, "_det_mod_batch", lambda mats, q: batches.append(len(mats)) or original(mats, q))
+    original = linalg._charpoly_mod
+    monkeypatch.setattr(linalg, "_charpoly_mod", lambda mats, q: batches.append(len(mats)) or original(mats, q))
     for k, modular in ((linalg._BAREISS_MAX_DIM, False), (linalg._BAREISS_MAX_DIM + 1, True)):
         terms = _tridiagonal(k)
         batches.clear()
@@ -829,9 +857,10 @@ def test_mixed_integer_and_cyclotomic_lists_match_one_problem_calls():
     integer = [(2, [(0, 0, 0, 1, 3), (0, 1, 0, 0, -2), (1, 0, 0, 2, 5), (1, 1, 0, 0, 1)], 0), (0, [], 0)]
     cyclotomic = [(2, [(0, 0, 1, 1, 3), (0, 1, 2, 0, -2), (1, 0, 0, 2, 5), (1, 1, 3, 0, 1)], 2), (1, [(0, 0, 1, 0, 4)], 1)]
     large = [(29, _tridiagonal(29), 0)]  # j = 0 above the Bareiss size: the multimodular pass
-    # above the switch at j = 1 and 3 too, each with its own k, repeated as the same object and as a copy
+    # above the switch at j = 1 and 3 too, each with its own k, repeated as the same object and as a copy:
+    # a three-term matrix with a diagonal M(0) (the multimodular pass) and a general one (Kronecker)
     large += [
-        (10, [(r, c, r * c + 1, (r + c) % 2, 10**6 + 7 * r - c) for r in range(10) for c in range(10)], 1),
+        (10, [(r, c, r * c + 1, (r != c) * (1 + (r + c) % 2), 10**6 + 7 * r - c) for r in range(10) for c in range(10)], 1),
         (4, [(r, c, 5 * r + c, (r * c) % 3, 10**4 - r * c) for r in range(4) for c in range(4)], 3),
     ]
     assert not any(linalg._kronecker_wins(k, j, 3, *linalg._row_bounds(k, terms)) for k, terms, j in large)
@@ -862,30 +891,32 @@ def _cross_route_lists(draw):
     # switch: up to 30 rows at j = 0 (the switch is 28) and 12, 6 and 4 at j = 1, 2, 3 (fewer for
     # p = 5), rows dropped while det M(t) would have more than 2^14 bits (about twice the switch's at
     # j >= 1 and few points); exponents from -p^j to past 2 p^j, coefficients of either sign up to 1
-    # to 10^12, entries of u-degree <= 3, a repeated (r, c, exp, d) term, sometimes a zero row (B = 0)
+    # to 10^12.  Each problem has a shape the multimodular pass takes: u-free (D = 0; sometimes a zero
+    # row, B = 0), or S + A u + B u^2 with S diagonal, one nonzero monomial c zeta^e per row; and
+    # sometimes a repeated (r, c, exp, d) term
     p = draw(st.sampled_from([2, 3, 5]))
     problems = []
     for _ in range(draw(st.integers(1, 3))):
         j = draw(st.integers(0, 3))
         k_max = {0: linalg._BAREISS_MAX_DIM + 2, 1: 12, 2: 6 if p < 5 else 4, 3: 4 if p < 5 else 3}[j]
-        k = draw(st.one_of(st.integers(0, 3), st.integers(k_max - 4, k_max)))
+        k = draw(st.one_of(st.integers(0, 3), st.integers(max(0, k_max - 4), k_max)))
         terms = []
         if k:
             scale = draw(st.sampled_from([1, 9, 10**12]))
-            entry = st.tuples(
-                st.integers(0, k - 1),
-                st.integers(0, k - 1),
-                st.integers(-(p**j), 2 * p**j + 1),
-                st.integers(0, 3),
-                st.integers(-scale, scale),
-            )
-            terms = draw(st.lists(entry, max_size=k * k))
-            terms += [(r, r, 0, draw(st.integers(0, 1)), 1) for r in range(k)]  # no row empty by chance
-            if terms and draw(st.booleans()):  # the same (r, c, exp, d) again
-                r, c, e, d, _ = draw(st.sampled_from(terms))
-                terms.append((r, c, e, d, draw(st.integers(-scale, scale))))
-            if not draw(st.integers(0, 4)):
-                zero = draw(st.integers(0, k - 1))
+            u_free = draw(st.booleans())
+            exponent, coeff = st.integers(-(p**j), 2 * p**j + 1), st.integers(-scale, scale)
+            index, degree = st.integers(0, k - 1), st.just(0) if u_free else st.integers(1, 2)
+            entry = st.tuples(index, index, exponent, degree, coeff)
+            terms = draw(st.lists(entry, min_size=0 if u_free else k, max_size=k * k))
+            if u_free:
+                terms += [(r, r, 0, 0, 1) for r in range(k)]  # no row empty by chance
+            else:  # the diagonal S
+                terms += [(r, r, draw(exponent), 0, draw(coeff.filter(bool))) for r in range(k)]
+            if draw(st.booleans()):  # the same (r, c, exp, d) again
+                r, c, e, d, _ = draw(st.sampled_from([t for t in terms if u_free or t[3]] or terms))
+                terms.append((r, c, e, d, draw(coeff) if d or u_free else 0))
+            if u_free and not draw(st.integers(0, 4)):
+                zero = draw(index)
                 terms = [t for t in terms if t[0] != zero]
         while k and _packed_bits(k, terms, j, p) > 1 << 14:  # keeps Bareiss on det M(t) to milliseconds
             k -= 1
@@ -894,21 +925,27 @@ def _cross_route_lists(draw):
     return p, problems
 
 
+def _three_term(terms):
+    # the terms with u-degree 0 on the diagonal and 1 + (r c mod 2) off it
+    return [(r, c, e, 0 if r == c else 1 + r * c % 2, a) for r, c, e, _, a in terms]
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@example((2, [(2, [(0, 0, 0, 0, 5), (1, 1, 3, 2, -7)], 1), (1, [], 2)]))  # the 1 x 1 zero matrix: B = 0
+# the 1 x 1 zero matrix: B = 0
+@example((2, [(2, [(0, 0, 0, 0, 5), (1, 1, 3, 0, -7), (1, 1, 3, 2, -7)], 1), (1, [], 2)]))
 # exponents 11 and 2 meet mod 9 and cancel
-@example((3, [(2, [(0, 0, 11, 1, 4), (0, 0, 2, 1, -4), (0, 1, -1, 0, 3), (1, 0, 9, 3, 2), (1, 1, 0, 0, 1)], 2)]))
+@example((3, [(2, [(0, 0, 0, 0, 1), (0, 0, 11, 1, 4), (0, 0, 2, 1, -4), (0, 1, -1, 1, 3), (1, 0, 9, 2, 2), (1, 1, 0, 0, 1)], 2)]))
 # above the switch: coefficients near 10^12 over Z[zeta_125], several CRT primes; 29 rows at j = 0
-@example((5, [(3, [(r, c, 7 * r + 11 * c + 40, (r * c) % 4, 10**12 - r) for r in range(3) for c in range(3)], 3)]))
+@example((5, [(3, _three_term([(r, c, 7 * r + 11 * c + 40, 0, 10**12 - r) for r in range(3) for c in range(3)]), 3)]))
 @example((2, [(linalg._BAREISS_MAX_DIM + 1, _tridiagonal(linalg._BAREISS_MAX_DIM + 1), 0)]))
-# above the switch, a zero coefficient at u^9, past every nonzero term's u-degree (at most 3)
-@example((5, [(3, [(r, c, 7 * r + 11 * c + 40, (r * c) % 4, 10**12 - r) for r in range(3) for c in range(3)] + [(2, 1, 3, 9, 0)], 3)]))
+# above the switch, a zero coefficient at u^9, past every nonzero term's u-degree (at most 2)
+@example((5, [(3, _three_term([(r, c, 7 * r + 11 * c + 40, 0, 10**12 - r) for r in range(3) for c in range(3)]) + [(2, 1, 3, 9, 0)], 3)]))
 # above the switch, exponents of either sign past 2^63 (as voltages may be), at j = 3 and j = 0
 @example(
     (
         5,
         [
-            (3, [(r, c, (-1) ** (r + c) * 2**64 + 7 * r + 11 * c, (r * c) % 4, 10**12 - r) for r in range(3) for c in range(3)], 3),
+            (3, _three_term([(r, c, (-1) ** (r + c) * 2**64 + 7 * r + 11 * c, 0, 10**12 - r) for r in range(3) for c in range(3)]), 3),
             (29, [(r, c, (-1) ** r * 2**70, d, x) for r, c, _, d, x in _tridiagonal(29)], 0),
         ],
     )
@@ -932,10 +969,10 @@ def test_kronecker_and_multimodular_routes_agree(case):
 
 def test_problems_above_the_switch_are_evaluated_once(monkeypatch):
     # as for the Kronecker route: a list with repeats, as the same object and as copies, takes the
-    # modular batches of the list without them
+    # characteristic polynomial batches of the list without them
     batches = []
-    original = linalg._det_mod_batch
-    monkeypatch.setattr(linalg, "_det_mod_batch", lambda mats, q: batches.append((mats.tolist(), q)) or original(mats, q))
+    original = linalg._charpoly_mod
+    monkeypatch.setattr(linalg, "_charpoly_mod", lambda mats, q: batches.append((mats.tolist(), q)) or original(mats, q))
     large = linalg._BAREISS_MAX_DIM + 1
     a = (large, [(r, c, (r + c) % 9, d, x) for r, c, _, d, x in _tridiagonal(large)], 2)
     b = (large, _tridiagonal(large), 0)
@@ -948,3 +985,80 @@ def test_problems_above_the_switch_are_evaluated_once(monkeypatch):
         batches.clear()
         assert kernel([a, b, a, copy, b], 3) == [once[0], once[1], once[0], once[0], once[1]]
         assert evaluated and batches == evaluated
+
+
+def test_three_term_problem_with_a_diagonal_entry_divisible_by_a_prime_stays_exact(monkeypatch):
+    # S holds 2^31 - 1, the first prime for j = 0, and the product of the next two: the pass skips
+    # the primes that divide det S and takes the next ones, so the CRT stays exact
+    first = _modular_primes(1)[0]
+    skipped = math.prod(_modular_primes(2**62)[1:3])
+    assert first == 2147483647 and _modular_primes(2**62, 1, first * skipped) == _modular_primes(2**186)[3:6]
+    moduli = []
+    original = linalg._charpoly_mod
+    monkeypatch.setattr(linalg, "_charpoly_mod", lambda mats, q: moduli.append(q) or original(mats, q))
+    k = linalg._BAREISS_MAX_DIM + 1
+    diagonal = {(0, 0): first, (1, 1): skipped}  # S[0][0] and S[1][1], in place of 2
+    terms = [(r, c, e, d, x if d else diagonal.get((r, c), x)) for r, c, e, d, x in _tridiagonal(k)]
+    assert linalg._pass_diagonal(k, terms, 1, linalg._row_bounds(k, terms)[1])[:2] == [(first, 0), (skipped, 0)]
+    det = det_cyclotomic_poly([(k, terms, 0)], 2)[0]
+    assert moduli and not {first, *_modular_primes(2**62)[1:3]} & set(moduli)
+    assert [x for [x] in det] == _kronecker(k, terms) == _integer_det_oracle(k, terms)
+
+
+def test_u_degree_three_above_the_switch_takes_the_kronecker_route(monkeypatch):
+    # a u^3 term leaves the Bass form: 29 rows at j = 0 take `_det_kronecker`, no characteristic polynomial
+    calls = []
+    charpoly, kronecker = linalg._charpoly_mod, linalg._det_kronecker
+    monkeypatch.setattr(linalg, "_charpoly_mod", lambda mats, q: calls.append("charpoly") or charpoly(mats, q))
+    monkeypatch.setattr(linalg, "_det_kronecker", lambda *args: calls.append("kronecker") or kronecker(*args))
+    k = linalg._BAREISS_MAX_DIM + 1
+    terms = _tridiagonal(k) + [(0, 1, 0, 3, 1)]
+    assert not linalg._kronecker_wins(k, 0, 2, *linalg._row_bounds(k, terms))
+    det = det_cyclotomic_poly([(k, terms, 0)], 2)[0]
+    assert calls == ["kronecker"]
+    assert [x for [x] in det] == _integer_det_oracle(k, terms)
+
+
+@st.composite
+def _multigraphs(draw, vertices):
+    # a multigraph on 0..n-1: random edges among 0..n-2, loops and repeated edges among them, and
+    # vertex n - 1 a leaf on vertex 0, so D - I is singular
+    n = draw(vertices)
+    inner = st.integers(0, n - 2)
+    edges = draw(st.lists(st.tuples(inner, inner), min_size=n - 1, max_size=2 * n))
+    loop = draw(inner)
+    edges += [(loop, loop), edges[0], (0, n - 1)]
+    return SerreGraph.from_edges(list(range(n)), edges)
+
+
+@settings(max_examples=6)
+@given(_multigraphs(st.integers(linalg._BAREISS_MAX_DIM + 1, 40)))
+def test_cover_size_h_takes_the_pass_and_equals_the_kronecker_route(g):
+    # ihara_zeta_reciprocal's h above the Bareiss size: one characteristic polynomial of the 2k-row W
+    # per prime, equal to `_det_kronecker` on the same terms
+    problems, shapes = [], []
+    norm, charpoly = linalg.det_norm_cyclotomic, linalg._charpoly_mod
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "det_norm_cyclotomic", lambda x, p: problems.extend(x) or norm(x, p))
+        patch.setattr(linalg, "_charpoly_mod", lambda mats, q: shapes.append(mats.shape) or charpoly(mats, q))
+        h, _ = ihara_zeta_reciprocal(g)
+    [(k, terms, j)] = problems
+    assert k == g.n_vertices and j == 0 and shapes and set(shapes) == {(1, 2 * k, 2 * k)}
+    assert h == UniPoly(_kronecker(k, terms))
+
+
+@settings(max_examples=30)
+@given(
+    _multigraphs(st.integers(2, 8)), st.sampled_from([(2, 0), (2, 1), (2, 2), (3, 1)]), st.randoms(use_true_random=False)
+)
+def test_small_graph_pass_matches_cofactor(g, level, rng):
+    # `_det_multimodular` called directly on I - A u + (D - I) u^2 of a small multigraph, its darts
+    # carrying random voltages at level j, against the cofactor determinant in CycloNum
+    p, j = level
+    voltage = [rng.randint(-9, 9) for _ in range(g.n_darts)]
+    degree = [g.dart_origin.count(v) for v in range(g.n_vertices)]
+    terms = [(t, o, x, 1, -1) for o, t, x in zip(g.dart_origin, g.dart_terminus, voltage)]
+    terms += [(v, v, 0, 0, 1) for v in range(g.n_vertices)] + [(v, v, 0, 2, degree[v] - 1) for v in range(g.n_vertices)]
+    k = g.n_vertices
+    rows = _multimodular(k, terms, j, p)
+    assert UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in rows]) == _cyclo_det_oracle(p, j, k, terms)
