@@ -28,7 +28,7 @@ from .iwasawa import (
     lambda_components,
     tower_sweep,
 )
-from .lfunctions import character_table, level_h_poly, orbit_special_products, r0
+from .lfunctions import character_table, orbit_special_products, r0
 from .report import (
     exact_int_text,
     fmt_int_poly,
@@ -49,7 +49,7 @@ def cmd_zeta(d: TowerDatum, level: int) -> dict:
     # h from one norm per Galois orbit; |V|, |E| and chi from the datum; a cover only where chi = 0
     if not level_connected(d, level):
         raise HypothesisError(f"level {level} disconnected")
-    h = level_h_poly(d, level)
+    h = character_table(d, level).level_h()
     n_vertices, n_edges, chi = level_shape(d, level)
     if chi:
         kappa = hashimoto_kappa(h.derivative()(1), chi, level)

@@ -199,7 +199,7 @@ def path_counts_from_zeta(h: UniPoly, chi: int, k_max: int) -> list[int]:
 def ihara_zeta_reciprocal(g: SerreGraph) -> tuple[UniPoly, int]:
     """(h(u), chi) with h = det(I - Au + (D - I)u^2); Z^-1 = (1-u^2)^(-chi) h.
 
-    The matrix goes to `linalg.det_norm_cyclotomic` at j = 0 as sparse terms
+    The matrix goes to `linalg.det_cyclotomic_poly` at j = 0 as sparse terms
     (r, c, 0, d, coeff): -u for each dart, into row terminus and column
     origin, and 1 and (deg v - 1) u^2 on the diagonal.  Above 28 vertices h is
     det(I - u W), W = [[A, I - D], [I, 0]]: one characteristic polynomial per prime.
@@ -209,5 +209,5 @@ def ihara_zeta_reciprocal(g: SerreGraph) -> tuple[UniPoly, int]:
     terms = [(t, o, 0, 1, -1) for o, t in zip(g.dart_origin, g.dart_terminus)]
     for v in range(n):
         terms += [(v, v, 0, 0, 1), (v, v, 0, 2, degree[v] - 1)]
-    # j = 0: the integer determinant; p plays no role there, so pass 2
-    return UniPoly(linalg.det_norm_cyclotomic([(n, terms, 0)], 2)[0]), euler_characteristic(g)
+    # j = 0: the integer determinant, one coordinate per u-degree; p plays no role there, so pass 2
+    return UniPoly(row[0] for row in linalg.det_cyclotomic_poly([(n, terms, 0)], 2)[0]), euler_characteristic(g)

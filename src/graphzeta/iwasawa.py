@@ -10,7 +10,7 @@ which the formula reproduces every computed row.
 
 The sweep counts spanning trees without a cover-size determinant.  By the
 Artin formalism h_{X_n}(u) = prod_psi h(u, psi) (`zeta` takes h_{X_n}
-itself this way, `lfunctions.level_h_poly`); h(1, psi_0) = 0, and
+itself this way, `lfunctions.CharacterTable.level_h`); h(1, psi_0) = 0, and
 Hashimoto's h'_{X_n}(1) = -2 chi(X_n) kappa(X_n) gives, when chi(X_n) != 0,
 
     kappa(X_n) = h'(1, psi_0) * prod_{j=1..n} N_j / (-2 chi(X_n)),
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import _ord_int, euler_phi_prime_power, ordp_fraction
+from .cyclo import _ord_int, euler_phi_prime_power
 from .errors import CertificationError, DatumError, HypothesisError
 from .graphs import spanning_tree_count
 from .lfunctions import (
@@ -68,27 +68,12 @@ def mu_lambda(coeffs, p: int) -> tuple[int, int]:
     mu is the least p-adic valuation of a coefficient; lambda is the least
     index attaining it.
     """
-    if isinstance(coeffs, UniPoly):
-        coeffs = coeffs.coeffs
-    checked = []
-    for c in coeffs:
-        fr = Fraction(c)
-        if fr.denominator != 1:
-            raise ValueError("mu/lambda extraction needs integer coefficients")
-        checked.append(fr.numerator)
-    coeffs = checked
+    coeffs = [Fraction(c) for c in (coeffs.coeffs if isinstance(coeffs, UniPoly) else coeffs)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError("mu/lambda extraction needs integer coefficients")
     if not any(coeffs):
         raise ValueError("mu/lambda of the zero series is undefined")
-    best_mu = None
-    best_lambda = None
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        v = ordp_fraction(c, p).value
-        if best_mu is None or v < best_mu:
-            best_mu = int(v)
-            best_lambda = i
-    return best_mu, best_lambda
+    return min((_ord_int(c.numerator, p), i) for i, c in enumerate(coeffs) if c)
 
 
 @dataclass(frozen=True)
@@ -291,11 +276,9 @@ def char_ideal_generator(d: TowerDatum, gs: GSeries) -> CharIdealGenerator:
         f = f * (one_plus ** (d.p ** d.ram[v]) - 1)
     if f.is_zero():
         raise CertificationError("characteristic-ideal representative vanished")
-    quotient = f.divide_by_u(1) if f.coefficient(0) == 0 else None
-    if quotient is None:
-        raise CertificationError(
-            "characteristic-ideal representative is not divisible by T"
-        )
+    if f.coefficient(0) != 0:
+        raise CertificationError("characteristic-ideal representative is not divisible by T")
+    quotient = f.divide_by_u(1)
     mu_f, _ = mu_lambda(f, d.p)
     _, lam_q = mu_lambda(quotient, d.p)
     return CharIdealGenerator(f, quotient, mu_f, lam_q)

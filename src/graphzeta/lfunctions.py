@@ -9,11 +9,12 @@ factor (1 - u^2)^r0(psi).
 
 The three-term matrix is written as integer terms in zeta_{p^j} and u;
 `linalg.det_cyclotomic_poly` gives the power-basis coordinates of its
-determinant, and `linalg.det_norm_cyclotomic` its norm to Q(u).  A level's
-n + 1 Galois-orbit representatives share one kernel call: for its h
-(`level_h_poly`), the h or z of a `CharacterTable` (integer coordinate rows,
-as `groupring.from_character_polys` takes them).  `product_formula_check`
-takes the norms of a table's rows (`cyclo.coordinate_norm`).
+determinant.  A level's n + 1 Galois-orbit representatives share one kernel
+call: the h or z of a `CharacterTable` (integer coordinate rows, as
+`groupring.from_character_polys` takes them).  The level's own h is the
+product of the norms of the table's h rows (`CharacterTable.level_h`, by
+`cyclo.coordinate_norm`), which `zeta` prints and `product_formula_check`
+compares with the built cover's.
 `character_tables` takes the h of several levels and the z of some of them
 in one call, which evaluates a determinant they share once (`verify`: h and
 z at level n, h at the quotient level).
@@ -55,7 +56,6 @@ __all__ = [
     "character_table",
     "character_tables",
     "characters",
-    "level_h_poly",
     "orbit_level_factor",
     "orbit_norms",
     "orbit_special_products",
@@ -101,35 +101,21 @@ def _three_term_terms(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int
     return terms
 
 
-def _three_term_problems(d: TowerDatum, n: int, chars: list[CharacterLabel], reduced: bool) -> list:
-    # the kernel problems (k, terms, j) of h (reduced: on K_j) or z of each character
-    kept = [orbit_vertices(d, x.order_exponent) if reduced else list(range(d.base.n_vertices)) for x in chars]
-    return [(len(v), _three_term_terms(d, n, psi, v), psi.order_exponent) for psi, v in zip(chars, kept)]
-
-
 def _three_term_dets(d: TowerDatum, asks: list) -> list:
-    # for each (n, chars, reduced) of asks, the coordinate rows of h or z of its characters, each
-    # up to its last nonzero row as UniPoly keeps it: one kernel call, which takes a problem that
-    # several asks share once
-    problems = [x for n, chars, reduced in asks for x in _three_term_problems(d, n, chars, reduced)]
+    # for each (n, chars, reduced) of asks, the coordinate rows of h (reduced: on K_j) or z of its
+    # characters, each up to its last nonzero row as UniPoly keeps it: one kernel call, which takes a
+    # problem that several asks share once
+    problems = []
+    for n, chars, reduced in asks:
+        for psi in chars:
+            kept = orbit_vertices(d, psi.order_exponent) if reduced else list(range(d.base.n_vertices))
+            problems.append((len(kept), _three_term_terms(d, n, psi, kept), psi.order_exponent))
     dets = iter(linalg.det_cyclotomic_poly(problems, d.p))
     out = [[next(dets) for _ in chars] for _, chars, _ in asks]
     for rows in itertools.chain.from_iterable(out):
         while rows and not any(rows[-1]):
             rows.pop()
     return out
-
-
-def level_h_poly(d: TowerDatum, n: int) -> UniPoly:
-    """h_{X_n}(u) = det(I - A u + (D - I) u^2) of the level-n cover, without building it.
-
-    The Artin formalism h_{X_n}(u) = prod_psi h(u, psi), orbit by orbit:
-    the characters of order p^j are the Galois conjugates of one
-    representative, so their product is the norm from Q(zeta_{p^j})(u) to
-    Q(u) of its h; one `linalg.det_norm_cyclotomic` call takes all n + 1.
-    """
-    norms = linalg.det_norm_cyclotomic(_three_term_problems(d, n, character_orbits(d.p, n)[0], True), d.p)
-    return math.prod(map(UniPoly, norms), start=UniPoly.constant(1))
 
 
 def xi_poly(table: CharacterTable) -> UniPoly:
@@ -178,6 +164,18 @@ class CharacterTable:
 
     def trivial_h_derivative_at_one(self) -> int:
         return sum(k * row[0] for k, row in enumerate(self.rep_coordinates[0]))
+
+    def level_h(self) -> UniPoly:
+        """h_{X_n}(u) = det(I - A u + (D - I) u^2) of the level-n cover, without building it.
+
+        The Artin formalism h_{X_n}(u) = prod_psi h(u, psi), orbit by orbit:
+        the characters of order p^j are the Galois conjugates of one
+        representative, so their product is the norm from Q(zeta_{p^j})(u) to
+        Q(u) of its h rows (`cyclo.coordinate_norm`).
+        """
+        p = self.datum.p
+        norms = [coordinate_norm(rows, p, j) for j, rows in enumerate(self.rep_coordinates)]
+        return math.prod(map(UniPoly, norms), start=UniPoly.constant(1))
 
     def orbit_rows(self, j: int):
         """(a, h rows, h(1)) for each character psi_a of order p^j, by increasing a.
@@ -232,13 +230,11 @@ class ProductCheck:
 def product_formula_check(table: CharacterTable, cover: SerreGraph) -> ProductCheck:
     """Check prod_psi h(u, psi) = h of the level graph, and sum chi_psi = chi.
 
-    The product over the characters of order p^j is the norm of the table's
-    representative h, taken from its coordinate rows (`cyclo.coordinate_norm`);
-    the other side is h of `cover`, the built level graph.
+    The product is the table's `level_h`; the other side is h of `cover`,
+    the built level graph.
     """
     d, n, reps = table.datum, table.level, table.representatives
-    norms = [coordinate_norm(rows, d.p, j) for j, rows in enumerate(table.rep_coordinates)]
-    h_product = math.prod(map(UniPoly, norms), start=UniPoly.constant(1))
+    h_product = table.level_h()
     chi = d.base.n_vertices - d.base.n_edges  # chi_psi = chi - r0(psi), one value on an orbit
     chi_sum = sum(euler_phi_prime_power(d.p, j) * (chi - r0(d, n, psi)) for j, psi in enumerate(reps))
     h_direct, chi_direct = ihara_zeta_reciprocal(cover)
@@ -277,7 +273,7 @@ def orbit_vertices(d: TowerDatum, j: int) -> list[int]:
 
 
 def voltage_laplacian_det(d: TowerDatum, kept: list[int], voltage) -> tuple[list[int], int]:
-    """(F, s): F(x) = x^s det(D - A_x) on the vertices kept, by `linalg.det_norm_cyclotomic` at j = 0.
+    """(F, s): F(x) = x^s det(D - A_x) on the vertices kept, by `linalg.det_cyclotomic_poly` at j = 0.
 
     A_x[i][i'] sums x^voltage[e] over the base darts e from kept[i'] to
     kept[i], and D holds the base degrees.  Row i is multiplied by x^s_i,
@@ -295,8 +291,8 @@ def voltage_laplacian_det(d: TowerDatum, kept: list[int], voltage) -> tuple[list
         shift[r] += max(0, -a)
     terms = [(r, r, 0, shift[r], base.dart_origin.count(v)) for r, v in enumerate(kept)]
     terms += [(r, c, 0, shift[r] + a, -1) for r, c, a in darts]
-    # j = 0: the integer polynomial determinant; p plays no role there, so pass 2
-    return linalg.det_norm_cyclotomic([(len(kept), terms, 0)], 2)[0], sum(shift)
+    # j = 0: the integer polynomial determinant, one coordinate per u-degree; p plays no role, so pass 2
+    return [row[0] for row in linalg.det_cyclotomic_poly([(len(kept), terms, 0)], 2)[0]], sum(shift)
 
 
 def orbit_norms(d: TowerDatum, n: int) -> dict[int, int]:

@@ -4,18 +4,19 @@ Integer matrices of at most `_BAREISS_MAX_DIM` rows, and every polynomial
 determinant below one size switch (`_kronecker_wins`), are eliminated exactly
 over Z (Bareiss; for polynomials, at one integer point by Kronecker
 substitution).  Above it, a u-free matrix or one of the Bass form
-S + A u + B u^2, S diagonal, is multimodular: primes q < 2^31 searched once per
-modulus, one characteristic polynomial mod q per prime (`_charpoly_mod`), one
+S + A u + B u^2, S diagonal, is multimodular: primes q < 2^31 searched down
+from 2^31, one characteristic polynomial mod q per prime (`_charpoly_mod`), one
 signed CRT; any other matrix takes the Kronecker route, exact at any size.
-Every norm is a Graeffe chain over Z on coefficients packed at u = 2^b
-(`cyclo.coordinate_norm`, `poly.pack`), with no primes.
+The group-ring norm is a Graeffe chain over Z on coefficients packed at
+u = 2^b (`poly.pack`), with no primes.
 
 Routes:
   - integer matrices (`det_int`): Bareiss elimination; above
-    `_BAREISS_MAX_DIM` rows, the u-free j = 0 call of `det_norm_cyclotomic`;
+    `_BAREISS_MAX_DIM` rows, the u-free j = 0 call of `det_cyclotomic_poly`;
   - lists of matrices over Z[zeta_{p^j}][u] (`det_cyclotomic_poly`): the
     power-basis coordinates of each determinant (h, z, group-ring
-    determinants), or their norm to Q(u) (`det_norm_cyclotomic`: level h).
+    determinants; at j = 0 the integer polynomial determinant, one
+    coordinate per u-degree).
     A problem repeated in a list is evaluated once, and each distinct
     problem takes its own route.  Below the size switch (every base-size h,
     z and group-ring problem of the fixtures and the bench data) the
@@ -42,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import _graeffe_chain, _int_array, coordinate_norm, euler_phi_prime_power
+from .cyclo import _graeffe_chain, _int_array, euler_phi_prime_power
 from .errors import CertificationError
 from .groupring import GroupRingElem, factor_prime_power, from_character_polys, subgroup_exponent
 from .poly import UniPoly, pack, unpack
@@ -52,7 +53,6 @@ __all__ = [
     "det_cyclotomic_poly",
     "det_groupring_poly",
     "det_int",
-    "det_norm_cyclotomic",
     "is_probable_prime",
     "norm_groupring_poly",
 ]
@@ -135,38 +135,27 @@ def det_bareiss_int(rows: list[list[int]]) -> int:
 _WORD = 1 << 31  # moduli stay below this, so products of two residues fit in int64
 
 
-# m -> [the primes q = 1 mod m found so far, largest first; the next candidate to test]
-_PRIME_SUPPLY: dict[int, list] = {}
-
-
 def _modular_primes(target: int, m: int = 1, avoid: int = 1) -> list[int]:
     """Distinct primes q < 2^31 with q = 1 mod m that do not divide avoid, largest first, whose
     product exceeds target.
 
     For m = p^j the field F_q holds every p^j-th root of unity.  There are
     about 2^31 / (phi(m) ln 2^31) such primes, together about 3e9 / phi(m)
-    bits; a larger target raises CertificationError.  A later call tests
-    only candidates below the primes already found for m.
+    bits; a larger target raises CertificationError.
     """
     step = m if m % 2 == 0 else 2 * m
-    supply = _PRIME_SUPPLY.setdefault(m, [[], (_WORD - 2) // step * step + 1])
-    primes = supply[0]
-    count, prod = 0, 1
+    candidates = iter(range((_WORD - 2) // step * step + 1, 2, -step))
+    primes, prod = [], 1
     while prod <= target:
-        if count == len(primes):
-            cand = supply[1]
-            if cand < 3:
-                raise CertificationError(
-                    f"too few primes below 2^31 congruent to 1 mod {m} for a {target.bit_length()}-bit bound"
-                )
-            supply[1] = cand - step
-            if not is_probable_prime(cand):
-                continue
-            primes.append(cand)
-        if avoid % primes[count]:
-            prod *= primes[count]
-        count += 1
-    return [q for q in primes[:count] if avoid % q]
+        q = next(candidates, None)
+        if q is None:
+            raise CertificationError(
+                f"too few primes below 2^31 congruent to 1 mod {m} for a {target.bit_length()}-bit bound"
+            )
+        if avoid % q and is_probable_prime(q):
+            primes.append(q)
+            prod *= q
+    return primes
 
 
 def _crt_signed(residues, primes: list[int]) -> np.ndarray:
@@ -396,17 +385,6 @@ def _det_multimodular(k: int, terms, j: int, p: int, bound: int, degree: int) ->
     return _crt_signed(found.reshape(len(primes), -1), primes).reshape(degree + 1, phi)
 
 
-def det_norm_cyclotomic(problems, p: int) -> list[list[int]]:
-    """For each problem (k, terms, j), the coefficients of N(u) = prod_w det M(w, u).
-
-    w runs over the primitive p^j-th roots of unity, M is the k x k matrix of the terms as in
-    `det_cyclotomic_poly`, and N, its norm to Q(u), has phi D + 1 integer coefficients (D:
-    `_row_bounds`): the coordinates of det M from `det_cyclotomic_poly`, then their norm by one
-    Graeffe chain (`cyclo.coordinate_norm`).  j = 0 is the integer determinant.
-    """
-    return [coordinate_norm(rows, p, j) for rows, (_, _, j) in zip(det_cyclotomic_poly(problems, p), problems)]
-
-
 def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
     """For each problem (k, terms, j), det M of the k x k matrix M over Z[zeta][u], zeta = zeta_{p^j}.
 
@@ -461,12 +439,12 @@ def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
 
 def det_int(rows: list[list[int]]) -> int:
     """det of an integer matrix: Bareiss (the D = 0 case of `_det_kronecker`), or above
-    `_BAREISS_MAX_DIM` rows the multimodular `det_norm_cyclotomic` at j = 0."""
+    `_BAREISS_MAX_DIM` rows the multimodular `det_cyclotomic_poly` at j = 0."""
     n = len(rows)
     if n <= _BAREISS_MAX_DIM:
         return det_bareiss_int(rows)
     terms = [(r, c, 0, 0, x) for r, row in enumerate(rows) for c, x in enumerate(row) if x]
-    return det_norm_cyclotomic([(n, terms, 0)], 2)[0][0]
+    return det_cyclotomic_poly([(n, terms, 0)], 2)[0][0][0]
 
 
 def det_groupring_poly(k: int, terms, m: int) -> UniPoly:

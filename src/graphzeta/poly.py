@@ -14,10 +14,6 @@ from __future__ import annotations
 __all__ = ["UniPoly", "pack", "unpack"]
 
 
-def _is_zero(c) -> bool:
-    return c == 0
-
-
 class UniPoly:
     """Polynomial in u, stored densely with a nonzero trailing coefficient."""
 
@@ -25,7 +21,7 @@ class UniPoly:
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
-        while coeffs and _is_zero(coeffs[-1]):
+        while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
@@ -77,10 +73,10 @@ class UniPoly:
             return UniPoly()
         out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
+            if a == 0:
                 continue
             for k, b in enumerate(o.coeffs):
-                if not _is_zero(b):
+                if b != 0:
                     out[i + k] = out[i + k] + a * b
         return UniPoly(out)
 
@@ -130,7 +126,7 @@ class UniPoly:
 
     def divide_by_u(self, k: int = 1) -> "UniPoly":
         """Exact division by u^k; the low coefficients must vanish."""
-        if any(not _is_zero(c) for c in self.coeffs[:k]):
+        if any(c != 0 for c in self.coeffs[:k]):
             raise ValueError("polynomial not divisible by u^k")
         return UniPoly(self.coeffs[k:])
 
@@ -139,7 +135,7 @@ class UniPoly:
             return "UniPoly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if c == 0:
                 continue
             terms.append(f"({c})*u^{i}" if i else f"({c})")
         return "UniPoly(" + " + ".join(terms) + ")"

@@ -210,26 +210,26 @@ def test_cli_usage_errors_exit_1(argv, capsys):
 
 def test_cli_zeta_skips_cover_determinants_where_chi_is_nonzero(monkeypatch, capsys):
     sizes, counts = [], []
-    norm, count = linalg.det_norm_cyclotomic, graphs.spanning_tree_count
+    kernel, count = linalg.det_cyclotomic_poly, graphs.spanning_tree_count
 
-    def recording_norm(problems, p):
+    def recording_kernel(problems, p):
         sizes.extend(k for k, _, _ in problems)
-        return norm(problems, p)
+        return kernel(problems, p)
 
     def recording_count(g):
         counts.append(g.n_vertices)
         return count(g)
 
-    monkeypatch.setattr(linalg, "det_norm_cyclotomic", recording_norm)
+    monkeypatch.setattr(linalg, "det_cyclotomic_poly", recording_kernel)
     monkeypatch.setattr(graphs, "spanning_tree_count", recording_count)
     monkeypatch.setattr(cli, "spanning_tree_count", recording_count)
     code, out = _run(capsys, "zeta", DATUM, "--level", "4", "--json")
     assert code == 0
     assert json.loads(out)["euler_characteristic"] == -14
-    # every determinant is an orbit norm on the base: none has the cover's size
+    # every determinant is an orbit representative's on the base: none has the cover's size
     assert sizes and max(sizes) <= load_datum(DATUM).base.n_vertices
     assert counts == []
-    # chi(X_1) = 0: the count comes from the cover, h still from base-size norms
+    # chi(X_1) = 0: the count comes from the cover, h still from base-size determinants
     sizes.clear()
     assert _run(capsys, "zeta", DATUM, "--level", "1")[0] == 0
     assert sizes and max(sizes) <= load_datum(DATUM).base.n_vertices

@@ -1,7 +1,10 @@
 """Every exported name resolves, and names removed from the API stay gone."""
 
 import importlib
+import itertools
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,14 +12,15 @@ import graphzeta
 from conftest import modules_naming
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # (module, name) pairs deleted from the library, each also checked at the top
 # level (graphzeta.det_commutative among them); each has a surviving route:
 # UniPoly.derivative / UniPoly.__call__, CycloNum.norm, the groupring
-# character layer, det_norm_cyclotomic at j = 0 for integer polynomial
-# matrices (det_poly_int), det_cyclotomic_poly for polynomial matrices over
-# Z[zeta_{p^j}] (h and z), and det_groupring_poly for group-ring and
-# rational matrices; every polynomial determinant takes its matrix as terms.
+# character layer, det_cyclotomic_poly at j = 0 for integer polynomial
+# matrices (det_poly_int) and over Z[zeta_{p^j}] (h and z), and
+# det_groupring_poly for group-ring and rational matrices; every polynomial
+# determinant takes its matrix as terms.
 # The cofactor determinant, eta_direct, norm_map_direct and
 # l_reciprocal_of_sum (product_formula_check takes one norm per orbit
 # instead) live on as test oracles in tests/oracles.py.  The truncated
@@ -34,7 +38,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # membership in orbit_vertices(d, j), K_j; CycloNum.inverse takes the other
 # Galois conjugates over the norm, so the Q[X] Euclid helpers are gone; the
 # subgroup action on a cover indexes vertices by per-base-vertex offsets.
-# Integer determinants above the Bareiss size go to det_norm_cyclotomic at
+# Integer determinants above the Bareiss size go to det_cyclotomic_poly at
 # j = 0, so the Hadamard-bound CRT route is gone.  Character values travel
 # as integer coordinate rows, so the per-character CycloNum route is gone:
 # character_table / character_tables and CharacterTable.orbit_rows give h,
@@ -51,7 +55,11 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(graphzeta.__path__))
 # polynomial (_charpoly_mod) of the block companion matrix of S + A u + B u^2
 # (or of M(0) when D = 0), so the evaluation at D + 1 points, its batched
 # elimination and chunk size, the denominator inversion and the Newton
-# interpolation are gone.
+# interpolation are gone.  A level's h is the product of its character
+# table's orbit norms (CharacterTable.level_h), so level_h_poly and the
+# norm kernel det_norm_cyclotomic are gone; the primes of a pass are
+# searched afresh per call, so the prime cache is gone; UniPoly compares
+# its coefficients with 0 inline.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -121,6 +129,10 @@ REMOVED = [
     ("linalg", "_inverses_mod"),
     ("linalg", "_interpolate_mod"),
     ("linalg", "_BATCH_ENTRIES"),
+    ("linalg", "det_norm_cyclotomic"),
+    ("lfunctions", "level_h_poly"),
+    ("linalg", "_PRIME_SUPPLY"),
+    ("poly", "_is_zero"),
 ]
 
 
@@ -139,6 +151,19 @@ def test_removed_names_are_gone(module_name, attr):
     assert not hasattr(module, attr)
     assert attr not in getattr(module, "__all__", [])
     assert not hasattr(graphzeta, attr)
+
+
+def test_public_removed_names_have_a_readme_row():
+    # each public (module, name) of REMOVED is named `module.name in the first column of
+    # README's table of removed names and their replacements
+    lines = README.read_text().splitlines()
+    start = lines.index("| removed | use instead |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    first_column = "\n".join(row.split(" | ")[0] for row in rows)
+    public = [(module, attr) for module, attr in REMOVED if not attr.startswith("_")]
+    assert public
+    missing = [f"{m}.{a}" for m, a in public if not re.search(rf"`{m}\.{a}\b", first_column)]
+    assert not missing
 
 
 def test_character_labels_reexported_from_groupring():

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, chorded_heptagon, collect_random_data
 from graphzeta import cli, iwasawa, tower
@@ -42,6 +46,17 @@ def test_mu_lambda_extraction_fixtures():
     assert mu_lambda(UniPoly([0, 4, 2]), 2) == (1, 2)
     with pytest.raises(ValueError):
         mu_lambda([0, 0], 2)
+
+
+def test_mu_lambda_takes_integer_coefficients_only():
+    # integral Fractions count as integers; a non-integer raises even beside a zero series
+    assert mu_lambda([Fraction(0), Fraction(12, 2), 9], 3) == (1, 1)
+    assert mu_lambda(UniPoly([Fraction(-8), Fraction(4, 1)]), 2) == (2, 1)
+    for coeffs in ([1, Fraction(1, 3)], [Fraction(1, 2)], [0, Fraction(0), Fraction(5, 2)]):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            mu_lambda(coeffs, 3)
+    with pytest.raises(ValueError, match="zero series"):
+        mu_lambda(UniPoly([]), 5)
 
 
 def test_g_series_double_edge():
@@ -299,6 +314,14 @@ def test_factored_kappa_matches_cover_on_fixtures():
 def test_factored_kappa_matches_cover_on_random_data():
     for d in collect_random_data(61, 12, levels_connected=4):
         assert [r.kappa for r in tower_sweep(d, 4)] == _direct_kappas(d, 4)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]))
+def test_factored_kappa_matches_cover_on_drawn_data(seed, p):
+    # a datum drawn from the seed, levels 0..4 connected: the sweep's kappa against the covers'
+    [d] = collect_random_data(seed, 1, p_choices=(p,), levels_connected=4)
+    assert [r.kappa for r in tower_sweep(d, 4)] == _direct_kappas(d, 4)
 
 
 def test_cover_count_only_where_chi_vanishes(monkeypatch):

@@ -17,7 +17,6 @@ from graphzeta.lfunctions import (
     character_table,
     character_tables,
     characters,
-    level_h_poly,
     orbit_norms,
     orbit_special_products,
     orbit_vertices,
@@ -221,7 +220,7 @@ def test_level_h_from_norms_matches_the_cover(seed, p):
         graph = build_level_graph(d, n).graph
         if not connected(graph):
             continue
-        assert level_h_poly(d, n) == ihara_zeta_reciprocal(graph)[0]
+        assert character_table(d, n).level_h() == ihara_zeta_reciprocal(graph)[0]
         assert cmd_zeta(d, n)["spanning_trees"] == spanning_tree_count(graph)
 
 
@@ -327,17 +326,15 @@ def test_character_table_matches_per_character_routes():
 
 
 def _record_kernels(monkeypatch) -> list:
-    # (kernel name, the j of each problem) for every call of the two orbit kernels; a
-    # det_norm_cyclotomic call takes its coordinates from one det_cyclotomic_poly call, recorded next
+    # (kernel name, the j of each problem) for every call of the orbit kernel
     calls = []
-    for name in ("det_cyclotomic_poly", "det_norm_cyclotomic"):
-        original = getattr(linalg, name)
+    original = linalg.det_cyclotomic_poly
 
-        def recorder(problems, p, name=name, original=original):
-            calls.append((name, [j for _, _, j in problems]))
-            return original(problems, p)
+    def recorder(problems, p):
+        calls.append(("det_cyclotomic_poly", [j for _, _, j in problems]))
+        return original(problems, p)
 
-        monkeypatch.setattr(linalg, name, recorder)
+    monkeypatch.setattr(linalg, "det_cyclotomic_poly", recorder)
     return calls
 
 
@@ -362,7 +359,6 @@ def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
         ("det_cyclotomic_poly", [0]),
         ("det_cyclotomic_poly", [0, 1]),
         ("det_cyclotomic_poly", [0, 1, 2, 3, 4, 0, 1, 2, 3, 0, 1, 2, 3, 4]),
-        ("det_norm_cyclotomic", [0]),
     ]
     # with the trivial subgroup the quotient level is the level itself
     calls.clear()
@@ -371,7 +367,6 @@ def test_character_table_takes_one_determinant_per_orbit(monkeypatch):
         ("det_cyclotomic_poly", [0]),
         ("det_cyclotomic_poly", [0]),
         ("det_cyclotomic_poly", [0, 1, 2, 3, 0, 1, 2, 3]),
-        ("det_norm_cyclotomic", [0]),
     ]
 
 
@@ -392,19 +387,19 @@ def test_character_tables_split_one_kernel_call_into_one_level_tables(monkeypatc
 
 
 def test_orbit_loops_make_one_kernel_call(monkeypatch):
-    # level_h_poly and det_groupring_poly take all n + 1 orbits at once; product_formula_check
-    # takes its norms from the table's rows, and only the cover's h from a kernel
+    # the level's h (one table) and det_groupring_poly take all n + 1 orbits at once;
+    # product_formula_check takes its norms from the table's rows, and only the cover's h from a kernel
     calls = _record_kernels(monkeypatch)
     for d, n in ((load_datum(FIXTURES / "double_edge.json"), 5), (load_datum(FIXTURES / "triple_star.json"), 3)):
         orbits = list(range(n + 1))
         calls.clear()
-        level_h_poly(d, n)
-        assert calls == [("det_norm_cyclotomic", orbits), ("det_cyclotomic_poly", orbits)]
+        character_table(d, n).level_h()
+        assert calls == [("det_cyclotomic_poly", orbits)]
         table = character_table(d, n)
         cover = build_level_graph(d, n).graph
         calls.clear()
         product_formula_check(table, cover)
-        assert calls == [("det_norm_cyclotomic", [0]), ("det_cyclotomic_poly", [0])]  # the cover's h
+        assert calls == [("det_cyclotomic_poly", [0])]  # the cover's h
         calls.clear()
         terms = [(0, 0, s, 1, s + 1) for s in range(d.p**n)] + [(0, 0, 0, 0, 1)]
         linalg.det_groupring_poly(1, terms, d.p**n)
@@ -478,6 +473,20 @@ def _orbit_datum(draw):
 def test_orbit_norms_match_the_kernel_oracle(case):
     d, n = case
     assert orbit_norms(d, n) == {j: orbit_norm_by_kernel(d, j) for j in range(1, n + 1)}
+
+
+@settings(max_examples=40)
+@given(_orbit_datum())
+def test_galois_stability_on_drawn_data(case):
+    # every character's h rows and h(1), conjugated from its orbit representative by the table,
+    # equal the oracle's, which takes each character's own group-ring matrices
+    d, n = case
+    table = character_table(d, n)
+    for j in range(n + 1):
+        for a, rows, h_at_one in table.orbit_rows(j):
+            direct = lfn_data_direct(d, n, CharacterLabel(d.p, n, a))
+            assert rows == _coordinate_rows(direct.h)
+            assert h_at_one == [int(x) for x in direct.h_at_one.coeffs]
 
 
 def test_orbit_norms_where_f_or_f_at_one_vanishes():

@@ -20,9 +20,9 @@ from graphzeta.linalg import (
     det_cyclotomic_poly,
     det_groupring_poly,
     det_int,
-    det_norm_cyclotomic,
     is_probable_prime,
 )
+from graphzeta.cyclo import coordinate_norm
 from graphzeta.poly import UniPoly
 from oracles import CycloNum, character_idempotent, det_cofactor, galois_conjugate, zeta
 
@@ -40,6 +40,12 @@ def _cyclo_terms(m):
     ]
 
 
+def _det_norms(problems, p):
+    # for each problem (k, terms, j), the norm to Q(u) of its determinant: the kernel's
+    # coordinates, then one Graeffe chain (at j = 0 the integer determinant itself)
+    return [coordinate_norm(rows, p, j) for rows, (_, _, j) in zip(det_cyclotomic_poly(problems, p), problems)]
+
+
 def _det_cyclo(m, p, j):
     det = det_cyclotomic_poly([(len(m), _cyclo_terms(m), j)], p)[0]
     return UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det])
@@ -47,8 +53,8 @@ def _det_cyclo(m, p, j):
 
 def _det_poly_int(m):
     # a matrix of ints and integer UniPoly through the integer kernel: the j = 0 norm
-    # j = 0: the integer determinant; p plays no role there, so pass 2
-    return UniPoly(det_norm_cyclotomic([(len(m), _cyclo_terms(m), 0)], 2)[0])
+    # is the integer determinant; p plays no role there, so pass 2
+    return UniPoly(_det_norms([(len(m), _cyclo_terms(m), 0)], 2)[0])
 
 
 def _groupring_terms(m):
@@ -265,21 +271,16 @@ def test_modular_primes_are_one_mod_m():
         _modular_primes(2 ** (2**17), 2**17)
 
 
-def test_modular_primes_are_searched_once_per_modulus(monkeypatch):
-    # the same primes as a fresh search from the top, and no candidate is tested twice
+def test_modular_primes_match_a_fresh_search():
+    # the same primes as a fresh search from the top, whatever the calls before
     m, step = 3**4, 2 * 3**4
     candidates = range((2**31 - 2) // step * step + 1, 0, -step)
     fresh = list(itertools.islice((q for q in candidates if is_probable_prime(q)), 40))
-    monkeypatch.setattr(linalg, "_PRIME_SUPPLY", {})
     first = _modular_primes(2**300, m)
-    tested = []
-    monkeypatch.setattr(linalg, "is_probable_prime", lambda q: tested.append(q) or is_probable_prime(q))
     assert _modular_primes(2**300, m) == first == fresh[: len(first)]
     assert _modular_primes(2**40, m) == fresh[:2]
-    assert tested == []
-    assert _modular_primes(math.prod(fresh[:39]), m) == fresh[:40] and min(tested) == fresh[39]
-    assert len(tested) == len(set(tested))
-    # running out leaves the supply usable
+    assert _modular_primes(math.prod(fresh[:39]), m) == fresh[:40]
+    # running out leaves later searches unchanged
     with pytest.raises(CertificationError, match="too few primes"):
         _modular_primes(2 ** (2**17), 2**17)
     assert _modular_primes(2**62, 2**17) == _modular_primes(2**62, 2**17)
@@ -326,8 +327,8 @@ def test_det_norm_cyclotomic_matches_cyclonum_norm():
                 for r, c, e, _, coeff in terms:
                     m[r][c] = m[r][c] + coeff * z ** (e % p**j)
                 det = CycloNum.rational(p, 0, j) + det_cofactor(m)  # a CycloNum even when 0
-                assert det_norm_cyclotomic([(k, terms, j)], p) == [[det.norm()]]
-    assert det_norm_cyclotomic([(0, [], 3)], 2) == [[1]]
+                assert _det_norms([(k, terms, j)], p) == [[det.norm()]]
+    assert _det_norms([(0, [], 3)], 2) == [[1]]
 
 
 def _norm_by_conjugates(p, j, k, terms) -> UniPoly:
@@ -367,7 +368,7 @@ def test_det_norm_cyclotomic_matches_product_of_conjugates(p, j):
             cases += [(k, terms), (k, [(r, c, e, 0, a) for r, c, e, _, a in terms])]
         cases.append((k, [t for t in terms if t[0] != k - 1]))  # row k - 1 is zero
     for k, terms in cases:
-        norm = det_norm_cyclotomic([(k, terms, j)], p)[0]
+        norm = _det_norms([(k, terms, j)], p)[0]
         assert all(type(a) is int for a in norm)
         assert UniPoly(norm) == _norm_by_conjugates(p, j, k, terms)
 
@@ -376,7 +377,7 @@ def test_det_norm_cyclotomic_at_phi_100():
     # p = 5, j = 3: a u-free 1 x 1 matrix against CycloNum.norm, the product of its 100 conjugates
     terms = [(0, 0, 0, 0, 3), (0, 0, 7, 0, -2), (0, 0, 40, 0, 5), (0, 0, 126, 0, 10**6)]
     x = CycloNum.from_monomials(5, 3, [(e, a) for _, _, e, _, a in terms])
-    assert det_norm_cyclotomic([(1, terms, 3)], 5) == [[x.norm()]]
+    assert _det_norms([(1, terms, 3)], 5) == [[x.norm()]]
 
 
 def _random_poly_matrix(rng, n, scale, coeff=int):
@@ -651,7 +652,7 @@ def test_batched_kernels_match_the_oracles_problem_by_problem(case):
     # every position, a repeated problem's among them, equals its one-problem call and the oracle
     p, problems = case
     dets = det_cyclotomic_poly(problems, p)
-    norms = det_norm_cyclotomic(problems, p)
+    norms = _det_norms(problems, p)
     assert len(dets) == len(norms) == len(problems)
     for problem, det, norm in zip(problems, dets, norms):
         k, terms, j = problem
@@ -659,7 +660,7 @@ def test_batched_kernels_match_the_oracles_problem_by_problem(case):
         assert UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in det]) == want
         assert all(type(a) is int for x in det for a in x) and all(type(a) is int for a in norm)
         assert UniPoly(norm) == _norm_by_conjugates(p, j, k, terms)
-        assert det == det_cyclotomic_poly([problem], p)[0] and norm == det_norm_cyclotomic([problem], p)[0]
+        assert det == det_cyclotomic_poly([problem], p)[0] and norm == _det_norms([problem], p)[0]
     assert len({id(x) for x in dets + norms}) == 2 * len(problems)  # no result shared between positions
 
 
@@ -677,7 +678,7 @@ def test_repeated_problems_are_evaluated_once(monkeypatch):
     a = (2, [(0, 0, 1, 1, 3), (0, 1, 0, 0, -2), (1, 0, 2, 2, 5), (1, 1, 0, 0, 1)], 2)
     b = (1, [(0, 0, 1, 1, 7), (0, 0, 0, 0, 1)], 1)
     copy = (a[0], list(a[1]), a[2])
-    for kernel in (det_cyclotomic_poly, det_norm_cyclotomic):
+    for kernel in (det_cyclotomic_poly, _det_norms):
         batches.clear()
         once = kernel([a, b], 3)
         evaluated = list(batches)
@@ -700,7 +701,7 @@ def test_row_bound_dominates_the_determinant_and_its_norm():
         bound, degree = linalg._row_bounds(k, terms)
         row_norms = [sum(abs(t[4]) for t in terms if t[0] == r) for r in range(k)]
         assert bound <= math.prod(row_norms)
-        norm = det_norm_cyclotomic([(k, terms, j)], p)[0]
+        norm = _det_norms([(k, terms, j)], p)[0]
         assert len(norm) == (p - 1) * p ** (j - 1) * degree + 1 if j else degree + 1
         assert max(map(abs, norm)) <= bound ** ((p - 1) * p ** (j - 1) if j else 1)
         integer = [(r, c, 0, d, a) for r, c, _, d, a in terms]
@@ -712,7 +713,7 @@ def test_row_bound_dominates_the_determinant_and_its_norm():
 
 
 def _det_poly_int_terms(k, terms) -> list[int]:
-    return det_norm_cyclotomic([(k, terms, 0)], 2)[0]
+    return _det_norms([(k, terms, 0)], 2)[0]
 
 
 def _kronecker(k, terms, j=0, p=2) -> list[int]:
@@ -766,7 +767,7 @@ def test_kronecker_determinant_matches_cofactor(case):
     k, terms = case
     want = _integer_det_oracle(k, terms)
     assert _kronecker(k, terms) == want
-    norm, coordinates = det_norm_cyclotomic([(k, terms, 0)], 3)[0], det_cyclotomic_poly([(k, terms, 0)], 3)[0]
+    norm, coordinates = _det_norms([(k, terms, 0)], 3)[0], det_cyclotomic_poly([(k, terms, 0)], 3)[0]
     assert norm == want and coordinates == [[x] for x in want]
     assert all(type(x) is int for x in norm)
 
@@ -818,7 +819,7 @@ def test_kronecker_route_ends_at_the_bareiss_size(monkeypatch):
     for k, modular in ((linalg._BAREISS_MAX_DIM, False), (linalg._BAREISS_MAX_DIM + 1, True)):
         terms = _tridiagonal(k)
         batches.clear()
-        norm = det_norm_cyclotomic([(k, terms, 0)], 2)[0]
+        norm = _det_norms([(k, terms, 0)], 2)[0]
         coordinates = det_cyclotomic_poly([(k, terms, 0)], 2)[0]
         assert bool(batches) == modular
         modular_det = [x for [x] in _multimodular(k, terms, 0, 2)]
@@ -833,7 +834,7 @@ def test_det_norm_cyclotomic_past_the_bareiss_size(p, j, degree):
     # conjugates of its cofactor determinant
     k = linalg._BAREISS_MAX_DIM + 1
     terms = [(r, c, (r + 2 * c + d) % p**j, min(d, degree), a) for r, c, _, d, a in _tridiagonal(k)]
-    norm = det_norm_cyclotomic([(k, terms, j)], p)[0]
+    norm = _det_norms([(k, terms, j)], p)[0]
     assert len(norm) == (p - 1) * p ** (j - 1) * linalg._row_bounds(k, terms)[1] + 1
     assert UniPoly(norm) == _norm_by_conjugates(p, j, k, terms)
 
@@ -845,7 +846,7 @@ def test_kronecker_repeated_problems_take_one_elimination_each(monkeypatch):
     a = (2, [(0, 0, 0, 1, 3), (0, 1, 0, 0, -2), (1, 0, 0, 2, 5), (1, 1, 0, 0, 1)], 0)
     b = (1, [(0, 0, 0, 1, 7), (0, 0, 0, 0, 1)], 0)
     copy = (a[0], list(a[1]), a[2])
-    for kernel in (det_cyclotomic_poly, det_norm_cyclotomic):
+    for kernel in (det_cyclotomic_poly, _det_norms):
         once = [kernel([a], 2)[0], kernel([b], 2)[0]]
         eliminations.clear()
         dets = kernel([a, b, a, copy, b], 2)
@@ -866,7 +867,7 @@ def test_mixed_integer_and_cyclotomic_lists_match_one_problem_calls():
     assert not any(linalg._kronecker_wins(k, j, 3, *linalg._row_bounds(k, terms)) for k, terms, j in large)
     problems = [cyclotomic[0], integer[0], large[0], large[1], cyclotomic[1], large[2], integer[1], integer[0]]
     problems += [large[1], (large[2][0], list(large[2][1]), large[2][2])]
-    for kernel in (det_cyclotomic_poly, det_norm_cyclotomic):
+    for kernel in (det_cyclotomic_poly, _det_norms):
         assert kernel(problems, 3) == [kernel([x], 3)[0] for x in problems]
 
 
@@ -874,7 +875,7 @@ def test_kronecker_determinant_of_x_degree_two_to_the_sixteen():
     # y = u^(2^15): det [[1 + 2 y, -y], [3 y, 1 - y]] = 1 + y + y^2, of u-degree D = 2^16
     y = 2**15
     terms = [(0, 0, 0, 0, 1), (0, 0, 0, y, 2), (0, 1, 0, y, -1), (1, 0, 0, y, 3), (1, 1, 0, 0, 1), (1, 1, 0, y, -1)]
-    norm = det_norm_cyclotomic([(2, terms, 0)], 2)[0]
+    norm = _det_norms([(2, terms, 0)], 2)[0]
     assert len(norm) == 2**16 + 1
     assert {i: x for i, x in enumerate(norm) if x} == {0: 1, y: 1, 2 * y: 1}
 
@@ -978,7 +979,7 @@ def test_problems_above_the_switch_are_evaluated_once(monkeypatch):
     b = (large, _tridiagonal(large), 0)
     assert not any(linalg._kronecker_wins(k, j, 3, *linalg._row_bounds(k, terms)) for k, terms, j in (a, b))
     copy = (a[0], list(a[1]), a[2])
-    for kernel in (det_cyclotomic_poly, det_norm_cyclotomic):
+    for kernel in (det_cyclotomic_poly, _det_norms):
         batches.clear()
         once = kernel([a, b], 3)
         evaluated = list(batches)
@@ -1037,9 +1038,9 @@ def test_cover_size_h_takes_the_pass_and_equals_the_kronecker_route(g):
     # ihara_zeta_reciprocal's h above the Bareiss size: one characteristic polynomial of the 2k-row W
     # per prime, equal to `_det_kronecker` on the same terms
     problems, shapes = [], []
-    norm, charpoly = linalg.det_norm_cyclotomic, linalg._charpoly_mod
+    kernel, charpoly = linalg.det_cyclotomic_poly, linalg._charpoly_mod
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "det_norm_cyclotomic", lambda x, p: problems.extend(x) or norm(x, p))
+        patch.setattr(linalg, "det_cyclotomic_poly", lambda x, p: problems.extend(x) or kernel(x, p))
         patch.setattr(linalg, "_charpoly_mod", lambda mats, q: shapes.append(mats.shape) or charpoly(mats, q))
         h, _ = ihara_zeta_reciprocal(g)
     [(k, terms, j)] = problems
