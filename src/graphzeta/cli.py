@@ -17,7 +17,7 @@ import sys
 
 from .datum_io import load_datum
 from .errors import CertificationError, DatumError, GraphError, HypothesisError
-from .graphs import spanning_tree_count
+from .graphs import euler_characteristic, spanning_tree_count
 from .groupring import subgroup_exponent
 from .iwasawa import (
     char_ideal_generator,
@@ -71,7 +71,7 @@ def cmd_zeta(d: TowerDatum, level: int) -> dict:
 def cmd_lfunctions(d: TowerDatum, level: int) -> dict:
     # integer rows, one conjugated coordinate vector per character; r0 is constant on an orbit
     table = character_table(d, level)
-    chi_base = d.base.n_vertices - d.base.n_edges
+    chi_base = euler_characteristic(d.base)
     rows = [None] * d.p**level
     for j, psi in enumerate(table.representatives):
         r = r0(d, level, psi)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import pack, unpack
+from .poly import digit_width, pack, unpack
 
 __all__ = [
     "Valuation",
@@ -145,7 +145,7 @@ def coordinate_norm(rows, p: int, j: int) -> list[int]:
     if not j:  # Q(zeta) = Q: x is its own norm
         return [row[0] for row in rows] or [0]
     phi = euler_phi_prime_power(p, j)
-    width = phi * sum(abs(a) for row in rows for a in row).bit_length() // 8 + 1  # 8 w - 1 >= phi bits(S)
+    width = digit_width(phi * sum(abs(a) for row in rows for a in row).bit_length())
     chain = _graeffe_chain([pack(column, width) for column in zip(*rows)], p, j)
     g = next(itertools.islice(chain, j - 1, None))  # G_(j-1), at most p coefficients
     return unpack(_norm_from_slots(g, p), width, phi * max(len(rows) - 1, 0) + 1)
@@ -159,7 +159,7 @@ def _graeffe_step(coeffs: list[int], p: int) -> list[int]:
     (`pack`: one big-integer product per polynomial product).  ||H||_1 <= ||G||_1^p <
     2^(p (8 size - 2)), so H's coefficients are the balanced digits of H(X^p) (`unpack`).
     """
-    size = (sum(map(abs, coeffs)).bit_length() + 9) // 8  # bytes per digit of G
+    size = digit_width(sum(map(abs, coeffs)).bit_length() + 1)  # bytes per digit of G
     sections = [pack(coeffs[r::p], p * size) << (8 * size * r) for r in range(p)]  # E_r(X)
     return unpack(sum(sections) * _norm_from_slots(sections, p), p * size, len(coeffs))
 

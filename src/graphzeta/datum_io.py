@@ -17,6 +17,7 @@ either with an integer exponent k >= 0 or the string "unramified".
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .errors import DatumError
@@ -38,6 +39,11 @@ def load_datum(path: str | Path) -> TowerDatum:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatumError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit, kept on against slow parsing
+        limit = sys.get_int_max_str_digits()
+        raise DatumError(f"{path}: invalid JSON: an integer has more than {limit} digits") from exc
+    except RecursionError as exc:
+        raise DatumError(f"{path}: invalid JSON: arrays or objects nested too deeply") from exc
     return parse_datum(doc, source=str(path))
 
 
@@ -57,9 +63,9 @@ def parse_datum(doc: dict, source: str = "<datum>") -> TowerDatum:
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         fail("vertices must be an array of strings")
-    if len(set(vertices)) != len(vertices):
+    names = set(vertices)
+    if len(names) != len(vertices):
         fail("vertex names must be unique")
-    index = {v: i for i, v in enumerate(vertices)}
     edges = doc["edges"]
     if not isinstance(edges, list):
         fail("edges must be an array")
@@ -69,11 +75,11 @@ def parse_datum(doc: dict, source: str = "<datum>") -> TowerDatum:
         if not isinstance(edge, dict) or not {"from", "to", "voltage"} <= set(edge):
             fail(f'edge {k} must be an object with "from", "to", "voltage"')
         for endpoint in (edge["from"], edge["to"]):
-            if not isinstance(endpoint, str) or endpoint not in index:
+            if not isinstance(endpoint, str) or endpoint not in names:
                 fail(f"edge {k} references undeclared vertex {endpoint!r}")
         if type(edge["voltage"]) is not int:
             fail(f"edge {k} voltage must be an integer")
-        pairs.append((index[edge["from"]], index[edge["to"]]))
+        pairs.append((edge["from"], edge["to"]))
         voltages.append(edge["voltage"])
     ram_doc = doc["ramification"]
     if not isinstance(ram_doc, dict):
@@ -82,7 +88,7 @@ def parse_datum(doc: dict, source: str = "<datum>") -> TowerDatum:
         if v not in ram_doc:
             fail(f"vertex {v!r} has no ramification entry")
     for v in ram_doc:
-        if v not in index:
+        if v not in names:
             fail(f"ramification names undeclared vertex {v!r}")
     ram = []
     for v in vertices:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .graphs import euler_characteristic
 from .groupring import (
     GroupRingElem,
     character_orbits,
@@ -70,7 +71,7 @@ def equivariant_euler_char(d: TowerDatum, n: int) -> EquivEulerChar:
 
 def gamma_exponents(d: TowerDatum, n: int) -> tuple[int, ...]:
     """chi_psi for each character exponent a = 0..p^n-1 (free dart action)."""
-    chi_base = d.base.n_vertices - d.base.n_edges
+    chi_base = euler_characteristic(d.base)
     return tuple(chi_base - r0(d, n, psi) for psi in characters(d.p, n))
 
 

@@ -60,17 +60,19 @@ class SerreGraph:
 
     @staticmethod
     def from_edges(vertices, edges) -> "SerreGraph":
-        """Build from undirected edges given as (origin, terminus) vertex pairs.
+        """Build from undirected edges given as (origin, terminus) pairs of vertex labels.
 
-        Each pair contributes the dart pair (2i, 2i+1); endpoints may be
-        vertex labels or plain indices.
+        Each pair contributes the dart pair (2i, 2i+1); GraphError for an
+        endpoint that is not a label.
         """
         vertices = tuple(vertices)
         index = {v: i for i, v in enumerate(vertices)}
         o, t, inv = [], [], []
         for k, (a, b) in enumerate(edges):
-            ia = index[a] if a in index else a
-            ib = index[b] if b in index else b
+            for v in (a, b):
+                if v not in index:
+                    raise GraphError(f"edge {k}: endpoint {v!r} is not a vertex label")
+            ia, ib = index[a], index[b]
             o += [ia, ib]
             t += [ib, ia]
             inv += [2 * k + 1, 2 * k]

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import UniPoly
+from .cyclo import _ord_int
+from .poly import UniPoly, _RingOps
 
 __all__ = [
     "CharacterLabel",
@@ -43,17 +44,13 @@ def factor_prime_power(m: int) -> tuple[int, int]:
         p += 1
     else:
         p = m
-    n = 0
-    rest = m
-    while rest % p == 0:
-        rest //= p
-        n += 1
-    if rest != 1:
+    n = _ord_int(m, p)
+    if p**n != m:
         raise ValueError(f"{m} is not a prime power")
     return (p, n)
 
 
-class GroupRingElem:
+class GroupRingElem(_RingOps):
     """Element of Q[Z/mZ] as a length-m coefficient vector."""
 
     __slots__ = ("m", "coeffs")
@@ -74,6 +71,9 @@ class GroupRingElem:
     @staticmethod
     def one(m: int) -> "GroupRingElem":
         return GroupRingElem.basis(m, 0)
+
+    def _one(self) -> "GroupRingElem":
+        return GroupRingElem.one(self.m)
 
     @staticmethod
     def basis(m: int, k: int, c=1) -> "GroupRingElem":
@@ -105,22 +105,8 @@ class GroupRingElem:
             return NotImplemented
         return GroupRingElem(self.m, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return GroupRingElem(self.m, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -139,20 +125,6 @@ class GroupRingElem:
                     idx = (i + k) % self.m
                     out[idx] = out[idx] + a * b
         return GroupRingElem(self.m, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers not supported in the group ring")
-        result = GroupRingElem.one(self.m)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -239,14 +211,7 @@ class CharacterLabel:
     @property
     def order_exponent(self) -> int:
         """j with ord(psi) = p^j."""
-        a = self.a
-        if a == 0:
-            return 0
-        v = 0
-        while a % self.p == 0:
-            a //= self.p
-            v += 1
-        return self.n - v
+        return self.n - _ord_int(self.a, self.p) if self.a else 0
 
     @property
     def order(self) -> int:

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .cyclo import _ord_int, euler_phi_prime_power
 from .errors import CertificationError, DatumError, HypothesisError
-from .graphs import spanning_tree_count
+from .graphs import euler_characteristic, spanning_tree_count
 from .lfunctions import (
     orbit_level_factor,
     orbit_norms,
@@ -131,7 +131,7 @@ def g_series(d: TowerDatum) -> GSeries:
 def lambda_components(d: TowerDatum, gs: GSeries) -> tuple[int, list[int], int]:
     """(lambda_0, [lambda_j for j = 1..n1], lambda_unr), with gs = g_series(d)."""
     ram = d.ramified_vertices
-    chi_base = d.base.n_vertices - d.base.n_edges
+    chi_base = euler_characteristic(d.base)
     if ram:
         lambda0 = len(ram) - 1
     elif chi_base != 0:

@@ -40,7 +40,7 @@ from .cyclo import (
     ordp_fraction,
 )
 from .errors import HypothesisError
-from .graphs import SerreGraph, adjacency_and_degree, ihara_zeta_reciprocal
+from .graphs import SerreGraph, adjacency_and_degree, euler_characteristic, ihara_zeta_reciprocal
 from .groupring import (
     CharacterLabel,
     character_orbits,
@@ -235,7 +235,7 @@ def product_formula_check(table: CharacterTable, cover: SerreGraph) -> ProductCh
     """
     d, n, reps = table.datum, table.level, table.representatives
     h_product = table.level_h()
-    chi = d.base.n_vertices - d.base.n_edges  # chi_psi = chi - r0(psi), one value on an orbit
+    chi = euler_characteristic(d.base)  # chi_psi = chi - r0(psi), one value on an orbit
     chi_sum = sum(euler_phi_prime_power(d.p, j) * (chi - r0(d, n, psi)) for j, psi in enumerate(reps))
     h_direct, chi_direct = ihara_zeta_reciprocal(cover)
     h_equal = h_product == h_direct

@@ -43,10 +43,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import _graeffe_chain, _int_array, euler_phi_prime_power
+from .cyclo import _graeffe_chain, _int_array, _ord_int, euler_phi_prime_power
 from .errors import CertificationError
 from .groupring import GroupRingElem, factor_prime_power, from_character_polys, subgroup_exponent
-from .poly import UniPoly, pack, unpack
+from .poly import UniPoly, digit_width, pack, unpack
 
 __all__ = [
     "det_bareiss_int",
@@ -84,10 +84,8 @@ def is_probable_prime(n: int) -> bool:
 
 def _strong_probable_prime(n: int, bases) -> bool:
     # Miller-Rabin for odd n > 37 against each base (a base that n divides says nothing).
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = _ord_int(n - 1, 2)
+    d = (n - 1) >> s
     for a in bases:
         if a % n == 0:
             continue
@@ -265,8 +263,8 @@ def _det_kronecker(k: int, terms, j: int, p: int, bound: int, degree: int) -> li
     integer determinant.
 
     With m = p^j and s = p^(j-1), each entry is the integer polynomial sum coeff x^(exp mod m) u^d
-    in x and u, and M(x, u) is taken at x = t^(D+1), u = t, t = 2^b: b = 8 w is the least multiple
-    of 8 with 2^(b-1) > B, each entry packed from its coefficients (`pack`), and one
+    in x and u, and M(x, u) is taken at x = t^(D+1), u = t, t = 2^b: b = 8 w, w the `digit_width`
+    of B's bits, so 2^(b-1) > B, each entry packed from its coefficients (`pack`), and one
     `det_bareiss_int` gives det M(t).  Its balanced digits (`unpack`) are the coefficients of the
     monomials x^a u^e, a <= k (m - 1), e <= D, at position a (D + 1) + e; folding x^a -> x^(a mod m)
     (x^m = 1 at x = zeta) and reducing mod Phi_{p^j}, x^a = -sum_(i < p - 1) x^(a - (p - 1) s + i s)
@@ -283,7 +281,7 @@ def _det_kronecker(k: int, terms, j: int, p: int, bound: int, degree: int) -> li
     m, phi, stride = p**j, euler_phi_prime_power(p, j), degree + 1
     if not bound:
         return [0] * (stride * phi)
-    width = (bound.bit_length() + 8) // 8  # bytes per digit: 8 width - 1 >= the bits of B
+    width = digit_width(bound.bit_length())
     entries: dict = {}
     for r, c, exp, d, coeff in terms:
         if coeff:
@@ -316,7 +314,7 @@ def _kronecker_wins(k: int, j: int, p: int, bound: int, degree: int) -> bool:
     """
     if not j:
         return k <= _BAREISS_MAX_DIM
-    bits = (k * (p**j - 1) + 1) * (degree + 1) * ((bound.bit_length() + 8) // 8 * 8)
+    bits = (k * (p**j - 1) + 1) * (degree + 1) * 8 * digit_width(bound.bit_length())
     return bits * bits <= _KRONECKER_SWITCH * euler_phi_prime_power(p, j) * (degree + 1)
 
 
@@ -497,7 +495,7 @@ def norm_groupring_poly(terms, m: int, subgroup_order: int) -> UniPoly:
     coeffs = [[0] * (degree + 1) for _ in range(m)]
     for s, d, coeff in terms:
         coeffs[s % m][d] += int(coeff * c)
-    width = k * sum(abs(v) for row in coeffs for v in row).bit_length() // 8 + 1  # 8 w - 1 >= k bits(B)
+    width = digit_width(k * sum(abs(v) for row in coeffs for v in row).bit_length())
     g = next(itertools.islice(_graeffe_chain([pack(row, width) for row in coeffs], p, n), n - h, None))
     coords = [unpack(x, width, k * degree + 1) for x in g]
     return UniPoly([GroupRingElem(p**h, [Fraction(v, c**k) for v in row]) for row in zip(*coords)])

@@ -6,15 +6,53 @@ Power-series identities (the Euler product of the zeta function) are
 checked as polynomial identities, in `graphs.path_counts_from_zeta`.
 
 `pack` and `unpack` are Kronecker substitution for integer polynomials:
-one big integer per polynomial, its coefficients as balanced digits.
+one big integer per polynomial, its coefficients as balanced digits of the
+byte width `digit_width` gives.  `UniPoly` and `groupring.GroupRingElem`
+share the operators `_RingOps` derives from their own `+`, unary `-` and `*`.
 """
 
 from __future__ import annotations
 
-__all__ = ["UniPoly", "pack", "unpack"]
+__all__ = ["UniPoly", "digit_width", "pack", "unpack"]
 
 
-class UniPoly:
+class _RingOps:
+    """The operators of a commutative ring element derived from its `_coerce` (the operand as an
+    element, or None for a foreign one), `__add__`, `__neg__`, `__mul__` and `_one`."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative power of a ring element")
+        result, base = self._one(), self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+
+class UniPoly(_RingOps):
     """Polynomial in u, stored densely with a nonzero trailing coefficient."""
 
     __slots__ = ("coeffs",)
@@ -49,23 +87,16 @@ class UniPoly:
             return other
         return UniPoly.constant(other)
 
+    def _one(self) -> "UniPoly":
+        return UniPoly.constant(1)
+
     def __add__(self, other):
         o = self._coerce(other)
         n = max(len(self.coeffs), len(o.coeffs))
         return UniPoly([self.coefficient(i) + o.coefficient(i) for i in range(n)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -79,20 +110,6 @@ class UniPoly:
                 if b != 0:
                     out[i + k] = out[i + k] + a * b
         return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.constant(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -139,6 +156,12 @@ class UniPoly:
                 continue
             terms.append(f"({c})*u^{i}" if i else f"({c})")
         return "UniPoly(" + " + ".join(terms) + ")"
+
+
+def digit_width(bits: int) -> int:
+    """The least byte width w with 8 w - 1 >= bits: every integer below 2^bits in absolute value
+    is a balanced digit of width w (`unpack`)."""
+    return bits // 8 + 1
 
 
 def pack(coeffs, width: int) -> int:

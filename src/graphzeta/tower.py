@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import DatumError
-from .graphs import SerreGraph, connected, validate_graph
+from .graphs import SerreGraph, connected, euler_characteristic, validate_graph
 
 __all__ = [
     "LevelGraph",
@@ -31,8 +31,6 @@ __all__ = [
     "ramification_profile",
     "tower_euler_char",
 ]
-
-UNRAMIFIED = None
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,7 @@ def ramification_profile(d: TowerDatum, n: int) -> list[tuple[int, int]]:
 def tower_euler_char(d: TowerDatum, n: int) -> int:
     """Euler characteristic of the level-n cover (Riemann-Hurwitz form)."""
     p = d.p
-    chi_base = d.base.n_vertices - d.base.n_edges
+    chi_base = euler_characteristic(d.base)
     branch = sum(
         d.fiber_size(v, n) * (d.stabilizer_order(v, n) - 1) for v in d.ramified_vertices
     )

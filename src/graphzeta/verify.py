@@ -26,6 +26,7 @@ from .equivariant import (
 from .errors import HypothesisError
 from .graphs import (
     connected,
+    euler_characteristic,
     path_counts_from_zeta,
     reduced_closed_path_counts,
     spanning_tree_count,
@@ -66,21 +67,12 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
     tables = character_tables(d, [n, n - h_exp] if h_exp else [n], (n,))
     table, quotient = tables[0], tables[-1]
 
+    def check(name: str, ok: bool, detail: str) -> None:
+        items.append(VerifyItem(name, "pass" if ok else "fail", detail))
+
     pc = product_formula_check(table, graph)
-    items.append(
-        VerifyItem(
-            "product-formula-h",
-            "pass" if pc.h_equal else "fail",
-            f"prod h(u,psi) vs level h: {poly_text(pc.h_product)}",
-        )
-    )
-    items.append(
-        VerifyItem(
-            "product-formula-chi",
-            "pass" if pc.chi_equal else "fail",
-            f"sum chi_psi = {pc.chi_sum}, chi(level) = {pc.chi_direct}",
-        )
-    )
+    check("product-formula-h", pc.h_equal, f"prod h(u,psi) vs level h: {poly_text(pc.h_product)}")
+    check("product-formula-chi", pc.chi_equal, f"sum chi_psi = {pc.chi_sum}, chi(level) = {pc.chi_direct}")
 
     # sigma_u fixes the rational (1 - u^2)^r0: one representative per orbit, coordinatewise
     one_minus = UniPoly([1, 0, -1])
@@ -89,105 +81,54 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
         == [UniPoly(c) for c in zip(*table.z(j))]
         for j, psi in enumerate(table.representatives)
     )
-    items.append(
-        VerifyItem(
-            "zeta-reduction",
-            "pass" if reduction_ok else "fail",
-            "(1-u^2)^r0 * h(u,psi) = z(u,psi) for every character",
-        )
-    )
+    check("zeta-reduction", reduction_ok, "(1-u^2)^r0 * h(u,psi) = z(u,psi) for every character")
 
     h_level, chi_level = pc.h_direct, pc.chi_direct
     kappa = spanning_tree_count(graph)
-    hashimoto_ok = h_level.derivative()(1) == -2 * chi_level * kappa
-    items.append(
-        VerifyItem(
-            "hashimoto",
-            "pass" if hashimoto_ok else "fail",
-            f"h'(1) = {h_level.derivative()(1)}, -2*chi*kappa = {-2 * chi_level * kappa}",
-        )
-    )
+    slope, expected = h_level.derivative()(1), -2 * chi_level * kappa
+    check("hashimoto", slope == expected, f"h'(1) = {slope}, -2*chi*kappa = {expected}")
 
     counts = reduced_closed_path_counts(graph, PATH_COUNT_MAX)
     predicted = path_counts_from_zeta(h_level, chi_level, PATH_COUNT_MAX)
-    items.append(
-        VerifyItem(
-            "path-count-oracle",
-            "pass" if counts == predicted else "fail",
-            f"exp(sum N_k u^k/k) matches 1/Z^-1 through u^{PATH_COUNT_MAX}",
-        )
+    check(
+        "path-count-oracle", counts == predicted, f"exp(sum N_k u^k/k) matches 1/Z^-1 through u^{PATH_COUNT_MAX}"
     )
 
     # the built cover against the closed forms (|V|, |E|, chi) that `tower` and `zeta` print
     shape = level_shape(d, n)
     chi_closed = shape[2]
-    branch_sum = p**n * (d.base.n_vertices - d.base.n_edges) - chi_closed
+    branch_sum = p**n * euler_characteristic(d.base) - chi_closed
     rh_ok = (graph.n_vertices, graph.n_edges, chi_level) == shape
-    items.append(
-        VerifyItem(
-            "riemann-hurwitz",
-            "pass" if rh_ok else "fail",
-            f"chi = {chi_level}, branched closed form = {chi_closed}",
-        )
-    )
+    check("riemann-hurwitz", rh_ok, f"chi = {chi_level}, branched closed form = {chi_closed}")
 
     # r0 is constant on a Galois orbit, as chi_psi is in the product formula
     r0_total = sum(
         euler_phi_prime_power(p, j) * r0(d, n, psi) for j, psi in enumerate(table.representatives)
     )
-    r0_ok = r0_total == branch_sum
-    items.append(
-        VerifyItem(
-            "r0-sum",
-            "pass" if r0_ok else "fail",
-            f"sum r0(psi) = {r0_total}, sum (m_w - 1) = {branch_sum}",
-        )
-    )
+    check("r0-sum", r0_total == branch_sum, f"sum r0(psi) = {r0_total}, sum (m_w - 1) = {branch_sum}")
 
     if chi_closed == 0:
-        items.append(
-            VerifyItem("vanishing-order", "skip", f"chi(X_{n}) = 0, hypothesis not met")
-        )
+        items.append(VerifyItem("vanishing-order", "skip", f"chi(X_{n}) = 0, hypothesis not met"))
     else:
         res = vanishing_order_check(table)
-        items.append(
-            VerifyItem(
-                "vanishing-order",
-                "pass" if res["ok"] else "fail",
-                "simple zero at u=1 for the trivial character only",
-            )
-        )
+        check("vanishing-order", res["ok"], "simple zero at u=1 for the trivial character only")
 
     eta_G = eta_poly(table)
     eta_H = eta_for_subgroup_action(d, lg, subgroup_order)
-    norm_ok = norm_map(eta_G, subgroup_order) == eta_H
-    items.append(
-        VerifyItem(
-            "norm-induction-eta",
-            "pass" if norm_ok else "fail",
-            f"N maps eta over Z/{p**n} to eta of the order-{subgroup_order} subgroup action",
-        )
+    check(
+        "norm-induction-eta",
+        norm_map(eta_G, subgroup_order) == eta_H,
+        f"N maps eta over Z/{p**n} to eta of the order-{subgroup_order} subgroup action",
     )
 
     gamma_H = norm_gamma_exponents(d, n, subgroup_order)
     exps_H = _subgroup_gamma_direct(d, lg, subgroup_order)
-    items.append(
-        VerifyItem(
-            "norm-induction-gamma",
-            "pass" if gamma_H == exps_H else "fail",
-            f"summed exponents {gamma_H} vs direct {exps_H}",
-        )
-    )
+    check("norm-induction-gamma", gamma_H == exps_H, f"summed exponents {gamma_H} vs direct {exps_H}")
 
     infl = inflation_check(eta_G, quotient)
-    note = "not equal (expected)" if not infl.equal else "equal"
-    items.append(
-        VerifyItem(
-            "inflation",
-            "info",
-            f"{note}: pi_H(eta) = {poly_text(infl.lhs)}; eta of quotient = {poly_text(infl.rhs)}",
-        )
-    )
+    note = "equal" if infl.equal else "not equal (expected)"
+    sides = f"pi_H(eta) = {poly_text(infl.lhs)}; eta of quotient = {poly_text(infl.rhs)}"
+    items.append(VerifyItem("inflation", "info", f"{note}: {sides}"))
     return items
 
 

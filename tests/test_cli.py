@@ -196,6 +196,28 @@ def test_cli_unreadable_datum_file_exits_1(kind, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+_ONE_LOOP = '{"prime": %s, "vertices": ["a"], "edges": [{"from": "a", "to": "a", "voltage": %s}], '
+_ONE_LOOP += '"ramification": {"a": 0}}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_ONE_LOOP % (2, "7" * 5000), _ONE_LOOP % ("7" * 5000, 1), "[" * 200_000],
+    ids=["long-voltage", "long-prime", "deep-nesting"],
+)
+def test_cli_json_past_the_parser_limits_exits_1(text, tmp_path, capsys):
+    # json.loads raises ValueError past the interpreter's integer digit limit, which stays on
+    # while parsing, and RecursionError past its nesting depth: both are datum errors
+    path = tmp_path / "datum.json"
+    path.write_text(text, encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    assert main(["zeta", str(path), "--level", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
+    assert sys.get_int_max_str_digits() == limit
+
+
 @pytest.mark.parametrize(
     "argv",
     [["zeta"], ["zeta", DATUM, "--level", "x"], ["frobnicate", DATUM]],

@@ -38,6 +38,18 @@ def test_minimal_graph_valid():
     assert g.n_edges == 1
 
 
+def test_from_edges_reads_endpoints_as_labels_only():
+    # integer labels that are also indices: (1, 2) is the edge between the two vertices, not a
+    # loop at vertex 2 read from index 1; 0 is no label, though it is an index
+    g = SerreGraph.from_edges([1, 2], [(1, 2), (2, 2)])
+    assert (g.dart_origin, g.dart_terminus) == ((0, 1, 1, 1), (1, 0, 1, 1))
+    validate_graph(g)
+    with pytest.raises(GraphError, match="endpoint 0 is not a vertex label"):
+        SerreGraph.from_edges([1, 2], [(0, 1)])
+    with pytest.raises(GraphError, match="edge 1: endpoint 'c'"):
+        SerreGraph.from_edges(["a", "b"], [("a", "b"), ("a", "c")])
+
+
 def test_fixed_point_inversion_rejected():
     g = SerreGraph(("v",), (0, 0), (0, 0), (0, 1))
     with pytest.raises(GraphError, match="fixed point"):

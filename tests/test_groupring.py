@@ -40,6 +40,38 @@ def test_factor_prime_power():
         factor_prime_power(12)
 
 
+def _divisions(n: int, p: int) -> int:
+    # ord_p of n != 0, one division at a time
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.sampled_from([2, 3, 5, 2**61 - 1]), st.integers(0, 7), st.integers(0, 9), st.integers(-10**30, 10**30))
+def test_order_exponent_matches_a_division_loop(p, n, k, unit):
+    for a in (unit, p**k * unit, p**k):
+        psi = CharacterLabel(p, n, a)
+        assert psi.order_exponent == (n - _divisions(psi.a, p) if psi.a else 0)
+        assert psi.order == p**psi.order_exponent
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.sampled_from([2, 3, 5, 2**61 - 1]), st.integers(0, 9), st.integers(1, 60))
+def test_factor_prime_power_matches_a_division_loop(p, k, c):
+    # m = p^k c; the search for the prime is trial division, so 2^61 - 1 meets a factor c >= 2
+    drawn = p**k * (c if p < 2**61 - 1 else c + 1)
+    for m in (drawn, 12, 2 * 3**5, 3 * (2**61 - 1), (2**61 - 1) ** 2 * 2):
+        q = next(q for q in range(2, m + 1) if m % q == 0) if m > 1 else 2
+        v = _divisions(m, q) if m > 1 else 0
+        if q**v == m:
+            assert factor_prime_power(m) == (q, v)
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                factor_prime_power(m)
+
+
 def test_convolution():
     a = GroupRingElem.basis(4, 1)
     b = GroupRingElem.basis(4, 3)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphzeta.poly import UniPoly, pack, unpack
+from graphzeta.groupring import GroupRingElem
+from graphzeta.poly import UniPoly, digit_width, pack, unpack
 
 
 def test_trailing_zeros_stripped():
@@ -86,3 +87,58 @@ def test_pack_takes_the_lowest_digit():
         assert pack([low, 3], width) == low + (3 << (8 * width))
         assert pack([], width) == 0 and unpack(0, width, 0) == []
         assert unpack(pack([0, 0], width), width, 2) == [0, 0]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.one_of(st.integers(0, 300), st.integers(1, 30).map(lambda w: 8 * w - 1)), st.data())
+def test_digit_width_round_trips_every_integer_of_its_bits(bits, data):
+    # the least w with 8 w - 1 >= bits, at which +-(2^bits - 1) and everything between are digits
+    width = digit_width(bits)
+    assert 8 * width - 1 >= bits > 8 * (width - 1) - 1
+    top = 2**bits - 1
+    digits = [top, -top, 0] + data.draw(st.lists(st.integers(-top, top), max_size=8))
+    digits = data.draw(st.permutations(digits))
+    assert unpack(pack(digits, width), width, len(digits)) == digits
+
+
+@st.composite
+def _ring_pair(draw):
+    # two elements of one ring: integer polynomials in u, or rational elements of Q[Z/mZ]
+    if draw(st.booleans()):
+        poly = st.lists(st.integers(-6, 6), max_size=5).map(UniPoly)
+        return draw(poly), draw(poly)
+    m = draw(st.sampled_from([1, 2, 3, 4, 9]))
+    coeffs = st.lists(st.fractions(-3, 3, max_denominator=4), min_size=m, max_size=m)
+    return tuple(GroupRingElem(m, draw(coeffs)) for _ in range(2))
+
+
+def _scaled(x, q):
+    if isinstance(x, UniPoly):
+        return UniPoly([q * c for c in x.coeffs])
+    return GroupRingElem(x.m, [q * c for c in x.coeffs])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_ring_pair(), st.integers(-5, 5), st.fractions(-4, 4, max_denominator=6), st.integers(0, 5))
+def test_shared_ring_operators(pair, k, q, e):
+    # the reflected operators, subtraction and powers UniPoly and GroupRingElem take from one base
+    x, y = pair
+    assert (x - y) + y == x and x - y == x + (-y)
+    assert (y - x) + x == y and y - x == -(x - y)
+    assert (k - x) + x == k and k + x == x + k
+    assert q * x == x * q == _scaled(x, q)
+    product = 0 * x + 1
+    assert x**0 == product == 1
+    for _ in range(e):
+        product = product * x
+    assert x**e == product
+    with pytest.raises(ValueError):
+        x ** -1
+    for operation in (lambda: x - "u", lambda: "u" - x, lambda: x + "u", lambda: "u" + x):
+        with pytest.raises(TypeError):
+            operation()
+    if x:  # the zero polynomial times anything is zero
+        with pytest.raises(TypeError):
+            x * "u"
+        with pytest.raises(TypeError):
+            "u" * x
