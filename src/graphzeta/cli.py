@@ -289,7 +289,7 @@ def main(argv=None) -> int:
             level = _checked_level(args.level, "--level", 0)
             order = default_subgroup_order(datum.p, level) if args.subgroup_order is None else args.subgroup_order
             try:
-                subgroup_exponent(datum.p**level, order)
+                subgroup_exponent(datum.p, level, order)
             except ValueError as exc:
                 raise DatumError(f"verify at level {level}: {exc}") from exc
             doc = cmd_verify(datum, level, order)

@@ -11,10 +11,10 @@ polynomial G at every j <= n at once, by Graeffe root-powering over Z:
 the orbit norms of the tower sweep use it, and `coordinate_norm`, the
 norm to Q(u) of coordinate rows over Q(zeta_{p^j})(u), packed at u = 2^b.
 
-The Galois action sigma_u: zeta -> zeta^u is one index pair on the
-coordinates: `galois_conjugates` applies it to integer coordinate rows
-for many u at once.  The p-adic valuation of a rational number is
-`ordp_fraction`.
+The Galois action sigma_u: zeta -> zeta^u is one gather per unit from a
+table of coordinate differences taken once per row (the reduction mod
+Phi_{p^j}): `galois_conjugates` applies it to integer rows for many u.
+The p-adic valuation of a rational number is `ordp_fraction`.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import add, itemgetter, sub
 
 from .poly import digit_width, pack, unpack
 
@@ -44,52 +43,35 @@ def euler_phi_prime_power(p: int, j: int) -> int:
     return p ** (j - 1) * (p - 1)
 
 
-def _galois_index_pair(p: int, j: int, units) -> tuple[np.ndarray, np.ndarray]:
-    """sigma_u: zeta -> zeta^u on power-basis coordinates, for each u in units.
+def galois_conjugates(p: int, j: int, rows, units):
+    """sigma_u: zeta -> zeta^u of integer coordinate rows (length phi = phi(p^j)), for each u in
+    units: an iterator of one list of conjugate rows per unit, each made when read.
 
-    With c the coordinates followed by one zero (index phi = phi(p^j)),
-    sigma_u(x) has coordinates c[a[t]] - c[b[t]], t < phi, for the rows
-    a, b of shape (len(units), phi) returned here.  sigma_u moves the
-    coefficient of zeta^i to zeta^(i u), so the exponent t reads
-    c[t u^-1 mod p^j]; reducing by Phi_{p^j}, zeta^(phi + r) =
-    -sum_{k < p-1} zeta^(k s + r) with s = p^(j-1), r < s, so every
-    t = k s + r also loses c[(phi + t mod s) u^-1 mod p^j].  An index
-    >= phi reads the zero.  ValueError for a u divisible by p, when j >= 1.
+    With L a row padded with zeros to length p^j, v = u^-1 and s = p^(j-1), coordinate t of
+    sigma_u(x) is L[t v] - L[(phi + t mod s) v] (indices mod p^j), by zeta^(phi + r) =
+    -sum_{k < p-1} zeta^(k s + r), r < s; the second index is t v + s m, m = (p - 1 - t // s) v
+    mod p in 1..p-1.  So each row's differences L[i] - L[i + s m] are taken once, those of m from
+    (m - 1) p^j of its table on, and a conjugate is one `itemgetter` gather (at p = 2: L, then
+    -L).  ValueError for a u divisible by p, when j >= 1.
     """
     phi, order = euler_phi_prime_power(p, j), p**j
     units = [int(u) for u in units]
-    if j == 0:  # Q: the identity
-        return np.zeros((len(units), 1), np.int64), np.ones((len(units), 1), np.int64)
-    if any(u % p == 0 for u in units):
+    if j and any(u % p == 0 for u in units):
         raise ValueError("galois exponent must be a unit")
-    inverse = np.array([pow(u, -1, order) for u in units], dtype=np.int64).reshape(-1, 1)
-    t = np.arange(phi, dtype=np.int64)
-    a = t * inverse % order
-    b = (phi + t % (order // p)) * inverse % order
-    return np.minimum(a, phi), np.minimum(b, phi)
+    if phi == 1:  # Q, or Q(zeta_2) = Q: the identity
+        return ([list(row) for row in rows] for _ in units)
+    s = order // p
+    lifts = [list(row) + [0] * s for row in rows]
+    tables = [[x for m in range(s, order, s) for x in map(sub, lift, lift[m:] + lift[:m])] for lift in lifts]
+    begins = {r: [((p - 1 - t // s) * r % p - 1) * order for t in range(phi)] for r in range(1, p)}
 
+    def conjugate(u: int) -> list[list[int]]:
+        v = pow(u, -1, order)
+        index = [t * v % order for t in range(phi)]
+        gather = itemgetter(*(map(add, begins[v % p], index) if p > 2 else index))
+        return [list(gather(table)) for table in tables]
 
-def _int_array(values) -> np.ndarray:
-    # int64 where every entry fits, else object (Python ints)
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def galois_conjugates(p: int, j: int, rows, units) -> np.ndarray:
-    """sigma_u of integer coordinate rows, for each u in units.
-
-    rows is a list of coordinate vectors of length phi(p^j); the result
-    has shape (len(units), len(rows), phi).  It is int64 when every entry
-    is below 2^62 in absolute value, so that each difference fits, and
-    object (Python ints) otherwise.
-    """
-    a, b = _galois_index_pair(p, j, units)
-    c = _int_array([list(row) + [0] for row in rows]).reshape(len(rows), a.shape[1] + 1)
-    if c.dtype != object and not np.all((c > -(2**62)) & (c < 2**62)):
-        c = c.astype(object)
-    return (c[:, a] - c[:, b]).transpose(1, 0, 2)
+    return map(conjugate, units)
 
 
 # -- norms by Graeffe root-powering --------------------------------------

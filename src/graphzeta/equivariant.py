@@ -25,6 +25,7 @@ from .groupring import (
     GroupRingElem,
     character_orbits,
     characters,
+    factor_prime_power,
     from_character_polys,
     groupring_idempotent,
     subgroup_elements,
@@ -127,7 +128,7 @@ def subgroup_vertex_orbits(d: TowerDatum, lg: LevelGraph, subgroup_order: int):
     for an order that does not divide p^n.
     """
     n = lg.level
-    subgroup_exponent(d.p**n, subgroup_order)
+    subgroup_exponent(d.p, n, subgroup_order)
     step = d.p**n // subgroup_order
     fibers = [d.fiber_size(v, n) for v in range(d.base.n_vertices)]
     offsets = list(itertools.accumulate(fibers, initial=0))  # index of (v, 0)
@@ -211,7 +212,7 @@ def trace_map(x: GroupRingElem, subgroup_order: int) -> GroupRingElem:
 
     Equals (G:H) times the restriction of x to H, reindexed by Z/p^h Z.
     """
-    subgroup_exponent(x.m, subgroup_order)
+    subgroup_exponent(*factor_prime_power(x.m), subgroup_order)
     index = x.m // subgroup_order
     return x.restrict_to_subgroup(subgroup_order) * index
 

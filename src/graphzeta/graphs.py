@@ -18,8 +18,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .errors import GraphError
 from .poly import UniPoly
@@ -155,25 +153,26 @@ def spanning_tree_count(g: SerreGraph) -> int:
 def reduced_closed_path_counts(g: SerreGraph, k_max: int) -> list[int]:
     """N_1..N_k: traces of powers of the non-backtracking dart matrix B.
 
-    B[e][f] = [t(e) = o(f)] - [f = inv e], so (P B)[e][f] = S[e][o(f)] - P[e][inv f]
-    with S[e][v] the sum of P[e][g] over the darts g ending at v: one
-    `np.add.reduceat` over the darts sorted by terminus, O(darts^2) a power.
-    Every entry of B^k, and every S, is at most a row sum, (max deg - 1)^k,
-    and the trace at most n_darts times that: int64 while that bound for
-    k_max is below 2^63, Python integers otherwise.
+    B[e][f] = [t(e) = o(f)] - [f = inv e], so column f of P B is T_o(f) - column inv f of P,
+    with T_v the sum of the columns of P at the darts ending at v.  Each column is one Python
+    integer, entry e in bit slot e of a fixed width: every entry of B^k, and of T_v, is at most
+    a row sum, (max deg - 1)^k, which fixes the width for k_max.  Column inv f is a summand of
+    T_o(f) (inv f ends at o(f)), so no slot of the difference borrows from the next.  N_k is the
+    sum over the darts f of slot f of column f.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     widest = max(Counter(g.dart_origin).values(), default=1) - 1
-    dtype = np.int64 if g.n_darts * widest**k_max < 1 << 63 else object
-    by_terminus = np.argsort(g.dart_terminus, kind="stable")
-    ends, starts = np.unique(np.array(g.dart_terminus, dtype=np.int64)[by_terminus], return_index=True)
-    origin = np.searchsorted(ends, g.dart_origin)  # o(f) is the terminus of inv f
-    power, counts = np.eye(g.n_darts, dtype=dtype), []
+    width = max(widest**k_max, 1).bit_length()
+    ending = [[] for _ in range(g.n_vertices)]
+    for f, v in enumerate(g.dart_terminus):
+        ending[v].append(f)
+    mask, slots = (1 << width) - 1, range(0, width * g.n_darts, width)
+    columns, counts = [1 << s for s in slots], []  # B^0 = I
     for _ in range(k_max):
-        ends_sum = np.add.reduceat(power[:, by_terminus], starts, axis=1)
-        power = ends_sum[:, origin] - power[:, list(g.dart_inverse)]
-        counts.append(int(power.trace()))
+        ends = [sum(map(columns.__getitem__, darts)) for darts in ending]
+        columns = [ends[o] - columns[i] for o, i in zip(g.dart_origin, g.dart_inverse)]
+        counts.append(sum(c >> s & mask for c, s in zip(columns, slots)))
     return counts
 
 

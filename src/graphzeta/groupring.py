@@ -169,11 +169,12 @@ class GroupRingElem(_RingOps):
         return GroupRingElem(d, [self.coeffs[t * step] for t in range(d)])
 
 
-def subgroup_exponent(m: int, d: int) -> int:
-    """h with p^h = d, for the order-d subgroup of Z/mZ (m = p^n)."""
-    if d <= 0 or m % d:
-        raise ValueError(f"no subgroup of order {d} in Z/{m}Z")
-    return factor_prime_power(d)[1]
+def subgroup_exponent(p: int, n: int, d: int) -> int:
+    """h with p^h = d, for the order-d subgroup of Z/p^n Z; ValueError if there is none."""
+    h = _ord_int(d, p) if d > 0 else n + 1
+    if h > n or p**h != d:
+        raise ValueError(f"no subgroup of order {d} in Z/{p**n}Z")
+    return h
 
 
 def subgroup_elements(m: int, d: int) -> list[int]:
@@ -230,7 +231,7 @@ class CharacterLabel:
     def kernel_contains(self, subgroup_order: int) -> bool:
         """Does ker(psi) contain the unique subgroup of that order?"""
         m = self.p**self.n
-        subgroup_exponent(m, subgroup_order)
+        subgroup_exponent(self.p, self.n, subgroup_order)
         return (self.a * (m // subgroup_order)) % m == 0
 
 

@@ -182,14 +182,14 @@ class CharacterTable:
 
         The rows are the integer coordinates of h(u, psi_a) and h(1) their
         column sums: sigma_u of the representative's for a = u p^(n-j),
-        taken with one numpy gather over the units u mod p^j.
+        one gather per unit u mod p^j (`cyclo.galois_conjugates`).
         """
         p, rows = self.datum.p, self.rep_coordinates[j]
         rows = rows + [self.rep_h_at_one(j)]  # sigma_u commutes with the column sums
         units = [u for u in range(1, p**j) if u % p] if j else [1]
         step = p ** (self.level - j) if j else 0  # the trivial character is a = 0
         for u, conjugate in zip(units, galois_conjugates(p, j, rows, units)):
-            *h, h_at_one = conjugate.tolist()
+            *h, h_at_one = conjugate
             yield u * step, h, h_at_one
 
 

@@ -8,7 +8,8 @@ S + A u + B u^2, S diagonal, is multimodular: primes q < 2^31 searched down
 from 2^31, one characteristic polynomial mod q per prime (`_charpoly_mod`), one
 signed CRT; any other matrix takes the Kronecker route, exact at any size.
 The group-ring norm is a Graeffe chain over Z on coefficients packed at
-u = 2^b (`poly.pack`), with no primes.
+u = 2^b (`poly.pack`), with no primes.  Only the multimodular pass imports
+numpy, inside its functions, so no other route loads it.
 
 Routes:
   - integer matrices (`det_int`): Bareiss elimination; above
@@ -41,9 +42,7 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
-from .cyclo import _graeffe_chain, _int_array, _ord_int, euler_phi_prime_power
+from .cyclo import _graeffe_chain, _ord_int, euler_phi_prime_power
 from .errors import CertificationError
 from .groupring import GroupRingElem, factor_prime_power, from_character_polys, subgroup_exponent
 from .poly import UniPoly, digit_width, pack, unpack
@@ -177,6 +176,7 @@ def _charpoly_mod(batch: np.ndarray, q: int) -> np.ndarray:
     on the leading blocks (1-based), p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im h_(i+1,i) ...
     h_(m,m-1) p_(i-1), whose sum starts after the last zero subdiagonal entry of the batch.
     """
+    import numpy as np
     h = batch % q
     b, n, _ = h.shape
     for c in range(n - 2):
@@ -220,6 +220,7 @@ def _charpoly_mod(batch: np.ndarray, q: int) -> np.ndarray:
 
 def _root_powers(q: int, p: int, j: int) -> np.ndarray:
     """g^0 .. g^(p^j - 1) mod q for an element g of exact order p^j in F_q^*; needs q = 1 mod p^j."""
+    import numpy as np
     order = p**j
     for x in range(2, q):
         g = pow(x, (q - 1) // order, q)
@@ -350,6 +351,7 @@ def _det_multimodular(k: int, terms, j: int, p: int, bound: int, degree: int) ->
     D = 0, det M(0) = (-1)^k c_0.  The Lagrange step on the roots is one product per prime, and one
     signed CRT lifts the coordinates.
     """
+    import numpy as np
     m, phi = p**j, euler_phi_prime_power(p, j)
     diagonal = _pass_diagonal(k, terms, m, degree)
     det_s, shift = math.prod(c for c, _ in diagonal), sum(e for _, e in diagonal)
@@ -359,7 +361,10 @@ def _det_multimodular(k: int, terms, j: int, p: int, bound: int, degree: int) ->
     # r, column (d - 1) k + c of W (c at D = 0), exp - e_r mod p^j: reduced before they meet int64
     cells = [(r, (d - lag) * k + c, (e - diagonal[r][1]) % m) for r, c, e, d, _ in terms]
     cells = np.array(cells, dtype=np.int64).reshape(-1, 3).T
-    coeffs = _int_array([t[4] for t in terms])
+    try:  # int64 where every coefficient fits, else object (Python ints)
+        coeffs = np.array([t[4] for t in terms], dtype=np.int64)
+    except OverflowError:
+        coeffs = np.array([t[4] for t in terms], dtype=object)
     units = np.array([u for u in range(m) if u % p or m == 1])  # the root g^u of row u
     power = cells[2] * units[:, None] % m  # per (root, term)
     where = (np.repeat(np.arange(phi), len(terms)), *np.tile(cells[:2], phi))  # (root, r, column)
@@ -393,6 +398,8 @@ def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
 
     Equal problems, the same object or a copy, are evaluated once, and a fresh
     copy of their result is returned at every position that repeats them.
+    A problem at p^j = 2 is an integer problem, as zeta_2 = -1: each term
+    becomes (r, c, 0, d, (-1)^exp coeff), at j = 0, before anything else.
     Each distinct problem takes its bound (B, D) once (`_row_bounds`).  Below
     the size switch (`_kronecker_wins`) it is one exact Bareiss elimination
     of M(x, u) at x = t^(D+1), u = t, t = 2^b, its digits folded mod
@@ -426,6 +433,8 @@ def det_cyclotomic_poly(problems, p: int) -> list[list[list[int]]]:
     position = [index.setdefault((k, tuple(terms), j), len(index)) for k, terms, j in problems]
     out = []
     for k, terms, j in index:
+        if p**j == 2:  # zeta_2 = -1: an integer problem, routed by the j = 0 rule
+            terms, j = [(r, c, 0, d, -a if e % 2 else a) for r, c, e, d, a in terms], 0
         bounds = _row_bounds(k, terms)
         if _kronecker_wins(k, j, p, *bounds) or _pass_diagonal(k, terms, p**j, bounds[1]) is None:
             coords, phi = _det_kronecker(k, terms, j, p, *bounds), euler_phi_prime_power(p, j)
@@ -488,7 +497,7 @@ def norm_groupring_poly(terms, m: int, subgroup_order: int) -> UniPoly:
     if not all(isinstance(t[2], (int, Fraction)) for t in terms):
         raise ValueError("group-ring norms need rational group-ring coefficients")
     p, n = factor_prime_power(m)
-    h = subgroup_exponent(m, subgroup_order)
+    h = subgroup_exponent(p, n, subgroup_order)
     k = p ** (n - h)
     c = math.lcm(*(Fraction(coeff).denominator for _, _, coeff in terms))
     degree = max((d for _, d, _ in terms), default=0)

@@ -13,6 +13,8 @@ share the operators `_RingOps` derives from their own `+`, unary `-` and `*`.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 __all__ = ["UniPoly", "digit_width", "pack", "unpack"]
 
 
@@ -83,15 +85,17 @@ class UniPoly(_RingOps):
         return not self.coeffs
 
     def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            return other
-        return UniPoly.constant(other)
+        if isinstance(other, (int, Fraction, _RingOps)):  # None for a foreign operand
+            return other if isinstance(other, UniPoly) else UniPoly.constant(other)
+        return None
 
     def _one(self) -> "UniPoly":
         return UniPoly.constant(1)
 
     def __add__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
         return UniPoly([self.coefficient(i) + o.coefficient(i) for i in range(n)])
 
@@ -100,6 +104,8 @@ class UniPoly(_RingOps):
 
     def __mul__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         if self.is_zero() or o.is_zero():
             return UniPoly()
         out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
@@ -113,6 +119,8 @@ class UniPoly(_RingOps):
 
     def __eq__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         if len(self.coeffs) != len(o.coeffs):
             return False
         return all(a == b for a, b in zip(self.coeffs, o.coeffs))

@@ -63,7 +63,7 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
     graph = lg.graph
     if not connected(graph):
         raise HypothesisError(f"level {n} disconnected")
-    h_exp = subgroup_exponent(p**n, subgroup_order)
+    h_exp = subgroup_exponent(p, n, subgroup_order)
     tables = character_tables(d, [n, n - h_exp] if h_exp else [n], (n,))
     table, quotient = tables[0], tables[-1]
 
@@ -135,7 +135,7 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
 def _subgroup_gamma_direct(d: TowerDatum, lg: LevelGraph, subgroup_order: int) -> tuple[int, ...]:
     # chi_phi for the subgroup action, from the H-orbits on the vertices of the level-n cover lg
     _, reps, stabilizers = subgroup_vertex_orbits(d, lg, subgroup_order)
-    h_exp = subgroup_exponent(d.p**lg.level, subgroup_order)
+    h_exp = subgroup_exponent(d.p, lg.level, subgroup_order)
     n_orbit_edges = lg.graph.n_edges // subgroup_order
     out = []
     for b in range(subgroup_order):

@@ -15,7 +15,6 @@ import numpy as np
 
 from graphzeta.cyclo import (
     Valuation,
-    _galois_index_pair,
     euler_phi_prime_power,
     ordp_fraction,
 )
@@ -24,7 +23,7 @@ from graphzeta.graphs import SerreGraph
 from graphzeta.groupring import CharacterLabel, GroupRingElem, characters, groupring_idempotent, norm_element
 from graphzeta.lfunctions import orbit_vertices
 from graphzeta.linalg import det_cyclotomic_poly
-from graphzeta.poly import UniPoly
+from graphzeta.poly import UniPoly, _RingOps
 from graphzeta.tower import TowerDatum
 
 # -- Q(zeta_{p^j}) with Fraction coordinates ------------------------------
@@ -71,8 +70,12 @@ def _int_product_mod_phi(p: int, j: int, a: list[int], b: list[int]) -> list[int
 
 
 @dataclass(eq=False)
-class CycloNum:
-    """Element of Q(zeta_{p^j}) in the power basis 1, zeta, ..., zeta^(phi-1)."""
+class CycloNum(_RingOps):
+    """Element of Q(zeta_{p^j}) in the power basis 1, zeta, ..., zeta^(phi-1).
+
+    A `_RingOps` element, so that `UniPoly` takes it as a coefficient; every operator it uses
+    is its own.
+    """
 
     p: int
     j: int
@@ -212,11 +215,11 @@ class CycloNum:
         )
 
     def galois(self, u: int) -> "CycloNum":
-        """Apply the automorphism zeta -> zeta^u (u a unit mod p^j)."""
-        (a,), (b,) = _galois_index_pair(self.p, self.j, [u])
-        c = self.coeffs + (Fraction(0),)
-        out = (c[x] - c[y] if c[y] else c[x] for x, y in zip(a.tolist(), b.tolist()))
-        return CycloNum(self.p, self.j, tuple(out))
+        """Apply the automorphism zeta -> zeta^u (u a unit mod p^j): zeta^i goes to zeta^(i u),
+        and `from_monomials` reduces the sum mod Phi_{p^j}."""
+        if self.j and u % self.p == 0:
+            raise ValueError("galois exponent must be a unit")
+        return CycloNum.from_monomials(self.p, self.j, ((i * u, c) for i, c in enumerate(self.coeffs) if c))
 
     def norm(self) -> Fraction:
         """Field norm down to Q: the product of the phi(p^j) Galois conjugates sigma_u(x).

@@ -45,6 +45,45 @@ def _run_subprocess(argv) -> subprocess.CompletedProcess:
     )
 
 
+_NUMPY_GUARD = """
+import contextlib, io, random, sys
+from graphzeta import cli
+from graphzeta.linalg import det_bareiss_int, det_int
+
+for argv in JOBS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--json"]) in (0, 3), argv  # 3: invariants not certified at that depth
+assert "numpy" not in sys.modules, "a job loaded numpy"
+rng = random.Random(5)
+m = [[rng.randint(-50, 50) for _ in range(30)] for _ in range(30)]  # above the Bareiss size
+assert det_int(m) == det_bareiss_int(m) != 0
+assert "numpy" in sys.modules, "the multimodular pass ran without numpy"
+"""
+
+
+def test_cli_jobs_leave_numpy_unloaded_until_a_multimodular_pass():
+    # every command on both fixtures at the levels of the benchmark's cover sweep and character
+    # battery, in one fresh process: numpy is imported by the multimodular pass alone, which
+    # none of them reaches; a 30-row integer determinant then does, and equals Bareiss
+    levels = {
+        "double_edge": [("tower", 6), ("tower", 8), ("invariants", 6), ("invariants", 8), ("zeta", 3), ("zeta", 5)]
+        + [("lfunctions", 4), ("lfunctions", 7), ("verify", 3), ("verify", 4)],
+        "triple_star": [("tower", 3), ("tower", 5), ("invariants", 4), ("invariants", 5), ("zeta", 2), ("zeta", 3)]
+        + [("lfunctions", 2), ("lfunctions", 4), ("verify", 1), ("verify", 2)],
+    }
+    jobs = [
+        [cmd, str(FIXTURES / f"{name}.json"), "--max-level" if cmd in ("tower", "invariants") else "--level", str(n)]
+        for name, runs in levels.items()
+        for cmd, n in runs
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"JOBS = {jobs!r}" + _NUMPY_GUARD], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_load_and_roundtrip(tmp_path):
     d = load_datum(DATUM)
     assert d.p == 2

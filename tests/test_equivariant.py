@@ -361,10 +361,21 @@ def _eta_by_both_routes(d, n, order):
 def test_fixture_eta_above_the_switch_takes_the_pass_and_equals_the_kronecker_route():
     # the orbit problems above the size switch at j >= 1: 10 rows at j = 1 (double_edge level 4,
     # H of order 2), 10 at j = 1 and 2 (level 5, order 4), 12 at j = 1 and 6 at j = 2 (triple_star
-    # level 3, orders 3 and 9)
+    # level 3, orders 3 and 9).  At p^j = 2 a problem is an integer one (zeta_2 = -1): the 10-row
+    # j = 1 problems of double_edge fold to j = 0 and take the Kronecker route, 10 rows being
+    # below the j = 0 switch of 28
     double_edge, triple_star = (load_datum(FIXTURES / f"{name}.json") for name in ("double_edge", "triple_star"))
-    assert _eta_by_both_routes(double_edge, 4, 2) == [1]
-    assert _eta_by_both_routes(double_edge, 5, 4) == [1, 2]
+    kronecker, calls = linalg._det_kronecker, []
+
+    def recorder(k, terms, j, *rest):
+        calls.append((k, j))
+        return kronecker(k, terms, j, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_det_kronecker", recorder)
+        assert _eta_by_both_routes(double_edge, 4, 2) == []
+    assert (10, 0) in calls and (10, 1) not in calls
+    assert _eta_by_both_routes(double_edge, 5, 4) == [2]
     assert _eta_by_both_routes(triple_star, 3, 3) == [1]
     assert _eta_by_both_routes(triple_star, 3, 9) == [2]
 

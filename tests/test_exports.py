@@ -59,7 +59,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # table's orbit norms (CharacterTable.level_h), so level_h_poly and the
 # norm kernel det_norm_cyclotomic are gone; the primes of a pass are
 # searched afresh per call, so the prime cache is gone; UniPoly compares
-# its coefficients with 0 inline.
+# its coefficients with 0 inline.  Galois conjugates are gathers of Python
+# lists and only the multimodular pass uses numpy, so the numpy index pair
+# and the int64-or-object array helper are gone.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -133,6 +135,8 @@ REMOVED = [
     ("lfunctions", "level_h_poly"),
     ("linalg", "_PRIME_SUPPLY"),
     ("poly", "_is_zero"),
+    ("cyclo", "_galois_index_pair"),
+    ("cyclo", "_int_array"),
 ]
 
 

@@ -221,9 +221,8 @@ def test_level_zeta_double_edge_level5():
 
 def test_path_counts_past_int64():
     # one vertex with r = 20 loops: 40 darts, bound 40 * 39^12 > 2^63 (N_12,
-    # about 39^12, is past it too), so the powers are taken in Python
-    # integers; N_k counts the cyclically reduced words of length k in a free
-    # group of rank r
+    # about 39^12, is past it too); N_k counts the cyclically reduced words of
+    # length k in a free group of rank r
     r = 20
     bouquet = SerreGraph.from_edges(["v"], [("v", "v")] * r)
     counts = reduced_closed_path_counts(bouquet, 12)
@@ -237,7 +236,7 @@ def test_path_counts_past_int64():
 @given(st.integers(0, 2**32), st.integers(0, 22), st.integers(1, 12))
 def test_sparse_path_counts_match_dense_matrix_powers(seed, loops, k_max):
     # any multigraph, connected or not, dartless included; enough loops at vertex 0
-    # push the bound n_darts * (max deg - 1)^k_max past 2^63, onto Python integers
+    # push the bound n_darts * (max deg - 1)^k_max past 2^63
     rng = random.Random(seed)
     n = rng.randint(1, 5)
     edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 7))]
@@ -245,10 +244,34 @@ def test_sparse_path_counts_match_dense_matrix_powers(seed, loops, k_max):
     assert reduced_closed_path_counts(g, k_max) == path_counts_by_matrix_powers(g, k_max)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32), st.integers(1, 14))
+def test_packed_path_counts_match_matrix_powers(seed, k_max):
+    # columns of B^k packed one per integer, against dense powers, on random connected
+    # multigraphs with loops and multi-edges
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, 6, 9)
+    loops = [(rng.randrange(g.n_vertices),) * 2 for _ in range(rng.randint(0, 4))]
+    g = SerreGraph.from_edges(g.vertices, list(zip(g.dart_origin[::2], g.dart_terminus[::2])) + loops)
+    assert reduced_closed_path_counts(g, k_max) == path_counts_by_matrix_powers(g, k_max)
+
+
+def test_packed_path_counts_at_the_slot_width_extremes():
+    # the slot width is the bits of (max deg - 1)^k_max: past 63 bits on a bouquet of 12 loops
+    # (n_darts * 23^14 >= 2^63), one bit on a cycle (max deg - 1 = 1) and on one edge (0)
+    bouquet = SerreGraph.from_edges(["v"], [("v", "v")] * 12)
+    cycle = SerreGraph.from_edges(range(5), [(v, (v + 1) % 5) for v in range(5)])
+    edge = SerreGraph.from_edges(range(2), [(0, 1)])
+    assert bouquet.n_darts * 23**14 >= 2**63
+    for g, k_max in ((bouquet, 14), (cycle, 11), (edge, 5)):
+        assert reduced_closed_path_counts(g, k_max) == path_counts_by_matrix_powers(g, k_max)
+    assert reduced_closed_path_counts(cycle, 10) == [0, 0, 0, 0, 10, 0, 0, 0, 0, 10]
+
+
 def test_sparse_path_counts_on_both_integer_routes():
     for g in (SerreGraph((), (), (), ()), SerreGraph(("v",), (), (), ())):
         assert reduced_closed_path_counts(g, 12) == [0] * 12
-    bouquet = SerreGraph.from_edges(["v"], [("v", "v")] * 20)  # 40 * 39^12 > 2^63: Python integers
+    bouquet = SerreGraph.from_edges(["v"], [("v", "v")] * 20)  # 40 * 39^12 > 2^63
     star = SerreGraph.from_edges(range(4), [(0, 1), (0, 2), (0, 3), (1, 1), (2, 3), (3, 3)])
     assert bouquet.n_darts * 39**12 >= 2**63 > star.n_darts * 4**12
     for g in (bouquet, star, _double_edge_cover(3)):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -242,7 +243,7 @@ def test_apply_character_matches_power_oracle():
                 assert _value(rational, psi).j == j and _value(cyclo, psi).j == max(j, c_level)
                 scale = 6  # clears the denominators 1..3
                 row = [int(c * scale) for c in _value(rational, reps[j]).coeffs]
-                assert galois_conjugates(p, j, [row], [u])[0][0].tolist() == [
+                assert next(galois_conjugates(p, j, [row], [u]))[0] == [
                     c * scale for c in _value(rational, psi).coeffs
                 ]
                 if j:
@@ -268,11 +269,23 @@ def test_from_character_values_accepts_values_above_level_n():
 
 
 def test_subgroup_exponent():
-    for m, d, h in [(8, 1, 0), (8, 2, 1), (8, 8, 3), (27, 9, 2), (1, 1, 0)]:
-        assert subgroup_exponent(m, d) == h
-    for m, d in [(8, 0), (8, -2), (8, 16), (9, 2), (8, 3)]:
-        with pytest.raises(ValueError):
-            subgroup_exponent(m, d)
+    for p, n, d, h in [(2, 3, 1, 0), (2, 3, 2, 1), (2, 3, 8, 3), (3, 3, 9, 2), (2, 0, 1, 0)]:
+        assert subgroup_exponent(p, n, d) == h
+    for p, n, d in [(2, 3, 0), (2, 3, -2), (2, 3, 16), (3, 2, 2), (2, 3, 3)]:
+        with pytest.raises(ValueError, match=f"no subgroup of order {d} in Z/{p**n}Z"):
+            subgroup_exponent(p, n, d)
+
+
+def test_subgroup_exponent_of_a_large_prime_takes_no_trial_division():
+    # p = 2^61 - 1: trial division up to sqrt(d) would take minutes
+    p = 2**61 - 1
+    start = time.perf_counter()
+    for d, h in [(1, 0), (p, 1), (p**2, 2)]:
+        assert subgroup_exponent(p, 2, d) == h
+    for d in (p**3, 2 * p, p + 2, p**2 - 1):
+        with pytest.raises(ValueError, match="no subgroup"):
+            subgroup_exponent(p, 2, d)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_quotient_and_restriction():

@@ -486,7 +486,8 @@ def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
     # Kronecker-substituted matrix, with no characteristic polynomial; above it, a general
     # polynomial matrix takes that elimination too, and a three-term matrix S + A u + B u^2,
     # S diagonal, one batch of phi characteristic polynomials per prime and no elimination.
-    # All three routes occur at j >= 1.
+    # All three routes occur at j >= 1.  At p^j = 2 the problem is an integer one (zeta_2 = -1)
+    # and takes the j = 0 rule.
     batches, eliminations, routes = [], [], set()
     original, bareiss = linalg._charpoly_mod, linalg.det_bareiss_int
 
@@ -522,12 +523,13 @@ def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
                 eliminations.clear()
                 det = det_cyclotomic_poly([(n, terms, j)], p)[0]
                 monkeypatch.undo()
-                kronecker = linalg._kronecker_wins(n, j, p, *linalg._row_bounds(n, terms))
+                folded = 0 if p**j == 2 else j
+                kronecker = linalg._kronecker_wins(n, folded, p, *linalg._row_bounds(n, terms))
                 if kronecker or not bass:
                     assert batches == [] and eliminations == [n]
                 else:
                     assert batches and batches == [phi] * len(batches) and eliminations == []
-                routes.add((j > 0, kronecker, bool(batches)))
+                routes.add((folded > 0, kronecker, bool(batches)))
                 assert all(not any(x[1:]) for x in det) and UniPoly(x[0] for x in det) == want
                 assert want == det_cofactor(matrix)
             assert _det_poly_int(m)(s) == 0
@@ -535,6 +537,49 @@ def test_rational_cyclo_matrix_takes_the_integer_kernel(monkeypatch):
                 m[r] = [0] * n
                 assert _det_cyclo(m, p, j) == UniPoly()
     assert routes == {(False, True, False), (True, True, False), (True, False, False), (True, False, True)}
+
+
+_FOLD_EXPONENTS = st.integers(-8, 8) | st.integers(2**63 - 3, 2**63 + 3) | st.integers(-(2**64) - 3, -(2**64) + 3)
+
+
+@st.composite
+def _order_two_problem(draw):
+    # (k, terms) at p^j = 2, exponents of both signs and parities, some past 2^63: up to 8 rows of
+    # any shape, or 29-30 rows of the Bass form with few u-terms, which the j = 0 rule sends to
+    # the multimodular pass
+    def term(r, c, d):
+        return (r, c, draw(_FOLD_EXPONENTS), d, draw(st.integers(-9, 9)))
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 8))
+        cells = st.tuples(st.integers(0, max(k - 1, 0)), st.integers(0, max(k - 1, 0)), st.integers(0, 2))
+        return k, [term(*cell) for cell in draw(st.lists(cells, max_size=3 * k))] if k else []
+    k = draw(st.integers(29, 30))
+    diagonal = [(r, r, draw(_FOLD_EXPONENTS), 0, draw(st.sampled_from([-3, -1, 1, 2]))) for r in range(k)]
+    cells = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(1, 2))
+    return k, diagonal + [term(*cell) for cell in draw(st.lists(cells, min_size=1, max_size=6))]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_order_two_problem())
+def test_order_two_problems_fold_to_integer_problems(problem):
+    # zeta_2 = -1: det_cyclotomic_poly takes a p^j = 2 problem as the integer problem of the
+    # terms (r, c, 0, d, (-1)^exp coeff), routed by the j = 0 rule, and equals the Kronecker route
+    # on the unfolded terms at j = 1
+    k, terms = problem
+    passes = []
+    multimodular = linalg._det_multimodular
+
+    def recorder(k, terms, j, p, *bounds):
+        passes.append(j)
+        return multimodular(k, terms, j, p, *bounds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_det_multimodular", recorder)
+        got = det_cyclotomic_poly([(k, terms, 1)], 2)[0]
+    want = linalg._det_kronecker(k, terms, 1, 2, *linalg._row_bounds(k, terms))
+    assert got == [[x] for x in want]
+    assert passes == ([0] if k > 28 else [])
 
 
 def test_det_groupring_orbits_over_z9_and_cyclotomic_refusal():

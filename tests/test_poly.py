@@ -134,11 +134,13 @@ def test_shared_ring_operators(pair, k, q, e):
     assert x**e == product
     with pytest.raises(ValueError):
         x ** -1
-    for operation in (lambda: x - "u", lambda: "u" - x, lambda: x + "u", lambda: "u" + x):
+    # a foreign operand is refused on either side, by zero and nonzero elements alike
+    for z in (x, 0 * x):
+        for operation in (lambda: z - "u", lambda: "u" - z, lambda: z + "u", lambda: "u" + z):
+            with pytest.raises(TypeError):
+                operation()
         with pytest.raises(TypeError):
-            operation()
-    if x:  # the zero polynomial times anything is zero
+            z * "u"
         with pytest.raises(TypeError):
-            x * "u"
-        with pytest.raises(TypeError):
-            "u" * x
+            "u" * z
+        assert z != "u" and "u" != z
