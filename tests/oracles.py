@@ -215,11 +215,10 @@ class CycloNum(_RingOps):
         )
 
     def galois(self, u: int) -> "CycloNum":
-        """Apply the automorphism zeta -> zeta^u (u a unit mod p^j): zeta^i goes to zeta^(i u),
-        and `from_monomials` reduces the sum mod Phi_{p^j}."""
+        """Apply the automorphism zeta -> zeta^u (u a unit mod p^j) by `galois_by_monomials`."""
         if self.j and u % self.p == 0:
             raise ValueError("galois exponent must be a unit")
-        return CycloNum.from_monomials(self.p, self.j, ((i * u, c) for i, c in enumerate(self.coeffs) if c))
+        return galois_by_monomials(self, u)
 
     def norm(self) -> Fraction:
         """Field norm down to Q: the product of the phi(p^j) Galois conjugates sigma_u(x).
