@@ -57,7 +57,10 @@ def parse_datum(doc: dict, source: str = "<datum>") -> TowerDatum:
         if key not in doc:
             fail(f'missing member "{key}"')
     prime = doc["prime"]
-    # bool is a subclass of int; `type(x) is int` keeps JSON true and false out of the integers
+    # bool is a subclass of int; `type(x) is int` keeps JSON true and false out of the integers.
+    # The bound comes first: Miller-Rabin on a number of thousands of digits takes seconds.
+    if type(prime) is int and prime >= 2**64:
+        fail("prime must be below 2^64")
     if type(prime) is not int or not is_probable_prime(prime):
         fail(f"prime must be a prime integer, got {prime!r}")
     vertices = doc["vertices"]

@@ -16,6 +16,8 @@ The check reports both sides.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,7 +127,10 @@ def subgroup_vertex_orbits(d: TowerDatum, lg: LevelGraph, subgroup_order: int):
     act(vi, t) is the vertex that t * p^(n-h) in H sends the vertex vi to;
     reps holds the least vertex of each H-orbit, in vertex order, and
     stabilizers[i] the order of the stabilizer of reps[i] in H.  ValueError
-    for an order that does not divide p^n.
+    for an order that does not divide p^n.  With f_v the fiber size of v and
+    g_v = gcd(p^(n-h), f_v), the orbit of (v, r) is r + g_v Z mod f_v: its
+    least vertex is the one with r < g_v, and its stabilizer has order
+    |H| g_v / f_v.
     """
     n = lg.level
     subgroup_exponent(d.p, n, subgroup_order)
@@ -137,13 +142,11 @@ def subgroup_vertex_orbits(d: TowerDatum, lg: LevelGraph, subgroup_order: int):
         base = lg.vertex_base[vi]
         return offsets[base] + (lg.vertex_rep[vi] + t * step) % fibers[base]
 
-    reps, stabilizers, seen = [], [], set()
-    for vi in range(lg.graph.n_vertices):
-        if vi not in seen:
-            orbit = {act(vi, t) for t in range(subgroup_order)}
-            seen |= orbit
-            reps.append(vi)
-            stabilizers.append(subgroup_order // len(orbit))
+    reps, stabilizers = [], []
+    for offset, fiber in zip(offsets, fibers):
+        g = math.gcd(step, fiber)
+        reps += range(offset, offset + g)
+        stabilizers += [subgroup_order * g // fiber] * g
     return act, reps, stabilizers
 
 
@@ -158,20 +161,17 @@ def eta_for_subgroup_action(d: TowerDatum, lg: LevelGraph, subgroup_order: int) 
     act, reps, stab_orders = subgroup_vertex_orbits(d, lg, subgroup_order)
     h_ord = subgroup_order
 
-    # a[w][v] = number of darts from v to w, for the orbit bookkeeping below.
-    darts_into: dict[tuple[int, int], int] = {}
-    for e in range(graph.n_darts):
-        key = (graph.dart_terminus[e], graph.dart_origin[e])
-        darts_into[key] = darts_into.get(key, 0) + 1
+    # a[w][v] = number of darts from v to w, for the orbit bookkeeping below, and the degrees
+    darts_into = Counter(zip(graph.dart_terminus, graph.dart_origin))
+    degree = Counter(graph.dart_origin)
 
-    # terms (r, c, s, d, coeff) of I - A u + Q u^2 over Q[H]: Q[i][i] = (val - 1) e_i with
+    # terms (r, c, s, d, coeff) of I - A u + Q u^2 over Q[H]: Q[i][i] = (deg w_i - 1) e_i with
     # e_i the idempotent of the stabilizer of w_i
     terms = []
     for i, w_i in enumerate(reps):
         stab = stab_orders[i]
-        val = sum(1 for e in range(graph.n_darts) if graph.dart_origin[e] == w_i)
         terms.append((i, i, 0, 0, 1))
-        terms += [(i, i, s, 2, Fraction(val - 1, stab)) for s in subgroup_elements(h_ord, stab)]
+        terms += [(i, i, s, 2, Fraction(degree[w_i] - 1, stab)) for s in subgroup_elements(h_ord, stab)]
         for j, w_j in enumerate(reps):
             for t in range(h_ord):
                 count = darts_into.get((w_i, act(w_j, t)), 0)

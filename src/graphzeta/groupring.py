@@ -26,6 +26,7 @@ __all__ = [
     "from_character_values",
     "groupring_idempotent",
     "norm_element",
+    "orbit_representatives",
     "subgroup_elements",
     "subgroup_exponent",
 ]
@@ -228,28 +229,28 @@ class CharacterLabel:
             raise ValueError("requested level below the character's order level")
         return self.a * self.p**level // self.p**self.n
 
-    def kernel_contains(self, subgroup_order: int) -> bool:
-        """Does ker(psi) contain the unique subgroup of that order?"""
-        m = self.p**self.n
-        subgroup_exponent(self.p, self.n, subgroup_order)
-        return (self.a * (m // subgroup_order)) % m == 0
-
 
 def characters(p: int, n: int) -> list[CharacterLabel]:
     """All p^n characters of Z/p^n Z, by exponent."""
     return [CharacterLabel(p, n, a) for a in range(p**n)]
 
 
-def character_orbits(p: int, n: int) -> tuple[list[CharacterLabel], list[tuple[int, int]]]:
-    """Galois orbits of the characters of Z/p^n Z.
+def orbit_representatives(p: int, n: int) -> list[CharacterLabel]:
+    """The representatives psi_{p^(n-j)} of the Galois orbits of characters of Z/p^n Z, j = 0..n.
 
     The characters of order p^j form one orbit under Gal(Q(zeta_{p^j})/Q):
     psi_a = sigma_u o psi_{p^(n-j)} with u = a / p^(n-j), where sigma_u sends
-    zeta_{p^j} to zeta_{p^j}^u.  Returns the representatives psi_{p^(n-j)}
-    (index j = 0..n, order p^j) and, for each exponent a = 0..p^n - 1, the
-    pair (j, u); the trivial character is (0, 1).
+    zeta_{p^j} to zeta_{p^j}^u.  The representative of order p^j sends x to
+    zeta_{p^j}^x (exponent 1 at its level), the trivial one (j = 0) x to 1.
     """
-    reps = [CharacterLabel(p, n, p ** (n - j)) for j in range(n + 1)]
+    return [CharacterLabel(p, n, p ** (n - j)) for j in range(n + 1)]
+
+
+def character_orbits(p: int, n: int) -> tuple[list[CharacterLabel], list[tuple[int, int]]]:
+    """Galois orbits of the characters of Z/p^n Z: the `orbit_representatives` and, for each
+    exponent a = 0..p^n - 1, the pair (j, u) with psi_a = sigma_u o psi_{p^(n-j)}; the
+    trivial character is (0, 1)."""
+    reps = orbit_representatives(p, n)
     orbits = []
     for psi in characters(p, n):
         j = psi.order_exponent
@@ -262,7 +263,7 @@ def from_character_values(p: int, n: int, values) -> GroupRingElem:
 
     values[j], j = 0..n, holds the phi(p^j) rational coordinates, in the power
     basis 1, zeta_{p^j}, ..., of psi_{p^(n-j)}(x), the value at the
-    representative of the characters of order p^j (`character_orbits`); a
+    representative of the characters of order p^j (`orbit_representatives`); a
     wrong number of orbits or of coordinates raises ValueError.  The orbit's
     other characters take its conjugates, so
     [t] = p^(-n) sum_j Tr(zeta_{p^j}^(-t) values[j]), the trace of zeta_{p^j}^k

@@ -20,7 +20,10 @@ p^j, the norm from Q(zeta_{p^j}) to Q of any one of them.  h'(1, psi_0) is
 a base-size integer determinant (`lfunctions.trivial_h_derivative_at_one`),
 and N_j = Ntilde_j * (prod over v in K_j of |H_v(n)|)^phi(p^j), where K_j
 holds the unramified vertices and those with k_v >= j, and Ntilde_j, the
-norm of det(D - A_zeta) on K_j, does not depend on n.  One
+norm of det(D - A_zeta) on K_j, does not depend on n.  The stabilizer
+product is the power p^e_j, e_j = phi(p^j) * sum over v with j <= k_v < n
+of (n - k_v) (`lfunctions.orbit_level_exponent`), so the sweep multiplies
+by one power of p per level and adds its exponent to ord_p.  One
 `lfunctions.orbit_norms` call gives every Ntilde_j of the sweep: one
 integer polynomial det(D - A_x) per distinct K_j, and its norms at every
 zeta_{p^j} by Graeffe root-powering (`cyclo.cyclotomic_norms`), with no
@@ -39,7 +42,7 @@ from .cyclo import _ord_int, euler_phi_prime_power
 from .errors import CertificationError, DatumError, HypothesisError
 from .graphs import euler_characteristic, spanning_tree_count
 from .lfunctions import (
-    orbit_level_factor,
+    orbit_level_exponent,
     orbit_norms,
     trivial_h_derivative_at_one,
     voltage_laplacian_det,
@@ -207,14 +210,14 @@ def tower_sweep(d: TowerDatum, n_max: int) -> list[TowerRow]:
         else:
             if norms is None:
                 norms = orbit_norms(d, n_max)
-            product = derivative = trivial_h_derivative_at_one(d, n)
+            derivative = trivial_h_derivative_at_one(d, n)
+            stabilizers = sum(orbit_level_exponent(d, n, j) for j in range(1, n + 1))
+            product = derivative * p**stabilizers
             for j in range(1, n + 1):
-                product *= norms[j] * orbit_level_factor(d, n, j)
+                product *= norms[j]
             kappa = hashimoto_kappa(product, chi, n)  # so no factor is 0
             e += [_ord_int(norms[j], p) for j in range(len(e), n + 1)]
-            ordp = _ord_int(derivative, p) - _ord_int(2 * chi, p) + sum(e[: n + 1])
-            for j in range(1, n + 1):  # ord_p orbit_level_factor(d, n, j): v in K_j has k_v >= j
-                ordp += euler_phi_prime_power(p, j) * sum(n - k for k in d.ram if k is not None and j <= k < n)
+            ordp = _ord_int(derivative, p) - _ord_int(2 * chi, p) + sum(e[: n + 1]) + stabilizers
         rows.append(TowerRow(n, n_vertices, n_edges, chi, kappa, ordp))
     return rows
 

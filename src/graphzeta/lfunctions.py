@@ -41,12 +41,7 @@ from .cyclo import (
 )
 from .errors import HypothesisError
 from .graphs import SerreGraph, adjacency_and_degree, euler_characteristic, ihara_zeta_reciprocal
-from .groupring import (
-    CharacterLabel,
-    character_orbits,
-    characters,
-    from_character_polys,
-)
+from .groupring import CharacterLabel, characters, from_character_polys, orbit_representatives
 from .poly import UniPoly
 from .tower import TowerDatum, tower_euler_char
 
@@ -56,7 +51,7 @@ __all__ = [
     "character_table",
     "character_tables",
     "characters",
-    "orbit_level_factor",
+    "orbit_level_exponent",
     "orbit_norms",
     "orbit_special_products",
     "orbit_vertices",
@@ -75,19 +70,19 @@ def r0(d: TowerDatum, n: int, psi: CharacterLabel) -> int:
     return d.base.n_vertices - len(orbit_vertices(d, psi.order_exponent))
 
 
-def _three_term_terms(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int]) -> list:
-    """I - psi(A_alpha C) u + (psi(D C) - I) u^2 on kept vertices, as integer terms.
+def _three_term_terms(d: TowerDatum, n: int, j: int, kept: list[int]) -> list:
+    """I - psi(A_alpha C) u + (psi(D C) - I) u^2 on kept vertices, as integer terms, for the
+    representative psi = psi_{p^(n-j)} of the characters of order p^j (`orbit_representatives`).
 
-    psi sends the group element x to zeta_{p^j}^(e x) (e its exponent at its
-    own level j) and the stabilizer sum C[v] = N_{H_v} to |H_v| when ker(psi)
-    contains H_v, that is for v in K_j (`orbit_vertices`), else to 0;
-    A_alpha[i][k] sums the voltages of the base darts from v_k to v_i.  The
-    terms (r, c, exp, d, coeff) are those of `linalg.det_cyclotomic_poly`.
+    psi sends the group element x to zeta_{p^j}^x (to 1 at j = 0) and the
+    stabilizer sum C[v] = N_{H_v} to |H_v| when ker(psi) contains H_v, that
+    is for v in K_j (`orbit_vertices`), else to 0; A_alpha[i][k] sums the
+    voltages of the base darts from v_k to v_i.  The terms (r, c, exp, d,
+    coeff) are those of `linalg.det_cyclotomic_poly`.
     """
     base = d.base
-    step = psi.exponent_at(psi.order_exponent)
     pos = {v: r for r, v in enumerate(kept)}
-    k_j = set(orbit_vertices(d, psi.order_exponent))
+    k_j = set(orbit_vertices(d, j))
     c = [d.stabilizer_order(v, n) if v in k_j else 0 for v in kept]
     deg = [0] * base.n_vertices
     terms = []
@@ -95,23 +90,23 @@ def _three_term_terms(d: TowerDatum, n: int, psi: CharacterLabel, kept: list[int
         o, t = base.dart_origin[e], base.dart_terminus[e]
         deg[o] += 1
         if o in pos and t in pos:
-            terms.append((pos[t], pos[o], step * d.voltage[e], 1, -c[pos[o]]))
+            terms.append((pos[t], pos[o], d.voltage[e] if j else 0, 1, -c[pos[o]]))
     for r, v in enumerate(kept):
         terms += [(r, r, 0, 0, 1), (r, r, 0, 2, c[r] * deg[v] - 1)]
     return terms
 
 
 def _three_term_dets(d: TowerDatum, asks: list) -> list:
-    # for each (n, chars, reduced) of asks, the coordinate rows of h (reduced: on K_j) or z of its
-    # characters, each up to its last nonzero row as UniPoly keeps it: one kernel call, which takes a
-    # problem that several asks share once
+    # for each (n, reduced) of asks, the coordinate rows of h (reduced: on K_j) or z of the level's
+    # n + 1 orbit representatives, each up to its last nonzero row as UniPoly keeps it: one kernel
+    # call, which takes a problem that several asks share once
     problems = []
-    for n, chars, reduced in asks:
-        for psi in chars:
-            kept = orbit_vertices(d, psi.order_exponent) if reduced else list(range(d.base.n_vertices))
-            problems.append((len(kept), _three_term_terms(d, n, psi, kept), psi.order_exponent))
+    for n, reduced in asks:
+        for j in range(n + 1):
+            kept = orbit_vertices(d, j) if reduced else list(range(d.base.n_vertices))
+            problems.append((len(kept), _three_term_terms(d, n, j, kept), j))
     dets = iter(linalg.det_cyclotomic_poly(problems, d.p))
-    out = [[next(dets) for _ in chars] for _, chars, _ in asks]
+    out = [[next(dets) for _ in range(n + 1)] for n, _ in asks]
     for rows in itertools.chain.from_iterable(out):
         while rows and not any(rows[-1]):
             rows.pop()
@@ -136,7 +131,7 @@ class CharacterTable:
     One three-term determinant per Galois orbit: h (and, on first use, z)
     of the representatives psi_{p^(n-j)}, j = 0..n, all from one kernel call,
     kept as integer coordinate rows.  Any other character psi = sigma_u o
-    psi_{p^(n-j)} (`groupring.character_orbits`) has sigma_u of the
+    psi_{p^(n-j)} (`groupring.orbit_representatives`) has sigma_u of the
     representative's three-term matrix as its own, so its h and h(1, psi)
     are the representative's with sigma_u applied, which `orbit_rows` does
     for a whole orbit (`cyclo.galois_conjugates`).  Build it with
@@ -154,7 +149,7 @@ class CharacterTable:
     def z(self, j: int) -> list[list[int]]:
         """The coordinate rows of z(u, psi) at the representative of order p^j."""
         if self.rep_z is None:
-            self.rep_z = _three_term_dets(self.datum, [(self.level, self.representatives, False)])[0]
+            self.rep_z = _three_term_dets(self.datum, [(self.level, False)])[0]
         return self.rep_z[j]
 
     def rep_h_at_one(self, j: int) -> list[int]:
@@ -200,9 +195,8 @@ def character_tables(d: TowerDatum, levels: list[int], z_levels: tuple[int, ...]
     A determinant that two tables share is taken once: z(psi_j) is h(psi_j) where K_j holds every
     vertex, and the h of a lower level is the level's where no stabilizer of K_j changes.
     """
-    reps = {n: character_orbits(d.p, n)[0] for n in levels}
-    dets = _three_term_dets(d, [(n, reps[n], True) for n in levels] + [(n, reps[n], False) for n in z_levels])
-    tables = [CharacterTable(d, n, reps[n], h) for n, h in zip(levels, dets)]
+    dets = _three_term_dets(d, [(n, True) for n in levels] + [(n, False) for n in z_levels])
+    tables = [CharacterTable(d, n, orbit_representatives(d.p, n), h) for n, h in zip(levels, dets)]
     for n, z in zip(z_levels, dets[len(levels) :]):
         tables[levels.index(n)].rep_z = z
     return tables
@@ -315,26 +309,30 @@ def orbit_norms(d: TowerDatum, n: int) -> dict[int, int]:
     return norms
 
 
-def orbit_level_factor(d: TowerDatum, n: int, j: int) -> int:
-    """(prod over v in K_j of |H_v(n)|)^phi(p^j): psi(C) on K_j, over the orbit of order p^j."""
-    stabilizers = math.prod(d.stabilizer_order(v, n) for v in orbit_vertices(d, j))
-    return stabilizers ** euler_phi_prime_power(d.p, j)
+def orbit_level_exponent(d: TowerDatum, n: int, j: int) -> int:
+    """phi(p^j) * sum over v with j <= k_v < n of (n - k_v): the power of p that psi(C) on K_j,
+    diag |H_v(n)|, gives the product over the orbit of order p^j.
+
+    On K_j (`orbit_vertices`) |H_v(n)| = p^(n - k_v) where k_v < n, and 1 where
+    k_v >= n or v is unramified.
+    """
+    return euler_phi_prime_power(d.p, j) * sum(n - k for k in d.ram if k is not None and j <= k < n)
 
 
 def orbit_special_products(d: TowerDatum, n: int) -> dict[int, int]:
     """For each j = 1..n: N_j, the product of h(1, psi) over the characters of order p^j.
 
     At u = 1 the three-term matrix on K_j is (D - A_psi) psi(C), and psi(C)
-    is diag |H_v(n)| there, so N_j = Ntilde_j * orbit_level_factor(d, n, j) (`orbit_norms`).
+    is diag |H_v(n)| there, so N_j = Ntilde_j * p^orbit_level_exponent(d, n, j) (`orbit_norms`).
     """
-    return {j: norm * orbit_level_factor(d, n, j) for j, norm in orbit_norms(d, n).items()}
+    return {j: norm * d.p ** orbit_level_exponent(d, n, j) for j, norm in orbit_norms(d, n).items()}
 
 
 def ordp_orbit_product(d: TowerDatum, n: int, j: int) -> Valuation:
     """Valuation of the order-p^j block product of special values; ValueError unless 1 <= j <= n."""
     if not 1 <= j <= n:
         raise ValueError(f"orbit exponent j = {j} outside 1..{n}")
-    return ordp_fraction(orbit_norms(d, j)[j] * orbit_level_factor(d, n, j), d.p)
+    return ordp_fraction(orbit_norms(d, j)[j] * d.p ** orbit_level_exponent(d, n, j), d.p)
 
 
 def trivial_h_derivative_at_one(d: TowerDatum, n: int) -> int:

@@ -106,8 +106,6 @@ class UniPoly(_RingOps):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return UniPoly()
         out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -121,9 +119,7 @@ class UniPoly(_RingOps):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(self.coeffs) != len(o.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, o.coeffs))
+        return self.coeffs == o.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -145,8 +141,6 @@ class UniPoly(_RingOps):
 
     def shift(self, k: int) -> "UniPoly":
         """Multiply by u^k."""
-        if self.is_zero():
-            return self
         return UniPoly([0] * k + list(self.coeffs))
 
     def divide_by_u(self, k: int = 1) -> "UniPoly":

@@ -10,7 +10,9 @@ base vertex and dart fiber Z/p^n Z over each base dart; the dart (s, sigma)
 runs from (o(s), sigma) to (t(s), sigma + voltage(s)), cosets taken on both
 ends, and its inverse is (sbar, sigma + voltage(s)).  Vertex and dart
 orderings are lexicographic (base index, then representative), so matrix
-output and golden files are stable.
+output and golden files are stable: the vertex (v, r) is at index r plus
+the fiber sizes of the base vertices before v, and the dart (s, sigma) at
+index s p^n + sigma.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "build_level_graph",
     "level_connected",
     "level_shape",
-    "quotient_level_graph",
     "ramification_profile",
     "tower_euler_char",
 ]
@@ -49,7 +50,7 @@ class TowerDatum:
     def __post_init__(self):
         validate_graph(self.base)
         if self.p >= 2**64:
-            raise DatumError(f"prime must be below 2^64, got {self.p}")
+            raise DatumError("prime must be below 2^64")
         if not linalg.is_probable_prime(self.p):
             raise DatumError(f"{self.p} is not prime")
         if len(self.voltage) != self.base.n_darts:
@@ -103,8 +104,6 @@ class LevelGraph:
     level: int
     vertex_base: tuple[int, ...]
     vertex_rep: tuple[int, ...]
-    dart_base: tuple[int, ...]
-    dart_sigma: tuple[int, ...]
 
 
 def build_level_graph(d: TowerDatum, n: int) -> LevelGraph:
@@ -122,7 +121,6 @@ def build_level_graph(d: TowerDatum, n: int) -> LevelGraph:
             vbase.append(i)
             vrep.append(rep)
     o, t, inv = [], [], []
-    dbase, dsig = [], []
     for e in range(base.n_darts):
         a = d.voltage[e] % order
         fo = d.fiber_size(base.dart_origin[e], n)
@@ -131,48 +129,8 @@ def build_level_graph(d: TowerDatum, n: int) -> LevelGraph:
             o.append(vertex_index[(base.dart_origin[e], sigma % fo)])
             t.append(vertex_index[(base.dart_terminus[e], (sigma + a) % ft)])
             inv.append(base.dart_inverse[e] * order + (sigma + a) % order)
-            dbase.append(e)
-            dsig.append(sigma)
     graph = SerreGraph(tuple(labels), tuple(o), tuple(t), tuple(inv))
-    return LevelGraph(graph, n, tuple(vbase), tuple(vrep), tuple(dbase), tuple(dsig))
-
-
-def quotient_level_graph(d: TowerDatum, lg: LevelGraph, m: int) -> SerreGraph:
-    """Quotient of a level-n cover by p^m Z/p^n Z, relabelled at level m.
-
-    Forgetting the high digits of the labels must reproduce the level-m
-    cover exactly, ordering included.
-    """
-    if m > lg.level:
-        raise DatumError("quotient level above the built level")
-    p = d.p
-    qorder = p**m
-    vertex_index: dict[tuple[int, int], int] = {}
-    labels = []
-    for i, rep in zip(lg.vertex_base, lg.vertex_rep):
-        key = (i, rep % d.fiber_size(i, m))
-        if key not in vertex_index:
-            vertex_index[key] = len(labels)
-            labels.append((d.base.vertices[i], key[1]))
-    dart_index: dict[tuple[int, int], int] = {}
-    o, t, inv = [], [], []
-    for e, sigma in zip(lg.dart_base, lg.dart_sigma):
-        key = (e, sigma % qorder)
-        if key in dart_index:
-            continue
-        dart_index[key] = len(o)
-        a = d.voltage[e] % qorder
-        o.append(vertex_index[(d.base.dart_origin[e], key[1] % d.fiber_size(d.base.dart_origin[e], m))])
-        t.append(
-            vertex_index[
-                (d.base.dart_terminus[e], (key[1] + a) % d.fiber_size(d.base.dart_terminus[e], m))
-            ]
-        )
-        inv.append(-1)  # fixed below once all darts exist
-    for (e, sigma), idx in dart_index.items():
-        a = d.voltage[e] % qorder
-        inv[idx] = dart_index[(d.base.dart_inverse[e], (sigma + a) % qorder)]
-    return SerreGraph(tuple(labels), tuple(o), tuple(t), tuple(inv))
+    return LevelGraph(graph, n, tuple(vbase), tuple(vrep))
 
 
 def ramification_profile(d: TowerDatum, n: int) -> list[tuple[int, int]]:

@@ -31,7 +31,7 @@ from .graphs import (
     reduced_closed_path_counts,
     spanning_tree_count,
 )
-from .groupring import CharacterLabel, subgroup_exponent
+from .groupring import subgroup_exponent
 from .lfunctions import character_tables, product_formula_check, r0, vanishing_order_check
 from .poly import UniPoly
 from .report import poly_text
@@ -133,13 +133,12 @@ def run_battery(d: TowerDatum, n: int, subgroup_order: int | None = None) -> lis
 
 
 def _subgroup_gamma_direct(d: TowerDatum, lg: LevelGraph, subgroup_order: int) -> tuple[int, ...]:
-    # chi_phi for the subgroup action, from the H-orbits on the vertices of the level-n cover lg
+    # chi_phi for the subgroup action, from the H-orbits on the vertices of the level-n cover lg:
+    # phi_b kills the stabilizer of order s exactly when b (|H| / s) = 0 mod |H|
     _, reps, stabilizers = subgroup_vertex_orbits(d, lg, subgroup_order)
-    h_exp = subgroup_exponent(d.p, lg.level, subgroup_order)
     n_orbit_edges = lg.graph.n_edges // subgroup_order
     out = []
     for b in range(subgroup_order):
-        phi = CharacterLabel(d.p, h_exp, b)
-        killed = sum(1 for stab in stabilizers if not phi.kernel_contains(stab))
-        out.append(len(reps) - n_orbit_edges - killed)
+        escaped = sum(1 for stab in stabilizers if b * (subgroup_order // stab) % subgroup_order)
+        out.append(len(reps) - n_orbit_edges - escaped)
     return tuple(out)

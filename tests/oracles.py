@@ -24,7 +24,7 @@ from graphzeta.groupring import CharacterLabel, GroupRingElem, characters, group
 from graphzeta.lfunctions import orbit_vertices
 from graphzeta.linalg import det_cyclotomic_poly
 from graphzeta.poly import UniPoly, _RingOps
-from graphzeta.tower import TowerDatum
+from graphzeta.tower import LevelGraph, TowerDatum
 
 # -- Q(zeta_{p^j}) with Fraction coordinates ------------------------------
 
@@ -551,6 +551,38 @@ def l_reciprocal_of_sum(data: list[LfnData]) -> tuple[int, UniPoly]:
     return sum(item.c_exponent for item in data), prod.map_coeffs(
         lambda c: c if isinstance(c, CycloNum) else CycloNum.rational(p, c, level)
     )
+
+
+def quotient_level_graph(d: TowerDatum, lg: LevelGraph, m: int) -> SerreGraph:
+    """Quotient of a level-n cover by p^m Z/p^n Z, relabelled at level m.
+
+    Reads the dart (e, sigma) of lg at index e p^n + sigma, as `tower`
+    orders them.  Forgetting the high digits of the labels must reproduce
+    the level-m cover exactly, ordering included.
+    """
+    assert m <= lg.level
+    order, qorder = d.p**lg.level, d.p**m
+    vertex_index: dict[tuple[int, int], int] = {}
+    labels = []
+    for i, rep in zip(lg.vertex_base, lg.vertex_rep):
+        key = (i, rep % d.fiber_size(i, m))
+        if key not in vertex_index:
+            vertex_index[key] = len(labels)
+            labels.append((d.base.vertices[i], key[1]))
+    dart_index: dict[tuple[int, int], int] = {}
+    o, t = [], []
+    for index in range(lg.graph.n_darts):
+        e, sigma = divmod(index, order)
+        key = (e, sigma % qorder)
+        if key in dart_index:
+            continue
+        dart_index[key] = len(o)
+        ends = (d.base.dart_origin[e], key[1]), (d.base.dart_terminus[e], key[1] + d.voltage[e])
+        o_key, t_key = ((v, r % d.fiber_size(v, m)) for v, r in ends)
+        o.append(vertex_index[o_key])
+        t.append(vertex_index[t_key])
+    inv = [dart_index[(d.base.dart_inverse[e], (sigma + d.voltage[e]) % qorder)] for e, sigma in dart_index]
+    return SerreGraph(tuple(labels), tuple(o), tuple(t), tuple(inv))
 
 
 def level_matrices(

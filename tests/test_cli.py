@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,12 @@ from conftest import FIXTURES, collect_random_data, modules_naming
 from graphzeta import cli, graphs, lfunctions, linalg
 from graphzeta.cli import _human, cmd_lfunctions, main
 from graphzeta.datum_io import datum_to_dict, dump_datum, load_datum, parse_datum
-from graphzeta.errors import DatumError
+from graphzeta.errors import CertificationError, DatumError
 from graphzeta.graphs import SerreGraph
 from graphzeta.lfunctions import characters
 from graphzeta.report import fmt_fraction, machine_json
 from graphzeta.tower import TowerDatum
+from graphzeta.verify import VerifyItem
 from oracles import lfn_data_direct
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -105,6 +107,28 @@ def test_integer_vertex_names_roundtrip(tmp_path):
     assert again.base.dart_terminus == g.dart_terminus
     assert again.base.dart_inverse == g.dart_inverse
     assert (again.p, again.voltage, again.ram) == (d.p, d.voltage, d.ram)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"vertices": "ab"}, "vertices must be an array of strings"),
+        ({"vertices": ["a", 1]}, "vertices must be an array of strings"),
+        ({"vertices": ["a", "b", "a"]}, "vertex names must be unique"),
+        ({"edges": [["a", "b", 1]]}, 'edge 0 must be an object with "from", "to", "voltage"'),
+        ({"edges": [{"from": "a", "to": "b"}]}, 'edge 0 must be an object with "from", "to", "voltage"'),
+        ({"ramification": ["unramified", 1]}, "ramification must be an object"),
+        ({"ramification": {"a": "unramified", "b": 1, "c": 0}}, "ramification names undeclared vertex 'c'"),
+    ],
+    ids=["vertices-string", "vertices-int", "duplicate", "edge-array", "edge-keys", "ram-array", "ram-extra"],
+)
+def test_parse_reports_each_malformed_member(changes, message, tmp_path, capsys):
+    with pytest.raises(DatumError, match="^<datum>: " + message.replace('"', '.') + "$"):
+        parse_datum(_doc(**changes))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_doc(**changes)), encoding="utf-8")
+    assert main(["zeta", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_parse_errors():
@@ -201,7 +225,22 @@ def test_cli_rejects_a_prime_past_2_64(tmp_path, capsys):
                 assert main([cmd, str(path), "--level", "0", *machine]) == 1
                 captured = capsys.readouterr()
                 assert captured.out == ""
-                assert captured.err == f"error: {path}: prime must be below 2^64, got {prime}\n"
+                assert captured.err == f"error: {path}: prime must be below 2^64\n"
+
+
+def test_cli_refuses_a_prime_of_thousands_of_digits_before_testing_it(tmp_path, capsys):
+    # the bound is checked before Miller-Rabin, which takes seconds on such numbers: the Mersenne
+    # prime 2^4423 - 1 (1332 digits), and a 3894-digit odd composite with no factor below 41
+    mersenne = 2**4423 - 1
+    for prime in (mersenne, mersenne * (2**4253 - 1) ** 2):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(_doc(prime=prime)), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["zeta", str(path)]) == 1
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: prime must be below 2^64\n"
+        assert len(captured.err) < 200
 
 
 @pytest.mark.parametrize(
@@ -538,6 +577,24 @@ def test_cli_commands_do_no_cyclotomic_arithmetic(monkeypatch, capsys):
     assert outcomes() == expected
     monkeypatch.setattr(cli, "CycloNum", object(), raising=False)
     assert modules_naming("CycloNum") == ["cli"]
+
+
+def test_cli_certification_failure_exits_3(monkeypatch, capsys):
+    # a CertificationError raised inside a command, and a battery with a failing item
+    def refuse(d, max_level):
+        raise CertificationError("level 2: h'(1) / 4 is not a positive integer")
+
+    monkeypatch.setattr(cli, "tower_sweep", refuse)
+    for machine in ([], ["--json"]):
+        assert main(["tower", DATUM, *machine]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "certification failed: level 2: h'(1) / 4 is not a positive integer\n")
+    monkeypatch.setattr(cli, "run_battery", lambda d, n, order: [VerifyItem("hashimoto", "fail", "h'(1) = 1")])
+    assert main(["verify", DATUM, "--level", "1", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["all_passed"] is False and captured.err == ""
+    assert main(["verify", DATUM, "--level", "1"]) == 3
+    assert "FAILURES PRESENT" in capsys.readouterr().out
 
 
 def test_cli_deterministic(capsys):

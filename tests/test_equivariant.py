@@ -389,3 +389,21 @@ def test_random_eta_equals_the_kronecker_route(seed, level, h):
     d = random_datum(random.Random(seed), p, max_vertices=5, max_edges=8, max_k=2, levels_connected=0)
     assume(len(subgroup_vertex_orbits(d, build_level_graph(d, n), p**h)[1]) <= 20)
     _eta_by_both_routes(d, n, p**h)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32), st.sampled_from([(2, 0), (2, 3), (2, 4), (3, 2), (5, 1)]), st.integers(0, 4))
+def test_subgroup_orbits_by_formula_match_the_enumerated_action(seed, level, h):
+    # the orbits of H (order p^h) on the level-n cover, found by applying every element of H to
+    # every vertex: least vertices in vertex order and stabilizer orders, against the formula
+    p, n = level
+    d = random_datum(random.Random(seed), p, max_vertices=4, max_edges=6, max_k=3, levels_connected=0)
+    lg, order = build_level_graph(d, n), p ** min(h, n)
+    act, reps, stabilizers = subgroup_vertex_orbits(d, lg, order)
+    seen, want = set(), []
+    for vi in range(lg.graph.n_vertices):
+        if vi not in seen:
+            orbit = {act(vi, t) for t in range(order)}
+            seen |= orbit
+            want.append((vi, order // len(orbit)))
+    assert list(zip(reps, stabilizers)) == want

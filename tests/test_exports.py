@@ -61,7 +61,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # searched afresh per call, so the prime cache is gone; UniPoly compares
 # its coefficients with 0 inline.  Galois conjugates are gathers of Python
 # lists and only the multimodular pass uses numpy, so the numpy index pair
-# and the int64-or-object array helper are gone.
+# and the int64-or-object array helper are gone.  A level is built one way
+# (build_level_graph), so the quotient of a built level is the test oracle
+# quotient_level_graph in tests/oracles.py, reading darts by index; the sweep
+# takes each orbit's stabilizer power as its exponent, orbit_level_exponent.
 REMOVED = [
     ("poly", "poly_derivative"),
     ("poly", "poly_eval"),
@@ -137,6 +140,16 @@ REMOVED = [
     ("poly", "_is_zero"),
     ("cyclo", "_galois_index_pair"),
     ("cyclo", "_int_array"),
+    ("tower", "quotient_level_graph"),
+    ("lfunctions", "orbit_level_factor"),
+]
+
+# (module, class, attribute) triples deleted from a class: a dart's label is its index
+# e p^n + sigma, and whether a character kills a subgroup is one congruence
+REMOVED_ATTRIBUTES = [
+    ("tower", "LevelGraph", "dart_base"),
+    ("tower", "LevelGraph", "dart_sigma"),
+    ("groupring", "CharacterLabel", "kernel_contains"),
 ]
 
 
@@ -155,6 +168,16 @@ def test_removed_names_are_gone(module_name, attr):
     assert not hasattr(module, attr)
     assert attr not in getattr(module, "__all__", [])
     assert not hasattr(graphzeta, attr)
+
+
+@pytest.mark.parametrize("module_name, cls, attr", REMOVED_ATTRIBUTES)
+def test_removed_attributes_are_gone(module_name, cls, attr):
+    import dataclasses
+
+    owner = getattr(importlib.import_module(f"graphzeta.{module_name}"), cls)
+    assert not hasattr(owner, attr)
+    assert attr not in {field.name for field in dataclasses.fields(owner)}
+    assert f"`{cls}.{attr}" in README.read_text()
 
 
 def test_public_removed_names_have_a_readme_row():

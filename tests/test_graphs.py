@@ -56,6 +56,23 @@ def test_fixed_point_inversion_rejected():
         validate_graph(g)
 
 
+@pytest.mark.parametrize(
+    "darts, message",
+    [
+        (((0, 0), (0,), (1, 0)), "dart arrays have mismatched lengths"),
+        (((0,), (0,), (0,)), "dart count must be even"),
+        (((0, 2), (0, 0), (1, 0)), "dart 1 has dangling origin reference 2"),
+        (((0, 0), (0, 5), (1, 0)), "dart 1 has dangling terminus reference 5"),
+        (((0, 0), (0, 0), (1, 2)), "dart 1 has dangling inverse reference"),
+        (((0, 0, 0, 0), (0, 0, 0, 0), (1, 2, 3, 0)), "inversion is not an involution at dart 0"),
+    ],
+    ids=["lengths", "odd", "origin", "terminus", "inverse", "involution"],
+)
+def test_validate_graph_reports_each_violation(darts, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        validate_graph(SerreGraph(("v",), *darts))
+
+
 def test_incidence_mismatch_rejected():
     g = SerreGraph(("a", "b", "c"), (0, 1, 1, 2), (1, 0, 2, 0), (1, 0, 3, 2))
     with pytest.raises(GraphError, match="incidence"):

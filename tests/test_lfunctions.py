@@ -538,3 +538,13 @@ def test_ordp_orbit_product_refuses_orders_outside_the_level():
     for j in (0, 4, -1):
         with pytest.raises(ValueError):
             ordp_orbit_product(d, 3, j)
+
+
+def test_verify_refuses_a_disconnected_level():
+    # voltages all even and no vertex with k_v = 0: every level n >= 1 falls apart
+    g = SerreGraph.from_edges(["a", "b"], [("a", "b"), ("a", "b")])
+    d = TowerDatum(g, 2, (2, -2, 4, -4), (None, 1))
+    run_battery(d, 0)
+    for n in (1, 2):
+        with pytest.raises(HypothesisError, match=f"^level {n} disconnected$"):
+            run_battery(d, n)

@@ -22,7 +22,7 @@ from graphzeta.linalg import (
     det_int,
     is_probable_prime,
 )
-from graphzeta.cyclo import coordinate_norm
+from graphzeta.cyclo import coordinate_norm, euler_phi_prime_power
 from graphzeta.poly import UniPoly
 from oracles import CycloNum, character_idempotent, det_cofactor, galois_conjugate, zeta
 
@@ -1108,3 +1108,24 @@ def test_small_graph_pass_matches_cofactor(g, level, rng):
     k = g.n_vertices
     rows = _multimodular(k, terms, j, p)
     assert UniPoly([CycloNum(p, j, tuple(map(Fraction, x))) for x in rows]) == _cyclo_det_oracle(p, j, k, terms)
+
+
+@pytest.mark.parametrize("j, p", [(0, 2), (1, 3), (2, 2)])
+def test_pass_takes_coefficients_past_int64(j, p):
+    # a coefficient of 2^64 or more leaves the int64 cells for Python integers: a u-free problem
+    # and a Bass-form one, each against the exact Kronecker route
+    big = 2**64 + 5
+    u_free = [(0, 0, 1, 0, big), (0, 1, 0, 0, 3), (1, 0, 2, 0, -1), (1, 1, 0, 0, 7), (2, 2, 1, 0, -big), (1, 2, 3, 0, 2)]
+    bass = [(0, 0, 0, 0, 1), (1, 1, 1, 0, 3), (2, 2, 1, 0, big)]  # S = M(0), one monomial per row
+    bass += [(0, 1, 1, 1, -big), (1, 0, 0, 1, 5), (2, 0, 2, 1, -1), (0, 2, 0, 2, 3), (1, 1, 1, 2, big)]
+    phi = euler_phi_prime_power(p, j)
+    for terms in (u_free, bass):
+        coords = _kronecker(3, terms, j, p)
+        assert _multimodular(3, terms, j, p) == [coords[x : x + phi] for x in range(0, len(coords), phi)]
+
+
+def test_large_integer_determinant_with_an_entry_past_int64():
+    rng = random.Random(11)
+    m = [[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]  # above the Bareiss size
+    m[4][17] = 2**70
+    assert det_int(m) == det_bareiss_int(m) != 0

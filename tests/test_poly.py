@@ -134,6 +134,14 @@ def test_shared_ring_operators(pair, k, q, e):
     assert x**e == product
     with pytest.raises(ValueError):
         x ** -1
+    if isinstance(x, UniPoly):
+        # a zero factor or shift gives the zero polynomial; polynomials of different lengths differ
+        zero = UniPoly()
+        assert x * zero == zero * x == zero.shift(k % 4) == zero and (x * zero).coeffs == ()
+        assert x.shift(k % 4) == x * UniPoly.monomial(k % 4)
+        longer = UniPoly(list(x.coeffs) + [q or 1])
+        assert x != longer and longer != x and not x == longer and x == UniPoly(x.coeffs)
+        assert UniPoly([1, 2]) != UniPoly([1, 2, 3]) and UniPoly([1, 2, 3]) != UniPoly([1, 2])
     # a foreign operand is refused on either side, by zero and nonzero elements alike
     for z in (x, 0 * x):
         for operation in (lambda: z - "u", lambda: "u" - z, lambda: z + "u", lambda: "u" + z):

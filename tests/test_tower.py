@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import collect_random_data
-from oracles import level_matrices
+from oracles import level_matrices, quotient_level_graph
 from graphzeta.errors import DatumError
 from graphzeta.graphs import SerreGraph, connected, euler_characteristic, validate_graph
 from graphzeta.groupring import GroupRingElem, norm_element
@@ -13,7 +13,6 @@ from graphzeta.tower import (
     build_level_graph,
     level_connected,
     level_shape,
-    quotient_level_graph,
     ramification_profile,
     tower_euler_char,
 )
@@ -33,6 +32,13 @@ def test_datum_validation():
     disconnected = SerreGraph.from_edges(["a", "b", "c"], [("b", "c")])
     with pytest.raises(DatumError, match="not connected"):
         TowerDatum(disconnected, 2, (0, 0), (None, None, None))
+    with pytest.raises(DatumError, match="^voltage must assign an integer to every dart$"):
+        TowerDatum(g, 2, (1, -1, 0), (None, None))
+    with pytest.raises(DatumError, match="^ramification must cover every vertex$"):
+        TowerDatum(g, 2, (1, -1), (None,))
+    for k in (-1, 1.0, "1"):
+        with pytest.raises(DatumError, match="^ramification exponent must be a nonnegative integer, got"):
+            TowerDatum(g, 2, (1, -1), (None, k))
 
 
 def test_level_zero_is_base():
@@ -65,13 +71,6 @@ def test_level_one_is_a_four_cycle():
     from graphzeta.graphs import connected
 
     assert connected(g)
-
-
-def test_dart_labels_unique_and_action_free():
-    d = _double_edge()
-    lg = build_level_graph(d, 2)
-    labels = list(zip(lg.dart_base, lg.dart_sigma))
-    assert len(set(labels)) == len(labels)
 
 
 def test_ramification_profile():
